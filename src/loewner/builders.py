@@ -14,9 +14,9 @@ while this rule reaches roundoff.  Each quadrature term is a scaled parallel
 sum realized as a 2x2 pencil atom, and atoms are assembled into one arrowhead
 pencil whose trailing block stays block diagonal.
 
-Accuracy is calibrated against eigendecomposition oracles on a declared
-spectral interval; evaluation outside it degrades gracefully (growing error)
-rather than erroring.
+Accuracy is calibrated against eigendecomposition oracles on spectra in
+[0.1, 10]; wider spectra degrade gracefully (growing error) rather than
+erroring.
 """
 
 from __future__ import annotations
@@ -42,10 +42,7 @@ __all__ = [
     "weighted_arithmetic",
     "geometric_mean",
     "build_realization",
-    "DEFAULT_SPECTRUM",
 ]
-
-DEFAULT_SPECTRUM = (1e-2, 1e2)
 
 
 @dataclass(frozen=True)
@@ -241,14 +238,11 @@ def arrowhead_sum(atoms, affine=None) -> PencilRealization:
     return PencilRealization(e, SymMatrix(a0), tuple(SymMatrix(c) for c in coeffs))
 
 
-def loewner_quadrature(t: float, n_nodes: int = 96,
-                       spectrum=DEFAULT_SPECTRUM) -> PencilRealization:
+def loewner_quadrature(t: float, n_nodes: int = 96) -> PencilRealization:
     """Quadrature realization of x -> x^t for t in (0, 1).
 
-    ``spectrum`` declares the interval on which accuracy is calibrated (the
-    node construction itself does not depend on it); at the default 96 nodes
-    the relative error on [0.1, 10] is at roundoff level and decreases with
-    growing N on wider intervals.
+    At the default 96 nodes the relative error on [0.1, 10] is at roundoff
+    level and decreases with growing N on wider intervals.
     """
     scheme = power_quadrature_scheme(t, n_nodes)
     atoms = [_scaled_cauchy_atom(lam, w)
@@ -281,8 +275,7 @@ def weighted_arithmetic(w) -> PencilRealization:
     return PencilRealization(np.array([1.0]), SymMatrix(np.zeros((1, 1))), coeffs)
 
 
-def geometric_mean(t: float, n_nodes: int = 96,
-                   spectrum=DEFAULT_SPECTRUM) -> PencilRealization:
+def geometric_mean(t: float, n_nodes: int = 96) -> PencilRealization:
     """Quadrature realization of the weighted geometric mean X1 #_t X2.
 
     Two-variable perspective of x^t: each quadrature term becomes the scaled
@@ -295,8 +288,7 @@ def geometric_mean(t: float, n_nodes: int = 96,
     return arrowhead_sum(atoms)
 
 
-def build_realization(spec: FunctionSpec | str, n_nodes: int = 96,
-                      spectrum=DEFAULT_SPECTRUM) -> PencilRealization:
+def build_realization(spec: FunctionSpec | str, n_nodes: int = 96) -> PencilRealization:
     """Build the pencil realization described by a FunctionSpec (or its text)."""
     if isinstance(spec, str):
         spec = FunctionSpec.parse(spec)
@@ -312,13 +304,13 @@ def build_realization(spec: FunctionSpec | str, n_nodes: int = 96,
     if tag == "cauchy":
         return cauchy_atom(p[0])
     if tag == "sqrt":
-        return loewner_quadrature(0.5, n_nodes, spectrum)
+        return loewner_quadrature(0.5, n_nodes)
     if tag == "power":
-        return loewner_quadrature(p[0], n_nodes, spectrum)
+        return loewner_quadrature(p[0], n_nodes)
     if tag == "harmonic":
         return weighted_harmonic(p)
     if tag == "arithmetic":
         return weighted_arithmetic(p)
     if tag == "geomean":
-        return geometric_mean(p[0], n_nodes, spectrum)
+        return geometric_mean(p[0], n_nodes)
     raise ValueError(f"unknown function tag {tag!r}")

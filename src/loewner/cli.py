@@ -88,10 +88,10 @@ def _scalar_from_realization(realization):
     def f(*xs):
         scalar_in = np.ndim(xs[0]) == 0
         cols = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-        out = np.empty(cols[0].shape[0])
-        for j in range(out.shape[0]):
-            point = MatrixTuple(tuple(np.array([[c[j]]]) for c in cols))
-            out[j] = pencil.eval(realization, point).entries[0, 0]
+        # one evaluation at the diagonal tuple: direct-sum invariance makes its
+        # diagonal the scalar function at every joint eigenvalue
+        point = MatrixTuple(tuple(np.diag(c) for c in cols))
+        out = np.real(np.diag(pencil.eval(realization, point).entries))
         return float(out[0]) if scalar_in else out
 
     return f
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True,
                    help="power:t | arithmetic | harmonic")
     p.add_argument("--measure", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_mean)
 
     p = sub.add_parser("decompose",

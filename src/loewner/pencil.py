@@ -12,12 +12,27 @@ Loewner order, which is what the verify suites exercise.
 
 Evaluation rotates e into the first coordinate (deterministic Householder
 reflection), so the shorted operator always pivots on the leading n rows.
-The pseudo-inverse of the trailing block is computed per connected component
-of its sparsity pattern: for arrowhead-built realizations the components are
-n x n blocks, which keeps large-node quadrature realizations cheap.  The
-blockwise path is algebraically identical to `shorted.shorted_operator`
-(Z >= 0 iff Z22 >= 0, the range condition holds, and the complement is >= 0)
-and is cross-checked against it in the tests.
+`eval` then takes one of four paths, chosen from the realization's shape:
+
+* scalar (auxiliary dimension 1): the pencil is ``a0 I + sum_i c_i X_i``;
+  its oracle is `assemble_pencil`, which gives the same matrix.
+* one-variable spectral (k = 1, every aux-by-aux block diagonal): every
+  trailing block ``d0_j I + d_j X`` and coupling ``o0_j I + o_j X`` is a
+  polynomial in X, so ``F(X) = U diag(f(lam)) U*`` for ``X = U diag(lam) U*``
+  with the scalar rational ``f = z - sum_j |o_j|^2 / d_j``: one ``eigh(X)``
+  (`_spectral_short`).  Oracles: `_arrowhead_short` and
+  `shorted.shorted_operator` on the assembled pencil.
+* batched arrowhead (k >= 2, every aux-by-aux block diagonal): the trailing
+  block splits into n x n blocks, one batched ``eigh`` over them
+  (`_arrowhead_short`).  Oracle: `shorted.shorted_operator`.
+* componentwise generic (any other shape): the pseudo-inverse of the trailing
+  block is taken per connected component of its sparsity pattern
+  (`_short_leading_blockwise`).  Oracle: `shorted.shorted_operator`.
+
+Every path fuses the same admission checks into the factorization (Z >= 0 iff
+Z22 >= 0, the range condition holds, and the complement is >= 0) with the same
+relative tolerances.  `eval_complex` has a scalar, a batched arrowhead and a
+componentwise path; its oracle is `shorted.block_schur_general`.
 """
 
 from __future__ import annotations
@@ -161,8 +176,8 @@ def _aux_blocks_diagonal(a0r, coeffs_r) -> bool:
 
     Arrowhead-built pencils have this shape, so the trailing block of the
     assembled pencil splits into per-aux-coordinate n x n blocks and the whole
-    evaluation runs on small batched operations without forming the mn x mn
-    Kronecker matrix.
+    evaluation runs on small batched operations (for one variable, in the
+    eigenbasis of X) without forming the mn x mn Kronecker matrix.
     """
     for c in (a0r, *coeffs_r):
         aux = c[1:, 1:]
@@ -186,7 +201,8 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     ``B_j = a0[j,j] I + sum_i c_i[j,j] X_i`` and the coupling to the pivot is
     ``R_j = a0[j,0] I + sum_i c_i[j,0] X_i``; the complement is
     ``Z11 - sum_j R_j* B_j^+ R_j`` with the same admission checks as the
-    generic path.
+    generic path.  Serves k >= 2; for k = 1 it is the oracle of
+    `_spectral_short`.
     """
     n = arrays[0].shape[0]
     eye = np.eye(n)
@@ -222,6 +238,39 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
             raise PencilDomainError(
                 f"pencil not PSD at X: Schur complement eigenvalue {smin:.3e}")
     return short
+
+
+def _spectral_short(a0r, c, x, rank_tol, psd_tol, check_domain):
+    """Shorted operator of a one-variable arrowhead pencil in X's eigenbasis.
+
+    With ``X = U diag(lam) U*`` every block of the pencil is diagonal in U, so
+    the complement is ``U diag(f) U*`` with ``d = d0_j + d_j lam``,
+    ``o = o0_j + o_j lam`` and ``f = z - sum_j |o|^2 / d`` over the kept
+    entries of d.  The admission checks of `_arrowhead_short` become scalar
+    tests on these arrays with the same tolerances; f is exactly the spectrum
+    of the complement.
+    """
+    lam, u = np.linalg.eigh(x)
+    d = np.real(np.diag(a0r)[1:, None] + np.diag(c)[1:, None] * lam)
+    o = a0r[1:, 0, None] + c[1:, 0, None] * lam
+    z = np.real(a0r[0, 0] + c[0, 0] * lam)
+    scale = max(1.0, float(z.max()), float(d.max()))
+    if check_domain and float(d.min()) < -psd_tol * scale:
+        raise PencilDomainError(
+            f"pencil not PSD at X: trailing-block eigenvalue {float(d.min()):.3e}")
+    o2 = np.abs(o) ** 2
+    keep = d > rank_tol * np.clip(d.max(axis=1), 0.0, None)[:, None]
+    if check_domain and not np.all(keep):
+        off_norm = math.sqrt(float(o2[~keep].sum()))
+        if off_norm > 10.0 * math.sqrt(rank_tol) * scale:
+            raise PencilDomainError(
+                f"pencil not PSD at X: range condition violated "
+                f"({off_norm:.3e} > {10.0 * math.sqrt(rank_tol) * scale:.3e})")
+    f = z - np.where(keep, o2 / np.where(keep, d, 1.0), 0.0).sum(axis=0)
+    if check_domain and float(f.min()) < -psd_tol * scale:
+        raise PencilDomainError(
+            f"pencil not PSD at X: Schur complement eigenvalue {float(f.min()):.3e}")
+    return (u * f) @ u.conj().T
 
 
 def _short_leading_blockwise(z, n, rank_tol, psd_tol, check_domain):
@@ -304,6 +353,9 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
         return SymMatrix(out)
     a0r, coeffs_r = _rotated_coefficients(r)
     if _aux_blocks_diagonal(a0r, coeffs_r):
+        if r.k == 1:
+            return SymMatrix(_spectral_short(a0r, coeffs_r[0], xt.items[0].entries,
+                                             rank_tol, tol, check_domain))
         short = _arrowhead_short(a0r, coeffs_r, [xi.entries for xi in xt.items],
                                  rank_tol, tol, check_domain)
         return SymMatrix(short)
@@ -316,9 +368,10 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
 def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
     """Complex-point Schur complement of an arrowhead pencil, batched.
 
-    The coefficients are real symmetric, so the pivot-row and pivot-column
-    coupling blocks coincide (no conjugation): the complement is
-    ``Z11 - sum_j R_j B_j^{-1} R_j``.
+    The pivot-column coupling is ``R_j = o0_j I + sum_i o_ij X_i`` and, the
+    coefficients being Hermitian, the pivot-row coupling is
+    ``R'_j = conj(o0_j) I + sum_i conj(o_ij) X_i`` (equal to R_j for real
+    coefficients): the complement is ``Z11 - sum_j R'_j B_j^{-1} R_j``.
     """
     n = arrays[0].shape[0]
     eye = np.eye(n)
@@ -331,6 +384,7 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
         + np.einsum("i,iab->ab", np.array([c[0, 0] for c in coeffs_r]), x)
     blocks = d0[:, None, None] * eye + np.einsum("ij,iab->jab", di, x)
     couple = o0[:, None, None] * eye + np.einsum("ij,iab->jab", oi, x)
+    row = o0.conj()[:, None, None] * eye + np.einsum("ij,iab->jab", oi.conj(), x)
     scale = max(1.0, float(np.abs(blocks).sum(axis=-1).max()),
                 float(np.abs(z11).sum(axis=-1).max()))
     smin = float(np.linalg.svd(blocks, compute_uv=False).min(initial=np.inf))
@@ -339,7 +393,7 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
             f"pivot complement block singular (sigma_min = {smin:.3e}); "
             "imaginary-part positivity violated beyond tolerance")
     solved = np.linalg.solve(blocks, couple)
-    return z11 - np.einsum("jab,jbc->ac", couple, solved)
+    return z11 - np.einsum("jab,jbc->ac", row, solved)
 
 
 def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:

@@ -12,11 +12,12 @@ from loewner import (
     SymMatrix,
     build_realization,
     check_monotone,
+    eval_pencil,
     random_pd,
     shorted_operator,
 )
 from loewner import jsonio
-from loewner.cli import main
+from loewner.cli import _scalar_from_realization, main
 
 
 def write(path, payload):
@@ -194,6 +195,20 @@ class TestVerifyCommand:
                    "--seed", "5"])
         assert rc == 0
 
+    @pytest.mark.parametrize("spec", ["sqrt", "cauchy:0.7", "geomean:0.3"])
+    def test_hypograph_adapter_matches_pointwise_eval(self, spec):
+        r = build_realization(spec, n_nodes=24)
+        f = _scalar_from_realization(r)
+        rng = np.random.default_rng(3)
+        cols = [rng.uniform(0.1, 10.0, size=6) for _ in range(r.k)]
+        got = f(*cols)
+        pointwise = [eval_pencil(r, MatrixTuple(tuple(np.array([[c[j]]]) for c in cols)))
+                     .entries[0, 0] for j in range(6)]
+        np.testing.assert_allclose(got, pointwise, rtol=1e-12, atol=1e-14)
+        scalar = f(*(float(c[0]) for c in cols))
+        assert isinstance(scalar, float)
+        assert abs(scalar - pointwise[0]) <= 1e-12 * abs(pointwise[0])
+
 
 class TestOrderCommand:
     def _measure_file(self, tmp_path, name, atoms, weights):
@@ -268,6 +283,14 @@ class TestMeanCommand:
         a = random_pd(2, (0.5, 2), 8)
         write(tmp_path / "mu.json", jsonio.measure_to_json(DiscreteMeasure((a,), np.array([1.0]))))
         assert main(["mean", "--spec", "median", "--measure", str(tmp_path / "mu.json")]) == 2
+
+    def test_no_tol_option(self, tmp_path, capsys):
+        a = random_pd(2, (0.5, 2), 8)
+        write(tmp_path / "mu.json", jsonio.measure_to_json(DiscreteMeasure((a,), np.array([1.0]))))
+        with pytest.raises(SystemExit) as exc:
+            main(["mean", "--spec", "power:0.5", "--measure", str(tmp_path / "mu.json"),
+                  "--tol", "1e-9"])
+        assert exc.value.code == 2
 
 
 class TestDecomposeCommand:

@@ -12,6 +12,7 @@ from loewner import (
     apply_scalar_function,
     assemble_pencil,
     b_form,
+    build_realization,
     eval_complex,
     eval_pencil,
     from_b_form,
@@ -21,7 +22,13 @@ from loewner import (
     shorted_operator,
 )
 from loewner.numlin import operator_norm, tuple_compress, tuple_direct_sum
-from loewner.pencil import householder_to_e1
+from loewner.pencil import (
+    _arrowhead_short,
+    _aux_blocks_diagonal,
+    _rotated_coefficients,
+    householder_to_e1,
+)
+from loewner.shorted import block_schur_general
 
 
 def identity_realization():
@@ -137,8 +144,8 @@ class TestEval:
         assert np.iscomplexobj(got)
 
     def test_rotated_pivot_matches_manual_reference(self):
-        # e away from e1 forces the Householder rotation and the generic
-        # component path; compare against rotating the assembled pencil by hand
+        # e away from e1 forces the Householder rotation; compare against
+        # rotating the assembled pencil by hand
         rng = np.random.default_rng(13)
         e = np.array([0.6, 0.8])
         base = cauchy_realization(1.5)
@@ -151,6 +158,157 @@ class TestEval:
             rot = np.kron(q, np.eye(3)) @ z @ np.kron(q, np.eye(3)).T
             ref = shorted_operator(SymMatrix(rot), 3).s_short.entries
             assert operator_norm(got - ref) <= 1e-10 * max(1, operator_norm(z))
+
+
+def complex_coefficient_realization():
+    # Hermitian PSD A1 (eigenvalues 0, 1, 4) with complex pivot couplings
+    a1 = np.array([[3, 1j, 1 - 1j], [-1j, 1, 0], [1 + 1j, 0, 1]])
+    return PencilRealization(np.eye(3)[0], SymMatrix(np.diag([0.0, 1.0, 2.0])),
+                             (SymMatrix(a1),))
+
+
+def spectral_and_oracles(r, x):
+    """Spectral-path result, the batched arrowhead path and the dense shorted
+    operator of the rotated, assembled pencil, plus that pencil's norm."""
+    xt = MatrixTuple((x,))
+    a0r, coeffs_r = _rotated_coefficients(r)
+    assert r.k == 1 and r.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r)
+    fast = eval_pencil(r, xt).entries
+    batched = _arrowhead_short(a0r, coeffs_r, [xt.items[0].entries], 1e-12, 1e-9, True)
+    rot = np.kron(householder_to_e1(r.e), np.eye(xt.n))
+    z = rot @ assemble_pencil(r, xt).entries @ rot.T
+    ref = shorted_operator(SymMatrix(z), xt.n).s_short.entries
+    return fast, batched, ref, operator_norm(z)
+
+
+def assert_matches_oracles(r, x):
+    # rounding in z - sum_j |o_j|^2/d_j scales with the pencil, not with F
+    fast, batched, ref, znorm = spectral_and_oracles(r, x)
+    assert operator_norm(fast - batched) <= 1e-13 * max(1.0, znorm)
+    assert operator_norm(fast - ref) <= 1e-13 * max(1.0, znorm)
+
+
+def raises_domain_error(fn):
+    try:
+        fn()
+    except PencilDomainError:
+        return True
+    return False
+
+
+class TestSpectralPath:
+    """One-variable arrowhead pencils evaluate in the eigenbasis of X."""
+
+    def test_batched_path_not_used_for_one_variable(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("batched arrowhead path taken")
+
+        monkeypatch.setattr("loewner.pencil._arrowhead_short", fail)
+        r = build_realization("power:0.5", n_nodes=24)
+        x = random_pd(4, (0.1, 10), 0)
+        out = eval_pencil(r, MatrixTuple((x,))).entries
+        oracle = apply_scalar_function(np.sqrt, x).entries
+        assert operator_norm(out - oracle) <= 1e-10 * operator_norm(oracle)
+
+    def test_power_half_96_nodes(self):
+        r = build_realization("power:0.5", n_nodes=96)
+        for seed in range(3):
+            assert_matches_oracles(r, random_pd(4, (0.1, 10), seed).entries)
+
+    def test_cauchy(self):
+        r = cauchy_realization(1.7)
+        for seed in range(5):
+            assert_matches_oracles(r, random_pd(6, (0.05, 20), seed).entries)
+
+    def test_rotated_e(self):
+        # a two-dimensional auxiliary space keeps the rotated aux block 1 x 1,
+        # so an arbitrary e still takes the spectral path
+        rng = np.random.default_rng(21)
+        g0 = rng.standard_normal((2, 2))
+        g1 = rng.standard_normal((2, 2))
+        r = PencilRealization(np.array([0.6, -0.8]), SymMatrix(g0 @ g0.T),
+                              (SymMatrix(g1 @ g1.T),))
+        for _ in range(5):
+            assert_matches_oracles(r, random_pd(5, (0.1, 10), rng).entries)
+
+    def test_complex_hermitian_point(self):
+        rng = np.random.default_rng(22)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        x = g @ g.conj().T + 0.3 * np.eye(4)
+        r = build_realization("power:0.5", n_nodes=48)
+        assert_matches_oracles(r, x)
+        got = eval_pencil(r, MatrixTuple((x,))).entries
+        oracle = apply_scalar_function(np.sqrt, SymMatrix(x)).entries
+        assert operator_norm(got - oracle) <= 1e-10 * operator_norm(oracle)
+
+    def test_complex_hermitian_coefficients(self):
+        # the couplings enter as |o|^2, so complex pivot couplings stay exact
+        r = complex_coefficient_realization()
+        rng = np.random.default_rng(23)
+        assert_matches_oracles(r, random_pd(4, (0.1, 10), rng).entries)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert_matches_oracles(r, g @ g.conj().T + 0.2 * np.eye(3))
+
+    @pytest.mark.parametrize("lo,hi,rel", [(0.1, 10.0, 5e-12), (1e-4, 1e4, 1e-10),
+                                           (1e-8, 1e8, 1e-6)])
+    def test_wide_spectra_against_mpmath(self, lo, hi, rel):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        r = build_realization("power:0.5", n_nodes=96)
+        a0 = r.a0.entries
+        c = r.coeffs[0].entries
+
+        def f(x):  # the quadrature rational z - sum_j o_j^2 / d_j, at 50 digits
+            out = mp.mpf(a0[0, 0]) + mp.mpf(c[0, 0]) * x
+            for j in range(1, r.m):
+                o = mp.mpf(a0[j, 0]) + mp.mpf(c[j, 0]) * x
+                out -= o * o / (mp.mpf(a0[j, j]) + mp.mpf(c[j, j]) * x)
+            return out
+
+        rng = np.random.default_rng(24)
+        n = 5
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        x = (q * np.geomspace(lo, hi, n)) @ q.T
+        x = (x + x.T) / 2.0
+        with mpmath.workdps(50):
+            lam, u = mp.eigsy(mp.matrix(x.tolist()))
+            ref = u * mp.diag([f(lam[i]) for i in range(n)]) * u.T
+            ref = np.array(ref.tolist(), dtype=float)
+        a0r, coeffs_r = _rotated_coefficients(r)
+        fast = eval_pencil(r, MatrixTuple((x,))).entries
+        batched = _arrowhead_short(a0r, coeffs_r, [x], 1e-12, 1e-9, True)
+        norm = operator_norm(ref)
+        assert operator_norm(fast - ref) <= rel * norm
+        assert operator_norm(batched - ref) <= rel * norm
+
+    def test_rank_deficient_truncation(self):
+        # aux part of A0 zero: at a singular X the trailing entries d vanish
+        # with the couplings, and truncation drops them; F(X) = 1.5 X exactly
+        a1 = np.array([[3.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
+        r = PencilRealization(np.eye(3)[0], SymMatrix(np.zeros((3, 3))),
+                              (SymMatrix(a1),))
+        rng = np.random.default_rng(25)
+        g = rng.standard_normal((5, 3))
+        x = g @ g.T  # rank 3 of 5
+        fast, batched, ref, znorm = spectral_and_oracles(r, x)
+        assert operator_norm(fast - 1.5 * x) <= 1e-12 * operator_norm(x)
+        assert operator_norm(fast - batched) <= 1e-12 * operator_norm(x)
+        assert operator_norm(fast - ref) <= 1e-12 * znorm
+
+    @pytest.mark.parametrize("x,raises", [
+        (-2.0 * np.eye(3), True),
+        (np.diag([1.0, 0.0]), False),
+        (np.diag([1.0, 2.0, -1e-6]), True),
+        (np.diag([1.0, 2.0, -1e-13]), False),
+    ])
+    @pytest.mark.parametrize("spec", ["cauchy:1.0", "power:0.5"])
+    def test_domain_errors_match_batched_path(self, spec, x, raises):
+        r = build_realization(spec, n_nodes=24)
+        a0r, coeffs_r = _rotated_coefficients(r)
+        spectral = raises_domain_error(lambda: eval_pencil(r, MatrixTuple((x,))))
+        batched = raises_domain_error(
+            lambda: _arrowhead_short(a0r, coeffs_r, [x], 1e-12, 1e-9, True))
+        assert spectral == batched == raises
 
 
 class TestEvalProperties:
@@ -247,6 +405,27 @@ class TestEvalComplex:
                               (SymMatrix(np.eye(2)), SymMatrix(np.eye(2))))
         with pytest.raises(ValueError, match="one sign"):
             eval_complex(r, [a, b])
+
+
+    def test_complex_coefficients_match_dense_schur(self):
+        # the pivot-row coupling of a complex-Hermitian coefficient is the
+        # conjugate of the pivot-column coupling
+        r = complex_coefficient_realization()
+        z = np.array([[1 + 2j]])
+        got = eval_complex(r, [z])
+        dense = np.kron(r.a0.entries, np.eye(1)) + np.kron(r.coeffs[0].entries, z)
+        ref = block_schur_general(dense, 1)
+        assert operator_norm(got - ref) <= 1e-13
+
+    def test_complex_coefficients_match_dense_schur_matrix_point(self):
+        r = complex_coefficient_realization()
+        rng = np.random.default_rng(26)
+        re = rng.standard_normal((3, 3))
+        x = (re + re.T) / 2 + 1j * random_pd(3, (0.2, 3), rng).entries
+        got = eval_complex(r, [x])
+        dense = np.kron(r.a0.entries, np.eye(3)) + np.kron(r.coeffs[0].entries, x)
+        ref = block_schur_general(dense, 3)
+        assert operator_norm(got - ref) <= 1e-12 * max(1.0, operator_norm(dense))
 
 
 class TestBForm:
