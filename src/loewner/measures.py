@@ -6,7 +6,10 @@ decided constructively: by Strassen's theorem it holds iff some coupling of
 bipartite transportation feasibility problem.  `stochastic_leq` solves it by
 max-flow and returns either a monotone coupling or a min-cut certificate; the
 independent oracle `brute_force_stochastic_leq` enumerates the upper sets of
-the finite atom poset directly.
+the finite atom poset directly.  The relation is batched (one stacked
+``eigvalsh`` per mu atom) and Edmonds-Karp runs on adjacency lists in the BFS
+order of a dense scan with ``longdouble`` flows, so couplings and certificates
+are bit-identical to the pairwise relation and the dense-matrix max-flow.
 
 Direct sums of measures are deliberately non-unique: any coupling gamma of
 (mu, nu) induces the measure with atoms A_i (+) B_j and weights gamma_ij.
@@ -18,7 +21,8 @@ rational rounding.
 The power mean is the unique PD fixed point of X = sum_i w_i X #_t A_i; its
 geometric-mean kernel uses the eigendecomposition formula directly (not the
 pencil realization) so that measure-level accuracy is independent of
-quadrature error; cross-module agreement is itself a test.
+quadrature error; cross-module agreement is itself a test.  Each iteration
+takes X^{1/2} and X^{-1/2} once and batches the atoms.
 """
 
 from __future__ import annotations
@@ -207,44 +211,81 @@ def pushforward_weights(rep: StepRepresentation, n_atoms: int) -> np.ndarray:
 # Strassen feasibility by max-flow
 # ---------------------------------------------------------------------------
 
-def _max_flow(cap: np.ndarray, source: int, sink: int, eps: float = 1e-13):
-    """Edmonds-Karp on a dense capacity matrix; float-safe (BFS bounds the
-    augmentation count independently of capacities)."""
-    size = cap.shape[0]
-    flow = np.zeros((size, size), dtype=np.longdouble)
-    capl = cap.astype(np.longdouble)
+def _max_flow(size: int, edges, caps, source: int, sink: int, eps: float = 1e-13):
+    """Edmonds-Karp on adjacency lists of the residual graph.
+
+    Edge e = (tail, head) owns arc 2e with capacity ``caps[e]`` and the reverse
+    arc 2e+1 with capacity 0; no two edges join the same nodes.  Neighbours are
+    listed in ascending node order, so BFS visits nodes exactly as a scan of a
+    dense capacity row does.  Flows stay in ``longdouble`` and an arc is open
+    while ``cap - flow > eps``: float capacities then saturate without rounding
+    slivers above ``eps``, and flows, value and min cut are bit-identical to a
+    dense-matrix Edmonds-Karp.  BFS bounds the augmentation count independently
+    of the capacities.  Returns the flow value, each edge's flow and the nodes
+    the source still reaches (the source side of a min cut).
+    """
+    head = [v for edge in edges for v in reversed(edge)]
+    adj = [[] for _ in range(size)]
+    for tail, v, arc in sorted((head[a ^ 1], v, a) for a, v in enumerate(head)):
+        adj[tail].append((v, arc))
+    capl = np.zeros(len(head), dtype=np.longdouble)
+    capl[0::2] = caps
+    flow = np.zeros_like(capl)
+    is_open = (capl > eps).tolist()
     while True:
-        parent = np.full(size, -1, dtype=int)
-        parent[source] = source
+        into = [None] * size  # the arc by which BFS first reached each node
+        into[source] = -1
         queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in np.flatnonzero(capl[u] - flow[u] > eps):
-                if parent[v] < 0:
-                    parent[v] = u
+        while queue and into[sink] is None:
+            for v, arc in adj[queue.popleft()]:
+                if into[v] is None and is_open[arc]:
+                    into[v] = arc
                     queue.append(v)
-        if parent[sink] < 0:
+        if into[sink] is None:
             break
-        path = []
-        v = sink
+        path, v = [], sink
         while v != source:
-            u = int(parent[v])
-            path.append((u, v))
-            v = u
-        bottleneck = min(capl[u, v] - flow[u, v] for u, v in path)
-        for u, v in path:
-            flow[u, v] += bottleneck
-            flow[v, u] -= bottleneck
-    value = float(np.clip(flow[source], 0.0, None).sum())
-    reachable = parent >= 0
-    return value, np.asarray(flow, dtype=float), reachable
+            path.append(into[v])
+            v = head[into[v] ^ 1]  # the tail of the arc into v
+        back = [a ^ 1 for a in path]
+        bottleneck = (capl[path] - flow[path]).min()
+        flow[path] += bottleneck
+        flow[back] -= bottleneck
+        for a in path + back:
+            is_open[a] = bool(capl[a] - flow[a] > eps)
+    row = np.zeros(size, dtype=np.longdouble)  # a whole row sums in the dense order
+    for v, arc in adj[source]:
+        row[v] = flow[arc]
+    reachable = np.array([arc is not None for arc in into])
+    return float(row.sum()), np.asarray(flow[0::2], dtype=float), reachable
+
+
+def _stacked(atoms):
+    """Atoms stacked by dtype as (indices, stack) pairs, and every atom's
+    largest |eigenvalue| from one ``eigvalsh`` per stack."""
+    groups = {}
+    for k, a in enumerate(atoms):
+        groups.setdefault(a.entries.dtype, []).append(k)
+    stacks = [(idx, np.stack([atoms[k].entries for k in idx])) for idx in groups.values()]
+    ext = np.empty(len(atoms))
+    for idx, stack in stacks:
+        ext[idx] = np.abs(np.linalg.eigvalsh(stack)[:, [0, -1]]).max(axis=1)
+    return stacks, ext
 
 
 def _order_relation(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> np.ndarray:
-    rel = np.zeros((mu.size, nu.size), dtype=bool)
+    """rel[i, j] = loewner_leq(A_i, B_j, tol), with one stacked ``eigvalsh``
+    over B_j - A_i per mu atom (memory O(q n^2)).  Stacking by dtype sends
+    each matrix to the LAPACK routine the pairwise predicate uses, so the
+    relation equals it entry for entry."""
+    _, ext_a = _stacked(mu.atoms)
+    nu_stacks, ext_b = _stacked(nu.atoms)
+    rel = np.empty((mu.size, nu.size), dtype=bool)
+    diff_min = np.empty(nu.size)
     for i, a in enumerate(mu.atoms):
-        for j, b in enumerate(nu.atoms):
-            rel[i, j] = loewner_leq(a, b, tol)
+        for idx, stack in nu_stacks:
+            diff_min[idx] = np.linalg.eigvalsh(stack - a.entries)[:, 0]
+        rel[i] = diff_min >= -tol * np.maximum(max(1.0, ext_a[i]), ext_b)
     return rel
 
 
@@ -261,29 +302,23 @@ def stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-9):
     """
     if mu.n != nu.n:
         raise DimensionMismatch("measures must live on one matrix dimension")
-    rel = _order_relation(mu, nu, tol)
+    rows, cols = np.nonzero(_order_relation(mu, nu, tol))
     p, q = mu.size, nu.size
-    size = p + q + 2
-    source, sink = 0, size - 1
-    cap = np.zeros((size, size))
-    cap[source, 1:1 + p] = mu.weights
-    for i in range(p):
-        cap[1 + i, 1 + p:1 + p + q] = np.where(rel[i], 2.0, 0.0)
-    cap[1 + p:1 + p + q, sink] = nu.weights
-    value, flow, reachable = _max_flow(cap, source, sink)
+    sink = p + q + 1
+    edges = ([(0, 1 + i) for i in range(p)]
+             + list(zip((1 + rows).tolist(), (1 + p + cols).tolist()))
+             + [(1 + p + j, sink) for j in range(q)])
+    caps = np.concatenate([mu.weights, np.full(rows.size, 2.0), nu.weights])
+    value, flow, reachable = _max_flow(sink + 1, edges, caps, 0, sink)
     if value >= 1.0 - 1e-10:
-        gamma = np.clip(flow[1:1 + p, 1 + p:1 + p + q], 0.0, None)
-        gamma[~rel] = 0.0
+        gamma = np.zeros((p, q))
+        gamma[rows, cols] = np.clip(flow[p:p + rows.size], 0.0, None)
         return True, Coupling(gamma, mu.weights, nu.weights)
-    mu_side = tuple(i for i in range(p) if reachable[1 + i])
-    nu_side = tuple(j for j in range(q) if reachable[1 + p + j])
-    cert = UpperSetCertificate(
-        mu_indices=mu_side,
-        nu_indices=nu_side,
-        mu_mass=float(mu.weights[list(mu_side)].sum()),
-        nu_mass=float(nu.weights[list(nu_side)].sum()),
-    )
-    return False, cert
+    mu_side = np.flatnonzero(reachable[1:1 + p])
+    nu_side = np.flatnonzero(reachable[1 + p:sink])
+    return False, UpperSetCertificate(
+        tuple(mu_side.tolist()), tuple(nu_side.tolist()),
+        float(mu.weights[mu_side].sum()), float(nu.weights[nu_side].sum()))
 
 
 def brute_force_stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -400,12 +435,16 @@ def _weighted_matrix_sum(weights, mats) -> np.ndarray:
         im = _weighted_matrix_sum([1.0] * len(terms), [m.imag for m in terms])
         return re + 1j * im
     flat = np.stack(terms).reshape(len(terms), -1)
-    out = np.array([math.fsum(flat[:, j]) for j in range(flat.shape[1])])
+    out = np.array([math.fsum(col) for col in flat.T.tolist()])
     return out.reshape(terms[0].shape)
 
 
 def _geomean_pair(x: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:
-    """Weighted geometric mean X #_t A by the eigendecomposition formula."""
+    """Weighted geometric mean X #_t A by the eigendecomposition formula.
+
+    ``a`` may be one matrix or a stack of them: X^{1/2} and X^{-1/2} are then
+    computed once and each slice equals the single-matrix result bit for bit.
+    """
     lam, u = np.linalg.eigh(x)
     if lam[0] <= 0.0:
         raise ValueError(f"geometric mean base not PD (lambda_min = {lam[0]:.3e})")
@@ -413,10 +452,10 @@ def _geomean_pair(x: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:
     xh = (u * rt) @ u.conj().T
     xhi = (u / rt) @ u.conj().T
     mid = xhi @ a @ xhi
-    lam2, u2 = np.linalg.eigh((mid + mid.conj().T) / 2.0)
-    powered = (u2 * np.clip(lam2, 0.0, None) ** t) @ u2.conj().T
+    lam2, u2 = np.linalg.eigh((mid + mid.conj().swapaxes(-1, -2)) / 2.0)
+    powered = (u2 * np.clip(lam2, 0.0, None)[..., None, :] ** t) @ u2.conj().swapaxes(-1, -2)
     res = xh @ powered @ xh
-    return (res + res.conj().T) / 2.0
+    return (res + res.conj().swapaxes(-1, -2)) / 2.0
 
 
 def power_mean(weights, atoms, t: float, max_iter: int = 500) -> SymMatrix:
@@ -440,9 +479,10 @@ def power_mean(weights, atoms, t: float, max_iter: int = 500) -> SymMatrix:
     if t == 1.0:
         return SymMatrix(arith)
     x = arith
+    stack = np.stack(mats)
     step = np.inf
     for _ in range(max_iter):
-        nxt = _weighted_matrix_sum(w, [_geomean_pair(x, a, t) for a in mats])
+        nxt = _weighted_matrix_sum(w, _geomean_pair(x, stack, t))
         step = float(np.linalg.norm(nxt - x, "fro"))
         x = nxt
         if step <= 1e-13 * float(np.linalg.norm(x, "fro")) or step <= 1e-11:

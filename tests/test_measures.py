@@ -1,5 +1,8 @@
 """Tests for measures, stochastic order, couplings and operator means."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from loewner import (
 )
 from loewner.measures import (
     _geomean_pair,
+    _order_relation,
     parse_mean_spec,
     pushforward_weights,
 )
@@ -41,6 +45,39 @@ def lifted(mu, rng, scale=0.4):
         bump *= scale / max(operator_norm(bump), 1e-300)
         out.append(a.entries + bump)
     return DiscreteMeasure(tuple(out), mu.weights)
+
+
+def seeded_pair(seed, p, kind, n=4):
+    """Seeded mu with p atoms of dimension n and a lifted, permuted copy above it
+    ("ordered"), an independent measure ("independent"), or a measure whose
+    atoms lie above almost every atom of mu ("dominated": many couplings, so
+    the one found depends on the augmenting-path order)."""
+    rng = np.random.default_rng(seed)
+    atoms = [random_pd(n, (0.1, 10.0), rng) for _ in range(p)]
+    mu = DiscreteMeasure(tuple(atoms), rng.dirichlet(np.ones(p)))
+    if kind == "ordered":
+        up = []
+        for a in atoms:
+            g = rng.standard_normal((n, n))
+            up.append(a.entries + 2.5 * (g @ g.T) / np.linalg.norm(g @ g.T, 2))
+        order = rng.permutation(p)
+        return mu, DiscreteMeasure(tuple(up[i] for i in order), mu.weights[order])
+    spectrum = (9.0, 20.0) if kind == "dominated" else (0.1, 10.0)
+    other = [random_pd(n, spectrum, rng) for _ in range(p)]
+    return mu, DiscreteMeasure(tuple(other), rng.dirichlet(np.ones(p)))
+
+
+def complex_atoms(seed, k, n):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(k):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out.append(g @ g.conj().T / n + 0.2 * np.eye(n))
+    return out
+
+
+def pairwise_relation(mu, nu, tol=1e-9):
+    return np.array([[loewner_leq(a, b, tol) for b in nu.atoms] for a in mu.atoms])
 
 
 class TestDiscreteMeasure:
@@ -345,3 +382,173 @@ class TestDirectSumCoupling:
                                           couplings_sample(mu, nu, 8, seed=2),
                                           tol=1e-10)
         assert report.passed
+
+
+class TestPinnedDigests:
+    """Outputs pinned byte for byte to the one-pair-at-a-time relation, the
+    dense-matrix max-flow and the one-atom-at-a-time power mean they replaced.
+
+    Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another LAPACK
+    build may round differently and needs its own digests.
+    """
+
+    @pytest.mark.parametrize("p, kind, ok, digest", [
+        (100, "ordered", True,
+         "5e86964d9f5ec849529e104a61471d60eec845fe2d27cd60ec48cc14942b0eb1"),
+        (100, "independent", False,
+         "b027e90c7b4662435c64e1c6370d1dac5a412e7b1b1fecdd48c064c209ba44fa"),
+        (20, "ordered", True,
+         "da5c596f63a2f37f840c6a79737f14d3f78f1362ef284650e220f3d63d3a57b9"),
+        (20, "independent", False,
+         "195502f2ba9697777c7d09c4a8463492f5aac20f825942537554a477ac675a60"),
+        (100, "dominated", True,
+         "ad2f19a908701df462c0282ea5f31eba5604360e9b5041d6cc1245ac9c4f9982"),
+        (20, "dominated", True,
+         "bba4884529bd3cbcb53e026ec1020b4806249c70991e6fee6a1f709685de119c"),
+    ])
+    def test_stochastic_leq(self, p, kind, ok, digest):
+        got_ok, witness = stochastic_leq(*seeded_pair(1000 + p, p, kind))
+        assert got_ok == ok
+        if ok:
+            payload = witness.gamma.tobytes()
+        else:
+            payload = repr((witness.mu_indices, witness.nu_indices,
+                            witness.mu_mass.hex(), witness.nu_mass.hex())).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    def test_power_mean_real(self):
+        rng = np.random.default_rng(77)
+        atoms = [random_pd(32, (0.1, 10.0), rng) for _ in range(10)]
+        w = rng.dirichlet(np.ones(10))
+        out = power_mean(w, atoms, 0.5).entries
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "719b35ed084128e4b73ca18c9f4d42a41ec5c553aa65b3467fa2492385a8eba7")
+
+    def test_power_mean_complex_hermitian(self):
+        w = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
+        out = power_mean(w, complex_atoms(78, 5, 6), 0.3).entries
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "3e543561c2e1458762bf23724442b1a9f37d08e9388a0fd4d032bc4d50c898cf")
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stacked_geomean_equals_per_atom(self, cplx):
+        atoms = (complex_atoms(79, 6, 5) if cplx
+                 else [random_pd(5, (1e-3, 1e3), s).entries for s in range(6)])
+        x = atoms[0] + atoms[1]
+        stacked = _geomean_pair(x, np.stack(atoms), 0.37)
+        for a, got in zip(atoms, stacked):
+            assert got.tobytes() == _geomean_pair(x, a, 0.37).tobytes()
+
+
+def log_spread_pd(rng, n, lo_exp, hi_exp, cplx=False):
+    g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0)
+    q, _ = np.linalg.qr(g)
+    return (q * 10.0 ** rng.uniform(lo_exp, hi_exp, n)) @ q.conj().T
+
+
+class TestBatchedRelation:
+    """The batched Loewner relation equals the pairwise `loewner_leq` relation."""
+
+    def test_spectra_over_1e_minus8_to_1e8(self):
+        rng = np.random.default_rng(40)
+        atoms = [log_spread_pd(rng, 4, -8, 8) for _ in range(12)]
+        mu = uniform_measure(atoms[:6])
+        nu = uniform_measure(atoms[6:] + [a + log_spread_pd(rng, 4, -8, 0) for a in atoms[:6]])
+        rel = _order_relation(mu, nu, 1e-9)
+        assert rel.any()
+        assert np.array_equal(rel, pairwise_relation(mu, nu))
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_tolerance_boundary(self, cplx):
+        rng = np.random.default_rng(41)
+        base = [log_spread_pd(rng, 5, -1, 2, cplx) for _ in range(4)]
+        mu = uniform_measure(base)
+        shrunk = [a * (1 - 1e-9 * (1 + s * 1e-6)) for a in base for s in (-1, 1)]
+        nu = uniform_measure(shrunk)
+        rel = _order_relation(mu, nu, 1e-9)
+        assert np.array_equal(rel, pairwise_relation(mu, nu))
+        # just inside the tolerance on one side, just outside on the other
+        assert [bool(rel[k, 2 * k]) for k in range(4)] == [True] * 4
+        assert [bool(rel[k, 2 * k + 1]) for k in range(4)] == [False] * 4
+
+    def test_mixed_real_and_complex_atoms(self):
+        rng = np.random.default_rng(42)
+        atoms = [log_spread_pd(rng, 3, -2, 2, cplx=k % 2 == 1) for k in range(8)]
+        shrunk = [a * (1 - 1e-9 * (1 + s * 1e-6)) for a in atoms[:4] for s in (-1, 1)]
+        mu = uniform_measure(atoms[:5])
+        nu = uniform_measure(atoms[3:] + shrunk + [a + np.eye(3) for a in atoms[:4]])
+        rel = _order_relation(mu, nu, 1e-9)
+        assert rel.any() and not rel.all()
+        assert np.array_equal(rel, pairwise_relation(mu, nu))
+        assert np.array_equal(_order_relation(nu, mu, 1e-9), pairwise_relation(nu, mu))
+
+    def test_real_pair_beside_complex_atoms(self):
+        # lambda_min(B - A) of this real pair differs between the real and the
+        # complex LAPACK routine, and tol puts the threshold between the two:
+        # the relation must diagonalize the real difference as a real matrix
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            a = random_pd(4, (0.5, 2.0), rng).entries
+            g = rng.standard_normal((4, 4))
+            b = a + 1e-3 * (g + g.T)
+            lam_r = np.linalg.eigvalsh(b - a)[0]
+            lam_c = np.linalg.eigvalsh((b - a).astype(complex))[0]
+            ends = np.abs([np.linalg.eigvalsh(m)[[0, -1]] for m in (a, b)])
+            scale = max(1.0, float(ends.max()))
+            tol = -float(lam_r + lam_c) / 2.0 / scale
+            if tol > 0 and (lam_r >= -tol * scale) != (lam_c >= -tol * scale):
+                break
+        else:
+            pytest.fail("no real pair separates the two LAPACK routines")
+        mu = uniform_measure([a] + complex_atoms(45, 2, 4))
+        nu = uniform_measure([b] + complex_atoms(46, 2, 4))
+        rel = _order_relation(mu, nu, tol)
+        assert rel[0, 0] == (lam_r >= -tol * scale)
+        assert np.array_equal(rel, pairwise_relation(mu, nu, tol))
+
+    @pytest.mark.parametrize("p, q", [(1, 7), (7, 1), (3, 5), (5, 3), (1, 1)])
+    def test_unequal_shapes(self, p, q):
+        rng = np.random.default_rng(43 + 10 * p + q)
+        mu = uniform_measure([random_pd(3, (0.5, 2), rng) for _ in range(p)])
+        nu = uniform_measure([random_pd(3, (1.5, 4), rng) for _ in range(q)])
+        rel = _order_relation(mu, nu, 1e-9)
+        assert rel.shape == (p, q)
+        assert np.array_equal(rel, pairwise_relation(mu, nu))
+
+
+class TestLargeInstances:
+    """100 x 100 pairs, checked against the pairwise relation."""
+
+    def test_coupling_marginals_and_support(self):
+        mu, nu = seeded_pair(2024, 100, "ordered")
+        ok, coupling = stochastic_leq(mu, nu)
+        assert ok
+        gamma = coupling.gamma
+        assert np.abs(gamma.sum(axis=1) - mu.weights).max() <= 1e-10
+        assert np.abs(gamma.sum(axis=0) - nu.weights).max() <= 1e-10
+        for i, j in zip(*np.nonzero(gamma)):
+            assert loewner_leq(mu.atoms[i], nu.atoms[j], 1e-9)
+
+    def test_min_cut_certificate(self):
+        mu, nu = seeded_pair(2025, 100, "independent")
+        ok, cert = stochastic_leq(mu, nu)
+        assert not ok
+        assert cert.mu_mass > cert.nu_mass
+        assert cert.mu_mass == pytest.approx(mu.weights[list(cert.mu_indices)].sum(), abs=1e-12)
+        assert cert.nu_mass == pytest.approx(nu.weights[list(cert.nu_indices)].sum(), abs=1e-12)
+        above = {j for i in cert.mu_indices for j in range(nu.size)
+                 if loewner_leq(mu.atoms[i], nu.atoms[j], 1e-9)}
+        assert above <= set(cert.nu_indices)
+
+    @pytest.mark.parametrize("kind", ["ordered", "independent"])
+    def test_no_dense_network_matrix(self, kind):
+        # a dense (p+q+2)^2 longdouble capacity matrix alone would exceed the bound
+        p = 200
+        mu, nu = seeded_pair(2026, p, kind)
+        tracemalloc.start()
+        try:
+            stochastic_leq(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * p + 2) ** 2 * np.dtype(np.longdouble).itemsize
