@@ -2,13 +2,27 @@
 
 Floating values are serialized as hex-float strings (``float.hex()``), which
 round-trip bit-exactly; human-readable decimal mirrors are included alongside
-as non-authoritative fields (ignored on load).  ``dumps`` emits sorted keys so
-identical objects produce identical bytes.
+as non-authoritative fields (ignored on load).
+
+Byte contract: for every object with string keys, ``dumps(obj)`` is
+identical, byte for byte, to ``json.dumps(obj, sort_keys=True, indent=2) +
+"\n"``, so identical objects produce identical files; the tests keep that
+call as the oracle.  ``dumps`` raises ``TypeError`` where ``json.dumps``
+does, and for any non-string key.  It has its own encoder because with
+``indent`` set the standard library falls back from its C encoder to a
+pure-Python generator chain, which was most of the time of writing a large
+realization; this encoder joins each list of strings or of finite floats in
+one call.
+
+Load-time checks: every matrix row and vector is a JSON array whose entries
+are hex strings or JSON numbers (not booleans), and every loaded array is
+finite; anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -46,42 +60,106 @@ def _hex(x: float) -> str:
 def _unhex(v) -> float:
     if isinstance(v, str):
         return float.fromhex(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a hex string or a JSON number, got {type(v).__name__}")
     return float(v)
 
 
+def _floats(v) -> list:
+    """Python floats of ``v`` flattened, cast as ``float(x)`` casts each entry."""
+    return np.asarray(v, dtype=float).reshape(-1).tolist()
+
+
 def _hex_vector(v) -> list:
-    return [_hex(x) for x in np.asarray(v, dtype=float).reshape(-1)]
+    return list(map(float.hex, _floats(v)))
+
+
+def _hex_rows(m) -> tuple:
+    """Hex rows and decimal rows of a 2-d array."""
+    rows = np.asarray(m, dtype=float).tolist()
+    return [list(map(float.hex, row)) for row in rows], rows
+
+
+def _unhex_list(v, what: str) -> list:
+    """Floats of one JSON array of hex strings or JSON numbers."""
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(v).__name__}")
+    try:
+        return list(map(float.fromhex, v))
+    except TypeError:  # a JSON number, or an entry of the wrong type
+        return [_unhex(x) for x in v]
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite entry (nan or inf) in {what}")
+    return arr
 
 
 def _unhex_vector(v) -> np.ndarray:
-    return np.array([_unhex(x) for x in v], dtype=float)
-
-
-def _hex_rows(m: np.ndarray) -> list:
-    return [[_hex(x) for x in row] for row in m]
+    return _finite(np.array(_unhex_list(v, "vector"), dtype=float), "vector")
 
 
 def _unhex_rows(rows) -> np.ndarray:
-    return np.array([[_unhex(x) for x in row] for row in rows], dtype=float)
+    arr = np.array([_unhex_list(row, "matrix row") for row in rows], dtype=float)
+    return _finite(arr, "matrix")
+
+
+def _encode(o, indent: str) -> str:
+    """JSON text of ``o`` in the ``sort_keys=True, indent=2`` layout.
+
+    ``indent`` is the newline and spaces that precede ``o``'s closing bracket.
+    """
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if math.isinf(o):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        if kinds == {str}:
+            body = sep.join(map(_quote, o))
+        elif kinds == {float} and all(map(math.isfinite, o)):
+            body = sep.join(map(float.__repr__, o))
+        else:
+            body = sep.join([_encode(x, inner) for x in o])
+        return f"[{inner}{body}{indent}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join([f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(o.items())])
+        return f"{{{inner}{body}{indent}}}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``obj`` as JSON text under the byte contract of the module docstring."""
+    return _encode(obj, "\n") + "\n"
 
 
 def matrix_to_json(m) -> dict:
     arr = np.asarray(m.entries if isinstance(m, SymMatrix) else m)
     if arr.ndim != 2:
         raise ValueError("matrix payload must be 2-d")
-    out = {
-        "rows": int(arr.shape[0]),
-        "cols": int(arr.shape[1]),
-        "re": _hex_rows(arr.real),
-        "re_decimal": [[float(x) for x in row] for row in arr.real],
-    }
+    out = {"rows": int(arr.shape[0]), "cols": int(arr.shape[1])}
+    out["re"], out["re_decimal"] = _hex_rows(arr.real)
     if np.iscomplexobj(arr):
-        out["im"] = _hex_rows(arr.imag)
-        out["im_decimal"] = [[float(x) for x in row] for row in arr.imag]
+        out["im"], out["im_decimal"] = _hex_rows(arr.imag)
     return out
 
 
@@ -94,7 +172,9 @@ def matrix_from_json(d: dict) -> np.ndarray:
         im = _unhex_rows(d["im"])
         if im.shape != re.shape:
             raise ValueError("imaginary part shape differs from the real part")
-        return re + 1j * im
+        z = re.astype(complex)  # re + 1j * im would turn a -0.0 into +0.0
+        z.imag = im
+        return z
     return re
 
 
@@ -109,7 +189,9 @@ def tuple_to_json(x: MatrixTuple) -> dict:
 def tuple_from_json(d: dict) -> list:
     """Point payload: either a tuple file or a bare matrix file (k = 1).
 
-    Returns raw arrays; symmetry is validated by the consuming operation.
+    Returns raw arrays whose symmetry is not checked.  ``eval`` and
+    ``decompose`` wrap each one in ``SymMatrix``, which silently keeps the
+    Hermitian part ``(A + A*)/2``; ``eval --complex`` uses the arrays as given.
     """
     if "re" in d:
         return [matrix_from_json(d)]
@@ -124,7 +206,7 @@ def realization_to_json(r: PencilRealization) -> dict:
         "k": r.k,
         "m": r.m,
         "e": _hex_vector(r.e),
-        "e_decimal": [float(x) for x in r.e],
+        "e_decimal": _floats(r.e),
         "A0": matrix_to_json(r.a0),
         "A": [matrix_to_json(c) for c in r.coeffs],
     }
@@ -144,7 +226,7 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
         "n": mu.n,
         "atoms": [matrix_to_json(a) for a in mu.atoms],
         "weights": _hex_vector(mu.weights),
-        "weights_decimal": [float(w) for w in mu.weights],
+        "weights_decimal": _floats(mu.weights),
     }
 
 

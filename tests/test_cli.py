@@ -1,5 +1,6 @@
 """Tests for the CLI: serialization fidelity, exit codes, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -11,10 +12,13 @@ from loewner import (
     SuiteConfig,
     SymMatrix,
     build_realization,
+    check_herglotz,
     check_monotone,
+    comat_decompose,
     eval_pencil,
     random_pd,
     shorted_operator,
+    stochastic_leq,
 )
 from loewner import jsonio
 from loewner.cli import _scalar_from_realization, main
@@ -70,6 +74,126 @@ class TestSerializationRoundTrips:
         payload["e"][0] = (0.5).hex()  # no longer a unit vector
         with pytest.raises(ValueError):
             jsonio.realization_from_json(payload)
+
+
+def _schema_payloads():
+    """One payload of every schema ``jsonio`` writes."""
+    rng = np.random.default_rng(4)
+    mu = DiscreteMeasure(tuple(random_pd(3, (0.5, 2), s) for s in range(4)),
+                         np.array([0.1, 0.2, 0.3, 0.4]))
+    nu = DiscreteMeasure(tuple(random_pd(3, (3, 5), s) for s in range(3)),
+                         np.full(3, 1.0 / 3.0))
+    ordered, coupling = stochastic_leq(mu, nu)
+    reversed_, upper = stochastic_leq(nu, mu)
+    assert ordered and not reversed_
+    x = MatrixTuple((random_pd(3, (0.5, 3), 1), random_pd(3, (0.5, 3), 2)))
+    cfg = SuiteConfig(dims=(2,), trials=5, seed=1, tol=1e-8)
+    return {
+        "real": jsonio.matrix_to_json(rng.standard_normal((3, 4))),
+        "complex": jsonio.matrix_to_json(rng.standard_normal((2, 2))
+                                         + 1j * rng.standard_normal((2, 2))),
+        "tuple": jsonio.tuple_to_json(x),
+        "realization": jsonio.realization_to_json(build_realization("geomean:0.3", n_nodes=8)),
+        "measure": jsonio.measure_to_json(mu),
+        "report": jsonio.report_to_json(check_herglotz(build_realization("cauchy:2"), cfg)),
+        "coupling": jsonio.coupling_to_json(coupling),
+        "upper_certificate": jsonio.upper_certificate_to_json(upper),
+        "hull_certificate": jsonio.hull_certificate_to_json(comat_decompose(x)),
+    }
+
+
+class TestByteContract:
+    """``jsonio.dumps`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+
+    def test_dumps_matches_stdlib_oracle(self):
+        for schema, payload in _schema_payloads().items():
+            oracle = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert jsonio.dumps(payload) == oracle, schema
+
+    def test_int_and_longdouble_matrices_print_as_floats(self):
+        ints = jsonio.matrix_to_json(np.arange(6).reshape(2, 3))
+        assert ints["re_decimal"] == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert all(type(x) is float for row in ints["re_decimal"] for x in row)
+        ld = np.array([[1.0, 2.5], [3.0, 4.0]], dtype=np.longdouble) / 3
+        payload = jsonio.matrix_to_json(ld)
+        assert payload["re"] == [[float(x).hex() for x in row] for row in ld]
+        assert payload["re_decimal"] == [[float(x) for x in row] for row in ld]
+
+    def test_rejects_what_json_rejects(self):
+        for bad in ({"n": np.int64(3)}, {"x": [1.0, np.bool_(True)]}, {"s": {1, 2}},
+                    {(1, 2): 0}):
+            with pytest.raises(TypeError):
+                json.dumps(bad, sort_keys=True, indent=2)
+            with pytest.raises(TypeError):
+                jsonio.dumps(bad)
+        with pytest.raises(TypeError):  # json.dumps would write the key as "1"
+            jsonio.dumps({1: 0.5})
+
+    def test_realize_file_digest_pinned(self, tmp_path):
+        # sha256 of the file written before the one-pass encoder replaced json.dumps
+        out = tmp_path / "r.json"
+        assert main(["realize", "--function", "power:0.37", "--nodes", "384",
+                     "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7f0cbdf03e90aba607c12468e8471117b27f841c006a55c8cc265f7d3d2c76f3")
+
+    def test_report_file_digest_pinned(self, tmp_path, capsys):
+        main(["realize", "--function", "cauchy:2", "-o", str(tmp_path / "r.json")])
+        rc = main(["verify", "--suite", "herglotz", "--realization", str(tmp_path / "r.json"),
+                   "--dims", "2,3", "--trials", "20", "--seed", "11",
+                   "--report", str(tmp_path / "rep.json")])
+        assert rc == 0
+        assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == (
+            "0449ebdde2e2bff8e269d3b0853ffede9a710de18ffc6384788c3762e0165f76")
+
+
+class TestLoadChecks:
+    """Malformed entries are structural errors (exit 2), not silent values."""
+
+    def _eval(self, tmp_path, point_payload):
+        main(["realize", "--function", "cauchy:1", "-o", str(tmp_path / "r.json")])
+        (tmp_path / "x.json").write_text(json.dumps(point_payload))
+        return main(["eval", "--realization", str(tmp_path / "r.json"),
+                     "--point", str(tmp_path / "x.json")])
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_point_exits_2(self, tmp_path, capsys, entry):
+        payload = jsonio.matrix_to_json(np.eye(2))
+        payload["re"][0][0] = entry
+        assert self._eval(tmp_path, payload) == 2
+        assert "error: non-finite entry" in capsys.readouterr().err
+
+    def test_string_row_exits_2(self, tmp_path, capsys):
+        assert self._eval(tmp_path, {"rows": 2, "cols": 2, "re": ["10", "01"]}) == 2
+        assert "error: matrix row must be a JSON array" in capsys.readouterr().err
+
+    def test_bool_entry_exits_2(self, tmp_path, capsys):
+        payload = {"rows": 2, "cols": 2, "re": [[True, 0], [0, 1]]}
+        assert self._eval(tmp_path, payload) == 2
+        assert "error: expected a hex string or a JSON number, got bool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_coefficient_exits_2(self, tmp_path, capsys, entry):
+        main(["realize", "--function", "cauchy:1", "-o", str(tmp_path / "r.json")])
+        payload = read(tmp_path / "r.json")
+        payload["A"][0]["re"][1][1] = entry
+        write(tmp_path / "r.json", payload)
+        write(tmp_path / "x.json", jsonio.matrix_to_json(np.eye(2)))
+        assert main(["eval", "--realization", str(tmp_path / "r.json"),
+                     "--point", str(tmp_path / "x.json")]) == 2
+        assert "error: non-finite entry" in capsys.readouterr().err
+
+    def test_string_vector_rejected(self):
+        payload = jsonio.realization_to_json(build_realization("cauchy:1"))
+        payload["e"] = "10"
+        with pytest.raises(ValueError, match="vector must be a JSON array"):
+            jsonio.realization_from_json(payload)
+
+    def test_json_numbers_load_like_hex(self):
+        m = np.array([[1.5, -2.0], [0.25, 3.0]])
+        payload = jsonio.matrix_to_json(m)
+        payload["re"] = [[1.5, "-0x1.0000000000000p+1"], [0.25, 3]]
+        assert np.array_equal(jsonio.matrix_from_json(payload), m)
 
 
 class TestSchurCommand:
