@@ -33,12 +33,20 @@ Every path fuses the same admission checks into the factorization (Z >= 0 iff
 Z22 >= 0, the range condition holds, and the complement is >= 0) with the same
 relative tolerances.  `eval_complex` has a scalar, a batched arrowhead and a
 componentwise path; its oracle is `shorted.block_schur_general`.
+
+The batched contractions run as BLAS ``matmul``: the arrowhead blocks are one
+gemm over the stacked, flattened point (`_arrowhead_blocks`) and the
+complement one gemm over the rows of the rotated couplings, because
+``np.einsum`` with two or more operands and no ``optimize=`` runs numpy's own
+loop, not BLAS.  The rotated coefficients and the arrowhead test are computed
+once per realization (`PencilRealization._layout`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +126,18 @@ class PencilRealization:
     def m(self) -> int:
         return self.e.shape[0]
 
+    @cached_property
+    def _layout(self):
+        """``(a0r, coeffs_r, arrowhead)``, computed once per realization.
+
+        The coefficients with e rotated into the first coordinate (read-only
+        arrays) and whether every aux-by-aux block of them is diagonal.
+        """
+        a0r, coeffs_r = _rotated_coefficients(self)
+        for c in (a0r, *coeffs_r):
+            c.setflags(write=False)
+        return a0r, tuple(coeffs_r), _aux_blocks_diagonal(a0r, coeffs_r)
+
 
 def householder_to_e1(e) -> np.ndarray:
     """Deterministic orthogonal Q with Q e = e1 (identity when e already is e1)."""
@@ -194,6 +214,35 @@ def _assembled_pencil(a0r, coeffs_r, xt: MatrixTuple, dtype=float):
     return out
 
 
+def _adjoint(a):
+    """Conjugate transpose over the last two axes; real data is not copied."""
+    at = a.swapaxes(-1, -2)
+    return at.conj() if np.iscomplexobj(at) else at
+
+
+def _arrowhead_blocks(a0r, coeffs_r, arrays, row=False):
+    """``Z11``, the trailing blocks ``B_j`` and the couplings ``R_j`` of an
+    arrowhead pencil at X (with ``row``, also the pivot-row couplings
+    ``R'_j``), from one gemm ``coef.T @ x`` over the stacked, flattened point.
+
+    ``B_j``, ``R_j`` and ``R'_j`` are views into one array; the identity
+    multiples are added on its diagonals in place.
+    """
+    n = arrays[0].shape[0]
+
+    def column(c):
+        o = c[1:, 0]
+        return np.concatenate([c[:1, 0], np.diag(c)[1:], o, o.conj()][:3 + row])
+
+    ident = column(a0r)
+    coef = np.stack([column(c) for c in coeffs_r])
+    x = np.stack(arrays).reshape(len(arrays), n * n)
+    lin = (coef.T @ x).astype(np.result_type(ident, coef, x), copy=False)
+    lin[:, ::n + 1] += ident[:, None]
+    lin = lin.reshape(-1, n, n)
+    return (lin[0].copy(), *np.split(lin[1:], 2 + row))
+
+
 def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     """Shorted operator of an arrowhead pencil, batched over aux coordinates.
 
@@ -205,21 +254,14 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     `_spectral_short`.
     """
     n = arrays[0].shape[0]
-    eye = np.eye(n)
-    x = np.stack(arrays)
-    d0 = np.diag(a0r)[1:]
-    o0 = a0r[1:, 0]
-    di = np.stack([np.diag(c)[1:] for c in coeffs_r])
-    oi = np.stack([c[1:, 0] for c in coeffs_r])
-    z11 = a0r[0, 0] * eye + np.einsum("i,iab->ab", np.array([c[0, 0] for c in coeffs_r]), x)
-    blocks = d0[:, None, None] * eye + np.einsum("ij,iab->jab", di, x)
-    couple = o0[:, None, None] * eye + np.einsum("ij,iab->jab", oi, x)
+    z11, blocks, couple = _arrowhead_blocks(a0r, coeffs_r, arrays)
     lam, u = np.linalg.eigh(blocks)
     scale = max(1.0, float(np.linalg.eigvalsh(z11)[-1]), float(lam.max(initial=0.0)))
     if check_domain and float(lam.min(initial=0.0)) < -psd_tol * scale:
         raise PencilDomainError(
             f"pencil not PSD at X: trailing-block eigenvalue {float(lam.min()):.3e}")
-    g = np.einsum("jba,jbc->jac", u.conj(), couple)
+    g = _adjoint(u) @ couple
+    del blocks, couple, u  # frees the shared block array before the complement
     cut = rank_tol * np.clip(lam[:, -1], 0.0, None)
     keep = lam > cut[:, None]
     if check_domain and not np.all(keep):
@@ -230,7 +272,11 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
                 f"pencil not PSD at X: range condition violated "
                 f"({off_norm:.3e} > {10.0 * math.sqrt(rank_tol) * scale:.3e})")
     winv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-    short = z11 - np.einsum("jab,ja,jac->bc", g.conj(), winv, g)
+    # sum_j g_j* diag(winv_j) g_j as one gemm over the (m-1) n rows of g
+    gw = g * winv[:, :, None]
+    if np.iscomplexobj(gw):
+        np.conjugate(gw, out=gw)
+    short = z11 - gw.reshape(-1, n).T @ g.reshape(-1, n)
     short = (short + short.conj().T) / 2.0
     if check_domain:
         smin = float(np.linalg.eigvalsh(short)[0])
@@ -297,7 +343,7 @@ def _short_leading_blockwise(z, n, rank_tol, psd_tol, check_domain):
         lam, u = np.linalg.eigh(blocks)
         scale = max(scale, float(lam.max(initial=0.0)))
         rows = np.stack([z21[idx, :] for idx in group])
-        g = np.einsum("cij,cil->cjl", u.conj(), rows)
+        g = _adjoint(u) @ rows
         decomposed.append((group, lam, g))
     for group, lam, g in decomposed:
         for b in range(len(group)):
@@ -351,15 +397,15 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
                     f"pencil not PSD at X: eigenvalue {vals[0]:.3e}"
                 )
         return SymMatrix(out)
-    a0r, coeffs_r = _rotated_coefficients(r)
-    if _aux_blocks_diagonal(a0r, coeffs_r):
+    a0r, coeffs_r, arrowhead = r._layout
+    if arrowhead:
         if r.k == 1:
             return SymMatrix(_spectral_short(a0r, coeffs_r[0], xt.items[0].entries,
                                              rank_tol, tol, check_domain))
         short = _arrowhead_short(a0r, coeffs_r, [xi.entries for xi in xt.items],
                                  rank_tol, tol, check_domain)
         return SymMatrix(short)
-    dtype = complex if any(np.iscomplexobj(xi.entries) for xi in xt.items) else float
+    dtype = np.result_type(a0r, *coeffs_r, *(xi.entries for xi in xt.items))
     z = _assembled_pencil(a0r, coeffs_r, xt, dtype=dtype)
     short = _short_leading_blockwise(z, n, rank_tol, tol, check_domain)
     return SymMatrix(short)
@@ -373,18 +419,7 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
     ``R'_j = conj(o0_j) I + sum_i conj(o_ij) X_i`` (equal to R_j for real
     coefficients): the complement is ``Z11 - sum_j R'_j B_j^{-1} R_j``.
     """
-    n = arrays[0].shape[0]
-    eye = np.eye(n)
-    x = np.stack(arrays)
-    d0 = np.diag(a0r)[1:]
-    o0 = a0r[1:, 0]
-    di = np.stack([np.diag(c)[1:] for c in coeffs_r])
-    oi = np.stack([c[1:, 0] for c in coeffs_r])
-    z11 = a0r[0, 0] * eye.astype(complex) \
-        + np.einsum("i,iab->ab", np.array([c[0, 0] for c in coeffs_r]), x)
-    blocks = d0[:, None, None] * eye + np.einsum("ij,iab->jab", di, x)
-    couple = o0[:, None, None] * eye + np.einsum("ij,iab->jab", oi, x)
-    row = o0.conj()[:, None, None] * eye + np.einsum("ij,iab->jab", oi.conj(), x)
+    z11, blocks, couple, row = _arrowhead_blocks(a0r, coeffs_r, arrays, row=True)
     scale = max(1.0, float(np.abs(blocks).sum(axis=-1).max()),
                 float(np.abs(z11).sum(axis=-1).max()))
     smin = float(np.linalg.svd(blocks, compute_uv=False).min(initial=np.inf))
@@ -393,6 +428,7 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
             f"pivot complement block singular (sigma_min = {smin:.3e}); "
             "imaginary-part positivity violated beyond tolerance")
     solved = np.linalg.solve(blocks, couple)
+    # kept as einsum: a gemm here changes the bits of pinned herglotz reports
     return z11 - np.einsum("jab,jbc->ac", row, solved)
 
 
@@ -428,13 +464,13 @@ def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
     if len(set(signs)) != 1:
         raise ValueError("imaginary parts must share one sign across coordinates")
 
-    a0r, coeffs_r = _rotated_coefficients(r)
+    a0r, coeffs_r, arrowhead = r._layout
     if r.m == 1:
         out = a0r[0, 0] * np.eye(n, dtype=complex)
         for c, a in zip(coeffs_r, arrays):
             out = out + c[0, 0] * a
         return out
-    if _aux_blocks_diagonal(a0r, coeffs_r):
+    if arrowhead:
         return _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol)
     z = np.kron(a0r, np.eye(n)).astype(complex)
     for c, a in zip(coeffs_r, arrays):

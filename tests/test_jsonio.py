@@ -13,8 +13,7 @@ from loewner import DiscreteMeasure, build_realization, random_pd
 from loewner import jsonio
 from loewner.cli import main
 
-# derandomized and without an example database, so every run tries the same cases
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+PROPERTY = settings(settings.get_profile("loewner"), max_examples=200)
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,

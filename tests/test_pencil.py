@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner import (
     DimensionMismatch,
@@ -21,14 +23,19 @@ from loewner import (
     random_pd,
     shorted_operator,
 )
-from loewner.numlin import operator_norm, tuple_compress, tuple_direct_sum
+from loewner.numlin import (
+    NotPositiveSemidefinite,
+    operator_norm,
+    tuple_compress,
+    tuple_direct_sum,
+)
 from loewner.pencil import (
     _arrowhead_short,
     _aux_blocks_diagonal,
     _rotated_coefficients,
     householder_to_e1,
 )
-from loewner.shorted import block_schur_general
+from loewner.shorted import RangeConditionViolation, block_schur_general
 
 
 def identity_realization():
@@ -159,12 +166,31 @@ class TestEval:
             ref = shorted_operator(SymMatrix(rot), 3).s_short.entries
             assert operator_norm(got - ref) <= 1e-10 * max(1, operator_norm(z))
 
+    def test_complex_coefficients_componentwise_path(self):
+        # a non-diagonal complex aux block takes the componentwise path; at a
+        # real point the assembled pencil must keep the coefficients complex
+        a0 = np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.2], [0.0, 0.2, 1.0]])
+        r = PencilRealization(np.eye(3)[0], SymMatrix(a0),
+                              complex_coefficient_realization().coeffs)
+        assert not _aux_blocks_diagonal(*_rotated_coefficients(r))
+        x = MatrixTuple((random_pd(3, (0.1, 3), 1),))
+        ref, znorm = rotated_oracle(r, x)
+        assert operator_norm(eval_pencil(r, x).entries - ref) <= 1e-13 * znorm
+
 
 def complex_coefficient_realization():
     # Hermitian PSD A1 (eigenvalues 0, 1, 4) with complex pivot couplings
     a1 = np.array([[3, 1j, 1 - 1j], [-1j, 1, 0], [1 + 1j, 0, 1]])
     return PencilRealization(np.eye(3)[0], SymMatrix(np.diag([0.0, 1.0, 2.0])),
                              (SymMatrix(a1),))
+
+
+def rotated_oracle(r, xt):
+    """Dense shorted operator of the rotated, assembled pencil, and that
+    pencil's norm."""
+    rot = np.kron(householder_to_e1(r.e), np.eye(xt.n))
+    z = rot @ assemble_pencil(r, xt).entries @ rot.T
+    return shorted_operator(SymMatrix(z), xt.n).s_short.entries, operator_norm(z)
 
 
 def spectral_and_oracles(r, x):
@@ -175,10 +201,8 @@ def spectral_and_oracles(r, x):
     assert r.k == 1 and r.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r)
     fast = eval_pencil(r, xt).entries
     batched = _arrowhead_short(a0r, coeffs_r, [xt.items[0].entries], 1e-12, 1e-9, True)
-    rot = np.kron(householder_to_e1(r.e), np.eye(xt.n))
-    z = rot @ assemble_pencil(r, xt).entries @ rot.T
-    ref = shorted_operator(SymMatrix(z), xt.n).s_short.entries
-    return fast, batched, ref, operator_norm(z)
+    ref, znorm = rotated_oracle(r, xt)
+    return fast, batched, ref, znorm
 
 
 def assert_matches_oracles(r, x):
@@ -309,6 +333,218 @@ class TestSpectralPath:
         batched = raises_domain_error(
             lambda: _arrowhead_short(a0r, coeffs_r, [x], 1e-12, 1e-9, True))
         assert spectral == batched == raises
+
+
+def geomean_formula(x1, x2, t):
+    """``X1^{1/2} (X1^{-1/2} X2 X1^{-1/2})^t X1^{1/2}`` through eigendecompositions."""
+    lam, u = np.linalg.eigh(x1)
+    half = (u * np.sqrt(lam)) @ u.conj().T
+    half_inv = (u / np.sqrt(lam)) @ u.conj().T
+    mid = half_inv @ x2 @ half_inv
+    mu, v = np.linalg.eigh((mid + mid.conj().T) / 2.0)
+    return half @ ((v * mu ** t) @ v.conj().T) @ half
+
+
+def complex_pd(n, rng, shift=0.3):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g @ g.conj().T + shift * np.eye(n)
+
+
+class TestBatchedArrowheadPath:
+    """Arrowhead pencils in k >= 2 variables take the batched path
+    (`_arrowhead_short`); the dense shorted operator is its oracle."""
+
+    @staticmethod
+    def assert_matches_shorted(r, xt, rel=1e-13):
+        assert r.k >= 2 and r.m > 1 and _aux_blocks_diagonal(*_rotated_coefficients(r))
+        fast = eval_pencil(r, xt).entries
+        ref, znorm = rotated_oracle(r, xt)
+        assert operator_norm(fast - ref) <= rel * max(1.0, znorm)
+        return fast
+
+    def test_geomean_96_nodes(self):
+        # n = 16 keeps the assembled pencil at 1536 x 1536 for the dense oracle;
+        # n = 64 is checked against the eigen formula below
+        r = build_realization("geomean:0.5", n_nodes=96)
+        for seed in range(2):
+            x = MatrixTuple((random_pd(16, (0.3, 3.0), 2 * seed),
+                             random_pd(16, (0.3, 3.0), 2 * seed + 1)))
+            self.assert_matches_shorted(r, x)
+
+    def test_harmonic_two_weights(self):
+        # e is not e1 here, so the rotation is exercised too
+        r = build_realization("harmonic:0.3,0.7")
+        assert r.m == 2 and abs(r.e[0] - 1.0) > 1e-3
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            x = MatrixTuple((random_pd(6, (0.05, 20), rng), random_pd(6, (0.05, 20), rng)))
+            fast = self.assert_matches_shorted(r, x)
+            x1i, x2i = (np.linalg.inv(xi.entries) for xi in x.items)
+            oracle = np.linalg.inv(0.3 * x1i + 0.7 * x2i)
+            assert operator_norm(fast - oracle) <= 1e-11 * operator_norm(oracle)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_geomean_eigen_formula(self, n):
+        r = build_realization("geomean:0.5", n_nodes=96)
+        x1 = random_pd(n, (0.3, 3.0), 41).entries
+        x2 = random_pd(n, (0.3, 3.0), 42).entries
+        got = eval_pencil(r, MatrixTuple((x1, x2))).entries
+        ref = geomean_formula(x1, x2, 0.5)
+        assert operator_norm(got - ref) <= 1e-11 * operator_norm(ref)
+
+    def test_complex_hermitian_points(self):
+        # complex eigenvectors of the trailing blocks take the conjugated branch
+        rng = np.random.default_rng(32)
+        x1, x2 = complex_pd(6, rng), complex_pd(6, rng)
+        r = build_realization("geomean:0.5", n_nodes=48)
+        fast = self.assert_matches_shorted(r, MatrixTuple((x1, x2)))
+        assert np.iscomplexobj(fast)
+        ref = geomean_formula(x1, x2, 0.5)
+        assert operator_norm(fast - ref) <= 1e-9 * operator_norm(ref)
+        self.assert_matches_shorted(build_realization("harmonic:0.3,0.7"),
+                                    MatrixTuple((x1, x2)))
+
+    def test_rank_deficient_pair(self):
+        # a shared kernel vector v makes every trailing block singular on v
+        # (geomean has A0 = 0), with the couplings vanishing there as well:
+        # the blocks are truncated and the range condition holds
+        rng = np.random.default_rng(33)
+        v = rng.standard_normal(5)
+        v /= np.linalg.norm(v)
+        proj = np.eye(5) - np.outer(v, v)
+        x1 = proj @ random_pd(5, (0.5, 2.0), rng).entries @ proj
+        x2 = proj @ random_pd(5, (0.5, 2.0), rng).entries @ proj
+        r = build_realization("geomean:0.5", n_nodes=48)
+        assert not np.any(r.a0.entries)
+        fast = self.assert_matches_shorted(r, MatrixTuple((x1, x2)), rel=1e-12)
+        assert np.linalg.norm(fast @ v) <= 1e-12 * operator_norm(fast)
+        # on the complement of v the mean is the eigen formula's
+        basis = np.linalg.svd(proj)[0][:, :4]
+        ref = geomean_formula(basis.T @ x1 @ basis, basis.T @ x2 @ basis, 0.5)
+        assert operator_norm(basis.T @ fast @ basis - ref) <= 1e-9 * operator_norm(ref)
+
+    @pytest.mark.parametrize("spec", ["geomean:0.5", "harmonic:0.3,0.7"])
+    def test_non_psd_pair_raises(self, spec):
+        r = build_realization(spec, n_nodes=24)
+        x = MatrixTuple((np.diag([1.0, 2.0, -0.5]), np.eye(3)))
+        with pytest.raises(PencilDomainError):
+            eval_pencil(r, x)
+        with pytest.raises(NotPositiveSemidefinite):
+            rotated_oracle(r, x)
+
+
+class TestEvalLayout:
+    """The rotated layout is computed once per realization and is read-only."""
+
+    def test_layout_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        cases = [("geomean:0.5", 2), ("power:0.5", 1), ("harmonic:0.2,0.3,0.5", 3)]
+        realizations = [build_realization(spec, n_nodes=24) for spec, _ in cases]
+        points = [[random_pd(4, (0.1, 10), rng).entries for _ in range(k)] for _, k in cases]
+        for r, x in zip(realizations, points):
+            eval_pencil(r, x)
+
+        def fail(*args):
+            raise AssertionError("layout recomputed")
+
+        monkeypatch.setattr("loewner.pencil._rotated_coefficients", fail)
+        monkeypatch.setattr("loewner.pencil._aux_blocks_diagonal", fail)
+        for r, x in zip(realizations, points):
+            eval_pencil(r, x)
+            eval_complex(r, [xi + 1j * np.eye(4) for xi in x])
+
+    @pytest.mark.parametrize("spec", ["geomean:0.5", "harmonic:0.3,0.7",
+                                      "harmonic:0.2,0.3,0.5"])
+    def test_layout_read_only(self, spec):
+        a0r, coeffs_r, _ = build_realization(spec, n_nodes=24)._layout
+        for c in (a0r, *coeffs_r):
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[0, 0] = 1.0
+
+    @pytest.mark.parametrize("spec,k", [("geomean:0.5", 2), ("harmonic:0.3,0.7", 2),
+                                        ("harmonic:0.2,0.3,0.5", 3)])
+    def test_real_eval_runs_without_einsum(self, monkeypatch, spec, k):
+        r = build_realization(spec, n_nodes=24)
+        rng = np.random.default_rng(35)
+        x = MatrixTuple(tuple(random_pd(5, (0.1, 10), rng) for _ in range(k)))
+        ref, znorm = rotated_oracle(r, x)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("einsum called")
+
+        monkeypatch.setattr("loewner.pencil.np.einsum", fail)
+        got = eval_pencil(r, x).entries
+        assert operator_norm(got - ref) <= 1e-12 * max(1.0, znorm)
+
+
+# One realization per `eval` path: scalar (m = 1), one-variable spectral,
+# batched arrowhead (k >= 2) and componentwise generic.
+PATH_SPECS = {
+    "arithmetic:0.4,0.6": "scalar",
+    "power:0.5": "spectral",
+    "cauchy:1.0": "spectral",
+    "geomean:0.5": "batched",
+    "harmonic:0.3,0.7": "batched",
+    "harmonic:0.2,0.3,0.5": "componentwise",
+}
+PATH_REALIZATIONS = {spec: build_realization(spec, n_nodes=24) for spec in PATH_SPECS}
+
+
+def eval_path(r):
+    if r.m == 1:
+        return "scalar"
+    if not _aux_blocks_diagonal(*_rotated_coefficients(r)):
+        return "componentwise"
+    return "spectral" if r.k == 1 else "batched"
+
+
+def test_path_specs_cover_every_eval_path():
+    assert {spec: eval_path(r) for spec, r in PATH_REALIZATIONS.items()} == PATH_SPECS
+
+
+@st.composite
+def wide_points(draw):
+    """A tuple of n x n PD points with spectra 10**a for exponents a in
+    [-8, 8], in random orthonormal bases; with ``flip`` the largest
+    eigenvalue of every coordinate is negated, so the point leaves the domain."""
+    spec = draw(st.sampled_from(sorted(PATH_SPECS)))
+    r = PATH_REALIZATIONS[spec]
+    n = draw(st.integers(1, 5))
+    flip = draw(st.booleans())
+    items = []
+    for _ in range(r.k):
+        lam = 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n)))
+        if flip:
+            lam[np.argmax(lam)] *= -1.0
+        seed = draw(st.integers(0, 2**32 - 1))
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        items.append((q * lam) @ q.T)
+    return r, MatrixTuple(tuple(items))
+
+
+# Worst measured error against the rotated dense oracle, relative to the
+# pencil norm, over 1200 numpy-generated points per realization of this kind
+# on the commit before the BLAS contractions: 4.1e-12 (harmonic:0.3,0.7);
+# the bound leaves a 25x margin.
+WIDE_SPECTRUM_REL = 1e-10
+
+
+@settings(settings.get_profile("loewner"), max_examples=300)
+@given(wide_points())
+def test_every_eval_path_matches_shorted_oracle(case):
+    r, xt = case
+    try:
+        got = eval_pencil(r, xt).entries
+    except PencilDomainError:
+        got = None
+    try:
+        ref, znorm = rotated_oracle(r, xt)
+    except (NotPositiveSemidefinite, RangeConditionViolation):
+        ref = None
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert operator_norm(got - ref) <= WIDE_SPECTRUM_REL * max(1.0, znorm)
 
 
 class TestEvalProperties:
