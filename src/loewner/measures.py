@@ -43,7 +43,7 @@ from .numlin import (
     operator_norm,
     random_pd,
 )
-from .verify import VerificationReport, _trial_seed
+from .verify import VerificationReport, _run, _Skip
 
 __all__ = [
     "DiscreteMeasure",
@@ -549,40 +549,24 @@ def check_stochastic_monotone(spec, cfg) -> VerificationReport:
     lo, hi = cfg.spectrum
     bump_scale = 0.25 * (hi - lo) if hi > lo else 0.25 * lo
 
-    worst = np.inf
-    failures = skipped = 0
-    first_fail = None
-    for dim in cfg.dims:
-        for trial in range(cfg.trials):
-            ts = _trial_seed(cfg.seed, dim, trial)
-            rng = np.random.default_rng(ts)
-            size = int(rng.integers(2, 5))
-            atoms = [random_pd(dim, cfg.spectrum, rng) for _ in range(size)]
-            w = rng.dirichlet(np.ones(size))
-            mu = DiscreteMeasure(tuple(atoms), w)
-            lifted = [a.entries + _random_psd_bump(dim, bump_scale, rng) for a in atoms]
-            order = rng.permutation(size) if rng.random() < 0.5 else np.arange(size)
-            nu = DiscreteMeasure(tuple(lifted[i] for i in order), w[order])
-            ok, _ = stochastic_leq(mu, nu, tol=1e-9)
-            if not ok:
-                skipped += 1
-                continue
-            m1 = np.asarray(mean_fn(mu))
-            m2 = np.asarray(mean_fn(nu))
-            scale = max(operator_norm(m1), operator_norm(m2))
-            v = float(np.linalg.eigvalsh((m2 - m1 + (m2 - m1).conj().T) / 2.0)[0])
-            v /= max(1.0, scale)
-            worst = min(worst, v)
-            if v < -cfg.tol:
-                failures += 1
-                if first_fail is None:
-                    first_fail = ts
-    return VerificationReport(
-        suite="stochastic-monotone", dims=cfg.dims, trials=cfg.trials,
-        failures=failures, skipped=skipped,
-        worst_violation=float(worst) if np.isfinite(worst) else 0.0,
-        first_failure_seed=first_fail, seed=cfg.seed, tol=cfg.tol,
-        passed=failures == 0)
+    def trial(rng, dim, trial_index):
+        size = int(rng.integers(2, 5))
+        atoms = [random_pd(dim, cfg.spectrum, rng) for _ in range(size)]
+        w = rng.dirichlet(np.ones(size))
+        mu = DiscreteMeasure(tuple(atoms), w)
+        lifted = [a.entries + _random_psd_bump(dim, bump_scale, rng) for a in atoms]
+        order = rng.permutation(size) if rng.random() < 0.5 else np.arange(size)
+        nu = DiscreteMeasure(tuple(lifted[i] for i in order), w[order])
+        ok, _ = stochastic_leq(mu, nu, tol=1e-9)
+        if not ok:
+            raise _Skip
+        m1 = np.asarray(mean_fn(mu))
+        m2 = np.asarray(mean_fn(nu))
+        scale = max(operator_norm(m1), operator_norm(m2))
+        v = float(np.linalg.eigvalsh((m2 - m1 + (m2 - m1).conj().T) / 2.0)[0])
+        return v / max(1.0, scale)
+
+    return _run("stochastic-monotone", cfg, trial)
 
 
 def check_directsum_coupling(spec, mu: DiscreteMeasure, nu: DiscreteMeasure,

@@ -12,27 +12,28 @@ Loewner order, which is what the verify suites exercise.
 
 Evaluation rotates e into the first coordinate (deterministic Householder
 reflection), so the shorted operator always pivots on the leading n rows.
-`eval` then takes one of four paths, chosen from the realization's shape:
+`eval` then takes one of three paths, chosen from the realization's shape:
 
-* scalar (auxiliary dimension 1): the pencil is ``a0 I + sum_i c_i X_i``;
-  its oracle is `assemble_pencil`, which gives the same matrix.
-* one-variable spectral (k = 1, every aux-by-aux block diagonal): every
-  trailing block ``d0_j I + d_j X`` and coupling ``o0_j I + o_j X`` is a
-  polynomial in X, so ``F(X) = U diag(f(lam)) U*`` for ``X = U diag(lam) U*``
-  with the scalar rational ``f = z - sum_j |o_j|^2 / d_j``: one ``eigh(X)``
-  (`_spectral_short`).  Oracles: `_arrowhead_short` and
-  `shorted.shorted_operator` on the assembled pencil.
-* batched arrowhead (k >= 2, every aux-by-aux block diagonal): the trailing
-  block splits into n x n blocks, one batched ``eigh`` over them
+* one-variable spectral (k = 1, auxiliary dimension m > 1, every aux-by-aux
+  block diagonal): every trailing block ``d0_j I + d_j X`` and coupling
+  ``o0_j I + o_j X`` is a polynomial in X, so ``F(X) = U diag(f(lam)) U*``
+  for ``X = U diag(lam) U*`` with the scalar rational
+  ``f = z - sum_j |o_j|^2 / d_j``: one ``eigh(X)`` (`_spectral_short`).
+  Oracles: `_arrowhead_short` and `shorted.shorted_operator` on the
+  assembled pencil.
+* batched arrowhead (k >= 2, m > 1, every aux-by-aux block diagonal): the
+  trailing block splits into n x n blocks, one batched ``eigh`` over them
   (`_arrowhead_short`).  Oracle: `shorted.shorted_operator`.
-* componentwise generic (any other shape): the pseudo-inverse of the trailing
-  block is taken per connected component of its sparsity pattern
-  (`_short_leading_blockwise`).  Oracle: `shorted.shorted_operator`.
+* dense (any other shape, m = 1 included): one ``eigh`` of the trailing
+  block of the assembled pencil, empty when m = 1 (`_dense_short`).  Oracle:
+  `shorted.shorted_operator`, whose rank cut ``rank_tol * lambda_max(Z22)``
+  over the whole trailing block it shares.
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
 Z22 >= 0, the range condition holds, and the complement is >= 0) with the same
-relative tolerances.  `eval_complex` has a scalar, a batched arrowhead and a
-componentwise path; its oracle is `shorted.block_schur_general`.
+relative tolerances.  `eval_complex` has two paths, batched arrowhead
+(`_arrowhead_schur_complex`) and dense (one ``solve`` against the trailing
+block); the oracle of both is `shorted.block_schur_general`.
 
 The batched contractions run as BLAS ``matmul``: the arrowhead blocks are one
 gemm over the stacked, flattened point (`_arrowhead_blocks`) and the
@@ -131,12 +132,13 @@ class PencilRealization:
         """``(a0r, coeffs_r, arrowhead)``, computed once per realization.
 
         The coefficients with e rotated into the first coordinate (read-only
-        arrays) and whether every aux-by-aux block of them is diagonal.
+        arrays) and whether the auxiliary dimension exceeds 1 and every
+        aux-by-aux block of them is diagonal.
         """
         a0r, coeffs_r = _rotated_coefficients(self)
         for c in (a0r, *coeffs_r):
             c.setflags(write=False)
-        return a0r, tuple(coeffs_r), _aux_blocks_diagonal(a0r, coeffs_r)
+        return a0r, tuple(coeffs_r), self.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r)
 
 
 def householder_to_e1(e) -> np.ndarray:
@@ -162,30 +164,9 @@ def assemble_pencil(r: PencilRealization, x) -> SymMatrix:
     return SymMatrix(out)
 
 
-def _components(adj: np.ndarray) -> list:
-    """Connected components of a symmetric boolean adjacency matrix."""
-    n = adj.shape[0]
-    unseen = np.ones(n, dtype=bool)
-    comps = []
-    while unseen.any():
-        seed = int(np.flatnonzero(unseen)[0])
-        comp = np.zeros(n, dtype=bool)
-        comp[seed] = True
-        frontier = comp.copy()
-        while frontier.any():
-            nxt = adj[frontier].any(axis=0) & ~comp
-            comp |= nxt
-            frontier = nxt
-        unseen &= ~comp
-        comps.append(np.flatnonzero(comp))
-    return comps
-
-
 def _rotated_coefficients(r: PencilRealization):
     """Coefficient matrices with e rotated into the first coordinate."""
-    if abs(r.e[0] - 1.0) < 1e-15 and r.m > 1 and np.all(np.abs(r.e[1:]) < 1e-15):
-        return r.a0.entries, [c.entries for c in r.coeffs]
-    if r.m == 1:
+    if r.m == 1 or (abs(r.e[0] - 1.0) < 1e-15 and np.all(np.abs(r.e[1:]) < 1e-15)):
         return r.a0.entries, [c.entries for c in r.coeffs]
     q = householder_to_e1(r.e)
     return q @ r.a0.entries @ q.T, [q @ c.entries @ q.T for c in r.coeffs]
@@ -206,11 +187,11 @@ def _aux_blocks_diagonal(a0r, coeffs_r) -> bool:
     return True
 
 
-def _assembled_pencil(a0r, coeffs_r, xt: MatrixTuple, dtype=float):
-    n = xt.n
-    out = np.kron(a0r, np.eye(n)).astype(dtype)
-    for c, xi in zip(coeffs_r, xt.items):
-        out = out + np.kron(c, np.asarray(xi.entries, dtype=dtype))
+def _assembled_pencil(a0r, coeffs_r, arrays, dtype):
+    """``A0r (x) I + sum_i A_ir (x) X_i`` as a dense array of the given dtype."""
+    out = np.kron(a0r, np.eye(arrays[0].shape[0])).astype(dtype)
+    for c, x in zip(coeffs_r, arrays):
+        out = out + np.kron(c, np.asarray(x, dtype=dtype))
     return out
 
 
@@ -250,7 +231,7 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     ``B_j = a0[j,j] I + sum_i c_i[j,j] X_i`` and the coupling to the pivot is
     ``R_j = a0[j,0] I + sum_i c_i[j,0] X_i``; the complement is
     ``Z11 - sum_j R_j* B_j^+ R_j`` with the same admission checks as the
-    generic path.  Serves k >= 2; for k = 1 it is the oracle of
+    dense path.  Serves k >= 2; for k = 1 it is the oracle of
     `_spectral_short`.
     """
     n = arrays[0].shape[0]
@@ -319,58 +300,39 @@ def _spectral_short(a0r, c, x, rank_tol, psd_tol, check_domain):
     return (u * f) @ u.conj().T
 
 
-def _short_leading_blockwise(z, n, rank_tol, psd_tol, check_domain):
-    """Shorted operator onto the leading n coordinates, componentwise.
+def _dense_short(z, n, rank_tol, psd_tol, check_domain):
+    """Shorted operator of an assembled pencil onto its leading n coordinates.
 
-    Fuses the PSD-domain admission into the factorization: the trailing block
-    must be PSD per component, the off-range mass of the coupling block must
-    vanish, and the resulting complement must be PSD.  Together these are
-    equivalent to Z >= 0.
+    One ``eigh`` of the trailing block Z22 (empty for auxiliary dimension 1);
+    eigenvalues of Z22 at or below ``rank_tol * lambda_max(Z22)`` are dropped
+    from the pseudo-inverse, as in `shorted.shorted_operator`.  The admission
+    checks of `_arrowhead_short` are fused in: Z22 is PSD, the coupling has no
+    mass against the dropped eigenvectors, and the complement is PSD.
+    Together these are equivalent to Z >= 0.
     """
-    z11 = z[:n, :n]
-    z21 = z[n:, :n]
-    z22 = z[n:, n:]
-    range_tol = 10.0 * math.sqrt(rank_tol)
-    short = z11.copy()
-    comps = _components(z22 != 0.0)
-    by_size: dict = {}
-    for idx in comps:
-        by_size.setdefault(len(idx), []).append(idx)
-    decomposed = []
-    scale = max(1.0, float(np.linalg.eigvalsh(z11)[-1]))
-    for group in by_size.values():
-        blocks = np.stack([z22[np.ix_(idx, idx)] for idx in group])
-        lam, u = np.linalg.eigh(blocks)
-        scale = max(scale, float(lam.max(initial=0.0)))
-        rows = np.stack([z21[idx, :] for idx in group])
-        g = _adjoint(u) @ rows
-        decomposed.append((group, lam, g))
-    for group, lam, g in decomposed:
-        for b in range(len(group)):
-            lam_b = lam[b]
-            if check_domain and lam_b[0] < -psd_tol * scale:
-                raise PencilDomainError(
-                    f"pencil not PSD at X: trailing-block eigenvalue {lam_b[0]:.3e}"
-                )
-            cut = rank_tol * max(float(lam_b[-1]), 0.0)
-            keep = lam_b > cut
-            if check_domain and not np.all(keep):
-                off = g[b][~keep, :]
-                off_norm = float(np.linalg.norm(off, 2)) if off.size else 0.0
-                if off_norm > range_tol * scale:
-                    raise PencilDomainError(
-                        f"pencil not PSD at X: range condition violated "
-                        f"({off_norm:.3e} > {range_tol * scale:.3e})"
-                    )
-            gk = g[b][keep, :]
-            short = short - gk.conj().T @ (gk / lam_b[keep][:, None])
+    z11, z21 = z[:n, :n], z[n:, :n]
+    lam, u = np.linalg.eigh(z[n:, n:])
+    top = float(lam.max(initial=0.0))
+    scale = max(1.0, float(np.linalg.eigvalsh(z11)[-1]), top)
+    if check_domain and float(lam.min(initial=0.0)) < -psd_tol * scale:
+        raise PencilDomainError(
+            f"pencil not PSD at X: trailing-block eigenvalue {float(lam.min()):.3e}")
+    g = _adjoint(u) @ z21
+    keep = lam > rank_tol * top
+    if check_domain and not np.all(keep):
+        off_norm = float(np.linalg.norm(g[~keep], 2))
+        if off_norm > 10.0 * math.sqrt(rank_tol) * scale:
+            raise PencilDomainError(
+                f"pencil not PSD at X: range condition violated "
+                f"({off_norm:.3e} > {10.0 * math.sqrt(rank_tol) * scale:.3e})")
+    gk = g[keep]
+    short = z11 - _adjoint(gk) @ (gk / lam[keep][:, None])
     short = (short + short.conj().T) / 2.0
     if check_domain:
         smin = float(np.linalg.eigvalsh(short)[0])
         if smin < -psd_tol * scale:
             raise PencilDomainError(
-                f"pencil not PSD at X: Schur complement eigenvalue {smin:.3e}"
-            )
+                f"pencil not PSD at X: Schur complement eigenvalue {smin:.3e}")
     return short
 
 
@@ -385,29 +347,15 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
     xt = as_tuple(x)
     if xt.k != r.k:
         raise DimensionMismatch(f"realization has {r.k} variables, point has {xt.k}")
-    n = xt.n
-    if r.m == 1:
-        out = r.a0.entries[0, 0] * np.eye(n)
-        for c, xi in zip(r.coeffs, xt.items):
-            out = out + c.entries[0, 0] * xi.entries
-        if check_domain:
-            vals = np.linalg.eigvalsh((out + out.conj().T) / 2.0)
-            if vals[0] < -tol * max(1.0, float(vals[-1])):
-                raise PencilDomainError(
-                    f"pencil not PSD at X: eigenvalue {vals[0]:.3e}"
-                )
-        return SymMatrix(out)
     a0r, coeffs_r, arrowhead = r._layout
-    if arrowhead:
-        if r.k == 1:
-            return SymMatrix(_spectral_short(a0r, coeffs_r[0], xt.items[0].entries,
-                                             rank_tol, tol, check_domain))
-        short = _arrowhead_short(a0r, coeffs_r, [xi.entries for xi in xt.items],
-                                 rank_tol, tol, check_domain)
-        return SymMatrix(short)
-    dtype = np.result_type(a0r, *coeffs_r, *(xi.entries for xi in xt.items))
-    z = _assembled_pencil(a0r, coeffs_r, xt, dtype=dtype)
-    short = _short_leading_blockwise(z, n, rank_tol, tol, check_domain)
+    arrays = [xi.entries for xi in xt.items]
+    if arrowhead and r.k == 1:
+        short = _spectral_short(a0r, coeffs_r[0], arrays[0], rank_tol, tol, check_domain)
+    elif arrowhead:
+        short = _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, tol, check_domain)
+    else:
+        z = _assembled_pencil(a0r, coeffs_r, arrays, np.result_type(a0r, *coeffs_r, *arrays))
+        short = _dense_short(z, xt.n, rank_tol, tol, check_domain)
     return SymMatrix(short)
 
 
@@ -439,7 +387,7 @@ def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
     Accepts tuples whose imaginary parts are all positive definite or all
     negative definite (the two half-planes are symmetric; the conjugate
     half-plane is needed by the conjugate-symmetry checks).  The trailing
-    block is then invertible and a plain blockwise Schur complement applies.
+    block is then invertible and a plain Schur complement applies.
     Returns a complex n x n matrix, not Hermitian in general.
     """
     arrays = [np.asarray(xi, dtype=complex) for xi in
@@ -465,32 +413,17 @@ def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
         raise ValueError("imaginary parts must share one sign across coordinates")
 
     a0r, coeffs_r, arrowhead = r._layout
-    if r.m == 1:
-        out = a0r[0, 0] * np.eye(n, dtype=complex)
-        for c, a in zip(coeffs_r, arrays):
-            out = out + c[0, 0] * a
-        return out
     if arrowhead:
         return _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol)
-    z = np.kron(a0r, np.eye(n)).astype(complex)
-    for c, a in zip(coeffs_r, arrays):
-        z = z + np.kron(c, a)
-    z11 = z[:n, :n]
-    z12 = z[:n, n:]
-    z21 = z[n:, :n]
+    z = _assembled_pencil(a0r, coeffs_r, arrays, complex)
     z22 = z[n:, n:]
     scale = max(1.0, float(np.abs(z).sum(axis=1).max()))
-    short = z11.copy()
-    for idx in _components(z22 != 0.0):
-        block = z22[np.ix_(idx, idx)]
-        smin = float(np.linalg.svd(block, compute_uv=False)[-1])
-        if smin <= sv_tol * scale:
-            raise SingularPivotComplement(
-                f"pivot complement block singular (sigma_min = {smin:.3e}); "
-                "imaginary-part positivity violated beyond tolerance"
-            )
-        short = short - z12[:, idx] @ np.linalg.solve(block, z21[idx, :])
-    return short
+    smin = float(np.linalg.svd(z22, compute_uv=False).min(initial=np.inf))
+    if smin <= sv_tol * scale:
+        raise SingularPivotComplement(
+            f"pivot complement block singular (sigma_min = {smin:.3e}); "
+            "imaginary-part positivity violated beyond tolerance")
+    return z[:n, :n] - z[:n, n:] @ np.linalg.solve(z22, z[n:, :n])
 
 
 def b_form(r: PencilRealization):

@@ -167,21 +167,49 @@ class TestEval:
             assert operator_norm(got - ref) <= 1e-10 * max(1, operator_norm(z))
 
     def test_complex_coefficients_componentwise_path(self):
-        # a non-diagonal complex aux block takes the componentwise path; at a
-        # real point the assembled pencil must keep the coefficients complex
-        a0 = np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.2], [0.0, 0.2, 1.0]])
-        r = PencilRealization(np.eye(3)[0], SymMatrix(a0),
-                              complex_coefficient_realization().coeffs)
+        # a non-diagonal complex aux block takes the dense path; at a real
+        # point the assembled pencil must keep the coefficients complex
+        r = complex_dense_realization()
         assert not _aux_blocks_diagonal(*_rotated_coefficients(r))
         x = MatrixTuple((random_pd(3, (0.1, 3), 1),))
         ref, znorm = rotated_oracle(r, x)
         assert operator_norm(eval_pencil(r, x).entries - ref) <= 1e-13 * znorm
+
+    def test_dense_rank_cut_spans_the_whole_trailing_block(self):
+        # the 1e-14 component falls below rank_tol * lambda_max(Z22), so the
+        # oracle drops it; a cut taken per component keeps it and is 1.2-1.7 off
+        r = two_scale_realization()
+        assert eval_path(r) == "dense"
+        for seed in range(3):
+            x = MatrixTuple((random_pd(3, (0.1, 10), seed),))
+            ref, znorm = rotated_oracle(r, x)
+            assert operator_norm(eval_pencil(r, x).entries - ref) <= 1e-12 * znorm
 
 
 def complex_coefficient_realization():
     # Hermitian PSD A1 (eigenvalues 0, 1, 4) with complex pivot couplings
     a1 = np.array([[3, 1j, 1 - 1j], [-1j, 1, 0], [1 + 1j, 0, 1]])
     return PencilRealization(np.eye(3)[0], SymMatrix(np.diag([0.0, 1.0, 2.0])),
+                             (SymMatrix(a1),))
+
+
+def complex_dense_realization():
+    # complex_coefficient_realization with a non-diagonal complex aux block
+    a0 = np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.2], [0.0, 0.2, 1.0]])
+    return PencilRealization(np.eye(3)[0], SymMatrix(a0),
+                             complex_coefficient_realization().coeffs)
+
+
+def two_scale_realization():
+    """e = e1 and an aux block of two non-diagonal 2 x 2 components, the
+    second scaled by 1e-14 and coupled to the pivot at sqrt(1e-14)."""
+    b = np.array([[2.0, 1.0], [1.0, 2.0]])
+    a1 = np.zeros((5, 5))
+    a1[1:3, 1:3] = b
+    a1[3:, 3:] = 1e-14 * b
+    a1[1:, 0] = a1[0, 1:] = [0.5, 0.3, 0.6e-7, 0.4e-7]
+    a1[0, 0] = 1.0 + a1[0, 1:] @ np.linalg.solve(a1[1:, 1:], a1[1:, 0])
+    return PencilRealization(np.eye(5)[0], SymMatrix(np.diag([1.0, 0, 0, 0, 0])),
                              (SymMatrix(a1),))
 
 
@@ -478,24 +506,25 @@ class TestEvalLayout:
         assert operator_norm(got - ref) <= 1e-12 * max(1.0, znorm)
 
 
-# One realization per `eval` path: scalar (m = 1), one-variable spectral,
-# batched arrowhead (k >= 2) and componentwise generic.
+# Realizations per `eval` path: one-variable spectral, batched arrowhead
+# (k >= 2) and dense (m = 1 or a non-diagonal aux block).
 PATH_SPECS = {
-    "arithmetic:0.4,0.6": "scalar",
+    "arithmetic:0.4,0.6": "dense",
     "power:0.5": "spectral",
     "cauchy:1.0": "spectral",
     "geomean:0.5": "batched",
     "harmonic:0.3,0.7": "batched",
-    "harmonic:0.2,0.3,0.5": "componentwise",
+    "harmonic:0.2,0.3,0.5": "dense",
+    "two-scale": "dense",
 }
-PATH_REALIZATIONS = {spec: build_realization(spec, n_nodes=24) for spec in PATH_SPECS}
+PATH_REALIZATIONS = {spec: (two_scale_realization() if spec == "two-scale"
+                            else build_realization(spec, n_nodes=24))
+                     for spec in PATH_SPECS}
 
 
 def eval_path(r):
-    if r.m == 1:
-        return "scalar"
-    if not _aux_blocks_diagonal(*_rotated_coefficients(r)):
-        return "componentwise"
+    if r.m == 1 or not _aux_blocks_diagonal(*_rotated_coefficients(r)):
+        return "dense"
     return "spectral" if r.k == 1 else "batched"
 
 
@@ -652,6 +681,29 @@ class TestEvalComplex:
         dense = np.kron(r.a0.entries, np.eye(1)) + np.kron(r.coeffs[0].entries, z)
         ref = block_schur_general(dense, 1)
         assert operator_norm(got - ref) <= 1e-13
+
+    @pytest.mark.parametrize("spec,path", [
+        ("cauchy:1.0", "arrowhead"), ("harmonic:0.3,0.7", "arrowhead"),
+        ("harmonic:0.2,0.3,0.5", "dense"), ("arithmetic:0.4,0.6", "dense"),
+        ("complex-dense", "dense")])
+    def test_every_path_matches_block_schur_oracle(self, spec, path):
+        r = (complex_dense_realization() if spec == "complex-dense"
+             else build_realization(spec, n_nodes=24))
+        assert (eval_path(r) == "dense") == (path == "dense")
+        rng = np.random.default_rng(36)
+        rot = np.kron(householder_to_e1(r.e), np.eye(4))
+        for sign in (1, -1):
+            x = []
+            for _ in range(r.k):
+                re = rng.standard_normal((4, 4))
+                x.append((re + re.T) / 2 + sign * 1j * random_pd(4, (0.2, 3), rng).entries)
+            z = np.kron(r.a0.entries, np.eye(4))
+            for c, xi in zip(r.coeffs, x):
+                z = z + np.kron(c.entries, xi)
+            z = rot @ z @ rot.T
+            ref = block_schur_general(z, 4)
+            got = eval_complex(r, x)
+            assert operator_norm(got - ref) <= 1e-12 * max(1.0, operator_norm(z))
 
     def test_complex_coefficients_match_dense_schur_matrix_point(self):
         r = complex_coefficient_realization()
