@@ -258,18 +258,25 @@ def report_to_json(rep: VerificationReport) -> dict:
     }
 
 
+def _typed(d: dict, key: str, *types):
+    """``d[key]`` if its type is exactly one of ``types``: a boolean is not an integer."""
+    if type(d[key]) not in types:
+        raise ValueError(f"report field {key!r} has type {type(d[key]).__name__}")
+    return d[key]
+
+
 def report_from_json(d: dict) -> VerificationReport:
     return VerificationReport(
         suite=d["suite"],
         dims=tuple(int(x) for x in d["dims"]),
-        trials=int(d["trials"]),
-        failures=int(d["failures"]),
-        skipped=int(d["skipped"]),
+        trials=_typed(d, "trials", int),
+        failures=_typed(d, "failures", int),
+        skipped=_typed(d, "skipped", int),
         worst_violation=_unhex(d["worst_violation"]),
-        first_failure_seed=d["first_failure_seed"],
-        seed=int(d["seed"]),
+        first_failure_seed=_typed(d, "first_failure_seed", int, type(None)),
+        seed=_typed(d, "seed", int),
         tol=_unhex(d["tol"]),
-        passed=bool(d["pass"]),
+        passed=_typed(d, "pass", bool),
         extras={k: _unhex(v) for k, v in d.get("extras", {}).items()},
     )
 

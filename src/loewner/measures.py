@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .numlin import (
     operator_norm,
     random_pd,
 )
-from .verify import VerificationReport, _run, _Skip
+from .verify import SuiteConfig, VerificationReport, _min_eig_scaled, _run, _Skip, _tally
 
 __all__ = [
     "DiscreteMeasure",
@@ -563,8 +564,7 @@ def check_stochastic_monotone(spec, cfg) -> VerificationReport:
         m1 = np.asarray(mean_fn(mu))
         m2 = np.asarray(mean_fn(nu))
         scale = max(operator_norm(m1), operator_norm(m2))
-        v = float(np.linalg.eigvalsh((m2 - m1 + (m2 - m1).conj().T) / 2.0)[0])
-        return v / max(1.0, scale)
+        return _min_eig_scaled(m2 - m1, scale)
 
     return _run("stochastic-monotone", cfg, trial)
 
@@ -573,31 +573,17 @@ def check_directsum_coupling(spec, mu: DiscreteMeasure, nu: DiscreteMeasure,
                              couplings, tol: float = 1e-8) -> VerificationReport:
     """mean(coupling-induced direct sum) == mean(mu) (+) mean(nu), per coupling."""
     couplings = list(couplings)
+    cfg = SuiteConfig(dims=(mu.n + nu.n,), trials=len(couplings), seed=0, tol=tol)
     mean_fn = spec if callable(spec) else (lambda m: mean_of_measure(spec, m))
     target = direct_sum(mean_fn(mu), mean_fn(nu))
-    worst = np.inf
-    failures = 0
-    first_fail = None
-    for idx, coupling in enumerate(couplings):
-        gamma = coupling.gamma
-        atoms = []
-        weights = []
-        for i in range(mu.size):
-            for j in range(nu.size):
-                if gamma[i, j] > _CELL_EPS:
-                    atoms.append(direct_sum(mu.atoms[i], nu.atoms[j]))
-                    weights.append(float(gamma[i, j]))
-        weights = np.asarray(weights)
-        joint = DiscreteMeasure(tuple(atoms), weights / weights.sum())
+
+    def trial(coupling):
+        charged = coupling.gamma > _CELL_EPS
+        atoms = tuple(direct_sum(mu.atoms[i], nu.atoms[j]) for i, j in np.argwhere(charged))
+        weights = coupling.gamma[charged]  # row-major, as the atoms
+        joint = DiscreteMeasure(atoms, weights / weights.sum())
         got = np.asarray(mean_fn(joint))
-        resid = operator_norm(got - target.entries) / max(1.0, target.norm)
-        worst = min(worst, -resid)
-        if resid > tol:
-            failures += 1
-            if first_fail is None:
-                first_fail = idx
-    return VerificationReport(
-        suite="directsum-coupling", dims=(mu.n + nu.n,), trials=len(couplings),
-        failures=failures, skipped=0,
-        worst_violation=float(worst) if np.isfinite(worst) else 0.0,
-        first_failure_seed=first_fail, seed=0, tol=tol, passed=failures == 0)
+        return -operator_norm(got - target.entries) / max(1.0, target.norm)
+
+    return _tally("directsum-coupling", cfg,
+                  ((idx, partial(trial, c)) for idx, c in enumerate(couplings)))

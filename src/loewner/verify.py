@@ -8,18 +8,24 @@ max(1, ||F(X)||); for equality checks it is the negated normalized residual
 norm.  A suite passes iff no trial dips below -tol.  Reports are bit-for-bit
 reproducible from (seed, config); trial seeds are derived as
 seed*1e6 + dim*1e4 + trial.
+
+One tally, `_tally`, serves every suite (those in `measures` too).  A trial
+returns its violation, raises `_Skip`, or raises `_Fail` to fail whatever its
+violation (herglotz: a singular pivot, or conjugate asymmetry above sym_tol).
+`check_directsum_coupling` labels trials by coupling index, so that index is
+its ``first_failure_seed``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import pencil as _pencil
 from .numlin import (
     MatrixTuple,
-    SymMatrix,
     _haar_orthogonal,
     as_tuple,
     apply_scalar_function,
@@ -94,33 +100,47 @@ class _Skip(Exception):
     pass
 
 
-def _trial_seed(seed: int, dim: int, trial: int) -> int:
-    return seed * 1_000_000 + dim * 10_000 + trial
+class _Fail(Exception):
+    """``_Fail(v)``: the trial fails whatever its violation ``v``, which still counts."""
 
 
-def _run(suite: str, cfg: SuiteConfig, trial_fn) -> VerificationReport:
+def _tally(suite: str, cfg: SuiteConfig, trials, extras=None) -> VerificationReport:
+    """Report of ``(label, run)`` pairs: ``run()`` returns a violation or raises `_Skip`
+    or `_Fail`; the first failing label is ``first_failure_seed``."""
     worst = np.inf
     failures = skipped = 0
     first_fail = None
-    for dim in cfg.dims:
-        for trial in range(cfg.trials):
-            ts = _trial_seed(cfg.seed, dim, trial)
-            rng = np.random.default_rng(ts)
-            try:
-                v = trial_fn(rng, dim, trial)
-            except _Skip:
-                skipped += 1
-                continue
-            worst = min(worst, v)
-            if v < -cfg.tol:
-                failures += 1
-                if first_fail is None:
-                    first_fail = ts
+    for label, run in trials:
+        try:
+            v = run()
+            failed = v < -cfg.tol
+        except _Skip:
+            skipped += 1
+            continue
+        except _Fail as exc:
+            v, failed = exc.args[0], True
+        worst = min(worst, v)
+        if failed:
+            failures += 1
+            if first_fail is None:
+                first_fail = label
     return VerificationReport(
         suite=suite, dims=cfg.dims, trials=cfg.trials, failures=failures,
         skipped=skipped, worst_violation=float(worst) if np.isfinite(worst) else 0.0,
         first_failure_seed=first_fail, seed=cfg.seed, tol=cfg.tol,
-        passed=failures == 0)
+        passed=failures == 0,
+        extras={k: float(v) for k, v in (extras or {}).items()})
+
+
+def _run(suite: str, cfg: SuiteConfig, trial_fn, extras=None) -> VerificationReport:
+    """Tally of ``trial_fn(rng, dim, trial)`` over the seeded trials of every dimension."""
+    def trials():
+        for dim in cfg.dims:
+            for trial in range(cfg.trials):
+                ts = cfg.seed * 1_000_000 + dim * 10_000 + trial
+                yield ts, partial(trial_fn, np.random.default_rng(ts), dim, trial)
+
+    return _tally(suite, cfg, trials(), extras)
 
 
 def _random_tuple(k: int, n: int, spectrum, rng) -> MatrixTuple:
@@ -389,38 +409,23 @@ def check_herglotz(r, cfg: SuiteConfig, sym_tol: float = 1e-10) -> VerificationR
     counts as a failure (it cannot occur when the imaginary parts are
     uniformly definite).
     """
-    worst = np.inf
-    max_asym = 0.0
-    failures = skipped = 0
-    first_fail = None
-    for dim in cfg.dims:
-        for trial in range(cfg.trials):
-            ts = _trial_seed(cfg.seed, dim, trial)
-            rng = np.random.default_rng(ts)
-            a = [rng.standard_normal((dim, dim)) for _ in range(r.k)]
-            xs = [(ai + ai.T) / 2.0 + 1j * random_pd(dim, cfg.spectrum, rng).entries
-                  for ai in a]
-            try:
-                fv = _pencil.eval_complex(r, xs)
-                fc = _pencil.eval_complex(r, [xi.conj() for xi in xs])
-            except SingularPivotComplement:
-                failures += 1
-                worst = min(worst, -1.0)
-                if first_fail is None:
-                    first_fail = ts
-                continue
-            scale = max(1.0, operator_norm(fv))
-            im_min = float(np.linalg.eigvalsh((fv - fv.conj().T) / 2j)[0]) / scale
-            asym = operator_norm(fc - fv.conj()) / scale
-            worst = min(worst, im_min)
-            max_asym = max(max_asym, asym)
-            if im_min < -cfg.tol or asym > sym_tol:
-                failures += 1
-                if first_fail is None:
-                    first_fail = ts
-    return VerificationReport(
-        suite="herglotz", dims=cfg.dims, trials=cfg.trials, failures=failures,
-        skipped=skipped, worst_violation=float(worst) if np.isfinite(worst) else 0.0,
-        first_failure_seed=first_fail, seed=cfg.seed, tol=cfg.tol,
-        passed=failures == 0,
-        extras={"max_conjugate_asymmetry": float(max_asym), "sym_tol": float(sym_tol)})
+    extras = {"max_conjugate_asymmetry": 0.0, "sym_tol": sym_tol}
+
+    def trial(rng, dim, trial_index):
+        a = [rng.standard_normal((dim, dim)) for _ in range(r.k)]
+        xs = [(ai + ai.T) / 2.0 + 1j * random_pd(dim, cfg.spectrum, rng).entries
+              for ai in a]
+        try:
+            fv = _pencil.eval_complex(r, xs)
+            fc = _pencil.eval_complex(r, [xi.conj() for xi in xs])
+        except SingularPivotComplement as exc:
+            raise _Fail(-1.0) from exc
+        scale = max(1.0, operator_norm(fv))
+        im_min = float(np.linalg.eigvalsh((fv - fv.conj().T) / 2j)[0]) / scale
+        asym = operator_norm(fc - fv.conj()) / scale
+        extras["max_conjugate_asymmetry"] = max(extras["max_conjugate_asymmetry"], asym)
+        if asym > sym_tol:
+            raise _Fail(im_min)
+        return im_min
+
+    return _run("herglotz", cfg, trial, extras)

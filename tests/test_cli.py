@@ -12,9 +12,17 @@ from loewner import (
     SuiteConfig,
     SymMatrix,
     build_realization,
+    check_concave,
+    check_directsum_coupling,
+    check_free_axioms,
     check_herglotz,
+    check_hypograph_saturation,
+    check_jensen_isometry,
     check_monotone,
+    check_monotone_scalar,
+    check_stochastic_monotone,
     comat_decompose,
+    couplings_sample,
     eval_pencil,
     random_pd,
     shorted_operator,
@@ -102,6 +110,28 @@ def _schema_payloads():
     }
 
 
+def _directsum(spec):
+    rng = np.random.default_rng(5)
+    mu, nu = (DiscreteMeasure(tuple(random_pd(2, (0.5, 2), rng) for _ in range(2)),
+                              np.full(2, 0.5)) for _ in range(2))
+    return check_directsum_coupling(spec, mu, nu, couplings_sample(mu, nu, 5, seed=1))
+
+
+_SUITE_CFG = SuiteConfig(dims=(2, 3), trials=8, seed=21)
+_SUITE_RUNS = {
+    "axioms": lambda: check_free_axioms(build_realization("cauchy:2"), _SUITE_CFG),
+    "monotone": lambda: check_monotone(build_realization("harmonic:0.3,0.7"), _SUITE_CFG),
+    "concave": lambda: check_concave(build_realization("geomean:0.5", n_nodes=24), _SUITE_CFG),
+    "jensen": lambda: check_jensen_isometry(build_realization("power:0.5", n_nodes=24),
+                                            _SUITE_CFG),
+    "hypograph": lambda: check_hypograph_saturation(np.sqrt, _SUITE_CFG),
+    "monotone-scalar": lambda: check_monotone_scalar(lambda x: x ** 2, _SUITE_CFG),
+    "stochastic-monotone": lambda: check_stochastic_monotone("power:0.5", _SUITE_CFG),
+    "directsum-pass": lambda: _directsum("harmonic"),
+    "directsum-fail": lambda: _directsum(lambda m: m.atoms[0].entries),
+}
+
+
 class TestByteContract:
     """``jsonio.dumps`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
 
@@ -145,6 +175,29 @@ class TestByteContract:
         assert rc == 0
         assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == (
             "0449ebdde2e2bff8e269d3b0853ffede9a710de18ffc6384788c3762e0165f76")
+
+    @pytest.mark.parametrize("suite, digest", [
+        ("axioms", "d1a3ad8b146104f2c03edf663cc275ac7c507e92e3eecacbd448fe9dd239f6f9"),
+        ("monotone", "3a67562538fae0fce56bd020209c68f3782593da0dca862d3abd5f854e505831"),
+        ("concave", "764c927b92533141cb6979cf6ace6160c8e1f610848c8b7a3c7cd7f1e0f6d70e"),
+        ("jensen", "b016e3a227a1713a20ca2adc28f5bfe9d60f815e0a13b35861b919618fdce8ea"),
+        ("hypograph", "243d1bf45a8374e2c2458ee9924d0f3ded0a0139431c36daa24fe1cf68c0d8a4"),
+        ("monotone-scalar", "845101816aa6dfa4062bafaa417a3194dacd4c2c88ed9e35834a4bf8384da569"),
+        ("stochastic-monotone",
+         "61e99eba675d139ec22fc0315df3d43019779444dfec7c8629501ddd4957e847"),
+        ("directsum-pass", "8bd2b6b3e1160b9ff80b50ab493992dedb10c12cbe8475dd3b244a1c75f54fd9"),
+        ("directsum-fail", "41e63c181fce1bff7dc93419db9564d25e5c199e71cc29c0f2c3d89ea3c9be08"),
+    ])
+    def test_suite_report_digest_pinned(self, suite, digest):
+        """Report bytes of every suite, pinned to the per-suite loops that preceded the
+        shared tally (monotone-scalar and directsum-fail pin a failing run).
+
+        Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another LAPACK
+        build may round differently and needs its own digests.
+        """
+        rep = _SUITE_RUNS[suite]()
+        payload = jsonio.dumps(jsonio.report_to_json(rep)).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class TestLoadChecks:

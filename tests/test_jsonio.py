@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from loewner import DiscreteMeasure, build_realization, random_pd
+from loewner import DiscreteMeasure, SuiteConfig, build_realization, check_monotone, random_pd
 from loewner import jsonio
 from loewner.cli import main
 
@@ -148,3 +148,35 @@ def test_mutated_payload_exits_2(tmp_path, capsys, schema):
         assert capsys.readouterr().err.startswith("error: ")
 
     check()
+
+
+def _report():
+    rep = check_monotone(build_realization("cauchy:1"), SuiteConfig(dims=(2,), trials=3))
+    return json.loads(jsonio.dumps(jsonio.report_to_json(rep)))
+
+
+def test_report_payload_round_trips():
+    payload = _report()
+    assert jsonio.report_to_json(jsonio.report_from_json(payload)) == payload
+    payload["first_failure_seed"] = 7  # an integer label is kept as is
+    assert jsonio.report_from_json(payload).first_failure_seed == 7
+
+
+# one test per typed field; a JSON boolean is not an integer and vice versa
+BAD_REPORT_FIELDS = {
+    "pass": ["false", "true", 0, 1, None, 1.0],
+    "trials": [2.9, 3.0, "3", True, None],
+    "failures": [0.0, "0", False, None],
+    "skipped": [0.0, "0", False, None],
+    "seed": [0.0, "0", False, None, [0]],
+    "first_failure_seed": ["x", 1.5, True, [1]],
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_REPORT_FIELDS))
+def test_report_field_type_checked_on_load(field):
+    for bad in BAD_REPORT_FIELDS[field]:
+        payload = _report()
+        payload[field] = bad
+        with pytest.raises(ValueError, match=field):
+            jsonio.report_from_json(payload)

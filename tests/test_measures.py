@@ -383,6 +383,38 @@ class TestDirectSumCoupling:
                                           tol=1e-10)
         assert report.passed
 
+    @staticmethod
+    def _pair():
+        rng = np.random.default_rng(5)
+        mu = uniform_measure([random_pd(2, (0.5, 2), rng) for _ in range(2)])
+        nu = uniform_measure([random_pd(2, (0.5, 2), rng) for _ in range(2)])
+        return mu, nu
+
+    def test_negative_control_labels_failures_by_coupling(self):
+        mu, nu = self._pair()
+        couplings = couplings_sample(mu, nu, 5, seed=1)
+
+        def first_atom(m):  # not a mean: ignores the weights
+            return m.atoms[0].entries
+
+        report = check_directsum_coupling(first_atom, mu, nu, couplings)
+        # the induced measure's first atom is A_0 (+) B_0 iff gamma charges cell (0, 0)
+        failing = [i for i, c in enumerate(couplings) if c.gamma[0, 0] <= 1e-14]
+        assert not report.passed and report.failures == len(failing) == 2
+        assert report.first_failure_seed == failing[0]
+        assert report.trials == 5 and report.dims == (4,) and report.seed == 0
+
+    def test_rejects_empty_couplings(self):
+        mu, nu = self._pair()
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_directsum_coupling("arithmetic", mu, nu, [])
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    def test_rejects_nonpositive_tol(self, tol):
+        mu, nu = self._pair()
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check_directsum_coupling("arithmetic", mu, nu, couplings_sample(mu, nu, 1), tol=tol)
+
 
 class TestPinnedDigests:
     """Outputs pinned byte for byte to the one-pair-at-a-time relation, the

@@ -5,6 +5,8 @@ import pytest
 
 from loewner import (
     MatrixTuple,
+    PencilRealization,
+    SingularPivotComplement,
     SuiteConfig,
     build_realization,
     cauchy_atom,
@@ -16,6 +18,7 @@ from loewner import (
     check_monotone,
     check_monotone_scalar,
     comat_decompose,
+    eval_complex,
     random_commuting_tuple,
     random_pd,
     reconstruct_hull_certificate,
@@ -182,6 +185,31 @@ class TestHerglotz:
         report = check_herglotz(r, cfg)
         assert report.passed
         assert report.extras["max_conjugate_asymmetry"] <= 1e-10
+
+    def test_asymmetry_above_sym_tol_fails_every_trial(self):
+        cfg = SuiteConfig(dims=(2, 3), trials=10, seed=3)
+        r = build_realization("cauchy:2")
+        ok = check_herglotz(r, cfg)
+        bad = check_herglotz(r, cfg, sym_tol=-1.0)
+        assert ok.passed and not bad.passed
+        assert bad.failures == cfg.trials * len(cfg.dims)
+        # the asymmetry check fails a trial without changing its violation
+        assert bad.worst_violation == ok.worst_violation
+        assert bad.first_failure_seed == 3 * 1_000_000 + 2 * 10_000
+        assert bad.extras == {"max_conjugate_asymmetry": ok.extras["max_conjugate_asymmetry"],
+                              "sym_tol": -1.0}
+
+    def test_singular_pivot_counts_as_failure(self):
+        # the auxiliary block of A0 (x) I + A1 (x) X is zero: a singular pivot
+        r = PencilRealization(np.array([1.0, 0.0]), np.zeros((2, 2)),
+                              (np.diag([1.0, 0.0]),))
+        with pytest.raises(SingularPivotComplement):
+            eval_complex(r, [np.eye(2) + 1j * np.eye(2)])
+        cfg = SuiteConfig(dims=(2, 3), trials=10, seed=3)
+        report = check_herglotz(r, cfg)
+        assert report.failures == cfg.trials * len(cfg.dims) and report.skipped == 0
+        assert report.worst_violation == -1.0
+        assert report.first_failure_seed == 3_020_000
 
 
 class TestDeterminism:
