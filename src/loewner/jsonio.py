@@ -266,9 +266,12 @@ def _typed(d: dict, key: str, *types):
 
 
 def report_from_json(d: dict) -> VerificationReport:
+    dims = _typed(d, "dims", list)
+    if any(type(x) is not int for x in dims):
+        raise ValueError("report field 'dims' has a non-integer entry")
     return VerificationReport(
-        suite=d["suite"],
-        dims=tuple(int(x) for x in d["dims"]),
+        suite=_typed(d, "suite", str),
+        dims=tuple(dims),
         trials=_typed(d, "trials", int),
         failures=_typed(d, "failures", int),
         skipped=_typed(d, "skipped", int),

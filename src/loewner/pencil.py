@@ -12,18 +12,23 @@ Loewner order, which is what the verify suites exercise.
 
 Evaluation rotates e into the first coordinate (deterministic Householder
 reflection), so the shorted operator always pivots on the leading n rows.
-`eval` then takes one of three paths, chosen from the realization's shape:
+`eval` then takes one of three paths, chosen from the realization's shape
+(for two variables, also from the point):
 
-* one-variable spectral (k = 1, auxiliary dimension m > 1, every aux-by-aux
-  block diagonal): every trailing block ``d0_j I + d_j X`` and coupling
-  ``o0_j I + o_j X`` is a polynomial in X, so ``F(X) = U diag(f(lam)) U*``
-  for ``X = U diag(lam) U*`` with the scalar rational
-  ``f = z - sum_j |o_j|^2 / d_j``: one ``eigh(X)`` (`_spectral_short`).
-  Oracles: `_arrowhead_short` and `shorted.shorted_operator` on the
-  assembled pencil.
-* batched arrowhead (k >= 2, m > 1, every aux-by-aux block diagonal): the
-  trailing block splits into n x n blocks, one batched ``eigh`` over them
-  (`_arrowhead_short`).  Oracle: `shorted.shorted_operator`.
+* spectral (auxiliary dimension m > 1, every aux-by-aux block diagonal, and
+  k = 1, or k = 2 with the rotated A0 zero): every trailing block and
+  coupling is ``p G1 + q G2`` for the generators (G1, G2) = (I, X) or
+  (X1, X2).  With ``G1 = Y Y*`` and ``G2 = Y diag(mu) Y*`` the complement is
+  ``Y diag(f(mu)) Y*`` for the scalar rational ``f = z - sum_j |o_j|^2 / d_j``
+  (`_spectral_short`): one ``eigh(X)``, or one Cholesky ``X1 = L L*`` and one
+  ``eigh(L^-1 X2 L^-*)``.  The k = 2 form is taken only when the Cholesky
+  succeeds and ``mu_min > sqrt(rank_tol) mu_max``; other points take the
+  batched path.  Oracles: `_arrowhead_short` and `shorted.shorted_operator`
+  on the assembled pencil.
+* batched arrowhead (any other k >= 2 point with m > 1 and diagonal
+  aux-by-aux blocks): the trailing block splits into n x n blocks, one
+  batched ``eigh`` over them (`_arrowhead_short`).  Oracle:
+  `shorted.shorted_operator`.
 * dense (any other shape, m = 1 included): one ``eigh`` of the trailing
   block of the assembled pencil, empty when m = 1 (`_dense_short`).  Oracle:
   `shorted.shorted_operator`, whose rank cut ``rank_tol * lambda_max(Z22)``
@@ -231,8 +236,8 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     ``B_j = a0[j,j] I + sum_i c_i[j,j] X_i`` and the coupling to the pivot is
     ``R_j = a0[j,0] I + sum_i c_i[j,0] X_i``; the complement is
     ``Z11 - sum_j R_j* B_j^+ R_j`` with the same admission checks as the
-    dense path.  Serves k >= 2; for k = 1 it is the oracle of
-    `_spectral_short`.
+    dense path.  Serves k >= 2 where `_spectral_short` does not, and is its
+    fallback and oracle.
     """
     n = arrays[0].shape[0]
     z11, blocks, couple = _arrowhead_blocks(a0r, coeffs_r, arrays)
@@ -267,20 +272,33 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     return short
 
 
-def _spectral_short(a0r, c, x, rank_tol, psd_tol, check_domain):
-    """Shorted operator of a one-variable arrowhead pencil in X's eigenbasis.
+def _spectral_short(p, q, x1, x2, rank_tol, psd_tol, check_domain):
+    """Shorted operator of an arrowhead pencil whose blocks are all
+    ``p_ij G1 + q_ij G2``: generators (I, X) for one variable (``x1`` None,
+    p = A0, q = A1) and (X1, X2) for two with A0 = 0 (p = A1, q = A2).
 
-    With ``X = U diag(lam) U*`` every block of the pencil is diagonal in U, so
-    the complement is ``U diag(f) U*`` with ``d = d0_j + d_j lam``,
-    ``o = o0_j + o_j lam`` and ``f = z - sum_j |o|^2 / d`` over the kept
-    entries of d.  The admission checks of `_arrowhead_short` become scalar
-    tests on these arrays with the same tolerances; f is exactly the spectrum
-    of the complement.
+    ``G1 = Y Y*`` and ``G2 = Y diag(mu) Y*`` (from ``eigh(X)``, or ``Y = L W``
+    with ``X1 = L L*``, ``L^-1 X2 L^-* = W diag(mu) W*``), so the complement is
+    ``Y diag(f) Y*`` with ``d = p_jj + q_jj mu``, ``o = p_j0 + q_j0 mu`` and
+    ``f = z - sum_j |o|^2 / d`` over the kept entries of d.  The admission
+    checks of `_arrowhead_short` become scalar tests with the same
+    tolerances.  Returns None, for the batched path, when the Cholesky fails
+    or ``mu_min <= sqrt(rank_tol) mu_max``: mu is accurate only to eps mu_max.
     """
-    lam, u = np.linalg.eigh(x)
-    d = np.real(np.diag(a0r)[1:, None] + np.diag(c)[1:, None] * lam)
-    o = a0r[1:, 0, None] + c[1:, 0, None] * lam
-    z = np.real(a0r[0, 0] + c[0, 0] * lam)
+    if x1 is None:
+        mu, y = np.linalg.eigh(x2)
+    else:
+        try:
+            low = np.linalg.cholesky(x1)
+        except np.linalg.LinAlgError:
+            return None
+        mu, w = np.linalg.eigh(np.linalg.solve(low, _adjoint(np.linalg.solve(low, x2))))
+        if not mu[0] > math.sqrt(rank_tol) * mu[-1]:
+            return None
+        y = low @ w
+    d = np.real(np.diag(p)[1:, None] + np.diag(q)[1:, None] * mu)
+    o = p[1:, 0, None] + q[1:, 0, None] * mu
+    z = np.real(p[0, 0] + q[0, 0] * mu)
     scale = max(1.0, float(z.max()), float(d.max()))
     if check_domain and float(d.min()) < -psd_tol * scale:
         raise PencilDomainError(
@@ -297,7 +315,7 @@ def _spectral_short(a0r, c, x, rank_tol, psd_tol, check_domain):
     if check_domain and float(f.min()) < -psd_tol * scale:
         raise PencilDomainError(
             f"pencil not PSD at X: Schur complement eigenvalue {float(f.min()):.3e}")
-    return (u * f) @ u.conj().T
+    return (y * f) @ y.conj().T
 
 
 def _dense_short(z, n, rank_tol, psd_tol, check_domain):
@@ -313,7 +331,9 @@ def _dense_short(z, n, rank_tol, psd_tol, check_domain):
     z11, z21 = z[:n, :n], z[n:, :n]
     lam, u = np.linalg.eigh(z[n:, n:])
     top = float(lam.max(initial=0.0))
-    scale = max(1.0, float(np.linalg.eigvalsh(z11)[-1]), top)
+    # m = 1 leaves the complement Z11 itself: one spectrum for scale and check
+    spec11 = np.linalg.eigvalsh(z11 if lam.size else (z11 + _adjoint(z11)) / 2.0)
+    scale = max(1.0, float(spec11[-1]), top)
     if check_domain and float(lam.min(initial=0.0)) < -psd_tol * scale:
         raise PencilDomainError(
             f"pencil not PSD at X: trailing-block eigenvalue {float(lam.min()):.3e}")
@@ -329,7 +349,7 @@ def _dense_short(z, n, rank_tol, psd_tol, check_domain):
     short = z11 - _adjoint(gk) @ (gk / lam[keep][:, None])
     short = (short + short.conj().T) / 2.0
     if check_domain:
-        smin = float(np.linalg.eigvalsh(short)[0])
+        smin = float((np.linalg.eigvalsh(short) if lam.size else spec11)[0])
         if smin < -psd_tol * scale:
             raise PencilDomainError(
                 f"pencil not PSD at X: Schur complement eigenvalue {smin:.3e}")
@@ -349,11 +369,14 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
         raise DimensionMismatch(f"realization has {r.k} variables, point has {xt.k}")
     a0r, coeffs_r, arrowhead = r._layout
     arrays = [xi.entries for xi in xt.items]
+    short = None
     if arrowhead and r.k == 1:
-        short = _spectral_short(a0r, coeffs_r[0], arrays[0], rank_tol, tol, check_domain)
-    elif arrowhead:
+        short = _spectral_short(a0r, coeffs_r[0], None, arrays[0], rank_tol, tol, check_domain)
+    elif arrowhead and r.k == 2 and not np.any(a0r):
+        short = _spectral_short(*coeffs_r, *arrays, rank_tol, tol, check_domain)
+    if short is None and arrowhead:
         short = _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, tol, check_domain)
-    else:
+    elif short is None:
         z = _assembled_pencil(a0r, coeffs_r, arrays, np.result_type(a0r, *coeffs_r, *arrays))
         short = _dense_short(z, xt.n, rank_tol, tol, check_domain)
     return SymMatrix(short)

@@ -178,8 +178,8 @@ class TestByteContract:
 
     @pytest.mark.parametrize("suite, digest", [
         ("axioms", "d1a3ad8b146104f2c03edf663cc275ac7c507e92e3eecacbd448fe9dd239f6f9"),
-        ("monotone", "3a67562538fae0fce56bd020209c68f3782593da0dca862d3abd5f854e505831"),
-        ("concave", "764c927b92533141cb6979cf6ace6160c8e1f610848c8b7a3c7cd7f1e0f6d70e"),
+        ("monotone", "f68569241222c384fa6b346fb95039aaa1d4dead53970f2134bb0d0e96dd9740"),
+        ("concave", "14db6e70e2977162470222125a81ce69fbcf71e2c4feaaf332b608a5ebb41ff0"),
         ("jensen", "b016e3a227a1713a20ca2adc28f5bfe9d60f815e0a13b35861b919618fdce8ea"),
         ("hypograph", "243d1bf45a8374e2c2458ee9924d0f3ded0a0139431c36daa24fe1cf68c0d8a4"),
         ("monotone-scalar", "845101816aa6dfa4062bafaa417a3194dacd4c2c88ed9e35834a4bf8384da569"),
@@ -191,6 +191,9 @@ class TestByteContract:
     def test_suite_report_digest_pinned(self, suite, digest):
         """Report bytes of every suite, pinned to the per-suite loops that preceded the
         shared tally (monotone-scalar and directsum-fail pin a failing run).
+        monotone (harmonic:0.3,0.7) and concave (geomean:0.5) were re-pinned when
+        two-variable pencils with A0 = 0 moved to the two-generator spectral path:
+        only the last bits of worst_violation moved.
 
         Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another LAPACK
         build may round differently and needs its own digests.

@@ -170,6 +170,8 @@ BAD_REPORT_FIELDS = {
     "skipped": [0.0, "0", False, None],
     "seed": [0.0, "0", False, None, [0]],
     "first_failure_seed": ["x", 1.5, True, [1]],
+    "suite": [5, None, True, ["monotone"], {}],
+    "dims": [[2.9, True], [2, True], [2.0], ["2"], [None], 2, "2,3", None],
 }
 
 

@@ -1,10 +1,16 @@
 """Tests for pencil realizations and their evaluation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loewner
 from loewner import (
     DimensionMismatch,
     MatrixTuple,
@@ -33,6 +39,7 @@ from loewner.pencil import (
     _arrowhead_short,
     _aux_blocks_diagonal,
     _rotated_coefficients,
+    _spectral_short,
     householder_to_e1,
 )
 from loewner.shorted import RangeConditionViolation, block_schur_general
@@ -379,8 +386,9 @@ def complex_pd(n, rng, shift=0.3):
 
 
 class TestBatchedArrowheadPath:
-    """Arrowhead pencils in k >= 2 variables take the batched path
-    (`_arrowhead_short`); the dense shorted operator is its oracle."""
+    """Arrowhead pencils in k >= 2 variables (`geomean`, `harmonic:w1,w2`: the
+    two-generator spectral path with the batched fallback); the dense
+    shorted operator is their oracle."""
 
     @staticmethod
     def assert_matches_shorted(r, xt, rel=1e-13):
@@ -461,6 +469,127 @@ class TestBatchedArrowheadPath:
             rotated_oracle(r, x)
 
 
+def mp_complement(r, xs, dps=50):
+    """``Z11 - sum_j R_j B_j^-1 R_j`` of the rotated pencil at a real point,
+    at ``dps`` digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    a0r, coeffs_r, _ = r._layout
+    n = xs[0].shape[0]
+    with mpmath.workdps(dps):
+        xm = [mp.matrix(x.tolist()) for x in xs]
+
+        def block(i, j):
+            out = mp.eye(n) * mp.mpf(a0r[i, j])
+            for c, x in zip(coeffs_r, xm):
+                out += mp.mpf(c[i, j]) * x
+            return out
+
+        out = block(0, 0)
+        for j in range(1, r.m):
+            rj = block(j, 0)
+            out -= rj.T * mp.inverse(block(j, j)) * rj
+        return np.array(out.tolist(), dtype=float)
+
+
+def spectral_point(seed, spectra, n):
+    """Real symmetric matrices with the given geometric spectra in random bases."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for lo, hi in spectra:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        x = (q * np.geomspace(lo, hi, n)) @ q.T
+        out.append((x + x.T) / 2.0)
+    return out
+
+
+def two_generator_short(r, x1, x2):
+    """The two-generator spectral form at (X1, X2), None when not admitted."""
+    _, (c1, c2), _ = r._layout
+    return _spectral_short(c1, c2, x1, x2, 1e-12, 1e-9, True)
+
+
+def domain_outcome(fn):
+    try:
+        return "ok", fn()
+    except PencilDomainError as exc:
+        return "error", str(exc)
+
+
+class TestTwoGeneratorPath:
+    """`geomean` and two-weight `harmonic` evaluate with one Cholesky of X1 and
+    one ``eigh`` of ``L^-1 X2 L^-*``; `_arrowhead_short` is the fallback when
+    ``mu_min <= sqrt(rank_tol) mu_max`` and the oracle."""
+
+    def test_batched_path_not_used(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("batched arrowhead path taken")
+
+        monkeypatch.setattr("loewner.pencil._arrowhead_short", fail)
+        x1 = random_pd(64, (0.3, 3.0), 51).entries
+        x2 = random_pd(64, (0.3, 3.0), 52).entries
+        got = eval_pencil(build_realization("geomean:0.5", n_nodes=96), [x1, x2]).entries
+        ref = geomean_formula(x1, x2, 0.5)
+        assert operator_norm(got - ref) <= 1e-11 * operator_norm(ref)
+        got = eval_pencil(build_realization("harmonic:0.3,0.7"), [x1, x2]).entries
+        ref = np.linalg.inv(0.3 * np.linalg.inv(x1) + 0.7 * np.linalg.inv(x2))
+        assert operator_norm(got - ref) <= 1e-12 * operator_norm(ref)
+
+    @pytest.mark.parametrize("spectra", [((0.1, 10.0), (0.1, 10.0)),
+                                         ((1e-2, 1.0), (0.1, 10.0))])
+    @pytest.mark.parametrize("spec", ["geomean:0.5", "harmonic:0.3,0.7"])
+    def test_admitted_points_against_mpmath(self, spec, spectra):
+        # measured 1.4e-14..6.9e-14 of ||F|| for geomean:0.5@96 on the first
+        # spectra (the batched path: 1.0e-13..5.1e-13)
+        r = build_realization(spec, n_nodes=96)
+        for seed in range(2):
+            x1, x2 = spectral_point(seed, spectra, 5)
+            assert two_generator_short(r, x1, x2) is not None
+            ref = mp_complement(r, [x1, x2])
+            got = eval_pencil(r, [x1, x2]).entries
+            assert operator_norm(got - ref) <= 1e-12 * operator_norm(ref)
+
+    def test_wide_mu_reproducer_takes_the_fallback(self, monkeypatch):
+        # mu spans about 1e-21 of mu_max, far below its eps * mu_max accuracy:
+        # without the admission rule the spectral form is 8.6e3 ||F|| off here
+        r = build_realization("geomean:0.5", n_nodes=24)
+        x1, x2 = spectral_point(2, ((1.3e-6, 9.8e5), (2.6e-8, 2.7e7)), 4)
+        assert two_generator_short(r, x1, x2) is None
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return _arrowhead_short(*args)
+
+        monkeypatch.setattr("loewner.pencil._arrowhead_short", spy)
+        got = eval_pencil(r, [x1, x2]).entries
+        assert calls == [1]
+        ref = mp_complement(r, [x1, x2])
+        # the batched path's own error at this point is 1.0e-7 of ||F||
+        assert operator_norm(got - ref) <= 1e-6 * operator_norm(ref)
+
+    @pytest.mark.parametrize("x1,x2,raises", [
+        (np.diag([1.0, 2.0, 0.0]), np.eye(3), False),
+        (np.eye(3), np.diag([1.0, 2.0, 0.0]), False),
+        (np.diag([1.0, 2.0, -0.5]), np.eye(3), True),
+        (np.eye(3), np.diag([1.0, 2.0, -1e-6]), True),
+        (np.diag([1.0, 2.0, -1e-13]), np.eye(3), False),
+        (np.eye(3), -np.eye(3), True),
+    ])
+    @pytest.mark.parametrize("spec", ["geomean:0.5", "harmonic:0.3,0.7"])
+    def test_domain_errors_match_batched_path(self, spec, x1, x2, raises):
+        r = build_realization(spec, n_nodes=24)
+        a0r, coeffs_r, _ = r._layout
+        got = domain_outcome(lambda: eval_pencil(r, [x1, x2]).entries)
+        want = domain_outcome(
+            lambda: _arrowhead_short(a0r, coeffs_r, [x1, x2], 1e-12, 1e-9, True))
+        assert got[0] == want[0] == ("error" if raises else "ok")
+        if raises:
+            assert got[1] == want[1]
+        else:
+            assert operator_norm(got[1] - want[1]) <= 1e-13 * max(1.0, operator_norm(want[1]))
+
+
 class TestEvalLayout:
     """The rotated layout is computed once per realization and is read-only."""
 
@@ -506,26 +635,40 @@ class TestEvalLayout:
         assert operator_norm(got - ref) <= 1e-12 * max(1.0, znorm)
 
 
-# Realizations per `eval` path: one-variable spectral, batched arrowhead
-# (k >= 2) and dense (m = 1 or a non-diagonal aux block).
+def shifted_parallel_sum_realization():
+    """``X1 : (I + X2)``: a two-variable arrowhead pencil with A0 != 0."""
+    a0 = np.diag([0.0, 1.0])
+    return PencilRealization(np.eye(2)[0], SymMatrix(a0),
+                             (SymMatrix(np.ones((2, 2))), SymMatrix(np.diag([0.0, 1.0]))))
+
+
+# Realizations per `eval` path: one-variable spectral, two-generator spectral
+# (k = 2, A0 = 0; wide-mu points fall back to the batched path), batched
+# arrowhead (k >= 2) and dense (m = 1 or a non-diagonal aux block).
 PATH_SPECS = {
     "arithmetic:0.4,0.6": "dense",
     "power:0.5": "spectral",
     "cauchy:1.0": "spectral",
-    "geomean:0.5": "batched",
-    "harmonic:0.3,0.7": "batched",
+    "geomean:0.5": "two-generator",
+    "harmonic:0.3,0.7": "two-generator",
+    "shifted-parallel-sum": "batched",
     "harmonic:0.2,0.3,0.5": "dense",
     "two-scale": "dense",
 }
-PATH_REALIZATIONS = {spec: (two_scale_realization() if spec == "two-scale"
+CUSTOM_REALIZATIONS = {"two-scale": two_scale_realization,
+                       "shifted-parallel-sum": shifted_parallel_sum_realization}
+PATH_REALIZATIONS = {spec: (CUSTOM_REALIZATIONS[spec]() if spec in CUSTOM_REALIZATIONS
                             else build_realization(spec, n_nodes=24))
                      for spec in PATH_SPECS}
 
 
 def eval_path(r):
-    if r.m == 1 or not _aux_blocks_diagonal(*_rotated_coefficients(r)):
+    a0r, coeffs_r = _rotated_coefficients(r)
+    if r.m == 1 or not _aux_blocks_diagonal(a0r, coeffs_r):
         return "dense"
-    return "spectral" if r.k == 1 else "batched"
+    if r.k == 1:
+        return "spectral"
+    return "two-generator" if r.k == 2 and not np.any(a0r) else "batched"
 
 
 def test_path_specs_cover_every_eval_path():
@@ -553,9 +696,12 @@ def wide_points(draw):
 
 
 # Worst measured error against the rotated dense oracle, relative to the
-# pencil norm, over 1200 numpy-generated points per realization of this kind
-# on the commit before the BLAS contractions: 4.1e-12 (harmonic:0.3,0.7);
-# the bound leaves a 25x margin.
+# pencil norm: 2.3e-14 (harmonic:0.3,0.7) over this test's 300 derandomized
+# draws, and 4.1e-12 over an earlier set of 1200 numpy-generated points per
+# realization; the bound leaves a 25x margin over the latter.  Those figures
+# hold for these draws only: over 12 000 further numpy-drawn wide-spectrum
+# k = 2 points the oracle itself drifts up to 1.2e-6 from a 50-digit
+# reference on 44 points, and the batched path reaches 3.1e-10 on 4.
 WIDE_SPECTRUM_REL = 1e-10
 
 
@@ -574,6 +720,36 @@ def test_every_eval_path_matches_shorted_oracle(case):
     assert (got is None) == (ref is None)
     if got is not None:
         assert operator_norm(got - ref) <= WIDE_SPECTRUM_REL * max(1.0, znorm)
+
+
+# One `eval` per path (spectral, two-generator, batched fallback at a wide-mu
+# point, dense) and one `eval_complex` per path (arrowhead, dense).
+SCIPY_LINALG_PROBE = """
+import sys
+import numpy as np
+from loewner import build_realization, eval_complex, eval_pencil, random_pd
+
+x = [random_pd(4, (0.5, 2.0), s).entries for s in range(2)]
+wide = np.diag([1e-8, 1.0, 1e8, 1.0])
+for spec, point in [("power:0.5", x[:1]), ("geomean:0.5", x), ("geomean:0.5", [wide, x[1]]),
+                    ("arithmetic:0.4,0.6", x)]:
+    eval_pencil(build_realization(spec, n_nodes=8), point)
+for spec in ("power:0.5", "arithmetic:0.4,0.6"):
+    r = build_realization(spec, n_nodes=8)
+    eval_complex(r, [xi + 1j * np.eye(4) for xi in x[:r.k]])
+print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+"""
+
+
+def test_eval_does_not_import_scipy_linalg():
+    # importing scipy.linalg adds about 6.5 MB of resident memory
+    src = str(Path(loewner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_LINALG_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestEvalProperties:
