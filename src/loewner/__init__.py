@@ -19,14 +19,11 @@ from .numlin import (
     apply_scalar_function,
     loewner_leq,
     make_dominated_pair,
-    pinv_psd,
     psd_sqrt,
     random_commuting_tuple,
     random_contraction,
     random_isometry,
     random_pd,
-    sym_eig,
-    unitary_dilation,
 )
 from .shorted import (
     RangeConditionViolation,

@@ -116,20 +116,6 @@ class DiscreteMeasure:
     def dirac(cls, atom) -> "DiscreteMeasure":
         return cls((atom,), np.array([1.0]))
 
-    def deduplicated(self, tol: float = 1e-12) -> "DiscreteMeasure":
-        """Merge atoms equal within tol * max(1, ||A||), summing weights."""
-        atoms: list = []
-        weights: list = []
-        for a, w in zip(self.atoms, self.weights):
-            for i, b in enumerate(atoms):
-                if operator_norm(a.entries - b.entries) <= tol * max(1.0, b.norm):
-                    weights[i] += w
-                    break
-            else:
-                atoms.append(a)
-                weights.append(float(w))
-        return DiscreteMeasure(tuple(atoms), np.array(weights))
-
 
 @dataclass(frozen=True)
 class Coupling:

@@ -2,9 +2,8 @@
 
 Everything downstream (Schur complements, pencil evaluation, the property
 suites) funnels through this module: eigendecomposition, the Loewner order
-predicate, functional calculus on commuting tuples, PSD square root and
-pseudo-inverse, unitary dilation of contractions, and the seeded random
-generators used by every randomized suite.
+predicate, functional calculus on commuting tuples, PSD square root, and
+the seeded random generators used by every randomized suite.
 
 Conventions
 -----------
@@ -32,13 +31,10 @@ __all__ = [
     "DimensionMismatch",
     "NotPositiveSemidefinite",
     "CommutationError",
-    "sym_eig",
     "operator_norm",
     "loewner_leq",
     "apply_scalar_function",
     "psd_sqrt",
-    "pinv_psd",
-    "unitary_dilation",
     "random_pd",
     "random_commuting_tuple",
     "make_dominated_pair",
@@ -196,12 +192,6 @@ class Contraction:
     def target_dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def is_isometry(self) -> bool:
-        w = self.entries
-        gram = w.conj().T @ w
-        return operator_norm(gram - np.eye(self.source_dim)) <= 1e-12
-
     def __array__(self, dtype=None):
         return self.entries if dtype is None else self.entries.astype(dtype)
 
@@ -209,18 +199,6 @@ class Contraction:
 # ---------------------------------------------------------------------------
 # spectral kernels
 # ---------------------------------------------------------------------------
-
-def sym_eig(a):
-    """Eigendecomposition of a self-adjoint matrix.
-
-    Returns ``(eigenvalues, basis)`` with eigenvalues ascending and
-    ``basis @ diag(eigenvalues) @ basis*  == A`` to 1e-12 * ||A||;
-    the basis is orthogonal (unitary in the complex case) to 1e-12.
-    """
-    m = _as_array(_sym(a))
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
-
 
 def _psd_check(vals: np.ndarray, tol: float, what: str) -> None:
     lo = float(vals[0])
@@ -315,45 +293,6 @@ def psd_sqrt(a, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
     _psd_check(vals, tol, "psd_sqrt")
     root = np.sqrt(np.clip(vals, 0.0, None))
     return SymMatrix(vecs @ np.diag(root) @ vecs.conj().T)
-
-
-def pinv_psd(a, rank_tol: float = 1e-12, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
-    """Moore-Penrose inverse of a PSD matrix.
-
-    Eigenvalues below ``rank_tol * lambda_max`` are treated as exact zeros.
-    """
-    m = _as_array(_sym(a))
-    vals, vecs = np.linalg.eigh(m)
-    _psd_check(vals, tol, "pinv_psd")
-    cut = rank_tol * max(float(vals[-1]), 0.0)
-    inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
-    return SymMatrix(vecs @ np.diag(inv) @ vecs.conj().T)
-
-
-def unitary_dilation(w, tol: float = 1e-8) -> np.ndarray:
-    """Unitary dilation ``[[W, (I-WW*)^1/2], [(I-W*W)^1/2, -W*]]`` of a contraction.
-
-    The result is a square unitary of size (target + source); unitarity holds
-    to 1e-10 for any W with ||W|| <= 1.  Both defect square roots are built
-    from one SVD of W so their cross terms cancel to roundoff (eigenvalue
-    clamping alone would leave sqrt(eps)-sized unitarity defects).
-    """
-    wm = _as_array(w)
-    norm = operator_norm(wm)
-    if norm > 1.0 + tol:
-        raise ValueError(f"not a contraction: operator norm {norm:.6f} > 1")
-    m, n = wm.shape
-    p, sigma, qh = np.linalg.svd(wm, full_matrices=True)
-    defect = np.sqrt(np.clip(1.0 - np.clip(sigma, 0.0, 1.0) ** 2, 0.0, None))
-    dl = np.ones(m)
-    dl[: defect.shape[0]] = defect
-    dr = np.ones(n)
-    dr[: defect.shape[0]] = defect
-    defect_left = (p * dl) @ p.conj().T
-    defect_right = (qh.conj().T * dr) @ qh
-    top = np.hstack([wm, defect_left])
-    bottom = np.hstack([defect_right, -wm.conj().T])
-    return np.vstack([top, bottom])
 
 
 # ---------------------------------------------------------------------------

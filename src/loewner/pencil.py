@@ -36,9 +36,22 @@ reflection), so the shorted operator always pivots on the leading n rows.
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
 Z22 >= 0, the range condition holds, and the complement is >= 0) with the same
-relative tolerances.  `eval_complex` has two paths, batched arrowhead
-(`_arrowhead_schur_complex`) and dense (one ``solve`` against the trailing
-block); the oracle of both is `shorted.block_schur_general`.
+relative tolerances.  `eval_complex` has three paths:
+
+* spectral (the shapes of the real spectral path with m > 2): every block is
+  ``G1 P(M)`` for a polynomial P in ``M = Z`` or ``X1^-1 X2``, so one ``eig``
+  ``M = V diag(mu) V^-1`` gives the complement ``G1 V diag(f(mu)) V^-1``
+  (`_spectral_complex`).  Taken only when ``kappa_1(V) < _EIG_COND_MAX``,
+  since its error grows with kappa(V), and when no trailing block can be
+  near singular; other points take the batched path.  Oracles:
+  `_arrowhead_schur_complex` and `shorted.block_schur_general`.
+* batched arrowhead (any other arrowhead pencil, m = 2 included, and the
+  spectral fallback): one ``svd``, one ``solve`` and one ``einsum`` over the
+  n x n trailing blocks (`_arrowhead_schur_complex`), the only source of
+  `SingularPivotComplement` for arrowhead pencils.  Oracle:
+  `shorted.block_schur_general`.
+* dense (any other shape): one ``solve`` against the trailing block of the
+  assembled pencil.  Oracle: `shorted.block_schur_general`.
 
 The batched contractions run as BLAS ``matmul``: the arrowhead blocks are one
 gemm over the stacked, flattened point (`_arrowhead_blocks`) and the
@@ -62,6 +75,7 @@ from .numlin import (
     MatrixTuple,
     SymMatrix,
     _as_array,
+    _psd_check,
     _sym,
     as_tuple,
 )
@@ -81,12 +95,6 @@ __all__ = [
 
 class PencilDomainError(ValueError):
     """The pencil is not PSD at the requested point (outside the realized domain)."""
-
-
-def _check_psd_coeff(m: np.ndarray, tol: float, what: str) -> None:
-    vals = np.linalg.eigvalsh(m)
-    if vals[0] < -tol * max(1.0, abs(float(vals[-1]))):
-        raise ValueError(f"{what} is not PSD: lambda_min = {vals[0]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +126,9 @@ class PencilRealization:
         m = e.shape[0]
         if a0.n != m or any(c.n != m for c in coeffs):
             raise DimensionMismatch("e, A0 and all A_i must share the auxiliary dimension")
-        _check_psd_coeff(a0.entries, self.psd_tol, "A0")
+        _psd_check(np.linalg.eigvalsh(a0.entries), self.psd_tol, "A0")
         for i, c in enumerate(coeffs):
-            _check_psd_coeff(c.entries, self.psd_tol, f"A{i + 1}")
+            _psd_check(np.linalg.eigvalsh(c.entries), self.psd_tol, f"A{i + 1}")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -272,6 +280,28 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     return short
 
 
+def _spectral_args(a0r, coeffs_r, arrays):
+    """``(p, q, x1, x2)`` of the spectral form of an arrowhead pencil: k = 1
+    (generators I and X, ``x1`` None) or k = 2 with A0 = 0 (generators X1
+    and X2); None for any other shape."""
+    if len(arrays) == 1:
+        return a0r, coeffs_r[0], None, arrays[0]
+    if len(arrays) == 2 and not np.any(a0r):
+        return (*coeffs_r, *arrays)
+    return None
+
+
+def _spectral_terms(p, q, mu):
+    """The pivot ``z``, trailing diagonal ``d_j``, pivot-column couplings
+    ``o_j`` and pivot-row couplings ``o'_j`` of the arrowhead ``p + q mu``,
+    one column per eigenvalue mu (rows j = 1..m-1)."""
+    def lin(a, b):
+        return a[..., None] + b[..., None] * mu
+
+    return (lin(p[0, 0], q[0, 0]), lin(np.diag(p)[1:], np.diag(q)[1:]),
+            lin(p[1:, 0], q[1:, 0]), lin(p[0, 1:], q[0, 1:]))
+
+
 def _spectral_short(p, q, x1, x2, rank_tol, psd_tol, check_domain):
     """Shorted operator of an arrowhead pencil whose blocks are all
     ``p_ij G1 + q_ij G2``: generators (I, X) for one variable (``x1`` None,
@@ -296,9 +326,8 @@ def _spectral_short(p, q, x1, x2, rank_tol, psd_tol, check_domain):
         if not mu[0] > math.sqrt(rank_tol) * mu[-1]:
             return None
         y = low @ w
-    d = np.real(np.diag(p)[1:, None] + np.diag(q)[1:, None] * mu)
-    o = p[1:, 0, None] + q[1:, 0, None] * mu
-    z = np.real(p[0, 0] + q[0, 0] * mu)
+    z, d, o, _ = _spectral_terms(p, q, mu)
+    z, d = np.real(z), np.real(d)
     scale = max(1.0, float(z.max()), float(d.max()))
     if check_domain and float(d.min()) < -psd_tol * scale:
         raise PencilDomainError(
@@ -369,11 +398,8 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
         raise DimensionMismatch(f"realization has {r.k} variables, point has {xt.k}")
     a0r, coeffs_r, arrowhead = r._layout
     arrays = [xi.entries for xi in xt.items]
-    short = None
-    if arrowhead and r.k == 1:
-        short = _spectral_short(a0r, coeffs_r[0], None, arrays[0], rank_tol, tol, check_domain)
-    elif arrowhead and r.k == 2 and not np.any(a0r):
-        short = _spectral_short(*coeffs_r, *arrays, rank_tol, tol, check_domain)
+    args = _spectral_args(a0r, coeffs_r, arrays) if arrowhead else None
+    short = None if args is None else _spectral_short(*args, rank_tol, tol, check_domain)
     if short is None and arrowhead:
         short = _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, tol, check_domain)
     elif short is None:
@@ -399,8 +425,50 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
             f"pivot complement block singular (sigma_min = {smin:.3e}); "
             "imaginary-part positivity violated beyond tolerance")
     solved = np.linalg.solve(blocks, couple)
-    # kept as einsum: a gemm here changes the bits of pinned herglotz reports
+    # kept as einsum for m = 2 pencils and spectral fallbacks: a gemm here
+    # changes the bits of the pinned herglotz report of cauchy:2
     return z11 - np.einsum("jab,jbc->ac", row, solved)
+
+
+# kappa_1(V) from which `_spectral_complex` leaves the point to the batched
+# path.  The error of V diag(f) V^-1 grows as kappa(V) eps (Higham, Functions
+# of Matrices, 4.5): against 40-digit complements at 300 near-defective points
+# (n <= 4) it stayed under 154 kappa_1 eps of ||F||, at most 3.4e-11 below
+# 1e3 but up to 1.2e-10 below 1e4, above the 1e-10 asymmetry tolerance of
+# `check_herglotz`.  Random Herglotz points stay under 400 up to n = 64.
+_EIG_COND_MAX = 1e3
+
+
+def _spectral_complex(p, q, x1, x2, margin, sv_tol):
+    """Complex-point Schur complement of an arrowhead pencil whose blocks are
+    all ``p_ij G1 + q_ij G2`` (the generators of `_spectral_args`).
+
+    Every block is ``G1 P(M)`` for a polynomial P in ``M = G1^-1 G2`` (M = Z,
+    or ``X1^-1 X2`` from one ``solve``), so with ``M = V diag(mu) V^-1`` (one
+    ``eig``, V^-1 from one ``solve``) the complement is ``G1 V diag(f) V^-1``
+    with ``f = z - sum_j o'_j o_j / d_j``.  Returns None, for
+    `_arrowhead_schur_complex`, when ``kappa_1(V) >= _EIG_COND_MAX`` or when
+    ``sigma_min(B_j) >= margin min|d| / (n kappa_1(V))`` (``margin`` <=
+    sigma_min(G1); kappa_2 <= n kappa_1) does not clear ``sv_tol`` times an
+    upper bound on the batched path's scale: every SingularPivotComplement,
+    and its message, comes from the batched path.
+    """
+    try:
+        mu, v = np.linalg.eig(x2 if x1 is None else np.linalg.solve(x1, x2))
+        w = np.linalg.solve(v, np.eye(mu.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    kappa = float(np.linalg.norm(v, 1) * np.linalg.norm(w, 1))
+    if not kappa < _EIG_COND_MAX:
+        return None
+    g1_min, g1_norm = (1.0, 1.0) if x1 is None else (margin, np.linalg.norm(x1, np.inf))
+    scale = max(1.0, float((np.abs(np.diag(p)) * g1_norm
+                            + np.abs(np.diag(q)) * np.linalg.norm(x2, np.inf)).max()))
+    z, d, o, orow = _spectral_terms(p, q, mu)
+    if not g1_min * float(np.abs(d).min()) > mu.shape[0] * kappa * sv_tol * scale:
+        return None
+    out = (v * (z - (orow * o / d).sum(axis=0))) @ w
+    return out if x1 is None else x1 @ out
 
 
 def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
@@ -422,7 +490,7 @@ def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
     n = arrays[0].shape[0]
     if any(a.shape != (n, n) for a in arrays):
         raise DimensionMismatch("all tuple entries must share one dimension")
-    signs = []
+    signs, margins = [], []
     for a in arrays:
         im = (a - a.conj().T) / 2j
         vals = np.linalg.eigvalsh(im)
@@ -432,10 +500,16 @@ def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
             signs.append(-1)
         else:
             raise ValueError("imaginary part of every coordinate must be definite")
+        margins.append(min(abs(float(vals[0])), abs(float(vals[-1]))))
     if len(set(signs)) != 1:
         raise ValueError("imaginary parts must share one sign across coordinates")
 
     a0r, coeffs_r, arrowhead = r._layout
+    # m = 2 pencils gain nothing from the eigendecomposition
+    args = _spectral_args(a0r, coeffs_r, arrays) if arrowhead and r.m > 2 else None
+    out = None if args is None else _spectral_complex(*args, margins[0], sv_tol)
+    if out is not None:
+        return out
     if arrowhead:
         return _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol)
     z = _assembled_pencil(a0r, coeffs_r, arrays, complex)

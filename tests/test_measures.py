@@ -89,14 +89,6 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError, match="not PD"):
             DiscreteMeasure((np.diag([1.0, 0.0]),), np.array([1.0]))
 
-    def test_deduplication(self):
-        a = random_pd(2, (1, 2), 0)
-        mu = DiscreteMeasure((a, a.entries.copy(), 2 * np.eye(2)),
-                             np.array([0.25, 0.25, 0.5]))
-        dd = mu.deduplicated()
-        assert dd.size == 2
-        np.testing.assert_allclose(sorted(dd.weights), [0.5, 0.5])
-
 
 class TestStochasticLeq:
     def test_comparable_diracs(self):

@@ -13,14 +13,11 @@ from loewner import (
     apply_scalar_function,
     loewner_leq,
     make_dominated_pair,
-    pinv_psd,
     psd_sqrt,
     random_commuting_tuple,
     random_contraction,
     random_isometry,
     random_pd,
-    sym_eig,
-    unitary_dilation,
 )
 from loewner.numlin import operator_norm, tuple_compress, tuple_direct_sum
 
@@ -38,32 +35,6 @@ class TestSymMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             SymMatrix(np.zeros((2, 3)))
-
-
-class TestSymEig:
-    def test_diagonal(self):
-        vals, basis = sym_eig(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(vals, [1.0, 3.0])
-        # basis is a permutation up to sign
-        np.testing.assert_allclose(np.abs(basis), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
-
-    def test_identity(self):
-        vals, _ = sym_eig(np.eye(4))
-        np.testing.assert_allclose(vals, np.ones(4))
-
-    def test_construct_then_decompose_roundtrip(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            d = np.sort(rng.uniform(-3, 5, n))
-            g = rng.standard_normal((n, n))
-            q, _ = np.linalg.qr(g)
-            a = q @ np.diag(d) @ q.T
-            vals, basis = sym_eig(a)
-            np.testing.assert_allclose(vals, d, atol=1e-10)
-            scale = max(1.0, operator_norm(a))
-            assert operator_norm(basis @ np.diag(vals) @ basis.T - a) <= 1e-12 * scale
-            assert operator_norm(basis.T @ basis - np.eye(n)) <= 1e-12
 
 
 class TestLoewnerLeq:
@@ -143,57 +114,20 @@ class TestApplyScalarFunction:
 class TestPsdSqrtPinv:
     def test_identity(self):
         np.testing.assert_allclose(psd_sqrt(np.eye(3)).entries, np.eye(3))
-        np.testing.assert_allclose(pinv_psd(np.eye(3)).entries, np.eye(3))
 
     def test_diagonal_singular(self):
         a = np.diag([4.0, 0.0])
         np.testing.assert_allclose(psd_sqrt(a).entries, np.diag([2.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(pinv_psd(a).entries, np.diag([0.25, 0.0]), atol=1e-14)
 
     def test_roundtrip(self):
         for seed in range(8):
             a = random_pd(5, (0.01, 5), seed)
             root = psd_sqrt(a)
             assert operator_norm(root.entries @ root.entries - a.entries) <= 1e-10 * max(1, a.norm)
-            inv = pinv_psd(a)
-            assert operator_norm(a.entries @ inv.entries - np.eye(5)) <= 1e-8
 
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveSemidefinite):
             psd_sqrt(np.diag([1.0, -0.5]))
-        with pytest.raises(NotPositiveSemidefinite):
-            pinv_psd(np.diag([1.0, -0.5]))
-
-
-class TestUnitaryDilation:
-    def test_identity_contraction(self):
-        u = unitary_dilation(np.eye(3))
-        expected = np.block([[np.eye(3), np.zeros((3, 3))],
-                             [np.zeros((3, 3)), -np.eye(3)]])
-        np.testing.assert_allclose(u, expected, atol=1e-12)
-
-    def test_scalar_half(self):
-        u = unitary_dilation(np.array([[0.5]]))
-        expected = np.array([[0.5, np.sqrt(0.75)], [np.sqrt(0.75), -0.5]])
-        np.testing.assert_allclose(u, expected, atol=1e-14)
-
-    def test_random_isometry_dilates_to_unitary(self):
-        w = random_isometry(2, 4, 11)
-        u = unitary_dilation(w)
-        assert u.shape == (6, 6)
-        assert operator_norm(u.T @ u - np.eye(6)) <= 1e-10
-
-    def test_unitarity_over_1000_seeds(self):
-        for seed in range(1000):
-            w = random_contraction(2, 3, seed) if seed % 2 else random_isometry(2, 4, seed)
-            u = unitary_dilation(w)
-            dim = sum(w.entries.shape)
-            assert operator_norm(u.T @ u - np.eye(dim)) <= 1e-10
-            assert operator_norm(u @ u.T - np.eye(dim)) <= 1e-10
-
-    def test_rejects_expansion(self):
-        with pytest.raises(ValueError):
-            unitary_dilation(np.array([[1.5]]))
 
 
 class TestRandomGenerators:
@@ -226,7 +160,6 @@ class TestRandomGenerators:
     def test_isometry_gram(self):
         w = random_isometry(3, 7, 17)
         assert operator_norm(w.entries.T @ w.entries - np.eye(3)) <= 1e-12
-        assert w.is_isometry
 
     def test_isometry_needs_taller_target(self):
         with pytest.raises(ValueError):

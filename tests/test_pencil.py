@@ -36,13 +36,21 @@ from loewner.numlin import (
     tuple_direct_sum,
 )
 from loewner.pencil import (
+    _EIG_COND_MAX,
+    _arrowhead_schur_complex,
     _arrowhead_short,
     _aux_blocks_diagonal,
     _rotated_coefficients,
+    _spectral_args,
+    _spectral_complex,
     _spectral_short,
     householder_to_e1,
 )
-from loewner.shorted import RangeConditionViolation, block_schur_general
+from loewner.shorted import (
+    RangeConditionViolation,
+    SingularPivotComplement,
+    block_schur_general,
+)
 
 
 def identity_realization():
@@ -64,7 +72,7 @@ class TestConstruction:
 
     def test_psd_coefficients_enforced(self):
         bad = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalues +-1
-        with pytest.raises(ValueError, match="not PSD"):
+        with pytest.raises(NotPositiveSemidefinite, match="A1: eigenvalue -1.000e"):
             PencilRealization(np.array([1.0, 0.0]), SymMatrix(np.eye(2)),
                               (SymMatrix(bad),))
 
@@ -470,8 +478,8 @@ class TestBatchedArrowheadPath:
 
 
 def mp_complement(r, xs, dps=50):
-    """``Z11 - sum_j R_j B_j^-1 R_j`` of the rotated pencil at a real point,
-    at ``dps`` digits."""
+    """``Z11 - sum_j R'_j B_j^-1 R_j`` of the rotated pencil (real
+    coefficients) at ``dps`` digits; complex when the point is."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     a0r, coeffs_r, _ = r._layout
@@ -487,9 +495,9 @@ def mp_complement(r, xs, dps=50):
 
         out = block(0, 0)
         for j in range(1, r.m):
-            rj = block(j, 0)
-            out -= rj.T * mp.inverse(block(j, j)) * rj
-        return np.array(out.tolist(), dtype=float)
+            out -= block(0, j) * mp.inverse(block(j, j)) * block(j, 0)
+        out = np.array(out.tolist(), dtype=complex)
+        return out if any(np.iscomplexobj(x) for x in xs) else out.real
 
 
 def spectral_point(seed, spectra, n):
@@ -723,7 +731,8 @@ def test_every_eval_path_matches_shorted_oracle(case):
 
 
 # One `eval` per path (spectral, two-generator, batched fallback at a wide-mu
-# point, dense) and one `eval_complex` per path (arrowhead, dense).
+# point, dense) and one `eval_complex` per path (spectral with k = 1 and
+# k = 2, arrowhead, dense).
 SCIPY_LINALG_PROBE = """
 import sys
 import numpy as np
@@ -734,7 +743,7 @@ wide = np.diag([1e-8, 1.0, 1e8, 1.0])
 for spec, point in [("power:0.5", x[:1]), ("geomean:0.5", x), ("geomean:0.5", [wide, x[1]]),
                     ("arithmetic:0.4,0.6", x)]:
     eval_pencil(build_realization(spec, n_nodes=8), point)
-for spec in ("power:0.5", "arithmetic:0.4,0.6"):
+for spec in ("power:0.5", "geomean:0.5", "cauchy:1.0", "arithmetic:0.4,0.6"):
     r = build_realization(spec, n_nodes=8)
     eval_complex(r, [xi + 1j * np.eye(4) for xi in x[:r.k]])
 print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
@@ -859,27 +868,26 @@ class TestEvalComplex:
         assert operator_norm(got - ref) <= 1e-13
 
     @pytest.mark.parametrize("spec,path", [
+        ("power:0.5", "spectral"), ("geomean:0.5", "spectral"),
         ("cauchy:1.0", "arrowhead"), ("harmonic:0.3,0.7", "arrowhead"),
+        ("shifted-parallel-sum", "arrowhead"),
         ("harmonic:0.2,0.3,0.5", "dense"), ("arithmetic:0.4,0.6", "dense"),
         ("complex-dense", "dense")])
-    def test_every_path_matches_block_schur_oracle(self, spec, path):
+    def test_every_path_matches_block_schur_oracle(self, monkeypatch, spec, path):
         r = (complex_dense_realization() if spec == "complex-dense"
-             else build_realization(spec, n_nodes=24))
-        assert (eval_path(r) == "dense") == (path == "dense")
+             else PATH_REALIZATIONS[spec])
+        assert eval_complex_path(r) == path
+        calls = spy_on_batched_complex(monkeypatch)
         rng = np.random.default_rng(36)
-        rot = np.kron(householder_to_e1(r.e), np.eye(4))
         for sign in (1, -1):
             x = []
             for _ in range(r.k):
                 re = rng.standard_normal((4, 4))
                 x.append((re + re.T) / 2 + sign * 1j * random_pd(4, (0.2, 3), rng).entries)
-            z = np.kron(r.a0.entries, np.eye(4))
-            for c, xi in zip(r.coeffs, x):
-                z = z + np.kron(c.entries, xi)
-            z = rot @ z @ rot.T
-            ref = block_schur_general(z, 4)
+            ref, znorm = complex_oracle(r, x)
             got = eval_complex(r, x)
-            assert operator_norm(got - ref) <= 1e-12 * max(1.0, operator_norm(z))
+            assert operator_norm(got - ref) <= 1e-12 * max(1.0, znorm)
+        assert len(calls) == (2 if path == "arrowhead" else 0)
 
     def test_complex_coefficients_match_dense_schur_matrix_point(self):
         r = complex_coefficient_realization()
@@ -890,6 +898,159 @@ class TestEvalComplex:
         dense = np.kron(r.a0.entries, np.eye(3)) + np.kron(r.coeffs[0].entries, x)
         ref = block_schur_general(dense, 3)
         assert operator_norm(got - ref) <= 1e-12 * max(1.0, operator_norm(dense))
+
+
+def eval_complex_path(r):
+    """`eval_complex` path of a realization at a well-conditioned point: the
+    spectral form needs the shape of the real spectral paths and m > 2."""
+    path = eval_path(r)
+    if path == "dense":
+        return "dense"
+    return "spectral" if path in ("spectral", "two-generator") and r.m > 2 else "arrowhead"
+
+
+def spy_on_batched_complex(monkeypatch):
+    """Record every call of `_arrowhead_schur_complex`, which still runs."""
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return _arrowhead_schur_complex(*args)
+
+    monkeypatch.setattr("loewner.pencil._arrowhead_schur_complex", spy)
+    return calls
+
+
+def complex_oracle(r, x):
+    """`block_schur_general` of the rotated, assembled pencil at a complex
+    point, and that pencil's norm."""
+    n = x[0].shape[0]
+    rot = np.kron(householder_to_e1(r.e), np.eye(n))
+    z = np.kron(r.a0.entries, np.eye(n))
+    for c, xi in zip(r.coeffs, x):
+        z = z + np.kron(c.entries, xi)
+    z = rot @ z @ rot.T
+    return block_schur_general(z, n), operator_norm(z)
+
+
+def spectral_complex(r, x, sv_tol=1e-12):
+    """The complex spectral form at x, None when it is not admitted."""
+    a0r, coeffs_r, _ = r._layout
+    margin = float(np.abs(np.linalg.eigvalsh((x[0] - x[0].conj().T) / 2j)).min())
+    return _spectral_complex(*_spectral_args(a0r, coeffs_r, x), margin, sv_tol)
+
+
+# Z - 2i I is nilpotent: Z is defective, with Im Z of eigenvalues 1 and 3
+DEFECTIVE_Z = np.diag([1.0, -1.0]) + 1j * np.array([[2.0, 1.0], [1.0, 2.0]])
+E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+
+def defective_family_point(spec, eps):
+    """``Z + eps E21`` (kappa_1(V) about 2 / sqrt(eps)) as the point of a
+    `spec` realization: for k = 2, ``X1 = (1 + i) I`` and ``X2 = X1 Z``, so
+    that ``X1^-1 X2 = Z`` and both imaginary parts are definite."""
+    r = PATH_REALIZATIONS[spec]
+    z = DEFECTIVE_Z + eps * E21
+    return r, ([z] if r.k == 1 else [(1 + 1j) * np.eye(2), (1 + 1j) * z])
+
+
+class TestComplexSpectralPath:
+    """`power`, `sqrt` and `geomean` (m > 2) evaluate at complex points with one
+    ``eig``; `_arrowhead_schur_complex` is the fallback and, with
+    `block_schur_general`, the oracle."""
+
+    @pytest.mark.parametrize("spec", ["power:0.5", "geomean:0.5"])
+    def test_batched_path_not_used(self, monkeypatch, spec):
+        r = build_realization(spec, n_nodes=96)
+        rng = np.random.default_rng(61)
+        x = [rng.standard_normal((16, 16)) for _ in range(r.k)]
+        x = [(a + a.T) / 2 + 1j * random_pd(16, (0.1, 10), rng).entries for a in x]
+        a0r, coeffs_r, _ = r._layout
+        ref = _arrowhead_schur_complex(a0r, coeffs_r, x, 1e-12)
+        calls = spy_on_batched_complex(monkeypatch)
+        got = eval_complex(r, x)
+        assert calls == []
+        assert operator_norm(got - ref) <= 1e-11 * operator_norm(ref)
+
+    @pytest.mark.parametrize("spec", ["power:0.5", "geomean:0.5"])
+    def test_defective_point_takes_the_fallback(self, monkeypatch, spec):
+        # numpy's eig returns kappa_1(V) of about 9e7 here
+        r, x = defective_family_point(spec, 0.0)
+        assert spectral_complex(r, x) is None
+        calls = spy_on_batched_complex(monkeypatch)
+        got = eval_complex(r, x)
+        assert calls == [1]
+        ref, znorm = complex_oracle(r, x)
+        assert operator_norm(got - ref) <= 1e-13 * max(1.0, znorm)
+
+    # kappa_1(V) is 2.0e2, 8.9e2, 2.0e3 and 2.0e4: the bound sits in (8.9e2, 2.0e3]
+    @pytest.mark.parametrize("eps,admitted", [(1e-4, True), (5e-6, True),
+                                              (1e-6, False), (1e-8, False)])
+    @pytest.mark.parametrize("spec", ["power:0.5", "geomean:0.5"])
+    def test_condition_bound_against_mpmath(self, monkeypatch, spec, eps, admitted):
+        r, x = defective_family_point(spec, eps)
+        mu, v = np.linalg.eig(x[0] if r.k == 1 else np.linalg.solve(*x))
+        kappa = np.linalg.norm(v, 1) * np.linalg.norm(np.linalg.inv(v), 1)
+        assert (kappa < _EIG_COND_MAX) == admitted
+        assert (spectral_complex(r, x) is not None) == admitted
+        calls = spy_on_batched_complex(monkeypatch)
+        got = eval_complex(r, x)
+        assert len(calls) == (0 if admitted else 1)
+        ref = mp_complement(r, x)
+        # measured at most 3.8e-12 of ||F|| on the admitted points and 3.2e-14
+        # on the fallbacks; forced past the bound, the spectral form is off by
+        # 1.0e-11 (eps = 1e-6) and 1.8e-10 (eps = 1e-8) for power:0.5
+        assert operator_norm(got - ref) <= (2e-11 if admitted else 1e-13) * operator_norm(ref)
+
+    def test_zero_auxiliary_diagonal_raises_from_the_batched_path(self):
+        # d_1 = 0 at every mu: the pivot rule leaves the point to the batched
+        # path, which raises exactly as before
+        r = PencilRealization(np.eye(3)[0], SymMatrix(np.zeros((3, 3))),
+                              (SymMatrix(np.diag([1.0, 0.0, 1.0])),))
+        assert eval_complex_path(r) == "spectral"
+        x = [np.diag([1.0, -1.0]) + 1j * np.eye(2)]
+        assert spectral_complex(r, x) is None
+        with pytest.raises(SingularPivotComplement) as exc:
+            eval_complex(r, x)
+        assert str(exc.value) == (
+            "pivot complement block singular (sigma_min = 0.000e+00); "
+            "imaginary-part positivity violated beyond tolerance")
+
+
+@st.composite
+def herglotz_points(draw):
+    """A `power:0.5` or `geomean:0.5` realization and an n x n tuple
+    ``A + s i B`` (n in {1, 2, 3, 5}, s = +-1) with B PD, spectrum in
+    [10**a, 10], and A of norm up to about 10."""
+    r = PATH_REALIZATIONS[draw(st.sampled_from(["power:0.5", "geomean:0.5"]))]
+    n = draw(st.sampled_from([1, 2, 3, 5]))
+    sign = draw(st.sampled_from([1, -1]))
+    lo = 10.0 ** draw(st.floats(-3.0, 0.0))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = []
+    for _ in range(r.k):
+        a = scale * rng.standard_normal((n, n))
+        x.append((a + a.T) / 2 + sign * 1j * random_pd(n, (lo, 10.0), rng).entries)
+    return r, x
+
+
+# worst measured over these 200 draws: 1.1e-15 of the pencil norm against
+# either oracle, and an exact conjugate symmetry
+@settings(settings.get_profile("loewner"), max_examples=200)
+@given(herglotz_points())
+def test_spectral_complex_matches_batched_and_dense(case):
+    r, x = case
+    fast = spectral_complex(r, x)
+    assert fast is not None
+    assert np.array_equal(eval_complex(r, x), fast)
+    a0r, coeffs_r, _ = r._layout
+    batched = _arrowhead_schur_complex(a0r, coeffs_r, x, 1e-12)
+    ref, znorm = complex_oracle(r, x)
+    assert operator_norm(fast - batched) <= 1e-12 * max(1.0, znorm)
+    assert operator_norm(fast - ref) <= 1e-12 * max(1.0, znorm)
+    conj = spectral_complex(r, [xi.conj() for xi in x])
+    assert operator_norm(conj - fast.conj()) <= 1e-10 * max(1.0, operator_norm(fast))
 
 
 class TestBForm:
