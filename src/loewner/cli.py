@@ -51,12 +51,6 @@ def cmd_schur(args) -> int:
 
 def cmd_realize(args) -> int:
     spec = builders.FunctionSpec.parse(args.function)
-    if not spec.params:
-        if args.weights is not None and spec.tag in ("harmonic", "arithmetic"):
-            spec = builders.FunctionSpec(
-                spec.tag, tuple(float(w) for w in args.weights.split(",")))
-        elif args.t is not None and spec.tag in ("power", "geomean"):
-            spec = builders.FunctionSpec(spec.tag, (args.t,))
     realization = builders.build_realization(spec, n_nodes=args.nodes)
     _write_json(args.output, jsonio.realization_to_json(realization))
     print(f"wrote realization ({spec.tag}, k={realization.k}, m={realization.m}) "
@@ -204,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="identity | constant:c | cauchy:l | sqrt | power:t | "
                         "harmonic:w1,..,wk | arithmetic:w1,..,wk | geomean:t")
     p.add_argument("--nodes", type=int, default=96)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--t", type=float, default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_realize)
 

@@ -12,8 +12,8 @@ Loewner order, which is what the verify suites exercise.
 
 Evaluation rotates e into the first coordinate (deterministic Householder
 reflection), so the shorted operator always pivots on the leading n rows.
-`eval` then takes one of three paths, chosen from the realization's shape
-(for two variables, also from the point):
+`eval` then takes one of four paths, chosen from the realization's shape
+and, for the first and third, also from the point:
 
 * spectral (auxiliary dimension m > 1, every aux-by-aux block diagonal, and
   k = 1, or k = 2 with the rotated A0 zero): every trailing block and
@@ -29,6 +29,11 @@ reflection), so the shorted operator always pivots on the leading n rows.
   aux-by-aux blocks): the trailing block splits into n x n blocks, one
   batched ``eigh`` over them (`_arrowhead_short`).  Oracle:
   `shorted.shorted_operator`.
+* parallel-sum (m > 1, not arrowhead, the stored A0 and A_i diagonal, as
+  for `harmonic` with three or more weights): ``(sum_j e_j^2 B_j^-1)^-1``
+  over the diagonal blocks B_j of the unrotated pencil
+  (`_parallel_sum_short`).  Points it does not admit, and every domain
+  error, go to the dense path.  Oracles: `_dense_short` and mpmath.
 * dense (any other shape, m = 1 included): one ``eigh`` of the trailing
   block of the assembled pencil, empty when m = 1 (`_dense_short`).  Oracle:
   `shorted.shorted_operator`, whose rank cut ``rank_tol * lambda_max(Z22)``
@@ -53,11 +58,12 @@ relative tolerances.  `eval_complex` has three paths:
 * dense (any other shape): one ``solve`` against the trailing block of the
   assembled pencil.  Oracle: `shorted.block_schur_general`.
 
-The batched contractions run as BLAS ``matmul``: the arrowhead blocks are one
-gemm over the stacked, flattened point (`_arrowhead_blocks`) and the
+The batched contractions run as BLAS ``matmul``: the arrowhead and
+parallel-sum blocks are one gemm over the stacked, flattened point
+(`_linear_blocks`) and the
 complement one gemm over the rows of the rotated couplings, because
 ``np.einsum`` with two or more operands and no ``optimize=`` runs numpy's own
-loop, not BLAS.  The rotated coefficients and the arrowhead test are computed
+loop, not BLAS.  The rotated coefficients and the shape tests are computed
 once per realization (`PencilRealization._layout`).
 """
 
@@ -142,16 +148,20 @@ class PencilRealization:
 
     @cached_property
     def _layout(self):
-        """``(a0r, coeffs_r, arrowhead)``, computed once per realization.
+        """``(a0r, coeffs_r, shape)``, computed once per realization.
 
         The coefficients with e rotated into the first coordinate (read-only
-        arrays) and whether the auxiliary dimension exceeds 1 and every
-        aux-by-aux block of them is diagonal.
+        arrays) and the shape of the pencil for m > 1: "arrowhead" when every
+        aux-by-aux block of them is diagonal, else "parallel-sum" when the
+        stored A0 and A_i are all diagonal; "dense" otherwise.
         """
         a0r, coeffs_r = _rotated_coefficients(self)
         for c in (a0r, *coeffs_r):
             c.setflags(write=False)
-        return a0r, tuple(coeffs_r), self.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r)
+        if self.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r):
+            return a0r, tuple(coeffs_r), "arrowhead"
+        stored = self.m > 1 and _diagonal(c.entries for c in (self.a0, *self.coeffs))
+        return a0r, tuple(coeffs_r), "parallel-sum" if stored else "dense"
 
 
 def householder_to_e1(e) -> np.ndarray:
@@ -193,11 +203,12 @@ def _aux_blocks_diagonal(a0r, coeffs_r) -> bool:
     evaluation runs on small batched operations (for one variable, in the
     eigenbasis of X) without forming the mn x mn Kronecker matrix.
     """
-    for c in (a0r, *coeffs_r):
-        aux = c[1:, 1:]
-        if np.count_nonzero(aux - np.diag(np.diag(aux))):
-            return False
-    return True
+    return _diagonal(c[1:, 1:] for c in (a0r, *coeffs_r))
+
+
+def _diagonal(mats) -> bool:
+    """True when every matrix is exactly diagonal."""
+    return not any(np.count_nonzero(c - np.diag(np.diag(c))) for c in mats)
 
 
 def _assembled_pencil(a0r, coeffs_r, arrays, dtype):
@@ -222,19 +233,22 @@ def _arrowhead_blocks(a0r, coeffs_r, arrays, row=False):
     ``B_j``, ``R_j`` and ``R'_j`` are views into one array; the identity
     multiples are added on its diagonals in place.
     """
-    n = arrays[0].shape[0]
-
     def column(c):
         o = c[1:, 0]
         return np.concatenate([c[:1, 0], np.diag(c)[1:], o, o.conj()][:3 + row])
 
-    ident = column(a0r)
-    coef = np.stack([column(c) for c in coeffs_r])
+    lin = _linear_blocks(column(a0r), np.stack([column(c) for c in coeffs_r]), arrays)
+    return (lin[0].copy(), *np.split(lin[1:], 2 + row))
+
+
+def _linear_blocks(ident, coef, arrays):
+    """``ident[j] I + sum_i coef[i, j] X_i`` for every j, stacked, from one
+    gemm ``coef.T @ x`` over the stacked, flattened point."""
+    n = arrays[0].shape[0]
     x = np.stack(arrays).reshape(len(arrays), n * n)
     lin = (coef.T @ x).astype(np.result_type(ident, coef, x), copy=False)
     lin[:, ::n + 1] += ident[:, None]
-    lin = lin.reshape(-1, n, n)
-    return (lin[0].copy(), *np.split(lin[1:], 2 + row))
+    return lin.reshape(-1, n, n)
 
 
 def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
@@ -347,6 +361,28 @@ def _spectral_short(p, q, x1, x2, rank_tol, psd_tol, check_domain):
     return (y * f) @ y.conj().T
 
 
+def _parallel_sum_short(r, arrays, rank_tol):
+    """Short of ``L(X) = (+)_j B_j``, ``B_j = a0[j,j] I + sum_i c_i[j,j] X_i``
+    (A0 and every A_i diagonal) onto e (x) I: the parallel sum
+    ``(sum_j e_j^2 B_j^-1)^-1`` (Anderson and Duffin).  None, for the dense
+    path, unless the B_j are positive definite (one batched Cholesky) and
+    ``max_j ||B_j||_F max_j ||B_j^-1||_F < 1 / sqrt(rank_tol)``: Z22 is a
+    compression of L(X), so the dense rank cut then drops nothing and every
+    admission check passes."""
+    blocks = _linear_blocks(np.diag(r.a0.entries),
+                            np.stack([np.diag(c.entries) for c in r.coeffs]), arrays)
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return None
+    inv = np.linalg.inv(blocks)
+    kappa = np.linalg.norm(blocks, axis=(1, 2)).max() * np.linalg.norm(inv, axis=(1, 2)).max()
+    if not kappa * math.sqrt(rank_tol) < 1.0:
+        return None
+    short = np.linalg.inv(np.tensordot(r.e ** 2, inv, axes=1))
+    return (short + _adjoint(short)) / 2.0
+
+
 def _dense_short(z, n, rank_tol, psd_tol, check_domain):
     """Shorted operator of an assembled pencil onto its leading n coordinates.
 
@@ -396,13 +432,15 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
     xt = as_tuple(x)
     if xt.k != r.k:
         raise DimensionMismatch(f"realization has {r.k} variables, point has {xt.k}")
-    a0r, coeffs_r, arrowhead = r._layout
+    a0r, coeffs_r, shape = r._layout
     arrays = [xi.entries for xi in xt.items]
-    args = _spectral_args(a0r, coeffs_r, arrays) if arrowhead else None
+    args = _spectral_args(a0r, coeffs_r, arrays) if shape == "arrowhead" else None
     short = None if args is None else _spectral_short(*args, rank_tol, tol, check_domain)
-    if short is None and arrowhead:
+    if short is None and shape == "arrowhead":
         short = _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, tol, check_domain)
-    elif short is None:
+    elif shape == "parallel-sum":
+        short = _parallel_sum_short(r, arrays, rank_tol)
+    if short is None:
         z = _assembled_pencil(a0r, coeffs_r, arrays, np.result_type(a0r, *coeffs_r, *arrays))
         short = _dense_short(z, xt.n, rank_tol, tol, check_domain)
     return SymMatrix(short)
@@ -504,13 +542,13 @@ def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
     if len(set(signs)) != 1:
         raise ValueError("imaginary parts must share one sign across coordinates")
 
-    a0r, coeffs_r, arrowhead = r._layout
+    a0r, coeffs_r, shape = r._layout
     # m = 2 pencils gain nothing from the eigendecomposition
-    args = _spectral_args(a0r, coeffs_r, arrays) if arrowhead and r.m > 2 else None
+    args = _spectral_args(a0r, coeffs_r, arrays) if shape == "arrowhead" and r.m > 2 else None
     out = None if args is None else _spectral_complex(*args, margins[0], sv_tol)
     if out is not None:
         return out
-    if arrowhead:
+    if shape == "arrowhead":
         return _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol)
     z = _assembled_pencil(a0r, coeffs_r, arrays, complex)
     z22 = z[n:, n:]

@@ -313,6 +313,17 @@ class TestRealizeEval:
         assert main(["realize", "--function", "power:1.5",
                      "-o", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("spec,message", [("harmonic", "weights must be positive"),
+                                              ("power", "power needs one exponent")])
+    def test_parameters_come_from_the_spec(self, tmp_path, capsys, spec, message):
+        assert main(["realize", "--function", spec, "-o", str(tmp_path / "r.json")]) == 2
+        assert message in capsys.readouterr().err
+        for flag, value in (("--weights", "0.2,0.3,0.5"), ("--t", "0.3")):
+            with pytest.raises(SystemExit) as exc:
+                main(["realize", "--function", spec, flag, value,
+                      "-o", str(tmp_path / "r.json")])
+            assert exc.value.code == 2
+
     def test_eval_outside_domain_exits_1(self, tmp_path, capsys):
         main(["realize", "--function", "cauchy:1", "-o", str(tmp_path / "r.json")])
         write(tmp_path / "x.json", jsonio.matrix_to_json(-2.0 * np.eye(2)))

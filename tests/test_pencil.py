@@ -39,7 +39,10 @@ from loewner.pencil import (
     _EIG_COND_MAX,
     _arrowhead_schur_complex,
     _arrowhead_short,
+    _assembled_pencil,
     _aux_blocks_diagonal,
+    _dense_short,
+    _parallel_sum_short,
     _rotated_coefficients,
     _spectral_args,
     _spectral_complex,
@@ -614,6 +617,7 @@ class TestEvalLayout:
 
         monkeypatch.setattr("loewner.pencil._rotated_coefficients", fail)
         monkeypatch.setattr("loewner.pencil._aux_blocks_diagonal", fail)
+        monkeypatch.setattr("loewner.pencil._diagonal", fail)
         for r, x in zip(realizations, points):
             eval_pencil(r, x)
             eval_complex(r, [xi + 1j * np.eye(4) for xi in x])
@@ -650,9 +654,20 @@ def shifted_parallel_sum_realization():
                              (SymMatrix(np.ones((2, 2))), SymMatrix(np.diag([0.0, 1.0]))))
 
 
+def block_diagonal_realization():
+    """A block-diagonal pencil in two variables with A0 != 0 whose last block
+    ``B_4 = X1`` is decoupled (e_4 = 0); not arrowhead after the rotation."""
+    return PencilRealization(np.array([0.48, 0.6, 0.64, 0.0]),
+                             SymMatrix(np.diag([0.5, 0.0, 1.0, 0.0])),
+                             (SymMatrix(np.diag([1.0, 2.0, 0.0, 1.0])),
+                              SymMatrix(np.diag([0.0, 1.0, 3.0, 0.0]))))
+
+
 # Realizations per `eval` path: one-variable spectral, two-generator spectral
 # (k = 2, A0 = 0; wide-mu points fall back to the batched path), batched
-# arrowhead (k >= 2) and dense (m = 1 or a non-diagonal aux block).
+# arrowhead (k >= 2), parallel-sum (stored coefficients diagonal; points
+# outside its admission rule fall back to the dense path) and dense (m = 1 or
+# a non-diagonal aux block).
 PATH_SPECS = {
     "arithmetic:0.4,0.6": "dense",
     "power:0.5": "spectral",
@@ -660,11 +675,13 @@ PATH_SPECS = {
     "geomean:0.5": "two-generator",
     "harmonic:0.3,0.7": "two-generator",
     "shifted-parallel-sum": "batched",
-    "harmonic:0.2,0.3,0.5": "dense",
+    "harmonic:0.2,0.3,0.5": "parallel-sum",
+    "block-diagonal": "parallel-sum",
     "two-scale": "dense",
 }
 CUSTOM_REALIZATIONS = {"two-scale": two_scale_realization,
-                       "shifted-parallel-sum": shifted_parallel_sum_realization}
+                       "shifted-parallel-sum": shifted_parallel_sum_realization,
+                       "block-diagonal": block_diagonal_realization}
 PATH_REALIZATIONS = {spec: (CUSTOM_REALIZATIONS[spec]() if spec in CUSTOM_REALIZATIONS
                             else build_realization(spec, n_nodes=24))
                      for spec in PATH_SPECS}
@@ -672,8 +689,12 @@ PATH_REALIZATIONS = {spec: (CUSTOM_REALIZATIONS[spec]() if spec in CUSTOM_REALIZ
 
 def eval_path(r):
     a0r, coeffs_r = _rotated_coefficients(r)
-    if r.m == 1 or not _aux_blocks_diagonal(a0r, coeffs_r):
+    if r.m == 1:
         return "dense"
+    if not _aux_blocks_diagonal(a0r, coeffs_r):
+        stored = [c.entries for c in (r.a0, *r.coeffs)]
+        diagonal = all(np.array_equal(c, np.diag(np.diag(c))) for c in stored)
+        return "parallel-sum" if diagonal else "dense"
     if r.k == 1:
         return "spectral"
     return "two-generator" if r.k == 2 and not np.any(a0r) else "batched"
@@ -704,9 +725,10 @@ def wide_points(draw):
 
 
 # Worst measured error against the rotated dense oracle, relative to the
-# pencil norm: 2.3e-14 (harmonic:0.3,0.7) over this test's 300 derandomized
-# draws, and 4.1e-12 over an earlier set of 1200 numpy-generated points per
-# realization; the bound leaves a 25x margin over the latter.  Those figures
+# pencil norm: 2.2e-11 (geomean:0.5, batched path) over this test's 300
+# derandomized draws, 1.7e-16 on the 7 of them that the parallel-sum path
+# admits, and 4.1e-12 over an earlier set of 1200 numpy-generated points per
+# realization; the bound leaves a 4.5x margin over the former.  Those figures
 # hold for these draws only: over 12 000 further numpy-drawn wide-spectrum
 # k = 2 points the oracle itself drifts up to 1.2e-6 from a 50-digit
 # reference on 44 points, and the batched path reaches 3.1e-10 on 4.
@@ -730,9 +752,153 @@ def test_every_eval_path_matches_shorted_oracle(case):
         assert operator_norm(got - ref) <= WIDE_SPECTRUM_REL * max(1.0, znorm)
 
 
+def mp_dense_complement(r, xs, dps=50):
+    """``Z11 - Z12 Z22^-1 Z21`` of the assembled pencil rotated by the
+    Householder reflection of e (not e1), all at ``dps`` digits; real points."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    m, n = r.m, xs[0].shape[0]
+    with mpmath.workdps(dps):
+        v = mp.matrix(r.e.tolist()) - mp.eye(m)[:, 0]
+        q = mp.eye(m) - 2 * (v * v.T) / (v.T * v)[0]
+        z = mp.zeros(m * n)
+        for c, x in zip((r.a0, *r.coeffs), (np.eye(n), *xs)):
+            c, x = q * mp.matrix(c.entries.tolist()) * q.T, mp.matrix(x.tolist())
+            for a in range(m):
+                for b in range(m):
+                    z[a * n:(a + 1) * n, b * n:(b + 1) * n] += c[a, b] * x
+        out = z[:n, :n] - z[:n, n:] * mp.inverse(z[n:, n:]) * z[n:, :n]
+        return np.array(out.tolist(), dtype=float)
+
+
+def parallel_sum_kappa(r, xs):
+    """``max_j ||B_j||_F max_j ||B_j^-1||_F`` of a block-diagonal pencil at xs."""
+    n = xs[0].shape[0]
+    blocks = [r.a0.entries[j, j] * np.eye(n)
+              + sum(c.entries[j, j] * x for c, x in zip(r.coeffs, xs)) for j in range(r.m)]
+    return (max(np.linalg.norm(b) for b in blocks)
+            * max(np.linalg.norm(np.linalg.inv(b)) for b in blocks))
+
+
+def dense_reference(r, xs, check_domain=True):
+    """`_dense_short` of the rotated, assembled pencil at the symmetrized
+    point, as `eval` returns it."""
+    a0r, coeffs_r, _ = r._layout
+    z = _assembled_pencil(a0r, coeffs_r, [SymMatrix(x).entries for x in xs], np.result_type(*xs))
+    return SymMatrix(_dense_short(z, xs[0].shape[0], 1e-12, 1e-9, check_domain)).entries
+
+
+def pencil_norm(r, xs):
+    return operator_norm(assemble_pencil(r, xs).entries)
+
+
+class TestParallelSumPath:
+    """Block-diagonal pencils that are not arrowhead after the rotation
+    (`harmonic` with three or more weights) evaluate as the parallel sum
+    ``(sum_j e_j^2 B_j^-1)^-1``; `_dense_short` is the fallback and, with a
+    50-digit complement of the rotated pencil, the oracle."""
+
+    def test_dense_path_not_used(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("dense path taken")
+
+        monkeypatch.setattr("loewner.pencil._dense_short", fail)
+        rng = np.random.default_rng(70)
+        xs = [random_pd(64, (0.1, 10), rng).entries for _ in range(3)]
+        got = eval_pencil(PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"], xs).entries
+        ref = np.linalg.inv(sum(w * np.linalg.inv(x) for w, x in zip((0.2, 0.3, 0.5), xs)))
+        assert operator_norm(got - ref) <= 1e-12 * operator_norm(ref)
+        x1, x2, eye = xs[0], xs[1], np.eye(64)
+        got = eval_pencil(PATH_REALIZATIONS["block-diagonal"], [x1, x2]).entries
+        blocks = (0.5 * eye + x1, 2.0 * x1 + x2, eye + 3.0 * x2)
+        ref = np.linalg.inv(sum(e * e * np.linalg.inv(b)
+                                for e, b in zip((0.48, 0.6, 0.64), blocks)))
+        assert operator_norm(got - ref) <= 1e-12 * operator_norm(ref)
+
+    # measured at most 2.2e-16 of the pencil norm here (1.6e-13 of ||F||), and
+    # 1.4e-14 over 209 random admitted points with kappa up to the bound
+    @pytest.mark.parametrize("span", [10.0, 1e4, 1e5])
+    @pytest.mark.parametrize("spec", ["harmonic:0.2,0.3,0.5", "block-diagonal"])
+    def test_admitted_points_against_mpmath(self, spec, span):
+        r = PATH_REALIZATIONS[spec]
+        for seed in range(2):
+            xs = spectral_point(seed, [(1.0, span)] * r.k, 4)
+            assert _parallel_sum_short(r, xs, 1e-12) is not None
+            got = eval_pencil(r, xs).entries
+            assert operator_norm(got - mp_dense_complement(r, xs)) <= 1e-13 * pencil_norm(r, xs)
+
+    # max_j ||B_j||_F max_j ||B_j^-1||_F = 3.54 sqrt(1 + s^2): 9.9e5 and 1.03e6;
+    # the admitted point is 4.4e-18 of the pencil norm off (1.6e-12 of ||F||)
+    @pytest.mark.parametrize("s,admitted", [(2.8e5, True), (2.9e5, False)])
+    def test_condition_bound(self, s, admitted):
+        r = PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"]
+        q = np.array([[0.6, 0.8], [-0.8, 0.6]])
+        xs = [q @ np.diag([1.0, s]) @ q.T, np.eye(2), np.eye(2)]
+        assert (parallel_sum_kappa(r, xs) < 1e6) == admitted
+        assert (_parallel_sum_short(r, xs, 1e-12) is not None) == admitted
+        # the bound follows rank_tol: 1 / sqrt(1e-8) = 1e4
+        assert _parallel_sum_short(r, xs, 1e-8) is None
+        got = eval_pencil(r, xs).entries
+        if admitted:
+            assert operator_norm(got - mp_dense_complement(r, xs)) <= 1e-13 * pencil_norm(r, xs)
+        else:
+            assert np.array_equal(got, dense_reference(r, xs))
+
+    @pytest.mark.parametrize("xs,raises", [
+        ([np.diag([1.0, 0.0, 2.0]), np.eye(3), np.eye(3)], False),
+        ([np.eye(3), np.eye(3), np.diag([1.0, 2.0, -1e-13])], False),
+        ([np.diag([1.0, 2.0, -0.5]), np.eye(3), np.eye(3)], True),
+        ([np.eye(3), np.eye(3), np.diag([1.0, 2.0, -1e-6])], True),
+        ([-np.eye(3)] * 3, True),
+    ])
+    def test_fallbacks_match_dense_path(self, xs, raises):
+        # Cholesky fails at each point: PSD-singular, barely and clearly non-PSD
+        self.assert_dense_outcome(PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"], xs, raises)
+
+    @pytest.mark.parametrize("xs,raises", [
+        # B_4 = X1 is singular, then indefinite, while B_1..B_3 stay definite
+        ([np.diag([1.0, 0.0]), np.eye(2)], False),
+        ([np.diag([1.0, -0.25]), np.eye(2)], True),
+        ([np.eye(2), np.diag([1.0, -0.5])], True),
+    ])
+    def test_decoupled_block_fallbacks_match_dense_path(self, xs, raises):
+        self.assert_dense_outcome(PATH_REALIZATIONS["block-diagonal"], xs, raises)
+
+    @staticmethod
+    def assert_dense_outcome(r, xs, raises):
+        assert _parallel_sum_short(r, xs, 1e-12) is None
+        got = domain_outcome(lambda: eval_pencil(r, xs).entries)
+        want = domain_outcome(lambda: dense_reference(r, xs))
+        assert got[0] == want[0] == ("error" if raises else "ok")
+        assert got[1] == want[1] if raises else np.array_equal(got[1], want[1])
+
+    def test_complex_hermitian_point(self):
+        r = PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"]
+        rng = np.random.default_rng(72)
+        xs = [complex_pd(4, rng) for _ in range(3)]
+        assert _parallel_sum_short(r, xs, 1e-12) is not None
+        got = eval_pencil(r, xs).entries
+        assert np.iscomplexobj(got)
+        assert operator_norm(got - dense_reference(r, xs)) <= 1e-13 * pencil_norm(r, xs)
+
+    @pytest.mark.parametrize("spec", ["harmonic:0.2,0.3,0.5", "block-diagonal"])
+    def test_check_domain_false(self, spec):
+        r = PATH_REALIZATIONS[spec]
+        rng = np.random.default_rng(71)
+        xs = [random_pd(4, (0.1, 10), rng).entries for _ in range(r.k)]
+        fast = eval_pencil(r, xs, check_domain=False).entries
+        assert np.array_equal(fast, eval_pencil(r, xs).entries)
+        dense = dense_reference(r, xs, check_domain=False)
+        assert operator_norm(fast - dense) <= 1e-13 * pencil_norm(r, xs)
+        # outside the domain the unchecked dense path runs, bit for bit
+        bad = [-x for x in xs]
+        assert np.array_equal(eval_pencil(r, bad, check_domain=False).entries,
+                              dense_reference(r, bad, check_domain=False))
+
+
 # One `eval` per path (spectral, two-generator, batched fallback at a wide-mu
-# point, dense) and one `eval_complex` per path (spectral with k = 1 and
-# k = 2, arrowhead, dense).
+# point, parallel-sum, its dense fallback at a PSD-singular point, dense) and
+# one `eval_complex` per path (spectral with k = 1 and k = 2, arrowhead, dense).
 SCIPY_LINALG_PROBE = """
 import sys
 import numpy as np
@@ -740,8 +906,10 @@ from loewner import build_realization, eval_complex, eval_pencil, random_pd
 
 x = [random_pd(4, (0.5, 2.0), s).entries for s in range(2)]
 wide = np.diag([1e-8, 1.0, 1e8, 1.0])
+singular = np.diag([1.0, 0.0, 2.0, 1.0])
 for spec, point in [("power:0.5", x[:1]), ("geomean:0.5", x), ("geomean:0.5", [wide, x[1]]),
-                    ("arithmetic:0.4,0.6", x)]:
+                    ("harmonic:0.2,0.3,0.5", [*x, x[0]]),
+                    ("harmonic:0.2,0.3,0.5", [singular, *x]), ("arithmetic:0.4,0.6", x)]:
     eval_pencil(build_realization(spec, n_nodes=8), point)
 for spec in ("power:0.5", "geomean:0.5", "cauchy:1.0", "arithmetic:0.4,0.6"):
     r = build_realization(spec, n_nodes=8)
@@ -871,8 +1039,8 @@ class TestEvalComplex:
         ("power:0.5", "spectral"), ("geomean:0.5", "spectral"),
         ("cauchy:1.0", "arrowhead"), ("harmonic:0.3,0.7", "arrowhead"),
         ("shifted-parallel-sum", "arrowhead"),
-        ("harmonic:0.2,0.3,0.5", "dense"), ("arithmetic:0.4,0.6", "dense"),
-        ("complex-dense", "dense")])
+        ("harmonic:0.2,0.3,0.5", "dense"), ("block-diagonal", "dense"),
+        ("arithmetic:0.4,0.6", "dense"), ("complex-dense", "dense")])
     def test_every_path_matches_block_schur_oracle(self, monkeypatch, spec, path):
         r = (complex_dense_realization() if spec == "complex-dense"
              else PATH_REALIZATIONS[spec])
@@ -904,7 +1072,7 @@ def eval_complex_path(r):
     """`eval_complex` path of a realization at a well-conditioned point: the
     spectral form needs the shape of the real spectral paths and m > 2."""
     path = eval_path(r)
-    if path == "dense":
+    if path in ("dense", "parallel-sum"):
         return "dense"
     return "spectral" if path in ("spectral", "two-generator") and r.m > 2 else "arrowhead"
 

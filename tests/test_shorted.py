@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner import (
     NotPositiveSemidefinite,
@@ -166,3 +168,37 @@ class TestBlockSchurGeneral:
         z[0, 0] = 1.0
         with pytest.raises(SingularPivotComplement):
             block_schur_general(z, 1)
+
+
+@st.composite
+def rank_deficient_psd(draw):
+    """``Z = G G*`` of size N in [2, 8] and rank r in [1, N], the columns of G
+    scaled by 10**a for exponents a in [-4, 4]; a pivot size s in [1, N - 1]
+    and three test vectors of length s."""
+    n = draw(st.integers(2, 8))
+    rank = draw(st.integers(1, n))
+    s = draw(st.integers(1, n - 1))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=rank, max_size=rank)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, rank)) * scales
+    return g @ g.T, s, rng.standard_normal((3, s))
+
+
+# Measured over these 300 draws: at most 6.6e-16 ||Z|| |v|^2 against the
+# variational infimum (1.3e-14 on an earlier set of 300), and 1.3 kappa(Z22)
+# eps ||Z|| against the plain Schur complement on the 211 draws it takes;
+# kappa(Z22) < 1e10 keeps every eigenvalue of Z22 above the rank cut
+# 1e-12 lambda_max(Z22), so both compute the same matrix.
+@settings(settings.get_profile("loewner"), max_examples=300)
+@given(rank_deficient_psd())
+def test_shorted_operator_matches_its_oracles(case):
+    z, s, vs = case
+    short = shorted_operator(z, s).s_short.entries
+    znorm = operator_norm(z)
+    for v in vs:
+        gap = abs(float(v @ short @ v) - variational_infimum(z, v))
+        assert gap <= 1e-13 * znorm * (v @ v)
+    cond = np.linalg.cond(z[s:, s:])
+    if cond < 1e10:
+        gap = operator_norm(short - block_schur_general(z, s))
+        assert gap <= 10.0 * cond * np.finfo(float).eps * znorm
