@@ -10,9 +10,11 @@ discretized on (0,1) through lam = s/(1-s).  The transformed integrand has
 algebraic endpoint factors s^(t-1) and (1-s)^(-t), so the nodes come from the
 Gauss-Jacobi rule with exactly that weight, leaving a smooth remainder; plain
 Gauss-Legendre on the same interval stalls near 1e-2 relative error at N=96
-while this rule reaches roundoff.  Each quadrature term is a scaled parallel
-sum realized as a 2x2 pencil atom, and atoms are assembled into one arrowhead
-pencil whose trailing block stays block diagonal.
+while this rule reaches roundoff.  Each quadrature term w * lam x/(lam + x) is
+a scaled parallel sum, the short of [[w x, w x], [w x, w (x + lam)]]; the
+terms share one pivot, so every coefficient of the realization is an
+arrowhead (`_arrowhead`): a pivot entry, a diagonal and a coupling column,
+built straight from the node and weight vectors.
 
 Accuracy is calibrated against eigendecomposition oracles on spectra in
 [0.1, 10]; wider spectra degrade gracefully (growing error) rather than
@@ -162,6 +164,22 @@ def _check_weights(w) -> np.ndarray:
     return w / w.sum()
 
 
+def _arrowhead(pivot, diag=(), couple=None) -> np.ndarray:
+    """The coefficient ``[[pivot, couple*], [couple, diag(diag)]]`` of a pencil
+    with e = e1 (zero coupling when ``couple`` is None; 1 x 1 for no diag)."""
+    a = np.diag(np.concatenate([[pivot], diag]))
+    if couple is not None:
+        a[1:, 0] = a[0, 1:] = couple
+    return a
+
+
+def _e1_pencil(a0, *coeffs) -> PencilRealization:
+    """One realization with e = e1 from its coefficient arrays."""
+    e = np.zeros(a0.shape[0])
+    e[0] = 1.0
+    return PencilRealization(e, a0, coeffs)
+
+
 def cauchy_atom(lam: float) -> PencilRealization:
     """Pencil for the parallel sum r_lam(x) = lam*x/(lam + x).
 
@@ -170,24 +188,7 @@ def cauchy_atom(lam: float) -> PencilRealization:
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    e = np.array([1.0, 0.0])
-    a0 = np.array([[0.0, 0.0], [0.0, lam]])
-    a1 = np.array([[1.0, 1.0], [1.0, 1.0]])
-    return PencilRealization(e, SymMatrix(a0), (SymMatrix(a1),))
-
-
-def _scaled_cauchy_atom(lam: float, weight: float) -> PencilRealization:
-    a0 = weight * np.array([[0.0, 0.0], [0.0, lam]])
-    a1 = weight * np.array([[1.0, 1.0], [1.0, 1.0]])
-    return PencilRealization(np.array([1.0, 0.0]), SymMatrix(a0), (SymMatrix(a1),))
-
-
-def _scaled_geo_atom(lam: float, weight: float) -> PencilRealization:
-    """Pencil for weight * ((lam X1) : X2), the scaled parallel sum."""
-    a1 = weight * lam * np.array([[1.0, 1.0], [1.0, 1.0]])
-    a2 = weight * np.array([[0.0, 0.0], [0.0, 1.0]])
-    a0 = np.zeros((2, 2))
-    return PencilRealization(np.array([1.0, 0.0]), SymMatrix(a0), (SymMatrix(a1), SymMatrix(a2)))
+    return _e1_pencil(_arrowhead(0.0, [lam]), _arrowhead(1.0, [1.0], [1.0]))
 
 
 def arrowhead_sum(atoms, affine=None) -> PencilRealization:
@@ -244,10 +245,10 @@ def loewner_quadrature(t: float, n_nodes: int = 96) -> PencilRealization:
     At the default 96 nodes the relative error on [0.1, 10] is at roundoff
     level and decreases with growing N on wider intervals.
     """
-    scheme = power_quadrature_scheme(t, n_nodes)
-    atoms = [_scaled_cauchy_atom(lam, w)
-             for lam, w in zip(scheme.nodes, scheme.weights)]
-    return arrowhead_sum(atoms)
+    s = power_quadrature_scheme(t, n_nodes)
+    w = s.weights
+    # the pivot sums the weights in node order, as `arrowhead_sum` does
+    return _e1_pencil(_arrowhead(0.0, w * s.nodes), _arrowhead(np.cumsum(w)[-1], w, w))
 
 
 def weighted_harmonic(w) -> PencilRealization:
@@ -270,9 +271,7 @@ def weighted_harmonic(w) -> PencilRealization:
 
 def weighted_arithmetic(w) -> PencilRealization:
     """Exact pencil for the weighted arithmetic mean sum_i w_i X_i."""
-    w = _check_weights(w)
-    coeffs = tuple(SymMatrix(np.array([[wi]])) for wi in w)
-    return PencilRealization(np.array([1.0]), SymMatrix(np.zeros((1, 1))), coeffs)
+    return _e1_pencil(_arrowhead(0.0), *(_arrowhead(wi) for wi in _check_weights(w)))
 
 
 def geometric_mean(t: float, n_nodes: int = 96) -> PencilRealization:
@@ -280,12 +279,12 @@ def geometric_mean(t: float, n_nodes: int = 96) -> PencilRealization:
 
     Two-variable perspective of x^t: each quadrature term becomes the scaled
     parallel sum w * ((lam X1) : X2), realized as the short of
-    [[lam X1, lam X1], [lam X1, lam X1 + X2]] and assembled by `arrowhead_sum`.
+    [[lam X1, lam X1], [lam X1, lam X1 + X2]], all sharing one pivot.
     """
-    scheme = power_quadrature_scheme(t, n_nodes)
-    atoms = [_scaled_geo_atom(lam, w)
-             for lam, w in zip(scheme.nodes, scheme.weights)]
-    return arrowhead_sum(atoms)
+    s = power_quadrature_scheme(t, n_nodes)
+    wl = s.weights * s.nodes
+    return _e1_pencil(np.zeros((n_nodes + 1, n_nodes + 1)),
+                      _arrowhead(np.cumsum(wl)[-1], wl, wl), _arrowhead(0.0, s.weights))
 
 
 def build_realization(spec: FunctionSpec | str, n_nodes: int = 96) -> PencilRealization:
@@ -293,20 +292,14 @@ def build_realization(spec: FunctionSpec | str, n_nodes: int = 96) -> PencilReal
     if isinstance(spec, str):
         spec = FunctionSpec.parse(spec)
     tag, p = spec.tag, spec.params
-    if tag == "identity":
-        return arrowhead_sum([], affine=(0.0, [1.0]))
-    if tag == "constant":
-        return PencilRealization(
-            np.array([1.0]), SymMatrix(np.array([[p[0]]])),
-            (SymMatrix(np.zeros((1, 1))),))
-    if tag == "affine":
-        return arrowhead_sum([], affine=(p[0], list(p[1:])))
+    if tag in ("identity", "constant", "affine"):
+        # 1 x 1 pencils: A0 = [[alpha]] and A_i = [[beta_i]]
+        coef = {"identity": (0.0, 1.0), "constant": (*p, 0.0)}.get(tag, p)
+        return _e1_pencil(*(_arrowhead(c) for c in coef))
     if tag == "cauchy":
         return cauchy_atom(p[0])
-    if tag == "sqrt":
-        return loewner_quadrature(0.5, n_nodes)
-    if tag == "power":
-        return loewner_quadrature(p[0], n_nodes)
+    if tag in ("sqrt", "power"):
+        return loewner_quadrature(p[0] if p else 0.5, n_nodes)
     if tag == "harmonic":
         return weighted_harmonic(p)
     if tag == "arithmetic":

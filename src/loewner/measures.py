@@ -5,8 +5,8 @@ decided constructively: by Strassen's theorem it holds iff some coupling of
 (mu, nu) is supported on the Loewner relation between atoms, which is a
 bipartite transportation feasibility problem.  `stochastic_leq` solves it by
 max-flow and returns either a monotone coupling or a min-cut certificate; the
-independent oracle `brute_force_stochastic_leq` enumerates the upper sets of
-the finite atom poset directly.  The relation is batched (one stacked
+independent oracle `brute_force_stochastic_leq` enumerates the upper sets
+generated by subsets of supp(mu) directly.  The relation is batched (one stacked
 ``eigvalsh`` per mu atom) and Edmonds-Karp runs on adjacency lists in the BFS
 order of a dense scan with ``longdouble`` flows, so couplings and certificates
 are bit-identical to the pairwise relation and the dense-matrix max-flow.
@@ -310,38 +310,31 @@ def stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-9):
 
 def brute_force_stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure,
                                tol: float = 1e-9) -> bool:
-    """Exact upper-set oracle on the pooled finite poset (supports <= 20 atoms).
+    """Exact upper-set oracle on the pooled finite support (<= 20 atoms).
 
-    Enumerates every up-closed subset of supp(mu) + supp(nu) under the Loewner
-    relation and checks mu(U) <= nu(U) + 1e-10.  Exponential by design; this
-    is the independent cross-check for `stochastic_leq`.
+    Enumerates every subset S of supp(mu) and checks mu(S) <= nu(N(S)) +
+    1e-10, where N(S) holds the nu-atoms B_j with A_i <= B_j for some A_i in
+    S: the smallest upper set generated by S, as in the min-cut certificate.
+    Only these mu -> nu pairs count, because the tolerant Loewner relation is
+    not transitive at the tolerance (A <= B <= C need not give A <= C), and
+    an upper set closed under it would credit nu-atoms that no coupling can
+    reach.  Exponential by design; this is the independent cross-check for
+    `stochastic_leq`.
     """
     if mu.n != nu.n:
         raise DimensionMismatch("measures must live on one matrix dimension")
-    pool = list(mu.atoms) + list(nu.atoms)
-    total = len(pool)
+    total = mu.size + nu.size
     if total > 20:
         raise ValueError(f"pooled support of size {total} exceeds 20")
-    mu_mass = np.concatenate([mu.weights, np.zeros(nu.size)])
-    nu_mass = np.concatenate([np.zeros(mu.size), nu.weights])
-    closure = [0] * total
-    for i in range(total):
-        for j in range(total):
-            if loewner_leq(pool[i], pool[j], tol):
-                closure[i] |= 1 << j
-    for mask in range(1, 1 << total):
-        members = mask
-        upper = True
-        while members:
-            i = (members & -members).bit_length() - 1
-            members &= members - 1
-            if (mask | closure[i]) != mask:
-                upper = False
-                break
-        if not upper:
-            continue
-        mu_u = sum(mu_mass[i] for i in range(total) if mask >> i & 1)
-        nu_u = sum(nu_mass[i] for i in range(total) if mask >> i & 1)
+    above = [sum(1 << j for j, b in enumerate(nu.atoms) if loewner_leq(a, b, tol))
+             for a in mu.atoms]
+    for mask in range(1, 1 << mu.size):
+        members = [i for i in range(mu.size) if mask >> i & 1]
+        upper = 0
+        for i in members:
+            upper |= above[i]
+        mu_u = sum(mu.weights[i] for i in members)
+        nu_u = sum(nu.weights[j] for j in range(nu.size) if upper >> j & 1)
         if mu_u > nu_u + 1e-10:
             return False
     return True

@@ -40,8 +40,8 @@ and, for the first and third, also from the point:
   over the whole trailing block it shares.
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
-Z22 >= 0, the range condition holds, and the complement is >= 0) with the same
-relative tolerances.  `eval_complex` has three paths:
+Z22 >= 0, the range condition holds, and the complement is >= 0), written
+once in `_check_psd` and `_check_range`.  `eval_complex` has three paths:
 
 * spectral (the shapes of the real spectral path with m > 2): every block is
   ``G1 P(M)`` for a polynomial P in ``M = Z`` or ``X1^-1 X2``, so one ``eig``
@@ -251,6 +251,22 @@ def _linear_blocks(ident, coef, arrays):
     return lin.reshape(-1, n, n)
 
 
+def _check_psd(value, scale, psd_tol, what):
+    """The admission rule for the smallest eigenvalue ``value`` of the
+    trailing block or of the complement (``what``): ``>= -psd_tol * scale``."""
+    if value < -psd_tol * scale:
+        raise PencilDomainError(f"pencil not PSD at X: {what} eigenvalue {value:.3e}")
+
+
+def _check_range(off_norm, rank_tol, scale):
+    """The range condition: the coupling mass ``off_norm`` against the
+    dropped trailing eigenvectors is at most ``10 sqrt(rank_tol) scale``."""
+    bound = 10.0 * math.sqrt(rank_tol) * scale
+    if off_norm > bound:
+        raise PencilDomainError(f"pencil not PSD at X: range condition violated "
+                                f"({off_norm:.3e} > {bound:.3e})")
+
+
 def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     """Shorted operator of an arrowhead pencil, batched over aux coordinates.
 
@@ -265,20 +281,15 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     z11, blocks, couple = _arrowhead_blocks(a0r, coeffs_r, arrays)
     lam, u = np.linalg.eigh(blocks)
     scale = max(1.0, float(np.linalg.eigvalsh(z11)[-1]), float(lam.max(initial=0.0)))
-    if check_domain and float(lam.min(initial=0.0)) < -psd_tol * scale:
-        raise PencilDomainError(
-            f"pencil not PSD at X: trailing-block eigenvalue {float(lam.min()):.3e}")
+    if check_domain:
+        _check_psd(float(lam.min(initial=0.0)), scale, psd_tol, "trailing-block")
     g = _adjoint(u) @ couple
     del blocks, couple, u  # frees the shared block array before the complement
     cut = rank_tol * np.clip(lam[:, -1], 0.0, None)
     keep = lam > cut[:, None]
     if check_domain and not np.all(keep):
         off = np.where(keep[:, :, None], 0.0, np.abs(g) ** 2)
-        off_norm = math.sqrt(float(off.sum()))
-        if off_norm > 10.0 * math.sqrt(rank_tol) * scale:
-            raise PencilDomainError(
-                f"pencil not PSD at X: range condition violated "
-                f"({off_norm:.3e} > {10.0 * math.sqrt(rank_tol) * scale:.3e})")
+        _check_range(math.sqrt(float(off.sum())), rank_tol, scale)
     winv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
     # sum_j g_j* diag(winv_j) g_j as one gemm over the (m-1) n rows of g
     gw = g * winv[:, :, None]
@@ -287,10 +298,7 @@ def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
     short = z11 - gw.reshape(-1, n).T @ g.reshape(-1, n)
     short = (short + short.conj().T) / 2.0
     if check_domain:
-        smin = float(np.linalg.eigvalsh(short)[0])
-        if smin < -psd_tol * scale:
-            raise PencilDomainError(
-                f"pencil not PSD at X: Schur complement eigenvalue {smin:.3e}")
+        _check_psd(float(np.linalg.eigvalsh(short)[0]), scale, psd_tol, "Schur complement")
     return short
 
 
@@ -343,21 +351,15 @@ def _spectral_short(p, q, x1, x2, rank_tol, psd_tol, check_domain):
     z, d, o, _ = _spectral_terms(p, q, mu)
     z, d = np.real(z), np.real(d)
     scale = max(1.0, float(z.max()), float(d.max()))
-    if check_domain and float(d.min()) < -psd_tol * scale:
-        raise PencilDomainError(
-            f"pencil not PSD at X: trailing-block eigenvalue {float(d.min()):.3e}")
+    if check_domain:
+        _check_psd(float(d.min()), scale, psd_tol, "trailing-block")
     o2 = np.abs(o) ** 2
     keep = d > rank_tol * np.clip(d.max(axis=1), 0.0, None)[:, None]
     if check_domain and not np.all(keep):
-        off_norm = math.sqrt(float(o2[~keep].sum()))
-        if off_norm > 10.0 * math.sqrt(rank_tol) * scale:
-            raise PencilDomainError(
-                f"pencil not PSD at X: range condition violated "
-                f"({off_norm:.3e} > {10.0 * math.sqrt(rank_tol) * scale:.3e})")
+        _check_range(math.sqrt(float(o2[~keep].sum())), rank_tol, scale)
     f = z - np.where(keep, o2 / np.where(keep, d, 1.0), 0.0).sum(axis=0)
-    if check_domain and float(f.min()) < -psd_tol * scale:
-        raise PencilDomainError(
-            f"pencil not PSD at X: Schur complement eigenvalue {float(f.min()):.3e}")
+    if check_domain:
+        _check_psd(float(f.min()), scale, psd_tol, "Schur complement")
     return (y * f) @ y.conj().T
 
 
@@ -399,25 +401,18 @@ def _dense_short(z, n, rank_tol, psd_tol, check_domain):
     # m = 1 leaves the complement Z11 itself: one spectrum for scale and check
     spec11 = np.linalg.eigvalsh(z11 if lam.size else (z11 + _adjoint(z11)) / 2.0)
     scale = max(1.0, float(spec11[-1]), top)
-    if check_domain and float(lam.min(initial=0.0)) < -psd_tol * scale:
-        raise PencilDomainError(
-            f"pencil not PSD at X: trailing-block eigenvalue {float(lam.min()):.3e}")
+    if check_domain:
+        _check_psd(float(lam.min(initial=0.0)), scale, psd_tol, "trailing-block")
     g = _adjoint(u) @ z21
     keep = lam > rank_tol * top
     if check_domain and not np.all(keep):
-        off_norm = float(np.linalg.norm(g[~keep], 2))
-        if off_norm > 10.0 * math.sqrt(rank_tol) * scale:
-            raise PencilDomainError(
-                f"pencil not PSD at X: range condition violated "
-                f"({off_norm:.3e} > {10.0 * math.sqrt(rank_tol) * scale:.3e})")
+        _check_range(float(np.linalg.norm(g[~keep], 2)), rank_tol, scale)
     gk = g[keep]
     short = z11 - _adjoint(gk) @ (gk / lam[keep][:, None])
     short = (short + short.conj().T) / 2.0
     if check_domain:
         smin = float((np.linalg.eigvalsh(short) if lam.size else spec11)[0])
-        if smin < -psd_tol * scale:
-            raise PencilDomainError(
-                f"pencil not PSD at X: Schur complement eigenvalue {smin:.3e}")
+        _check_psd(smin, scale, psd_tol, "Schur complement")
     return short
 
 
@@ -446,6 +441,15 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
     return SymMatrix(short)
 
 
+def _check_pivot(blocks, sv_tol, scale):
+    """Raise SingularPivotComplement unless ``sigma_min(blocks) > sv_tol * scale``."""
+    smin = float(np.linalg.svd(blocks, compute_uv=False).min(initial=np.inf))
+    if smin <= sv_tol * scale:
+        raise SingularPivotComplement(
+            f"pivot complement block singular (sigma_min = {smin:.3e}); "
+            "imaginary-part positivity violated beyond tolerance")
+
+
 def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
     """Complex-point Schur complement of an arrowhead pencil, batched.
 
@@ -457,11 +461,7 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
     z11, blocks, couple, row = _arrowhead_blocks(a0r, coeffs_r, arrays, row=True)
     scale = max(1.0, float(np.abs(blocks).sum(axis=-1).max()),
                 float(np.abs(z11).sum(axis=-1).max()))
-    smin = float(np.linalg.svd(blocks, compute_uv=False).min(initial=np.inf))
-    if smin <= sv_tol * scale:
-        raise SingularPivotComplement(
-            f"pivot complement block singular (sigma_min = {smin:.3e}); "
-            "imaginary-part positivity violated beyond tolerance")
+    _check_pivot(blocks, sv_tol, scale)
     solved = np.linalg.solve(blocks, couple)
     # kept as einsum for m = 2 pencils and spectral fallbacks: a gemm here
     # changes the bits of the pinned herglotz report of cauchy:2
@@ -552,12 +552,7 @@ def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
         return _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol)
     z = _assembled_pencil(a0r, coeffs_r, arrays, complex)
     z22 = z[n:, n:]
-    scale = max(1.0, float(np.abs(z).sum(axis=1).max()))
-    smin = float(np.linalg.svd(z22, compute_uv=False).min(initial=np.inf))
-    if smin <= sv_tol * scale:
-        raise SingularPivotComplement(
-            f"pivot complement block singular (sigma_min = {smin:.3e}); "
-            "imaginary-part positivity violated beyond tolerance")
+    _check_pivot(z22, sv_tol, max(1.0, float(np.abs(z).sum(axis=1).max())))
     return z[:n, :n] - z[:n, n:] @ np.linalg.solve(z22, z[n:, :n])
 
 

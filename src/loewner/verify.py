@@ -70,6 +70,8 @@ class SuiteConfig:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        if not self.dims or min(self.dims) < 1:
+            raise ValueError(f"dims must be a nonempty list of dimensions >= 1, got {self.dims}")
 
 
 @dataclass(frozen=True)

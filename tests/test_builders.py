@@ -6,7 +6,9 @@ import pytest
 from loewner import (
     FunctionSpec,
     MatrixTuple,
+    PencilRealization,
     QuadratureScheme,
+    SymMatrix,
     apply_scalar_function,
     arrowhead_sum,
     b_form,
@@ -292,3 +294,88 @@ class TestBuildRealization:
             assert check_monotone(r, cfg).passed, text
             assert check_concave(r, cfg).passed, text
             assert check_jensen_isometry(r, cfg).passed, text
+
+
+# The per-node construction that `build_realization` replaced: one pencil per
+# quadrature atom, rotated and summed by `arrowhead_sum`.  It stays here as
+# the oracle of the direct assembly.
+def scaled_cauchy_atom(lam, weight):
+    """Pencil for weight * lam x/(lam + x)."""
+    a0 = weight * np.array([[0.0, 0.0], [0.0, lam]])
+    a1 = weight * np.array([[1.0, 1.0], [1.0, 1.0]])
+    return PencilRealization(np.array([1.0, 0.0]), SymMatrix(a0), (SymMatrix(a1),))
+
+
+def scaled_geo_atom(lam, weight):
+    """Pencil for weight * ((lam X1) : X2), the scaled parallel sum."""
+    a1 = weight * lam * np.array([[1.0, 1.0], [1.0, 1.0]])
+    a2 = weight * np.array([[0.0, 0.0], [0.0, 1.0]])
+    a0 = np.zeros((2, 2))
+    return PencilRealization(np.array([1.0, 0.0]), SymMatrix(a0), (SymMatrix(a1), SymMatrix(a2)))
+
+
+def per_atom_realization(spec, n_nodes):
+    """`arrowhead_sum` of the per-atom pencils, or of an affine part alone
+    for the m = 1 families; `weighted_harmonic` is built as before."""
+    tag, p = spec.tag, spec.params
+    if tag in ("sqrt", "power", "geomean"):
+        s = power_quadrature_scheme(p[0] if p else 0.5, n_nodes)
+        atom = scaled_geo_atom if tag == "geomean" else scaled_cauchy_atom
+        return arrowhead_sum([atom(lam, w) for lam, w in zip(s.nodes, s.weights)])
+    if tag == "cauchy":
+        return arrowhead_sum([scaled_cauchy_atom(p[0], 1.0)])
+    if tag == "harmonic":
+        return weighted_harmonic(p)
+    if tag == "arithmetic":
+        w = np.asarray(p)
+        return arrowhead_sum([], affine=(0.0, w / w.sum()))
+    return arrowhead_sum([], affine=(0.0, [1.0]) if tag == "identity"
+                         else (p[0], list(p[1:]) or [0.0]))
+
+
+def pencil_bytes(r):
+    """Every stored array of a realization, with dtype and shape: equal bytes
+    mean bit-identical coefficients, the sign of zeros included."""
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (r.e, r.a0.entries, *(c.entries for c in r.coeffs))] + [r.psd_tol]
+
+
+QUADRATURE_SPECS = ["sqrt", "power:0.37", "power:0.5", "power:0.9", "geomean:0.5",
+                    "geomean:0.25"]
+EXACT_SPECS = ["identity", "constant:2.5", FunctionSpec("affine", (0.5, 1.0, 2.0)),
+               FunctionSpec("affine", (-0.0, 0.0, 2.0)), "cauchy:1.5", "harmonic:0.3,0.7",
+               "harmonic:0.2,0.3,0.5", "arithmetic:0.25,0.75"]
+
+
+
+def spec_id(value):
+    return f"{value.tag}:{value.params}" if isinstance(value, FunctionSpec) else str(value)
+
+
+class TestDirectAssembly:
+    """`build_realization` assembles each pencil straight from its node and
+    weight vectors, bit-identical to the per-atom construction."""
+
+    @pytest.mark.parametrize("spec,n_nodes", [(spec, n) for spec in QUADRATURE_SPECS
+                                              for n in (8, 24, 96, 384)]
+                             + [(spec, 8) for spec in EXACT_SPECS], ids=spec_id)
+    def test_bit_identical_to_per_atom_construction(self, spec, n_nodes):
+        parsed = FunctionSpec.parse(spec) if isinstance(spec, str) else spec
+        got = build_realization(spec, n_nodes=n_nodes)
+        assert pencil_bytes(got) == pencil_bytes(per_atom_realization(parsed, n_nodes))
+
+    @pytest.mark.parametrize("spec,n_nodes", [("power:0.37", 384), ("geomean:0.5", 96)]
+                             + [(spec, 24) for spec in QUADRATURE_SPECS + EXACT_SPECS],
+                             ids=spec_id)
+    def test_one_pencil_per_build(self, monkeypatch, spec, n_nodes):
+        # the per-atom construction made n_nodes + 1 pencils here
+        made = []
+        post_init = PencilRealization.__post_init__
+
+        def counting(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PencilRealization, "__post_init__", counting)
+        build_realization(spec, n_nodes=n_nodes)
+        assert len(made) == 1

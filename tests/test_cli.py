@@ -373,6 +373,12 @@ class TestVerifyCommand:
         assert main(args + ["--report", str(tmp_path / "b.json")]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_zero_dimension_exits_2(self, tmp_path, capsys):
+        main(["realize", "--function", "cauchy:2", "-o", str(tmp_path / "r.json")])
+        assert main(["verify", "--suite", "monotone", "--realization",
+                     str(tmp_path / "r.json"), "--dims", "2,0"]) == 2
+        assert "dims must be a nonempty list" in capsys.readouterr().err
+
     def test_unknown_suite_exits_2(self, tmp_path, capsys):
         main(["realize", "--function", "cauchy:2", "-o", str(tmp_path / "r.json")])
         with pytest.raises(SystemExit) as exc:

@@ -234,3 +234,16 @@ class TestReportInvariants:
                                skipped=0, worst_violation=-1.0,
                                first_failure_seed=0, seed=0, tol=1e-8,
                                passed=True)
+
+
+class TestSuiteConfig:
+    # an empty dims would pass with zero trials; a zero dimension used to
+    # fail only deep inside random_pd
+    @pytest.mark.parametrize("dims", [(), (0,), (2, 0), (3, -1)])
+    def test_rejects_empty_or_nonpositive_dims(self, dims):
+        with pytest.raises(ValueError, match="dims must be a nonempty list"):
+            SuiteConfig(dims=dims, trials=5)
+
+    def test_accepts_dimension_one(self):
+        cfg = SuiteConfig(dims=(1,), trials=3, seed=4)
+        assert cfg.dims == (1,) and check_monotone(CAUCHY, cfg).trials == 3
