@@ -11,17 +11,30 @@ call as the oracle.  ``dumps`` raises ``TypeError`` where ``json.dumps``
 does, and for any non-string key.  It has its own encoder because with
 ``indent`` set the standard library falls back from its C encoder to a
 pure-Python generator chain, which was most of the time of writing a large
-realization; this encoder joins each list of strings or of finite floats in
-one call.
+realization; this encoder joins each list of strings, of integers or of
+finite floats in one call.
 
-Load-time checks: every matrix row and vector is a JSON array whose entries
-are hex strings or JSON numbers (not booleans), and every loaded array is
-finite; anything else raises ``ValueError``.
+Matrix payloads come in two layouts.  Realization coefficients are written
+compact: ``index`` lists, in ascending order, the row-major flat index of
+every entry whose real or imaginary bit pattern is not +0.0 (so ``-0.0`` is
+kept), and ``re``/``im`` hold those entries.  Every other matrix is written
+dense, one ``re`` (and ``im``) row per matrix row.  The loader reads a payload
+that has ``index`` as compact and any other payload as dense.
+
+Load-time checks: ``rows``, ``cols``, ``k``, ``m`` and ``n`` are JSON integers
+(not booleans) that match their payload, and ``rows`` and ``cols`` are
+positive; every matrix row and vector is a JSON array whose entries are hex
+strings or JSON numbers (not booleans); a compact ``index`` is a JSON array of
+JSON integers (not booleans), strictly increasing within ``[0, rows * cols)``,
+with exactly as many entries as ``re`` and as ``im``; and every loaded array is
+finite.  Anything else raises ``ValueError``; an index is checked before it
+reaches numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -63,6 +76,13 @@ def _unhex(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected a hex string or a JSON number, got {type(v).__name__}")
     return float(v)
+
+
+def _typed(d: dict, key: str, *types):
+    """``d[key]`` if its type is exactly one of ``types``: a boolean is not an integer."""
+    if type(d[key]) not in types:
+        raise ValueError(f"field {key!r} has type {type(d[key]).__name__}")
+    return d[key]
 
 
 def _floats(v) -> list:
@@ -134,6 +154,8 @@ def _encode(o, indent: str) -> str:
         kinds = set(map(type, o))
         if kinds == {str}:
             body = sep.join(map(_quote, o))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, o))
         elif kinds == {float} and all(map(math.isfinite, o)):
             body = sep.join(map(float.__repr__, o))
         else:
@@ -163,9 +185,45 @@ def matrix_to_json(m) -> dict:
     return out
 
 
+def _compact_matrix_to_json(arr: np.ndarray) -> dict:
+    """Compact payload of a 2-d array: the entries whose bits are not all zero."""
+    parts = {"re": arr.real} | ({"im": arr.imag} if np.iscomplexobj(arr) else {})
+    flat = {key: np.ascontiguousarray(p, dtype=float).reshape(-1) for key, p in parts.items()}
+    index = np.flatnonzero(np.any([p.view(np.uint64) for p in flat.values()], axis=0))
+    out = {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "index": index.tolist()}
+    for key, p in flat.items():
+        values = p[index].tolist()
+        out[key], out[f"{key}_decimal"] = list(map(float.hex, values)), values
+    return out
+
+
+def _unhex_compact(d: dict, rows: int, cols: int) -> np.ndarray:
+    index = _typed(d, "index", list)
+    if set(map(type, index)) - {int}:
+        raise ValueError("matrix index must hold JSON integers only")
+    if index and (index[0] < 0 or index[-1] >= rows * cols
+                  or not all(map(operator.lt, index, index[1:]))):
+        raise ValueError(f"matrix index must increase strictly within [0, {rows * cols})")
+    try:
+        out = np.zeros(rows * cols, dtype=complex if "im" in d else float)
+    except MemoryError as exc:  # a short file can state any header
+        raise ValueError(f"matrix header ({rows}, {cols}) is too large to allocate") from exc
+    parts = {"re": out.real} | ({"im": out.imag} if "im" in d else {})
+    for key, part in parts.items():
+        values = _finite(np.array(_unhex_list(d[key], f"matrix {key}"), dtype=float), "matrix")
+        if values.shape[0] != len(index):
+            raise ValueError(f"matrix has {values.shape[0]} {key} entries for {len(index)} indices")
+        part[index] = values
+    return out.reshape(rows, cols)
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
+    rows, cols = _typed(d, "rows", int), _typed(d, "cols", int)
+    if rows < 1 or cols < 1:
+        raise ValueError(f"matrix header ({rows}, {cols}) is not positive")
+    if "index" in d:
+        return _unhex_compact(d, rows, cols)
     re = _unhex_rows(d["re"])
-    rows, cols = int(d["rows"]), int(d["cols"])
     if re.shape != (rows, cols):
         raise ValueError(f"matrix shape {re.shape} does not match header ({rows}, {cols})")
     if "im" in d:
@@ -196,7 +254,7 @@ def tuple_from_json(d: dict) -> list:
     if "re" in d:
         return [matrix_from_json(d)]
     items = [matrix_from_json(item) for item in d["items"]]
-    if "k" in d and int(d["k"]) != len(items):
+    if "k" in d and _typed(d, "k", int) != len(items):
         raise ValueError(f"header arity {d['k']} does not match {len(items)} items")
     return items
 
@@ -207,18 +265,22 @@ def realization_to_json(r: PencilRealization) -> dict:
         "m": r.m,
         "e": _hex_vector(r.e),
         "e_decimal": _floats(r.e),
-        "A0": matrix_to_json(r.a0),
-        "A": [matrix_to_json(c) for c in r.coeffs],
+        "A0": _compact_matrix_to_json(r.a0.entries),
+        "A": [_compact_matrix_to_json(c.entries) for c in r.coeffs],
     }
 
 
 def realization_from_json(d: dict) -> PencilRealization:
+    """A realization from either matrix layout; headers are checked before any
+    coefficient is materialized."""
     e = _unhex_vector(d["e"])
-    a0 = SymMatrix(matrix_from_json(d["A0"]))
-    coeffs = tuple(SymMatrix(matrix_from_json(c)) for c in d["A"])
-    if int(d["m"]) != e.shape[0] or int(d["k"]) != len(coeffs):
+    m, k = _typed(d, "m", int), _typed(d, "k", int)
+    payloads = [d["A0"], *_typed(d, "A", list)]
+    if m != e.shape[0] or k != len(payloads) - 1 or any(
+            (p["rows"], p["cols"]) != (m, m) for p in payloads):
         raise ValueError("realization header does not match its payload")
-    return PencilRealization(e, a0, coeffs)
+    a0, *coeffs = (SymMatrix(matrix_from_json(p)) for p in payloads)
+    return PencilRealization(e, a0, tuple(coeffs))
 
 
 def measure_to_json(mu: DiscreteMeasure) -> dict:
@@ -233,7 +295,8 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
 def measure_from_json(d: dict) -> DiscreteMeasure:
     atoms = tuple(SymMatrix(matrix_from_json(a)) for a in d["atoms"])
     weights = _unhex_vector(d["weights"])
-    if any(a.n != int(d["n"]) for a in atoms):
+    n = _typed(d, "n", int)
+    if any(a.n != n for a in atoms):
         raise ValueError("atom dimension does not match header")
     return DiscreteMeasure(atoms, weights)
 
@@ -256,13 +319,6 @@ def report_to_json(rep: VerificationReport) -> dict:
         "extras_decimal": {k: float(v) for k, v in sorted(rep.extras.items())},
         "version": VERSION,
     }
-
-
-def _typed(d: dict, key: str, *types):
-    """``d[key]`` if its type is exactly one of ``types``: a boolean is not an integer."""
-    if type(d[key]) not in types:
-        raise ValueError(f"report field {key!r} has type {type(d[key]).__name__}")
-    return d[key]
 
 
 def report_from_json(d: dict) -> VerificationReport:

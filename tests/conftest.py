@@ -7,4 +7,14 @@ database, so every run tries the same cases; tests take it with
 
 from hypothesis import settings
 
+from loewner import jsonio
+
 settings.register_profile("loewner", derandomize=True, database=None, deadline=None)
+
+
+def legacy_realization_payload(r) -> dict:
+    """``r`` in the dense layout that realization files had before coefficients
+    were stored as their nonzero entries: every coefficient as full hex rows."""
+    return {"k": r.k, "m": r.m, "e": list(map(float.hex, r.e.tolist())),
+            "e_decimal": r.e.tolist(), "A0": jsonio.matrix_to_json(r.a0),
+            "A": [jsonio.matrix_to_json(c) for c in r.coeffs]}

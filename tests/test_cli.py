@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import legacy_realization_payload
 from loewner import (
     DiscreteMeasure,
     MatrixTuple,
+    PencilRealization,
     SuiteConfig,
     SymMatrix,
     build_realization,
@@ -30,6 +32,14 @@ from loewner import (
 )
 from loewner import jsonio
 from loewner.cli import _scalar_from_realization, main
+
+
+def assert_same_realization(a, b):
+    """``a`` and ``b`` hold the same arrays, byte for byte (signs of zeros included)."""
+    assert (a.k, a.m) == (b.k, b.m)
+    for x, y in zip((a.e, a.a0.entries, *(c.entries for c in a.coeffs)),
+                    (b.e, b.a0.entries, *(c.entries for c in b.coeffs))):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def write(path, payload):
@@ -57,10 +67,21 @@ class TestSerializationRoundTrips:
         r = build_realization("power:0.5", n_nodes=16)
         back = jsonio.realization_from_json(
             json.loads(jsonio.dumps(jsonio.realization_to_json(r))))
-        assert np.array_equal(back.e, r.e)
-        assert np.array_equal(back.a0.entries, r.a0.entries)
-        for a, b in zip(back.coeffs, r.coeffs):
-            assert np.array_equal(a.entries, b.entries)
+        assert_same_realization(back, r)
+
+    def test_complex_and_negative_zero_coefficients_round_trip(self):
+        # a Hermitian A1 with complex couplings and an imaginary -0.0 above the
+        # diagonal; A0 with a real -0.0 off the diagonal
+        a1 = np.array([[3, 1j, 1 - 1j], [-1j, 1, complex(0.0, -0.0)], [1 + 1j, 0, 1]])
+        a0 = np.diag([0.0, 1.0, 2.0])
+        a0[1, 2] = a0[2, 1] = -0.0
+        r = PencilRealization(np.eye(3)[0], SymMatrix(a0), (SymMatrix(a1),))
+        assert np.signbit(r.coeffs[0].entries[1, 2].imag) and np.signbit(r.a0.entries[1, 2])
+        payload = json.loads(jsonio.dumps(jsonio.realization_to_json(r)))
+        assert 5 in payload["A0"]["index"] and 5 in payload["A"][0]["index"]
+        assert_same_realization(jsonio.realization_from_json(payload), r)
+        assert_same_realization(
+            jsonio.realization_from_json(legacy_realization_payload(r)), r)
 
     def test_measure_round_trip(self):
         mu = DiscreteMeasure((random_pd(2, (1, 2), 0), random_pd(2, (1, 2), 1)),
@@ -160,12 +181,20 @@ class TestByteContract:
             jsonio.dumps({1: 0.5})
 
     def test_realize_file_digest_pinned(self, tmp_path):
-        # sha256 of the file written before the one-pass encoder replaced json.dumps
+        # the dense layout keeps the sha256 of the file written before the one-pass
+        # encoder replaced json.dumps, which pins the builder's coefficient bits
+        r = build_realization("power:0.37", n_nodes=384)
+        legacy = jsonio.dumps(legacy_realization_payload(r))
+        assert hashlib.sha256(legacy.encode()).hexdigest() == (
+            "7f0cbdf03e90aba607c12468e8471117b27f841c006a55c8cc265f7d3d2c76f3")
+        # re-pinned when coefficients were stored as their nonzero entries
         out = tmp_path / "r.json"
         assert main(["realize", "--function", "power:0.37", "--nodes", "384",
                      "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "7f0cbdf03e90aba607c12468e8471117b27f841c006a55c8cc265f7d3d2c76f3")
+            "8310d9866733c27d12a599f07d1de6396c1b7071c15bdbaf0ab166db13488638")
+        for text in (legacy, out.read_text()):
+            assert_same_realization(jsonio.realization_from_json(json.loads(text)), r)
 
     def test_report_file_digest_pinned(self, tmp_path, capsys):
         main(["realize", "--function", "cauchy:2", "-o", str(tmp_path / "r.json")])
@@ -232,7 +261,7 @@ class TestLoadChecks:
     def test_non_finite_coefficient_exits_2(self, tmp_path, capsys, entry):
         main(["realize", "--function", "cauchy:1", "-o", str(tmp_path / "r.json")])
         payload = read(tmp_path / "r.json")
-        payload["A"][0]["re"][1][1] = entry
+        payload["A"][0]["re"][-1] = entry
         write(tmp_path / "r.json", payload)
         write(tmp_path / "x.json", jsonio.matrix_to_json(np.eye(2)))
         assert main(["eval", "--realization", str(tmp_path / "r.json"),
@@ -302,6 +331,23 @@ class TestRealizeEval:
         assert rc == 0
         out = capsys.readouterr().out
         assert json.loads(out)["re_decimal"] == [[0.5]]
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_eval_legacy_and_compact_files_print_same_bytes(self, tmp_path, capsys, complex_):
+        compact, legacy, x = (tmp_path / name for name in ("c.json", "d.json", "x.json"))
+        assert main(["realize", "--function", "power:0.37", "--nodes", "24",
+                     "-o", str(compact)]) == 0
+        write(legacy, legacy_realization_payload(build_realization("power:0.37", n_nodes=24)))
+        point = random_pd(3, (0.5, 4), 9).entries
+        write(x, jsonio.matrix_to_json(point + 1j * np.eye(3) if complex_ else point))
+        outs = []
+        for path in (legacy, compact):
+            capsys.readouterr()
+            assert main(["eval", "--realization", str(path), "--point", str(x)]
+                        + ["--complex"] * complex_) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert ('"im"' in outs[0]) == complex_
 
     def test_arithmetic_m1(self, tmp_path):
         rc = main(["realize", "--function", "arithmetic:0.5,0.5",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import legacy_realization_payload
 from loewner import DiscreteMeasure, SuiteConfig, build_realization, check_monotone, random_pd
 from loewner import jsonio
 from loewner.cli import main
@@ -61,6 +62,10 @@ def _realization():
     return jsonio.realization_to_json(build_realization("cauchy:1"))
 
 
+def _legacy_realization():
+    return legacy_realization_payload(build_realization("cauchy:1"))
+
+
 def _point():
     return jsonio.matrix_to_json(np.array([[2.0, 0.5], [0.5, 1.0]]))
 
@@ -70,19 +75,53 @@ def _measure():
     return jsonio.measure_to_json(DiscreteMeasure(atoms, np.array([0.25, 0.75])))
 
 
-# (payload factory, required keys, header keys, vector paths, matrix paths);
-# decimal mirrors are not read on load, so they are never mutated
+_REALIZATION_KEYS = ("k", "m", "e", "A0", "A")
+_REALIZATION_HEADERS = (("k",), ("m",), ("A0", "rows"), ("A", 0, "cols"))
+# (payload factory, required keys, header keys, vector paths, dense matrix paths,
+# compact matrix paths); decimal mirrors are not read on load, so they are never
+# mutated.  The dense realization is the layout older files have.
 SCHEMAS = {
-    "realization": (_realization, ("k", "m", "e", "A0", "A"), (("k",), ("m",)),
-                    (("e",),), (("A0",), ("A", 0))),
-    "point": (_point, ("rows", "cols", "re"), (("rows",), ("cols",)), (), ((),)),
+    "realization": (_legacy_realization, _REALIZATION_KEYS, _REALIZATION_HEADERS,
+                    (("e",),), (("A0",), ("A", 0)), ()),
+    "realization-compact": (_realization, _REALIZATION_KEYS, _REALIZATION_HEADERS,
+                            (("e",),), (), (("A", 0),)),
+    "point": (_point, ("rows", "cols", "re"), (("rows",), ("cols",)), (), ((),), ()),
     "measure": (_measure, ("n", "atoms", "weights"), (("n",),),
-                (("weights",),), (("atoms", 0), ("atoms", 1))),
+                (("weights",),), (("atoms", 0), ("atoms", 1)), ()),
 }
 BAD_ENTRIES = ["nan", "inf", "-inf", float("nan"), float("inf"), float("-inf"), True, False,
                None, [], {}, ["0x1p+0"], "zz", "", 10**400, "0x1p99999"]
 BAD_ROWS = ["10", "0x1p+0", 1.0, True, None, {}, {"0": "0x1p+0"}, []]
-BAD_HEADERS = [-1, "x", None, [], {}, float("nan"), float("inf")]
+BAD_HEADERS = [-1, "x", None, [], {}, float("nan"), float("inf"), 2.5, True]
+
+
+def _compact_mutations(c):
+    """Name -> (key, malformed value) for a compact payload ``c`` whose ``index``
+    is ``[0, 1, 2, 3]`` (every entry of a 2 x 2 matrix)."""
+    ix, re = c["index"], c["re"]
+    assert ix == list(range(4)) == list(range(c["rows"] * c["cols"]))
+    return {
+        "index-negative": ("index", [-1, *ix[1:]]),
+        "index-past-end": ("index", [*ix[:-1], 4]),
+        "index-past-int64": ("index", [*ix[:-1], 2 ** 64]),
+        "index-duplicate": ("index", [ix[0], *ix[:-1]]),
+        "index-unsorted": ("index", [ix[1], ix[0], *ix[2:]]),
+        "index-boolean": ("index", [False, True, *ix[2:]]),
+        "index-float": ("index", [float(i) for i in ix]),
+        "index-string": ("index", [str(i) for i in ix]),
+        "index-nested": ("index", [[i] for i in ix]),
+        "index-not-a-list": ("index", "0123"),
+        "index-scalar": ("index", 0),
+        "index-short": ("index", ix[:-1]),
+        "re-short": ("re", re[:-1]),
+        "re-long": ("re", re + re[:1]),
+        "re-single": ("re", re[:1]),  # numpy would broadcast it to every index
+        "im-short": ("im", re[:-1]),
+        "im-long": ("im", re + re[:1]),
+    }
+
+
+COMPACT_MUTATIONS = sorted(_compact_mutations(_realization()["A"][0]))
 
 
 def _at(payload, path):
@@ -94,17 +133,23 @@ def _at(payload, path):
 @st.composite
 def mutations(draw, schema):
     """A payload of ``schema`` with one authoritative field made invalid."""
-    make, required, headers, vectors, matrices = SCHEMAS[schema]
+    make, required, headers, vectors, dense, compact = SCHEMAS[schema]
     payload = make()
     sites = [("drop", (key,)) for key in required]
     sites += [("header", path) for path in headers]
-    sites += [("entry", path) for path in vectors]
-    sites += [(kind, path) for path in matrices for kind in ("row", "entry", "drop-re")]
+    sites += [("entry", path) for path in vectors + dense + compact]
+    sites += [(kind, path) for path in dense for kind in ("row", "drop-re")]
+    sites += [(kind, path) for path in compact
+              for kind in ("drop-re", "drop-index", *COMPACT_MUTATIONS)]
     kind, path = draw(st.sampled_from(sites))
     if kind == "drop":
         del payload[path[0]]
-    elif kind == "drop-re":
-        del _at(payload, path)["re"]
+    elif kind in ("drop-re", "drop-index"):
+        del _at(payload, path)[kind.removeprefix("drop-")]
+    elif kind in COMPACT_MUTATIONS:
+        target = _at(payload, path)
+        key, value = _compact_mutations(target)[kind]
+        target[key] = value
     elif kind == "header":
         parent = _at(payload, path[:-1])
         parent[path[-1]] = draw(st.sampled_from(BAD_HEADERS + [parent[path[-1]] + 1]))
@@ -129,7 +174,7 @@ def _run(tmp_path, schema, payload):
     realization, point = tmp_path / "r.json", tmp_path / "x.json"
     realization.write_text(jsonio.dumps(_realization()))
     point.write_text(jsonio.dumps(_point()))
-    return main(["eval", "--realization", str(path if schema == "realization" else realization),
+    return main(["eval", "--realization", str(path if schema != "point" else realization),
                  "--point", str(path if schema == "point" else point)])
 
 
@@ -148,6 +193,43 @@ def test_mutated_payload_exits_2(tmp_path, capsys, schema):
         assert capsys.readouterr().err.startswith("error: ")
 
     check()
+
+
+@pytest.mark.parametrize("name", COMPACT_MUTATIONS)
+def test_malformed_compact_payload_exits_2(tmp_path, capsys, name):
+    payload = _realization()
+    coeff = payload["A"][0]
+    key, value = _compact_mutations(coeff)[name]
+    coeff[key] = value
+    with pytest.raises(ValueError):  # not an IndexError or OverflowError from numpy
+        jsonio.matrix_from_json(coeff)
+    assert _run(tmp_path, "realization-compact", payload) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("side", [2 ** 28, 2 ** 31])  # 512 PiB, and past 2**64 bytes
+def test_compact_header_too_large_exits_2(tmp_path, capsys, side):
+    (tmp_path / "z.json").write_text(json.dumps(
+        {"rows": side, "cols": side, "index": [], "re": []}))
+    assert main(["schur", "--input", str(tmp_path / "z.json"), "--pivot-dim", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# a float or boolean equal to the true header value used to load as that integer
+@pytest.mark.parametrize("load, make, path, value", [
+    (jsonio.realization_from_json, _realization, ("k",), True),
+    (jsonio.realization_from_json, _realization, ("m",), 2.9),
+    (jsonio.realization_from_json, _legacy_realization, ("m",), 2.0),
+    (jsonio.matrix_from_json, lambda: _realization()["A"][0], ("rows",), 2.5),
+    (jsonio.matrix_from_json, _point, ("cols",), 2.7),
+    (jsonio.measure_from_json, _measure, ("n",), 2.0),
+    (jsonio.tuple_from_json, lambda: {"k": 1, "n": 2, "items": [_point()]}, ("k",), True),
+])
+def test_integer_header_rejects_floats_and_booleans(load, make, path, value):
+    payload = make()
+    _at(payload, path[:-1])[path[-1]] = value
+    with pytest.raises(ValueError, match=repr(path[-1])):
+        load(payload)
 
 
 def _report():
