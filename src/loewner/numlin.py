@@ -184,14 +184,6 @@ class Contraction:
         if norm > 1.0 + self.norm_tol:
             raise ValueError(f"operator norm {norm:.12f} exceeds 1")
 
-    @property
-    def source_dim(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def target_dim(self) -> int:
-        return self.entries.shape[0]
-
     def __array__(self, dtype=None):
         return self.entries if dtype is None else self.entries.astype(dtype)
 

@@ -12,8 +12,8 @@ Loewner order, which is what the verify suites exercise.
 
 Evaluation rotates e into the first coordinate (deterministic Householder
 reflection), so the shorted operator always pivots on the leading n rows.
-`eval` then takes one of four paths, chosen from the realization's shape
-and, for the first and third, also from the point:
+`eval` runs one of three kernels, chosen from the realization's shape and,
+for the spectral one, also from the point:
 
 * spectral (auxiliary dimension m > 1, every aux-by-aux block diagonal, and
   k = 1, or k = 2 with the rotated A0 zero): every trailing block and
@@ -23,25 +23,24 @@ and, for the first and third, also from the point:
   (`_spectral_short`): one ``eigh(X)``, or one Cholesky ``X1 = L L*`` and one
   ``eigh(L^-1 X2 L^-*)``.  The k = 2 form is taken only when the Cholesky
   succeeds and ``mu_min > sqrt(rank_tol) mu_max``; other points take the
-  batched path.  Oracles: `_arrowhead_short` and `shorted.shorted_operator`
+  batched kernel.  Oracles: `_arrowhead_short` and `shorted.shorted_operator`
   on the assembled pencil.
-* batched arrowhead (any other k >= 2 point with m > 1 and diagonal
-  aux-by-aux blocks): the trailing block splits into n x n blocks, one
-  batched ``eigh`` over them (`_arrowhead_short`).  Oracle:
-  `shorted.shorted_operator`.
+* batched (`_arrowhead_short`): one batched ``eigh`` over the blocks of a
+  block-diagonal trailing block.  Any other arrowhead point passes the n x n
+  blocks of `_arrowhead_blocks`; every other shape (m = 1 included) is the
+  one-block case, the trailing block of the assembled pencil, empty when
+  m = 1.  Oracle: `shorted.shorted_operator`, whose rank cut
+  ``rank_tol * lambda_max(Z22)`` the one-block case shares.
 * parallel-sum (m > 1, not arrowhead, the stored A0 and A_i diagonal, as
   for `harmonic` with three or more weights): ``(sum_j e_j^2 B_j^-1)^-1``
   over the diagonal blocks B_j of the unrotated pencil
   (`_parallel_sum_short`).  Points it does not admit, and every domain
-  error, go to the dense path.  Oracles: `_dense_short` and mpmath.
-* dense (any other shape, m = 1 included): one ``eigh`` of the trailing
-  block of the assembled pencil, empty when m = 1 (`_dense_short`).  Oracle:
-  `shorted.shorted_operator`, whose rank cut ``rank_tol * lambda_max(Z22)``
-  over the whole trailing block it shares.
+  error, go to the one-block batched kernel.  Oracles: that kernel and mpmath.
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
 Z22 >= 0, the range condition holds, and the complement is >= 0), written
-once in `_check_psd` and `_check_range`.  `eval_complex` has three paths:
+once in `_check_psd` and `_check_range`; ``rank_tol`` is fixed at
+`shorted.DEFAULT_RANK_TOL`.  `eval_complex` has three paths:
 
 * spectral (the shapes of the real spectral path with m > 2): every block is
   ``G1 P(M)`` for a polynomial P in ``M = Z`` or ``X1^-1 X2``, so one ``eig``
@@ -85,7 +84,7 @@ from .numlin import (
     _sym,
     as_tuple,
 )
-from .shorted import SingularPivotComplement
+from .shorted import DEFAULT_RANK_TOL, SingularPivotComplement
 
 __all__ = [
     "PencilRealization",
@@ -108,8 +107,8 @@ class PencilRealization:
     """Immutable affine-pencil realization (e, A0, A_1..A_k).
 
     Invariants enforced at construction: ``||e|| = 1`` to 1e-12 and every
-    coefficient PSD within the relative tolerance.  Stored in affine form;
-    ``b_form`` converts to the normalized-at-identity form
+    coefficient PSD within the relative tolerance ``DEFAULT_PSD_TOL``.
+    Stored in affine form; ``b_form`` converts to the normalized-at-identity form
     ``B0 (x) I + sum B_i (x) (X_i - I)`` with ``B_i = A_i``,
     ``B0 = A0 + sum A_i`` (so B0 >= sum B_i iff A0 >= 0).
     """
@@ -117,7 +116,6 @@ class PencilRealization:
     e: np.ndarray
     a0: SymMatrix
     coeffs: tuple
-    psd_tol: float = DEFAULT_PSD_TOL
 
     def __post_init__(self):
         e = np.asarray(self.e, dtype=float).reshape(-1)
@@ -132,9 +130,9 @@ class PencilRealization:
         m = e.shape[0]
         if a0.n != m or any(c.n != m for c in coeffs):
             raise DimensionMismatch("e, A0 and all A_i must share the auxiliary dimension")
-        _psd_check(np.linalg.eigvalsh(a0.entries), self.psd_tol, "A0")
+        _psd_check(np.linalg.eigvalsh(a0.entries), DEFAULT_PSD_TOL, "A0")
         for i, c in enumerate(coeffs):
-            _psd_check(np.linalg.eigvalsh(c.entries), self.psd_tol, f"A{i + 1}")
+            _psd_check(np.linalg.eigvalsh(c.entries), DEFAULT_PSD_TOL, f"A{i + 1}")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -180,11 +178,8 @@ def assemble_pencil(r: PencilRealization, x) -> SymMatrix:
     xt = as_tuple(x)
     if xt.k != r.k:
         raise DimensionMismatch(f"realization has {r.k} variables, point has {xt.k}")
-    n = xt.n
-    out = np.kron(r.a0.entries, np.eye(n))
-    for c, xi in zip(r.coeffs, xt.items):
-        out = out + np.kron(c.entries, xi.entries)
-    return SymMatrix(out)
+    return SymMatrix(_assembled_pencil(r.a0.entries, [c.entries for c in r.coeffs],
+                                       [xi.entries for xi in xt.items]))
 
 
 def _rotated_coefficients(r: PencilRealization):
@@ -211,8 +206,9 @@ def _diagonal(mats) -> bool:
     return not any(np.count_nonzero(c - np.diag(np.diag(c))) for c in mats)
 
 
-def _assembled_pencil(a0r, coeffs_r, arrays, dtype):
-    """``A0r (x) I + sum_i A_ir (x) X_i`` as a dense array of the given dtype."""
+def _assembled_pencil(a0r, coeffs_r, arrays):
+    """``A0r (x) I + sum_i A_ir (x) X_i`` as a dense array."""
+    dtype = np.result_type(a0r, *coeffs_r, *arrays)
     out = np.kron(a0r, np.eye(arrays[0].shape[0])).astype(dtype)
     for c, x in zip(coeffs_r, arrays):
         out = out + np.kron(c, np.asarray(x, dtype=dtype))
@@ -258,47 +254,49 @@ def _check_psd(value, scale, psd_tol, what):
         raise PencilDomainError(f"pencil not PSD at X: {what} eigenvalue {value:.3e}")
 
 
-def _check_range(off_norm, rank_tol, scale):
+def _check_range(off_norm, scale):
     """The range condition: the coupling mass ``off_norm`` against the
     dropped trailing eigenvectors is at most ``10 sqrt(rank_tol) scale``."""
-    bound = 10.0 * math.sqrt(rank_tol) * scale
+    bound = 10.0 * math.sqrt(DEFAULT_RANK_TOL) * scale
     if off_norm > bound:
         raise PencilDomainError(f"pencil not PSD at X: range condition violated "
                                 f"({off_norm:.3e} > {bound:.3e})")
 
 
-def _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, psd_tol, check_domain):
-    """Shorted operator of an arrowhead pencil, batched over aux coordinates.
+def _arrowhead_short(z11, blocks, couple, psd_tol):
+    """Shorted operator ``Z11 - sum_j R_j* B_j^+ R_j`` of a pencil whose
+    trailing block is the direct sum of the ``blocks`` B_j, coupled to the
+    pivot by ``couple`` R_j, from one batched ``eigh``.
 
-    For aux coordinate j the trailing block is
-    ``B_j = a0[j,j] I + sum_i c_i[j,j] X_i`` and the coupling to the pivot is
-    ``R_j = a0[j,0] I + sum_i c_i[j,0] X_i``; the complement is
-    ``Z11 - sum_j R_j* B_j^+ R_j`` with the same admission checks as the
-    dense path.  Serves k >= 2 where `_spectral_short` does not, and is its
-    fallback and oracle.
+    The blocks are the n x n ones of an arrowhead pencil (`_arrowhead_blocks`),
+    or the whole trailing block of an assembled pencil as one block (empty
+    when m = 1).  Eigenvalues of B_j at or below ``rank_tol * lambda_max(B_j)``
+    are dropped from the pseudo-inverse, as in `shorted.shorted_operator`.
+    The admission checks are fused in: the B_j are PSD, the couplings have no
+    mass (Frobenius) against the dropped eigenvectors, and the complement is
+    PSD.  Together these are equivalent to Z >= 0.
     """
-    n = arrays[0].shape[0]
-    z11, blocks, couple = _arrowhead_blocks(a0r, coeffs_r, arrays)
+    n = z11.shape[0]
     lam, u = np.linalg.eigh(blocks)
-    scale = max(1.0, float(np.linalg.eigvalsh(z11)[-1]), float(lam.max(initial=0.0)))
-    if check_domain:
-        _check_psd(float(lam.min(initial=0.0)), scale, psd_tol, "trailing-block")
+    # m = 1 leaves the complement Z11 itself: one spectrum for scale and check
+    spec11 = np.linalg.eigvalsh(z11 if lam.size else (z11 + _adjoint(z11)) / 2.0)
+    scale = max(1.0, float(spec11[-1]), float(lam.max(initial=0.0)))
+    _check_psd(float(lam.min(initial=0.0)), scale, psd_tol, "trailing-block")
     g = _adjoint(u) @ couple
-    del blocks, couple, u  # frees the shared block array before the complement
-    cut = rank_tol * np.clip(lam[:, -1], 0.0, None)
-    keep = lam > cut[:, None]
-    if check_domain and not np.all(keep):
+    del u  # frees the eigenvectors before the complement
+    keep = lam > DEFAULT_RANK_TOL * lam.max(axis=-1, initial=0.0)[:, None]
+    if not np.all(keep):
         off = np.where(keep[:, :, None], 0.0, np.abs(g) ** 2)
-        _check_range(math.sqrt(float(off.sum())), rank_tol, scale)
+        _check_range(math.sqrt(float(off.sum())), scale)
     winv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-    # sum_j g_j* diag(winv_j) g_j as one gemm over the (m-1) n rows of g
+    # sum_j g_j* diag(winv_j) g_j as one gemm over the rows of g
     gw = g * winv[:, :, None]
     if np.iscomplexobj(gw):
         np.conjugate(gw, out=gw)
     short = z11 - gw.reshape(-1, n).T @ g.reshape(-1, n)
     short = (short + short.conj().T) / 2.0
-    if check_domain:
-        _check_psd(float(np.linalg.eigvalsh(short)[0]), scale, psd_tol, "Schur complement")
+    smin = float((np.linalg.eigvalsh(short) if lam.size else spec11)[0])
+    _check_psd(smin, scale, psd_tol, "Schur complement")
     return short
 
 
@@ -324,7 +322,7 @@ def _spectral_terms(p, q, mu):
             lin(p[1:, 0], q[1:, 0]), lin(p[0, 1:], q[0, 1:]))
 
 
-def _spectral_short(p, q, x1, x2, rank_tol, psd_tol, check_domain):
+def _spectral_short(p, q, x1, x2, psd_tol):
     """Shorted operator of an arrowhead pencil whose blocks are all
     ``p_ij G1 + q_ij G2``: generators (I, X) for one variable (``x1`` None,
     p = A0, q = A1) and (X1, X2) for two with A0 = 0 (p = A1, q = A2).
@@ -345,32 +343,30 @@ def _spectral_short(p, q, x1, x2, rank_tol, psd_tol, check_domain):
         except np.linalg.LinAlgError:
             return None
         mu, w = np.linalg.eigh(np.linalg.solve(low, _adjoint(np.linalg.solve(low, x2))))
-        if not mu[0] > math.sqrt(rank_tol) * mu[-1]:
+        if not mu[0] > math.sqrt(DEFAULT_RANK_TOL) * mu[-1]:
             return None
         y = low @ w
     z, d, o, _ = _spectral_terms(p, q, mu)
     z, d = np.real(z), np.real(d)
     scale = max(1.0, float(z.max()), float(d.max()))
-    if check_domain:
-        _check_psd(float(d.min()), scale, psd_tol, "trailing-block")
+    _check_psd(float(d.min()), scale, psd_tol, "trailing-block")
     o2 = np.abs(o) ** 2
-    keep = d > rank_tol * np.clip(d.max(axis=1), 0.0, None)[:, None]
-    if check_domain and not np.all(keep):
-        _check_range(math.sqrt(float(o2[~keep].sum())), rank_tol, scale)
+    keep = d > DEFAULT_RANK_TOL * np.clip(d.max(axis=1), 0.0, None)[:, None]
+    if not np.all(keep):
+        _check_range(math.sqrt(float(o2[~keep].sum())), scale)
     f = z - np.where(keep, o2 / np.where(keep, d, 1.0), 0.0).sum(axis=0)
-    if check_domain:
-        _check_psd(float(f.min()), scale, psd_tol, "Schur complement")
+    _check_psd(float(f.min()), scale, psd_tol, "Schur complement")
     return (y * f) @ y.conj().T
 
 
 def _parallel_sum_short(r, arrays, rank_tol):
     """Short of ``L(X) = (+)_j B_j``, ``B_j = a0[j,j] I + sum_i c_i[j,j] X_i``
     (A0 and every A_i diagonal) onto e (x) I: the parallel sum
-    ``(sum_j e_j^2 B_j^-1)^-1`` (Anderson and Duffin).  None, for the dense
-    path, unless the B_j are positive definite (one batched Cholesky) and
-    ``max_j ||B_j||_F max_j ||B_j^-1||_F < 1 / sqrt(rank_tol)``: Z22 is a
-    compression of L(X), so the dense rank cut then drops nothing and every
-    admission check passes."""
+    ``(sum_j e_j^2 B_j^-1)^-1`` (Anderson and Duffin).  None, for the
+    one-block batched kernel, unless the B_j are positive definite (one
+    batched Cholesky) and ``max_j ||B_j||_F max_j ||B_j^-1||_F < 1 /
+    sqrt(rank_tol)``: Z22 is a compression of L(X), so that kernel's rank cut
+    then drops nothing and every admission check passes."""
     blocks = _linear_blocks(np.diag(r.a0.entries),
                             np.stack([np.diag(c.entries) for c in r.coeffs]), arrays)
     try:
@@ -385,44 +381,12 @@ def _parallel_sum_short(r, arrays, rank_tol):
     return (short + _adjoint(short)) / 2.0
 
 
-def _dense_short(z, n, rank_tol, psd_tol, check_domain):
-    """Shorted operator of an assembled pencil onto its leading n coordinates.
-
-    One ``eigh`` of the trailing block Z22 (empty for auxiliary dimension 1);
-    eigenvalues of Z22 at or below ``rank_tol * lambda_max(Z22)`` are dropped
-    from the pseudo-inverse, as in `shorted.shorted_operator`.  The admission
-    checks of `_arrowhead_short` are fused in: Z22 is PSD, the coupling has no
-    mass against the dropped eigenvectors, and the complement is PSD.
-    Together these are equivalent to Z >= 0.
-    """
-    z11, z21 = z[:n, :n], z[n:, :n]
-    lam, u = np.linalg.eigh(z[n:, n:])
-    top = float(lam.max(initial=0.0))
-    # m = 1 leaves the complement Z11 itself: one spectrum for scale and check
-    spec11 = np.linalg.eigvalsh(z11 if lam.size else (z11 + _adjoint(z11)) / 2.0)
-    scale = max(1.0, float(spec11[-1]), top)
-    if check_domain:
-        _check_psd(float(lam.min(initial=0.0)), scale, psd_tol, "trailing-block")
-    g = _adjoint(u) @ z21
-    keep = lam > rank_tol * top
-    if check_domain and not np.all(keep):
-        _check_range(float(np.linalg.norm(g[~keep], 2)), rank_tol, scale)
-    gk = g[keep]
-    short = z11 - _adjoint(gk) @ (gk / lam[keep][:, None])
-    short = (short + short.conj().T) / 2.0
-    if check_domain:
-        smin = float((np.linalg.eigvalsh(short) if lam.size else spec11)[0])
-        _check_psd(smin, scale, psd_tol, "Schur complement")
-    return short
-
-
-def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
-         rank_tol: float = 1e-12, check_domain: bool = True) -> SymMatrix:
+def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
     """Evaluate the realized function at a tuple of self-adjoint matrices.
 
-    Requires the pencil to be PSD at X (the realized domain); raises
-    PencilDomainError otherwise.  ``check_domain=False`` skips the admission
-    checks for certified-positive inputs.  The result is PSD.
+    Requires the pencil to be PSD at X (the realized domain) within the
+    relative tolerance ``tol``; raises PencilDomainError otherwise.  The
+    result is PSD.
     """
     xt = as_tuple(x)
     if xt.k != r.k:
@@ -430,27 +394,31 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL,
     a0r, coeffs_r, shape = r._layout
     arrays = [xi.entries for xi in xt.items]
     args = _spectral_args(a0r, coeffs_r, arrays) if shape == "arrowhead" else None
-    short = None if args is None else _spectral_short(*args, rank_tol, tol, check_domain)
+    short = None if args is None else _spectral_short(*args, tol)
     if short is None and shape == "arrowhead":
-        short = _arrowhead_short(a0r, coeffs_r, arrays, rank_tol, tol, check_domain)
+        short = _arrowhead_short(*_arrowhead_blocks(a0r, coeffs_r, arrays), tol)
     elif shape == "parallel-sum":
-        short = _parallel_sum_short(r, arrays, rank_tol)
+        short = _parallel_sum_short(r, arrays, DEFAULT_RANK_TOL)
     if short is None:
-        z = _assembled_pencil(a0r, coeffs_r, arrays, np.result_type(a0r, *coeffs_r, *arrays))
-        short = _dense_short(z, xt.n, rank_tol, tol, check_domain)
+        z, n = _assembled_pencil(a0r, coeffs_r, arrays), xt.n
+        short = _arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], tol)
     return SymMatrix(short)
 
 
-def _check_pivot(blocks, sv_tol, scale):
-    """Raise SingularPivotComplement unless ``sigma_min(blocks) > sv_tol * scale``."""
+# Relative singular-value floor of the trailing block at complex points.
+_SV_TOL = 1e-12
+
+
+def _check_pivot(blocks, scale):
+    """Raise SingularPivotComplement unless ``sigma_min(blocks) > _SV_TOL * scale``."""
     smin = float(np.linalg.svd(blocks, compute_uv=False).min(initial=np.inf))
-    if smin <= sv_tol * scale:
+    if smin <= _SV_TOL * scale:
         raise SingularPivotComplement(
             f"pivot complement block singular (sigma_min = {smin:.3e}); "
             "imaginary-part positivity violated beyond tolerance")
 
 
-def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
+def _arrowhead_schur_complex(a0r, coeffs_r, arrays):
     """Complex-point Schur complement of an arrowhead pencil, batched.
 
     The pivot-column coupling is ``R_j = o0_j I + sum_i o_ij X_i`` and, the
@@ -461,7 +429,7 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
     z11, blocks, couple, row = _arrowhead_blocks(a0r, coeffs_r, arrays, row=True)
     scale = max(1.0, float(np.abs(blocks).sum(axis=-1).max()),
                 float(np.abs(z11).sum(axis=-1).max()))
-    _check_pivot(blocks, sv_tol, scale)
+    _check_pivot(blocks, scale)
     solved = np.linalg.solve(blocks, couple)
     # kept as einsum for m = 2 pencils and spectral fallbacks: a gemm here
     # changes the bits of the pinned herglotz report of cauchy:2
@@ -477,7 +445,7 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol):
 _EIG_COND_MAX = 1e3
 
 
-def _spectral_complex(p, q, x1, x2, margin, sv_tol):
+def _spectral_complex(p, q, x1, x2, margin):
     """Complex-point Schur complement of an arrowhead pencil whose blocks are
     all ``p_ij G1 + q_ij G2`` (the generators of `_spectral_args`).
 
@@ -487,7 +455,7 @@ def _spectral_complex(p, q, x1, x2, margin, sv_tol):
     with ``f = z - sum_j o'_j o_j / d_j``.  Returns None, for
     `_arrowhead_schur_complex`, when ``kappa_1(V) >= _EIG_COND_MAX`` or when
     ``sigma_min(B_j) >= margin min|d| / (n kappa_1(V))`` (``margin`` <=
-    sigma_min(G1); kappa_2 <= n kappa_1) does not clear ``sv_tol`` times an
+    sigma_min(G1); kappa_2 <= n kappa_1) does not clear ``_SV_TOL`` times an
     upper bound on the batched path's scale: every SingularPivotComplement,
     and its message, comes from the batched path.
     """
@@ -503,13 +471,13 @@ def _spectral_complex(p, q, x1, x2, margin, sv_tol):
     scale = max(1.0, float((np.abs(np.diag(p)) * g1_norm
                             + np.abs(np.diag(q)) * np.linalg.norm(x2, np.inf)).max()))
     z, d, o, orow = _spectral_terms(p, q, mu)
-    if not g1_min * float(np.abs(d).min()) > mu.shape[0] * kappa * sv_tol * scale:
+    if not g1_min * float(np.abs(d).min()) > mu.shape[0] * kappa * _SV_TOL * scale:
         return None
     out = (v * (z - (orow * o / d).sum(axis=0))) @ w
     return out if x1 is None else x1 @ out
 
 
-def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
+def eval_complex(r: PencilRealization, x) -> np.ndarray:
     """Evaluate the pencil's analytic continuation at a tuple with definite
     imaginary parts.
 
@@ -545,14 +513,14 @@ def eval_complex(r: PencilRealization, x, sv_tol: float = 1e-12) -> np.ndarray:
     a0r, coeffs_r, shape = r._layout
     # m = 2 pencils gain nothing from the eigendecomposition
     args = _spectral_args(a0r, coeffs_r, arrays) if shape == "arrowhead" and r.m > 2 else None
-    out = None if args is None else _spectral_complex(*args, margins[0], sv_tol)
+    out = None if args is None else _spectral_complex(*args, margins[0])
     if out is not None:
         return out
     if shape == "arrowhead":
-        return _arrowhead_schur_complex(a0r, coeffs_r, arrays, sv_tol)
-    z = _assembled_pencil(a0r, coeffs_r, arrays, complex)
+        return _arrowhead_schur_complex(a0r, coeffs_r, arrays)
+    z = _assembled_pencil(a0r, coeffs_r, arrays)
     z22 = z[n:, n:]
-    _check_pivot(z22, sv_tol, max(1.0, float(np.abs(z).sum(axis=1).max())))
+    _check_pivot(z22, max(1.0, float(np.abs(z).sum(axis=1).max())))
     return z[:n, :n] - z[:n, n:] @ np.linalg.solve(z22, z[n:, :n])
 
 
@@ -564,8 +532,9 @@ def b_form(r: PencilRealization):
     return SymMatrix(b0), [SymMatrix(c.entries) for c in r.coeffs]
 
 
-def from_b_form(k: int, m: int, e, b0, b, tol: float = DEFAULT_PSD_TOL) -> PencilRealization:
-    """Inverse of `b_form`; validates B_i >= -tol and B0 >= sum B_i - tol."""
+def from_b_form(k: int, m: int, e, b0, b) -> PencilRealization:
+    """Inverse of `b_form`; validates B_i >= 0 and B0 >= sum B_i within the
+    relative tolerance ``DEFAULT_PSD_TOL`` of `PencilRealization`."""
     if len(b) != k:
         raise ValueError(f"expected {k} coefficient matrices, got {len(b)}")
     e = np.asarray(e, dtype=float).reshape(-1)
@@ -575,6 +544,6 @@ def from_b_form(k: int, m: int, e, b0, b, tol: float = DEFAULT_PSD_TOL) -> Penci
     for bi in b:
         a0 = a0 - _as_array(_sym(bi))
     try:
-        return PencilRealization(e, SymMatrix(a0), tuple(_sym(bi) for bi in b), psd_tol=tol)
+        return PencilRealization(e, SymMatrix(a0), tuple(_sym(bi) for bi in b))
     except ValueError as exc:
         raise ValueError(f"B-form constraints violated: {exc}") from exc

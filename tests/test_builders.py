@@ -337,7 +337,7 @@ def pencil_bytes(r):
     """Every stored array of a realization, with dtype and shape: equal bytes
     mean bit-identical coefficients, the sign of zeros included."""
     return [(a.dtype.str, a.shape, a.tobytes())
-            for a in (r.e, r.a0.entries, *(c.entries for c in r.coeffs))] + [r.psd_tol]
+            for a in (r.e, r.a0.entries, *(c.entries for c in r.coeffs))]
 
 
 QUADRATURE_SPECS = ["sqrt", "power:0.37", "power:0.5", "power:0.9", "geomean:0.5",

@@ -1,5 +1,6 @@
 """Tests for pencil realizations and their evaluation."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -37,11 +38,11 @@ from loewner.numlin import (
 )
 from loewner.pencil import (
     _EIG_COND_MAX,
+    _arrowhead_blocks,
     _arrowhead_schur_complex,
     _arrowhead_short,
     _assembled_pencil,
     _aux_blocks_diagonal,
-    _dense_short,
     _parallel_sum_short,
     _rotated_coefficients,
     _spectral_args,
@@ -107,6 +108,12 @@ class TestAssemble:
         out = assemble_pencil(r, MatrixTuple((np.eye(2),)))
         b0, _ = b_form(r)
         np.testing.assert_allclose(out.entries, np.kron(b0.entries, np.eye(2)))
+        # bit for bit the Kronecker sum, at a real and a complex-Hermitian point
+        rng = np.random.default_rng(15)
+        for x in (random_pd(3, (0.5, 2), rng), SymMatrix(complex_pd(3, rng))):
+            kron = np.kron(r.a0.entries, np.eye(3)) + np.kron(r.coeffs[0].entries, x.entries)
+            got = assemble_pencil(r, MatrixTuple((x,))).entries
+            assert got.dtype == kron.dtype and np.array_equal(got, SymMatrix(kron).entries)
 
     def test_arity_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -203,6 +210,27 @@ class TestEval:
             ref, znorm = rotated_oracle(r, x)
             assert operator_norm(eval_pencil(r, x).entries - ref) <= 1e-12 * znorm
 
+    @pytest.mark.parametrize("lam,raises", [([2.0, -1.0, 0.5], True), ([2.0, 0.3, 0.5], False)])
+    def test_dense_range_condition(self, lam, raises):
+        # two-scale's own trailing block A1_aux (x) X is PSD only where X is,
+        # and then the coupling has no mass on its null space; the shifted
+        # variant's is singular at the eigenvalue -1, with coupling mass 0.58
+        # there.  At the admitted point the 1e-14 component (at most 9e-14)
+        # still falls below the cut 9e-12.
+        r = shifted_two_scale_realization()
+        assert eval_path(r) == "dense"
+        xt = MatrixTuple((np.diag(lam),))
+        try:
+            ref, znorm = rotated_oracle(r, xt)
+        except (NotPositiveSemidefinite, RangeConditionViolation):
+            ref = None
+        assert (ref is None) == raises
+        if raises:
+            with pytest.raises(PencilDomainError, match="range condition"):
+                eval_pencil(r, xt)
+        else:
+            assert operator_norm(eval_pencil(r, xt).entries - ref) <= 1e-13 * znorm
+
 
 def complex_coefficient_realization():
     # Hermitian PSD A1 (eigenvalues 0, 1, 4) with complex pivot couplings
@@ -231,12 +259,27 @@ def two_scale_realization():
                              (SymMatrix(a1),))
 
 
+def shifted_two_scale_realization():
+    """`two_scale_realization` with the aux block of A0 equal to that of A1:
+    the trailing block ``A1_aux (x) (I + X)`` is PSD-singular where X has
+    eigenvalue -1, and the coupling ``A1_aux0 (x) X`` has mass there."""
+    base = two_scale_realization()
+    a0 = base.a0.entries.copy()
+    a0[1:, 1:] = base.coeffs[0].entries[1:, 1:]
+    return PencilRealization(base.e, SymMatrix(a0), base.coeffs)
+
+
 def rotated_oracle(r, xt):
     """Dense shorted operator of the rotated, assembled pencil, and that
     pencil's norm."""
     rot = np.kron(householder_to_e1(r.e), np.eye(xt.n))
     z = rot @ assemble_pencil(r, xt).entries @ rot.T
     return shorted_operator(SymMatrix(z), xt.n).s_short.entries, operator_norm(z)
+
+
+def batched_short(a0r, coeffs_r, xs):
+    """The batched kernel on the n x n blocks of a rotated arrowhead pencil."""
+    return _arrowhead_short(*_arrowhead_blocks(a0r, coeffs_r, xs), 1e-9)
 
 
 def spectral_and_oracles(r, x):
@@ -246,7 +289,7 @@ def spectral_and_oracles(r, x):
     a0r, coeffs_r = _rotated_coefficients(r)
     assert r.k == 1 and r.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r)
     fast = eval_pencil(r, xt).entries
-    batched = _arrowhead_short(a0r, coeffs_r, [xt.items[0].entries], 1e-12, 1e-9, True)
+    batched = batched_short(a0r, coeffs_r, [xt.items[0].entries])
     ref, znorm = rotated_oracle(r, xt)
     return fast, batched, ref, znorm
 
@@ -273,7 +316,7 @@ class TestSpectralPath:
         def fail(*args):
             raise AssertionError("batched arrowhead path taken")
 
-        monkeypatch.setattr("loewner.pencil._arrowhead_short", fail)
+        monkeypatch.setattr("loewner.pencil._arrowhead_blocks", fail)
         r = build_realization("power:0.5", n_nodes=24)
         x = random_pd(4, (0.1, 10), 0)
         out = eval_pencil(r, MatrixTuple((x,))).entries
@@ -346,7 +389,7 @@ class TestSpectralPath:
             ref = np.array(ref.tolist(), dtype=float)
         a0r, coeffs_r = _rotated_coefficients(r)
         fast = eval_pencil(r, MatrixTuple((x,))).entries
-        batched = _arrowhead_short(a0r, coeffs_r, [x], 1e-12, 1e-9, True)
+        batched = batched_short(a0r, coeffs_r, [x])
         norm = operator_norm(ref)
         assert operator_norm(fast - ref) <= rel * norm
         assert operator_norm(batched - ref) <= rel * norm
@@ -376,8 +419,7 @@ class TestSpectralPath:
         r = build_realization(spec, n_nodes=24)
         a0r, coeffs_r = _rotated_coefficients(r)
         spectral = raises_domain_error(lambda: eval_pencil(r, MatrixTuple((x,))))
-        batched = raises_domain_error(
-            lambda: _arrowhead_short(a0r, coeffs_r, [x], 1e-12, 1e-9, True))
+        batched = raises_domain_error(lambda: batched_short(a0r, coeffs_r, [x]))
         assert spectral == batched == raises
 
 
@@ -517,7 +559,7 @@ def spectral_point(seed, spectra, n):
 def two_generator_short(r, x1, x2):
     """The two-generator spectral form at (X1, X2), None when not admitted."""
     _, (c1, c2), _ = r._layout
-    return _spectral_short(c1, c2, x1, x2, 1e-12, 1e-9, True)
+    return _spectral_short(c1, c2, x1, x2, 1e-9)
 
 
 def domain_outcome(fn):
@@ -536,7 +578,7 @@ class TestTwoGeneratorPath:
         def fail(*args):
             raise AssertionError("batched arrowhead path taken")
 
-        monkeypatch.setattr("loewner.pencil._arrowhead_short", fail)
+        monkeypatch.setattr("loewner.pencil._arrowhead_blocks", fail)
         x1 = random_pd(64, (0.3, 3.0), 51).entries
         x2 = random_pd(64, (0.3, 3.0), 52).entries
         got = eval_pencil(build_realization("geomean:0.5", n_nodes=96), [x1, x2]).entries
@@ -570,9 +612,9 @@ class TestTwoGeneratorPath:
 
         def spy(*args):
             calls.append(1)
-            return _arrowhead_short(*args)
+            return _arrowhead_blocks(*args)
 
-        monkeypatch.setattr("loewner.pencil._arrowhead_short", spy)
+        monkeypatch.setattr("loewner.pencil._arrowhead_blocks", spy)
         got = eval_pencil(r, [x1, x2]).entries
         assert calls == [1]
         ref = mp_complement(r, [x1, x2])
@@ -592,8 +634,7 @@ class TestTwoGeneratorPath:
         r = build_realization(spec, n_nodes=24)
         a0r, coeffs_r, _ = r._layout
         got = domain_outcome(lambda: eval_pencil(r, [x1, x2]).entries)
-        want = domain_outcome(
-            lambda: _arrowhead_short(a0r, coeffs_r, [x1, x2], 1e-12, 1e-9, True))
+        want = domain_outcome(lambda: batched_short(a0r, coeffs_r, [x1, x2]))
         assert got[0] == want[0] == ("error" if raises else "ok")
         if raises:
             assert got[1] == want[1]
@@ -809,12 +850,12 @@ def parallel_sum_kappa(r, xs):
             * max(np.linalg.norm(np.linalg.inv(b)) for b in blocks))
 
 
-def dense_reference(r, xs, check_domain=True):
-    """`_dense_short` of the rotated, assembled pencil at the symmetrized
-    point, as `eval` returns it."""
+def dense_reference(r, xs):
+    """The batched kernel on the rotated, assembled pencil at the symmetrized
+    point, its trailing block as one block, as `eval` returns it."""
     a0r, coeffs_r, _ = r._layout
-    z = _assembled_pencil(a0r, coeffs_r, [SymMatrix(x).entries for x in xs], np.result_type(*xs))
-    return SymMatrix(_dense_short(z, xs[0].shape[0], 1e-12, 1e-9, check_domain)).entries
+    z, n = _assembled_pencil(a0r, coeffs_r, [SymMatrix(x).entries for x in xs]), xs[0].shape[0]
+    return SymMatrix(_arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], 1e-9)).entries
 
 
 def pencil_norm(r, xs):
@@ -824,14 +865,15 @@ def pencil_norm(r, xs):
 class TestParallelSumPath:
     """Block-diagonal pencils that are not arrowhead after the rotation
     (`harmonic` with three or more weights) evaluate as the parallel sum
-    ``(sum_j e_j^2 B_j^-1)^-1``; `_dense_short` is the fallback and, with a
-    50-digit complement of the rotated pencil, the oracle."""
+    ``(sum_j e_j^2 B_j^-1)^-1``; the one-block batched kernel on the assembled
+    pencil is the fallback and, with a 50-digit complement of the rotated
+    pencil, the oracle."""
 
     def test_dense_path_not_used(self, monkeypatch):
         def fail(*args):
             raise AssertionError("dense path taken")
 
-        monkeypatch.setattr("loewner.pencil._dense_short", fail)
+        monkeypatch.setattr("loewner.pencil._assembled_pencil", fail)
         rng = np.random.default_rng(70)
         xs = [random_pd(64, (0.1, 10), rng).entries for _ in range(3)]
         got = eval_pencil(PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"], xs).entries
@@ -910,29 +952,17 @@ class TestParallelSumPath:
         assert np.iscomplexobj(got)
         assert operator_norm(got - dense_reference(r, xs)) <= 1e-13 * pencil_norm(r, xs)
 
-    @pytest.mark.parametrize("spec", ["harmonic:0.2,0.3,0.5", "block-diagonal"])
-    def test_check_domain_false(self, spec):
-        r = PATH_REALIZATIONS[spec]
-        rng = np.random.default_rng(71)
-        xs = [random_pd(4, (0.1, 10), rng).entries for _ in range(r.k)]
-        fast = eval_pencil(r, xs, check_domain=False).entries
-        assert np.array_equal(fast, eval_pencil(r, xs).entries)
-        dense = dense_reference(r, xs, check_domain=False)
-        assert operator_norm(fast - dense) <= 1e-13 * pencil_norm(r, xs)
-        # outside the domain the unchecked dense path runs, bit for bit
-        bad = [-x for x in xs]
-        assert np.array_equal(eval_pencil(r, bad, check_domain=False).entries,
-                              dense_reference(r, bad, check_domain=False))
 
-
-# One `eval` per path (spectral, two-generator, batched fallback at a wide-mu
-# point, parallel-sum, its dense fallback at a PSD-singular point, dense) and
+# One `eval` per route (spectral, two-generator, the batched kernel on the
+# blocks of a wide-mu point, parallel-sum, and the one-block batched kernel at
+# a PSD-singular parallel-sum point, at m = 1 and at m > 1 for two-scale) and
 # one `eval_complex` per path (spectral with k = 1 and k = 2, arrowhead, dense).
 SCIPY_LINALG_PROBE = """
 import sys
 import numpy as np
-from loewner import build_realization, eval_complex, eval_pencil, random_pd
-
+from loewner import (PencilRealization, SymMatrix, build_realization, eval_complex,
+                     eval_pencil, random_pd)
+""" + inspect.getsource(two_scale_realization) + """
 x = [random_pd(4, (0.5, 2.0), s).entries for s in range(2)]
 wide = np.diag([1e-8, 1.0, 1e8, 1.0])
 singular = np.diag([1.0, 0.0, 2.0, 1.0])
@@ -940,6 +970,7 @@ for spec, point in [("power:0.5", x[:1]), ("geomean:0.5", x), ("geomean:0.5", [w
                     ("harmonic:0.2,0.3,0.5", [*x, x[0]]),
                     ("harmonic:0.2,0.3,0.5", [singular, *x]), ("arithmetic:0.4,0.6", x)]:
     eval_pencil(build_realization(spec, n_nodes=8), point)
+eval_pencil(two_scale_realization(), x[:1])
 for spec in ("power:0.5", "geomean:0.5", "cauchy:1.0", "arithmetic:0.4,0.6"):
     r = build_realization(spec, n_nodes=8)
     eval_complex(r, [xi + 1j * np.eye(4) for xi in x[:r.k]])
@@ -1130,11 +1161,11 @@ def complex_oracle(r, x):
     return block_schur_general(z, n), operator_norm(z)
 
 
-def spectral_complex(r, x, sv_tol=1e-12):
+def spectral_complex(r, x):
     """The complex spectral form at x, None when it is not admitted."""
     a0r, coeffs_r, _ = r._layout
     margin = float(np.abs(np.linalg.eigvalsh((x[0] - x[0].conj().T) / 2j)).min())
-    return _spectral_complex(*_spectral_args(a0r, coeffs_r, x), margin, sv_tol)
+    return _spectral_complex(*_spectral_args(a0r, coeffs_r, x), margin)
 
 
 # Z - 2i I is nilpotent: Z is defective, with Im Z of eigenvalues 1 and 3
@@ -1163,7 +1194,7 @@ class TestComplexSpectralPath:
         x = [rng.standard_normal((16, 16)) for _ in range(r.k)]
         x = [(a + a.T) / 2 + 1j * random_pd(16, (0.1, 10), rng).entries for a in x]
         a0r, coeffs_r, _ = r._layout
-        ref = _arrowhead_schur_complex(a0r, coeffs_r, x, 1e-12)
+        ref = _arrowhead_schur_complex(a0r, coeffs_r, x)
         calls = spy_on_batched_complex(monkeypatch)
         got = eval_complex(r, x)
         assert calls == []
@@ -1242,7 +1273,7 @@ def test_spectral_complex_matches_batched_and_dense(case):
     assert fast is not None
     assert np.array_equal(eval_complex(r, x), fast)
     a0r, coeffs_r, _ = r._layout
-    batched = _arrowhead_schur_complex(a0r, coeffs_r, x, 1e-12)
+    batched = _arrowhead_schur_complex(a0r, coeffs_r, x)
     ref, znorm = complex_oracle(r, x)
     assert operator_norm(fast - batched) <= 1e-12 * max(1.0, znorm)
     assert operator_norm(fast - ref) <= 1e-12 * max(1.0, znorm)
