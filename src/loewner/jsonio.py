@@ -60,7 +60,6 @@ __all__ = [
     "report_to_json",
     "report_from_json",
     "coupling_to_json",
-    "coupling_from_json",
     "upper_certificate_to_json",
     "hull_certificate_to_json",
 ]
@@ -347,14 +346,6 @@ def coupling_to_json(c: Coupling) -> dict:
         "row_weights": _hex_vector(c.row_weights),
         "col_weights": _hex_vector(c.col_weights),
     }
-
-
-def coupling_from_json(d: dict) -> Coupling:
-    return Coupling(
-        matrix_from_json(d["gamma"]),
-        _unhex_vector(d["row_weights"]),
-        _unhex_vector(d["col_weights"]),
-    )
 
 
 def upper_certificate_to_json(cert: UpperSetCertificate) -> dict:

@@ -247,13 +247,19 @@ def _max_flow(size: int, edges, caps, source: int, sink: int, eps: float = 1e-13
     return float(row.sum()), np.asarray(flow[0::2], dtype=float), reachable
 
 
-def _stacked(atoms):
-    """Atoms stacked by dtype as (indices, stack) pairs, and every atom's
-    largest |eigenvalue| from one ``eigvalsh`` per stack."""
+def _dtype_stacks(atoms):
+    """Atoms stacked by dtype as (indices, stack) pairs, so that a stacked
+    LAPACK call gives each atom the bits of the call on the atom alone."""
     groups = {}
     for k, a in enumerate(atoms):
         groups.setdefault(a.entries.dtype, []).append(k)
-    stacks = [(idx, np.stack([atoms[k].entries for k in idx])) for idx in groups.values()]
+    return [(idx, np.stack([atoms[k].entries for k in idx])) for idx in groups.values()]
+
+
+def _stacked(atoms):
+    """`_dtype_stacks`, and every atom's largest |eigenvalue| from one
+    ``eigvalsh`` per stack."""
+    stacks = _dtype_stacks(atoms)
     ext = np.empty(len(atoms))
     for idx, stack in stacks:
         ext[idx] = np.abs(np.linalg.eigvalsh(stack)[:, [0, -1]]).max(axis=1)
@@ -399,24 +405,99 @@ def couplings_sample(mu: DiscreteMeasure, nu: DiscreteMeasure,
 # operator means
 # ---------------------------------------------------------------------------
 
-def _weighted_matrix_sum(weights, mats) -> np.ndarray:
-    """Entrywise exactly rounded weighted sum of matrices.
+# One ``math.fsum`` call per column costs about (p + 8) x N term-steps for p
+# terms and N columns; below this many the loop beats the fixed cost of the
+# vectorised sum.  On one x86-64 core the two break even near N = 120 columns
+# at p = 10 and N = 40 at p = 40.
+_VECTOR_SUM_MIN = 2048
+# A column whose largest |term| reaches this over the term count goes to
+# ``math.fsum``: below it no partial sum of fsum or of the TwoSum tree can
+# overflow, so fsum raises exactly where the vectorised sum is not taken.
+_TWO_SUM_LIMIT = 2.0 ** 1020
 
-    ``math.fsum`` is order-independent, which makes every mean built on it
+
+def _two_sum_tree(rows: np.ndarray):
+    """Pairwise float sum ``s`` of the rows of a (p, N) array and the (p - 1, N)
+    TwoSum errors of its additions, so that ``s + sum(err)`` is the exact
+    column sum (Knuth's TwoSum is error-free without overflow)."""
+    err = np.empty((rows.shape[0] - 1, rows.shape[1]))
+    done = 0
+    while (m := rows.shape[0]) > 1:
+        h = m // 2
+        a, b = rows[:h], rows[m - h:]
+        nxt = np.empty((m - h, rows.shape[1]))
+        hi = np.add(a, b, out=nxt[:h])
+        nxt[h:] = rows[h:m - h]
+        bb = hi - a
+        e = np.subtract(a, hi - bb, out=err[done:done + h])
+        e += b - bb
+        done += h
+        rows = nxt
+    return rows[0], err
+
+
+def _exact_column_sums(flat: np.ndarray) -> np.ndarray:
+    """Column sums of a (p, N) float64 array, p >= 2, with ``math.fsum``'s bits.
+
+    After the TwoSum tree the exact sum is ``s + sum(err)``.  The float sum
+    ``c`` of the p - 1 errors is off by at most ``gamma_{p-2} sum|err|``
+    (``bound``, taken four times over to cover its own rounding), and
+    ``(r, d) = TwoSum(s, c)`` gives ``exact = r + d + delta`` with
+    ``|delta| <= bound``.  ``r`` is then the correctly rounded sum when
+    ``|d| + bound`` is strictly below half the smaller gap from ``r`` to a
+    neighbouring float, or when ``bound`` is 0 (``c`` exact, so ``r`` is the
+    rounding of the exact sum itself, ties to even included).  Correct
+    rounding has one result, so that is fsum's.  No TwoSum error is -0.0, so
+    neither is ``r``: an exact zero is +0.0, as in fsum.  Every other column,
+    and every column past ``_TWO_SUM_LIMIT`` or not finite, is summed by
+    ``math.fsum`` in order, raising where it raises.
+    """
+    p = flat.shape[0]
+    limit = _TWO_SUM_LIMIT / p
+    safe, work = True, flat
+    if not np.abs(flat).max() < limit:
+        safe = np.abs(flat).max(axis=0) < limit
+        work = np.where(safe, flat, 0.0)
+    s, err = _two_sum_tree(work)
+    c = err.sum(axis=0)
+    bound = np.abs(err).sum(axis=0)
+    bound *= (p - 2) * 2.0 ** -51
+    r = s + c
+    bb = r - s
+    d = (s - (r - bb)) + (c - bb)
+    mag = np.abs(r)
+    half_gap = mag - np.nextafter(mag, 0.0)
+    half_gap *= 0.5
+    slack = np.abs(d, out=d)
+    slack += bound
+    ok = ((slack < half_gap) | (bound == 0.0)) & safe
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        r[redo] = [math.fsum(col) for col in flat[:, redo].T.tolist()]
+    return r
+
+
+def _weighted_matrix_sum(weights, stack: np.ndarray) -> np.ndarray:
+    """Entrywise exactly rounded weighted sum ``sum_i w_i stack[i]``.
+
+    Correct rounding is order-independent, which makes every mean built on it
     bitwise invariant under atom permutation; splitting an atom into two
     copies at half weight is also exact because halving and summing equal
-    terms commute with rounding.
+    terms commute with rounding.  Each entry has the bits ``math.fsum`` gives
+    it: small sums call fsum per entry, larger ones take the vectorised
+    TwoSum sum of `_exact_column_sums` (after Ogita, Rump & Oishi, "Accurate
+    sum and dot product", SISC 2005).  Complex terms are summed as the real
+    and imaginary columns of their float64 view.
     """
-    terms = [w * np.asarray(m) for w, m in zip(weights, mats)]
-    if len(terms) == 1:
+    terms = np.asarray(weights, dtype=float)[:, None, None] * stack
+    if terms.shape[0] == 1:
         return terms[0]
-    if any(np.iscomplexobj(m) for m in terms):
-        re = _weighted_matrix_sum([1.0] * len(terms), [m.real for m in terms])
-        im = _weighted_matrix_sum([1.0] * len(terms), [m.imag for m in terms])
-        return re + 1j * im
-    flat = np.stack(terms).reshape(len(terms), -1)
-    out = np.array([math.fsum(col) for col in flat.T.tolist()])
-    return out.reshape(terms[0].shape)
+    flat = terms.view(np.float64).reshape(terms.shape[0], -1)
+    if (flat.shape[0] + 8) * flat.shape[1] < _VECTOR_SUM_MIN:
+        out = np.array([math.fsum(col) for col in flat.T.tolist()])
+    else:
+        out = _exact_column_sums(flat)
+    return out.view(terms.dtype).reshape(terms.shape[1:])
 
 
 def _geomean_pair(x: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:
@@ -455,11 +536,10 @@ def power_mean(weights, atoms, t: float, max_iter: int = 500) -> SymMatrix:
         raise ValueError("weights must be positive and sum to 1")
     if not 0.0 < t <= 1.0:
         raise ValueError(f"power-mean exponent must lie in (0, 1], got {t}")
-    arith = _weighted_matrix_sum(w, mats)
-    if t == 1.0:
-        return SymMatrix(arith)
-    x = arith
     stack = np.stack(mats)
+    x = _weighted_matrix_sum(w, stack)
+    if t == 1.0:
+        return SymMatrix(x)
     step = np.inf
     for _ in range(max_iter):
         nxt = _weighted_matrix_sum(w, _geomean_pair(x, stack, t))
@@ -495,12 +575,15 @@ def mean_of_measure(spec, mu: DiscreteMeasure) -> SymMatrix:
     splitting an atom into equal-weight copies (means depend on the measure,
     not its presentation)."""
     parsed = parse_mean_spec(spec) if isinstance(spec, str) else tuple(spec)
-    mats = [a.entries for a in mu.atoms]
     if parsed[0] == "arithmetic":
-        return SymMatrix(_weighted_matrix_sum(mu.weights, mats))
+        stack = np.stack([a.entries for a in mu.atoms])
+        return SymMatrix(_weighted_matrix_sum(mu.weights, stack))
     if parsed[0] == "harmonic":
-        acc = _weighted_matrix_sum(mu.weights, [np.linalg.inv(a) for a in mats])
-        return SymMatrix(np.linalg.inv(acc))
+        groups = _dtype_stacks(mu.atoms)
+        inv = np.empty((mu.size, mu.n, mu.n), dtype=np.result_type(*(g for _, g in groups)))
+        for idx, group in groups:
+            inv[idx] = np.linalg.inv(group)
+        return SymMatrix(np.linalg.inv(_weighted_matrix_sum(mu.weights, inv)))
     if parsed[0] == "power":
         return power_mean(mu.weights, mu.atoms, parsed[1])
     raise ValueError(f"unsupported mean spec {parsed!r}")

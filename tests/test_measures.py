@@ -1,12 +1,14 @@
 """Tests for measures, stochastic order, couplings and operator means."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loewner import (
     Coupling,
@@ -25,12 +27,15 @@ from loewner import (
     stochastic_leq,
 )
 from loewner.measures import (
+    _VECTOR_SUM_MIN,
+    _exact_column_sums,
     _geomean_pair,
     _order_relation,
+    _weighted_matrix_sum,
     parse_mean_spec,
     pushforward_weights,
 )
-from loewner.numlin import operator_norm
+from loewner.numlin import SymMatrix, operator_norm
 
 
 def uniform_measure(atoms):
@@ -379,6 +384,163 @@ class TestMeanOfMeasure:
         oracle = np.linalg.inv(0.3 * np.linalg.inv(atoms[0].entries)
                                + 0.7 * np.linalg.inv(atoms[1].entries))
         assert operator_norm(got - oracle) <= 1e-11 * max(1, operator_norm(oracle))
+
+
+    @pytest.mark.parametrize("kinds", ["real", "complex", "mixed"])
+    def test_harmonic_stacked_inverse_is_per_atom(self, kinds):
+        rng = np.random.default_rng(32)
+        real = [random_pd(4, (0.5, 2), rng).entries for _ in range(3)]
+        cplx = complex_atoms(33, 3, 4)
+        atoms = {"real": real, "complex": cplx, "mixed": real[:2] + cplx[:2]}[kinds]
+        w = rng.dirichlet(np.ones(len(atoms)))
+        inv = [np.linalg.inv(a) for a in atoms]
+        if kinds != "mixed":
+            stacked = np.linalg.inv(np.stack(atoms))
+            assert all(s.tobytes() == i.tobytes() for s, i in zip(stacked, inv))
+        acc = [[[math.fsum(wi * x[r, c] for wi, x in zip(w, part)) for c in range(4)]
+                for r in range(4)] for part in ([i.real for i in inv], [i.imag for i in inv])]
+        oracle = np.linalg.inv(np.array(acc[0]) + 1j * np.array(acc[1]) if kinds != "real"
+                               else np.array(acc[0]))
+        got = mean_of_measure("harmonic", DiscreteMeasure(tuple(atoms), w)).entries
+        assert got.tobytes() == SymMatrix(oracle).entries.tobytes()
+
+
+# The power-mean iteration contracts by about 1 - t per step, so below
+# t = 0.05 it needs more than its 500 iterations; spectra stay in [0.1, 10],
+# where the documented residual bound is claimed.
+@settings(settings.get_profile("loewner"), max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
+       st.floats(0.05, 1.0), st.booleans())
+def test_power_mean_fixed_point_residual(seed, n, p, t, cplx):
+    rng = np.random.default_rng(seed)
+    atoms = []
+    for _ in range(p):
+        g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0)
+        q, _ = np.linalg.qr(g)
+        atoms.append((q * 10.0 ** rng.uniform(-1.0, 1.0, n)) @ q.conj().T)
+    w = rng.dirichlet(np.ones(p))
+    x = power_mean(w, atoms, t).entries
+    fixed = sum(wi * _geomean_pair(x, a, t) for wi, a in zip(w, atoms))
+    assert np.linalg.norm(x - fixed, "fro") <= 1e-10 * np.linalg.norm(x, "fro")
+
+
+# ---------------------------------------------------------------------------
+# exactly rounded sums: math.fsum is the oracle
+# ---------------------------------------------------------------------------
+
+BIG = np.finfo(float).max
+SPECIAL_SUMMANDS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                    2.0 ** 53, 2.0 ** -53, 2.0 ** 1020, BIG, -BIG, 0.5 * BIG]
+
+
+def fsum_columns(x):
+    """Column sums by math.fsum, or the type of the first exception it raises."""
+    try:
+        return np.array([math.fsum(col) for col in x.T.tolist()]), None
+    except (OverflowError, ValueError) as exc:
+        return None, type(exc)
+
+
+@st.composite
+def summand_columns(draw):
+    """(p, N) summands: dyadic values a few binades apart (ties and exact
+    cancellation), spreads up to 10^+-300, subnormals, values near overflow,
+    negated copies of whole rows, and a few infinities and NaNs."""
+    p, cols = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+    lo = draw(st.integers(-1130, 960))
+    dyadic = st.builds(math.ldexp, st.integers(-2**53, 2**53), st.integers(lo, lo + 10))
+    elements = st.one_of(dyadic, st.floats(-4.0, 4.0), st.sampled_from(SPECIAL_SUMMANDS),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    x = draw(hnp.arrays(np.float64, (p, cols), elements=elements))
+    if draw(st.booleans()):
+        x = np.concatenate([x, -x[::-1]])
+    for row, col, v in draw(st.lists(st.tuples(st.integers(0, x.shape[0] - 1),
+                                               st.integers(0, cols - 1),
+                                               st.sampled_from([np.inf, -np.inf, np.nan])),
+                                     max_size=2)):
+        x[row, col] = v
+    return x
+
+
+@st.composite
+def near_midpoints(draw):
+    """64 columns r0 + ulp(r0)/2 + tail, in shuffled order: exact sums next to
+    a rounding midpoint, on a side decided by 4 to 12 tail terms.  Tails of
+    full-width terms about 2^-(30..90) ulp(r0) are where the float sum of the
+    TwoSum errors rounds by the largest share of its bound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, lo = draw(st.integers(4, 12)), draw(st.integers(30, 70))
+    hi = lo + draw(st.integers(0, 20))
+    r0 = rng.uniform(1.0, 2.0, 64) * 2.0 ** rng.integers(-60, 60, 64)
+    half = np.spacing(r0) / 2
+    mantissa = rng.integers(1, 2**53, (k, 64)).astype(float)
+    tail = (rng.choice([-1.0, 1.0], (k, 64)) * mantissa
+            * half * 2.0 ** -rng.integers(lo + 53, hi + 54, (k, 64)))
+    return np.vstack([r0, half, tail])[rng.permutation(k + 2)]
+
+
+def assert_sums_like_fsum(x):
+    want, exc = fsum_columns(x)
+    if exc is not None:
+        with pytest.raises(exc) as info:
+            _exact_column_sums(x)
+        assert info.type is exc
+    else:
+        assert _exact_column_sums(x).tobytes() == want.tobytes()
+
+
+@settings(settings.get_profile("loewner"), max_examples=300)
+@given(summand_columns())
+@example(np.array([[0.5 * BIG], [0.5 * BIG], [0.6 * BIG], [-0.6 * BIG]]))  # fsum overflows
+@example(np.array([[1.0, np.inf], [np.nan, 2.0], [3.0, -np.inf]]))  # inf + -inf
+# just past a midpoint by a tail the error sum drops; all -0.0 sums to +0.0
+@example(np.array([[1.5, -0.0], [2.0 ** -53, -0.0], [2.0 ** -200, -0.0], [-2.0 ** -201, -0.0]]))
+def test_vectorised_sum_is_fsum(x):
+    assert_sums_like_fsum(x)
+
+
+@settings(settings.get_profile("loewner"), max_examples=200)
+@given(near_midpoints())
+def test_vectorised_sum_is_fsum_next_to_midpoints(x):
+    assert_sums_like_fsum(x)
+
+
+@settings(settings.get_profile("loewner"), max_examples=120)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 12),
+       st.integers(0, 600), st.sampled_from(["real", "complex", "cancel", "special"]))
+def test_weighted_matrix_sum_is_fsum_on_both_sides_of_the_cut(seed, p, n, spread, kind):
+    rng = np.random.default_rng(seed)
+    shape = (p, n, n)
+    stack = rng.standard_normal(shape) * 2.0 ** rng.integers(-spread // 2, spread // 2 + 1, shape)
+    if kind == "complex":
+        stack = stack + 1j * rng.standard_normal(shape)
+    elif kind == "cancel":
+        stack[p // 2:] = -stack[:p - p // 2][::-1]
+    elif kind == "special":
+        stack.flat[rng.integers(0, stack.size, 4)] = rng.choice(SPECIAL_SUMMANDS, 4)
+    # equal weights keep the negated rows cancelling exactly
+    w = np.full(p, 1.0 / p) if kind == "cancel" else rng.dirichlet(np.ones(p))
+    terms = w[:, None, None] * stack
+    parts = [terms.real, terms.imag] if kind == "complex" else [terms]
+    sums = [fsum_columns(part.reshape(p, -1)) for part in parts]
+    if any(exc is not None for _, exc in sums):
+        exc = next(exc for _, exc in sums if exc is not None)
+        with pytest.raises(exc):
+            _weighted_matrix_sum(w, stack)
+        return
+    got = _weighted_matrix_sum(w, stack)
+    assert got.dtype == stack.dtype
+    if p == 1:
+        assert got.tobytes() == terms[0].tobytes()
+        return
+    got_parts = [got.real, got.imag] if kind == "complex" else [got]
+    for (want, _), part in zip(sums, got_parts):
+        assert np.ascontiguousarray(part).reshape(-1).tobytes() == want.tobytes()
+
+
+def test_sum_property_draws_reach_both_sides_of_the_cut():
+    # (p + 8) * N for the smallest and the largest real draw above
+    assert (2 + 8) * 1 < _VECTOR_SUM_MIN <= (40 + 8) * 12 * 12
 
 
 class TestStochasticMonotoneSuite:
