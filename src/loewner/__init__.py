@@ -37,15 +37,12 @@ from .pencil import (
     PencilDomainError,
     PencilRealization,
     assemble_pencil,
-    b_form,
     eval_complex,
-    from_b_form,
 )
 from .pencil import eval as eval_pencil
 from .builders import (
     FunctionSpec,
     QuadratureScheme,
-    arrowhead_sum,
     build_realization,
     cauchy_atom,
     geometric_mean,

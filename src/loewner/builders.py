@@ -31,14 +31,13 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .numlin import SymMatrix
-from .pencil import PencilRealization, householder_to_e1
+from .pencil import PencilRealization
 
 __all__ = [
     "QuadratureScheme",
     "FunctionSpec",
     "power_quadrature_scheme",
     "cauchy_atom",
-    "arrowhead_sum",
     "loewner_quadrature",
     "weighted_harmonic",
     "weighted_arithmetic",
@@ -69,10 +68,6 @@ class QuadratureScheme:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def node_count(self) -> int:
-        return int(self.nodes.shape[0])
 
 
 def power_quadrature_scheme(t: float, n_nodes: int) -> QuadratureScheme:
@@ -191,54 +186,6 @@ def cauchy_atom(lam: float) -> PencilRealization:
     return _e1_pencil(_arrowhead(0.0, [lam]), _arrowhead(1.0, [1.0], [1.0]))
 
 
-def arrowhead_sum(atoms, affine=None) -> PencilRealization:
-    """Sum of atom realizations plus an affine part, as one arrowhead pencil.
-
-    Each atom is rotated so its pivot is the first coordinate; the summed
-    pencil shares that single pivot coordinate while the atoms' auxiliary
-    blocks stay disjoint, so the trailing block of the result is block
-    diagonal and the shorted operator splits into the per-atom complements:
-
-        eval(result, X) = alpha I + sum_i beta_i X_i + sum_j eval(atom_j, X).
-
-    Coefficients stay PSD: each embedded atom coefficient is a principal
-    embedding of a PSD matrix and the affine part adds nonnegative scalars at
-    the pivot.
-    """
-    atoms = list(atoms)
-    if affine is None and not atoms:
-        raise ValueError("need at least one atom or an affine part")
-    if affine is not None:
-        alpha, beta = affine
-        beta = np.asarray(beta, dtype=float).reshape(-1)
-        if alpha < 0 or np.any(beta < 0):
-            raise ValueError("affine part needs alpha >= 0 and beta_i >= 0")
-        k = beta.shape[0]
-    else:
-        alpha, beta, k = 0.0, None, atoms[0].k
-    if any(a.k != k for a in atoms):
-        raise ValueError("all atoms (and the affine part) must share the arity")
-
-    m = 1 + sum(a.m - 1 for a in atoms)
-    a0 = np.zeros((m, m))
-    coeffs = [np.zeros((m, m)) for _ in range(k)]
-    a0[0, 0] = alpha
-    if beta is not None:
-        for i in range(k):
-            coeffs[i][0, 0] = beta[i]
-    offset = 1
-    for atom in atoms:
-        q = householder_to_e1(atom.e)
-        idx = np.concatenate([[0], np.arange(offset, offset + atom.m - 1)])
-        a0[np.ix_(idx, idx)] += q @ atom.a0.entries @ q.T
-        for i in range(k):
-            coeffs[i][np.ix_(idx, idx)] += q @ atom.coeffs[i].entries @ q.T
-        offset += atom.m - 1
-    e = np.zeros(m)
-    e[0] = 1.0
-    return PencilRealization(e, SymMatrix(a0), tuple(SymMatrix(c) for c in coeffs))
-
-
 def loewner_quadrature(t: float, n_nodes: int = 96) -> PencilRealization:
     """Quadrature realization of x -> x^t for t in (0, 1).
 
@@ -247,7 +194,7 @@ def loewner_quadrature(t: float, n_nodes: int = 96) -> PencilRealization:
     """
     s = power_quadrature_scheme(t, n_nodes)
     w = s.weights
-    # the pivot sums the weights in node order, as `arrowhead_sum` does
+    # the pivot sums the weights in node order
     return _e1_pencil(_arrowhead(0.0, w * s.nodes), _arrowhead(np.cumsum(w)[-1], w, w))
 
 

@@ -198,18 +198,19 @@ def pushforward_weights(rep: StepRepresentation, n_atoms: int) -> np.ndarray:
 # Strassen feasibility by max-flow
 # ---------------------------------------------------------------------------
 
-def _max_flow(size: int, edges, caps, source: int, sink: int, eps: float = 1e-13):
+def _max_flow(size: int, edges, caps, source: int, sink: int):
     """Edmonds-Karp on adjacency lists of the residual graph.
 
     Edge e = (tail, head) owns arc 2e with capacity ``caps[e]`` and the reverse
     arc 2e+1 with capacity 0; no two edges join the same nodes.  Neighbours are
     listed in ascending node order, so BFS visits nodes exactly as a scan of a
     dense capacity row does.  Flows stay in ``longdouble`` and an arc is open
-    while ``cap - flow > eps``: float capacities then saturate without rounding
-    slivers above ``eps``, and flows, value and min cut are bit-identical to a
-    dense-matrix Edmonds-Karp.  BFS bounds the augmentation count independently
-    of the capacities.  Returns the flow value, each edge's flow and the nodes
-    the source still reaches (the source side of a min cut).
+    while ``cap - flow > 1e-13``: float capacities then saturate without
+    rounding slivers above 1e-13, and flows, value and min cut are
+    bit-identical to a dense-matrix Edmonds-Karp.  BFS bounds the augmentation
+    count independently of the capacities.  Returns the flow value, each
+    edge's flow and the nodes the source still reaches (the source side of a
+    min cut).
     """
     head = [v for edge in edges for v in reversed(edge)]
     adj = [[] for _ in range(size)]
@@ -218,7 +219,7 @@ def _max_flow(size: int, edges, caps, source: int, sink: int, eps: float = 1e-13
     capl = np.zeros(len(head), dtype=np.longdouble)
     capl[0::2] = caps
     flow = np.zeros_like(capl)
-    is_open = (capl > eps).tolist()
+    is_open = (capl > 1e-13).tolist()
     while True:
         into = [None] * size  # the arc by which BFS first reached each node
         into[source] = -1
@@ -239,7 +240,7 @@ def _max_flow(size: int, edges, caps, source: int, sink: int, eps: float = 1e-13
         flow[path] += bottleneck
         flow[back] -= bottleneck
         for a in path + back:
-            is_open[a] = bool(capl[a] - flow[a] > eps)
+            is_open[a] = bool(capl[a] - flow[a] > 1e-13)
     row = np.zeros(size, dtype=np.longdouble)  # a whole row sums in the dense order
     for v, arc in adj[source]:
         row[v] = flow[arc]
@@ -519,14 +520,16 @@ def _geomean_pair(x: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:
     return (res + res.conj().swapaxes(-1, -2)) / 2.0
 
 
-def power_mean(weights, atoms, t: float, max_iter: int = 500) -> SymMatrix:
+def power_mean(weights, atoms, t: float) -> SymMatrix:
     """Power mean of PD matrices: the PD fixed point of X = sum_i w_i X #_t A_i.
 
     Computed by fixed-point iteration from the arithmetic mean; t = 1 returns
     the arithmetic mean exactly without iterating.  Stops when the relative
     Frobenius change drops below 1e-13 (or the absolute change below 1e-11);
-    the fixed-point residual of the result is then far below 1e-10 * ||X||.
-    Raises MeanConvergenceError with the final residual after ``max_iter``.
+    the fixed-point residual is then below 1e-10 * ||X||_F on spectra in
+    [0.1, 10] (worst measured 3.6e-11) but up to 2.2e-9 * ||X||_F on
+    10^[-3, 3].  Raises MeanConvergenceError with the last change after
+    ``max(500, ceil(60 / t))`` steps.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     mats = [_sym(a).entries for a in atoms]
@@ -540,15 +543,19 @@ def power_mean(weights, atoms, t: float, max_iter: int = 500) -> SymMatrix:
     x = _weighted_matrix_sum(w, stack)
     if t == 1.0:
         return SymMatrix(x)
-    step = np.inf
-    for _ in range(max_iter):
+    # The map contracts by about 1 - t per step (Lim and Palfia, J. Funct.
+    # Anal. 2012), so the stopping rule takes about ln(1e13) / t = 30 / t steps
+    # (at worst 27 / t over random measures on spectra in 10^[-3, 3], n <= 5,
+    # p <= 6); the budget doubles that, with the former 500 as its floor.
+    step, budget = np.inf, max(500, math.ceil(60.0 / t))
+    for _ in range(budget):
         nxt = _weighted_matrix_sum(w, _geomean_pair(x, stack, t))
         step = float(np.linalg.norm(nxt - x, "fro"))
         x = nxt
         if step <= 1e-13 * float(np.linalg.norm(x, "fro")) or step <= 1e-11:
             return SymMatrix(x)
     raise MeanConvergenceError(
-        f"power mean did not converge in {max_iter} iterations "
+        f"power mean did not converge in {budget} iterations "
         f"(last change {step:.3e})", residual=step)
 
 

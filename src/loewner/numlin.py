@@ -17,7 +17,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -116,12 +117,11 @@ class MatrixTuple:
     """k-tuple of same-dimension self-adjoint matrices.
 
     When ``commuting=True`` the constructor certifies
-    ``max_{i,j} ||X_i X_j - X_j X_i|| <= commute_tol * max_i ||X_i||^2``.
+    ``max_{i,j} ||X_i X_j - X_j X_i|| <= 1e-10 * max_i ||X_i||^2``.
     """
 
     items: tuple
     commuting: bool = False
-    commute_tol: float = 1e-10
 
     def __post_init__(self):
         items = tuple(_sym(x) for x in self.items)
@@ -133,16 +133,11 @@ class MatrixTuple:
         object.__setattr__(self, "items", items)
         if self.commuting and len(items) > 1:
             scale = max(operator_norm(x) for x in items) ** 2
-            worst = 0.0
-            for i in range(len(items)):
-                for j in range(i + 1, len(items)):
-                    a, b = items[i].entries, items[j].entries
-                    worst = max(worst, operator_norm(a @ b - b @ a))
-            if worst > self.commute_tol * max(scale, 1e-300):
+            worst = max(operator_norm(a.entries @ b.entries - b.entries @ a.entries)
+                        for a, b in combinations(items, 2))
+            if worst > 1e-10 * max(scale, 1e-300):
                 raise CommutationError(
-                    f"commutator norm {worst:.3e} exceeds "
-                    f"{self.commute_tol:.1e} * max||X_i||^2"
-                )
+                    f"commutator norm {worst:.3e} exceeds 1.0e-10 * max||X_i||^2")
 
     @property
     def k(self) -> int:
@@ -156,13 +151,23 @@ class MatrixTuple:
         return [x.entries for x in self.items]
 
 
+def _coordinates(x) -> list:
+    """The coordinates of a point as given (not symmetrized): ``x`` is a
+    MatrixTuple, one matrix (a SymMatrix, an array with ``ndim`` 2 or a
+    sequence of rows) or a sequence of matrices."""
+    if isinstance(x, MatrixTuple):
+        return list(x.items)
+    if isinstance(x, SymMatrix) or getattr(x, "ndim", 0) == 2:
+        return [x]
+    items = list(x)
+    return [items] if items and np.ndim(items[0]) < 2 else items
+
+
 def as_tuple(x, commuting: bool = False) -> MatrixTuple:
-    """Coerce a MatrixTuple / SymMatrix / sequence of matrices to MatrixTuple."""
+    """Coerce a MatrixTuple or the other forms of `_coordinates` to MatrixTuple."""
     if isinstance(x, MatrixTuple):
         return x
-    if isinstance(x, SymMatrix) or (hasattr(x, "ndim") and np.asarray(x).ndim == 2):
-        return MatrixTuple((x,), commuting=commuting)
-    return MatrixTuple(tuple(x), commuting=commuting)
+    return MatrixTuple(tuple(_coordinates(x)), commuting=commuting)
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,6 @@ class Contraction:
     """Rectangular map E -> K with operator norm at most 1 (+1e-12 slack)."""
 
     entries: np.ndarray
-    norm_tol: float = 1e-12
 
     def __post_init__(self):
         arr = np.asarray(self.entries)
@@ -181,7 +185,7 @@ class Contraction:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         norm = operator_norm(arr)
-        if norm > 1.0 + self.norm_tol:
+        if norm > 1.0 + 1e-12:
             raise ValueError(f"operator norm {norm:.12f} exceeds 1")
 
     def __array__(self, dtype=None):
@@ -216,16 +220,15 @@ def loewner_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
     return diff_min >= -tol * scale
 
 
-def _joint_basis(arrays, residual_tol: float = 1e-8):
+def _joint_basis(arrays):
     """Orthogonal basis jointly diagonalizing a commuting family.
 
     Diagonalizes a generic random combination and reuses its basis; a second
-    combination is tried if the off-diagonal residual exceeds tolerance.
+    combination is tried if the off-diagonal residual exceeds 1e-8 * scale.
     The combination coefficients come from a fixed-seed generator so the
     result is a pure function of the input.
     """
     k = len(arrays)
-    n = arrays[0].shape[0]
     rng = np.random.default_rng(0x1DEA)
     scale = max(max(operator_norm(x) for x in arrays), 1e-300)
     for _ in range(2):
@@ -238,15 +241,14 @@ def _joint_basis(arrays, residual_tol: float = 1e-8):
             rot = basis.conj().T @ x @ basis
             off = rot - np.diag(np.diag(rot))
             worst = max(worst, operator_norm(off))
-        if worst <= residual_tol * scale:
+        if worst <= 1e-8 * scale:
             return basis
     raise CommutationError(
         f"joint diagonalization residual {worst:.3e} exceeds "
-        f"{residual_tol:.1e} * scale; tuple does not commute within tolerance"
-    )
+        "1.0e-08 * scale; tuple does not commute within tolerance")
 
 
-def apply_scalar_function(f, x, residual_tol: float = 1e-8) -> SymMatrix:
+def apply_scalar_function(f, x) -> SymMatrix:
     """Functional calculus f(X) on a commuting tuple through joint diagonalization.
 
     ``f`` takes k scalar arguments (k = tuple arity); for k = 1 this is the
@@ -261,7 +263,7 @@ def apply_scalar_function(f, x, residual_tol: float = 1e-8) -> SymMatrix:
         lam, basis = np.linalg.eigh(arrays[0])
         joint = [lam]
     else:
-        basis = _joint_basis(arrays, residual_tol)
+        basis = _joint_basis(arrays)
         joint = [np.real(np.diag(basis.conj().T @ a @ basis)) for a in arrays]
     # non-finite values become a ValueError below, so silence numpy here
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -278,11 +280,11 @@ def apply_scalar_function(f, x, residual_tol: float = 1e-8) -> SymMatrix:
     return SymMatrix(basis @ np.diag(vals) @ basis.conj().T)
 
 
-def psd_sqrt(a, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
+def psd_sqrt(a) -> SymMatrix:
     """Principal square root of a PSD matrix (negative roundoff clamped to 0)."""
     m = _as_array(_sym(a))
     vals, vecs = np.linalg.eigh(m)
-    _psd_check(vals, tol, "psd_sqrt")
+    _psd_check(vals, DEFAULT_PSD_TOL, "psd_sqrt")
     root = np.sqrt(np.clip(vals, 0.0, None))
     return SymMatrix(vecs @ np.diag(root) @ vecs.conj().T)
 
@@ -329,10 +331,10 @@ def random_commuting_tuple(k: int, n: int, interval=(0.1, 10.0), seed=0) -> Matr
     return MatrixTuple(tuple(items), commuting=True)
 
 
-def make_dominated_pair(x: MatrixTuple, y: MatrixTuple, margin: float = 0.05):
+def make_dominated_pair(x: MatrixTuple, y: MatrixTuple):
     """Shift X down coordinatewise so that X' <= Y strictly, staying positive.
 
-    ``X'_i = X_i - t_i I`` with ``t_i = max(0, lambda_max(X_i - Y_i)) + margin``.
+    ``X'_i = X_i - t_i I`` with ``t_i = max(0, lambda_max(X_i - Y_i)) + 0.05``.
     Scalar shifts preserve commutation certificates.  If any X'_i leaves the
     positive cone, one common positive shift is added to both sides of every
     coordinate, which preserves the order.
@@ -343,17 +345,16 @@ def make_dominated_pair(x: MatrixTuple, y: MatrixTuple, margin: float = 0.05):
     shifted = []
     eye = np.eye(xt.n)
     for xi, yi in zip(xt.items, yt.items):
-        t = max(0.0, float(np.linalg.eigvalsh(xi.entries - yi.entries)[-1])) + margin
+        t = max(0.0, float(np.linalg.eigvalsh(xi.entries - yi.entries)[-1])) + 0.05
         shifted.append(xi.entries - t * eye)
     floor = min(float(np.linalg.eigvalsh(s)[0]) for s in shifted)
     y_arrays = [yi.entries for yi in yt.items]
     if floor <= 0.0:
-        lift = margin - floor
+        lift = 0.05 - floor
         shifted = [s + lift * eye for s in shifted]
         y_arrays = [yi + lift * eye for yi in y_arrays]
-    x_out = MatrixTuple(tuple(shifted), commuting=xt.commuting, commute_tol=xt.commute_tol)
-    y_out = MatrixTuple(tuple(y_arrays), commuting=yt.commuting, commute_tol=yt.commute_tol)
-    return x_out, y_out
+    return (MatrixTuple(tuple(shifted), commuting=xt.commuting),
+            MatrixTuple(tuple(y_arrays), commuting=yt.commuting))
 
 
 def random_isometry(n: int, m: int, seed=0) -> Contraction:

@@ -22,15 +22,15 @@ for the spectral one, also from the point:
   ``Y diag(f(mu)) Y*`` for the scalar rational ``f = z - sum_j |o_j|^2 / d_j``
   (`_spectral_short`): one ``eigh(X)``, or one Cholesky ``X1 = L L*`` and one
   ``eigh(L^-1 X2 L^-*)``.  The k = 2 form is taken only when the Cholesky
-  succeeds and ``mu_min > sqrt(rank_tol) mu_max``; other points take the
-  batched kernel.  Oracles: `_arrowhead_short` and `shorted.shorted_operator`
-  on the assembled pencil.
+  succeeds and ``mu_min > sqrt(DEFAULT_RANK_TOL) mu_max``; other points take
+  the batched kernel.  Oracles: `_arrowhead_short` and
+  `shorted.shorted_operator` on the assembled pencil.
 * batched (`_arrowhead_short`): one batched ``eigh`` over the blocks of a
   block-diagonal trailing block.  Any other arrowhead point passes the n x n
   blocks of `_arrowhead_blocks`; every other shape (m = 1 included) is the
   one-block case, the trailing block of the assembled pencil, empty when
   m = 1.  Oracle: `shorted.shorted_operator`, whose rank cut
-  ``rank_tol * lambda_max(Z22)`` the one-block case shares.
+  ``DEFAULT_RANK_TOL * lambda_max(Z22)`` the one-block case shares.
 * parallel-sum (m > 1, not arrowhead, the stored A0 and A_i diagonal, as
   for `harmonic` with three or more weights): ``(sum_j e_j^2 B_j^-1)^-1``
   over the diagonal blocks B_j of the unrotated pencil
@@ -39,8 +39,8 @@ for the spectral one, also from the point:
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
 Z22 >= 0, the range condition holds, and the complement is >= 0), written
-once in `_check_psd` and `_check_range`; ``rank_tol`` is fixed at
-`shorted.DEFAULT_RANK_TOL`.  `eval_complex` has three paths:
+once in `_check_psd` and `_check_range` (rank cut ``DEFAULT_RANK_TOL``, as
+in `shorted.shorted_operator`).  `eval_complex` has three paths:
 
 * spectral (the shapes of the real spectral path with m > 2): every block is
   ``G1 P(M)`` for a polynomial P in ``M = Z`` or ``X1^-1 X2``, so one ``eig``
@@ -77,9 +77,9 @@ import numpy as np
 from .numlin import (
     DEFAULT_PSD_TOL,
     DimensionMismatch,
-    MatrixTuple,
     SymMatrix,
     _as_array,
+    _coordinates,
     _psd_check,
     _sym,
     as_tuple,
@@ -93,8 +93,6 @@ __all__ = [
     "assemble_pencil",
     "eval",
     "eval_complex",
-    "b_form",
-    "from_b_form",
 ]
 
 
@@ -108,9 +106,6 @@ class PencilRealization:
 
     Invariants enforced at construction: ``||e|| = 1`` to 1e-12 and every
     coefficient PSD within the relative tolerance ``DEFAULT_PSD_TOL``.
-    Stored in affine form; ``b_form`` converts to the normalized-at-identity form
-    ``B0 (x) I + sum B_i (x) (X_i - I)`` with ``B_i = A_i``,
-    ``B0 = A0 + sum A_i`` (so B0 >= sum B_i iff A0 >= 0).
     """
 
     e: np.ndarray
@@ -256,7 +251,8 @@ def _check_psd(value, scale, psd_tol, what):
 
 def _check_range(off_norm, scale):
     """The range condition: the coupling mass ``off_norm`` against the
-    dropped trailing eigenvectors is at most ``10 sqrt(rank_tol) scale``."""
+    dropped trailing eigenvectors is at most
+    ``10 sqrt(DEFAULT_RANK_TOL) scale``."""
     bound = 10.0 * math.sqrt(DEFAULT_RANK_TOL) * scale
     if off_norm > bound:
         raise PencilDomainError(f"pencil not PSD at X: range condition violated "
@@ -270,11 +266,12 @@ def _arrowhead_short(z11, blocks, couple, psd_tol):
 
     The blocks are the n x n ones of an arrowhead pencil (`_arrowhead_blocks`),
     or the whole trailing block of an assembled pencil as one block (empty
-    when m = 1).  Eigenvalues of B_j at or below ``rank_tol * lambda_max(B_j)``
-    are dropped from the pseudo-inverse, as in `shorted.shorted_operator`.
-    The admission checks are fused in: the B_j are PSD, the couplings have no
-    mass (Frobenius) against the dropped eigenvectors, and the complement is
-    PSD.  Together these are equivalent to Z >= 0.
+    when m = 1).  Eigenvalues of B_j at or below
+    ``DEFAULT_RANK_TOL * lambda_max(B_j)`` are dropped from the
+    pseudo-inverse, as in `shorted.shorted_operator`.  The admission checks
+    are fused in: the B_j are PSD, the couplings have no mass (Frobenius)
+    against the dropped eigenvectors, and the complement is PSD.  Together
+    these are equivalent to Z >= 0.
     """
     n = z11.shape[0]
     lam, u = np.linalg.eigh(blocks)
@@ -333,7 +330,8 @@ def _spectral_short(p, q, x1, x2, psd_tol):
     ``f = z - sum_j |o|^2 / d`` over the kept entries of d.  The admission
     checks of `_arrowhead_short` become scalar tests with the same
     tolerances.  Returns None, for the batched path, when the Cholesky fails
-    or ``mu_min <= sqrt(rank_tol) mu_max``: mu is accurate only to eps mu_max.
+    or ``mu_min <= sqrt(DEFAULT_RANK_TOL) mu_max``: mu is accurate only to
+    eps mu_max.
     """
     if x1 is None:
         mu, y = np.linalg.eigh(x2)
@@ -359,14 +357,14 @@ def _spectral_short(p, q, x1, x2, psd_tol):
     return (y * f) @ y.conj().T
 
 
-def _parallel_sum_short(r, arrays, rank_tol):
+def _parallel_sum_short(r, arrays):
     """Short of ``L(X) = (+)_j B_j``, ``B_j = a0[j,j] I + sum_i c_i[j,j] X_i``
     (A0 and every A_i diagonal) onto e (x) I: the parallel sum
     ``(sum_j e_j^2 B_j^-1)^-1`` (Anderson and Duffin).  None, for the
     one-block batched kernel, unless the B_j are positive definite (one
     batched Cholesky) and ``max_j ||B_j||_F max_j ||B_j^-1||_F < 1 /
-    sqrt(rank_tol)``: Z22 is a compression of L(X), so that kernel's rank cut
-    then drops nothing and every admission check passes."""
+    sqrt(DEFAULT_RANK_TOL)``: Z22 is a compression of L(X), so that kernel's
+    rank cut then drops nothing and every admission check passes."""
     blocks = _linear_blocks(np.diag(r.a0.entries),
                             np.stack([np.diag(c.entries) for c in r.coeffs]), arrays)
     try:
@@ -375,7 +373,7 @@ def _parallel_sum_short(r, arrays, rank_tol):
         return None
     inv = np.linalg.inv(blocks)
     kappa = np.linalg.norm(blocks, axis=(1, 2)).max() * np.linalg.norm(inv, axis=(1, 2)).max()
-    if not kappa * math.sqrt(rank_tol) < 1.0:
+    if not kappa * math.sqrt(DEFAULT_RANK_TOL) < 1.0:
         return None
     short = np.linalg.inv(np.tensordot(r.e ** 2, inv, axes=1))
     return (short + _adjoint(short)) / 2.0
@@ -398,7 +396,7 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
     if short is None and shape == "arrowhead":
         short = _arrowhead_short(*_arrowhead_blocks(a0r, coeffs_r, arrays), tol)
     elif shape == "parallel-sum":
-        short = _parallel_sum_short(r, arrays, DEFAULT_RANK_TOL)
+        short = _parallel_sum_short(r, arrays)
     if short is None:
         z, n = _assembled_pencil(a0r, coeffs_r, arrays), xt.n
         short = _arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], tol)
@@ -445,7 +443,7 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays):
 _EIG_COND_MAX = 1e3
 
 
-def _spectral_complex(p, q, x1, x2, margin):
+def _spectral_complex(p, q, x1, x2, im_min):
     """Complex-point Schur complement of an arrowhead pencil whose blocks are
     all ``p_ij G1 + q_ij G2`` (the generators of `_spectral_args`).
 
@@ -454,10 +452,11 @@ def _spectral_complex(p, q, x1, x2, margin):
     ``eig``, V^-1 from one ``solve``) the complement is ``G1 V diag(f) V^-1``
     with ``f = z - sum_j o'_j o_j / d_j``.  Returns None, for
     `_arrowhead_schur_complex`, when ``kappa_1(V) >= _EIG_COND_MAX`` or when
-    ``sigma_min(B_j) >= margin min|d| / (n kappa_1(V))`` (``margin`` <=
-    sigma_min(G1); kappa_2 <= n kappa_1) does not clear ``_SV_TOL`` times an
-    upper bound on the batched path's scale: every SingularPivotComplement,
-    and its message, comes from the batched path.
+    ``sigma_min(B_j) >= im_min min|d| / (n kappa_1(V))`` (``im_min``, the
+    smallest |eigenvalue| of Im X1, is <= sigma_min(G1); kappa_2 <= n
+    kappa_1) does not clear ``_SV_TOL`` times an upper bound on the batched
+    path's scale: every SingularPivotComplement, and its message, comes from
+    the batched path.
     """
     try:
         mu, v = np.linalg.eig(x2 if x1 is None else np.linalg.solve(x1, x2))
@@ -467,7 +466,7 @@ def _spectral_complex(p, q, x1, x2, margin):
     kappa = float(np.linalg.norm(v, 1) * np.linalg.norm(w, 1))
     if not kappa < _EIG_COND_MAX:
         return None
-    g1_min, g1_norm = (1.0, 1.0) if x1 is None else (margin, np.linalg.norm(x1, np.inf))
+    g1_min, g1_norm = (1.0, 1.0) if x1 is None else (im_min, np.linalg.norm(x1, np.inf))
     scale = max(1.0, float((np.abs(np.diag(p)) * g1_norm
                             + np.abs(np.diag(q)) * np.linalg.norm(x2, np.inf)).max()))
     z, d, o, orow = _spectral_terms(p, q, mu)
@@ -487,16 +486,13 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
     block is then invertible and a plain Schur complement applies.
     Returns a complex n x n matrix, not Hermitian in general.
     """
-    arrays = [np.asarray(xi, dtype=complex) for xi in
-              (x.arrays() if isinstance(x, MatrixTuple) else
-               ([_as_array(x)] if np.asarray(_as_array(x)).ndim == 2 else
-                [_as_array(xi) for xi in x]))]
+    arrays = [np.asarray(_as_array(xi), dtype=complex) for xi in _coordinates(x)]
     if len(arrays) != r.k:
         raise DimensionMismatch(f"realization has {r.k} variables, point has {len(arrays)}")
     n = arrays[0].shape[0]
     if any(a.shape != (n, n) for a in arrays):
         raise DimensionMismatch("all tuple entries must share one dimension")
-    signs, margins = [], []
+    signs, im_mins = [], []
     for a in arrays:
         im = (a - a.conj().T) / 2j
         vals = np.linalg.eigvalsh(im)
@@ -506,14 +502,14 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
             signs.append(-1)
         else:
             raise ValueError("imaginary part of every coordinate must be definite")
-        margins.append(min(abs(float(vals[0])), abs(float(vals[-1]))))
+        im_mins.append(min(abs(float(vals[0])), abs(float(vals[-1]))))
     if len(set(signs)) != 1:
         raise ValueError("imaginary parts must share one sign across coordinates")
 
     a0r, coeffs_r, shape = r._layout
     # m = 2 pencils gain nothing from the eigendecomposition
     args = _spectral_args(a0r, coeffs_r, arrays) if shape == "arrowhead" and r.m > 2 else None
-    out = None if args is None else _spectral_complex(*args, margins[0])
+    out = None if args is None else _spectral_complex(*args, im_mins[0])
     if out is not None:
         return out
     if shape == "arrowhead":
@@ -523,27 +519,3 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
     _check_pivot(z22, max(1.0, float(np.abs(z).sum(axis=1).max())))
     return z[:n, :n] - z[:n, n:] @ np.linalg.solve(z22, z[n:, :n])
 
-
-def b_form(r: PencilRealization):
-    """Convert to (B0, [B_1..B_k]) with B_i = A_i and B0 = A0 + sum A_i."""
-    b0 = r.a0.entries.copy()
-    for c in r.coeffs:
-        b0 = b0 + c.entries
-    return SymMatrix(b0), [SymMatrix(c.entries) for c in r.coeffs]
-
-
-def from_b_form(k: int, m: int, e, b0, b) -> PencilRealization:
-    """Inverse of `b_form`; validates B_i >= 0 and B0 >= sum B_i within the
-    relative tolerance ``DEFAULT_PSD_TOL`` of `PencilRealization`."""
-    if len(b) != k:
-        raise ValueError(f"expected {k} coefficient matrices, got {len(b)}")
-    e = np.asarray(e, dtype=float).reshape(-1)
-    if e.shape[0] != m:
-        raise ValueError(f"expected e of length {m}, got {e.shape[0]}")
-    a0 = _as_array(_sym(b0)).copy()
-    for bi in b:
-        a0 = a0 - _as_array(_sym(bi))
-    try:
-        return PencilRealization(e, SymMatrix(a0), tuple(_sym(bi) for bi in b))
-    except ValueError as exc:
-        raise ValueError(f"B-form constraints violated: {exc}") from exc

@@ -22,7 +22,6 @@ import numpy as np
 
 from .numlin import (
     DEFAULT_PSD_TOL,
-    NotPositiveSemidefinite,
     SymMatrix,
     _as_array,
     _psd_check,
@@ -63,25 +62,19 @@ class ShortedResult:
     rank_used: int
 
 
-def shorted_operator(
-    z,
-    s: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    range_tol: float | None = None,
-) -> ShortedResult:
+def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResult:
     """Shorted operator of a PSD matrix onto its first ``s`` coordinates.
+
+    Eigenvalues of Z22 at or below ``DEFAULT_RANK_TOL * lambda_max(Z22)`` are
+    treated as exact zeros in the pseudo-inverse, and the range condition is
+    ``||(I - P_range) Z21|| <= 10 sqrt(DEFAULT_RANK_TOL) ||Z||``, the
+    Cauchy-Schwarz bound for PSD input.
 
     Parameters
     ----------
     z : PSD self-adjoint matrix (SymMatrix or array).
     s : pivot dimension, 1 <= s <= N.  ``s == N`` returns Z itself.
-    rank_tol : eigenvalues of Z22 below ``rank_tol * lambda_max(Z22)`` are
-        treated as exact zeros in the pseudo-inverse.
     psd_tol : relative PSD admission tolerance for Z.
-    range_tol : threshold for the range condition
-        ``||(I - P_range) Z21|| <= range_tol * ||Z||``; defaults to
-        ``10 * sqrt(rank_tol)``, the Cauchy-Schwarz bound for PSD input.
 
     Raises
     ------
@@ -100,22 +93,21 @@ def shorted_operator(
     if s == n:
         empty = np.zeros((0, s), dtype=zm.dtype)
         return ShortedResult(SymMatrix(zm), empty, 0)
-    if range_tol is None:
-        range_tol = 10.0 * math.sqrt(rank_tol)
 
     z11 = zm[:s, :s]
     z21 = zm[s:, :s]
     z22 = zm[s:, s:]
     lam, u = np.linalg.eigh(z22)
-    cut = rank_tol * max(float(lam[-1]), 0.0)
+    cut = DEFAULT_RANK_TOL * max(float(lam[-1]), 0.0)
     keep = lam > cut
     g = u.conj().T @ z21
     if not np.all(keep):
+        bound = 10.0 * math.sqrt(DEFAULT_RANK_TOL)
         off_range = float(np.linalg.norm(g[~keep, :], 2)) if g[~keep, :].size else 0.0
-        if off_range > range_tol * max(znorm, 1e-300):
+        if off_range > bound * max(znorm, 1e-300):
             raise RangeConditionViolation(
                 f"||(I - P)Z21|| = {off_range:.3e} exceeds "
-                f"{range_tol:.1e} * ||Z|| = {range_tol * znorm:.3e}"
+                f"{bound:.1e} * ||Z|| = {bound * znorm:.3e}"
             )
     g_keep = g[keep, :]
     lam_keep = lam[keep]
@@ -124,12 +116,7 @@ def shorted_operator(
     return ShortedResult(SymMatrix(short), c, int(keep.sum()))
 
 
-def variational_infimum(
-    z,
-    v,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-) -> float:
+def variational_infimum(z, v) -> float:
     """inf over w of the quadratic ``[v; w]* Z [v; w]`` for PSD Z.
 
     Solves the stationarity system ``Z22 w = -Z21 v`` in an eigenbasis of Z22
@@ -142,19 +129,19 @@ def variational_infimum(
     if not 1 <= s <= zm.shape[0]:
         raise ValueError(f"vector length {s} outside [1, {zm.shape[0]}]")
     vals = np.linalg.eigvalsh(zm)
-    _psd_check(vals, psd_tol, "variational_infimum")
+    _psd_check(vals, DEFAULT_PSD_TOL, "variational_infimum")
     head = float(np.real(vv.conj() @ zm[:s, :s] @ vv))
     if s == zm.shape[0]:
         return head
     rhs = zm[s:, :s] @ vv
     lam, u = np.linalg.eigh(zm[s:, s:])
-    cut = rank_tol * max(float(lam[-1]), 0.0)
+    cut = DEFAULT_RANK_TOL * max(float(lam[-1]), 0.0)
     b = u.conj().T @ rhs
     keep = lam > cut
     return head - float(np.sum(np.abs(b[keep]) ** 2 / lam[keep]))
 
 
-def block_schur_general(z, s: int, sv_tol: float = 1e-12) -> np.ndarray:
+def block_schur_general(z, s: int) -> np.ndarray:
     """Plain Schur complement ``Z11 - Z12 Z22^{-1} Z21`` for invertible Z22.
 
     Accepts arbitrary (possibly complex, non-self-adjoint) square input; this
@@ -172,9 +159,7 @@ def block_schur_general(z, s: int, sv_tol: float = 1e-12) -> np.ndarray:
     z22 = zm[s:, s:]
     znorm = float(np.linalg.norm(zm, 2))
     smin = float(np.linalg.svd(z22, compute_uv=False)[-1])
-    if smin <= sv_tol * max(znorm, 1e-300):
+    if smin <= 1e-12 * max(znorm, 1e-300):
         raise SingularPivotComplement(
-            f"trailing block singular: sigma_min = {smin:.3e} <= "
-            f"{sv_tol:.1e} * ||Z||"
-        )
+            f"trailing block singular: sigma_min = {smin:.3e} <= 1.0e-12 * ||Z||")
     return zm[:s, :s] - zm[:s, s:] @ np.linalg.solve(z22, zm[s:, :s])

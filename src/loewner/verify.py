@@ -192,7 +192,7 @@ def check_monotone(r, cfg: SuiteConfig) -> VerificationReport:
     def trial(rng, dim, trial_index):
         x = _random_tuple(r.k, dim, cfg.spectrum, rng)
         y = _random_tuple(r.k, dim, cfg.spectrum, rng)
-        xd, yd = make_dominated_pair(x, y, margin=0.05)
+        xd, yd = make_dominated_pair(x, y)
         fx = _eval(r, xd).entries
         fy = _eval(r, yd).entries
         scale = max(operator_norm(fx), operator_norm(fy))
@@ -216,7 +216,7 @@ def check_monotone_scalar(f, cfg: SuiteConfig, k: int = 1) -> VerificationReport
         else:
             x = random_commuting_tuple(k, dim, cfg.spectrum, rng)
             y = random_commuting_tuple(k, dim, cfg.spectrum, rng)
-        xd, yd = make_dominated_pair(x, y, margin=0.05)
+        xd, yd = make_dominated_pair(x, y)
         fx = apply_scalar_function(f, xd).entries
         fy = apply_scalar_function(f, yd).entries
         scale = max(operator_norm(fx), operator_norm(fy))
@@ -339,14 +339,15 @@ class HullCertificate:
     base_level: float
 
 
-def comat_decompose(x, group_tol: float = 1e-12) -> HullCertificate:
+def comat_decompose(x) -> HullCertificate:
     """Decompose a PD tuple into compressions of scalar (commuting) tuples.
 
     Coordinate i is isolated in the tuple T_i = (zI, .., kX_i - (k-1)zI, .., zI)
     with (1/k) sum_i T_i = X and z = min_i lambda_min(X_i) * k/(2(k-1)); each
     T_i is then resolved spectrally.  For k = 1 there is no scalar padding and
     the certificate is the plain spectral decomposition (z = lambda_min).
-    Every scalar entry is >= z/2 > 0.
+    Eigenvalues of T_i at most ``1e-12 * max(1, |lambda_max|)`` apart share
+    one block.  Every scalar entry is >= z/2 > 0.
     """
     xt = as_tuple(x)
     k, n = xt.k, xt.n
@@ -370,7 +371,7 @@ def comat_decompose(x, group_tol: float = 1e-12) -> HullCertificate:
         start = 0
         while start < n:
             stop = start + 1
-            while stop < n and lam[stop] - lam[stop - 1] <= group_tol * scale:
+            while stop < n and lam[stop] - lam[stop - 1] <= 1e-12 * scale:
                 stop += 1
             value = float(lam[start:stop].mean())
             s = np.full(k, z)

@@ -10,8 +10,6 @@ from loewner import (
     QuadratureScheme,
     SymMatrix,
     apply_scalar_function,
-    arrowhead_sum,
-    b_form,
     build_realization,
     cauchy_atom,
     eval_pencil,
@@ -24,6 +22,7 @@ from loewner import (
 )
 from loewner.builders import power_quadrature_scheme
 from loewner.numlin import operator_norm
+from loewner.pencil import householder_to_e1
 
 
 def geo_oracle(a, b, t):
@@ -68,7 +67,7 @@ class TestQuadratureScheme:
 
     def test_power_scheme_shape_and_signs(self):
         s = power_quadrature_scheme(0.5, 32)
-        assert s.node_count == 32
+        assert s.nodes.shape == s.weights.shape == (32,)
         assert np.all(s.nodes > 0) and np.all(np.diff(s.nodes) > 0)
         assert np.all(s.weights > 0)
 
@@ -108,39 +107,6 @@ class TestCauchyAtom:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cauchy_atom(0.0)
-
-
-class TestArrowheadSum:
-    def test_single_atom_identical_eval(self):
-        atom = cauchy_atom(1.5)
-        summed = arrowhead_sum([atom])
-        a = random_pd(4, (0.2, 5), 1)
-        f1 = eval_pencil(atom, MatrixTuple((a,))).entries
-        f2 = eval_pencil(summed, MatrixTuple((a,))).entries
-        assert operator_norm(f1 - f2) <= 1e-12
-
-    def test_two_cauchy_atoms_scalar_sum(self):
-        r = arrowhead_sum([cauchy_atom(1.0), cauchy_atom(2.0)])
-        out = eval_pencil(r, MatrixTuple((np.array([[1.0]]),)))
-        assert abs(out.entries[0, 0] - (0.5 + 2.0 / 3.0)) < 1e-13
-
-    def test_affine_only_identity(self):
-        r = arrowhead_sum([], affine=(0.0, [1.0]))
-        a = random_pd(3, (0.1, 10), 2)
-        np.testing.assert_allclose(eval_pencil(r, MatrixTuple((a,))).entries,
-                                   a.entries, atol=1e-13)
-
-    def test_matrix_sum_with_affine(self):
-        r = arrowhead_sum([cauchy_atom(1.0)], affine=(0.5, [0.25]))
-        a = random_pd(3, (0.2, 4), 7)
-        got = eval_pencil(r, MatrixTuple((a,))).entries
-        oracle = (0.5 * np.eye(3) + 0.25 * a.entries
-                  + apply_scalar_function(lambda x: x / (1 + x), a).entries)
-        assert operator_norm(got - oracle) <= 1e-10
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            arrowhead_sum([cauchy_atom(1.0), geometric_mean(0.5, 8)])
 
 
 class TestLoewnerQuadrature:
@@ -277,14 +243,6 @@ class TestBuildRealization:
         got = eval_pencil(r, MatrixTuple((a,))).entries
         assert operator_norm(got - psd_sqrt(a).entries) <= 1e-7
 
-    def test_built_realizations_satisfy_b_form_constraint(self):
-        for text in ("cauchy:1.5", "power:0.5", "harmonic:0.3,0.7",
-                     "arithmetic:0.5,0.5", "geomean:0.5"):
-            r = build_realization(text, n_nodes=16)
-            b0, bs = b_form(r)
-            gap = b0.entries - sum(b.entries for b in bs)
-            assert np.linalg.eigvalsh(gap)[0] >= -1e-12
-
     def test_built_realizations_pass_order_suites(self):
         from loewner import SuiteConfig, check_concave, check_jensen_isometry, check_monotone
         cfg = SuiteConfig(dims=(2, 3), trials=15, seed=77, tol=1e-8)
@@ -299,6 +257,87 @@ class TestBuildRealization:
 # The per-node construction that `build_realization` replaced: one pencil per
 # quadrature atom, rotated and summed by `arrowhead_sum`.  It stays here as
 # the oracle of the direct assembly.
+def arrowhead_sum(atoms, affine=None) -> PencilRealization:
+    """Sum of atom realizations plus an affine part, as one arrowhead pencil.
+
+    Each atom is rotated so its pivot is the first coordinate; the summed
+    pencil shares that single pivot coordinate while the atoms' auxiliary
+    blocks stay disjoint, so the trailing block of the result is block
+    diagonal and the shorted operator splits into the per-atom complements:
+
+        eval(result, X) = alpha I + sum_i beta_i X_i + sum_j eval(atom_j, X).
+
+    Coefficients stay PSD: each embedded atom coefficient is a principal
+    embedding of a PSD matrix and the affine part adds nonnegative scalars at
+    the pivot.
+    """
+    atoms = list(atoms)
+    if affine is None and not atoms:
+        raise ValueError("need at least one atom or an affine part")
+    if affine is not None:
+        alpha, beta = affine
+        beta = np.asarray(beta, dtype=float).reshape(-1)
+        if alpha < 0 or np.any(beta < 0):
+            raise ValueError("affine part needs alpha >= 0 and beta_i >= 0")
+        k = beta.shape[0]
+    else:
+        alpha, beta, k = 0.0, None, atoms[0].k
+    if any(a.k != k for a in atoms):
+        raise ValueError("all atoms (and the affine part) must share the arity")
+
+    m = 1 + sum(a.m - 1 for a in atoms)
+    a0 = np.zeros((m, m))
+    coeffs = [np.zeros((m, m)) for _ in range(k)]
+    a0[0, 0] = alpha
+    if beta is not None:
+        for i in range(k):
+            coeffs[i][0, 0] = beta[i]
+    offset = 1
+    for atom in atoms:
+        q = householder_to_e1(atom.e)
+        idx = np.concatenate([[0], np.arange(offset, offset + atom.m - 1)])
+        a0[np.ix_(idx, idx)] += q @ atom.a0.entries @ q.T
+        for i in range(k):
+            coeffs[i][np.ix_(idx, idx)] += q @ atom.coeffs[i].entries @ q.T
+        offset += atom.m - 1
+    e = np.zeros(m)
+    e[0] = 1.0
+    return PencilRealization(e, SymMatrix(a0), tuple(SymMatrix(c) for c in coeffs))
+
+
+class TestArrowheadSum:
+    def test_single_atom_identical_eval(self):
+        atom = cauchy_atom(1.5)
+        summed = arrowhead_sum([atom])
+        a = random_pd(4, (0.2, 5), 1)
+        f1 = eval_pencil(atom, MatrixTuple((a,))).entries
+        f2 = eval_pencil(summed, MatrixTuple((a,))).entries
+        assert operator_norm(f1 - f2) <= 1e-12
+
+    def test_two_cauchy_atoms_scalar_sum(self):
+        r = arrowhead_sum([cauchy_atom(1.0), cauchy_atom(2.0)])
+        out = eval_pencil(r, MatrixTuple((np.array([[1.0]]),)))
+        assert abs(out.entries[0, 0] - (0.5 + 2.0 / 3.0)) < 1e-13
+
+    def test_affine_only_identity(self):
+        r = arrowhead_sum([], affine=(0.0, [1.0]))
+        a = random_pd(3, (0.1, 10), 2)
+        np.testing.assert_allclose(eval_pencil(r, MatrixTuple((a,))).entries,
+                                   a.entries, atol=1e-13)
+
+    def test_matrix_sum_with_affine(self):
+        r = arrowhead_sum([cauchy_atom(1.0)], affine=(0.5, [0.25]))
+        a = random_pd(3, (0.2, 4), 7)
+        got = eval_pencil(r, MatrixTuple((a,))).entries
+        oracle = (0.5 * np.eye(3) + 0.25 * a.entries
+                  + apply_scalar_function(lambda x: x / (1 + x), a).entries)
+        assert operator_norm(got - oracle) <= 1e-10
+
+    def test_arity_mismatch(self):
+        with pytest.raises(ValueError):
+            arrowhead_sum([cauchy_atom(1.0), geometric_mean(0.5, 8)])
+
+
 def scaled_cauchy_atom(lam, weight):
     """Pencil for weight * lam x/(lam + x)."""
     a0 = weight * np.array([[0.0, 0.0], [0.0, lam]])

@@ -522,6 +522,19 @@ class TestMeanCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_non_convergence_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a map that never contracts: every step changes X by ||I||_F = sqrt(2)
+        monkeypatch.setattr("loewner.measures._geomean_pair",
+                            lambda x, a, t: np.broadcast_to(x + np.eye(2), a.shape))
+        atoms = [random_pd(2, (0.5, 2), s) for s in (1, 2)]
+        write(tmp_path / "mu.json", jsonio.measure_to_json(
+            DiscreteMeasure(tuple(atoms), np.array([0.5, 0.5]))))
+        rc = main(["mean", "--spec", "power:0.5", "--measure", str(tmp_path / "mu.json")])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == ("fixed point did not converge: power mean did not converge in 500 "
+                       "iterations (last change 1.414e+00) (residual 1.414e+00)\n")
+
     def test_bad_spec_exits_2(self, tmp_path):
         a = random_pd(2, (0.5, 2), 8)
         write(tmp_path / "mu.json", jsonio.measure_to_json(DiscreteMeasure((a,), np.array([1.0]))))

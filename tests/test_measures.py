@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from loewner import (
     Coupling,
     DiscreteMeasure,
+    MeanConvergenceError,
     SuiteConfig,
     UpperSetCertificate,
     brute_force_stochastic_leq,
@@ -26,6 +27,7 @@ from loewner import (
     random_pd,
     stochastic_leq,
 )
+from loewner import measures
 from loewner.measures import (
     _VECTOR_SUM_MIN,
     _exact_column_sums,
@@ -357,6 +359,45 @@ class TestPowerMean:
         with pytest.raises(ValueError):
             power_mean([1.0], (a,), 1.5)
 
+    # The iteration contracts by about 1 - t per step: these draws take 1037
+    # to 2183 steps, more than the 500 every exponent once had.  Their
+    # residual was at most 1.1e-12 of ||X||_F.
+    @pytest.mark.parametrize("t", [0.02, 0.01])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_exponents_converge(self, monkeypatch, t, seed):
+        steps = []
+
+        def counting(x, a, t):
+            steps.append(1)
+            return _geomean_pair(x, a, t)
+
+        monkeypatch.setattr(measures, "_geomean_pair", counting)
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+        mu = DiscreteMeasure(tuple(random_pd(n, (0.1, 10.0), rng) for _ in range(p)),
+                             rng.dirichlet(np.ones(p)))
+        x = mean_of_measure(f"power:{t}", mu).entries
+        assert len(steps) > 500
+        fixed = sum(w * _geomean_pair(x, a.entries, t) for w, a in zip(mu.weights, mu.atoms))
+        assert np.linalg.norm(x - fixed, "fro") <= 1e-11 * np.linalg.norm(x, "fro")
+
+    @pytest.mark.parametrize("t,budget", [(0.5, 500), (0.02, 3000)])
+    def test_non_convergence_raises_with_residual(self, monkeypatch, t, budget):
+        # X -> X + I never contracts: every step changes X by ||I||_F = 2
+        steps = []
+
+        def drifting(x, a, t):
+            steps.append(1)
+            return np.broadcast_to(x + np.eye(x.shape[0]), a.shape)
+
+        monkeypatch.setattr(measures, "_geomean_pair", drifting)
+        atoms = [random_pd(4, (0.5, 2), s) for s in (1, 2)]
+        with pytest.raises(MeanConvergenceError,
+                           match=f"did not converge in {budget} iterations") as exc:
+            power_mean([0.4, 0.6], atoms, t)
+        assert len(steps) == budget
+        assert exc.value.residual == pytest.approx(2.0, rel=1e-9)
+
 
 class TestMeanOfMeasure:
     def test_parse_mean_spec(self):
@@ -406,8 +447,9 @@ class TestMeanOfMeasure:
 
 
 # The power-mean iteration contracts by about 1 - t per step, so below
-# t = 0.05 it needs more than its 500 iterations; spectra stay in [0.1, 10],
-# where the documented residual bound is claimed.
+# t = 0.05 it takes more than 500 steps; those exponents are covered by
+# `test_small_exponents_converge`.  Spectra stay in [0.1, 10], where the
+# documented residual bound is claimed.
 @settings(settings.get_profile("loewner"), max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
        st.floats(0.05, 1.0), st.booleans())

@@ -178,7 +178,7 @@ class TestRandomGenerators:
 class TestMakeDominatedPair:
     def test_equal_tuples_shift_by_margin(self):
         x = random_commuting_tuple(2, 4, (1.0, 3.0), 3)
-        xd, y = make_dominated_pair(x, x, margin=0.05)
+        xd, y = make_dominated_pair(x, x)
         for a, b in zip(xd.items, x.items):
             np.testing.assert_allclose(a.entries, b.entries - 0.05 * np.eye(4), atol=1e-14)
         for a, b in zip(y.items, x.items):
@@ -187,7 +187,7 @@ class TestMakeDominatedPair:
     def test_scalar_case(self):
         x = MatrixTuple((np.array([[3.0]]),))
         y = MatrixTuple((np.array([[1.0]]),))
-        xd, yd = make_dominated_pair(x, y, margin=0.05)
+        xd, yd = make_dominated_pair(x, y)
         assert abs(xd.items[0].entries[0, 0] - 0.95) < 1e-14
         assert abs(yd.items[0].entries[0, 0] - 1.0) < 1e-14
 
@@ -198,7 +198,7 @@ class TestMakeDominatedPair:
             n = int(rng.integers(2, 6))
             x = MatrixTuple(tuple(random_pd(n, (0.1, 10), rng) for _ in range(k)))
             y = MatrixTuple(tuple(random_pd(n, (0.1, 10), rng) for _ in range(k)))
-            xd, yd = make_dominated_pair(x, y, margin=0.05)
+            xd, yd = make_dominated_pair(x, y)
             for a, b in zip(xd.items, yd.items):
                 assert loewner_leq(a, b)
                 assert np.linalg.eigvalsh(a.entries)[0] > 0

@@ -20,11 +20,9 @@ from loewner import (
     SymMatrix,
     apply_scalar_function,
     assemble_pencil,
-    b_form,
     build_realization,
     eval_complex,
     eval_pencil,
-    from_b_form,
     loewner_leq,
     make_dominated_pair,
     random_pd,
@@ -51,6 +49,7 @@ from loewner.pencil import (
     householder_to_e1,
 )
 from loewner.shorted import (
+    DEFAULT_RANK_TOL,
     RangeConditionViolation,
     SingularPivotComplement,
     block_schur_general,
@@ -106,8 +105,8 @@ class TestAssemble:
     def test_identity_tuple_gives_b0(self):
         r = cauchy_realization(1.5)
         out = assemble_pencil(r, MatrixTuple((np.eye(2),)))
-        b0, _ = b_form(r)
-        np.testing.assert_allclose(out.entries, np.kron(b0.entries, np.eye(2)))
+        b0 = r.a0.entries + r.coeffs[0].entries
+        np.testing.assert_allclose(out.entries, np.kron(b0, np.eye(2)))
         # bit for bit the Kronecker sum, at a real and a complex-Hermitian point
         rng = np.random.default_rng(15)
         for x in (random_pd(3, (0.5, 2), rng), SymMatrix(complex_pd(3, rng))):
@@ -201,7 +200,7 @@ class TestEval:
         assert operator_norm(eval_pencil(r, x).entries - ref) <= 1e-13 * znorm
 
     def test_dense_rank_cut_spans_the_whole_trailing_block(self):
-        # the 1e-14 component falls below rank_tol * lambda_max(Z22), so the
+        # the 1e-14 component falls below DEFAULT_RANK_TOL * lambda_max(Z22), so the
         # oracle drops it; a cut taken per component keeps it and is 1.2-1.7 off
         r = two_scale_realization()
         assert eval_path(r) == "dense"
@@ -572,7 +571,7 @@ def domain_outcome(fn):
 class TestTwoGeneratorPath:
     """`geomean` and two-weight `harmonic` evaluate with one Cholesky of X1 and
     one ``eigh`` of ``L^-1 X2 L^-*``; `_arrowhead_short` is the fallback when
-    ``mu_min <= sqrt(rank_tol) mu_max`` and the oracle."""
+    ``mu_min <= sqrt(DEFAULT_RANK_TOL) mu_max`` and the oracle."""
 
     def test_batched_path_not_used(self, monkeypatch):
         def fail(*args):
@@ -815,7 +814,7 @@ def parallel_sum_points(draw):
 @given(parallel_sum_points())
 def test_parallel_sum_path_matches_shorted_oracle(case):
     r, xt = case
-    got = _parallel_sum_short(r, [x.entries for x in xt.items], 1e-12)
+    got = _parallel_sum_short(r, [x.entries for x in xt.items])
     assert got is not None
     assert np.array_equal(eval_pencil(r, xt).entries, got)
     ref, znorm = rotated_oracle(r, xt)
@@ -894,7 +893,7 @@ class TestParallelSumPath:
         r = PATH_REALIZATIONS[spec]
         for seed in range(2):
             xs = spectral_point(seed, [(1.0, span)] * r.k, 4)
-            assert _parallel_sum_short(r, xs, 1e-12) is not None
+            assert _parallel_sum_short(r, xs) is not None
             got = eval_pencil(r, xs).entries
             assert operator_norm(got - mp_dense_complement(r, xs)) <= 1e-13 * pencil_norm(r, xs)
 
@@ -905,10 +904,9 @@ class TestParallelSumPath:
         r = PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"]
         q = np.array([[0.6, 0.8], [-0.8, 0.6]])
         xs = [q @ np.diag([1.0, s]) @ q.T, np.eye(2), np.eye(2)]
-        assert (parallel_sum_kappa(r, xs) < 1e6) == admitted
-        assert (_parallel_sum_short(r, xs, 1e-12) is not None) == admitted
-        # the bound follows rank_tol: 1 / sqrt(1e-8) = 1e4
-        assert _parallel_sum_short(r, xs, 1e-8) is None
+        # the admission bound is 1 / sqrt(DEFAULT_RANK_TOL) = 1e6
+        assert (parallel_sum_kappa(r, xs) < 1.0 / np.sqrt(DEFAULT_RANK_TOL)) == admitted
+        assert (_parallel_sum_short(r, xs) is not None) == admitted
         got = eval_pencil(r, xs).entries
         if admitted:
             assert operator_norm(got - mp_dense_complement(r, xs)) <= 1e-13 * pencil_norm(r, xs)
@@ -937,7 +935,7 @@ class TestParallelSumPath:
 
     @staticmethod
     def assert_dense_outcome(r, xs, raises):
-        assert _parallel_sum_short(r, xs, 1e-12) is None
+        assert _parallel_sum_short(r, xs) is None
         got = domain_outcome(lambda: eval_pencil(r, xs).entries)
         want = domain_outcome(lambda: dense_reference(r, xs))
         assert got[0] == want[0] == ("error" if raises else "ok")
@@ -947,7 +945,7 @@ class TestParallelSumPath:
         r = PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"]
         rng = np.random.default_rng(72)
         xs = [complex_pd(4, rng) for _ in range(3)]
-        assert _parallel_sum_short(r, xs, 1e-12) is not None
+        assert _parallel_sum_short(r, xs) is not None
         got = eval_pencil(r, xs).entries
         assert np.iscomplexobj(got)
         assert operator_norm(got - dense_reference(r, xs)) <= 1e-13 * pencil_norm(r, xs)
@@ -1083,6 +1081,38 @@ class TestEvalComplex:
                               (SymMatrix(np.eye(2)), SymMatrix(np.eye(2))))
         with pytest.raises(ValueError, match="one sign"):
             eval_complex(r, [a, b])
+
+    # the point may be a MatrixTuple, one matrix or a sequence of matrices;
+    # it is read as given, never symmetrized
+    def test_matrix_tuple_point(self):
+        # a MatrixTuple is self-adjoint, so its imaginary part is zero
+        x = MatrixTuple((random_pd(3, (0.5, 2), 1),))
+        with pytest.raises(ValueError, match="definite"):
+            eval_complex(cauchy_realization(1.0), x)
+        with pytest.raises(DimensionMismatch, match="2 variables, point has 1"):
+            eval_complex(build_realization("geomean:0.5", n_nodes=16), x)
+
+    def test_bare_matrix_point(self):
+        r = cauchy_realization(0.7)
+        x = np.array([[1.0 + 2j, 0.5 - 1j], [-0.3 + 0.2j, 2.0 + 1j]])
+        got = eval_complex(r, x)
+        dense = np.kron(r.a0.entries, np.eye(2)) + np.kron(r.coeffs[0].entries, x)
+        assert operator_norm(got - block_schur_general(dense, 2)) <= 1e-13
+        assert np.array_equal(got, eval_complex(r, [x]))
+        assert np.array_equal(got, eval_complex(r, x.tolist()))
+
+    def test_list_of_arrays_point(self):
+        r = build_realization("geomean:0.5", n_nodes=16)
+        rng = np.random.default_rng(11)
+        xs = [random_pd(3, (0.5, 2), rng).entries + 1j * random_pd(3, (0.5, 2), rng).entries
+              for _ in range(2)]
+        got = eval_complex(r, xs)
+        for same in (tuple(xs), np.stack(xs), [x.tolist() for x in xs]):
+            assert np.array_equal(got, eval_complex(r, same))
+        with pytest.raises(DimensionMismatch, match="share one dimension"):
+            eval_complex(r, [xs[0], xs[1][:2, :2]])
+        with pytest.raises(DimensionMismatch, match="2 variables, point has 3"):
+            eval_complex(r, xs + xs[:1])
 
 
     def test_complex_coefficients_match_dense_schur(self):
@@ -1280,34 +1310,3 @@ def test_spectral_complex_matches_batched_and_dense(case):
     conj = spectral_complex(r, [xi.conj() for xi in x])
     assert operator_norm(conj - fast.conj()) <= 1e-10 * max(1.0, operator_norm(fast))
 
-
-class TestBForm:
-    def test_identity_realization(self):
-        b0, bs = b_form(identity_realization())
-        assert b0.entries[0, 0] == 1.0
-        assert bs[0].entries[0, 0] == 1.0
-
-    def test_cauchy_atom_b_form(self):
-        b0, bs = b_form(cauchy_realization(1.0))
-        np.testing.assert_allclose(b0.entries, [[1.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(bs[0].entries, [[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_allclose(b0.entries - bs[0].entries, np.diag([0.0, 1.0]))
-
-    def test_roundtrip_is_identity(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            g0 = rng.standard_normal((3, 3))
-            g1 = rng.standard_normal((3, 3))
-            e = rng.standard_normal(3)
-            e /= np.linalg.norm(e)
-            r = PencilRealization(e, SymMatrix(g0 @ g0.T), (SymMatrix(g1 @ g1.T),))
-            b0, bs = b_form(r)
-            r2 = from_b_form(1, 3, e, b0, bs)
-            scale = max(1.0, r.a0.norm)
-            assert operator_norm(r2.a0.entries - r.a0.entries) <= 1e-14 * scale
-            assert np.array_equal(r2.coeffs[0].entries, r.coeffs[0].entries)
-
-    def test_from_b_form_rejects_violations(self):
-        # B0 < B1 means the affine offset would not be PSD
-        with pytest.raises(ValueError, match="B-form"):
-            from_b_form(1, 1, np.array([1.0]), np.array([[1.0]]), [np.array([[2.0]])])
