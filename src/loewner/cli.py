@@ -20,7 +20,7 @@ from . import builders, jsonio, measures, pencil, verify
 from .measures import MeanConvergenceError
 from .numlin import MatrixTuple, SymMatrix
 from .pencil import PencilDomainError
-from .shorted import shorted_operator
+from .shorted import SingularPivotComplement, shorted_operator
 from .verify import SuiteConfig
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def cmd_eval(args) -> int:
             out = pencil.eval(realization,
                               MatrixTuple(tuple(SymMatrix(p) for p in point)),
                               tol=args.tol).entries
-    except PencilDomainError as exc:
+    except (PencilDomainError, SingularPivotComplement) as exc:
         print(f"point outside realized domain: {exc}", file=sys.stderr)
         return EXIT_FALSE
     _emit(jsonio.matrix_to_json(out))

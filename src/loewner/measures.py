@@ -124,7 +124,6 @@ class Coupling:
     gamma: np.ndarray
     row_weights: np.ndarray
     col_weights: np.ndarray
-    tol: float = 1e-10
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float)
@@ -139,9 +138,8 @@ class Coupling:
             raise DimensionMismatch("coupling shape must match the marginal sizes")
         row_err = float(np.max(np.abs(g.sum(axis=1) - r)))
         col_err = float(np.max(np.abs(g.sum(axis=0) - c)))
-        if max(row_err, col_err) > self.tol:
-            raise ValueError(
-                f"marginals off by {max(row_err, col_err):.3e} (> {self.tol:.1e})")
+        if max(row_err, col_err) > 1e-10:
+            raise ValueError(f"marginals off by {max(row_err, col_err):.3e} (> 1.0e-10)")
         for arr in (g, r, c):
             arr.setflags(write=False)
         object.__setattr__(self, "gamma", g)
@@ -347,9 +345,9 @@ def brute_force_stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return True
 
 
-def monotone_representation(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                            coupling: Coupling, tol: float = 1e-9):
-    """Monotone Skorokhod pair from a coupling supported on the order relation.
+def monotone_representation(mu: DiscreteMeasure, nu: DiscreteMeasure, coupling: Coupling):
+    """Monotone Skorokhod pair from a coupling supported on the order relation
+    (`loewner_leq` at its default tolerance).
 
     Lays the coupling cells onto [0,1] in lexicographic order with interval
     length gamma_ij; the pushforwards recover mu and nu exactly and the two
@@ -362,7 +360,7 @@ def monotone_representation(mu: DiscreteMeasure, nu: DiscreteMeasure,
              for i in range(mu.size) for j in range(nu.size)
              if gamma[i, j] > _CELL_EPS]
     for i, j, _ in cells:
-        if not loewner_leq(mu.atoms[i], nu.atoms[j], tol):
+        if not loewner_leq(mu.atoms[i], nu.atoms[j]):
             raise ValueError(
                 f"coupling cell ({i}, {j}) is not supported on the order relation")
     lengths = np.array([g for _, _, g in cells])
@@ -639,10 +637,11 @@ def check_stochastic_monotone(spec, cfg) -> VerificationReport:
 
 
 def check_directsum_coupling(spec, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                             couplings, tol: float = 1e-8) -> VerificationReport:
-    """mean(coupling-induced direct sum) == mean(mu) (+) mean(nu), per coupling."""
+                             couplings) -> VerificationReport:
+    """mean(coupling-induced direct sum) == mean(mu) (+) mean(nu), per coupling
+    (the `SuiteConfig` tolerance 1e-8)."""
     couplings = list(couplings)
-    cfg = SuiteConfig(dims=(mu.n + nu.n,), trials=len(couplings), seed=0, tol=tol)
+    cfg = SuiteConfig(dims=(mu.n + nu.n,), trials=len(couplings), seed=0)
     mean_fn = spec if callable(spec) else (lambda m: mean_of_measure(spec, m))
     target = direct_sum(mean_fn(mu), mean_fn(nu))
 

@@ -12,58 +12,58 @@ Loewner order, which is what the verify suites exercise.
 
 Evaluation rotates e into the first coordinate (deterministic Householder
 reflection), so the shorted operator always pivots on the leading n rows.
-`eval` runs one of three kernels, chosen from the realization's shape and,
-for the spectral one, also from the point:
+The shape of the realization fixes, once (`PencilRealization._layout`), the
+paths to try in order; `_route` (real points) and `_route_complex` run the
+first one that admits the point and name it.  `eval` has four paths:
 
-* spectral (auxiliary dimension m > 1, every aux-by-aux block diagonal, and
-  k = 1, or k = 2 with the rotated A0 zero): every trailing block and
+* "spectral" (auxiliary dimension m > 1, every aux-by-aux block diagonal,
+  and k = 1, or k = 2 with the rotated A0 zero): every trailing block and
   coupling is ``p G1 + q G2`` for the generators (G1, G2) = (I, X) or
   (X1, X2).  With ``G1 = Y Y*`` and ``G2 = Y diag(mu) Y*`` the complement is
   ``Y diag(f(mu)) Y*`` for the scalar rational ``f = z - sum_j |o_j|^2 / d_j``
   (`_spectral_short`): one ``eigh(X)``, or one Cholesky ``X1 = L L*`` and one
-  ``eigh(L^-1 X2 L^-*)``.  The k = 2 form is taken only when the Cholesky
-  succeeds and ``mu_min > sqrt(DEFAULT_RANK_TOL) mu_max``; other points take
-  the batched kernel.  Oracles: `_arrowhead_short` and
+  ``eigh(L^-1 X2 L^-*)``.  The k = 2 form admits a point only when the
+  Cholesky succeeds and ``mu_min > sqrt(DEFAULT_RANK_TOL) mu_max``; other
+  points take "batched".  Oracles: `_arrowhead_short` and
   `shorted.shorted_operator` on the assembled pencil.
-* batched (`_arrowhead_short`): one batched ``eigh`` over the blocks of a
-  block-diagonal trailing block.  Any other arrowhead point passes the n x n
-  blocks of `_arrowhead_blocks`; every other shape (m = 1 included) is the
-  one-block case, the trailing block of the assembled pencil, empty when
-  m = 1.  Oracle: `shorted.shorted_operator`, whose rank cut
-  ``DEFAULT_RANK_TOL * lambda_max(Z22)`` the one-block case shares.
-* parallel-sum (m > 1, not arrowhead, the stored A0 and A_i diagonal, as
+* "batched" (every other arrowhead pencil): `_arrowhead_short`, one batched
+  ``eigh`` over the n x n blocks of `_arrowhead_blocks`.  Oracle:
+  `shorted.shorted_operator`.
+* "parallel-sum" (m > 1, not arrowhead, the stored A0 and A_i diagonal, as
   for `harmonic` with three or more weights): ``(sum_j e_j^2 B_j^-1)^-1``
   over the diagonal blocks B_j of the unrotated pencil
   (`_parallel_sum_short`).  Points it does not admit, and every domain
-  error, go to the one-block batched kernel.  Oracles: that kernel and mpmath.
+  error, go to "dense".  Oracles: that path and mpmath.
+* "dense" (every other shape, m = 1 included): `_arrowhead_short` with the
+  trailing block of the assembled pencil as its one block, empty when
+  m = 1.  Oracle: `shorted.shorted_operator`, whose rank cut
+  ``DEFAULT_RANK_TOL * lambda_max(Z22)`` it shares.
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
 Z22 >= 0, the range condition holds, and the complement is >= 0), written
 once in `_check_psd` and `_check_range` (rank cut ``DEFAULT_RANK_TOL``, as
 in `shorted.shorted_operator`).  `eval_complex` has three paths:
 
-* spectral (the shapes of the real spectral path with m > 2): every block is
-  ``G1 P(M)`` for a polynomial P in ``M = Z`` or ``X1^-1 X2``, so one ``eig``
-  ``M = V diag(mu) V^-1`` gives the complement ``G1 V diag(f(mu)) V^-1``
-  (`_spectral_complex`).  Taken only when ``kappa_1(V) < _EIG_COND_MAX``,
-  since its error grows with kappa(V), and when no trailing block can be
-  near singular; other points take the batched path.  Oracles:
-  `_arrowhead_schur_complex` and `shorted.block_schur_general`.
-* batched arrowhead (any other arrowhead pencil, m = 2 included, and the
-  spectral fallback): one ``svd``, one ``solve`` and one ``einsum`` over the
-  n x n trailing blocks (`_arrowhead_schur_complex`), the only source of
-  `SingularPivotComplement` for arrowhead pencils.  Oracle:
+* "spectral" (the shapes of the real spectral path with m > 2; m = 2
+  pencils gain nothing from it): every block is ``G1 P(M)`` for a polynomial
+  P in ``M = Z`` or ``X1^-1 X2``, so one ``eig`` ``M = V diag(mu) V^-1``
+  gives the complement ``G1 V diag(f(mu)) V^-1`` (`_spectral_complex`).  It
+  admits a point only when ``kappa_1(V) < _EIG_COND_MAX``, since its error
+  grows with kappa(V), and when no trailing block can be near singular;
+  other points take "batched".  Oracles: `_arrowhead_schur_complex` and
   `shorted.block_schur_general`.
-* dense (any other shape): one ``solve`` against the trailing block of the
-  assembled pencil.  Oracle: `shorted.block_schur_general`.
+* "batched" (every other arrowhead pencil, m = 2 included): one ``svd``,
+  one ``solve`` and one ``einsum`` over the n x n trailing blocks
+  (`_arrowhead_schur_complex`), the only source of `SingularPivotComplement`
+  for arrowhead pencils.  Oracle: `shorted.block_schur_general`.
+* "dense" (every other shape): one ``solve`` against the trailing block of
+  the assembled pencil.  Oracle: `shorted.block_schur_general`.
 
 The batched contractions run as BLAS ``matmul``: the arrowhead and
 parallel-sum blocks are one gemm over the stacked, flattened point
-(`_linear_blocks`) and the
-complement one gemm over the rows of the rotated couplings, because
-``np.einsum`` with two or more operands and no ``optimize=`` runs numpy's own
-loop, not BLAS.  The rotated coefficients and the shape tests are computed
-once per realization (`PencilRealization._layout`).
+(`_linear_blocks`) and the complement one gemm over the rows of the rotated
+couplings, because ``np.einsum`` with two or more operands and no
+``optimize=`` runs numpy's own loop, not BLAS.
 """
 
 from __future__ import annotations
@@ -141,20 +141,20 @@ class PencilRealization:
 
     @cached_property
     def _layout(self):
-        """``(a0r, coeffs_r, shape)``, computed once per realization.
-
-        The coefficients with e rotated into the first coordinate (read-only
-        arrays) and the shape of the pencil for m > 1: "arrowhead" when every
-        aux-by-aux block of them is diagonal, else "parallel-sum" when the
-        stored A0 and A_i are all diagonal; "dense" otherwise.
-        """
+        """``(a0r, coeffs_r, real_paths, complex_paths)``, computed once per
+        realization: the coefficients with e rotated into the first coordinate
+        (read-only arrays), and the paths (module docstring) that `_route` and
+        `_route_complex` try in order."""
         a0r, coeffs_r = _rotated_coefficients(self)
         for c in (a0r, *coeffs_r):
             c.setflags(write=False)
         if self.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r):
-            return a0r, tuple(coeffs_r), "arrowhead"
-        stored = self.m > 1 and _diagonal(c.entries for c in (self.a0, *self.coeffs))
-        return a0r, tuple(coeffs_r), "parallel-sum" if stored else "dense"
+            spectral = self.k == 1 or (self.k == 2 and not np.any(a0r))
+            real = ("spectral", "batched") if spectral else ("batched",)
+            return a0r, tuple(coeffs_r), real, real if self.m > 2 else ("batched",)
+        if self.m > 1 and _diagonal(c.entries for c in (self.a0, *self.coeffs)):
+            return a0r, tuple(coeffs_r), ("parallel-sum", "dense"), ("dense",)
+        return a0r, tuple(coeffs_r), ("dense",), ("dense",)
 
 
 def householder_to_e1(e) -> np.ndarray:
@@ -300,12 +300,10 @@ def _arrowhead_short(z11, blocks, couple, psd_tol):
 def _spectral_args(a0r, coeffs_r, arrays):
     """``(p, q, x1, x2)`` of the spectral form of an arrowhead pencil: k = 1
     (generators I and X, ``x1`` None) or k = 2 with A0 = 0 (generators X1
-    and X2); None for any other shape."""
+    and X2)."""
     if len(arrays) == 1:
         return a0r, coeffs_r[0], None, arrays[0]
-    if len(arrays) == 2 and not np.any(a0r):
-        return (*coeffs_r, *arrays)
-    return None
+    return (*coeffs_r, *arrays)
 
 
 def _spectral_terms(p, q, mu):
@@ -367,11 +365,11 @@ def _parallel_sum_short(r, arrays):
     rank cut then drops nothing and every admission check passes."""
     blocks = _linear_blocks(np.diag(r.a0.entries),
                             np.stack([np.diag(c.entries) for c in r.coeffs]), arrays)
-    try:
+    try:  # a Cholesky can pass on an exactly singular B_j that inv rejects
         np.linalg.cholesky(blocks)
+        inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError:
         return None
-    inv = np.linalg.inv(blocks)
     kappa = np.linalg.norm(blocks, axis=(1, 2)).max() * np.linalg.norm(inv, axis=(1, 2)).max()
     if not kappa * math.sqrt(DEFAULT_RANK_TOL) < 1.0:
         return None
@@ -389,18 +387,25 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
     xt = as_tuple(x)
     if xt.k != r.k:
         raise DimensionMismatch(f"realization has {r.k} variables, point has {xt.k}")
-    a0r, coeffs_r, shape = r._layout
-    arrays = [xi.entries for xi in xt.items]
-    args = _spectral_args(a0r, coeffs_r, arrays) if shape == "arrowhead" else None
-    short = None if args is None else _spectral_short(*args, tol)
-    if short is None and shape == "arrowhead":
-        short = _arrowhead_short(*_arrowhead_blocks(a0r, coeffs_r, arrays), tol)
-    elif shape == "parallel-sum":
-        short = _parallel_sum_short(r, arrays)
-    if short is None:
-        z, n = _assembled_pencil(a0r, coeffs_r, arrays), xt.n
-        short = _arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], tol)
-    return SymMatrix(short)
+    return SymMatrix(_route(r, [xi.entries for xi in xt.items], tol)[1])
+
+
+def _route(r: PencilRealization, arrays, tol):
+    """``(path, short)`` of the first real path of ``r`` (`_layout`) that
+    admits the point; "batched" and "dense" admit every point or raise."""
+    a0r, coeffs_r, paths, _ = r._layout
+    for path in paths:
+        if path == "spectral":
+            short = _spectral_short(*_spectral_args(a0r, coeffs_r, arrays), tol)
+        elif path == "batched":
+            short = _arrowhead_short(*_arrowhead_blocks(a0r, coeffs_r, arrays), tol)
+        elif path == "parallel-sum":
+            short = _parallel_sum_short(r, arrays)
+        else:
+            z, n = _assembled_pencil(a0r, coeffs_r, arrays), arrays[0].shape[0]
+            short = _arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], tol)
+        if short is not None:
+            return path, short
 
 
 # Relative singular-value floor of the trailing block at complex points.
@@ -484,7 +489,9 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
     negative definite (the two half-planes are symmetric; the conjugate
     half-plane is needed by the conjugate-symmetry checks).  The trailing
     block is then invertible and a plain Schur complement applies.
-    Returns a complex n x n matrix, not Hermitian in general.
+    Returns a complex n x n matrix, not Hermitian in general.  A
+    `MatrixTuple` point is self-adjoint by construction, so its imaginary
+    parts are zero and it always fails the definiteness check.
     """
     arrays = [np.asarray(_as_array(xi), dtype=complex) for xi in _coordinates(x)]
     if len(arrays) != r.k:
@@ -505,17 +512,22 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
         im_mins.append(min(abs(float(vals[0])), abs(float(vals[-1]))))
     if len(set(signs)) != 1:
         raise ValueError("imaginary parts must share one sign across coordinates")
+    return _route_complex(r, arrays, im_mins[0])[1]
 
-    a0r, coeffs_r, shape = r._layout
-    # m = 2 pencils gain nothing from the eigendecomposition
-    args = _spectral_args(a0r, coeffs_r, arrays) if shape == "arrowhead" and r.m > 2 else None
-    out = None if args is None else _spectral_complex(*args, im_mins[0])
-    if out is not None:
-        return out
-    if shape == "arrowhead":
-        return _arrowhead_schur_complex(a0r, coeffs_r, arrays)
-    z = _assembled_pencil(a0r, coeffs_r, arrays)
-    z22 = z[n:, n:]
-    _check_pivot(z22, max(1.0, float(np.abs(z).sum(axis=1).max())))
-    return z[:n, :n] - z[:n, n:] @ np.linalg.solve(z22, z[n:, :n])
+
+def _route_complex(r: PencilRealization, arrays, im_min):
+    """``(path, out)`` of the first complex path of ``r`` (`_layout`) that
+    admits the point; "batched" and "dense" admit every point or raise."""
+    a0r, coeffs_r, _, paths = r._layout
+    for path in paths:
+        if path == "spectral":
+            out = _spectral_complex(*_spectral_args(a0r, coeffs_r, arrays), im_min)
+        elif path == "batched":
+            out = _arrowhead_schur_complex(a0r, coeffs_r, arrays)
+        else:
+            z, n = _assembled_pencil(a0r, coeffs_r, arrays), arrays[0].shape[0]
+            _check_pivot(z[n:, n:], max(1.0, float(np.abs(z).sum(axis=1).max())))
+            out = z[:n, :n] - z[:n, n:] @ np.linalg.solve(z[n:, n:], z[n:, :n])
+        if out is not None:
+            return path, out
 

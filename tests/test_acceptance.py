@@ -353,7 +353,7 @@ def test_criterion_12_operator_means_of_measures():
                               np.array([0.5, 0.5]))
         rep = check_directsum_coupling(
             "power:0.5", mu2, nu2,
-            couplings_sample(mu2, nu2, 11, seed=pair_seed), tol=1e-8)
+            couplings_sample(mu2, nu2, 11, seed=pair_seed))
         ds_ok = ds_ok and rep.passed
         ds_worst = min(ds_worst, rep.worst_violation)
 

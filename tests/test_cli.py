@@ -389,6 +389,27 @@ class TestRealizeEval:
         f = jsonio.matrix_from_json(json.loads(capsys.readouterr().out))
         assert np.linalg.eigvalsh((f - f.conj().T) / 2j)[0] >= -1e-8
 
+    def _eval_complex_at(self, tmp_path, x):
+        # m = 3, A0 = 0, A1 = diag(1, 0, 1): the second trailing block is 0 * X
+        r = PencilRealization(np.eye(3)[0], SymMatrix(np.zeros((3, 3))),
+                              (SymMatrix(np.diag([1.0, 0.0, 1.0])),))
+        write(tmp_path / "r.json", jsonio.realization_to_json(r))
+        write(tmp_path / "x.json", jsonio.matrix_to_json(x))
+        return main(["eval", "--realization", str(tmp_path / "r.json"),
+                     "--point", str(tmp_path / "x.json"), "--complex"])
+
+    def test_eval_complex_singular_pivot_exits_1(self, tmp_path, capsys):
+        assert self._eval_complex_at(tmp_path, np.diag([1.0, -1.0]) + 1j * np.eye(2)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("point outside realized domain: pivot complement block "
+                                "singular (sigma_min = 0.000e+00); imaginary-part "
+                                "positivity violated beyond tolerance\n")
+
+    def test_eval_complex_indefinite_imaginary_part_exits_2(self, tmp_path, capsys):
+        assert self._eval_complex_at(tmp_path, np.eye(2) + 1j * np.diag([1.0, -1.0])) == 2
+        assert "definite" in capsys.readouterr().err
+
     def test_identity_echoes_point(self, tmp_path, capsys):
         main(["realize", "--function", "identity", "-o", str(tmp_path / "r.json")])
         a = random_pd(3, (0.5, 2), 9)

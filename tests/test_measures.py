@@ -621,8 +621,7 @@ class TestDirectSumCoupling:
         mu = uniform_measure([random_pd(2, (0.5, 2), rng) for _ in range(2)])
         nu = uniform_measure([random_pd(3, (0.5, 2), rng) for _ in range(2)])
         report = check_directsum_coupling("power:0.5", mu, nu,
-                                          couplings_sample(mu, nu, 6, seed=1),
-                                          tol=1e-8)
+                                          couplings_sample(mu, nu, 6, seed=1))
         assert report.passed
 
     def test_harmonic_over_random_couplings(self):
@@ -631,9 +630,9 @@ class TestDirectSumCoupling:
                              np.array([0.2, 0.3, 0.5]))
         nu = uniform_measure([random_pd(2, (0.5, 2), rng) for _ in range(2)])
         report = check_directsum_coupling("harmonic", mu, nu,
-                                          couplings_sample(mu, nu, 8, seed=2),
-                                          tol=1e-10)
-        assert report.passed
+                                          couplings_sample(mu, nu, 8, seed=2))
+        # every trial within 1e-10, not only within the suite tolerance 1e-8
+        assert report.passed and report.worst_violation >= -1e-10
 
     @staticmethod
     def _pair():
@@ -660,12 +659,6 @@ class TestDirectSumCoupling:
         mu, nu = self._pair()
         with pytest.raises(ValueError, match="trials must be at least 1"):
             check_directsum_coupling("arithmetic", mu, nu, [])
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-8])
-    def test_rejects_nonpositive_tol(self, tol):
-        mu, nu = self._pair()
-        with pytest.raises(ValueError, match="tol must be positive"):
-            check_directsum_coupling("arithmetic", mu, nu, couplings_sample(mu, nu, 1), tol=tol)
 
 
 class TestPinnedDigests:

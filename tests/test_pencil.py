@@ -23,13 +23,13 @@ from loewner import (
     build_realization,
     eval_complex,
     eval_pencil,
-    loewner_leq,
     make_dominated_pair,
     random_pd,
     shorted_operator,
 )
 from loewner.numlin import (
     NotPositiveSemidefinite,
+    as_tuple,
     operator_norm,
     tuple_compress,
     tuple_direct_sum,
@@ -43,9 +43,10 @@ from loewner.pencil import (
     _aux_blocks_diagonal,
     _parallel_sum_short,
     _rotated_coefficients,
+    _route,
+    _route_complex,
     _spectral_args,
     _spectral_complex,
-    _spectral_short,
     householder_to_e1,
 )
 from loewner.shorted import (
@@ -203,9 +204,9 @@ class TestEval:
         # the 1e-14 component falls below DEFAULT_RANK_TOL * lambda_max(Z22), so the
         # oracle drops it; a cut taken per component keeps it and is 1.2-1.7 off
         r = two_scale_realization()
-        assert eval_path(r) == "dense"
         for seed in range(3):
             x = MatrixTuple((random_pd(3, (0.1, 10), seed),))
+            assert route(r, x) == "dense"
             ref, znorm = rotated_oracle(r, x)
             assert operator_norm(eval_pencil(r, x).entries - ref) <= 1e-12 * znorm
 
@@ -217,7 +218,6 @@ class TestEval:
         # there.  At the admitted point the 1e-14 component (at most 9e-14)
         # still falls below the cut 9e-12.
         r = shifted_two_scale_realization()
-        assert eval_path(r) == "dense"
         xt = MatrixTuple((np.diag(lam),))
         try:
             ref, znorm = rotated_oracle(r, xt)
@@ -228,6 +228,7 @@ class TestEval:
             with pytest.raises(PencilDomainError, match="range condition"):
                 eval_pencil(r, xt)
         else:
+            assert route(r, xt) == "dense"
             assert operator_norm(eval_pencil(r, xt).entries - ref) <= 1e-13 * znorm
 
 
@@ -276,6 +277,11 @@ def rotated_oracle(r, xt):
     return shorted_operator(SymMatrix(z), xt.n).s_short.entries, operator_norm(z)
 
 
+def route(r, x, tol=1e-9):
+    """The real path that `eval` takes at x."""
+    return _route(r, [xi.entries for xi in as_tuple(x).items], tol)[0]
+
+
 def batched_short(a0r, coeffs_r, xs):
     """The batched kernel on the n x n blocks of a rotated arrowhead pencil."""
     return _arrowhead_short(*_arrowhead_blocks(a0r, coeffs_r, xs), 1e-9)
@@ -300,24 +306,13 @@ def assert_matches_oracles(r, x):
     assert operator_norm(fast - ref) <= 1e-13 * max(1.0, znorm)
 
 
-def raises_domain_error(fn):
-    try:
-        fn()
-    except PencilDomainError:
-        return True
-    return False
-
-
 class TestSpectralPath:
     """One-variable arrowhead pencils evaluate in the eigenbasis of X."""
 
-    def test_batched_path_not_used_for_one_variable(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("batched arrowhead path taken")
-
-        monkeypatch.setattr("loewner.pencil._arrowhead_blocks", fail)
+    def test_batched_path_not_used_for_one_variable(self):
         r = build_realization("power:0.5", n_nodes=24)
         x = random_pd(4, (0.1, 10), 0)
+        assert route(r, [x]) == "spectral"
         out = eval_pencil(r, MatrixTuple((x,))).entries
         oracle = apply_scalar_function(np.sqrt, x).entries
         assert operator_norm(out - oracle) <= 1e-10 * operator_norm(oracle)
@@ -417,9 +412,9 @@ class TestSpectralPath:
     def test_domain_errors_match_batched_path(self, spec, x, raises):
         r = build_realization(spec, n_nodes=24)
         a0r, coeffs_r = _rotated_coefficients(r)
-        spectral = raises_domain_error(lambda: eval_pencil(r, MatrixTuple((x,))))
-        batched = raises_domain_error(lambda: batched_short(a0r, coeffs_r, [x]))
-        assert spectral == batched == raises
+        spectral = domain_outcome(lambda: eval_pencil(r, MatrixTuple((x,))))[0]
+        batched = domain_outcome(lambda: batched_short(a0r, coeffs_r, [x]))[0]
+        assert spectral == batched == ("error" if raises else "ok")
 
 
 def geomean_formula(x1, x2, t):
@@ -526,7 +521,7 @@ def mp_complement(r, xs, dps=50):
     coefficients) at ``dps`` digits; complex when the point is."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
-    a0r, coeffs_r, _ = r._layout
+    a0r, coeffs_r, *_ = r._layout
     n = xs[0].shape[0]
     with mpmath.workdps(dps):
         xm = [mp.matrix(x.tolist()) for x in xs]
@@ -555,12 +550,6 @@ def spectral_point(seed, spectra, n):
     return out
 
 
-def two_generator_short(r, x1, x2):
-    """The two-generator spectral form at (X1, X2), None when not admitted."""
-    _, (c1, c2), _ = r._layout
-    return _spectral_short(c1, c2, x1, x2, 1e-9)
-
-
 def domain_outcome(fn):
     try:
         return "ok", fn()
@@ -573,17 +562,17 @@ class TestTwoGeneratorPath:
     one ``eigh`` of ``L^-1 X2 L^-*``; `_arrowhead_short` is the fallback when
     ``mu_min <= sqrt(DEFAULT_RANK_TOL) mu_max`` and the oracle."""
 
-    def test_batched_path_not_used(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("batched arrowhead path taken")
-
-        monkeypatch.setattr("loewner.pencil._arrowhead_blocks", fail)
+    def test_batched_path_not_used(self):
         x1 = random_pd(64, (0.3, 3.0), 51).entries
         x2 = random_pd(64, (0.3, 3.0), 52).entries
-        got = eval_pencil(build_realization("geomean:0.5", n_nodes=96), [x1, x2]).entries
+        r = build_realization("geomean:0.5", n_nodes=96)
+        assert route(r, [x1, x2]) == "spectral"
+        got = eval_pencil(r, [x1, x2]).entries
         ref = geomean_formula(x1, x2, 0.5)
         assert operator_norm(got - ref) <= 1e-11 * operator_norm(ref)
-        got = eval_pencil(build_realization("harmonic:0.3,0.7"), [x1, x2]).entries
+        r = build_realization("harmonic:0.3,0.7")
+        assert route(r, [x1, x2]) == "spectral"
+        got = eval_pencil(r, [x1, x2]).entries
         ref = np.linalg.inv(0.3 * np.linalg.inv(x1) + 0.7 * np.linalg.inv(x2))
         assert operator_norm(got - ref) <= 1e-12 * operator_norm(ref)
 
@@ -596,26 +585,18 @@ class TestTwoGeneratorPath:
         r = build_realization(spec, n_nodes=96)
         for seed in range(2):
             x1, x2 = spectral_point(seed, spectra, 5)
-            assert two_generator_short(r, x1, x2) is not None
+            assert route(r, [x1, x2]) == "spectral"
             ref = mp_complement(r, [x1, x2])
             got = eval_pencil(r, [x1, x2]).entries
             assert operator_norm(got - ref) <= 1e-12 * operator_norm(ref)
 
-    def test_wide_mu_reproducer_takes_the_fallback(self, monkeypatch):
+    def test_wide_mu_reproducer_takes_the_fallback(self):
         # mu spans about 1e-21 of mu_max, far below its eps * mu_max accuracy:
         # without the admission rule the spectral form is 8.6e3 ||F|| off here
         r = build_realization("geomean:0.5", n_nodes=24)
         x1, x2 = spectral_point(2, ((1.3e-6, 9.8e5), (2.6e-8, 2.7e7)), 4)
-        assert two_generator_short(r, x1, x2) is None
-        calls = []
-
-        def spy(*args):
-            calls.append(1)
-            return _arrowhead_blocks(*args)
-
-        monkeypatch.setattr("loewner.pencil._arrowhead_blocks", spy)
+        assert route(r, [x1, x2]) == "batched"
         got = eval_pencil(r, [x1, x2]).entries
-        assert calls == [1]
         ref = mp_complement(r, [x1, x2])
         # the batched path's own error at this point is 1.0e-7 of ||F||
         assert operator_norm(got - ref) <= 1e-6 * operator_norm(ref)
@@ -631,7 +612,7 @@ class TestTwoGeneratorPath:
     @pytest.mark.parametrize("spec", ["geomean:0.5", "harmonic:0.3,0.7"])
     def test_domain_errors_match_batched_path(self, spec, x1, x2, raises):
         r = build_realization(spec, n_nodes=24)
-        a0r, coeffs_r, _ = r._layout
+        a0r, coeffs_r, *_ = r._layout
         got = domain_outcome(lambda: eval_pencil(r, [x1, x2]).entries)
         want = domain_outcome(lambda: batched_short(a0r, coeffs_r, [x1, x2]))
         assert got[0] == want[0] == ("error" if raises else "ok")
@@ -665,7 +646,7 @@ class TestEvalLayout:
     @pytest.mark.parametrize("spec", ["geomean:0.5", "harmonic:0.3,0.7",
                                       "harmonic:0.2,0.3,0.5"])
     def test_layout_read_only(self, spec):
-        a0r, coeffs_r, _ = build_realization(spec, n_nodes=24)._layout
+        a0r, coeffs_r, *_ = build_realization(spec, n_nodes=24)._layout
         for c in (a0r, *coeffs_r):
             assert not c.flags.writeable
             with pytest.raises(ValueError):
@@ -703,17 +684,17 @@ def block_diagonal_realization():
                               SymMatrix(np.diag([0.0, 1.0, 3.0, 0.0]))))
 
 
-# Realizations per `eval` path: one-variable spectral, two-generator spectral
-# (k = 2, A0 = 0; wide-mu points fall back to the batched path), batched
-# arrowhead (k >= 2), parallel-sum (stored coefficients diagonal; points
-# outside its admission rule fall back to the dense path) and dense (m = 1 or
-# a non-diagonal aux block).
+# The `eval` path of each realization at a well-conditioned PD point: spectral
+# (k = 1, or k = 2 with A0 = 0; wide-mu points fall back to batched), batched
+# (other arrowhead pencils), parallel-sum (stored coefficients diagonal; points
+# outside its admission rule fall back to dense) and dense (m = 1 or a
+# non-diagonal aux block).
 PATH_SPECS = {
     "arithmetic:0.4,0.6": "dense",
     "power:0.5": "spectral",
     "cauchy:1.0": "spectral",
-    "geomean:0.5": "two-generator",
-    "harmonic:0.3,0.7": "two-generator",
+    "geomean:0.5": "spectral",
+    "harmonic:0.3,0.7": "spectral",
     "shifted-parallel-sum": "batched",
     "harmonic:0.2,0.3,0.5": "parallel-sum",
     "block-diagonal": "parallel-sum",
@@ -727,21 +708,24 @@ PATH_REALIZATIONS = {spec: (CUSTOM_REALIZATIONS[spec]() if spec in CUSTOM_REALIZ
                      for spec in PATH_SPECS}
 
 
-def eval_path(r):
-    a0r, coeffs_r = _rotated_coefficients(r)
-    if r.m == 1:
-        return "dense"
-    if not _aux_blocks_diagonal(a0r, coeffs_r):
-        stored = [c.entries for c in (r.a0, *r.coeffs)]
-        diagonal = all(np.array_equal(c, np.diag(np.diag(c))) for c in stored)
-        return "parallel-sum" if diagonal else "dense"
-    if r.k == 1:
-        return "spectral"
-    return "two-generator" if r.k == 2 and not np.any(a0r) else "batched"
-
-
 def test_path_specs_cover_every_eval_path():
-    assert {spec: eval_path(r) for spec, r in PATH_REALIZATIONS.items()} == PATH_SPECS
+    rng = np.random.default_rng(37)
+    assert {spec: route(r, [random_pd(3, (0.5, 2), rng) for _ in range(r.k)])
+            for spec, r in PATH_REALIZATIONS.items()} == PATH_SPECS
+
+
+# one point just outside the domain per real path, admitted at a looser tol;
+# harmonic's Cholesky fails there, so it goes to the dense path
+@pytest.mark.parametrize("spec,path", [
+    ("cauchy:1.0", "spectral"), ("shifted-parallel-sum", "batched"),
+    ("arithmetic:0.4,0.6", "dense"), ("harmonic:0.2,0.3,0.5", "dense")])
+def test_tol_reaches_every_real_path(spec, path):
+    r = PATH_REALIZATIONS[spec]
+    xs = [np.diag([1.0, 2.0, -1e-6])] * r.k
+    with pytest.raises(PencilDomainError):
+        eval_pencil(r, xs)
+    assert route(r, xs, tol=1e-5) == path
+    eval_pencil(r, xs, tol=1e-5)
 
 
 @st.composite
@@ -852,7 +836,7 @@ def parallel_sum_kappa(r, xs):
 def dense_reference(r, xs):
     """The batched kernel on the rotated, assembled pencil at the symmetrized
     point, its trailing block as one block, as `eval` returns it."""
-    a0r, coeffs_r, _ = r._layout
+    a0r, coeffs_r, *_ = r._layout
     z, n = _assembled_pencil(a0r, coeffs_r, [SymMatrix(x).entries for x in xs]), xs[0].shape[0]
     return SymMatrix(_arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], 1e-9)).entries
 
@@ -868,18 +852,18 @@ class TestParallelSumPath:
     pencil is the fallback and, with a 50-digit complement of the rotated
     pencil, the oracle."""
 
-    def test_dense_path_not_used(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("dense path taken")
-
-        monkeypatch.setattr("loewner.pencil._assembled_pencil", fail)
+    def test_dense_path_not_used(self):
         rng = np.random.default_rng(70)
         xs = [random_pd(64, (0.1, 10), rng).entries for _ in range(3)]
-        got = eval_pencil(PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"], xs).entries
+        r = PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"]
+        assert route(r, xs) == "parallel-sum"
+        got = eval_pencil(r, xs).entries
         ref = np.linalg.inv(sum(w * np.linalg.inv(x) for w, x in zip((0.2, 0.3, 0.5), xs)))
         assert operator_norm(got - ref) <= 1e-12 * operator_norm(ref)
         x1, x2, eye = xs[0], xs[1], np.eye(64)
-        got = eval_pencil(PATH_REALIZATIONS["block-diagonal"], [x1, x2]).entries
+        r = PATH_REALIZATIONS["block-diagonal"]
+        assert route(r, [x1, x2]) == "parallel-sum"
+        got = eval_pencil(r, [x1, x2]).entries
         blocks = (0.5 * eye + x1, 2.0 * x1 + x2, eye + 3.0 * x2)
         ref = np.linalg.inv(sum(e * e * np.linalg.inv(b)
                                 for e, b in zip((0.48, 0.6, 0.64), blocks)))
@@ -893,7 +877,7 @@ class TestParallelSumPath:
         r = PATH_REALIZATIONS[spec]
         for seed in range(2):
             xs = spectral_point(seed, [(1.0, span)] * r.k, 4)
-            assert _parallel_sum_short(r, xs) is not None
+            assert route(r, xs) == "parallel-sum"
             got = eval_pencil(r, xs).entries
             assert operator_norm(got - mp_dense_complement(r, xs)) <= 1e-13 * pencil_norm(r, xs)
 
@@ -906,7 +890,7 @@ class TestParallelSumPath:
         xs = [q @ np.diag([1.0, s]) @ q.T, np.eye(2), np.eye(2)]
         # the admission bound is 1 / sqrt(DEFAULT_RANK_TOL) = 1e6
         assert (parallel_sum_kappa(r, xs) < 1.0 / np.sqrt(DEFAULT_RANK_TOL)) == admitted
-        assert (_parallel_sum_short(r, xs) is not None) == admitted
+        assert route(r, xs) == ("parallel-sum" if admitted else "dense")
         got = eval_pencil(r, xs).entries
         if admitted:
             assert operator_norm(got - mp_dense_complement(r, xs)) <= 1e-13 * pencil_norm(r, xs)
@@ -919,9 +903,11 @@ class TestParallelSumPath:
         ([np.diag([1.0, 2.0, -0.5]), np.eye(3), np.eye(3)], True),
         ([np.eye(3), np.eye(3), np.diag([1.0, 2.0, -1e-6])], True),
         ([-np.eye(3)] * 3, True),
+        ([np.full((2, 2), 0.81), np.eye(2), np.eye(2)], False),
     ])
     def test_fallbacks_match_dense_path(self, xs, raises):
-        # Cholesky fails at each point: PSD-singular, barely and clearly non-PSD
+        # Cholesky fails at each point (PSD-singular, barely and clearly non-PSD)
+        # but the last, a rank-one B_1 that it passes and inv rejects
         self.assert_dense_outcome(PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"], xs, raises)
 
     @pytest.mark.parametrize("xs,raises", [
@@ -940,21 +926,22 @@ class TestParallelSumPath:
         want = domain_outcome(lambda: dense_reference(r, xs))
         assert got[0] == want[0] == ("error" if raises else "ok")
         assert got[1] == want[1] if raises else np.array_equal(got[1], want[1])
+        assert raises or route(r, xs) == "dense"
 
     def test_complex_hermitian_point(self):
         r = PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"]
         rng = np.random.default_rng(72)
         xs = [complex_pd(4, rng) for _ in range(3)]
-        assert _parallel_sum_short(r, xs) is not None
+        assert route(r, xs) == "parallel-sum"
         got = eval_pencil(r, xs).entries
         assert np.iscomplexobj(got)
         assert operator_norm(got - dense_reference(r, xs)) <= 1e-13 * pencil_norm(r, xs)
 
 
-# One `eval` per route (spectral, two-generator, the batched kernel on the
-# blocks of a wide-mu point, parallel-sum, and the one-block batched kernel at
-# a PSD-singular parallel-sum point, at m = 1 and at m > 1 for two-scale) and
-# one `eval_complex` per path (spectral with k = 1 and k = 2, arrowhead, dense).
+# One `eval` per path (spectral with k = 1 and k = 2, batched at a wide-mu
+# point, parallel-sum, and dense at a PSD-singular parallel-sum point, at m = 1
+# and for two-scale) and one `eval_complex` per path (spectral with k = 1 and
+# k = 2, batched, dense).
 SCIPY_LINALG_PROBE = """
 import sys
 import numpy as np
@@ -1114,7 +1101,6 @@ class TestEvalComplex:
         with pytest.raises(DimensionMismatch, match="2 variables, point has 3"):
             eval_complex(r, xs + xs[:1])
 
-
     def test_complex_coefficients_match_dense_schur(self):
         # the pivot-row coupling of a complex-Hermitian coefficient is the
         # conjugate of the pivot-column coupling
@@ -1127,15 +1113,13 @@ class TestEvalComplex:
 
     @pytest.mark.parametrize("spec,path", [
         ("power:0.5", "spectral"), ("geomean:0.5", "spectral"),
-        ("cauchy:1.0", "arrowhead"), ("harmonic:0.3,0.7", "arrowhead"),
-        ("shifted-parallel-sum", "arrowhead"),
+        ("cauchy:1.0", "batched"), ("harmonic:0.3,0.7", "batched"),
+        ("shifted-parallel-sum", "batched"),
         ("harmonic:0.2,0.3,0.5", "dense"), ("block-diagonal", "dense"),
         ("arithmetic:0.4,0.6", "dense"), ("complex-dense", "dense")])
-    def test_every_path_matches_block_schur_oracle(self, monkeypatch, spec, path):
+    def test_every_path_matches_block_schur_oracle(self, spec, path):
         r = (complex_dense_realization() if spec == "complex-dense"
              else PATH_REALIZATIONS[spec])
-        assert eval_complex_path(r) == path
-        calls = spy_on_batched_complex(monkeypatch)
         rng = np.random.default_rng(36)
         for sign in (1, -1):
             x = []
@@ -1143,9 +1127,9 @@ class TestEvalComplex:
                 re = rng.standard_normal((4, 4))
                 x.append((re + re.T) / 2 + sign * 1j * random_pd(4, (0.2, 3), rng).entries)
             ref, znorm = complex_oracle(r, x)
+            assert route_complex(r, x)[0] == path
             got = eval_complex(r, x)
             assert operator_norm(got - ref) <= 1e-12 * max(1.0, znorm)
-        assert len(calls) == (2 if path == "arrowhead" else 0)
 
     def test_complex_coefficients_match_dense_schur_matrix_point(self):
         r = complex_coefficient_realization()
@@ -1156,27 +1140,6 @@ class TestEvalComplex:
         dense = np.kron(r.a0.entries, np.eye(3)) + np.kron(r.coeffs[0].entries, x)
         ref = block_schur_general(dense, 3)
         assert operator_norm(got - ref) <= 1e-12 * max(1.0, operator_norm(dense))
-
-
-def eval_complex_path(r):
-    """`eval_complex` path of a realization at a well-conditioned point: the
-    spectral form needs the shape of the real spectral paths and m > 2."""
-    path = eval_path(r)
-    if path in ("dense", "parallel-sum"):
-        return "dense"
-    return "spectral" if path in ("spectral", "two-generator") and r.m > 2 else "arrowhead"
-
-
-def spy_on_batched_complex(monkeypatch):
-    """Record every call of `_arrowhead_schur_complex`, which still runs."""
-    calls = []
-
-    def spy(*args):
-        calls.append(1)
-        return _arrowhead_schur_complex(*args)
-
-    monkeypatch.setattr("loewner.pencil._arrowhead_schur_complex", spy)
-    return calls
 
 
 def complex_oracle(r, x):
@@ -1191,11 +1154,20 @@ def complex_oracle(r, x):
     return block_schur_general(z, n), operator_norm(z)
 
 
+def im_min(x):
+    """The smallest |eigenvalue| of Im X1."""
+    return float(np.abs(np.linalg.eigvalsh((x[0] - x[0].conj().T) / 2j)).min())
+
+
+def route_complex(r, x):
+    """``(path, out)`` of `eval_complex` at x."""
+    return _route_complex(r, [np.asarray(xi, dtype=complex) for xi in x], im_min(x))
+
+
 def spectral_complex(r, x):
     """The complex spectral form at x, None when it is not admitted."""
-    a0r, coeffs_r, _ = r._layout
-    margin = float(np.abs(np.linalg.eigvalsh((x[0] - x[0].conj().T) / 2j)).min())
-    return _spectral_complex(*_spectral_args(a0r, coeffs_r, x), margin)
+    a0r, coeffs_r, *_ = r._layout
+    return _spectral_complex(*_spectral_args(a0r, coeffs_r, x), im_min(x))
 
 
 # Z - 2i I is nilpotent: Z is defective, with Im Z of eigenvalues 1 and 3
@@ -1218,26 +1190,23 @@ class TestComplexSpectralPath:
     `block_schur_general`, the oracle."""
 
     @pytest.mark.parametrize("spec", ["power:0.5", "geomean:0.5"])
-    def test_batched_path_not_used(self, monkeypatch, spec):
+    def test_batched_path_not_used(self, spec):
         r = build_realization(spec, n_nodes=96)
         rng = np.random.default_rng(61)
         x = [rng.standard_normal((16, 16)) for _ in range(r.k)]
         x = [(a + a.T) / 2 + 1j * random_pd(16, (0.1, 10), rng).entries for a in x]
-        a0r, coeffs_r, _ = r._layout
+        a0r, coeffs_r, *_ = r._layout
         ref = _arrowhead_schur_complex(a0r, coeffs_r, x)
-        calls = spy_on_batched_complex(monkeypatch)
+        assert route_complex(r, x)[0] == "spectral"
         got = eval_complex(r, x)
-        assert calls == []
         assert operator_norm(got - ref) <= 1e-11 * operator_norm(ref)
 
     @pytest.mark.parametrize("spec", ["power:0.5", "geomean:0.5"])
-    def test_defective_point_takes_the_fallback(self, monkeypatch, spec):
+    def test_defective_point_takes_the_fallback(self, spec):
         # numpy's eig returns kappa_1(V) of about 9e7 here
         r, x = defective_family_point(spec, 0.0)
-        assert spectral_complex(r, x) is None
-        calls = spy_on_batched_complex(monkeypatch)
+        assert route_complex(r, x)[0] == "batched"
         got = eval_complex(r, x)
-        assert calls == [1]
         ref, znorm = complex_oracle(r, x)
         assert operator_norm(got - ref) <= 1e-13 * max(1.0, znorm)
 
@@ -1245,15 +1214,13 @@ class TestComplexSpectralPath:
     @pytest.mark.parametrize("eps,admitted", [(1e-4, True), (5e-6, True),
                                               (1e-6, False), (1e-8, False)])
     @pytest.mark.parametrize("spec", ["power:0.5", "geomean:0.5"])
-    def test_condition_bound_against_mpmath(self, monkeypatch, spec, eps, admitted):
+    def test_condition_bound_against_mpmath(self, spec, eps, admitted):
         r, x = defective_family_point(spec, eps)
         mu, v = np.linalg.eig(x[0] if r.k == 1 else np.linalg.solve(*x))
         kappa = np.linalg.norm(v, 1) * np.linalg.norm(np.linalg.inv(v), 1)
         assert (kappa < _EIG_COND_MAX) == admitted
-        assert (spectral_complex(r, x) is not None) == admitted
-        calls = spy_on_batched_complex(monkeypatch)
+        assert route_complex(r, x)[0] == ("spectral" if admitted else "batched")
         got = eval_complex(r, x)
-        assert len(calls) == (0 if admitted else 1)
         ref = mp_complement(r, x)
         # measured at most 3.8e-12 of ||F|| on the admitted points and 3.2e-14
         # on the fallbacks; forced past the bound, the spectral form is off by
@@ -1265,7 +1232,7 @@ class TestComplexSpectralPath:
         # path, which raises exactly as before
         r = PencilRealization(np.eye(3)[0], SymMatrix(np.zeros((3, 3))),
                               (SymMatrix(np.diag([1.0, 0.0, 1.0])),))
-        assert eval_complex_path(r) == "spectral"
+        assert r._layout[3] == ("spectral", "batched")
         x = [np.diag([1.0, -1.0]) + 1j * np.eye(2)]
         assert spectral_complex(r, x) is None
         with pytest.raises(SingularPivotComplement) as exc:
@@ -1299,10 +1266,10 @@ def herglotz_points(draw):
 @given(herglotz_points())
 def test_spectral_complex_matches_batched_and_dense(case):
     r, x = case
-    fast = spectral_complex(r, x)
-    assert fast is not None
+    path, fast = route_complex(r, x)
+    assert path == "spectral"
     assert np.array_equal(eval_complex(r, x), fast)
-    a0r, coeffs_r, _ = r._layout
+    a0r, coeffs_r, *_ = r._layout
     batched = _arrowhead_schur_complex(a0r, coeffs_r, x)
     ref, znorm = complex_oracle(r, x)
     assert operator_norm(fast - batched) <= 1e-12 * max(1.0, znorm)

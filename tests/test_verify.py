@@ -244,6 +244,11 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="dims must be a nonempty list"):
             SuiteConfig(dims=dims, trials=5)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SuiteConfig(dims=(2,), trials=5, tol=tol)
+
     def test_accepts_dimension_one(self):
         cfg = SuiteConfig(dims=(1,), trials=3, seed=4)
         assert cfg.dims == (1,) and check_monotone(CAUCHY, cfg).trials == 3
