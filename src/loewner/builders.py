@@ -130,16 +130,6 @@ class FunctionSpec:
         else:
             raise ValueError(f"unknown function tag {tag!r}")
 
-    @property
-    def arity(self) -> int:
-        if self.tag in ("identity", "constant", "cauchy", "sqrt", "power"):
-            return 1
-        if self.tag == "geomean":
-            return 2
-        if self.tag == "affine":
-            return len(self.params) - 1
-        return len(self.params)
-
     @classmethod
     def parse(cls, text: str) -> "FunctionSpec":
         tag, _, rest = text.strip().partition(":")

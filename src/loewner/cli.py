@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import builders, jsonio, measures, pencil, verify
 from .measures import MeanConvergenceError
-from .numlin import MatrixTuple, SymMatrix
+from .numlin import DEFAULT_PSD_TOL, MatrixTuple, SymMatrix
 from .pencil import PencilDomainError
 from .shorted import SingularPivotComplement, shorted_operator
 from .verify import SuiteConfig
@@ -179,6 +180,14 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def tolerance(text: str) -> float:
+    """A ``--tol`` value: finite and not negative, else argparse exits 2."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loewner",
@@ -190,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur", help="shorted operator of a PSD matrix")
     p.add_argument("--input", required=True)
     p.add_argument("--pivot-dim", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_PSD_TOL)
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("realize", help="build a pencil realization")
@@ -205,16 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realization", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--complex", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_PSD_TOL)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("--suite", required=True, choices=_SUITES)
     p.add_argument("--realization", required=True)
-    p.add_argument("--dims", default="2,3,4")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--dims", default=",".join(map(str, SuiteConfig.dims)))
+    p.add_argument("--trials", type=int, default=SuiteConfig.trials)
+    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    p.add_argument("--tol", type=tolerance, default=SuiteConfig.tol)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -222,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--certificate", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_PSD_TOL)
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("mean", help="operator mean of a discrete measure")

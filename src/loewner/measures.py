@@ -35,6 +35,7 @@ from functools import partial
 import numpy as np
 
 from .numlin import (
+    DEFAULT_PSD_TOL,
     DimensionMismatch,
     SymMatrix,
     _haar_orthogonal,
@@ -44,7 +45,8 @@ from .numlin import (
     operator_norm,
     random_pd,
 )
-from .verify import SuiteConfig, VerificationReport, _min_eig_scaled, _run, _Skip, _tally
+from .verify import (_SPECTRUM, SuiteConfig, VerificationReport, _min_eig_scaled, _run,
+                     _Skip, _tally)
 
 __all__ = [
     "DiscreteMeasure",
@@ -281,7 +283,7 @@ def _order_relation(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> np.
     return rel
 
 
-def stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-9):
+def stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = DEFAULT_PSD_TOL):
     """Decide mu <= nu in the stochastic order; constructive both ways.
 
     Builds the bipartite relation edge(i, j) iff A_i <= B_j (closed, with the
@@ -314,7 +316,7 @@ def stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-9):
 
 
 def brute_force_stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                               tol: float = 1e-9) -> bool:
+                               tol: float = DEFAULT_PSD_TOL) -> bool:
     """Exact upper-set oracle on the pooled finite support (<= 20 atoms).
 
     Enumerates every subset S of supp(mu) and checks mu(S) <= nu(N(S)) +
@@ -614,18 +616,17 @@ def check_stochastic_monotone(spec, cfg) -> VerificationReport:
     the negative controls).
     """
     mean_fn = spec if callable(spec) else (lambda m: mean_of_measure(spec, m))
-    lo, hi = cfg.spectrum
-    bump_scale = 0.25 * (hi - lo) if hi > lo else 0.25 * lo
+    bump_scale = 0.25 * (_SPECTRUM[1] - _SPECTRUM[0])
 
     def trial(rng, dim, trial_index):
         size = int(rng.integers(2, 5))
-        atoms = [random_pd(dim, cfg.spectrum, rng) for _ in range(size)]
+        atoms = [random_pd(dim, _SPECTRUM, rng) for _ in range(size)]
         w = rng.dirichlet(np.ones(size))
         mu = DiscreteMeasure(tuple(atoms), w)
         lifted = [a.entries + _random_psd_bump(dim, bump_scale, rng) for a in atoms]
         order = rng.permutation(size) if rng.random() < 0.5 else np.arange(size)
         nu = DiscreteMeasure(tuple(lifted[i] for i in order), w[order])
-        ok, _ = stochastic_leq(mu, nu, tol=1e-9)
+        ok, _ = stochastic_leq(mu, nu)
         if not ok:
             raise _Skip
         m1 = np.asarray(mean_fn(mu))

@@ -18,7 +18,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -114,14 +113,9 @@ def _sym(a) -> SymMatrix:
 
 @dataclass(frozen=True)
 class MatrixTuple:
-    """k-tuple of same-dimension self-adjoint matrices.
-
-    When ``commuting=True`` the constructor certifies
-    ``max_{i,j} ||X_i X_j - X_j X_i|| <= 1e-10 * max_i ||X_i||^2``.
-    """
+    """k-tuple of same-dimension self-adjoint matrices."""
 
     items: tuple
-    commuting: bool = False
 
     def __post_init__(self):
         items = tuple(_sym(x) for x in self.items)
@@ -131,13 +125,6 @@ class MatrixTuple:
         if any(x.n != n for x in items):
             raise DimensionMismatch("all tuple entries must share one dimension")
         object.__setattr__(self, "items", items)
-        if self.commuting and len(items) > 1:
-            scale = max(operator_norm(x) for x in items) ** 2
-            worst = max(operator_norm(a.entries @ b.entries - b.entries @ a.entries)
-                        for a, b in combinations(items, 2))
-            if worst > 1e-10 * max(scale, 1e-300):
-                raise CommutationError(
-                    f"commutator norm {worst:.3e} exceeds 1.0e-10 * max||X_i||^2")
 
     @property
     def k(self) -> int:
@@ -163,11 +150,11 @@ def _coordinates(x) -> list:
     return [items] if items and np.ndim(items[0]) < 2 else items
 
 
-def as_tuple(x, commuting: bool = False) -> MatrixTuple:
+def as_tuple(x) -> MatrixTuple:
     """Coerce a MatrixTuple or the other forms of `_coordinates` to MatrixTuple."""
     if isinstance(x, MatrixTuple):
         return x
-    return MatrixTuple(tuple(_coordinates(x)), commuting=commuting)
+    return MatrixTuple(tuple(_coordinates(x)))
 
 
 @dataclass(frozen=True)
@@ -328,14 +315,14 @@ def random_commuting_tuple(k: int, n: int, interval=(0.1, 10.0), seed=0) -> Matr
     for _ in range(k):
         lam = rng.uniform(lo, hi, n)
         items.append(SymMatrix(q @ np.diag(lam) @ q.T))
-    return MatrixTuple(tuple(items), commuting=True)
+    return MatrixTuple(tuple(items))
 
 
 def make_dominated_pair(x: MatrixTuple, y: MatrixTuple):
     """Shift X down coordinatewise so that X' <= Y strictly, staying positive.
 
     ``X'_i = X_i - t_i I`` with ``t_i = max(0, lambda_max(X_i - Y_i)) + 0.05``.
-    Scalar shifts preserve commutation certificates.  If any X'_i leaves the
+    Scalar shifts preserve commutation.  If any X'_i leaves the
     positive cone, one common positive shift is added to both sides of every
     coordinate, which preserves the order.
     """
@@ -353,8 +340,7 @@ def make_dominated_pair(x: MatrixTuple, y: MatrixTuple):
         lift = 0.05 - floor
         shifted = [s + lift * eye for s in shifted]
         y_arrays = [yi + lift * eye for yi in y_arrays]
-    return (MatrixTuple(tuple(shifted), commuting=xt.commuting),
-            MatrixTuple(tuple(y_arrays), commuting=yt.commuting))
+    return MatrixTuple(tuple(shifted)), MatrixTuple(tuple(y_arrays))
 
 
 def random_isometry(n: int, m: int, seed=0) -> Contraction:

@@ -59,11 +59,14 @@ in `shorted.shorted_operator`).  `eval_complex` has three paths:
 * "dense" (every other shape): one ``solve`` against the trailing block of
   the assembled pencil.  Oracle: `shorted.block_schur_general`.
 
-The batched contractions run as BLAS ``matmul``: the arrowhead and
-parallel-sum blocks are one gemm over the stacked, flattened point
-(`_linear_blocks`) and the complement one gemm over the rows of the rotated
-couplings, because ``np.einsum`` with two or more operands and no
-``optimize=`` runs numpy's own loop, not BLAS.
+Every path but "dense" reads the coefficients from one table that `_layout`
+builds once, one row per coefficient with A0 first: ``[diag(c), c[1:, 0]]``
+of the rotated coefficient for arrowhead pencils, the stored diagonal for
+parallel-sum ones.  The batched contractions run as BLAS ``matmul``: the
+arrowhead and parallel-sum blocks are one gemm ``table[1:].T @ x`` over the
+stacked, flattened point (`_linear_blocks`) and the complement one gemm over
+the rows of the rotated couplings, because ``np.einsum`` with two or more
+operands and no ``optimize=`` runs numpy's own loop, not BLAS.
 """
 
 from __future__ import annotations
@@ -141,20 +144,26 @@ class PencilRealization:
 
     @cached_property
     def _layout(self):
-        """``(a0r, coeffs_r, real_paths, complex_paths)``, computed once per
-        realization: the coefficients with e rotated into the first coordinate
-        (read-only arrays), and the paths (module docstring) that `_route` and
-        `_route_complex` try in order."""
+        """``(a0r, coeffs_r, table, real_paths, complex_paths)``, computed once
+        per realization: the coefficients with e rotated into the first
+        coordinate and the coefficient table of the module docstring (None
+        for dense-only shapes), all read-only, and the paths that `_route`
+        and `_route_complex` try in order."""
         a0r, coeffs_r = _rotated_coefficients(self)
-        for c in (a0r, *coeffs_r):
-            c.setflags(write=False)
         if self.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r):
+            table = np.array([np.concatenate([np.diag(c), c[1:, 0]]) for c in (a0r, *coeffs_r)])
             spectral = self.k == 1 or (self.k == 2 and not np.any(a0r))
             real = ("spectral", "batched") if spectral else ("batched",)
-            return a0r, tuple(coeffs_r), real, real if self.m > 2 else ("batched",)
-        if self.m > 1 and _diagonal(c.entries for c in (self.a0, *self.coeffs)):
-            return a0r, tuple(coeffs_r), ("parallel-sum", "dense"), ("dense",)
-        return a0r, tuple(coeffs_r), ("dense",), ("dense",)
+            paths = real, real if self.m > 2 else ("batched",)
+        elif self.m > 1 and _diagonal(c.entries for c in (self.a0, *self.coeffs)):
+            table = np.array([np.diag(c.entries) for c in (self.a0, *self.coeffs)])
+            paths = ("parallel-sum", "dense"), ("dense",)
+        else:
+            table, paths = None, (("dense",), ("dense",))
+        for c in (a0r, *coeffs_r, table):
+            if c is not None:
+                c.setflags(write=False)
+        return a0r, tuple(coeffs_r), table, *paths
 
 
 def householder_to_e1(e) -> np.ndarray:
@@ -186,13 +195,9 @@ def _rotated_coefficients(r: PencilRealization):
 
 
 def _aux_blocks_diagonal(a0r, coeffs_r) -> bool:
-    """True when every coefficient's aux-by-aux block is exactly diagonal.
-
-    Arrowhead-built pencils have this shape, so the trailing block of the
-    assembled pencil splits into per-aux-coordinate n x n blocks and the whole
-    evaluation runs on small batched operations (for one variable, in the
-    eigenbasis of X) without forming the mn x mn Kronecker matrix.
-    """
+    """True when every coefficient's aux-by-aux block is exactly diagonal (an
+    arrowhead pencil): the trailing block of the assembled pencil then splits
+    into n x n blocks, and no path forms the mn x mn Kronecker matrix."""
     return _diagonal(c[1:, 1:] for c in (a0r, *coeffs_r))
 
 
@@ -216,19 +221,15 @@ def _adjoint(a):
     return at.conj() if np.iscomplexobj(at) else at
 
 
-def _arrowhead_blocks(a0r, coeffs_r, arrays, row=False):
+def _arrowhead_blocks(table, arrays, row=False):
     """``Z11``, the trailing blocks ``B_j`` and the couplings ``R_j`` of an
-    arrowhead pencil at X (with ``row``, also the pivot-row couplings
-    ``R'_j``), from one gemm ``coef.T @ x`` over the stacked, flattened point.
-
-    ``B_j``, ``R_j`` and ``R'_j`` are views into one array; the identity
-    multiples are added on its diagonals in place.
-    """
-    def column(c):
-        o = c[1:, 0]
-        return np.concatenate([c[:1, 0], np.diag(c)[1:], o, o.conj()][:3 + row])
-
-    lin = _linear_blocks(column(a0r), np.stack([column(c) for c in coeffs_r]), arrays)
+    arrowhead pencil at X from its coefficient ``table`` (with ``row``, also
+    the pivot-row couplings ``R'_j``: the coefficients are Hermitian, so
+    theirs are the conjugated couplings).  ``B_j``, ``R_j`` and ``R'_j`` are
+    views into the one array of `_linear_blocks`."""
+    if row:
+        table = np.concatenate([table, table[:, (table.shape[1] + 1) // 2:].conj()], axis=1)
+    lin = _linear_blocks(table[0], table[1:], arrays)
     return (lin[0].copy(), *np.split(lin[1:], 2 + row))
 
 
@@ -297,30 +298,20 @@ def _arrowhead_short(z11, blocks, couple, psd_tol):
     return short
 
 
-def _spectral_args(a0r, coeffs_r, arrays):
-    """``(p, q, x1, x2)`` of the spectral form of an arrowhead pencil: k = 1
-    (generators I and X, ``x1`` None) or k = 2 with A0 = 0 (generators X1
-    and X2)."""
-    if len(arrays) == 1:
-        return a0r, coeffs_r[0], None, arrays[0]
-    return (*coeffs_r, *arrays)
-
-
 def _spectral_terms(p, q, mu):
-    """The pivot ``z``, trailing diagonal ``d_j``, pivot-column couplings
-    ``o_j`` and pivot-row couplings ``o'_j`` of the arrowhead ``p + q mu``,
-    one column per eigenvalue mu (rows j = 1..m-1)."""
-    def lin(a, b):
-        return a[..., None] + b[..., None] * mu
-
-    return (lin(p[0, 0], q[0, 0]), lin(np.diag(p)[1:], np.diag(q)[1:]),
-            lin(p[1:, 0], q[1:, 0]), lin(p[0, 1:], q[0, 1:]))
+    """The pivot ``z``, trailing diagonal ``d_j`` and pivot-column couplings
+    ``o_j`` of the arrowhead ``p + q mu`` (two table rows), one column per
+    eigenvalue mu (rows j = 1..m-1)."""
+    t = p[:, None] + q[:, None] * mu
+    m = (p.shape[0] + 1) // 2
+    return t[0], t[1:m], t[m:]
 
 
-def _spectral_short(p, q, x1, x2, psd_tol):
+def _spectral_short(table, arrays, psd_tol):
     """Shorted operator of an arrowhead pencil whose blocks are all
-    ``p_ij G1 + q_ij G2``: generators (I, X) for one variable (``x1`` None,
-    p = A0, q = A1) and (X1, X2) for two with A0 = 0 (p = A1, q = A2).
+    ``p_ij G1 + q_ij G2``, ``p, q = table[-2:]``: generators (I, X) for one
+    variable (``x1`` None, p = A0, q = A1) and (X1, X2) for two with A0 = 0
+    (p = A1, q = A2).
 
     ``G1 = Y Y*`` and ``G2 = Y diag(mu) Y*`` (from ``eigh(X)``, or ``Y = L W``
     with ``X1 = L L*``, ``L^-1 X2 L^-* = W diag(mu) W*``), so the complement is
@@ -331,6 +322,8 @@ def _spectral_short(p, q, x1, x2, psd_tol):
     or ``mu_min <= sqrt(DEFAULT_RANK_TOL) mu_max``: mu is accurate only to
     eps mu_max.
     """
+    p, q = table[-2:]
+    x1, x2 = (None, *arrays)[-2:]
     if x1 is None:
         mu, y = np.linalg.eigh(x2)
     else:
@@ -342,7 +335,7 @@ def _spectral_short(p, q, x1, x2, psd_tol):
         if not mu[0] > math.sqrt(DEFAULT_RANK_TOL) * mu[-1]:
             return None
         y = low @ w
-    z, d, o, _ = _spectral_terms(p, q, mu)
+    z, d, o = _spectral_terms(p, q, mu)
     z, d = np.real(z), np.real(d)
     scale = max(1.0, float(z.max()), float(d.max()))
     _check_psd(float(d.min()), scale, psd_tol, "trailing-block")
@@ -355,16 +348,15 @@ def _spectral_short(p, q, x1, x2, psd_tol):
     return (y * f) @ y.conj().T
 
 
-def _parallel_sum_short(r, arrays):
+def _parallel_sum_short(table, arrays, e):
     """Short of ``L(X) = (+)_j B_j``, ``B_j = a0[j,j] I + sum_i c_i[j,j] X_i``
-    (A0 and every A_i diagonal) onto e (x) I: the parallel sum
+    (A0 and every A_i diagonal, the rows of ``table``) onto e (x) I: the parallel sum
     ``(sum_j e_j^2 B_j^-1)^-1`` (Anderson and Duffin).  None, for the
     one-block batched kernel, unless the B_j are positive definite (one
     batched Cholesky) and ``max_j ||B_j||_F max_j ||B_j^-1||_F < 1 /
     sqrt(DEFAULT_RANK_TOL)``: Z22 is a compression of L(X), so that kernel's
     rank cut then drops nothing and every admission check passes."""
-    blocks = _linear_blocks(np.diag(r.a0.entries),
-                            np.stack([np.diag(c.entries) for c in r.coeffs]), arrays)
+    blocks = _linear_blocks(table[0], table[1:], arrays)
     try:  # a Cholesky can pass on an exactly singular B_j that inv rejects
         np.linalg.cholesky(blocks)
         inv = np.linalg.inv(blocks)
@@ -373,7 +365,7 @@ def _parallel_sum_short(r, arrays):
     kappa = np.linalg.norm(blocks, axis=(1, 2)).max() * np.linalg.norm(inv, axis=(1, 2)).max()
     if not kappa * math.sqrt(DEFAULT_RANK_TOL) < 1.0:
         return None
-    short = np.linalg.inv(np.tensordot(r.e ** 2, inv, axes=1))
+    short = np.linalg.inv(np.tensordot(e ** 2, inv, axes=1))
     return (short + _adjoint(short)) / 2.0
 
 
@@ -393,14 +385,14 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
 def _route(r: PencilRealization, arrays, tol):
     """``(path, short)`` of the first real path of ``r`` (`_layout`) that
     admits the point; "batched" and "dense" admit every point or raise."""
-    a0r, coeffs_r, paths, _ = r._layout
+    a0r, coeffs_r, table, paths, _ = r._layout
     for path in paths:
         if path == "spectral":
-            short = _spectral_short(*_spectral_args(a0r, coeffs_r, arrays), tol)
+            short = _spectral_short(table, arrays, tol)
         elif path == "batched":
-            short = _arrowhead_short(*_arrowhead_blocks(a0r, coeffs_r, arrays), tol)
+            short = _arrowhead_short(*_arrowhead_blocks(table, arrays), tol)
         elif path == "parallel-sum":
-            short = _parallel_sum_short(r, arrays)
+            short = _parallel_sum_short(table, arrays, r.e)
         else:
             z, n = _assembled_pencil(a0r, coeffs_r, arrays), arrays[0].shape[0]
             short = _arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], tol)
@@ -421,7 +413,7 @@ def _check_pivot(blocks, scale):
             "imaginary-part positivity violated beyond tolerance")
 
 
-def _arrowhead_schur_complex(a0r, coeffs_r, arrays):
+def _arrowhead_schur_complex(table, arrays):
     """Complex-point Schur complement of an arrowhead pencil, batched.
 
     The pivot-column coupling is ``R_j = o0_j I + sum_i o_ij X_i`` and, the
@@ -429,7 +421,7 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays):
     ``R'_j = conj(o0_j) I + sum_i conj(o_ij) X_i`` (equal to R_j for real
     coefficients): the complement is ``Z11 - sum_j R'_j B_j^{-1} R_j``.
     """
-    z11, blocks, couple, row = _arrowhead_blocks(a0r, coeffs_r, arrays, row=True)
+    z11, blocks, couple, row = _arrowhead_blocks(table, arrays, row=True)
     scale = max(1.0, float(np.abs(blocks).sum(axis=-1).max()),
                 float(np.abs(z11).sum(axis=-1).max()))
     _check_pivot(blocks, scale)
@@ -448,9 +440,9 @@ def _arrowhead_schur_complex(a0r, coeffs_r, arrays):
 _EIG_COND_MAX = 1e3
 
 
-def _spectral_complex(p, q, x1, x2, im_min):
+def _spectral_complex(table, arrays, im_min):
     """Complex-point Schur complement of an arrowhead pencil whose blocks are
-    all ``p_ij G1 + q_ij G2`` (the generators of `_spectral_args`).
+    all ``p_ij G1 + q_ij G2`` (the rows and generators of `_spectral_short`).
 
     Every block is ``G1 P(M)`` for a polynomial P in ``M = G1^-1 G2`` (M = Z,
     or ``X1^-1 X2`` from one ``solve``), so with ``M = V diag(mu) V^-1`` (one
@@ -463,6 +455,8 @@ def _spectral_complex(p, q, x1, x2, im_min):
     path's scale: every SingularPivotComplement, and its message, comes from
     the batched path.
     """
+    p, q = table[-2:]
+    x1, x2 = (None, *arrays)[-2:]
     try:
         mu, v = np.linalg.eig(x2 if x1 is None else np.linalg.solve(x1, x2))
         w = np.linalg.solve(v, np.eye(mu.shape[0]))
@@ -472,11 +466,13 @@ def _spectral_complex(p, q, x1, x2, im_min):
     if not kappa < _EIG_COND_MAX:
         return None
     g1_min, g1_norm = (1.0, 1.0) if x1 is None else (im_min, np.linalg.norm(x1, np.inf))
-    scale = max(1.0, float((np.abs(np.diag(p)) * g1_norm
-                            + np.abs(np.diag(q)) * np.linalg.norm(x2, np.inf)).max()))
-    z, d, o, orow = _spectral_terms(p, q, mu)
+    m = (p.shape[0] + 1) // 2
+    scale = max(1.0, float((np.abs(p[:m]) * g1_norm
+                            + np.abs(q[:m]) * np.linalg.norm(x2, np.inf)).max()))
+    z, d, o = _spectral_terms(p, q, mu)
     if not g1_min * float(np.abs(d).min()) > mu.shape[0] * kappa * _SV_TOL * scale:
         return None
+    orow = p[m:, None].conj() + q[m:, None].conj() * mu  # R'_j, as in `_arrowhead_blocks`
     out = (v * (z - (orow * o / d).sum(axis=0))) @ w
     return out if x1 is None else x1 @ out
 
@@ -518,12 +514,12 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
 def _route_complex(r: PencilRealization, arrays, im_min):
     """``(path, out)`` of the first complex path of ``r`` (`_layout`) that
     admits the point; "batched" and "dense" admit every point or raise."""
-    a0r, coeffs_r, _, paths = r._layout
+    a0r, coeffs_r, table, _, paths = r._layout
     for path in paths:
         if path == "spectral":
-            out = _spectral_complex(*_spectral_args(a0r, coeffs_r, arrays), im_min)
+            out = _spectral_complex(table, arrays, im_min)
         elif path == "batched":
-            out = _arrowhead_schur_complex(a0r, coeffs_r, arrays)
+            out = _arrowhead_schur_complex(table, arrays)
         else:
             z, n = _assembled_pencil(a0r, coeffs_r, arrays), arrays[0].shape[0]
             _check_pivot(z[n:, n:], max(1.0, float(np.abs(z).sum(axis=1).max())))

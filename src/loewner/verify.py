@@ -18,6 +18,7 @@ its ``first_failure_seed``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -56,19 +57,22 @@ __all__ = [
 ]
 
 
+# The spectrum interval of every random PD draw in the suites.
+_SPECTRUM = (0.1, 10.0)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     dims: tuple = (2, 3, 4)
     trials: int = 100
     seed: int = 0
     tol: float = 1e-8
-    spectrum: tuple = (0.1, 10.0)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:  # NaN too: `v < -tol` would never hold
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if not self.dims or min(self.dims) < 1:
             raise ValueError(f"dims must be a nonempty list of dimensions >= 1, got {self.dims}")
@@ -145,8 +149,8 @@ def _run(suite: str, cfg: SuiteConfig, trial_fn, extras=None) -> VerificationRep
     return _tally(suite, cfg, trials(), extras)
 
 
-def _random_tuple(k: int, n: int, spectrum, rng) -> MatrixTuple:
-    return MatrixTuple(tuple(random_pd(n, spectrum, rng) for _ in range(k)))
+def _random_tuple(k: int, n: int, rng) -> MatrixTuple:
+    return MatrixTuple(tuple(random_pd(n, _SPECTRUM, rng) for _ in range(k)))
 
 
 def _eval(r, x):
@@ -168,13 +172,13 @@ def check_free_axioms(r, cfg: SuiteConfig) -> VerificationReport:
     """Unitary invariance and direct-sum invariance of the realized function."""
 
     def trial(rng, dim, trial_index):
-        x = _random_tuple(r.k, dim, cfg.spectrum, rng)
+        x = _random_tuple(r.k, dim, rng)
         u = _haar_orthogonal(dim, rng)
         fx = _eval(r, x).entries
         scale = max(1.0, operator_norm(fx))
         lhs = _eval(r, tuple_compress(x, u)).entries
         d1 = operator_norm(lhs - u.conj().T @ fx @ u) / scale
-        y = _random_tuple(r.k, dim, cfg.spectrum, rng)
+        y = _random_tuple(r.k, dim, rng)
         fy = _eval(r, y).entries
         fs = _eval(r, tuple_direct_sum(x, y)).entries
         block = np.zeros_like(fs)
@@ -190,8 +194,8 @@ def check_monotone(r, cfg: SuiteConfig) -> VerificationReport:
     """Loewner monotonicity on dominated pairs of PD tuples."""
 
     def trial(rng, dim, trial_index):
-        x = _random_tuple(r.k, dim, cfg.spectrum, rng)
-        y = _random_tuple(r.k, dim, cfg.spectrum, rng)
+        x = _random_tuple(r.k, dim, rng)
+        y = _random_tuple(r.k, dim, rng)
         xd, yd = make_dominated_pair(x, y)
         fx = _eval(r, xd).entries
         fy = _eval(r, yd).entries
@@ -211,11 +215,11 @@ def check_monotone_scalar(f, cfg: SuiteConfig, k: int = 1) -> VerificationReport
 
     def trial(rng, dim, trial_index):
         if k == 1:
-            x = MatrixTuple((random_pd(dim, cfg.spectrum, rng),))
-            y = MatrixTuple((random_pd(dim, cfg.spectrum, rng),))
+            x = MatrixTuple((random_pd(dim, _SPECTRUM, rng),))
+            y = MatrixTuple((random_pd(dim, _SPECTRUM, rng),))
         else:
-            x = random_commuting_tuple(k, dim, cfg.spectrum, rng)
-            y = random_commuting_tuple(k, dim, cfg.spectrum, rng)
+            x = random_commuting_tuple(k, dim, _SPECTRUM, rng)
+            y = random_commuting_tuple(k, dim, _SPECTRUM, rng)
         xd, yd = make_dominated_pair(x, y)
         fx = apply_scalar_function(f, xd).entries
         fy = apply_scalar_function(f, yd).entries
@@ -229,8 +233,8 @@ def check_concave(r, cfg: SuiteConfig) -> VerificationReport:
     """Midpoint operator concavity on random PD pairs."""
 
     def trial(rng, dim, trial_index):
-        x = _random_tuple(r.k, dim, cfg.spectrum, rng)
-        y = _random_tuple(r.k, dim, cfg.spectrum, rng)
+        x = _random_tuple(r.k, dim, rng)
+        y = _random_tuple(r.k, dim, rng)
         mid = MatrixTuple(tuple((a.entries + b.entries) / 2.0
                                 for a, b in zip(x.items, y.items)))
         fm = _eval(r, mid).entries
@@ -255,7 +259,7 @@ def check_jensen_isometry(r, cfg: SuiteConfig) -> VerificationReport:
             w = random_isometry(n, dim, rng).entries
         else:
             w = random_contraction(n, dim, rng).entries
-        x = _random_tuple(r.k, dim, cfg.spectrum, rng)
+        x = _random_tuple(r.k, dim, rng)
         fx = _eval(r, x).entries
         lhs = _eval(r, tuple_compress(x, w)).entries
         rhs = w.conj().T @ fx @ w
@@ -301,8 +305,8 @@ def check_hypograph_saturation(f, cfg: SuiteConfig, k: int = 1) -> VerificationR
 
     def trial(rng, dim, trial_index):
         n = int(rng.integers(1, dim + 1))
-        lam = [rng.uniform(*cfg.spectrum, size=dim) for _ in range(k)]
-        x = MatrixTuple(tuple(np.diag(li) for li in lam), commuting=True)
+        lam = [rng.uniform(*_SPECTRUM, size=dim) for _ in range(k)]
+        x = MatrixTuple(tuple(np.diag(li) for li in lam))
         fx = apply_scalar_function(f, x).entries
         g = rng.standard_normal((dim, dim))
         p = g @ g.T
@@ -313,8 +317,6 @@ def check_hypograph_saturation(f, cfg: SuiteConfig, k: int = 1) -> VerificationR
         else:
             v = _disjoint_support_isometry(dim, n, rng)
         xc = tuple_compress(x, v)
-        if k > 1:
-            xc = MatrixTuple(xc.items, commuting=True)
         fxc = apply_scalar_function(f, xc).entries
         yc = v.conj().T @ y @ v
         return _min_eig_scaled(fxc - yc, operator_norm(fxc))
@@ -416,7 +418,7 @@ def check_herglotz(r, cfg: SuiteConfig, sym_tol: float = 1e-10) -> VerificationR
 
     def trial(rng, dim, trial_index):
         a = [rng.standard_normal((dim, dim)) for _ in range(r.k)]
-        xs = [(ai + ai.T) / 2.0 + 1j * random_pd(dim, cfg.spectrum, rng).entries
+        xs = [(ai + ai.T) / 2.0 + 1j * random_pd(dim, _SPECTRUM, rng).entries
               for ai in a]
         try:
             fv = _pencil.eval_complex(r, xs)

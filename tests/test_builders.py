@@ -39,9 +39,9 @@ def geo_oracle(a, b, t):
 class TestFunctionSpec:
     def test_parse_valid(self):
         assert FunctionSpec.parse("power:0.5").params == (0.5,)
-        assert FunctionSpec.parse("harmonic:0.3,0.7").arity == 2
+        assert build_realization(FunctionSpec.parse("harmonic:0.3,0.7")).k == 2
         assert FunctionSpec.parse("sqrt").tag == "sqrt"
-        assert FunctionSpec.parse("geomean:0.25").arity == 2
+        assert build_realization(FunctionSpec.parse("geomean:0.25")).k == 2
 
     @pytest.mark.parametrize("text", [
         "power:1.5", "power:0", "cauchy:-1", "cauchy:0", "constant:-2",
@@ -53,7 +53,7 @@ class TestFunctionSpec:
 
     def test_affine_in_process_only(self):
         spec = FunctionSpec("affine", (0.5, 1.0, 2.0))
-        assert spec.arity == 2
+        assert build_realization(spec).k == 2
 
 
 class TestQuadratureScheme:

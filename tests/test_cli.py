@@ -1,6 +1,7 @@
 """Tests for the CLI: serialization fidelity, exit codes, determinism."""
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ from loewner import (
     stochastic_leq,
 )
 from loewner import jsonio
-from loewner.cli import _scalar_from_realization, main
+from loewner.cli import _scalar_from_realization, build_parser, main
 
 
 def assert_same_realization(a, b):
@@ -599,6 +600,37 @@ class TestDecomposeCommand:
         write(tmp_path / "x.json", jsonio.matrix_to_json(np.diag([1.0, -1.0])))
         assert main(["decompose", "--point", str(tmp_path / "x.json"),
                      "-o", str(tmp_path / "cert.json")]) == 2
+
+
+# the arguments each command with ``--tol`` requires, besides ``--tol``
+TOL_COMMANDS = {"schur": ["--input", "z.json", "--pivot-dim", "1"],
+                "eval": ["--realization", "r.json", "--point", "x.json"],
+                "verify": ["--suite", "monotone", "--realization", "r.json"],
+                "order": ["--mu", "mu.json", "--nu", "nu.json"]}
+
+
+class TestTolOption:
+    # NaN or inf switched the check off: `schur --tol nan` shorted diag(1, -5)
+    # and exited 0, and `order --tol nan` denied mu <= mu
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+    @pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+    def test_rejects_non_finite_or_negative_tol(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *TOL_COMMANDS[command], f"--tol={value}"])
+        assert exc.value.code == 2
+        assert f"--tol: must be finite and >= 0, got {value}" in capsys.readouterr().err
+
+    def test_defaults_are_the_library_defaults(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        args = {c: build_parser().parse_args([c, *a]) for c, a in TOL_COMMANDS.items()}
+        assert args["schur"].tol == default(shorted_operator, "psd_tol")
+        assert args["eval"].tol == default(eval_pencil, "tol")
+        assert args["order"].tol == default(stochastic_leq, "tol")
+        v = args["verify"]
+        dims = tuple(int(d) for d in v.dims.split(","))
+        assert SuiteConfig(dims, v.trials, v.seed, v.tol) == SuiteConfig()
 
 
 class TestInputImmutability:

@@ -77,7 +77,7 @@ class TestApplyScalarFunction:
         np.testing.assert_allclose(out.entries, a.entries, atol=1e-12 * a.norm)
 
     def test_sum_on_shared_eigenbasis(self):
-        x = MatrixTuple((np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), commuting=True)
+        x = MatrixTuple((np.diag([1.0, 2.0]), np.diag([3.0, 4.0])))
         out = apply_scalar_function(lambda a, b: a + b, x)
         np.testing.assert_allclose(out.entries, np.diag([4.0, 6.0]), atol=1e-12)
 
@@ -204,12 +204,6 @@ class TestMakeDominatedPair:
                 assert np.linalg.eigvalsh(a.entries)[0] > 0
                 diff_max = np.linalg.eigvalsh(b.entries - a.entries)[-1]
                 assert np.linalg.eigvalsh(b.entries - a.entries)[0] >= 0.05 - 1e-10 or diff_max > 0
-
-    def test_commuting_flag_preserved(self):
-        x = random_commuting_tuple(2, 4, (0.5, 2), 1)
-        y = random_commuting_tuple(2, 4, (0.5, 2), 2)
-        xd, _ = make_dominated_pair(x, y)
-        assert xd.commuting
 
 
 class TestStructuralHelpers:

@@ -45,7 +45,6 @@ from loewner.pencil import (
     _rotated_coefficients,
     _route,
     _route_complex,
-    _spectral_args,
     _spectral_complex,
     householder_to_e1,
 )
@@ -166,9 +165,7 @@ class TestEval:
 
     def test_complex_hermitian_input(self):
         # Hermitian PD argument through the real-coefficient pencil
-        rng = np.random.default_rng(14)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = g @ g.conj().T + 0.5 * np.eye(4)
+        a = complex_pd(4, np.random.default_rng(14), shift=0.5)
         lam = 1.5
         got = eval_pencil(cauchy_realization(lam), MatrixTuple((a,))).entries
         oracle = apply_scalar_function(lambda x: lam * x / (lam + x), SymMatrix(a)).entries
@@ -232,11 +229,20 @@ class TestEval:
             assert operator_norm(eval_pencil(r, xt).entries - ref) <= 1e-13 * znorm
 
 
-def complex_coefficient_realization():
-    # Hermitian PSD A1 (eigenvalues 0, 1, 4) with complex pivot couplings
-    a1 = np.array([[3, 1j, 1 - 1j], [-1j, 1, 0], [1 + 1j, 0, 1]])
+def complex_coefficient_realization(complex_couplings=True):
+    # Hermitian PSD A1 (eigenvalues 0, 1, 4) with complex pivot couplings, or a real PD one
+    a1 = np.array([[3, 1j, 1 - 1j], [-1j, 1, 0], [1 + 1j, 0, 1]] if complex_couplings
+                  else [[3.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     return PencilRealization(np.eye(3)[0], SymMatrix(np.diag([0.0, 1.0, 2.0])),
                              (SymMatrix(a1),))
+
+
+def swapped_realization(complex_couplings):
+    """`complex_coefficient_realization` with its first two coordinates swapped
+    and e = e2: the Householder map of e2 is exactly that swap."""
+    r, swap = complex_coefficient_realization(complex_couplings), np.eye(3)[[1, 0, 2]]
+    return PencilRealization(swap[0], SymMatrix(swap @ r.a0.entries @ swap),
+                             tuple(SymMatrix(swap @ c.entries @ swap) for c in r.coeffs))
 
 
 def complex_dense_realization():
@@ -282,19 +288,18 @@ def route(r, x, tol=1e-9):
     return _route(r, [xi.entries for xi in as_tuple(x).items], tol)[0]
 
 
-def batched_short(a0r, coeffs_r, xs):
+def batched_short(r, xs):
     """The batched kernel on the n x n blocks of a rotated arrowhead pencil."""
-    return _arrowhead_short(*_arrowhead_blocks(a0r, coeffs_r, xs), 1e-9)
+    return _arrowhead_short(*_arrowhead_blocks(r._layout[2], xs), 1e-9)
 
 
 def spectral_and_oracles(r, x):
     """Spectral-path result, the batched arrowhead path and the dense shorted
     operator of the rotated, assembled pencil, plus that pencil's norm."""
     xt = MatrixTuple((x,))
-    a0r, coeffs_r = _rotated_coefficients(r)
-    assert r.k == 1 and r.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r)
+    assert r.k == 1 and r.m > 1 and _aux_blocks_diagonal(*_rotated_coefficients(r))
     fast = eval_pencil(r, xt).entries
-    batched = batched_short(a0r, coeffs_r, [xt.items[0].entries])
+    batched = batched_short(r, [xt.items[0].entries])
     ref, znorm = rotated_oracle(r, xt)
     return fast, batched, ref, znorm
 
@@ -338,10 +343,18 @@ class TestSpectralPath:
         for _ in range(5):
             assert_matches_oracles(r, random_pd(5, (0.1, 10), rng).entries)
 
+    @pytest.mark.parametrize("complex_couplings", [False, True])
+    def test_rotated_e_with_three_coordinates(self, complex_couplings):
+        r = swapped_realization(complex_couplings)
+        table = complex_coefficient_realization(complex_couplings)._layout[2]
+        assert np.array_equal(r._layout[2], table)
+        for seed in range(3):
+            x = random_pd(4, (0.1, 10), seed).entries
+            assert route(r, [x]) == "spectral"
+            assert_matches_oracles(r, x)
+
     def test_complex_hermitian_point(self):
-        rng = np.random.default_rng(22)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        x = g @ g.conj().T + 0.3 * np.eye(4)
+        x = complex_pd(4, np.random.default_rng(22))
         r = build_realization("power:0.5", n_nodes=48)
         assert_matches_oracles(r, x)
         got = eval_pencil(r, MatrixTuple((x,))).entries
@@ -353,8 +366,7 @@ class TestSpectralPath:
         r = complex_coefficient_realization()
         rng = np.random.default_rng(23)
         assert_matches_oracles(r, random_pd(4, (0.1, 10), rng).entries)
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert_matches_oracles(r, g @ g.conj().T + 0.2 * np.eye(3))
+        assert_matches_oracles(r, complex_pd(3, rng, shift=0.2))
 
     @pytest.mark.parametrize("lo,hi,rel", [(0.1, 10.0, 5e-12), (1e-4, 1e4, 1e-10),
                                            (1e-8, 1e8, 1e-6)])
@@ -381,9 +393,8 @@ class TestSpectralPath:
             lam, u = mp.eigsy(mp.matrix(x.tolist()))
             ref = u * mp.diag([f(lam[i]) for i in range(n)]) * u.T
             ref = np.array(ref.tolist(), dtype=float)
-        a0r, coeffs_r = _rotated_coefficients(r)
         fast = eval_pencil(r, MatrixTuple((x,))).entries
-        batched = batched_short(a0r, coeffs_r, [x])
+        batched = batched_short(r, [x])
         norm = operator_norm(ref)
         assert operator_norm(fast - ref) <= rel * norm
         assert operator_norm(batched - ref) <= rel * norm
@@ -411,9 +422,8 @@ class TestSpectralPath:
     @pytest.mark.parametrize("spec", ["cauchy:1.0", "power:0.5"])
     def test_domain_errors_match_batched_path(self, spec, x, raises):
         r = build_realization(spec, n_nodes=24)
-        a0r, coeffs_r = _rotated_coefficients(r)
         spectral = domain_outcome(lambda: eval_pencil(r, MatrixTuple((x,))))[0]
-        batched = domain_outcome(lambda: batched_short(a0r, coeffs_r, [x]))[0]
+        batched = domain_outcome(lambda: batched_short(r, [x]))[0]
         assert spectral == batched == ("error" if raises else "ok")
 
 
@@ -469,8 +479,7 @@ class TestBatchedArrowheadPath:
     @pytest.mark.parametrize("n", [16, 64])
     def test_geomean_eigen_formula(self, n):
         r = build_realization("geomean:0.5", n_nodes=96)
-        x1 = random_pd(n, (0.3, 3.0), 41).entries
-        x2 = random_pd(n, (0.3, 3.0), 42).entries
+        x1, x2 = (random_pd(n, (0.3, 3.0), seed).entries for seed in (41, 42))
         got = eval_pencil(r, MatrixTuple((x1, x2))).entries
         ref = geomean_formula(x1, x2, 0.5)
         assert operator_norm(got - ref) <= 1e-11 * operator_norm(ref)
@@ -563,8 +572,7 @@ class TestTwoGeneratorPath:
     ``mu_min <= sqrt(DEFAULT_RANK_TOL) mu_max`` and the oracle."""
 
     def test_batched_path_not_used(self):
-        x1 = random_pd(64, (0.3, 3.0), 51).entries
-        x2 = random_pd(64, (0.3, 3.0), 52).entries
+        x1, x2 = (random_pd(64, (0.3, 3.0), seed).entries for seed in (51, 52))
         r = build_realization("geomean:0.5", n_nodes=96)
         assert route(r, [x1, x2]) == "spectral"
         got = eval_pencil(r, [x1, x2]).entries
@@ -612,9 +620,8 @@ class TestTwoGeneratorPath:
     @pytest.mark.parametrize("spec", ["geomean:0.5", "harmonic:0.3,0.7"])
     def test_domain_errors_match_batched_path(self, spec, x1, x2, raises):
         r = build_realization(spec, n_nodes=24)
-        a0r, coeffs_r, *_ = r._layout
         got = domain_outcome(lambda: eval_pencil(r, [x1, x2]).entries)
-        want = domain_outcome(lambda: batched_short(a0r, coeffs_r, [x1, x2]))
+        want = domain_outcome(lambda: batched_short(r, [x1, x2]))
         assert got[0] == want[0] == ("error" if raises else "ok")
         if raises:
             assert got[1] == want[1]
@@ -639,6 +646,7 @@ class TestEvalLayout:
         monkeypatch.setattr("loewner.pencil._rotated_coefficients", fail)
         monkeypatch.setattr("loewner.pencil._aux_blocks_diagonal", fail)
         monkeypatch.setattr("loewner.pencil._diagonal", fail)
+        monkeypatch.setattr("loewner.pencil.np.diag", fail)  # the table is built once too
         for r, x in zip(realizations, points):
             eval_pencil(r, x)
             eval_complex(r, [xi + 1j * np.eye(4) for xi in x])
@@ -646,8 +654,9 @@ class TestEvalLayout:
     @pytest.mark.parametrize("spec", ["geomean:0.5", "harmonic:0.3,0.7",
                                       "harmonic:0.2,0.3,0.5"])
     def test_layout_read_only(self, spec):
-        a0r, coeffs_r, *_ = build_realization(spec, n_nodes=24)._layout
-        for c in (a0r, *coeffs_r):
+        a0r, coeffs_r, table, *_ = build_realization(spec, n_nodes=24)._layout
+        assert table.shape[0] == 1 + len(coeffs_r)
+        for c in (a0r, *coeffs_r, table):
             assert not c.flags.writeable
             with pytest.raises(ValueError):
                 c[0, 0] = 1.0
@@ -702,7 +711,10 @@ PATH_SPECS = {
 }
 CUSTOM_REALIZATIONS = {"two-scale": two_scale_realization,
                        "shifted-parallel-sum": shifted_parallel_sum_realization,
-                       "block-diagonal": block_diagonal_realization}
+                       "block-diagonal": block_diagonal_realization,
+                       "complex-dense": complex_dense_realization,
+                       "swapped-real": lambda: swapped_realization(False),
+                       "swapped-complex": lambda: swapped_realization(True)}
 PATH_REALIZATIONS = {spec: (CUSTOM_REALIZATIONS[spec]() if spec in CUSTOM_REALIZATIONS
                             else build_realization(spec, n_nodes=24))
                      for spec in PATH_SPECS}
@@ -798,7 +810,7 @@ def parallel_sum_points(draw):
 @given(parallel_sum_points())
 def test_parallel_sum_path_matches_shorted_oracle(case):
     r, xt = case
-    got = _parallel_sum_short(r, [x.entries for x in xt.items])
+    got = _parallel_sum_short(r._layout[2], [x.entries for x in xt.items], r.e)
     assert got is not None
     assert np.array_equal(eval_pencil(r, xt).entries, got)
     ref, znorm = rotated_oracle(r, xt)
@@ -921,7 +933,7 @@ class TestParallelSumPath:
 
     @staticmethod
     def assert_dense_outcome(r, xs, raises):
-        assert _parallel_sum_short(r, xs) is None
+        assert _parallel_sum_short(r._layout[2], xs, r.e) is None
         got = domain_outcome(lambda: eval_pencil(r, xs).entries)
         want = domain_outcome(lambda: dense_reference(r, xs))
         assert got[0] == want[0] == ("error" if raises else "ok")
@@ -1083,8 +1095,7 @@ class TestEvalComplex:
         r = cauchy_realization(0.7)
         x = np.array([[1.0 + 2j, 0.5 - 1j], [-0.3 + 0.2j, 2.0 + 1j]])
         got = eval_complex(r, x)
-        dense = np.kron(r.a0.entries, np.eye(2)) + np.kron(r.coeffs[0].entries, x)
-        assert operator_norm(got - block_schur_general(dense, 2)) <= 1e-13
+        assert operator_norm(got - complex_oracle(r, [x])[0]) <= 1e-13
         assert np.array_equal(got, eval_complex(r, [x]))
         assert np.array_equal(got, eval_complex(r, x.tolist()))
 
@@ -1104,22 +1115,18 @@ class TestEvalComplex:
     def test_complex_coefficients_match_dense_schur(self):
         # the pivot-row coupling of a complex-Hermitian coefficient is the
         # conjugate of the pivot-column coupling
-        r = complex_coefficient_realization()
-        z = np.array([[1 + 2j]])
-        got = eval_complex(r, [z])
-        dense = np.kron(r.a0.entries, np.eye(1)) + np.kron(r.coeffs[0].entries, z)
-        ref = block_schur_general(dense, 1)
-        assert operator_norm(got - ref) <= 1e-13
+        r, z = complex_coefficient_realization(), [np.array([[1 + 2j]])]
+        assert operator_norm(eval_complex(r, z) - complex_oracle(r, z)[0]) <= 1e-13
 
     @pytest.mark.parametrize("spec,path", [
         ("power:0.5", "spectral"), ("geomean:0.5", "spectral"),
         ("cauchy:1.0", "batched"), ("harmonic:0.3,0.7", "batched"),
         ("shifted-parallel-sum", "batched"),
         ("harmonic:0.2,0.3,0.5", "dense"), ("block-diagonal", "dense"),
-        ("arithmetic:0.4,0.6", "dense"), ("complex-dense", "dense")])
+        ("arithmetic:0.4,0.6", "dense"), ("complex-dense", "dense"),
+        ("swapped-real", "spectral"), ("swapped-complex", "spectral")])
     def test_every_path_matches_block_schur_oracle(self, spec, path):
-        r = (complex_dense_realization() if spec == "complex-dense"
-             else PATH_REALIZATIONS[spec])
+        r = PATH_REALIZATIONS.get(spec) or CUSTOM_REALIZATIONS[spec]()
         rng = np.random.default_rng(36)
         for sign in (1, -1):
             x = []
@@ -1128,18 +1135,15 @@ class TestEvalComplex:
                 x.append((re + re.T) / 2 + sign * 1j * random_pd(4, (0.2, 3), rng).entries)
             ref, znorm = complex_oracle(r, x)
             assert route_complex(r, x)[0] == path
-            got = eval_complex(r, x)
-            assert operator_norm(got - ref) <= 1e-12 * max(1.0, znorm)
+            assert operator_norm(eval_complex(r, x) - ref) <= 1e-12 * max(1.0, znorm)
 
     def test_complex_coefficients_match_dense_schur_matrix_point(self):
         r = complex_coefficient_realization()
         rng = np.random.default_rng(26)
         re = rng.standard_normal((3, 3))
         x = (re + re.T) / 2 + 1j * random_pd(3, (0.2, 3), rng).entries
-        got = eval_complex(r, [x])
-        dense = np.kron(r.a0.entries, np.eye(3)) + np.kron(r.coeffs[0].entries, x)
-        ref = block_schur_general(dense, 3)
-        assert operator_norm(got - ref) <= 1e-12 * max(1.0, operator_norm(dense))
+        ref, znorm = complex_oracle(r, [x])
+        assert operator_norm(eval_complex(r, [x]) - ref) <= 1e-12 * max(1.0, znorm)
 
 
 def complex_oracle(r, x):
@@ -1166,8 +1170,7 @@ def route_complex(r, x):
 
 def spectral_complex(r, x):
     """The complex spectral form at x, None when it is not admitted."""
-    a0r, coeffs_r, *_ = r._layout
-    return _spectral_complex(*_spectral_args(a0r, coeffs_r, x), im_min(x))
+    return _spectral_complex(r._layout[2], x, im_min(x))
 
 
 # Z - 2i I is nilpotent: Z is defective, with Im Z of eigenvalues 1 and 3
@@ -1195,11 +1198,9 @@ class TestComplexSpectralPath:
         rng = np.random.default_rng(61)
         x = [rng.standard_normal((16, 16)) for _ in range(r.k)]
         x = [(a + a.T) / 2 + 1j * random_pd(16, (0.1, 10), rng).entries for a in x]
-        a0r, coeffs_r, *_ = r._layout
-        ref = _arrowhead_schur_complex(a0r, coeffs_r, x)
+        ref = _arrowhead_schur_complex(r._layout[2], x)
         assert route_complex(r, x)[0] == "spectral"
-        got = eval_complex(r, x)
-        assert operator_norm(got - ref) <= 1e-11 * operator_norm(ref)
+        assert operator_norm(eval_complex(r, x) - ref) <= 1e-11 * operator_norm(ref)
 
     @pytest.mark.parametrize("spec", ["power:0.5", "geomean:0.5"])
     def test_defective_point_takes_the_fallback(self, spec):
@@ -1232,7 +1233,7 @@ class TestComplexSpectralPath:
         # path, which raises exactly as before
         r = PencilRealization(np.eye(3)[0], SymMatrix(np.zeros((3, 3))),
                               (SymMatrix(np.diag([1.0, 0.0, 1.0])),))
-        assert r._layout[3] == ("spectral", "batched")
+        assert r._layout[4] == ("spectral", "batched")
         x = [np.diag([1.0, -1.0]) + 1j * np.eye(2)]
         assert spectral_complex(r, x) is None
         with pytest.raises(SingularPivotComplement) as exc:
@@ -1269,8 +1270,7 @@ def test_spectral_complex_matches_batched_and_dense(case):
     path, fast = route_complex(r, x)
     assert path == "spectral"
     assert np.array_equal(eval_complex(r, x), fast)
-    a0r, coeffs_r, *_ = r._layout
-    batched = _arrowhead_schur_complex(a0r, coeffs_r, x)
+    batched = _arrowhead_schur_complex(r._layout[2], x)
     ref, znorm = complex_oracle(r, x)
     assert operator_norm(fast - batched) <= 1e-12 * max(1.0, znorm)
     assert operator_norm(fast - ref) <= 1e-12 * max(1.0, znorm)

@@ -249,6 +249,13 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="tol must be positive"):
             SuiteConfig(dims=(2,), trials=5, tol=tol)
 
+    # with tol = NaN or inf no violation fails `v < -tol`: x**2 passed
+    # check_monotone_scalar with 0 of 40 failures (15 at the default)
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SuiteConfig(dims=(2,), trials=5, tol=tol)
+
     def test_accepts_dimension_one(self):
         cfg = SuiteConfig(dims=(1,), trials=3, seed=4)
         assert cfg.dims == (1,) and check_monotone(CAUCHY, cfg).trials == 3
