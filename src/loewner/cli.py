@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -246,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_decompose)
 
+    for p in sub.choices.values():  # so that "--tol -1e-9" reads -1e-9 as its value
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -108,8 +108,17 @@ class PencilRealization:
     """Immutable affine-pencil realization (e, A0, A_1..A_k).
 
     Invariants enforced at construction: ``||e|| = 1`` to 1e-12 and every
-    coefficient PSD within the relative tolerance ``DEFAULT_PSD_TOL``.
-    """
+    coefficient PSD within the relative tolerance ``DEFAULT_PSD_TOL``, as
+    `_psd_check` of its ``eigvalsh`` decides (the only source of
+    `NotPositiveSemidefinite`).  `_certified_psd` accepts an arrowhead
+    ``c = [[z, o*], [o, diag(d)]]`` (diagonal c and m = 1 included) with no
+    spectrum when, for ``tau = DEFAULT_PSD_TOL max(1, max diag c)`` and the
+    shift ``s = tau - 2 m eps (||c||_F + tau)``, ``d + s > 0`` and
+    ``z + s - S > (m + 8) eps (|z| + |s| + S)``, ``S = sum |o_i|^2/(d_i + s)``.
+    That bound exceeds the rounding error of the left side, so c + s I > 0
+    (Albert's test), and s is below the dense rule's shift ``DEFAULT_PSD_TOL
+    max(1, lambda_max)`` by more than the error of ``eigvalsh``, taken as
+    ``m eps ||c||_F``: the dense rule accepts c too."""
 
     e: np.ndarray
     a0: SymMatrix
@@ -128,9 +137,9 @@ class PencilRealization:
         m = e.shape[0]
         if a0.n != m or any(c.n != m for c in coeffs):
             raise DimensionMismatch("e, A0 and all A_i must share the auxiliary dimension")
-        _psd_check(np.linalg.eigvalsh(a0.entries), DEFAULT_PSD_TOL, "A0")
-        for i, c in enumerate(coeffs):
-            _psd_check(np.linalg.eigvalsh(c.entries), DEFAULT_PSD_TOL, f"A{i + 1}")
+        for i, c in enumerate((a0, *coeffs)):
+            if not _certified_psd(c.entries):
+                _psd_check(np.linalg.eigvalsh(c.entries), DEFAULT_PSD_TOL, f"A{i}")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -164,6 +173,19 @@ class PencilRealization:
             if c is not None:
                 c.setflags(write=False)
         return a0r, tuple(coeffs_r), table, *paths
+
+
+def _certified_psd(c) -> bool:
+    """True certifies c PSD (`PencilRealization`); False defers to eigvalsh."""
+    m, dg, fro = c.shape[0], np.diag(c).real, float(np.linalg.norm(c))
+    if np.count_nonzero(c[1:, 1:]) != np.count_nonzero(dg[1:]) or not math.isfinite(fro):
+        return False
+    eps, tau = np.finfo(float).eps, DEFAULT_PSD_TOL * max(1.0, dg.max())
+    s = tau - 2 * m * eps * (fro + tau)
+    if not np.all(dg[1:] + s > 0):
+        return False
+    total = float((np.abs(c[1:, 0]) ** 2 / (dg[1:] + s)).sum())
+    return bool(dg[0] + s - total > (m + 8) * eps * (abs(dg[0]) + abs(s) + total))
 
 
 def householder_to_e1(e) -> np.ndarray:

@@ -269,6 +269,26 @@ class TestLoadChecks:
                      "--point", str(tmp_path / "x.json")]) == 2
         assert "error: non-finite entry" in capsys.readouterr().err
 
+    # lowering the pivot of the singular A1 of power:0.5 by a relative 1e-7
+    # takes lambda_min beyond the tolerance; by 1e-8 it stays within it
+    @pytest.mark.parametrize("lower,code,err", [
+        (1e-7, 2, "error: A1: eigenvalue -1.778e-07 below -1.0e-09 * max(1, 2.766e+01)\n"),
+        (1e-8, 0, ""),
+    ])
+    def test_lowered_pivot_is_checked_by_the_dense_rule(self, tmp_path, capsys, lower, code, err):
+        main(["realize", "--function", "power:0.5", "--nodes", "8", "-o", str(tmp_path / "r.json")])
+        payload = read(tmp_path / "r.json")
+        a1 = payload["A"][0]
+        assert a1["index"][0] == 0  # the pivot entry
+        pivot = a1["re_decimal"][0] * (1 - lower)
+        a1["re"][0], a1["re_decimal"][0] = pivot.hex(), pivot
+        write(tmp_path / "r.json", payload)
+        write(tmp_path / "x.json", jsonio.matrix_to_json(np.eye(2)))
+        capsys.readouterr()
+        assert main(["eval", "--realization", str(tmp_path / "r.json"),
+                     "--point", str(tmp_path / "x.json")]) == code
+        assert capsys.readouterr().err == err
+
     def test_string_vector_rejected(self):
         payload = jsonio.realization_to_json(build_realization("cauchy:1"))
         payload["e"] = "10"
@@ -619,6 +639,22 @@ class TestTolOption:
             main([command, *TOL_COMMANDS[command], f"--tol={value}"])
         assert exc.value.code == 2
         assert f"--tol: must be finite and >= 0, got {value}" in capsys.readouterr().err
+
+    # argparse's own negative-number pattern has no exponent form: without
+    # the parser's wider one, "-1e-9" after a space would read as an option
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+    @pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+    def test_rejects_space_separated_tol(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *TOL_COMMANDS[command], "--tol", value])
+        assert exc.value.code == 2
+        assert f"--tol: must be finite and >= 0, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol,value", [(["--tol", "1e-9"], 1e-9), (["--tol=1e-9"], 1e-9),
+                                           (["--tol", "0"], 0.0)])
+    def test_reads_both_tol_forms(self, tol, value):
+        for command, args in TOL_COMMANDS.items():
+            assert build_parser().parse_args([command, *args, *tol]).tol == value
 
     def test_defaults_are_the_library_defaults(self):
         def default(fn, name):

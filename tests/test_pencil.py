@@ -1,6 +1,7 @@
 """Tests for pencil realizations and their evaluation."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loewner
+from loewner import jsonio
 from loewner import (
     DimensionMismatch,
     MatrixTuple,
@@ -28,7 +30,9 @@ from loewner import (
     shorted_operator,
 )
 from loewner.numlin import (
+    DEFAULT_PSD_TOL,
     NotPositiveSemidefinite,
+    _psd_check,
     as_tuple,
     operator_norm,
     tuple_compress,
@@ -41,6 +45,7 @@ from loewner.pencil import (
     _arrowhead_short,
     _assembled_pencil,
     _aux_blocks_diagonal,
+    _certified_psd,
     _parallel_sum_short,
     _rotated_coefficients,
     _route,
@@ -88,6 +93,110 @@ class TestConstruction:
             np.testing.assert_allclose(q @ e, np.eye(5)[0], atol=1e-14)
             np.testing.assert_allclose(q @ q.T, np.eye(5), atol=1e-14)
         np.testing.assert_array_equal(householder_to_e1(np.eye(3)[0]), np.eye(3))
+
+
+def boundary_arrowhead(rng, m, hermitian, kappa, zero_d):
+    """An arrowhead ``[[z, o*], [o, diag(d)]]`` with d spread over a random
+    sub-range of 1e-8..1e8 and z chosen so that lambda_min sits at
+    ``-DEFAULT_PSD_TOL * max(1, lambda_max) * (1 + kappa)``; ``zero_d`` sets d_1 = 0
+    with o_1 = 0 ("zero") or o_1 != 0 ("coupled")."""
+    lo, hi = np.sort(rng.uniform(-8, 8, 2))
+    d = 10.0 ** rng.uniform(lo, hi, m - 1)
+    o = np.sqrt(d) * rng.standard_normal(m - 1)
+    if hermitian:
+        o = o * np.exp(2j * np.pi * rng.uniform(size=m - 1))
+    top = max(1.0, d.max())
+    if zero_d:
+        d[0] = 0.0
+        o[0] = 0.0 if zero_d == "zero" else 0.1 * np.sqrt(DEFAULT_PSD_TOL) * top
+    c = np.diag(np.concatenate([[0.0], d])).astype(o.dtype)
+    c[1:, 0], c[0, 1:] = o, o.conj()
+
+    def gap(t):  # tol * max(1, lambda_max) - t with lambda_min at -t (1 + kappa)
+        lam = -t * (1 + kappa)
+        c[0, 0] = lam + np.sum(np.abs(o) ** 2 / (d - lam))
+        return DEFAULT_PSD_TOL * max(1.0, np.linalg.eigvalsh(c)[-1]) - t
+
+    # gap decreases in t; regula falsi (Illinois) from the bracket [tol, tol + gap(tol)]
+    a, fa = DEFAULT_PSD_TOL, gap(DEFAULT_PSD_TOL)
+    b, fb = (a + fa, gap(a + fa)) if fa > 0 else (a, fa)
+    while abs(fb) > 1e-6 * b:
+        t = b - fb * (b - a) / (fb - fa)
+        ft = gap(t)
+        if ft * fb < 0:
+            a, fa = b, fb
+        else:
+            fa /= 2
+        b, fb = t, ft
+    return c  # as set by the last call, gap(b)
+
+
+def admission_outcome(fn):
+    try:
+        fn()
+    except NotPositiveSemidefinite as exc:
+        return str(exc)
+    return None
+
+
+class TestCertifiedAdmission:
+    """The spectrum-free arrowhead test only accepts, and only where the dense
+    rule `_psd_check(eigvalsh(c))` accepts; every reject is the dense one."""
+
+    @pytest.mark.parametrize("m", [2, 3, 9, 40, 128, 385])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_matches_dense_rule_at_the_tolerance_boundary(self, m, hermitian, monkeypatch):
+        rng = np.random.default_rng(1000 * m + hermitian)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr("loewner.pencil.np.linalg.eigvalsh",
+                            lambda a: calls.append(a) or eigvalsh(a))
+        certified = {1e-2: 0, -1e-2: 0}
+        for kappa in certified:
+            for zero_d in (None, "zero", "coupled"):
+                c = SymMatrix(boundary_arrowhead(rng, m, hermitian, kappa, zero_d))
+                lo, hi = eigvalsh(c.entries)[[0, -1]]
+                assert (lo < -DEFAULT_PSD_TOL * max(1.0, hi)) == (kappa > 0)
+                zero = SymMatrix(np.zeros((m, m)))
+                for i, (a0, coeffs) in enumerate([(c, (zero,)), (zero, (c,))]):
+                    expected = admission_outcome(
+                        lambda: _psd_check(eigvalsh(c.entries), DEFAULT_PSD_TOL, f"A{i}"))
+                    calls.clear()
+                    got = admission_outcome(
+                        lambda: PencilRealization(np.eye(m)[0], a0, coeffs))
+                    assert got == expected
+                    certified[kappa] += not calls
+        assert certified[1e-2] == 0 and certified[-1e-2] > 0
+
+    def test_certifies_no_coefficient_with_non_finite_entries(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in ((0, 0), (1, 0), (1, 1), (1, 2)):
+                c = np.eye(3)
+                c[at] = c[at[::-1]] = bad
+                assert not _certified_psd(c)
+
+    def test_builders_and_their_files_call_no_eigvalsh(self, monkeypatch):
+        specs = ["power:0.37", "sqrt", "geomean:0.5", "cauchy:2", "harmonic:0.3,0.7",
+                 "harmonic:0.2,0.3,0.5", "arithmetic:0.3,0.7", "identity", "constant:2",
+                 "affine:1,2,3"]
+
+        def fail(*args):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr("loewner.pencil.np.linalg.eigvalsh", fail)
+        for spec in specs:
+            r = build_realization(spec)
+            text = jsonio.dumps(jsonio.realization_to_json(r))
+            jsonio.realization_from_json(json.loads(text))
+
+    def test_dense_coefficient_takes_one_eigvalsh(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr("loewner.pencil.np.linalg.eigvalsh",
+                            lambda a: calls.append(a) or eigvalsh(a))
+        dense = random_pd(3, (0.5, 2), 7)
+        PencilRealization(np.eye(3)[0], SymMatrix(np.zeros((3, 3))), (dense,))
+        assert len(calls) == 1 and calls[0] is dense.entries
 
 
 class TestAssemble:
