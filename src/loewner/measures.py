@@ -22,7 +22,8 @@ The power mean is the unique PD fixed point of X = sum_i w_i X #_t A_i; its
 geometric-mean kernel uses the eigendecomposition formula directly (not the
 pencil realization) so that measure-level accuracy is independent of
 quadrature error; cross-module agreement is itself a test.  Each iteration
-takes X^{1/2} and X^{-1/2} once and batches the atoms.
+takes X^{1/2} and X^{-1/2} once and batches the atoms, and Anderson mixing of
+the last five iterates replaces the slowly contracting plain iteration.
 """
 
 from __future__ import annotations
@@ -520,16 +521,76 @@ def _geomean_pair(x: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:
     return (res + res.conj().swapaxes(-1, -2)) / 2.0
 
 
+# Anderson mixing keeps this many (X, g(X)) pairs of the fixed-point map g.
+_ANDERSON_DEPTH = 5
+# `power_mean` mixes log X while the residual exceeds this share of ||g(X)||_F
+# and X itself below it.
+_LOG_MIXING_ABOVE = 1e-8
+
+
+def _anderson_step(xs, gs, t: float) -> np.ndarray:
+    """The next iterate from the newest (X_j, g(X_j)) pairs of a map g.
+
+    Type-II Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 2011): with
+    residuals f_j = g(X_j) - X_j, gamma minimises ||f_k - sum_j gamma_j
+    (f_{j+1} - f_j)|| over the real coefficients, and the mixed iterate
+    g(X_k) - sum_j gamma_j (g(X_{j+1}) - g(X_j)) is symmetrized.  Complex
+    matrices enter as their float64 views, so gamma stays real.  The map
+    contracts by about 1 - t per step, so its fixed point lies within about
+    ||f_k|| / t of X_k: a mixed step ten times longer extrapolates rounding
+    noise (as on a map that never contracts), and the plain image g(X_k),
+    returned as the same object, is taken instead.  Reads only the history,
+    so the result inherits its bitwise invariances.
+    """
+    if len(gs) < 2:
+        return gs[-1]
+    g = np.stack(gs).reshape(len(gs), -1).view(np.float64)
+    f = g - np.stack(xs).reshape(len(xs), -1).view(np.float64)
+    dg, df = np.diff(g, axis=0), np.diff(f, axis=0)
+    gamma = np.linalg.lstsq(df.T, f[-1], rcond=None)[0]
+    step = gamma @ dg
+    if np.linalg.norm(step) > 10.0 * np.linalg.norm(f[-1]) / t:
+        return gs[-1]
+    x = (g[-1] - step).view(gs[-1].dtype).reshape(gs[-1].shape)
+    return (x + x.conj().T) / 2.0
+
+
+def _pd_log(lam: np.ndarray) -> np.ndarray:
+    if lam[0] <= 0.0:
+        raise ValueError(f"power-mean iterate not PD (lambda_min = {lam[0]:.3e})")
+    return np.log(lam)
+
+
+def _hermitian_fn(x: np.ndarray, fn) -> np.ndarray:
+    """fn(X) of a Hermitian X from its eigendecomposition, symmetrized."""
+    lam, u = np.linalg.eigh(x)
+    y = (u * fn(lam)) @ u.conj().T
+    return (y + y.conj().T) / 2.0
+
+
 def power_mean(weights, atoms, t: float) -> SymMatrix:
     """Power mean of PD matrices: the PD fixed point of X = sum_i w_i X #_t A_i.
 
-    Computed by fixed-point iteration from the arithmetic mean; t = 1 returns
-    the arithmetic mean exactly without iterating.  Stops when the relative
-    Frobenius change drops below 1e-13 (or the absolute change below 1e-11);
-    the fixed-point residual is then below 1e-10 * ||X||_F on spectra in
-    [0.1, 10] (worst measured 3.6e-11) but up to 2.2e-9 * ||X||_F on
-    10^[-3, 3].  Raises MeanConvergenceError with the last change after
-    ``max(500, ceil(60 / t))`` steps.
+    Iterates from the arithmetic mean with Anderson mixing of the last five
+    iterates (`_anderson_step`); t = 1 returns the arithmetic mean exactly
+    without iterating.  Stops when the fixed-point residual ||g(X) - X||_F of
+    the map g drops below 1e-13 * ||g(X)||_F (or below 1e-11) and returns
+    g(X).  While the residual is above 1e-8 * ||g(X)||_F the mixing reads
+    log X and log g(X), so every mixed iterate exp(.) is PD; below it, where
+    the eigendecompositions of the logarithm would add more rounding than the
+    stopping rule allows, it reads X and g(X).  A mixed iterate that is then
+    not PD makes `_geomean_pair` raise, and the history restarts from its
+    newest pair, whose image is the next iterate.
+
+    The plain iteration contracts by only about 1 - t per step: 30 to 44
+    steps at t = 0.5 and 1600 to 2600 at t = 0.01.  Mixed, over random
+    measures (n <= 5, p <= 6, spectra in [0.1, 10] or 10^[-3, 3]), it took at
+    most 19 steps at t = 0.5 and a median of 12 to 51 (at most 575) at
+    t = 0.01, never more than the plain iteration.  At t <= 0.05 on
+    10^[-3, 3] the residual of the result stayed below 6e-11 * ||X||_F, except
+    where ||X||_F is near 0.01 and the absolute 1e-11 stops first.  Raises
+    MeanConvergenceError with the last residual after ``max(500,
+    ceil(60 / t))`` calls of `_geomean_pair`.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     mats = [_sym(a).entries for a in atoms]
@@ -543,20 +604,45 @@ def power_mean(weights, atoms, t: float) -> SymMatrix:
     x = _weighted_matrix_sum(w, stack)
     if t == 1.0:
         return SymMatrix(x)
-    # The map contracts by about 1 - t per step (Lim and Palfia, J. Funct.
-    # Anal. 2012), so the stopping rule takes about ln(1e13) / t = 30 / t steps
-    # (at worst 27 / t over random measures on spectra in 10^[-3, 3], n <= 5,
-    # p <= 6); the budget doubles that, with the former 500 as its floor.
-    step, budget = np.inf, max(500, math.ceil(60.0 / t))
+    # The plain map contracts by about 1 - t per step (Lim and Palfia, J.
+    # Funct. Anal. 2012) and took up to 27 / t steps; the budget is twice
+    # 30 / t, with 500 as its floor.
+    xs, gs = [], []
+    far, y = True, _hermitian_fn(x, _pd_log)  # y = log X while far
+    resid, budget = np.inf, max(500, math.ceil(60.0 / t))
     for _ in range(budget):
-        nxt = _weighted_matrix_sum(w, _geomean_pair(x, stack, t))
-        step = float(np.linalg.norm(nxt - x, "fro"))
-        x = nxt
-        if step <= 1e-13 * float(np.linalg.norm(x, "fro")) or step <= 1e-11:
-            return SymMatrix(x)
+        try:
+            images = _geomean_pair(x, stack, t)
+        except ValueError:
+            if far or x is gs[-1]:  # not a mixed iterate
+                raise
+            x = gs[-1]
+            del xs[:-1], gs[:-1]
+            continue
+        gx = _weighted_matrix_sum(w, images)
+        resid = float(np.linalg.norm(gx - x, "fro"))
+        scale = float(np.linalg.norm(gx, "fro"))
+        if resid <= 1e-13 * scale or resid <= 1e-11:
+            return SymMatrix(gx)
+        if far and resid <= _LOG_MIXING_ABOVE * scale:
+            far, xs, gs = False, [], []
+        if far:
+            xs.append(y)
+            gs.append(_hermitian_fn(gx, _pd_log))
+        else:
+            xs.append(x)
+            gs.append(gx)
+        del xs[:-_ANDERSON_DEPTH], gs[:-_ANDERSON_DEPTH]
+        nxt = _anderson_step(xs, gs, t)
+        if not far:
+            x = nxt
+        elif nxt is gs[-1]:
+            x, y = gx, nxt
+        else:
+            x, y = _hermitian_fn(nxt, np.exp), nxt
     raise MeanConvergenceError(
         f"power mean did not converge in {budget} iterations "
-        f"(last change {step:.3e})", residual=step)
+        f"(last change {resid:.3e})", residual=resid)
 
 
 def parse_mean_spec(text: str):

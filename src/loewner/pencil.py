@@ -107,13 +107,16 @@ class PencilDomainError(ValueError):
 class PencilRealization:
     """Immutable affine-pencil realization (e, A0, A_1..A_k).
 
-    Invariants enforced at construction: ``||e|| = 1`` to 1e-12 and every
-    coefficient PSD within the relative tolerance ``DEFAULT_PSD_TOL``, as
-    `_psd_check` of its ``eigvalsh`` decides (the only source of
-    `NotPositiveSemidefinite`).  `_certified_psd` accepts an arrowhead
-    ``c = [[z, o*], [o, diag(d)]]`` (diagonal c and m = 1 included) with no
-    spectrum when, for ``tau = DEFAULT_PSD_TOL max(1, max diag c)`` and the
-    shift ``s = tau - 2 m eps (||c||_F + tau)``, ``d + s > 0`` and
+    Invariants enforced at construction: ``||e|| = 1`` to 1e-12, every
+    coefficient finite (a NaN eigenvalue would pass `_psd_check`) and PSD
+    within the relative tolerance ``DEFAULT_PSD_TOL``, as `_psd_check` of its
+    ``eigvalsh`` decides (the only source of `NotPositiveSemidefinite`).
+    `_certified_psd` never accepts a coefficient whose Frobenius norm is not
+    finite, so only coefficients it defers are scanned for finiteness.
+    `_certified_psd` accepts an arrowhead ``c = [[z, o*], [o, diag(d)]]``
+    (diagonal c and m = 1 included) with no spectrum when, for
+    ``tau = DEFAULT_PSD_TOL max(1, max diag c)`` and the shift
+    ``s = tau - 2 m eps (||c||_F + tau)``, ``d + s > 0`` and
     ``z + s - S > (m + 8) eps (|z| + |s| + S)``, ``S = sum |o_i|^2/(d_i + s)``.
     That bound exceeds the rounding error of the left side, so c + s I > 0
     (Albert's test), and s is below the dense rule's shift ``DEFAULT_PSD_TOL
@@ -139,6 +142,8 @@ class PencilRealization:
             raise DimensionMismatch("e, A0 and all A_i must share the auxiliary dimension")
         for i, c in enumerate((a0, *coeffs)):
             if not _certified_psd(c.entries):
+                if not np.isfinite(c.entries).all():
+                    raise ValueError(f"A{i} has a non-finite entry")
                 _psd_check(np.linalg.eigvalsh(c.entries), DEFAULT_PSD_TOL, f"A{i}")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "coeffs", coeffs)

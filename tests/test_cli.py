@@ -214,7 +214,7 @@ class TestByteContract:
         ("hypograph", "243d1bf45a8374e2c2458ee9924d0f3ded0a0139431c36daa24fe1cf68c0d8a4"),
         ("monotone-scalar", "845101816aa6dfa4062bafaa417a3194dacd4c2c88ed9e35834a4bf8384da569"),
         ("stochastic-monotone",
-         "61e99eba675d139ec22fc0315df3d43019779444dfec7c8629501ddd4957e847"),
+         "5c109af61aab149455d993a5b98376f40ee2cc0dff5754e4c91e0c08574f4457"),
         ("directsum-pass", "8bd2b6b3e1160b9ff80b50ab493992dedb10c12cbe8475dd3b244a1c75f54fd9"),
         ("directsum-fail", "41e63c181fce1bff7dc93419db9564d25e5c199e71cc29c0f2c3d89ea3c9be08"),
     ])
@@ -223,7 +223,9 @@ class TestByteContract:
         shared tally (monotone-scalar and directsum-fail pin a failing run).
         monotone (harmonic:0.3,0.7) and concave (geomean:0.5) were re-pinned when
         two-variable pencils with A0 = 0 moved to the two-generator spectral path:
-        only the last bits of worst_violation moved.
+        only the last bits of worst_violation moved.  stochastic-monotone
+        (power:0.5) was re-pinned when the power mean moved to Anderson mixing:
+        worst_violation moved by 1.8e-14.
 
         Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another LAPACK
         build may round differently and needs its own digests.

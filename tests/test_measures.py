@@ -85,6 +85,30 @@ def complex_atoms(seed, k, n):
     return out
 
 
+def small_random_measure(seed):
+    """Seeded measure of 2 to 6 atoms of dimension 1 to 5, spectra in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+    return DiscreteMeasure(tuple(random_pd(n, (0.1, 10.0), rng) for _ in range(p)),
+                           rng.dirichlet(np.ones(p)))
+
+
+def plain_power_mean(weights, atoms, t):
+    """Oracle: the plain iteration X <- sum_i w_i X #_t A_i from the arithmetic
+    mean, until a step changes X by at most 1e-13 of ||X||_F; returns X and
+    the step count."""
+    stack = np.stack([SymMatrix(a).entries for a in atoms])
+    x = _weighted_matrix_sum(weights, stack)
+    steps = 0
+    while True:
+        nxt = _weighted_matrix_sum(weights, _geomean_pair(x, stack, t))
+        steps += 1
+        change = np.linalg.norm(nxt - x, "fro")
+        x = nxt
+        if change <= 1e-13 * np.linalg.norm(x, "fro"):
+            return x, steps
+
+
 def pairwise_relation(mu, nu, tol=1e-9):
     return np.array([[loewner_leq(a, b, tol) for b in nu.atoms] for a in mu.atoms])
 
@@ -359,9 +383,10 @@ class TestPowerMean:
         with pytest.raises(ValueError):
             power_mean([1.0], (a,), 1.5)
 
-    # The iteration contracts by about 1 - t per step: these draws take 1037
-    # to 2183 steps, more than the 500 every exponent once had.  Their
-    # residual was at most 1.1e-12 of ||X||_F.
+    # The plain iteration contracts by about 1 - t per step: on these draws it
+    # takes 1146 to 2410 steps, more than the 500 every exponent once had.
+    # Mixed, power_mean took 9 to 32 calls of _geomean_pair and agreed with it
+    # within 5.2e-11 of ||X||_F.
     @pytest.mark.parametrize("t", [0.02, 0.01])
     @pytest.mark.parametrize("seed", range(4))
     def test_small_exponents_converge(self, monkeypatch, t, seed):
@@ -372,14 +397,43 @@ class TestPowerMean:
             return _geomean_pair(x, a, t)
 
         monkeypatch.setattr(measures, "_geomean_pair", counting)
-        rng = np.random.default_rng(seed)
-        n, p = int(rng.integers(1, 6)), int(rng.integers(2, 7))
-        mu = DiscreteMeasure(tuple(random_pd(n, (0.1, 10.0), rng) for _ in range(p)),
-                             rng.dirichlet(np.ones(p)))
+        mu = small_random_measure(seed)
         x = mean_of_measure(f"power:{t}", mu).entries
-        assert len(steps) > 500
+        assert len(steps) <= 40
+        oracle, plain_steps = plain_power_mean(mu.weights, mu.atoms, t)
+        assert plain_steps > 500
+        assert np.linalg.norm(x - oracle, "fro") <= 1e-10 * np.linalg.norm(oracle, "fro")
         fixed = sum(w * _geomean_pair(x, a.entries, t) for w, a in zip(mu.weights, mu.atoms))
         assert np.linalg.norm(x - fixed, "fro") <= 1e-11 * np.linalg.norm(x, "fro")
+
+    def test_non_pd_mixed_iterate_restarts(self, monkeypatch):
+        # Mixing X itself from the first step, not log X, overshoots out of the
+        # PD cone on this draw (55 times in 158 calls); each overshoot costs
+        # one call and restarts the history from its newest pair.
+        failed = []
+
+        def recording(x, a, t):
+            try:
+                return _geomean_pair(x, a, t)
+            except ValueError:
+                failed.append(1)
+                raise
+
+        monkeypatch.setattr(measures, "_geomean_pair", recording)
+        monkeypatch.setattr(measures, "_LOG_MIXING_ABOVE", np.inf)
+        mu = small_random_measure(0)
+        x = mean_of_measure("power:0.02", mu).entries
+        assert failed
+        oracle, _ = plain_power_mean(mu.weights, mu.atoms, 0.02)
+        assert np.linalg.norm(x - oracle, "fro") <= 1e-10 * np.linalg.norm(oracle, "fro")
+
+    def test_complex_hermitian_agrees_with_plain_iteration(self):
+        w = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
+        atoms = complex_atoms(78, 5, 6)
+        for t in (0.3, 0.05):
+            x = power_mean(w, atoms, t).entries
+            oracle, _ = plain_power_mean(w, atoms, t)
+            assert np.linalg.norm(x - oracle, "fro") <= 1e-10 * np.linalg.norm(oracle, "fro")
 
     @pytest.mark.parametrize("t,budget", [(0.5, 500), (0.02, 3000)])
     def test_non_convergence_raises_with_residual(self, monkeypatch, t, budget):
@@ -391,6 +445,27 @@ class TestPowerMean:
             return np.broadcast_to(x + np.eye(x.shape[0]), a.shape)
 
         monkeypatch.setattr(measures, "_geomean_pair", drifting)
+        atoms = [random_pd(4, (0.5, 2), s) for s in (1, 2)]
+        with pytest.raises(MeanConvergenceError,
+                           match=f"did not converge in {budget} iterations") as exc:
+            power_mean([0.4, 0.6], atoms, t)
+        assert len(steps) == budget
+        assert exc.value.residual == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("t,budget", [(0.5, 500), (0.02, 3000)])
+    def test_non_convergence_raises_when_mixing_x(self, monkeypatch, t, budget):
+        # On X -> X + I the residual differences are rounding noise; without a
+        # bound on the mixed step, mixing X itself (as below the log phase)
+        # extrapolated to ||X||_F near 1e16 within three calls, where the
+        # relative stopping rule passed.
+        steps = []
+
+        def drifting(x, a, t):
+            steps.append(1)
+            return np.broadcast_to(x + np.eye(x.shape[0]), a.shape)
+
+        monkeypatch.setattr(measures, "_geomean_pair", drifting)
+        monkeypatch.setattr(measures, "_LOG_MIXING_ABOVE", np.inf)
         atoms = [random_pd(4, (0.5, 2), s) for s in (1, 2)]
         with pytest.raises(MeanConvergenceError,
                            match=f"did not converge in {budget} iterations") as exc:
@@ -464,6 +539,22 @@ def test_power_mean_fixed_point_residual(seed, n, p, t, cplx):
     x = power_mean(w, atoms, t).entries
     fixed = sum(wi * _geomean_pair(x, a, t) for wi, a in zip(w, atoms))
     assert np.linalg.norm(x - fixed, "fro") <= 1e-10 * np.linalg.norm(x, "fro")
+
+
+# Stopping on the fixed-point residual, not on the last change, keeps small
+# exponents on wide spectra accurate: on these draws the worst residual was
+# 3.0e-11 of ||X||_F, against 1.7e-10 for the plain iteration, which stopped
+# on a change of 1e-13.
+@pytest.mark.parametrize("t", [0.01, 0.02, 0.05])
+def test_power_mean_residual_on_wide_spectra(t):
+    rng = np.random.default_rng(17)
+    for k in range(30):
+        n, p = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+        atoms = [log_spread_pd(rng, n, -3.0, 3.0, cplx=bool(k % 2)) for _ in range(p)]
+        w = rng.dirichlet(np.ones(p))
+        x = power_mean(w, atoms, t).entries
+        fixed = sum(wi * _geomean_pair(x, a, t) for wi, a in zip(w, atoms))
+        assert np.linalg.norm(x - fixed, "fro") <= 1e-10 * np.linalg.norm(x, "fro")
 
 
 # ---------------------------------------------------------------------------
@@ -693,19 +784,21 @@ class TestPinnedDigests:
                             witness.mu_mass.hex(), witness.nu_mass.hex())).encode()
         assert hashlib.sha256(payload).hexdigest() == digest
 
+    # The two power-mean digests were re-pinned when power_mean moved from the
+    # plain iteration to Anderson mixing stopped on its residual.
     def test_power_mean_real(self):
         rng = np.random.default_rng(77)
         atoms = [random_pd(32, (0.1, 10.0), rng) for _ in range(10)]
         w = rng.dirichlet(np.ones(10))
         out = power_mean(w, atoms, 0.5).entries
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "719b35ed084128e4b73ca18c9f4d42a41ec5c553aa65b3467fa2492385a8eba7")
+            "bd2fcbf8a0ec44dfcb2b729c12e3db439925d37e378dfb66ca19c1dc00fccfe8")
 
     def test_power_mean_complex_hermitian(self):
         w = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
         out = power_mean(w, complex_atoms(78, 5, 6), 0.3).entries
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "3e543561c2e1458762bf23724442b1a9f37d08e9388a0fd4d032bc4d50c898cf")
+            "9ced2d429ebe7690c11be79500f9157d04c07c2bb888e439a0d79167b20834cf")
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_stacked_geomean_equals_per_atom(self, cplx):

@@ -84,6 +84,21 @@ class TestConstruction:
             PencilRealization(np.array([1.0, 0.0]), SymMatrix(np.eye(2)),
                               (SymMatrix(bad),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        # eigvalsh of such a coefficient is NaN, which _psd_check never rejects
+        c = np.diag([1.0, 2.0, 3.0])
+        c[1, 2] = c[2, 1] = bad
+        e1, zero = np.eye(3)[0], SymMatrix(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="^A2 has a non-finite entry$"):
+            PencilRealization(e1, zero, (SymMatrix(np.eye(3)), SymMatrix(c)))
+        with pytest.raises(ValueError, match="^A0 has a non-finite entry$"):
+            PencilRealization(e1, SymMatrix(c), (SymMatrix(np.eye(3)),))
+        c = np.eye(3)
+        c[0, 0] = bad
+        with pytest.raises(ValueError, match="^A1 has a non-finite entry$"):
+            PencilRealization(e1, zero, (SymMatrix(c),))
+
     def test_householder_maps_e_to_e1(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
