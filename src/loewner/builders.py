@@ -17,8 +17,10 @@ arrowhead (`_arrowhead`): a pivot entry, a diagonal and a coupling column,
 built straight from the node and weight vectors.
 
 Accuracy is calibrated against eigendecomposition oracles on spectra in
-[0.1, 10]; wider spectra degrade gracefully (growing error) rather than
-erroring.
+[0.1, 10].  For ``power:0.37`` the largest relative scalar error over 41
+log-spaced x is 2.0e-12, 4.0e-12 and 6.8e-11 on [0.1, 10] at N = 96, 192
+and 384 nodes, and 1.0e-5, 4.5e-11 and 6.1e-10 on [1e-3, 1e3]: more nodes
+help only on wide spectra, and on 10^[-8, 8] the error is 0.96 to 0.99.
 """
 
 from __future__ import annotations
@@ -111,14 +113,14 @@ class FunctionSpec:
             if p:
                 raise ValueError("identity takes no parameters")
         elif tag == "constant":
-            if len(p) != 1 or p[0] <= 0:
-                raise ValueError("constant needs one parameter c > 0")
+            if len(p) != 1 or not 0 < p[0] < math.inf:
+                raise ValueError("constant needs one finite parameter c > 0")
         elif tag == "affine":
-            if len(p) < 2 or p[0] < 0 or any(b < 0 for b in p[1:]):
-                raise ValueError("affine needs alpha >= 0 and slopes beta_i >= 0")
+            if len(p) < 2 or not all(0 <= b < math.inf for b in p):
+                raise ValueError("affine needs finite alpha >= 0 and slopes beta_i >= 0")
         elif tag == "cauchy":
-            if len(p) != 1 or p[0] <= 0:
-                raise ValueError("cauchy needs one parameter lambda > 0")
+            if len(p) != 1 or not 0 < p[0] < math.inf:
+                raise ValueError("cauchy needs one finite parameter lambda > 0")
         elif tag == "sqrt":
             if p:
                 raise ValueError("sqrt takes no parameters")
@@ -142,7 +144,7 @@ class FunctionSpec:
 
 def _check_weights(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size < 1 or np.any(w <= 0):
+    if w.ndim != 1 or w.size < 1 or not np.all(w > 0):
         raise ValueError("weights must be positive")
     if abs(float(w.sum()) - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {float(w.sum()):.12f}")
@@ -171,7 +173,7 @@ def cauchy_atom(lam: float) -> PencilRealization:
     The short of [[x, x], [x, x + lam]] onto the first coordinate is
     x - x (x + lam)^-1 x = lam x / (lam + x).
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     return _e1_pencil(_arrowhead(0.0, [lam]), _arrowhead(1.0, [1.0], [1.0]))
 
@@ -179,8 +181,9 @@ def cauchy_atom(lam: float) -> PencilRealization:
 def loewner_quadrature(t: float, n_nodes: int = 96) -> PencilRealization:
     """Quadrature realization of x -> x^t for t in (0, 1).
 
-    At the default 96 nodes the relative error on [0.1, 10] is at roundoff
-    level and decreases with growing N on wider intervals.
+    The relative error is measured in the module docstring: at the default
+    96 nodes 2.0e-12 on [0.1, 10] and 1.0e-5 on [1e-3, 1e3], which 384 nodes
+    bring to 6.1e-10 at the cost of 6.8e-11 on [0.1, 10].
     """
     s = power_quadrature_scheme(t, n_nodes)
     w = s.weights

@@ -151,10 +151,7 @@ def cmd_mean(args) -> int:
               f"(residual {exc.residual:.3e})", file=sys.stderr)
         return EXIT_FALSE
     if parsed[0] == "power":
-        t = parsed[1]
-        fixed = sum(w * measures._geomean_pair(mean.entries, a.entries, t)
-                    for w, a in zip(mu.weights, mu.atoms))
-        residual = float(np.linalg.norm(mean.entries - fixed, "fro"))
+        residual = measures.power_mean_residual(mu, mean.entries, parsed[1])
         print(f"fixed-point residual: {residual:.3e}", file=sys.stderr)
     _emit(jsonio.matrix_to_json(mean))
     return EXIT_OK

@@ -6,10 +6,14 @@ decided constructively: by Strassen's theorem it holds iff some coupling of
 bipartite transportation feasibility problem.  `stochastic_leq` solves it by
 max-flow and returns either a monotone coupling or a min-cut certificate; the
 independent oracle `brute_force_stochastic_leq` enumerates the upper sets
-generated by subsets of supp(mu) directly.  The relation is batched (one stacked
-``eigvalsh`` per mu atom) and Edmonds-Karp runs on adjacency lists in the BFS
-order of a dense scan with ``longdouble`` flows, so couplings and certificates
-are bit-identical to the pairwise relation and the dense-matrix max-flow.
+generated by subsets of supp(mu) directly.  Each measure checks its atoms
+and takes their extreme eigenvalues once, from one stacked ``eigvalsh`` per
+dtype (`DiscreteMeasure._spectra`).  The relation is batched (one stacked
+``eigvalsh`` per mu atom) and equals the pairwise `loewner_leq` entry for
+entry.  Edmonds-Karp runs on adjacency lists in the BFS order of a dense scan
+with ``longdouble`` flows, so it augments along the paths a dense-matrix
+Edmonds-Karp takes; the tests pin couplings and certificates by digest to the
+outputs of that dense version, which the adjacency lists replaced.
 
 Direct sums of measures are deliberately non-unique: any coupling gamma of
 (mu, nu) induces the measure with atoms A_i (+) B_j and weights gamma_ij.
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -61,6 +65,7 @@ __all__ = [
     "couplings_sample",
     "pushforward_weights",
     "power_mean",
+    "power_mean_residual",
     "mean_of_measure",
     "parse_mean_spec",
     "check_stochastic_monotone",
@@ -92,20 +97,38 @@ class DiscreteMeasure:
         n = atoms[0].n
         if any(a.n != n for a in atoms):
             raise DimensionMismatch("all atoms must share one dimension")
-        for i, a in enumerate(atoms):
-            lam_min = float(np.linalg.eigvalsh(a.entries)[0])
-            if lam_min <= 0.0:
-                raise ValueError(f"atom {i} is not PD (lambda_min = {lam_min:.3e})")
+        for i, a in enumerate(atoms):  # one NaN would spoil its whole stack
+            if not np.isfinite(a.entries).all():
+                raise ValueError(f"atom {i} has a non-finite entry")
+        object.__setattr__(self, "atoms", atoms)
+        lam_min = self._spectra[1]
+        if not np.all(lam_min > 0.0):
+            i = int(np.argmin(lam_min > 0.0))
+            raise ValueError(f"atom {i} is not PD (lambda_min = {lam_min[i]:.3e})")
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != len(atoms):
             raise ValueError("one weight per atom required")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValueError("weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {float(w.sum()):.15f}")
         w.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
+
+    @cached_property
+    def _spectra(self):
+        """Read-only ``(stacks, lam_min, lam_max)``: the atoms as one ``(indices,
+        stack)`` pair per dtype, so that LAPACK gives each atom the bits of a
+        call on it alone, and their extreme eigenvalues, one ``eigvalsh`` per stack."""
+        dtypes = [a.entries.dtype for a in self.atoms]
+        groups = [[k for k, d in enumerate(dtypes) if d == dt] for dt in dict.fromkeys(dtypes)]
+        stacks = [(idx, np.stack([self.atoms[k].entries for k in idx])) for idx in groups]
+        lam = np.empty((self.size, 2))
+        for idx, stack in stacks:
+            stack.setflags(write=False)
+            lam[idx] = np.linalg.eigvalsh(stack)[:, [0, -1]]
+        lam.setflags(write=False)
+        return tuple(stacks), lam[:, 0], lam[:, 1]
 
     @property
     def n(self) -> int:
@@ -132,6 +155,8 @@ class Coupling:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2:
             raise ValueError("coupling must be a 2-d array")
+        if not np.isfinite(g).all():
+            raise ValueError("coupling has a non-finite entry")
         if float(g.min(initial=0.0)) < -1e-12:
             raise ValueError(f"coupling has negative weight {float(g.min()):.3e}")
         g = np.clip(g, 0.0, None)
@@ -141,7 +166,7 @@ class Coupling:
             raise DimensionMismatch("coupling shape must match the marginal sizes")
         row_err = float(np.max(np.abs(g.sum(axis=1) - r)))
         col_err = float(np.max(np.abs(g.sum(axis=0) - c)))
-        if max(row_err, col_err) > 1e-10:
+        if not max(row_err, col_err) <= 1e-10:
             raise ValueError(f"marginals off by {max(row_err, col_err):.3e} (> 1.0e-10)")
         for arr in (g, r, c):
             arr.setflags(write=False)
@@ -175,9 +200,9 @@ class StepRepresentation:
         t = np.asarray(self.breakpoints, dtype=float).reshape(-1)
         if t.shape[0] != len(self.atom_indices) + 1:
             raise ValueError("need one more breakpoint than intervals")
-        if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-10:
+        if not (abs(t[0]) <= 1e-12 and abs(t[-1] - 1.0) <= 1e-10):
             raise ValueError("breakpoints must run from 0 to 1")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         t.setflags(write=False)
         object.__setattr__(self, "breakpoints", t)
@@ -207,8 +232,9 @@ def _max_flow(size: int, edges, caps, source: int, sink: int):
     listed in ascending node order, so BFS visits nodes exactly as a scan of a
     dense capacity row does.  Flows stay in ``longdouble`` and an arc is open
     while ``cap - flow > 1e-13``: float capacities then saturate without
-    rounding slivers above 1e-13, and flows, value and min cut are
-    bit-identical to a dense-matrix Edmonds-Karp.  BFS bounds the augmentation
+    rounding slivers above 1e-13, and flows, value and min cut are those of
+    a dense-matrix Edmonds-Karp with the same BFS order, as pinned by digest
+    in the tests (no dense version remains).  BFS bounds the augmentation
     count independently of the capacities.  Returns the flow value, each
     edge's flow and the nodes the source still reaches (the source side of a
     min cut).
@@ -249,32 +275,13 @@ def _max_flow(size: int, edges, caps, source: int, sink: int):
     return float(row.sum()), np.asarray(flow[0::2], dtype=float), reachable
 
 
-def _dtype_stacks(atoms):
-    """Atoms stacked by dtype as (indices, stack) pairs, so that a stacked
-    LAPACK call gives each atom the bits of the call on the atom alone."""
-    groups = {}
-    for k, a in enumerate(atoms):
-        groups.setdefault(a.entries.dtype, []).append(k)
-    return [(idx, np.stack([atoms[k].entries for k in idx])) for idx in groups.values()]
-
-
-def _stacked(atoms):
-    """`_dtype_stacks`, and every atom's largest |eigenvalue| from one
-    ``eigvalsh`` per stack."""
-    stacks = _dtype_stacks(atoms)
-    ext = np.empty(len(atoms))
-    for idx, stack in stacks:
-        ext[idx] = np.abs(np.linalg.eigvalsh(stack)[:, [0, -1]]).max(axis=1)
-    return stacks, ext
-
-
 def _order_relation(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> np.ndarray:
     """rel[i, j] = loewner_leq(A_i, B_j, tol), with one stacked ``eigvalsh``
     over B_j - A_i per mu atom (memory O(q n^2)).  Stacking by dtype sends
     each matrix to the LAPACK routine the pairwise predicate uses, so the
     relation equals it entry for entry."""
-    _, ext_a = _stacked(mu.atoms)
-    nu_stacks, ext_b = _stacked(nu.atoms)
+    _, _, ext_a = mu._spectra  # lambda_max, the largest |eigenvalue| of a PD atom
+    nu_stacks, _, ext_b = nu._spectra
     rel = np.empty((mu.size, nu.size), dtype=bool)
     diff_min = np.empty(nu.size)
     for i, a in enumerate(mu.atoms):
@@ -368,7 +375,7 @@ def monotone_representation(mu: DiscreteMeasure, nu: DiscreteMeasure, coupling: 
                 f"coupling cell ({i}, {j}) is not supported on the order relation")
     lengths = np.array([g for _, _, g in cells])
     breaks = np.concatenate([[0.0], np.cumsum(lengths)])
-    if abs(breaks[-1] - 1.0) > 1e-10:
+    if not abs(breaks[-1] - 1.0) <= 1e-10:
         raise ValueError(f"coupling mass {breaks[-1]:.12f} is not 1")
     breaks[-1] = 1.0
     xi_mu = StepRepresentation(breaks, tuple(i for i, _, _ in cells))
@@ -509,7 +516,7 @@ def _geomean_pair(x: np.ndarray, a: np.ndarray, t: float) -> np.ndarray:
     computed once and each slice equals the single-matrix result bit for bit.
     """
     lam, u = np.linalg.eigh(x)
-    if lam[0] <= 0.0:
+    if not lam[0] > 0.0:
         raise ValueError(f"geometric mean base not PD (lambda_min = {lam[0]:.3e})")
     rt = np.sqrt(lam)
     xh = (u * rt) @ u.conj().T
@@ -556,7 +563,7 @@ def _anderson_step(xs, gs, t: float) -> np.ndarray:
 
 
 def _pd_log(lam: np.ndarray) -> np.ndarray:
-    if lam[0] <= 0.0:
+    if not lam[0] > 0.0:
         raise ValueError(f"power-mean iterate not PD (lambda_min = {lam[0]:.3e})")
     return np.log(lam)
 
@@ -568,16 +575,32 @@ def _hermitian_fn(x: np.ndarray, fn) -> np.ndarray:
     return (y + y.conj().T) / 2.0
 
 
+def _power_map(weights, stack, x: np.ndarray, t: float) -> np.ndarray:
+    """g(X) = sum_i w_i X #_t A_i, exactly rounded: independent of atom order."""
+    return _weighted_matrix_sum(weights, _geomean_pair(x, stack, t))
+
+
+def power_mean_residual(mu: DiscreteMeasure, x: np.ndarray, t: float) -> float:
+    """||g(X) - X||_F of the map g that `power_mean` iterates for ``mu``."""
+    g = _power_map(mu.weights, np.stack([a.entries for a in mu.atoms]), x, t)
+    return float(np.linalg.norm(g - x, "fro"))
+
+
 def power_mean(weights, atoms, t: float) -> SymMatrix:
     """Power mean of PD matrices: the PD fixed point of X = sum_i w_i X #_t A_i.
 
-    Iterates from the arithmetic mean with Anderson mixing of the last five
-    iterates (`_anderson_step`); t = 1 returns the arithmetic mean exactly
-    without iterating.  Stops when the fixed-point residual ||g(X) - X||_F of
-    the map g drops below 1e-13 * ||g(X)||_F (or below 1e-11) and returns
-    g(X).  While the residual is above 1e-8 * ||g(X)||_F the mixing reads
-    log X and log g(X), so every mixed iterate exp(.) is PD; below it, where
-    the eigendecompositions of the logarithm would add more rounding than the
+    The input is checked once, by building ``DiscreteMeasure(tuple(atoms),
+    weights)``, and raises its messages: finite PD atoms of one dimension,
+    one strictly positive weight per atom, summing to 1 within 1e-12.
+    Iterates the map g of `_power_map` from the arithmetic mean with Anderson
+    mixing of the last five iterates (`_anderson_step`); t = 1 returns the
+    arithmetic mean exactly without iterating.  Stops when the fixed-point
+    residual ||g(X) - X||_F drops below 1e-13 * ||g(X)||_F or below 1e-11 *
+    min(1, ||g(X)||_F), and returns g(X): the absolute 1e-11 applies only
+    where ||g(X)||_F >= 1, and below that the bound stays relative.  While
+    the residual is above 1e-8 * ||g(X)||_F the mixing reads log X and
+    log g(X), so every mixed iterate exp(.) is PD; below it, where the
+    eigendecompositions of the logarithm would add more rounding than the
     stopping rule allows, it reads X and g(X).  A mixed iterate that is then
     not PD makes `_geomean_pair` raise, and the history restarts from its
     newest pair, whose image is the next iterate.
@@ -587,20 +610,15 @@ def power_mean(weights, atoms, t: float) -> SymMatrix:
     measures (n <= 5, p <= 6, spectra in [0.1, 10] or 10^[-3, 3]), it took at
     most 19 steps at t = 0.5 and a median of 12 to 51 (at most 575) at
     t = 0.01, never more than the plain iteration.  At t <= 0.05 on
-    10^[-3, 3] the residual of the result stayed below 6e-11 * ||X||_F, except
-    where ||X||_F is near 0.01 and the absolute 1e-11 stops first.  Raises
+    10^[-3, 3] the residual of the result stayed below 6e-11 * ||X||_F, and
+    on 10^[-4, -2] at t = 0.02 below 1e-11 * ||X||_F.  Raises
     MeanConvergenceError with the last residual after ``max(500,
     ceil(60 / t))`` calls of `_geomean_pair`.
     """
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    mats = [_sym(a).entries for a in atoms]
-    if w.shape[0] != len(mats):
-        raise ValueError("one weight per atom required")
-    if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must be positive and sum to 1")
+    mu = DiscreteMeasure(tuple(atoms), weights)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"power-mean exponent must lie in (0, 1], got {t}")
-    stack = np.stack(mats)
+    w, stack = mu.weights, np.stack([a.entries for a in mu.atoms])
     x = _weighted_matrix_sum(w, stack)
     if t == 1.0:
         return SymMatrix(x)
@@ -612,17 +630,16 @@ def power_mean(weights, atoms, t: float) -> SymMatrix:
     resid, budget = np.inf, max(500, math.ceil(60.0 / t))
     for _ in range(budget):
         try:
-            images = _geomean_pair(x, stack, t)
+            gx = _power_map(w, stack, x, t)
         except ValueError:
             if far or x is gs[-1]:  # not a mixed iterate
                 raise
             x = gs[-1]
             del xs[:-1], gs[:-1]
             continue
-        gx = _weighted_matrix_sum(w, images)
         resid = float(np.linalg.norm(gx - x, "fro"))
         scale = float(np.linalg.norm(gx, "fro"))
-        if resid <= 1e-13 * scale or resid <= 1e-11:
+        if resid <= 1e-13 * scale or resid <= 1e-11 * min(1.0, scale):
             return SymMatrix(gx)
         if far and resid <= _LOG_MIXING_ABOVE * scale:
             far, xs, gs = False, [], []
@@ -672,7 +689,7 @@ def mean_of_measure(spec, mu: DiscreteMeasure) -> SymMatrix:
         stack = np.stack([a.entries for a in mu.atoms])
         return SymMatrix(_weighted_matrix_sum(mu.weights, stack))
     if parsed[0] == "harmonic":
-        groups = _dtype_stacks(mu.atoms)
+        groups = mu._spectra[0]
         inv = np.empty((mu.size, mu.n, mu.n), dtype=np.result_type(*(g for _, g in groups)))
         for idx, group in groups:
             inv[idx] = np.linalg.inv(group)

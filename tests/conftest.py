@@ -5,6 +5,7 @@ database, so every run tries the same cases; tests take it with
 ``settings(settings.get_profile("loewner"), max_examples=...)``.
 """
 
+import pytest
 from hypothesis import settings
 
 from loewner import jsonio
@@ -18,3 +19,17 @@ def legacy_realization_payload(r) -> dict:
     return {"k": r.k, "m": r.m, "e": list(map(float.hex, r.e.tolist())),
             "e_decimal": r.e.tolist(), "A0": jsonio.matrix_to_json(r.a0),
             "A": [jsonio.matrix_to_json(c) for c in r.coeffs]}
+
+
+@pytest.fixture
+def silent_fds(capfd):
+    """Fail the test if anything reaches file descriptor 1 or 2.
+
+    LAPACK reports an illegal argument (such as a NaN scaling factor) by
+    printing to fd 1 itself, past Python's ``sys.stdout``, so ``capsys``
+    misses it; ``capfd`` captures the descriptors.
+    """
+    yield
+    out, err = capfd.readouterr()
+    if out or err:
+        pytest.fail(f"written to fd 1: {out!r}; to fd 2: {err!r}")

@@ -51,6 +51,15 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             FunctionSpec.parse(text)
 
+    @pytest.mark.parametrize("spec", [
+        "constant:nan", "constant:inf", "cauchy:inf", "cauchy:nan", "power:nan",
+        "geomean:nan", "harmonic:nan,0.5", "arithmetic:0.5,nan", "harmonic:inf,0.5",
+        ("affine", (np.nan, 1.0)), ("affine", (0.5, np.inf)),
+    ])
+    def test_rejects_non_finite_parameters(self, silent_fds, spec):
+        with pytest.raises(ValueError, match="needs|weights must"):
+            FunctionSpec(*spec) if isinstance(spec, tuple) else FunctionSpec.parse(spec)
+
     def test_affine_in_process_only(self):
         spec = FunctionSpec("affine", (0.5, 1.0, 2.0))
         assert build_realization(spec).k == 2

@@ -566,6 +566,24 @@ class TestMeanCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_permuted_atoms_same_residual(self, tmp_path, capsys, seed):
+        # The residual once summed the per-atom terms in atom order: on two of
+        # these draws it differed between a measure and its permutation.
+        rng = np.random.default_rng(seed)
+        atoms = [random_pd(3, (0.5, 2), rng) for _ in range(4)]
+        w = rng.dirichlet(np.ones(4))
+        streams = []
+        for i, order in enumerate(([0, 1, 2, 3], [3, 1, 0, 2])):
+            mu = DiscreteMeasure(tuple(atoms[k] for k in order), w[order])
+            write(tmp_path / f"m{i}.json", jsonio.measure_to_json(mu))
+            assert main(["mean", "--spec", "power:0.5", "--measure",
+                         str(tmp_path / f"m{i}.json")]) == 0
+            streams.append(capsys.readouterr())
+        assert streams[0].out == streams[1].out
+        assert streams[0].err == streams[1].err
+        assert streams[0].err.startswith("fixed-point residual: ")
+
     def test_non_convergence_exits_1(self, tmp_path, capsys, monkeypatch):
         # a map that never contracts: every step changes X by ||I||_F = sqrt(2)
         monkeypatch.setattr("loewner.measures._geomean_pair",

@@ -14,6 +14,7 @@ from loewner import (
     Coupling,
     DiscreteMeasure,
     MeanConvergenceError,
+    StepRepresentation,
     SuiteConfig,
     UpperSetCertificate,
     brute_force_stochastic_leq,
@@ -121,6 +122,40 @@ class TestDiscreteMeasure:
     def test_atoms_must_be_pd(self):
         with pytest.raises(ValueError, match="not PD"):
             DiscreteMeasure((np.diag([1.0, 0.0]),), np.array([1.0]))
+
+    @pytest.mark.parametrize("atom", [[[1.0, np.nan], [np.nan, 1.0]],
+                                      [[1.0, np.inf], [np.inf, 1.0]],
+                                      [[1.0, 0.0], [0.0, np.nan]]],
+                             ids=["nan-off-diagonal", "inf-off-diagonal", "nan-diagonal"])
+    def test_rejects_non_finite_atom(self, silent_fds, atom):
+        with pytest.raises(ValueError, match="atom 1 has a non-finite entry"):
+            DiscreteMeasure((np.eye(2), np.array(atom)), np.array([0.5, 0.5]))
+
+    def test_rejects_nan_weight(self, silent_fds):
+        with pytest.raises(ValueError, match="strictly positive"):
+            DiscreteMeasure((np.eye(2), 2 * np.eye(2)), np.array([np.nan, 0.5]))
+
+    def test_one_eigvalsh_per_dtype_stack(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        real = [random_pd(3, (0.5, 2), s) for s in range(4)]
+        cplx = complex_atoms(5, 2, 3)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        mu = uniform_measure(real)
+        assert shapes == [(4, 3, 3)]
+        nu = uniform_measure([real[0].entries + np.eye(3), cplx[0], real[1].entries, cplx[1]])
+        assert shapes[1:] == [(2, 3, 3), (2, 3, 3)]
+        del shapes[:]
+        stochastic_leq(mu, nu)
+        stochastic_leq(nu, mu)
+        # only the relation's per-atom calls: one per atom of the first
+        # measure and dtype stack of the second
+        assert shapes == [(2, 3, 3)] * 8 + [(4, 3, 3)] * 4
 
 
 class TestStochasticLeq:
@@ -296,6 +331,31 @@ class TestMonotoneRepresentation:
             monotone_representation(mu, nu, bad)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("gamma,row,message", [
+        ([[np.nan, 0.5], [0.0, 0.5]], [0.5, 0.5], "coupling has a non-finite entry"),
+        ([[0.5, 0.0], [0.0, 0.5]], [np.nan, 0.5], "marginals off by nan"),
+    ], ids=["gamma", "marginal"])
+    def test_coupling_rejects_nan(self, silent_fds, gamma, row, message):
+        with pytest.raises(ValueError, match=message):
+            Coupling(np.array(gamma), np.array(row), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("breaks", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.nan]])
+    def test_step_representation_rejects_nan(self, silent_fds, breaks):
+        with pytest.raises(ValueError, match="breakpoints"):
+            StepRepresentation(np.array(breaks), (0, 1))
+
+    # A NaN weight reached LAPACK, which printed a DLASCL error to fd 1
+    @pytest.mark.parametrize("weights,atoms,message", [
+        ([np.nan, 0.5], [np.eye(2), np.eye(2)], "strictly positive"),
+        ([0.5, 0.5], [np.eye(2), [[1.0, np.nan], [np.nan, 1.0]]], "atom 1 has a non-finite"),
+        ([0.5, 0.5], [np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]], "atom 1 has a non-finite"),
+    ], ids=["nan-weight", "nan-atom", "inf-atom"])
+    def test_power_mean_rejects_non_finite(self, silent_fds, weights, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            power_mean(weights, [np.array(a) for a in atoms], 0.5)
+
+
 class TestCouplingsSample:
     def test_first_is_product(self):
         mu = uniform_measure([np.eye(2), 2 * np.eye(2)])
@@ -377,6 +437,29 @@ class TestPowerMean:
             base = mean_of_measure(spec, mu).entries
             assert np.array_equal(base, mean_of_measure(spec, perm).entries)
             assert np.array_equal(base, mean_of_measure(spec, split).entries)
+
+    def test_checks_input_as_a_measure(self):
+        # _geomean_pair clips negative eigenvalues of the atoms: without the
+        # measure's checks the first returned diag(1, 0.25), the second a mean
+        with pytest.raises(ValueError, match="atom 0 is not PD"):
+            power_mean([0.5, 0.5], [np.diag([1.0, -0.5]), np.eye(2)], 0.5)
+        with pytest.raises(ValueError, match="sum to 1 within 1e-12"):
+            power_mean([0.5, 0.5 + 1e-10], [2 * np.eye(2), np.eye(2)], 0.5)
+
+    def test_small_norm_means_meet_a_relative_residual(self):
+        # Spectra in [1e-4, 1e-2] give ||X||_F near 0.01.  An absolute stop at
+        # a residual of 1e-11 left 24 of these 60 means above 1e-10 * ||X||_F
+        # (worst 2.9e-9); stopping at 1e-11 * min(1, ||g(X)||_F) keeps all
+        # below 8.5e-12.
+        worst = 0.0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            mu = DiscreteMeasure(tuple(random_pd(2, (1e-4, 1e-2), rng) for _ in range(3)),
+                                 rng.dirichlet(np.ones(3)))
+            x = mean_of_measure("power:0.02", mu).entries
+            fixed = sum(w * _geomean_pair(x, a.entries, 0.02) for w, a in zip(mu.weights, mu.atoms))
+            worst = max(worst, np.linalg.norm(x - fixed, "fro") / np.linalg.norm(x, "fro"))
+        assert worst <= 1e-10
 
     def test_rejects_bad_exponent(self):
         a = random_pd(2, (1, 2), 0)
