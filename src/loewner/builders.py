@@ -14,7 +14,8 @@ while this rule reaches roundoff.  Each quadrature term w * lam x/(lam + x) is
 a scaled parallel sum, the short of [[w x, w x], [w x, w (x + lam)]]; the
 terms share one pivot, so every coefficient of the realization is an
 arrowhead (`_arrowhead`): a pivot entry, a diagonal and a coupling column,
-built straight from the node and weight vectors.
+handed to `PencilRealization.from_arrowheads` as the node and weight vectors
+themselves, so no builder forms a dense coefficient.
 
 Accuracy is calibrated against eigendecomposition oracles on spectra in
 [0.1, 10].  For ``power:0.37`` the largest relative scalar error over 41
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .numlin import SymMatrix
 from .pencil import PencilRealization
 
 __all__ = [
@@ -151,20 +151,20 @@ def _check_weights(w) -> np.ndarray:
     return w / w.sum()
 
 
-def _arrowhead(pivot, diag=(), couple=None) -> np.ndarray:
+def _arrowhead(pivot, diag=(), couple=None) -> tuple:
     """The coefficient ``[[pivot, couple*], [couple, diag(diag)]]`` of a pencil
-    with e = e1 (zero coupling when ``couple`` is None; 1 x 1 for no diag)."""
-    a = np.diag(np.concatenate([[pivot], diag]))
-    if couple is not None:
-        a[1:, 0] = a[0, 1:] = couple
-    return a
+    as its arrowhead vectors ``(diag, col, row)`` (`PencilRealization`): zero
+    coupling when ``couple`` is None, 1 x 1 for no diag."""
+    diag = np.concatenate([[pivot], diag])
+    couple = np.zeros(diag.shape[0] - 1) if couple is None else couple
+    return diag, couple, couple
 
 
-def _e1_pencil(a0, *coeffs) -> PencilRealization:
-    """One realization with e = e1 from its coefficient arrays."""
-    e = np.zeros(a0.shape[0])
+def _e1_pencil(*arrowheads) -> PencilRealization:
+    """One realization with e = e1 from its coefficients' arrowheads."""
+    e = np.zeros(arrowheads[0][0].shape[0])
     e[0] = 1.0
-    return PencilRealization(e, a0, coeffs)
+    return PencilRealization.from_arrowheads(e, arrowheads)
 
 
 def cauchy_atom(lam: float) -> PencilRealization:
@@ -200,13 +200,9 @@ def weighted_harmonic(w) -> PencilRealization:
     """
     w = _check_weights(w)
     k = w.shape[0]
-    e = np.ones(k) / math.sqrt(k)
-    coeffs = []
-    for i in range(k):
-        a = np.zeros((k, k))
-        a[i, i] = 1.0 / (k * w[i])
-        coeffs.append(SymMatrix(a))
-    return PencilRealization(e, SymMatrix(np.zeros((k, k))), tuple(coeffs))
+    diags = np.diag(1.0 / (k * w))
+    return PencilRealization.from_arrowheads(
+        np.ones(k) / math.sqrt(k), [_arrowhead(d[0], d[1:]) for d in (np.zeros(k), *diags)])
 
 
 def weighted_arithmetic(w) -> PencilRealization:
@@ -223,7 +219,7 @@ def geometric_mean(t: float, n_nodes: int = 96) -> PencilRealization:
     """
     s = power_quadrature_scheme(t, n_nodes)
     wl = s.weights * s.nodes
-    return _e1_pencil(np.zeros((n_nodes + 1, n_nodes + 1)),
+    return _e1_pencil(_arrowhead(0.0, np.zeros(n_nodes)),
                       _arrowhead(np.cumsum(wl)[-1], wl, wl), _arrowhead(0.0, s.weights))
 
 

@@ -19,7 +19,12 @@ compact: ``index`` lists, in ascending order, the row-major flat index of
 every entry whose real or imaginary bit pattern is not +0.0 (so ``-0.0`` is
 kept), and ``re``/``im`` hold those entries.  Every other matrix is written
 dense, one ``re`` (and ``im``) row per matrix row.  The loader reads a payload
-that has ``index`` as compact and any other payload as dense.
+that has ``index`` as compact and any other payload as dense.  A realization
+whose coefficients are all compact with an arrowhead's index (pivot row, pivot
+column and diagonal), as every builder's is, loads as its arrowhead vectors
+(`PencilRealization.from_arrowheads`) and is written from them, in O(m)
+memory; its file is the same, byte for byte, as from the dense coefficients.
+The file format does not depend on which form a realization holds.
 
 Load-time checks: ``rows``, ``cols``, ``k``, ``m`` and ``n`` are JSON integers
 (not booleans) that match their payload, and ``rows`` and ``cols`` are
@@ -41,7 +46,7 @@ import numpy as np
 
 from .measures import Coupling, DiscreteMeasure, UpperSetCertificate
 from .numlin import MatrixTuple, SymMatrix
-from .pencil import PencilRealization
+from .pencil import PencilRealization, _arrowhead_matrix
 from .verify import HullCertificate, VerificationReport
 
 VERSION = "0.1.0"
@@ -186,25 +191,53 @@ def matrix_to_json(m) -> dict:
 
 def _compact_matrix_to_json(arr: np.ndarray) -> dict:
     """Compact payload of a 2-d array: the entries whose bits are not all zero."""
-    parts = {"re": arr.real} | ({"im": arr.imag} if np.iscomplexobj(arr) else {})
-    flat = {key: np.ascontiguousarray(p, dtype=float).reshape(-1) for key, p in parts.items()}
-    index = np.flatnonzero(np.any([p.view(np.uint64) for p in flat.values()], axis=0))
-    out = {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "index": index.tolist()}
+    return _compact_payload(arr.shape, np.arange(arr.size), arr.reshape(-1))
+
+
+def _compact_arrowhead_to_json(diag, col, row) -> dict:
+    """`_compact_matrix_to_json` of the arrowhead ``(diag, col, row)``
+    (`PencilRealization`), from its vectors: in row-major order the pivot
+    row, then the coupling and the diagonal entry of each later row."""
+    m = diag.shape[0]
+    later = np.arange(1, m)
+    index = np.concatenate([np.arange(m), np.column_stack([later * m, later * (m + 1)]).ravel()])
+    values = np.concatenate([diag[:1], row, np.column_stack([col, diag[1:]]).ravel()])
+    return _compact_payload((m, m), index, values)
+
+
+def _compact_payload(shape, index, values) -> dict:
+    """The compact payload of the entries ``values`` at the ascending flat
+    ``index``: those whose real or imaginary bits are not all zero."""
+    parts = {"re": values.real} | ({"im": values.imag} if np.iscomplexobj(values) else {})
+    flat = {key: np.ascontiguousarray(p, dtype=float) for key, p in parts.items()}
+    keep = np.any([p.view(np.uint64) for p in flat.values()], axis=0)
+    out = {"rows": int(shape[0]), "cols": int(shape[1]), "index": index[keep].tolist()}
     for key, p in flat.items():
-        values = p[index].tolist()
+        values = p[keep].tolist()
         out[key], out[f"{key}_decimal"] = list(map(float.hex, values)), values
     return out
 
 
-def _unhex_compact(d: dict, rows: int, cols: int) -> np.ndarray:
+def _unhex_compact(d: dict, rows: int, cols: int, arrowhead: bool = False):
+    """The array of a compact payload; with ``arrowhead``, when every index
+    lies on the pivot row, the pivot column or the diagonal of a square
+    matrix, its arrowhead ``(diag, col, row)`` (`PencilRealization`) instead,
+    in O(rows) memory, after the same checks in the same order."""
     index = _typed(d, "index", list)
     if set(map(type, index)) - {int}:
         raise ValueError("matrix index must hold JSON integers only")
     if index and (index[0] < 0 or index[-1] >= rows * cols
                   or not all(map(operator.lt, index, index[1:]))):
         raise ValueError(f"matrix index must increase strictly within [0, {rows * cols})")
+    if arrowhead:
+        i, j = np.divmod(np.array(index, dtype=np.int64), cols)
+        arrowhead = rows == cols and bool(np.all((i == 0) | (j == 0) | (i == j)))
+    size = rows * cols
+    if arrowhead:  # slots: the diagonal, then the coupling column, then the pivot row
+        off = np.where(j == 0, rows - 1 + i, 2 * rows - 2 + j)
+        size, index = 3 * rows - 2, np.where(i == j, i, off)
     try:
-        out = np.zeros(rows * cols, dtype=complex if "im" in d else float)
+        out = np.zeros(size, dtype=complex if "im" in d else float)
     except MemoryError as exc:  # a short file can state any header
         raise ValueError(f"matrix header ({rows}, {cols}) is too large to allocate") from exc
     parts = {"re": out.real} | ({"im": out.imag} if "im" in d else {})
@@ -213,15 +246,19 @@ def _unhex_compact(d: dict, rows: int, cols: int) -> np.ndarray:
         if values.shape[0] != len(index):
             raise ValueError(f"matrix has {values.shape[0]} {key} entries for {len(index)} indices")
         part[index] = values
+    if arrowhead:
+        return out[:rows], out[rows:2 * rows - 1], out[2 * rows - 1:]
     return out.reshape(rows, cols)
 
 
-def matrix_from_json(d: dict) -> np.ndarray:
+def matrix_from_json(d: dict, arrowhead: bool = False):
+    """The array of a matrix payload; with ``arrowhead``, the arrowhead
+    vectors of a compact one whose index allows them (`_unhex_compact`)."""
     rows, cols = _typed(d, "rows", int), _typed(d, "cols", int)
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix header ({rows}, {cols}) is not positive")
     if "index" in d:
-        return _unhex_compact(d, rows, cols)
+        return _unhex_compact(d, rows, cols, arrowhead)
     re = _unhex_rows(d["re"])
     if re.shape != (rows, cols):
         raise ValueError(f"matrix shape {re.shape} does not match header ({rows}, {cols})")
@@ -259,26 +296,38 @@ def tuple_from_json(d: dict) -> list:
 
 
 def realization_to_json(r: PencilRealization) -> dict:
+    """The compact payload of every coefficient, written from the arrowhead
+    vectors when ``r`` holds them: the same bytes as from its dense form."""
+    if r.arrowheads is None:
+        coeffs = [_compact_matrix_to_json(c.entries) for c in (r.a0, *r.coeffs)]
+    else:
+        coeffs = [_compact_arrowhead_to_json(*a) for a in r.arrowheads]
     return {
         "k": r.k,
         "m": r.m,
         "e": _hex_vector(r.e),
         "e_decimal": _floats(r.e),
-        "A0": _compact_matrix_to_json(r.a0.entries),
-        "A": [_compact_matrix_to_json(c.entries) for c in r.coeffs],
+        "A0": coeffs[0],
+        "A": coeffs[1:],
     }
 
 
 def realization_from_json(d: dict) -> PencilRealization:
     """A realization from either matrix layout; headers are checked before any
-    coefficient is materialized."""
+    coefficient is materialized.  When every coefficient is a compact
+    arrowhead, as in every file that a builder's realization writes, the
+    realization keeps their vectors (`PencilRealization.from_arrowheads`)
+    and no dense coefficient is formed; otherwise every coefficient is dense."""
     e = _unhex_vector(d["e"])
     m, k = _typed(d, "m", int), _typed(d, "k", int)
     payloads = [d["A0"], *_typed(d, "A", list)]
     if m != e.shape[0] or k != len(payloads) - 1 or any(
             (p["rows"], p["cols"]) != (m, m) for p in payloads):
         raise ValueError("realization header does not match its payload")
-    a0, *coeffs = (SymMatrix(matrix_from_json(p)) for p in payloads)
+    coefs = [matrix_from_json(p, arrowhead=True) for p in payloads]
+    if all(isinstance(c, tuple) for c in coefs):
+        return PencilRealization.from_arrowheads(e, coefs)
+    a0, *coeffs = (c if isinstance(c, np.ndarray) else _arrowhead_matrix(*c) for c in coefs)
     return PencilRealization(e, a0, tuple(coeffs))
 
 

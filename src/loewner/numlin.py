@@ -84,9 +84,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        arr = _square(np.asarray(self.entries))
         if arr.shape[0] < 1:
             raise ValueError("dimension must be at least 1")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
@@ -105,6 +103,13 @@ class SymMatrix:
 
     def __array__(self, dtype=None):
         return self.entries if dtype is None else self.entries.astype(dtype)
+
+
+def _square(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is a square matrix, else ValueError."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    return arr
 
 
 def _sym(a) -> SymMatrix:

@@ -62,17 +62,20 @@ in `shorted.shorted_operator`).  `eval_complex` has three paths:
 Every path but "dense" reads the coefficients from one table that `_layout`
 builds once, one row per coefficient with A0 first: ``[diag(c), c[1:, 0]]``
 of the rotated coefficient for arrowhead pencils, the stored diagonal for
-parallel-sum ones.  The batched contractions run as BLAS ``matmul``: the
-arrowhead and parallel-sum blocks are one gemm ``table[1:].T @ x`` over the
-stacked, flattened point (`_linear_blocks`) and the complement one gemm over
-the rows of the rotated couplings, because ``np.einsum`` with two or more
-operands and no ``optimize=`` runs numpy's own loop, not BLAS.
+parallel-sum ones.  A realization from the builders or a compact file holds
+each coefficient as its arrowhead vectors (`PencilRealization`); with e = e1
+its table rows are those vectors, and only "dense", a rotation of e or an
+admission by ``eigvalsh`` forms the dense coefficients.  The batched
+contractions run as BLAS ``matmul``: the arrowhead and parallel-sum blocks
+are one gemm ``table[1:].T @ x`` over the stacked, flattened point
+(`_linear_blocks`) and the complement one gemm over the rows of the rotated
+couplings, because ``np.einsum`` with two or more operands and no
+``optimize=`` runs numpy's own loop, not BLAS.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,6 +87,7 @@ from .numlin import (
     _as_array,
     _coordinates,
     _psd_check,
+    _square,
     _sym,
     as_tuple,
 )
@@ -103,17 +107,29 @@ class PencilDomainError(ValueError):
     """The pencil is not PSD at the requested point (outside the realized domain)."""
 
 
-@dataclass(frozen=True)
 class PencilRealization:
     """Immutable affine-pencil realization (e, A0, A_1..A_k).
+
+    A realization holds its coefficients in one of two forms.  Built from
+    dense matrices (``PencilRealization(e, a0, coeffs)``), it keeps them as
+    `SymMatrix` values.  Built by `from_arrowheads`, as every builder and
+    the compact file loader build it, it keeps each coefficient as the
+    vectors of an arrowhead ``[[z, r], [o, diag(d)]]``: ``arrowheads[i] =
+    (diag, col, row)`` with ``diag = (z, d)`` (length m), the coupling column
+    ``col = o`` and the pivot row ``row = r`` (length m - 1; ``row`` is
+    ``conj(col)`` up to the signs of zero imaginary parts).  The dense `a0`
+    and `coeffs` are then built on first access only, equal bit for bit to
+    `SymMatrix` of the assembled arrowheads: by `assemble_pencil`, the dense
+    evaluation paths, a rotation of e (``e != e1``) and an admission that
+    falls back to ``eigvalsh``.  ``arrowheads`` is None in the dense form.
 
     Invariants enforced at construction: ``||e|| = 1`` to 1e-12, every
     coefficient finite (a NaN eigenvalue would pass `_psd_check`) and PSD
     within the relative tolerance ``DEFAULT_PSD_TOL``, as `_psd_check` of its
     ``eigvalsh`` decides (the only source of `NotPositiveSemidefinite`).
-    `_certified_psd` never accepts a coefficient whose Frobenius norm is not
-    finite, so only coefficients it defers are scanned for finiteness.
-    `_certified_psd` accepts an arrowhead ``c = [[z, o*], [o, diag(d)]]``
+    `_certified_arrowhead` never accepts a coefficient whose Frobenius norm
+    is not finite, so only coefficients it defers are scanned for
+    finiteness.  It accepts an arrowhead ``c = [[z, o*], [o, diag(d)]]``
     (diagonal c and m = 1 included) with no spectrum when, for
     ``tau = DEFAULT_PSD_TOL max(1, max diag c)`` and the shift
     ``s = tau - 2 m eps (||c||_F + tau)``, ``d + s > 0`` and
@@ -123,73 +139,157 @@ class PencilRealization:
     max(1, lambda_max)`` by more than the error of ``eigvalsh``, taken as
     ``m eps ||c||_F``: the dense rule accepts c too."""
 
-    e: np.ndarray
-    a0: SymMatrix
-    coeffs: tuple
+    def __init__(self, e, a0, coeffs):
+        e = _unit_vector(e)
+        self.__dict__.update(e=e, arrowheads=None,
+                             _dense=(_sym(a0), tuple(_sym(c) for c in coeffs)))
+        self._admit()
 
-    def __post_init__(self):
-        e = np.asarray(self.e, dtype=float).reshape(-1)
-        if abs(np.linalg.norm(e) - 1.0) > 1e-12:
-            raise ValueError(f"||e|| = {np.linalg.norm(e):.15f} is not 1 within 1e-12")
-        e.setflags(write=False)
-        object.__setattr__(self, "e", e)
-        a0 = _sym(self.a0)
-        coeffs = tuple(_sym(c) for c in self.coeffs)
-        if not coeffs:
+    @classmethod
+    def from_arrowheads(cls, e, arrowheads) -> "PencilRealization":
+        """The realization whose coefficients, A0 first, are the arrowheads
+        ``(diag, col, row)`` of the class docstring, kept as vectors.  They
+        are symmetrized with the arithmetic of `SymMatrix`, ``(c + c*) / 2``
+        on the arrowhead entries, so the dense coefficients equal `SymMatrix`
+        of the assembled input even where ``row`` is not ``conj(col)``."""
+        e = _unit_vector(e)
+        arrows = []
+        for diag, col, row in arrowheads:
+            cplx = any(np.iscomplexobj(v) for v in (diag, col, row))
+            diag, col, row = (np.asarray(v, dtype=np.complex128 if cplx else np.float64)
+                              for v in (diag, col, row))
+            if not diag.shape[0] - 1 == col.shape[0] == row.shape[0]:
+                raise DimensionMismatch("an arrowhead needs m diagonal and m - 1 coupling entries")
+            arrow = ((diag + diag.conj()) / 2.0,
+                     (col + row.conj()) / 2.0, (row + col.conj()) / 2.0)
+            for v in arrow:
+                v.setflags(write=False)
+            arrows.append(arrow)
+        self = cls.__new__(cls)
+        self.__dict__.update(e=e, arrowheads=tuple(arrows))
+        self._admit()
+        return self
+
+    def _admit(self):
+        """The invariants of the class docstring, checked by both constructors
+        after ``||e|| = 1``: at least one variable coefficient, every one m x m,
+        finite and PSD."""
+        if self.arrowheads is None:
+            dense = (self.a0, *self.coeffs)
+            dims, certified = [c.n for c in dense], map(_certified_psd, (c.entries for c in dense))
+        else:
+            dims = [diag.shape[0] for diag, _, _ in self.arrowheads]
+            certified = (_certified_arrowhead(diag, col) for diag, col, _ in self.arrowheads)
+        if len(dims) < 2:
             raise ValueError("realization needs at least one variable coefficient")
-        m = e.shape[0]
-        if a0.n != m or any(c.n != m for c in coeffs):
+        if any(n != self.m for n in dims):
             raise DimensionMismatch("e, A0 and all A_i must share the auxiliary dimension")
-        for i, c in enumerate((a0, *coeffs)):
-            if not _certified_psd(c.entries):
-                if not np.isfinite(c.entries).all():
+        for i, ok in enumerate(certified):
+            if not ok:
+                c = (self.a0, *self.coeffs)[i].entries
+                if not np.isfinite(c).all():
                     raise ValueError(f"A{i} has a non-finite entry")
-                _psd_check(np.linalg.eigvalsh(c.entries), DEFAULT_PSD_TOL, f"A{i}")
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "coeffs", coeffs)
+                _psd_check(np.linalg.eigvalsh(c), DEFAULT_PSD_TOL, f"A{i}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PencilRealization is immutable: cannot set {name!r}")
 
     @property
     def k(self) -> int:
-        return len(self.coeffs)
+        return len(self.coeffs) if self.arrowheads is None else len(self.arrowheads) - 1
 
     @property
     def m(self) -> int:
         return self.e.shape[0]
 
+    @property
+    def a0(self) -> SymMatrix:
+        return self._dense[0]
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._dense[1]
+
+    @cached_property
+    def _dense(self):
+        """``(a0, coeffs)`` as `SymMatrix` values, assembled from the arrowheads."""
+        a0, *coeffs = (SymMatrix(_arrowhead_matrix(*a)) for a in self.arrowheads)
+        return a0, tuple(coeffs)
+
+    @cached_property
+    def _rotated(self):
+        """``(a0r, coeffs_r)``: the dense coefficients with e rotated into the
+        first coordinate, read-only, computed once."""
+        a0r, coeffs_r = _rotated_coefficients(self)
+        for c in (a0r, *coeffs_r):
+            c.setflags(write=False)
+        return a0r, tuple(coeffs_r)
+
     @cached_property
     def _layout(self):
-        """``(a0r, coeffs_r, table, real_paths, complex_paths)``, computed once
-        per realization: the coefficients with e rotated into the first
-        coordinate and the coefficient table of the module docstring (None
-        for dense-only shapes), all read-only, and the paths that `_route`
-        and `_route_complex` try in order."""
-        a0r, coeffs_r = _rotated_coefficients(self)
-        if self.m > 1 and _aux_blocks_diagonal(a0r, coeffs_r):
+        """``(table, real_paths, complex_paths)``, computed once per
+        realization: the coefficient table of the module docstring (None for
+        dense-only shapes), read-only, and the paths that `_route` and
+        `_route_complex` try in order.  An arrowhead realization with e = e1
+        reads its table off its vectors; every other one off `_rotated`."""
+        table = None
+        if self.m > 1 and self.arrowheads is not None and _is_e1(self.e):
+            table = np.array([np.concatenate([diag, col]) for diag, col, _ in self.arrowheads])
+        elif self.m > 1 and _aux_blocks_diagonal(*self._rotated):
+            a0r, coeffs_r = self._rotated
             table = np.array([np.concatenate([np.diag(c), c[1:, 0]]) for c in (a0r, *coeffs_r)])
-            spectral = self.k == 1 or (self.k == 2 and not np.any(a0r))
+        if table is not None:
+            spectral = self.k == 1 or (self.k == 2 and not np.any(table[0]))
             real = ("spectral", "batched") if spectral else ("batched",)
             paths = real, real if self.m > 2 else ("batched",)
         elif self.m > 1 and _diagonal(c.entries for c in (self.a0, *self.coeffs)):
             table = np.array([np.diag(c.entries) for c in (self.a0, *self.coeffs)])
             paths = ("parallel-sum", "dense"), ("dense",)
         else:
-            table, paths = None, (("dense",), ("dense",))
-        for c in (a0r, *coeffs_r, table):
-            if c is not None:
-                c.setflags(write=False)
-        return a0r, tuple(coeffs_r), table, *paths
+            paths = ("dense",), ("dense",)
+        if table is not None:
+            table.setflags(write=False)
+        return table, *paths
+
+
+def _unit_vector(e) -> np.ndarray:
+    """``e`` as a read-only float vector, if ``||e|| = 1`` to 1e-12."""
+    e = np.array(e, dtype=float).reshape(-1)
+    if abs(np.linalg.norm(e) - 1.0) > 1e-12:
+        raise ValueError(f"||e|| = {np.linalg.norm(e):.15f} is not 1 within 1e-12")
+    e.setflags(write=False)
+    return e
+
+
+def _arrowhead_matrix(diag, col, row) -> np.ndarray:
+    """The dense m x m arrowhead with diagonal ``diag``, coupling column
+    ``col`` and pivot row ``row``."""
+    c = np.zeros((diag.shape[0],) * 2, dtype=diag.dtype)
+    np.fill_diagonal(c, diag)
+    c[1:, 0], c[0, 1:] = col, row
+    return c
 
 
 def _certified_psd(c) -> bool:
-    """True certifies c PSD (`PencilRealization`); False defers to eigvalsh."""
-    m, dg, fro = c.shape[0], np.diag(c).real, float(np.linalg.norm(c))
-    if np.count_nonzero(c[1:, 1:]) != np.count_nonzero(dg[1:]) or not math.isfinite(fro):
+    """`_certified_arrowhead` of a dense Hermitian c; False, deferring to
+    eigvalsh, unless c is an arrowhead."""
+    dg = np.diag(c)
+    return (np.count_nonzero(c[1:, 1:]) == np.count_nonzero(dg[1:])
+            and _certified_arrowhead(dg, c[1:, 0]))
+
+
+def _certified_arrowhead(diag, col) -> bool:
+    """True certifies the Hermitian arrowhead of ``diag`` and coupling column
+    ``col`` PSD (`PencilRealization`); False defers to eigvalsh."""
+    m, dg = diag.shape[0], diag.real
+    fro = math.sqrt(float(np.sum(np.abs(diag) ** 2)) + 2.0 * float(np.sum(np.abs(col) ** 2)))
+    if not math.isfinite(fro):
         return False
     eps, tau = np.finfo(float).eps, DEFAULT_PSD_TOL * max(1.0, dg.max())
     s = tau - 2 * m * eps * (fro + tau)
     if not np.all(dg[1:] + s > 0):
         return False
-    total = float((np.abs(c[1:, 0]) ** 2 / (dg[1:] + s)).sum())
+    total = float((np.abs(col) ** 2 / (dg[1:] + s)).sum())
     return bool(dg[0] + s - total > (m + 8) * eps * (abs(dg[0]) + abs(s) + total))
 
 
@@ -213,9 +313,14 @@ def assemble_pencil(r: PencilRealization, x) -> SymMatrix:
                                        [xi.entries for xi in xt.items]))
 
 
+def _is_e1(e) -> bool:
+    """True when e is e1 to 1e-15, so that no rotation is applied."""
+    return bool(abs(e[0] - 1.0) < 1e-15 and np.all(np.abs(e[1:]) < 1e-15))
+
+
 def _rotated_coefficients(r: PencilRealization):
     """Coefficient matrices with e rotated into the first coordinate."""
-    if r.m == 1 or (abs(r.e[0] - 1.0) < 1e-15 and np.all(np.abs(r.e[1:]) < 1e-15)):
+    if r.m == 1 or _is_e1(r.e):
         return r.a0.entries, [c.entries for c in r.coeffs]
     q = householder_to_e1(r.e)
     return q @ r.a0.entries @ q.T, [q @ c.entries @ q.T for c in r.coeffs]
@@ -412,7 +517,7 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
 def _route(r: PencilRealization, arrays, tol):
     """``(path, short)`` of the first real path of ``r`` (`_layout`) that
     admits the point; "batched" and "dense" admit every point or raise."""
-    a0r, coeffs_r, table, paths, _ = r._layout
+    table, paths, _ = r._layout
     for path in paths:
         if path == "spectral":
             short = _spectral_short(table, arrays, tol)
@@ -421,7 +526,7 @@ def _route(r: PencilRealization, arrays, tol):
         elif path == "parallel-sum":
             short = _parallel_sum_short(table, arrays, r.e)
         else:
-            z, n = _assembled_pencil(a0r, coeffs_r, arrays), arrays[0].shape[0]
+            z, n = _assembled_pencil(*r._rotated, arrays), arrays[0].shape[0]
             short = _arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], tol)
         if short is not None:
             return path, short
@@ -519,6 +624,8 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
     arrays = [np.asarray(_as_array(xi), dtype=complex) for xi in _coordinates(x)]
     if len(arrays) != r.k:
         raise DimensionMismatch(f"realization has {r.k} variables, point has {len(arrays)}")
+    for a in arrays:
+        _square(a)
     n = arrays[0].shape[0]
     if any(a.shape != (n, n) for a in arrays):
         raise DimensionMismatch("all tuple entries must share one dimension")
@@ -541,14 +648,14 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
 def _route_complex(r: PencilRealization, arrays, im_min):
     """``(path, out)`` of the first complex path of ``r`` (`_layout`) that
     admits the point; "batched" and "dense" admit every point or raise."""
-    a0r, coeffs_r, table, _, paths = r._layout
+    table, _, paths = r._layout
     for path in paths:
         if path == "spectral":
             out = _spectral_complex(table, arrays, im_min)
         elif path == "batched":
             out = _arrowhead_schur_complex(table, arrays)
         else:
-            z, n = _assembled_pencil(a0r, coeffs_r, arrays), arrays[0].shape[0]
+            z, n = _assembled_pencil(*r._rotated, arrays), arrays[0].shape[0]
             _check_pivot(z[n:, n:], max(1.0, float(np.abs(z).sum(axis=1).max())))
             out = z[:n, :n] - z[:n, n:] @ np.linalg.solve(z[n:, n:], z[n:, :n])
         if out is not None:

@@ -418,12 +418,12 @@ class TestDirectAssembly:
     def test_one_pencil_per_build(self, monkeypatch, spec, n_nodes):
         # the per-atom construction made n_nodes + 1 pencils here
         made = []
-        post_init = PencilRealization.__post_init__
+        admit = PencilRealization._admit
 
         def counting(self):
             made.append(self)
-            post_init(self)
+            admit(self)
 
-        monkeypatch.setattr(PencilRealization, "__post_init__", counting)
+        monkeypatch.setattr(PencilRealization, "_admit", counting)
         build_realization(spec, n_nodes=n_nodes)
         assert len(made) == 1

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from loewner import (
     shorted_operator,
     stochastic_leq,
 )
-from loewner import jsonio
+from loewner import cli, jsonio
 from loewner.cli import _scalar_from_realization, build_parser, main
 
 
@@ -433,6 +434,15 @@ class TestRealizeEval:
         assert self._eval_complex_at(tmp_path, np.eye(2) + 1j * np.diag([1.0, -1.0])) == 2
         assert "definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--complex"]])
+    def test_eval_non_square_point_names_its_shape(self, tmp_path, capsys, flags):
+        main(["realize", "--function", "sqrt", "--nodes", "8", "-o", str(tmp_path / "r.json")])
+        write(tmp_path / "x.json", jsonio.matrix_to_json(np.ones((2, 3)) + 1j * np.ones((2, 3))))
+        capsys.readouterr()
+        assert main(["eval", "--realization", str(tmp_path / "r.json"),
+                     "--point", str(tmp_path / "x.json"), *flags]) == 2
+        assert capsys.readouterr().err == "error: expected a square matrix, got shape (2, 3)\n"
+
     def test_identity_echoes_point(self, tmp_path, capsys):
         main(["realize", "--function", "identity", "-o", str(tmp_path / "r.json")])
         a = random_pd(3, (0.5, 2), 9)
@@ -687,6 +697,89 @@ class TestTolOption:
         v = args["verify"]
         dims = tuple(int(d) for d in v.dims.split(","))
         assert SuiteConfig(dims, v.trials, v.seed, v.tol) == SuiteConfig()
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process; no call's options reach
+    the next call."""
+
+    def test_one_build_across_calls(self, tmp_path, capsys, monkeypatch):
+        builds = []
+
+        def counting():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for spec in ("identity", "cauchy:1", "sqrt"):
+                assert main(["realize", "--function", spec, "--nodes", "8",
+                             "-o", str(tmp_path / "r.json")]) == 0
+            assert main(["eval", "--realization", str(tmp_path / "r.json"),
+                         "--point", str(tmp_path / "nope.json")]) == 2
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_complex_flag_does_not_carry_over(self, tmp_path, capsys):
+        main(["realize", "--function", "sqrt", "--nodes", "32", "-o", str(tmp_path / "r.json")])
+        x = np.diag([1.0, 2.0])
+        write(tmp_path / "z.json", jsonio.matrix_to_json(x + 1j * np.eye(2)))
+        write(tmp_path / "x.json", jsonio.matrix_to_json(x))
+        args = ["eval", "--realization", str(tmp_path / "r.json"), "--point"]
+        assert main([*args, str(tmp_path / "z.json"), "--complex"]) == 0
+        assert '"im"' in capsys.readouterr().out
+        assert main([*args, str(tmp_path / "x.json")]) == 0
+        got = json.loads(capsys.readouterr().out)
+        r = jsonio.realization_from_json(read(tmp_path / "r.json"))
+        assert "im" not in got
+        assert np.array_equal(jsonio.matrix_from_json(got), eval_pencil(r, [x]).entries)
+
+    def test_report_option_does_not_carry_over(self, tmp_path, capsys):
+        main(["realize", "--function", "cauchy:2", "-o", str(tmp_path / "r.json")])
+        args = ["verify", "--suite", "axioms", "--realization", str(tmp_path / "r.json"),
+                "--dims", "2", "--trials", "3"]
+        report = tmp_path / "rep.json"
+        assert main([*args, "--report", str(report)]) == 0
+        report.unlink()
+        assert main(args) == 0
+        assert not report.exists()
+
+    def test_no_argv_reads_sys_argv(self, tmp_path, monkeypatch):
+        # as the console script calls it
+        out = tmp_path / "r.json"
+        monkeypatch.setattr(sys, "argv", ["loewner", "realize", "--function", "identity",
+                                          "-o", str(out)])
+        assert main() == 0
+        assert read(out)["m"] == 1
+
+
+class TestMissingField:
+    """A JSON file without a required field names the field and exits 2."""
+
+    def test_measure(self, tmp_path, capsys):
+        write(tmp_path / "mu.json", jsonio.matrix_to_json(np.eye(2)))  # a matrix, not a measure
+        assert main(["mean", "--spec", "power:0.5", "--measure", str(tmp_path / "mu.json")]) == 2
+        assert capsys.readouterr().err == "error: missing field 'atoms'\n"
+
+    def test_realization(self, tmp_path, capsys):
+        payload = jsonio.realization_to_json(build_realization("cauchy:1"))
+        del payload["e"]
+        write(tmp_path / "r.json", payload)
+        write(tmp_path / "x.json", jsonio.matrix_to_json(np.eye(2)))
+        assert main(["eval", "--realization", str(tmp_path / "r.json"),
+                     "--point", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == "error: missing field 'e'\n"
+
+    def test_tuple_point(self, tmp_path, capsys):
+        main(["realize", "--function", "geomean:0.5", "--nodes", "8",
+              "-o", str(tmp_path / "r.json")])
+        write(tmp_path / "x.json", {"k": 2, "n": 2})
+        capsys.readouterr()
+        assert main(["eval", "--realization", str(tmp_path / "r.json"),
+                     "--point", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == "error: missing field 'items'\n"
 
 
 class TestInputImmutability:

@@ -2,6 +2,7 @@
 load-time rejection of malformed payloads."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import legacy_realization_payload
-from loewner import DiscreteMeasure, SuiteConfig, build_realization, check_monotone, random_pd
+from loewner import (DiscreteMeasure, PencilRealization, SuiteConfig, SymMatrix,
+                     build_realization, check_monotone, eval_pencil, random_pd)
 from loewner import jsonio
 from loewner.cli import main
 
@@ -264,3 +266,98 @@ def test_report_field_type_checked_on_load(field):
         payload[field] = bad
         with pytest.raises(ValueError, match=field):
             jsonio.report_from_json(payload)
+
+
+# The dense loader and writer of realization files from before coefficients
+# were carried as arrowhead vectors: the oracle of the vector path.
+def _dense_realization_from_json(d):
+    a0, *coeffs = (SymMatrix(jsonio.matrix_from_json(p)) for p in [d["A0"], *d["A"]])
+    return PencilRealization(jsonio._unhex_vector(d["e"]), a0, tuple(coeffs))
+
+
+def _dense_coefficients_to_json(r):
+    return [jsonio._compact_matrix_to_json(c.entries) for c in (r.a0, *r.coeffs)]
+
+
+def _assert_same_realization(a, b):
+    """Equal arrays, byte for byte, and the same coefficient table."""
+    assert (a.k, a.m) == (b.k, b.m)
+    for x, y in zip((a.e, a.a0.entries, *(c.entries for c in a.coeffs)),
+                    (b.e, b.a0.entries, *(c.entries for c in b.coeffs))):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    ta, tb = a._layout[0], b._layout[0]
+    assert (ta is None) == (tb is None)
+    assert ta is None or (ta.dtype == tb.dtype and ta.tobytes() == tb.tobytes())
+
+
+# the node count sizes only the quadrature realizations
+BUILDER_SPECS = ([(spec, n) for spec in ("sqrt", "power:0.37", "geomean:0.5")
+                  for n in (8, 24, 96, 384)]
+                 + [(spec, 8) for spec in ("cauchy:2", "harmonic:0.3,0.7", "harmonic:0.2,0.3,0.5",
+                                           "arithmetic:0.3,0.7", "identity", "constant:2",
+                                           "affine:1,2,3")])
+
+
+@pytest.mark.parametrize("spec,n_nodes", BUILDER_SPECS)
+def test_arrowhead_vectors_write_and_load_as_dense_code(spec, n_nodes):
+    r = build_realization(spec, n_nodes=n_nodes)
+    payload = jsonio.realization_to_json(r)
+    assert r.arrowheads is not None
+    assert [payload["A0"], *payload["A"]] == _dense_coefficients_to_json(r)
+    loaded = json.loads(jsonio.dumps(payload))
+    back = jsonio.realization_from_json(loaded)
+    assert back.arrowheads is not None
+    _assert_same_realization(back, _dense_realization_from_json(loaded))
+    _assert_same_realization(back, r)
+
+
+def _raw_payload(*coeffs):
+    """A realization file with e = e1 and the arrays ``coeffs`` (A0 first)
+    written compact exactly as given, not symmetrized."""
+    m = coeffs[0].shape[0]
+    return json.loads(jsonio.dumps({
+        "k": len(coeffs) - 1, "m": m, "e": [x.hex() for x in np.eye(m)[0].tolist()],
+        "A0": jsonio._compact_matrix_to_json(coeffs[0]),
+        "A": [jsonio._compact_matrix_to_json(c) for c in coeffs[1:]]}))
+
+
+RAW_COEFFICIENTS = {
+    # -0.0 on the diagonal and in both couplings survives
+    "signed-zeros": (np.array([[1.0, -0.0, 0.0], [-0.0, -0.0, 0.0], [0.0, 0.0, 2.0]]),
+                     np.array([[3.0, 1.0, -0.0], [1.0, 2.0, 0.0], [-0.0, 0.0, 1.0]])),
+    # conjugate couplings, and a real coupling whose two zero imaginary parts
+    # are both +0.0 (the symmetrized row is then not the conjugated column)
+    "complex-hermitian": (np.zeros((4, 4)),
+                          np.array([[4, 1 - 2j, 0.5j, 0.5], [1 + 2j, 3, 0, 0],
+                                    [-0.5j, 0, 2, 0], [0.5, 0, 0, 1]])),
+    # pivot row and column differ, in value and in the sign of a zero
+    "asymmetric": (np.array([[1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                   np.array([[3.0, 1.0, 0.5], [1.5, 2.0, 0.0], [0.25, 0.0, 1.0]])),
+    # A1 couples two trailing coordinates: every coefficient loads dense
+    "non-arrowhead-index": (np.diag([1.0, 0.0, 0.0]),
+                            np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_COEFFICIENTS))
+def test_compact_payloads_load_as_dense_code(name):
+    payload = _raw_payload(*RAW_COEFFICIENTS[name])
+    back, dense = jsonio.realization_from_json(payload), _dense_realization_from_json(payload)
+    assert (back.arrowheads is None) == (name == "non-arrowhead-index")
+    _assert_same_realization(back, dense)
+    assert jsonio.realization_to_json(back) == jsonio.realization_to_json(dense)
+
+
+def test_build_write_load_eval_forms_no_dense_coefficient():
+    # a 2049 x 2049 coefficient is 33.6 MB; with dense coefficients the peak
+    # was 194 MiB, and 2.8 MiB when the vectors go from builder to eval
+    x = random_pd(2, (0.1, 10), 0).entries
+    tracemalloc.start()
+    try:
+        r = build_realization("power:0.5", n_nodes=2048)
+        text = jsonio.dumps(jsonio.realization_to_json(r))
+        eval_pencil(jsonio.realization_from_json(json.loads(text)), [x])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -414,7 +414,7 @@ def route(r, x, tol=1e-9):
 
 def batched_short(r, xs):
     """The batched kernel on the n x n blocks of a rotated arrowhead pencil."""
-    return _arrowhead_short(*_arrowhead_blocks(r._layout[2], xs), 1e-9)
+    return _arrowhead_short(*_arrowhead_blocks(r._layout[0], xs), 1e-9)
 
 
 def spectral_and_oracles(r, x):
@@ -470,8 +470,8 @@ class TestSpectralPath:
     @pytest.mark.parametrize("complex_couplings", [False, True])
     def test_rotated_e_with_three_coordinates(self, complex_couplings):
         r = swapped_realization(complex_couplings)
-        table = complex_coefficient_realization(complex_couplings)._layout[2]
-        assert np.array_equal(r._layout[2], table)
+        table = complex_coefficient_realization(complex_couplings)._layout[0]
+        assert np.array_equal(r._layout[0], table)
         for seed in range(3):
             x = random_pd(4, (0.1, 10), seed).entries
             assert route(r, [x]) == "spectral"
@@ -654,7 +654,7 @@ def mp_complement(r, xs, dps=50):
     coefficients) at ``dps`` digits; complex when the point is."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
-    a0r, coeffs_r, *_ = r._layout
+    a0r, coeffs_r = r._rotated
     n = xs[0].shape[0]
     with mpmath.workdps(dps):
         xm = [mp.matrix(x.tolist()) for x in xs]
@@ -778,7 +778,8 @@ class TestEvalLayout:
     @pytest.mark.parametrize("spec", ["geomean:0.5", "harmonic:0.3,0.7",
                                       "harmonic:0.2,0.3,0.5"])
     def test_layout_read_only(self, spec):
-        a0r, coeffs_r, table, *_ = build_realization(spec, n_nodes=24)._layout
+        r = build_realization(spec, n_nodes=24)
+        (table, *_), (a0r, coeffs_r) = r._layout, r._rotated
         assert table.shape[0] == 1 + len(coeffs_r)
         for c in (a0r, *coeffs_r, table):
             assert not c.flags.writeable
@@ -934,7 +935,7 @@ def parallel_sum_points(draw):
 @given(parallel_sum_points())
 def test_parallel_sum_path_matches_shorted_oracle(case):
     r, xt = case
-    got = _parallel_sum_short(r._layout[2], [x.entries for x in xt.items], r.e)
+    got = _parallel_sum_short(r._layout[0], [x.entries for x in xt.items], r.e)
     assert got is not None
     assert np.array_equal(eval_pencil(r, xt).entries, got)
     ref, znorm = rotated_oracle(r, xt)
@@ -972,7 +973,7 @@ def parallel_sum_kappa(r, xs):
 def dense_reference(r, xs):
     """The batched kernel on the rotated, assembled pencil at the symmetrized
     point, its trailing block as one block, as `eval` returns it."""
-    a0r, coeffs_r, *_ = r._layout
+    a0r, coeffs_r = r._rotated
     z, n = _assembled_pencil(a0r, coeffs_r, [SymMatrix(x).entries for x in xs]), xs[0].shape[0]
     return SymMatrix(_arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], 1e-9)).entries
 
@@ -1057,7 +1058,7 @@ class TestParallelSumPath:
 
     @staticmethod
     def assert_dense_outcome(r, xs, raises):
-        assert _parallel_sum_short(r._layout[2], xs, r.e) is None
+        assert _parallel_sum_short(r._layout[0], xs, r.e) is None
         got = domain_outcome(lambda: eval_pencil(r, xs).entries)
         want = domain_outcome(lambda: dense_reference(r, xs))
         assert got[0] == want[0] == ("error" if raises else "ok")
@@ -1236,6 +1237,14 @@ class TestEvalComplex:
         with pytest.raises(DimensionMismatch, match="2 variables, point has 3"):
             eval_complex(r, xs + xs[:1])
 
+    def test_non_square_coordinate_reports_its_shape(self):
+        # each coordinate is checked square before the dimensions are compared
+        r, x = build_realization("geomean:0.5", n_nodes=16), 1j * np.eye(2)
+        message = r"^expected a square matrix, got shape \(2, 3\)$"
+        for point in ([x, 1j * np.ones((2, 3))], [1j * np.ones((2, 3)), x]):
+            with pytest.raises(ValueError, match=message):
+                eval_complex(r, point)
+
     def test_complex_coefficients_match_dense_schur(self):
         # the pivot-row coupling of a complex-Hermitian coefficient is the
         # conjugate of the pivot-column coupling
@@ -1294,7 +1303,7 @@ def route_complex(r, x):
 
 def spectral_complex(r, x):
     """The complex spectral form at x, None when it is not admitted."""
-    return _spectral_complex(r._layout[2], x, im_min(x))
+    return _spectral_complex(r._layout[0], x, im_min(x))
 
 
 # Z - 2i I is nilpotent: Z is defective, with Im Z of eigenvalues 1 and 3
@@ -1322,7 +1331,7 @@ class TestComplexSpectralPath:
         rng = np.random.default_rng(61)
         x = [rng.standard_normal((16, 16)) for _ in range(r.k)]
         x = [(a + a.T) / 2 + 1j * random_pd(16, (0.1, 10), rng).entries for a in x]
-        ref = _arrowhead_schur_complex(r._layout[2], x)
+        ref = _arrowhead_schur_complex(r._layout[0], x)
         assert route_complex(r, x)[0] == "spectral"
         assert operator_norm(eval_complex(r, x) - ref) <= 1e-11 * operator_norm(ref)
 
@@ -1357,7 +1366,7 @@ class TestComplexSpectralPath:
         # path, which raises exactly as before
         r = PencilRealization(np.eye(3)[0], SymMatrix(np.zeros((3, 3))),
                               (SymMatrix(np.diag([1.0, 0.0, 1.0])),))
-        assert r._layout[4] == ("spectral", "batched")
+        assert r._layout[2] == ("spectral", "batched")
         x = [np.diag([1.0, -1.0]) + 1j * np.eye(2)]
         assert spectral_complex(r, x) is None
         with pytest.raises(SingularPivotComplement) as exc:
@@ -1394,7 +1403,7 @@ def test_spectral_complex_matches_batched_and_dense(case):
     path, fast = route_complex(r, x)
     assert path == "spectral"
     assert np.array_equal(eval_complex(r, x), fast)
-    batched = _arrowhead_schur_complex(r._layout[2], x)
+    batched = _arrowhead_schur_complex(r._layout[0], x)
     ref, znorm = complex_oracle(r, x)
     assert operator_norm(fast - batched) <= 1e-12 * max(1.0, znorm)
     assert operator_norm(fast - ref) <= 1e-12 * max(1.0, znorm)
