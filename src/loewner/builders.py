@@ -14,8 +14,8 @@ while this rule reaches roundoff.  Each quadrature term w * lam x/(lam + x) is
 a scaled parallel sum, the short of [[w x, w x], [w x, w (x + lam)]]; the
 terms share one pivot, so every coefficient of the realization is an
 arrowhead (`_arrowhead`): a pivot entry, a diagonal and a coupling column,
-handed to `PencilRealization.from_arrowheads` as the node and weight vectors
-themselves, so no builder forms a dense coefficient.
+handed to `PencilRealization` as an `Arrowhead` of the node and weight
+vectors themselves, so no builder forms a dense coefficient.
 
 Accuracy is calibrated against eigendecomposition oracles on spectra in
 [0.1, 10].  For ``power:0.37`` the largest relative scalar error over 41
@@ -31,9 +31,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
-from .pencil import PencilRealization
+from .pencil import Arrowhead, PencilRealization
 
 __all__ = [
     "QuadratureScheme",
@@ -83,6 +82,7 @@ def power_quadrature_scheme(t: float, n_nodes: int) -> QuadratureScheme:
         raise ValueError(f"exponent must lie in (0, 1), got {t}")
     if n_nodes < 8:
         raise ValueError(f"need at least 8 nodes, got {n_nodes}")
+    from scipy.special import roots_jacobi  # here: about 24 MB and 0.23 s to import
     with warnings.catch_warnings():
         # scipy's weight recurrence divides 0/0 at k=1 when a+b = -1; the
         # emitted values are still correct (sum of weights equals B(t, 1-t)).
@@ -151,20 +151,20 @@ def _check_weights(w) -> np.ndarray:
     return w / w.sum()
 
 
-def _arrowhead(pivot, diag=(), couple=None) -> tuple:
+def _arrowhead(pivot, diag=(), couple=None) -> Arrowhead:
     """The coefficient ``[[pivot, couple*], [couple, diag(diag)]]`` of a pencil
-    as its arrowhead vectors ``(diag, col, row)`` (`PencilRealization`): zero
-    coupling when ``couple`` is None, 1 x 1 for no diag."""
+    as an `Arrowhead`: zero coupling when ``couple`` is None, 1 x 1 for no
+    diag."""
     diag = np.concatenate([[pivot], diag])
     couple = np.zeros(diag.shape[0] - 1) if couple is None else couple
-    return diag, couple, couple
+    return Arrowhead(diag, couple, couple)
 
 
-def _e1_pencil(*arrowheads) -> PencilRealization:
+def _e1_pencil(a0, *coeffs) -> PencilRealization:
     """One realization with e = e1 from its coefficients' arrowheads."""
-    e = np.zeros(arrowheads[0][0].shape[0])
+    e = np.zeros(a0.n)
     e[0] = 1.0
-    return PencilRealization.from_arrowheads(e, arrowheads)
+    return PencilRealization(e, a0, coeffs)
 
 
 def cauchy_atom(lam: float) -> PencilRealization:
@@ -200,9 +200,8 @@ def weighted_harmonic(w) -> PencilRealization:
     """
     w = _check_weights(w)
     k = w.shape[0]
-    diags = np.diag(1.0 / (k * w))
-    return PencilRealization.from_arrowheads(
-        np.ones(k) / math.sqrt(k), [_arrowhead(d[0], d[1:]) for d in (np.zeros(k), *diags)])
+    a0, *coeffs = (_arrowhead(d[0], d[1:]) for d in (np.zeros(k), *np.diag(1.0 / (k * w))))
+    return PencilRealization(np.ones(k) / math.sqrt(k), a0, coeffs)
 
 
 def weighted_arithmetic(w) -> PencilRealization:

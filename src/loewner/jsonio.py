@@ -20,11 +20,11 @@ every entry whose real or imaginary bit pattern is not +0.0 (so ``-0.0`` is
 kept), and ``re``/``im`` hold those entries.  Every other matrix is written
 dense, one ``re`` (and ``im``) row per matrix row.  The loader reads a payload
 that has ``index`` as compact and any other payload as dense.  A realization
-whose coefficients are all compact with an arrowhead's index (pivot row, pivot
-column and diagonal), as every builder's is, loads as its arrowhead vectors
-(`PencilRealization.from_arrowheads`) and is written from them, in O(m)
-memory; its file is the same, byte for byte, as from the dense coefficients.
-The file format does not depend on which form a realization holds.
+coefficient that is compact with an arrowhead's index (pivot row, pivot column
+and diagonal), as every builder's is, loads as its `Arrowhead` vectors, in
+O(m) memory, whatever form the other coefficients take; each coefficient is
+written from the form `PencilRealization` keeps it in, and the file is the
+same, byte for byte, as from the dense coefficients.
 
 Load-time checks: ``rows``, ``cols``, ``k``, ``m`` and ``n`` are JSON integers
 (not booleans) that match their payload, and ``rows`` and ``cols`` are
@@ -46,7 +46,7 @@ import numpy as np
 
 from .measures import Coupling, DiscreteMeasure, UpperSetCertificate
 from .numlin import MatrixTuple, SymMatrix
-from .pencil import PencilRealization, _arrowhead_matrix
+from .pencil import Arrowhead, PencilRealization
 from .verify import HullCertificate, VerificationReport
 
 VERSION = "0.1.0"
@@ -195,9 +195,9 @@ def _compact_matrix_to_json(arr: np.ndarray) -> dict:
 
 
 def _compact_arrowhead_to_json(diag, col, row) -> dict:
-    """`_compact_matrix_to_json` of the arrowhead ``(diag, col, row)``
-    (`PencilRealization`), from its vectors: in row-major order the pivot
-    row, then the coupling and the diagonal entry of each later row."""
+    """`_compact_matrix_to_json` of an `Arrowhead`, from its vectors: in
+    row-major order the pivot row, then the coupling and the diagonal entry
+    of each later row."""
     m = diag.shape[0]
     later = np.arange(1, m)
     index = np.concatenate([np.arange(m), np.column_stack([later * m, later * (m + 1)]).ravel()])
@@ -221,8 +221,8 @@ def _compact_payload(shape, index, values) -> dict:
 def _unhex_compact(d: dict, rows: int, cols: int, arrowhead: bool = False):
     """The array of a compact payload; with ``arrowhead``, when every index
     lies on the pivot row, the pivot column or the diagonal of a square
-    matrix, its arrowhead ``(diag, col, row)`` (`PencilRealization`) instead,
-    in O(rows) memory, after the same checks in the same order."""
+    matrix, its `Arrowhead` instead, in O(rows) memory, after the same checks
+    in the same order."""
     index = _typed(d, "index", list)
     if set(map(type, index)) - {int}:
         raise ValueError("matrix index must hold JSON integers only")
@@ -247,13 +247,13 @@ def _unhex_compact(d: dict, rows: int, cols: int, arrowhead: bool = False):
             raise ValueError(f"matrix has {values.shape[0]} {key} entries for {len(index)} indices")
         part[index] = values
     if arrowhead:
-        return out[:rows], out[rows:2 * rows - 1], out[2 * rows - 1:]
+        return Arrowhead(out[:rows], out[rows:2 * rows - 1], out[2 * rows - 1:])
     return out.reshape(rows, cols)
 
 
 def matrix_from_json(d: dict, arrowhead: bool = False):
-    """The array of a matrix payload; with ``arrowhead``, the arrowhead
-    vectors of a compact one whose index allows them (`_unhex_compact`)."""
+    """The array of a matrix payload; with ``arrowhead``, the `Arrowhead`
+    of a compact one whose index allows it (`_unhex_compact`)."""
     rows, cols = _typed(d, "rows", int), _typed(d, "cols", int)
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix header ({rows}, {cols}) is not positive")
@@ -296,12 +296,10 @@ def tuple_from_json(d: dict) -> list:
 
 
 def realization_to_json(r: PencilRealization) -> dict:
-    """The compact payload of every coefficient, written from the arrowhead
-    vectors when ``r`` holds them: the same bytes as from its dense form."""
-    if r.arrowheads is None:
-        coeffs = [_compact_matrix_to_json(c.entries) for c in (r.a0, *r.coeffs)]
-    else:
-        coeffs = [_compact_arrowhead_to_json(*a) for a in r.arrowheads]
+    """The compact payload of every coefficient, each written from the form
+    that ``r`` keeps it in: the same bytes as from its dense form."""
+    coeffs = [_compact_arrowhead_to_json(*c) if isinstance(c, Arrowhead)
+              else _compact_matrix_to_json(c.entries) for c in r.coefficients]
     return {
         "k": r.k,
         "m": r.m,
@@ -314,21 +312,17 @@ def realization_to_json(r: PencilRealization) -> dict:
 
 def realization_from_json(d: dict) -> PencilRealization:
     """A realization from either matrix layout; headers are checked before any
-    coefficient is materialized.  When every coefficient is a compact
-    arrowhead, as in every file that a builder's realization writes, the
-    realization keeps their vectors (`PencilRealization.from_arrowheads`)
-    and no dense coefficient is formed; otherwise every coefficient is dense."""
+    coefficient is materialized.  A compact arrowhead coefficient, as in
+    every file that a builder's realization writes, loads as its `Arrowhead`
+    and forms no dense matrix."""
     e = _unhex_vector(d["e"])
     m, k = _typed(d, "m", int), _typed(d, "k", int)
     payloads = [d["A0"], *_typed(d, "A", list)]
     if m != e.shape[0] or k != len(payloads) - 1 or any(
             (p["rows"], p["cols"]) != (m, m) for p in payloads):
         raise ValueError("realization header does not match its payload")
-    coefs = [matrix_from_json(p, arrowhead=True) for p in payloads]
-    if all(isinstance(c, tuple) for c in coefs):
-        return PencilRealization.from_arrowheads(e, coefs)
-    a0, *coeffs = (c if isinstance(c, np.ndarray) else _arrowhead_matrix(*c) for c in coefs)
-    return PencilRealization(e, a0, tuple(coeffs))
+    a0, *coeffs = (matrix_from_json(p, arrowhead=True) for p in payloads)
+    return PencilRealization(e, a0, coeffs)
 
 
 def measure_to_json(mu: DiscreteMeasure) -> dict:

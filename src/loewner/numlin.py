@@ -78,7 +78,7 @@ class SymMatrix:
     """Dense self-adjoint matrix; symmetrized at construction.
 
     ``entries`` always equals its conjugate transpose exactly, because the
-    constructor stores ``(A + A*)/2``.  Real input stays real.
+    constructor stores ``(A + A*)/2`` (`_halve`).  Real input stays real.
     """
 
     entries: np.ndarray
@@ -89,7 +89,7 @@ class SymMatrix:
             raise ValueError("dimension must be at least 1")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = arr.astype(dtype, copy=True)
-        arr = (arr + arr.conj().T) / 2.0
+        arr = _halve(arr + arr.conj().T)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -103,6 +103,15 @@ class SymMatrix:
 
     def __array__(self, dtype=None):
         return self.entries if dtype is None else self.entries.astype(dtype)
+
+
+def _halve(arr: np.ndarray) -> np.ndarray:
+    """``arr / 2``, halving the real and imaginary parts of a complex array on
+    their own: numpy divides it by ``2 + 0j``, which can flip a zero's sign,
+    so that symmetrizing twice would not give the bits of symmetrizing once."""
+    if arr.dtype.kind == "c":  # cheaper than np.iscomplexobj on every SymMatrix
+        return (arr.view(np.float64) / 2.0).view(np.complex128)
+    return arr / 2.0
 
 
 def _square(arr: np.ndarray) -> np.ndarray:
@@ -191,7 +200,7 @@ class Contraction:
 def _psd_check(vals: np.ndarray, tol: float, what: str) -> None:
     lo = float(vals[0])
     hi = float(vals[-1])
-    if lo < -tol * max(1.0, abs(hi)):
+    if not lo >= -tol * max(1.0, abs(hi)):  # a NaN fails
         raise NotPositiveSemidefinite(
             f"{what}: eigenvalue {lo:.3e} below -{tol:.1e} * max(1, {hi:.3e})"
         )

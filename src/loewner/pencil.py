@@ -62,10 +62,11 @@ in `shorted.shorted_operator`).  `eval_complex` has three paths:
 Every path but "dense" reads the coefficients from one table that `_layout`
 builds once, one row per coefficient with A0 first: ``[diag(c), c[1:, 0]]``
 of the rotated coefficient for arrowhead pencils, the stored diagonal for
-parallel-sum ones.  A realization from the builders or a compact file holds
-each coefficient as its arrowhead vectors (`PencilRealization`); with e = e1
-its table rows are those vectors, and only "dense", a rotation of e or an
-admission by ``eigvalsh`` forms the dense coefficients.  The batched
+parallel-sum ones.  A realization keeps each arrowhead coefficient, such as
+every one a builder makes, as its `Arrowhead` vectors (`PencilRealization`);
+when every coefficient is one and e = e1 its table rows are those vectors,
+and only "dense", a rotation of e, a coefficient kept dense or an admission
+by ``eigvalsh`` forms the dense coefficients.  The batched
 contractions run as BLAS ``matmul``: the arrowhead and parallel-sum blocks
 are one gemm ``table[1:].T @ x`` over the stacked, flattened point
 (`_linear_blocks`) and the complement one gemm over the rows of the rotated
@@ -77,6 +78,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +88,7 @@ from .numlin import (
     SymMatrix,
     _as_array,
     _coordinates,
+    _halve,
     _psd_check,
     _square,
     _sym,
@@ -94,6 +97,7 @@ from .numlin import (
 from .shorted import DEFAULT_RANK_TOL, SingularPivotComplement
 
 __all__ = [
+    "Arrowhead",
     "PencilRealization",
     "PencilDomainError",
     "householder_to_e1",
@@ -107,32 +111,41 @@ class PencilDomainError(ValueError):
     """The pencil is not PSD at the requested point (outside the realized domain)."""
 
 
+class Arrowhead(NamedTuple):
+    """The vectors of an m x m arrowhead coefficient ``[[z, r], [o, diag(d)]]``:
+    ``diag = (z, d)`` (length m), the coupling column ``col = o`` and the
+    pivot row ``row = r`` (length m - 1)."""
+
+    diag: np.ndarray
+    col: np.ndarray
+    row: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.diag.shape[0]
+
+
 class PencilRealization:
     """Immutable affine-pencil realization (e, A0, A_1..A_k).
 
-    A realization holds its coefficients in one of two forms.  Built from
-    dense matrices (``PencilRealization(e, a0, coeffs)``), it keeps them as
-    `SymMatrix` values.  Built by `from_arrowheads`, as every builder and
-    the compact file loader build it, it keeps each coefficient as the
-    vectors of an arrowhead ``[[z, r], [o, diag(d)]]``: ``arrowheads[i] =
-    (diag, col, row)`` with ``diag = (z, d)`` (length m), the coupling column
-    ``col = o`` and the pivot row ``row = r`` (length m - 1; ``row`` is
-    ``conj(col)`` up to the signs of zero imaginary parts).  The dense `a0`
-    and `coeffs` are then built on first access only, equal bit for bit to
-    `SymMatrix` of the assembled arrowheads: by `assemble_pencil`, the dense
-    evaluation paths, a rotation of e (``e != e1``) and an admission that
-    falls back to ``eigvalsh``.  ``arrowheads`` is None in the dense form.
+    Each coefficient, A0 first, is kept in ``coefficients`` in its own form:
+    as read-only `Arrowhead` vectors when given as one, or as a matrix whose
+    entries off the pivot row, pivot column and diagonal all have the bits of
+    +0.0 (a ``-0.0`` there keeps the matrix); as a `SymMatrix` otherwise.
+    The vectors are symmetrized as `SymMatrix` symmetrizes, ``(c + c*) / 2``,
+    so the dense `a0` and `coeffs`, built on first access only (by
+    `assemble_pencil`, the dense paths, a rotation of e, a dense coefficient
+    or an ``eigvalsh`` admission), equal `SymMatrix` of the input bit for bit.
 
     Invariants enforced at construction: ``||e|| = 1`` to 1e-12, every
-    coefficient finite (a NaN eigenvalue would pass `_psd_check`) and PSD
-    within the relative tolerance ``DEFAULT_PSD_TOL``, as `_psd_check` of its
-    ``eigvalsh`` decides (the only source of `NotPositiveSemidefinite`).
-    `_certified_arrowhead` never accepts a coefficient whose Frobenius norm
-    is not finite, so only coefficients it defers are scanned for
-    finiteness.  It accepts an arrowhead ``c = [[z, o*], [o, diag(d)]]``
-    (diagonal c and m = 1 included) with no spectrum when, for
-    ``tau = DEFAULT_PSD_TOL max(1, max diag c)`` and the shift
-    ``s = tau - 2 m eps (||c||_F + tau)``, ``d + s > 0`` and
+    coefficient finite and PSD within the relative tolerance
+    ``DEFAULT_PSD_TOL``, as `_psd_check` of its ``eigvalsh`` decides (the
+    only source of `NotPositiveSemidefinite`).  `_certified_arrowhead` never
+    accepts a coefficient whose Frobenius norm is not finite, so only
+    coefficients it defers are scanned for finiteness.  It accepts an
+    arrowhead ``c = [[z, o*], [o, diag(d)]]`` (diagonal c and m = 1 included)
+    with no spectrum when, for ``tau = DEFAULT_PSD_TOL max(1, max diag c)``
+    and the shift ``s = tau - 2 m eps (||c||_F + tau)``, ``d + s > 0`` and
     ``z + s - S > (m + 8) eps (|z| + |s| + S)``, ``S = sum |o_i|^2/(d_i + s)``.
     That bound exceeds the rounding error of the left side, so c + s I > 0
     (Albert's test), and s is below the dense rule's shift ``DEFAULT_PSD_TOL
@@ -141,51 +154,18 @@ class PencilRealization:
 
     def __init__(self, e, a0, coeffs):
         e = _unit_vector(e)
-        self.__dict__.update(e=e, arrowheads=None,
-                             _dense=(_sym(a0), tuple(_sym(c) for c in coeffs)))
+        self.__dict__.update(e=e, coefficients=tuple(map(_stored, (a0, *coeffs))))
         self._admit()
-
-    @classmethod
-    def from_arrowheads(cls, e, arrowheads) -> "PencilRealization":
-        """The realization whose coefficients, A0 first, are the arrowheads
-        ``(diag, col, row)`` of the class docstring, kept as vectors.  They
-        are symmetrized with the arithmetic of `SymMatrix`, ``(c + c*) / 2``
-        on the arrowhead entries, so the dense coefficients equal `SymMatrix`
-        of the assembled input even where ``row`` is not ``conj(col)``."""
-        e = _unit_vector(e)
-        arrows = []
-        for diag, col, row in arrowheads:
-            cplx = any(np.iscomplexobj(v) for v in (diag, col, row))
-            diag, col, row = (np.asarray(v, dtype=np.complex128 if cplx else np.float64)
-                              for v in (diag, col, row))
-            if not diag.shape[0] - 1 == col.shape[0] == row.shape[0]:
-                raise DimensionMismatch("an arrowhead needs m diagonal and m - 1 coupling entries")
-            arrow = ((diag + diag.conj()) / 2.0,
-                     (col + row.conj()) / 2.0, (row + col.conj()) / 2.0)
-            for v in arrow:
-                v.setflags(write=False)
-            arrows.append(arrow)
-        self = cls.__new__(cls)
-        self.__dict__.update(e=e, arrowheads=tuple(arrows))
-        self._admit()
-        return self
 
     def _admit(self):
-        """The invariants of the class docstring, checked by both constructors
-        after ``||e|| = 1``: at least one variable coefficient, every one m x m,
-        finite and PSD."""
-        if self.arrowheads is None:
-            dense = (self.a0, *self.coeffs)
-            dims, certified = [c.n for c in dense], map(_certified_psd, (c.entries for c in dense))
-        else:
-            dims = [diag.shape[0] for diag, _, _ in self.arrowheads]
-            certified = (_certified_arrowhead(diag, col) for diag, col, _ in self.arrowheads)
-        if len(dims) < 2:
+        """The invariants of the class docstring, checked after ``||e|| = 1``:
+        at least one variable coefficient, every one m x m, finite and PSD."""
+        if len(self.coefficients) < 2:
             raise ValueError("realization needs at least one variable coefficient")
-        if any(n != self.m for n in dims):
+        if any(c.n != self.m for c in self.coefficients):
             raise DimensionMismatch("e, A0 and all A_i must share the auxiliary dimension")
-        for i, ok in enumerate(certified):
-            if not ok:
+        for i, c in enumerate(self.coefficients):
+            if not (isinstance(c, Arrowhead) and _certified_arrowhead(c.diag, c.col)):
                 c = (self.a0, *self.coeffs)[i].entries
                 if not np.isfinite(c).all():
                     raise ValueError(f"A{i} has a non-finite entry")
@@ -196,7 +176,7 @@ class PencilRealization:
 
     @property
     def k(self) -> int:
-        return len(self.coeffs) if self.arrowheads is None else len(self.arrowheads) - 1
+        return len(self.coefficients) - 1
 
     @property
     def m(self) -> int:
@@ -212,8 +192,9 @@ class PencilRealization:
 
     @cached_property
     def _dense(self):
-        """``(a0, coeffs)`` as `SymMatrix` values, assembled from the arrowheads."""
-        a0, *coeffs = (SymMatrix(_arrowhead_matrix(*a)) for a in self.arrowheads)
+        """``(a0, coeffs)`` as `SymMatrix` values, the arrowheads assembled."""
+        a0, *coeffs = (SymMatrix(_arrowhead_matrix(*c)) if isinstance(c, Arrowhead) else c
+                       for c in self.coefficients)
         return a0, tuple(coeffs)
 
     @cached_property
@@ -230,11 +211,12 @@ class PencilRealization:
         """``(table, real_paths, complex_paths)``, computed once per
         realization: the coefficient table of the module docstring (None for
         dense-only shapes), read-only, and the paths that `_route` and
-        `_route_complex` try in order.  An arrowhead realization with e = e1
-        reads its table off its vectors; every other one off `_rotated`."""
+        `_route_complex` try in order.  Read off the vectors when e = e1 and
+        every coefficient is an `Arrowhead`, otherwise off `_rotated`."""
         table = None
-        if self.m > 1 and self.arrowheads is not None and _is_e1(self.e):
-            table = np.array([np.concatenate([diag, col]) for diag, col, _ in self.arrowheads])
+        if self.m > 1 and _is_e1(self.e) and all(isinstance(c, Arrowhead)
+                                                 for c in self.coefficients):
+            table = np.array([np.concatenate([c.diag, c.col]) for c in self.coefficients])
         elif self.m > 1 and _aux_blocks_diagonal(*self._rotated):
             a0r, coeffs_r = self._rotated
             table = np.array([np.concatenate([np.diag(c), c[1:, 0]]) for c in (a0r, *coeffs_r)])
@@ -250,6 +232,27 @@ class PencilRealization:
         if table is not None:
             table.setflags(write=False)
         return table, *paths
+
+
+def _stored(c):
+    """Coefficient ``c``, a matrix or an `Arrowhead`, in the form that
+    `PencilRealization` keeps it in."""
+    if not isinstance(c, Arrowhead):
+        c = _sym(c)
+        aux = c.entries[1:, 1:].copy()
+        np.fill_diagonal(aux, 0.0)
+        if aux.view(np.uint64).any():
+            return c
+        c = Arrowhead(np.diag(c.entries), c.entries[1:, 0], c.entries[0, 1:])
+    cplx = any(np.iscomplexobj(v) for v in c)
+    diag, col, row = (np.asarray(v, dtype=np.complex128 if cplx else np.float64) for v in c)
+    if not diag.shape[0] - 1 == col.shape[0] == row.shape[0]:
+        raise DimensionMismatch("an arrowhead needs m diagonal and m - 1 coupling entries")
+    arrow = Arrowhead(_halve(diag + diag.conj()), _halve(col + row.conj()),
+                      _halve(row + col.conj()))
+    for v in arrow:
+        v.setflags(write=False)
+    return arrow
 
 
 def _unit_vector(e) -> np.ndarray:
@@ -268,14 +271,6 @@ def _arrowhead_matrix(diag, col, row) -> np.ndarray:
     np.fill_diagonal(c, diag)
     c[1:, 0], c[0, 1:] = col, row
     return c
-
-
-def _certified_psd(c) -> bool:
-    """`_certified_arrowhead` of a dense Hermitian c; False, deferring to
-    eigvalsh, unless c is an arrowhead."""
-    dg = np.diag(c)
-    return (np.count_nonzero(c[1:, 1:]) == np.count_nonzero(dg[1:])
-            and _certified_arrowhead(dg, c[1:, 0]))
 
 
 def _certified_arrowhead(diag, col) -> bool:
@@ -378,7 +373,7 @@ def _linear_blocks(ident, coef, arrays):
 def _check_psd(value, scale, psd_tol, what):
     """The admission rule for the smallest eigenvalue ``value`` of the
     trailing block or of the complement (``what``): ``>= -psd_tol * scale``."""
-    if value < -psd_tol * scale:
+    if not value >= -psd_tol * scale:  # a NaN fails
         raise PencilDomainError(f"pencil not PSD at X: {what} eigenvalue {value:.3e}")
 
 

@@ -3,7 +3,10 @@
 import hashlib
 import inspect
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from loewner import (
     shorted_operator,
     stochastic_leq,
 )
+import loewner
 from loewner import cli, jsonio
 from loewner.cli import _scalar_from_realization, build_parser, main
 
@@ -789,3 +793,36 @@ class TestInputImmutability:
         before = (tmp_path / "z.json").read_bytes()
         main(["schur", "--input", str(tmp_path / "z.json"), "--pivot-dim", "2"])
         assert (tmp_path / "z.json").read_bytes() == before
+
+
+# Loads the files and runs eval, order and mean on them in a fresh process,
+# then prints whether scipy.special was imported.
+SCIPY_SPECIAL_PROBE = """
+import json
+import sys
+import loewner
+from loewner.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_file_commands_do_not_import_scipy_special(tmp_path):
+    # scipy.special is some 24 MB of resident memory; only realizing a
+    # quadrature function needs it
+    r, x, mu, nu = (str(tmp_path / f"{name}.json") for name in ("r", "x", "mu", "nu"))
+    main(["realize", "--function", "power:0.5", "--nodes", "8", "-o", r])
+    write(Path(x), jsonio.matrix_to_json(np.diag([1.0, 2.0])))
+    for path, scale in ((mu, 1.0), (nu, 2.0)):
+        write(Path(path), jsonio.measure_to_json(
+            DiscreteMeasure((scale * np.eye(2),), np.array([1.0]))))
+    argvs = [["eval", "--realization", r, "--point", x], ["order", "--mu", mu, "--nu", nu],
+             ["mean", "--spec", "power:0.5", "--measure", nu]]
+    src = str(Path(loewner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_SPECIAL_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -15,6 +15,7 @@ from loewner import (DiscreteMeasure, PencilRealization, SuiteConfig, SymMatrix,
                      build_realization, check_monotone, eval_pencil, random_pd)
 from loewner import jsonio
 from loewner.cli import main
+from loewner.pencil import Arrowhead
 
 PROPERTY = settings(settings.get_profile("loewner"), max_examples=200)
 
@@ -268,8 +269,9 @@ def test_report_field_type_checked_on_load(field):
             jsonio.report_from_json(payload)
 
 
-# The dense loader and writer of realization files from before coefficients
-# were carried as arrowhead vectors: the oracle of the vector path.
+# The oracle of the vector reader and writer: every payload read as a dense
+# matrix and handed to `PencilRealization` as a `SymMatrix`, and every
+# coefficient written from its dense form.
 def _dense_realization_from_json(d):
     a0, *coeffs = (SymMatrix(jsonio.matrix_from_json(p)) for p in [d["A0"], *d["A"]])
     return PencilRealization(jsonio._unhex_vector(d["e"]), a0, tuple(coeffs))
@@ -302,11 +304,11 @@ BUILDER_SPECS = ([(spec, n) for spec in ("sqrt", "power:0.37", "geomean:0.5")
 def test_arrowhead_vectors_write_and_load_as_dense_code(spec, n_nodes):
     r = build_realization(spec, n_nodes=n_nodes)
     payload = jsonio.realization_to_json(r)
-    assert r.arrowheads is not None
+    assert all(isinstance(c, Arrowhead) for c in r.coefficients)
     assert [payload["A0"], *payload["A"]] == _dense_coefficients_to_json(r)
     loaded = json.loads(jsonio.dumps(payload))
     back = jsonio.realization_from_json(loaded)
-    assert back.arrowheads is not None
+    assert all(isinstance(c, Arrowhead) for c in back.coefficients)
     _assert_same_realization(back, _dense_realization_from_json(loaded))
     _assert_same_realization(back, r)
 
@@ -333,7 +335,10 @@ RAW_COEFFICIENTS = {
     # pivot row and column differ, in value and in the sign of a zero
     "asymmetric": (np.array([[1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
                    np.array([[3.0, 1.0, 0.5], [1.5, 2.0, 0.0], [0.25, 0.0, 1.0]])),
-    # A1 couples two trailing coordinates: every coefficient loads dense
+    # a coupling z = -0.5j: the sign of its zero real part survives a second
+    # symmetrization only if that halves real and imaginary parts on their own
+    "complex-signed-zero": (np.zeros((2, 2)), np.array([[4, -0.5j], [np.conj(-0.5j), 3]])),
+    # A1 couples two trailing coordinates: A0 loads as vectors, A1 dense
     "non-arrowhead-index": (np.diag([1.0, 0.0, 0.0]),
                             np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])),
 }
@@ -343,9 +348,50 @@ RAW_COEFFICIENTS = {
 def test_compact_payloads_load_as_dense_code(name):
     payload = _raw_payload(*RAW_COEFFICIENTS[name])
     back, dense = jsonio.realization_from_json(payload), _dense_realization_from_json(payload)
-    assert (back.arrowheads is None) == (name == "non-arrowhead-index")
+    assert ([isinstance(c, Arrowhead) for c in back.coefficients]
+            == [True, name != "non-arrowhead-index"])
     _assert_same_realization(back, dense)
     assert jsonio.realization_to_json(back) == jsonio.realization_to_json(dense)
+
+
+def _rewritten(text, load, write):
+    return jsonio.dumps(write(load(json.loads(text))))
+
+
+def test_complex_measure_rewrites_its_bytes():
+    # z = -0.5j has real part -0.0; halving by 2 + 0j once turned it into +0.0
+    z = -0.5j
+    mu = DiscreteMeasure((np.array([[2, z], [np.conj(z), 2]]),), np.array([1.0]))
+    text = jsonio.dumps(jsonio.measure_to_json(mu))
+    assert '"-0x0.0p+0"' in text
+    assert _rewritten(text, jsonio.measure_from_json, jsonio.measure_to_json) == text
+
+
+def test_each_coefficient_keeps_its_own_form():
+    # A0 is an arrowhead, A1 couples two trailing coordinates
+    a0 = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    a1 = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    raw = _raw_payload(a0, a1)
+    mixed = jsonio.realization_from_json(raw)
+    assert [type(c) for c in mixed.coefficients] == [Arrowhead, SymMatrix]
+    payload = jsonio.realization_to_json(mixed)
+    assert [payload["A0"], *payload["A"]] == [raw["A0"], *raw["A"]]
+    text = jsonio.dumps(payload)
+    assert _rewritten(text, jsonio.realization_from_json, jsonio.realization_to_json) == text
+    # -0.0 in both triangles off the arrowhead pattern keeps A0 dense, in
+    # memory and on file
+    signed = a0.copy()
+    signed[1, 2] = signed[2, 1] = -0.0
+    dense = PencilRealization(np.eye(3)[0], signed, (a1,))
+    assert [type(c) for c in dense.coefficients] == [SymMatrix, SymMatrix]
+    assert dense.a0.entries.tobytes() == signed.tobytes()
+    dense_text = jsonio.dumps(jsonio.realization_to_json(dense))
+    assert dense_text.count('"-0x0.0p+0"') == 2
+    reloaded = jsonio.realization_from_json(json.loads(dense_text))
+    assert [type(c) for c in reloaded.coefficients] == [SymMatrix, SymMatrix]
+    assert jsonio.dumps(jsonio.realization_to_json(reloaded)) == dense_text
+    x = random_pd(4, (0.1, 10), 3)
+    assert eval_pencil(mixed, [x]).entries.tobytes() == eval_pencil(dense, [x]).entries.tobytes()
 
 
 def test_build_write_load_eval_forms_no_dense_coefficient():

@@ -36,6 +36,17 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix(np.zeros((2, 3)))
 
+    def test_complex_symmetrization_is_idempotent_bit_for_bit(self):
+        # numpy divides a complex array by 2.0 as by 2 + 0j, which can flip the
+        # sign of a zero part: symmetrizing twice then differed from once
+        rng = np.random.default_rng(11)
+        parts = np.array([0.0, -0.0, 1.0, -1.0])
+        for _ in range(300):
+            a = np.empty((3, 3), dtype=complex)
+            a.real, a.imag = rng.choice(parts, (2, 3, 3))
+            once = SymMatrix(a).entries
+            assert SymMatrix(once).entries.tobytes() == once.tobytes()
+
 
 class TestLoewnerLeq:
     def test_scalar_order(self):

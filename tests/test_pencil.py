@@ -40,12 +40,13 @@ from loewner.numlin import (
 )
 from loewner.pencil import (
     _EIG_COND_MAX,
+    Arrowhead,
     _arrowhead_blocks,
     _arrowhead_schur_complex,
     _arrowhead_short,
     _assembled_pencil,
     _aux_blocks_diagonal,
-    _certified_psd,
+    _certified_arrowhead,
     _parallel_sum_short,
     _rotated_coefficients,
     _route,
@@ -188,7 +189,10 @@ class TestCertifiedAdmission:
             for at in ((0, 0), (1, 0), (1, 1), (1, 2)):
                 c = np.eye(3)
                 c[at] = c[at[::-1]] = bad
-                assert not _certified_psd(c)
+                # (1, 2) lies off the arrowhead pattern: the coefficient stays dense
+                assert at == (1, 2) or not _certified_arrowhead(np.diag(c), c[1:, 0])
+                with pytest.raises(ValueError, match="A0 has a non-finite entry"):
+                    PencilRealization(np.eye(3)[0], c, (np.eye(3),))
 
     def test_builders_and_their_files_call_no_eigvalsh(self, monkeypatch):
         specs = ["power:0.37", "sqrt", "geomean:0.5", "cauchy:2", "harmonic:0.3,0.7",
@@ -212,6 +216,22 @@ class TestCertifiedAdmission:
         dense = random_pd(3, (0.5, 2), 7)
         PencilRealization(np.eye(3)[0], SymMatrix(np.zeros((3, 3))), (dense,))
         assert len(calls) == 1 and calls[0] is dense.entries
+
+    def test_dense_arrowheads_keep_their_bits_as_vectors(self):
+        # the vectors of a dense arrowhead are symmetrized once more, so they
+        # keep SymMatrix's bits only if symmetrizing is idempotent; halving
+        # complex values as numpy does (by 2 + 0j) moved a zero's sign in 291
+        # of these 3000
+        rng = np.random.default_rng(5)
+        parts = np.array([0.0, -0.0, 0.5, -0.5])
+        for _ in range(3000):
+            a = np.empty((3, 3), dtype=complex)
+            a.real, a.imag = rng.choice(parts, (2, 3, 3))
+            a[1, 2] = a[2, 1] = 0.0
+            a.real[np.diag_indices(3)] += 4.0
+            r = PencilRealization(np.eye(3)[0], a, (np.eye(3),))
+            assert isinstance(r.coefficients[0], Arrowhead)
+            assert r.a0.entries.tobytes() == SymMatrix(a).entries.tobytes()
 
 
 class TestAssemble:
@@ -271,6 +291,11 @@ class TestEval:
     def test_outside_domain_raises(self):
         with pytest.raises(PencilDomainError):
             eval_pencil(cauchy_realization(1.0), MatrixTuple((-2.0 * np.eye(3),)))
+
+    def test_nan_tolerance_admits_nothing(self):
+        r = build_realization("arithmetic:0.5,0.5")
+        with pytest.raises(PencilDomainError):
+            eval_pencil(r, [np.diag([-1.0, 1.0])] * 2, tol=np.nan)
 
     def test_result_is_psd_at_psd_boundary(self):
         # contraction compressions can make coordinates singular PSD

@@ -138,6 +138,10 @@ class TestShortedErrors:
         with pytest.raises(RangeConditionViolation):
             shorted_operator(z, 1)
 
+    def test_nan_tolerance_admits_nothing(self):
+        with pytest.raises(NotPositiveSemidefinite):
+            shorted_operator(np.array([[1.0, 2.0], [2.0, 1.0]]), 1, psd_tol=np.nan)
+
     def test_pivot_bounds(self):
         with pytest.raises(ValueError):
             shorted_operator(np.eye(3), 0)
