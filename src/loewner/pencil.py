@@ -65,8 +65,8 @@ of the rotated coefficient for arrowhead pencils, the stored diagonal for
 parallel-sum ones.  A realization keeps each arrowhead coefficient, such as
 every one a builder makes, as its `Arrowhead` vectors (`PencilRealization`);
 when every coefficient is one and e = e1 its table rows are those vectors,
-and only "dense", a rotation of e, a coefficient kept dense or an admission
-by ``eigvalsh`` forms the dense coefficients.  The batched
+and only "dense" forms the dense coefficients.  Otherwise (a rotation of e,
+or one coefficient kept dense) `_layout` forms them all.  The batched
 contractions run as BLAS ``matmul``: the arrowhead and parallel-sum blocks
 are one gemm ``table[1:].T @ x`` over the stacked, flattened point
 (`_linear_blocks`) and the complement one gemm over the rows of the rotated
@@ -134,8 +134,8 @@ class PencilRealization:
     +0.0 (a ``-0.0`` there keeps the matrix); as a `SymMatrix` otherwise.
     The vectors are symmetrized as `SymMatrix` symmetrizes, ``(c + c*) / 2``,
     so the dense `a0` and `coeffs`, built on first access only (by
-    `assemble_pencil`, the dense paths, a rotation of e, a dense coefficient
-    or an ``eigvalsh`` admission), equal `SymMatrix` of the input bit for bit.
+    `assemble_pencil`, the dense paths, or `_layout` when e is not e1 or a
+    coefficient is kept dense), equal `SymMatrix` of the input bit for bit.
 
     Invariants enforced at construction: ``||e|| = 1`` to 1e-12, every
     coefficient finite and PSD within the relative tolerance
@@ -166,7 +166,7 @@ class PencilRealization:
             raise DimensionMismatch("e, A0 and all A_i must share the auxiliary dimension")
         for i, c in enumerate(self.coefficients):
             if not (isinstance(c, Arrowhead) and _certified_arrowhead(c.diag, c.col)):
-                c = (self.a0, *self.coeffs)[i].entries
+                c = _arrowhead_matrix(*c) if isinstance(c, Arrowhead) else c.entries
                 if not np.isfinite(c).all():
                     raise ValueError(f"A{i} has a non-finite entry")
                 _psd_check(np.linalg.eigvalsh(c), DEFAULT_PSD_TOL, f"A{i}")
@@ -235,21 +235,23 @@ class PencilRealization:
 
 
 def _stored(c):
-    """Coefficient ``c``, a matrix or an `Arrowhead`, in the form that
-    `PencilRealization` keeps it in."""
-    if not isinstance(c, Arrowhead):
+    """Coefficient ``c`` in the form that `PencilRealization` keeps it in; the
+    vectors of a matrix are copied off its `SymMatrix`, already symmetrized."""
+    if isinstance(c, Arrowhead):
+        cplx = any(np.iscomplexobj(v) for v in c)
+        diag, col, row = (np.asarray(v, dtype=np.complex128 if cplx else np.float64) for v in c)
+        if not diag.shape[0] - 1 == col.shape[0] == row.shape[0]:
+            raise DimensionMismatch("an arrowhead needs m diagonal and m - 1 coupling entries")
+        arrow = Arrowhead(_halve(diag + diag.conj()), _halve(col + row.conj()),
+                          _halve(row + col.conj()))
+    else:
         c = _sym(c)
         aux = c.entries[1:, 1:].copy()
         np.fill_diagonal(aux, 0.0)
         if aux.view(np.uint64).any():
             return c
-        c = Arrowhead(np.diag(c.entries), c.entries[1:, 0], c.entries[0, 1:])
-    cplx = any(np.iscomplexobj(v) for v in c)
-    diag, col, row = (np.asarray(v, dtype=np.complex128 if cplx else np.float64) for v in c)
-    if not diag.shape[0] - 1 == col.shape[0] == row.shape[0]:
-        raise DimensionMismatch("an arrowhead needs m diagonal and m - 1 coupling entries")
-    arrow = Arrowhead(_halve(diag + diag.conj()), _halve(col + row.conj()),
-                      _halve(row + col.conj()))
+        arrow = Arrowhead(np.diag(c.entries).copy(), c.entries[1:, 0].copy(),
+                          c.entries[0, 1:].copy())
     for v in arrow:
         v.setflags(write=False)
     return arrow

@@ -15,7 +15,8 @@ from loewner import (DiscreteMeasure, PencilRealization, SuiteConfig, SymMatrix,
                      build_realization, check_monotone, eval_pencil, random_pd)
 from loewner import jsonio
 from loewner.cli import main
-from loewner.pencil import Arrowhead
+from loewner.pencil import (Arrowhead, _aux_blocks_diagonal, _diagonal, _is_e1,
+                            householder_to_e1)
 
 PROPERTY = settings(settings.get_profile("loewner"), max_examples=200)
 
@@ -269,25 +270,43 @@ def test_report_field_type_checked_on_load(field):
             jsonio.report_from_json(payload)
 
 
-# The oracle of the vector reader and writer: every payload read as a dense
-# matrix and handed to `PencilRealization` as a `SymMatrix`, and every
-# coefficient written from its dense form.
-def _dense_realization_from_json(d):
-    a0, *coeffs = (SymMatrix(jsonio.matrix_from_json(p)) for p in [d["A0"], *d["A"]])
-    return PencilRealization(jsonio._unhex_vector(d["e"]), a0, tuple(coeffs))
+# The oracle of the vector reader and writer, dense as the loader, writer and
+# coefficient table were before coefficients were kept as arrowhead vectors:
+# every payload read as matrices and symmetrized by `SymMatrix`, the table
+# built from those matrices, and every coefficient written from them.
+def _dense_from_json(d):
+    """``(e, mats)``: the unit vector and symmetrized dense coefficients
+    (A0 first) of a realization payload."""
+    mats = [SymMatrix(jsonio.matrix_from_json(p)).entries for p in [d["A0"], *d["A"]]]
+    return jsonio._unhex_vector(d["e"]), mats
 
 
-def _dense_coefficients_to_json(r):
-    return [jsonio._compact_matrix_to_json(c.entries) for c in (r.a0, *r.coeffs)]
+def _dense_table(e, mats):
+    """The coefficient table of `PencilRealization._layout` from the dense
+    coefficients: rotated by e, arrowhead rows ``[diag(c), c[1:, 0]]``, or
+    the stored diagonals of a parallel-sum pencil, or None."""
+    if mats[0].shape[0] == 1:
+        return None
+    q = householder_to_e1(e)
+    rotated = mats if _is_e1(e) else [q @ c @ q.T for c in mats]
+    if _aux_blocks_diagonal(rotated[0], rotated[1:]):
+        return np.array([np.concatenate([np.diag(c), c[1:, 0]]) for c in rotated])
+    if _diagonal(mats):
+        return np.array([np.diag(c) for c in mats])
+    return None
 
 
-def _assert_same_realization(a, b):
-    """Equal arrays, byte for byte, and the same coefficient table."""
-    assert (a.k, a.m) == (b.k, b.m)
-    for x, y in zip((a.e, a.a0.entries, *(c.entries for c in a.coeffs)),
-                    (b.e, b.a0.entries, *(c.entries for c in b.coeffs))):
+def _dense_coefficients_to_json(mats):
+    return [jsonio._compact_matrix_to_json(c) for c in mats]
+
+
+def _assert_matches_dense(r, e, mats):
+    """``r`` has the unit vector ``e`` and the dense coefficients ``mats``,
+    byte for byte, and the coefficient table built from them."""
+    assert r.e.tobytes() == e.tobytes() and (r.k, r.m) == (len(mats) - 1, e.shape[0])
+    for x, y in zip((r.a0.entries, *(c.entries for c in r.coeffs)), mats):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-    ta, tb = a._layout[0], b._layout[0]
+    ta, tb = r._layout[0], _dense_table(e, mats)
     assert (ta is None) == (tb is None)
     assert ta is None or (ta.dtype == tb.dtype and ta.tobytes() == tb.tobytes())
 
@@ -303,14 +322,15 @@ BUILDER_SPECS = ([(spec, n) for spec in ("sqrt", "power:0.37", "geomean:0.5")
 @pytest.mark.parametrize("spec,n_nodes", BUILDER_SPECS)
 def test_arrowhead_vectors_write_and_load_as_dense_code(spec, n_nodes):
     r = build_realization(spec, n_nodes=n_nodes)
+    mats = [c.entries for c in (r.a0, *r.coeffs)]
     payload = jsonio.realization_to_json(r)
     assert all(isinstance(c, Arrowhead) for c in r.coefficients)
-    assert [payload["A0"], *payload["A"]] == _dense_coefficients_to_json(r)
+    assert [payload["A0"], *payload["A"]] == _dense_coefficients_to_json(mats)
     loaded = json.loads(jsonio.dumps(payload))
     back = jsonio.realization_from_json(loaded)
     assert all(isinstance(c, Arrowhead) for c in back.coefficients)
-    _assert_same_realization(back, _dense_realization_from_json(loaded))
-    _assert_same_realization(back, r)
+    _assert_matches_dense(back, *_dense_from_json(loaded))
+    _assert_matches_dense(back, r.e, mats)
 
 
 def _raw_payload(*coeffs):
@@ -347,11 +367,12 @@ RAW_COEFFICIENTS = {
 @pytest.mark.parametrize("name", sorted(RAW_COEFFICIENTS))
 def test_compact_payloads_load_as_dense_code(name):
     payload = _raw_payload(*RAW_COEFFICIENTS[name])
-    back, dense = jsonio.realization_from_json(payload), _dense_realization_from_json(payload)
+    back, (e, mats) = jsonio.realization_from_json(payload), _dense_from_json(payload)
     assert ([isinstance(c, Arrowhead) for c in back.coefficients]
             == [True, name != "non-arrowhead-index"])
-    _assert_same_realization(back, dense)
-    assert jsonio.realization_to_json(back) == jsonio.realization_to_json(dense)
+    _assert_matches_dense(back, e, mats)
+    written = jsonio.realization_to_json(back)
+    assert [written["A0"], *written["A"]] == _dense_coefficients_to_json(mats)
 
 
 def _rewritten(text, load, write):

@@ -218,10 +218,10 @@ class TestCertifiedAdmission:
         assert len(calls) == 1 and calls[0] is dense.entries
 
     def test_dense_arrowheads_keep_their_bits_as_vectors(self):
-        # the vectors of a dense arrowhead are symmetrized once more, so they
-        # keep SymMatrix's bits only if symmetrizing is idempotent; halving
-        # complex values as numpy does (by 2 + 0j) moved a zero's sign in 291
-        # of these 3000
+        # the dense form of a coefficient kept as vectors is symmetrized once
+        # more by SymMatrix, so it keeps the bits of the input's SymMatrix only
+        # if symmetrizing is idempotent; halving complex values as numpy does
+        # (by 2 + 0j) moved a zero's sign in 291 of these 3000
         rng = np.random.default_rng(5)
         parts = np.array([0.0, -0.0, 0.5, -0.5])
         for _ in range(3000):
