@@ -8,9 +8,16 @@ max-flow and returns either a monotone coupling or a min-cut certificate; the
 independent oracle `brute_force_stochastic_leq` enumerates the upper sets
 generated by subsets of supp(mu) directly.  Each measure checks its atoms
 and takes their extreme eigenvalues once, from one stacked ``eigvalsh`` per
-dtype (`DiscreteMeasure._spectra`).  The relation is batched (one stacked
-``eigvalsh`` per mu atom) and equals the pairwise `loewner_leq` entry for
-entry.  Edmonds-Karp runs on adjacency lists in the BFS order of a dense scan
+dtype (`DiscreteMeasure._spectra`).  The relation equals the pairwise
+`loewner_leq` entry for entry.  Most pairs are decided False without an
+eigensolver, by Cauchy interlacing: lambda_min(B_j - A_i) is at most every
+diagonal entry and the smaller eigenvalue of every 2 x 2 principal
+submatrix, and a pair whose bound lies below the threshold by more than the
+eigensolver's error (taken as c n eps ||B_j - A_i||_F, as `pencil` takes it
+for its arrowhead certificate) and the certificate's own rounding cannot
+pass.  The pairs left go to one stacked ``eigvalsh`` per block of mu atoms
+and dtype of the pair, so that a real pair meets the real LAPACK routine as
+in `loewner_leq`.  Edmonds-Karp runs on adjacency lists in the BFS order of a dense scan
 with ``longdouble`` flows, so it augments along the paths a dense-matrix
 Edmonds-Karp takes; the tests pin couplings and certificates by digest to the
 outputs of that dense version, which the adjacency lists replaced.
@@ -275,19 +282,88 @@ def _max_flow(size: int, edges, caps, source: int, sink: int):
     return float(row.sum()), np.asarray(flow[0::2], dtype=float), reachable
 
 
+# `_order_relation` forms B_j - A_i for this many matrix entries at a time.
+_BLOCK_ENTRIES = 2 ** 15
+# Each atom's share of the eigensolver error bound is at least this, so every
+# error term of `_rejected` is a normal float, where relative rounding holds.
+_ERROR_FLOOR = 2.0 ** -970
+
+
+def _eig_error(stack: np.ndarray) -> np.ndarray:
+    """Each atom's share of the eigensolver error bound on lambda_min(B - A):
+    4 n eps tr(A), which is twice the 2 n eps ||A||_F of `pencil`'s arrowhead
+    certificate (||A||_F <= tr A for PSD A), floored at `_ERROR_FLOOR`.  The
+    factor two covers the rounding of the trace; each term is scaled before
+    the sum, so the sum cannot overflow."""
+    n = stack.shape[-1]
+    diag = np.diagonal(stack, axis1=-2, axis2=-1).real
+    return np.maximum((diag * (4 * n * np.finfo(float).eps)).sum(axis=-1), _ERROR_FLOOR)
+
+
+def _rejected(d: np.ndarray, thr: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """True where ``eigvalsh(d)[0] < thr`` is certain, for a stack ``d`` of
+    Hermitian matrices, if the eigensolver errs by at most ``err``.
+
+    By Cauchy interlacing lambda_min(d) is at most the smaller eigenvalue of
+    each 2 x 2 principal submatrix [[p, r*], [r, s]], and a pair is rejected
+    where one of them lies below ``u = thr - err``: where an upper bound on
+    p - u (or s - u) is negative, or where the product of the two bounds is
+    below |r|^2 by the relative margin 2^-48.  The upper bound adds 4 eps
+    (|p| + |u|) to the computed p - u, over twice the rounding of u and of
+    the difference; the margin covers the rounding of the product and of
+    |r|^2, which must be a normal float.  Where a product or |r|^2
+    overflows, the inf or NaN sits on the large side of a strict ``<`` (an
+    infinite |r|^2 is excluded), so the pair is deferred, never decided:
+    only there are overflow and invalid operations silenced.
+    """
+    k, l = np.tril_indices(d.shape[-1], -1)  # the lower triangle eigvalsh reads
+    diag = np.diagonal(d, axis1=-2, axis2=-1).real
+    r = d[..., k, l]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (thr - err)[..., None]
+        hi = diag - u
+        hi += 4 * np.finfo(float).eps * (np.abs(diag) + np.abs(u))
+        rr = r.real * r.real
+        if r.dtype.kind == "c":
+            rr += r.imag * r.imag
+        minor = hi[..., k] * hi[..., l] < (1.0 - 2.0 ** -48) * rr
+    minor &= (rr >= np.finfo(float).tiny) & (rr < np.inf)
+    return (hi < 0.0).any(axis=-1) | minor.any(axis=-1)
+
+
 def _order_relation(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> np.ndarray:
-    """rel[i, j] = loewner_leq(A_i, B_j, tol), with one stacked ``eigvalsh``
-    over B_j - A_i per mu atom (memory O(q n^2)).  Stacking by dtype sends
-    each matrix to the LAPACK routine the pairwise predicate uses, so the
-    relation equals it entry for entry."""
-    _, _, ext_a = mu._spectra  # lambda_max, the largest |eigenvalue| of a PD atom
+    """rel[i, j] = loewner_leq(A_i, B_j, tol), entry for entry.
+
+    B_j - A_i is formed for a block of mu atoms of one dtype against each
+    dtype stack of nu, so that no temporary exceeds about `_BLOCK_ENTRIES`
+    entries (one mu row at least).  `_rejected` decides most pairs False by
+    its diagonal and 2 x 2 certificate, under the eigensolver error bound of
+    `_eig_error`.  The pairs it leaves go to one stacked ``eigvalsh`` per
+    pair dtype and block: a real pair goes to the real LAPACK routine even
+    beside complex atoms, as in `loewner_leq`, and a stacked call gives each
+    matrix the bits of a call on it alone.
+    """
+    mu_stacks, _, ext_a = mu._spectra  # lambda_max, the largest |eigenvalue| of a PD atom
     nu_stacks, _, ext_b = nu._spectra
-    rel = np.empty((mu.size, nu.size), dtype=bool)
-    diff_min = np.empty(nu.size)
-    for i, a in enumerate(mu.atoms):
-        for idx, stack in nu_stacks:
-            diff_min[idx] = np.linalg.eigvalsh(stack - a.entries)[:, 0]
-        rel[i] = diff_min >= -tol * np.maximum(max(1.0, ext_a[i]), ext_b)
+    nu_err = [_eig_error(stack) for _, stack in nu_stacks]
+    rows = max(1, _BLOCK_ENTRIES // (nu.size * nu.n * nu.n))
+    rel = np.zeros((mu.size, nu.size), dtype=bool)
+    for idx_a, stack_a in mu_stacks:
+        idx_a, err_a = np.array(idx_a), _eig_error(stack_a)
+        for start in range(0, idx_a.size, rows):
+            block = slice(start, start + rows)
+            scale_a = np.maximum(1.0, ext_a[idx_a[block]])[:, None]
+            undecided = {}
+            for (idx_b, stack_b), err_b in zip(nu_stacks, nu_err):
+                d = stack_b - stack_a[block, None]
+                thr = -tol * np.maximum(scale_a, ext_b[idx_b])
+                ii, jj = np.nonzero(~_rejected(d, thr, err_a[block, None] + err_b))
+                undecided.setdefault(d.dtype, []).append(
+                    (idx_a[block][ii], np.asarray(idx_b)[jj], d[ii, jj], thr[ii, jj]))
+            for parts in undecided.values():
+                i, j, d, thr = (np.concatenate(x) for x in zip(*parts))
+                if i.size:
+                    rel[i, j] = np.linalg.eigvalsh(d)[:, 0] >= thr
     return rel
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,14 @@ def pairwise_relation(mu, nu, tol=1e-9):
     return np.array([[loewner_leq(a, b, tol) for b in nu.atoms] for a in mu.atoms])
 
 
+def certificate_rejects(a, b, tol=1e-9):
+    """`_rejected` on the one pair (A, B), with the threshold of `loewner_leq`."""
+    a, b = np.asarray(a), np.asarray(b)
+    scale = max(1.0, *(abs(np.linalg.eigvalsh(m)[[0, -1]]).max() for m in (a, b)))
+    err = measures._eig_error(a[None]) + measures._eig_error(b[None])
+    return bool(measures._rejected((b - a)[None], np.array([-tol * scale]), err)[0])
+
+
 class TestDiscreteMeasure:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -136,26 +145,50 @@ class TestDiscreteMeasure:
             DiscreteMeasure((np.eye(2), 2 * np.eye(2)), np.array([np.nan, 0.5]))
 
     def test_one_eigvalsh_per_dtype_stack(self, monkeypatch):
-        shapes = []
+        stacks = []
         eigvalsh = np.linalg.eigvalsh
 
         def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            stacks.append(np.array(a))
             return eigvalsh(a, *args, **kwargs)
 
         real = [random_pd(3, (0.5, 2), s) for s in range(4)]
         cplx = complex_atoms(5, 2, 3)
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         mu = uniform_measure(real)
-        assert shapes == [(4, 3, 3)]
+        assert [(s.shape, s.dtype) for s in stacks] == [((4, 3, 3), np.float64)]
         nu = uniform_measure([real[0].entries + np.eye(3), cplx[0], real[1].entries, cplx[1]])
-        assert shapes[1:] == [(2, 3, 3), (2, 3, 3)]
-        del shapes[:]
-        stochastic_leq(mu, nu)
-        stochastic_leq(nu, mu)
-        # only the relation's per-atom calls: one per atom of the first
-        # measure and dtype stack of the second
-        assert shapes == [(2, 3, 3)] * 8 + [(4, 3, 3)] * 4
+        assert [(s.shape, s.dtype) for s in stacks[1:]] == [((2, 3, 3), np.float64),
+                                                            ((2, 3, 3), np.complex128)]
+        # blocks of two mu rows, so that each measure's relation has two
+        monkeypatch.setattr(measures, "_BLOCK_ENTRIES", 2 * 4 * 3 * 3)
+        for first, second in ((mu, nu), (nu, mu)):
+            del stacks[:]
+            stochastic_leq(first, second)
+            calls = stacks[:]
+            # one call per pair dtype and block of two rows, at most ...
+            dtypes = [s.dtype for s in calls]
+            assert dtypes.count(np.float64) <= 2 and dtypes.count(np.complex128) <= 2
+            # ... on exactly the differences the certificate leaves undecided
+            undecided = [np.asarray(b) - np.asarray(a)
+                         for a in first.atoms for b in second.atoms
+                         if not certificate_rejects(a, b)]
+            assert undecided
+            assert (sorted(m.tobytes() for s in calls for m in s)
+                    == sorted(m.tobytes() for m in undecided))
+
+    def test_most_pairs_skip_the_eigensolver(self, monkeypatch):
+        mu, nu = seeded_pair(2025, 100, "independent")
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        _order_relation(mu, nu, 1e-9)
+        assert 0 < sum(sizes) < 0.25 * mu.size * nu.size
 
 
 class TestStochasticLeq:
@@ -967,6 +1000,134 @@ class TestBatchedRelation:
         rel = _order_relation(mu, nu, 1e-9)
         assert rel.shape == (p, q)
         assert np.array_equal(rel, pairwise_relation(mu, nu))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+    @pytest.mark.parametrize("kind", ["ordered", "independent"])
+    def test_atoms_at_the_top_of_the_float_range(self, scale, kind):
+        mu, nu = seeded_pair(46, 12, kind)
+        cplx = [scale * a for a in complex_atoms(47, 3, 4)]
+        mu = uniform_measure([scale * a.entries for a in mu.atoms] + cplx[:1])
+        nu = uniform_measure([scale * b.entries for b in nu.atoms] + cplx[1:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rel = _order_relation(mu, nu, 1e-9)
+        assert rel.any() and not rel.all()
+        assert np.array_equal(rel, pairwise_relation(mu, nu))
+
+    def test_certificate_keeps_its_rounding_margins(self):
+        eps = np.finfo(float).eps
+        # u = thr - err = -1.5: 8 ulps below it a diagonal entry is still
+        # within 4 eps (|p| + |u|) of u, 16 ulps below it is decided
+        d = np.array([[[-1.5 - 8 * eps]], [[-1.5 - 16 * eps]]])
+        got = measures._rejected(d, np.full(2, -1.0), np.full(2, 0.5))
+        assert got.tolist() == [False, True]
+        # u = 0, p = s = 1: decided once |r|^2 exceeds (1 + 4 eps)^2 by 2^-48
+        d = np.array([[[1.0, r], [r, 1.0]] for r in (1 + 6 * eps, 1 + 64 * eps)])
+        assert measures._rejected(d, np.zeros(2), np.zeros(2)).tolist() == [False, True]
+
+    @pytest.mark.parametrize("p, s, r, rejected", [
+        (1e150, 1e150, 2e150, True),    # p's' and |r|^2 finite: lambda_min < 0 decided
+        (1e160, 1e160, 2e160, False),   # both overflow
+        (1.0, 1.0, 1e200, False),       # |r|^2 alone overflows
+        (1e200, 1e200, 1e150, False),   # p's' alone overflows; the minor is PD
+    ])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_overflow_defers_the_minor(self, p, s, r, rejected, dtype):
+        d = np.array([[[p, r], [r, s]]], dtype=dtype)
+        if dtype is complex:
+            d[0, 1, 0] *= 1j
+            d[0, 0, 1] *= -1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = measures._rejected(d, np.array([-1e-9]), np.array([1e-20]))
+        assert got.tolist() == [rejected]
+
+
+def boundary_pair(rng, n, lo, hi, kind, minor, isolated, at_margin, ulps, c_exp):
+    """(A, B) with B - A = target w w* + c (I - w w*) up to rounding.
+
+    w = e_k puts ``target`` on the diagonal of B - A, the smallest entry; a
+    unit w in the span of e_k and e_l (``minor``) makes it the smaller
+    eigenvalue of the (k, l) principal 2 x 2 block, above the diagonal.
+    ``target`` is the relation threshold t, or t less the certificate's error
+    term (``at_margin``), moved by ``ulps`` ulps.  ``isolated`` decouples A's
+    block from the rest, sets it to 4 |t| I and c to 2^c_exp |t|, so that
+    B - A is formed within a few ulps of t; otherwise k holds A's largest
+    diagonal entry, w is the top eigenvector of A's block and c = 2 tr A,
+    which keeps B PD.  A's spectrum lies in 10^[lo, hi]; A is complex for
+    ``kind`` "complex", B also for "mixed".
+    """
+    a0 = log_spread_pd(rng, n, lo, hi, kind == "complex")
+    k = int(np.argmax(np.diagonal(a0).real))
+    block = [k, (k + 1 + int(rng.integers(n - 1))) % n] if minor else [k]
+    w = np.zeros(n, dtype=complex if kind != "real" else float)
+    if not isolated:
+        w[block] = np.linalg.eigh(a0[np.ix_(block, block)])[1][:, -1]
+    elif minor:
+        theta, phi = rng.uniform(0.0, 2.0 * np.pi, 2)
+        w[block] = [np.cos(theta), np.sin(theta) * (np.exp(1j * phi) if kind != "real" else 1)]
+    else:
+        w[k] = 1.0
+    ww = np.outer(w, w.conj())
+    t = -ORDER_TOL * max(1.0, np.linalg.eigvalsh(a0)[-1])
+    b = a0
+    for _ in range(3):  # t depends on B, which depends on t
+        a = a0.copy()
+        if isolated:
+            a[block, :] = a[:, block] = 0.0
+            a[np.ix_(block, block)] = 4.0 * abs(t) * np.eye(len(block))
+        c = 2.0 ** c_exp * abs(t) if isolated else 2.0 * np.trace(a0).real
+        target = t
+        if at_margin:  # where the certificate's bound on a diagonal entry crosses 0
+            u = t - (measures._eig_error(a[None]) + measures._eig_error(b[None]))[0]
+            target = u - 8.0 * np.finfo(float).eps * abs(u)
+        target += ulps * np.spacing(target)
+        b = SymMatrix(a + target * ww + c * (np.eye(n) - ww)).entries
+        t = -ORDER_TOL * max(1.0, *(np.linalg.eigvalsh(m)[-1] for m in (a, b)))
+    return a, b
+
+
+@st.composite
+def certificate_boundary_pairs(draw):
+    """mu and nu of two atoms each, the first pair from `boundary_pair`; the
+    second atoms are random PD, of the other dtype for "mixed"."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["real", "complex", "mixed"]))
+    lo = draw(st.floats(-8.0, 8.0))
+    hi = draw(st.floats(lo, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = boundary_pair(rng, n, lo, hi, kind, minor=n > 1 and draw(st.booleans()),
+                         isolated=draw(st.booleans()), at_margin=draw(st.booleans()),
+                         ulps=draw(st.integers(-4, 4)), c_exp=draw(st.integers(0, 4)))
+    others = [log_spread_pd(rng, n, lo, hi, cplx) for cplx in
+              ((kind == "mixed") != np.iscomplexobj(m) for m in (a, b))]
+    return uniform_measure([a, others[0]]), uniform_measure([b, others[1]])
+
+
+@settings(settings.get_profile("loewner"), max_examples=400)
+@given(certificate_boundary_pairs())
+def test_relation_at_the_certificate_boundary(pair):
+    mu, nu = pair
+    assert np.array_equal(_order_relation(mu, nu, ORDER_TOL), pairwise_relation(mu, nu))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+@pytest.mark.parametrize("minor", [False, True])
+def test_boundary_pairs_sit_on_both_sides_of_the_threshold(kind, minor):
+    # on the threshold the relation goes both ways and the certificate defers;
+    # at the edge of the certificate the relation is False, decided or not
+    rng = np.random.default_rng(48)
+    seen = set()
+    for draw in range(40):
+        isolated, at_margin = draw % 2 == 1, draw % 4 >= 2
+        a, b = boundary_pair(rng, 4, -8.0, 8.0, kind, minor, isolated, at_margin,
+                             ulps=int(rng.integers(-4, 5)), c_exp=2)
+        leq = loewner_leq(a, b, ORDER_TOL)
+        rejected = certificate_rejects(a, b)
+        assert not (leq and rejected)
+        seen.add((at_margin, leq, rejected))
+    assert {(False, True, False), (False, False, False), (True, False, True),
+            (True, False, False)} <= seen
 
 
 class TestLargeInstances:
