@@ -9,18 +9,20 @@ independent oracle `brute_force_stochastic_leq` enumerates the upper sets
 generated by subsets of supp(mu) directly.  Each measure checks its atoms
 and takes their extreme eigenvalues once, from one stacked ``eigvalsh`` per
 dtype (`DiscreteMeasure._spectra`).  The relation equals the pairwise
-`loewner_leq` entry for entry.  Most pairs are decided False without an
-eigensolver, by Cauchy interlacing: lambda_min(B_j - A_i) is at most every
-diagonal entry and the smaller eigenvalue of every 2 x 2 principal
-submatrix, and a pair whose bound lies below the threshold by more than the
-eigensolver's error (taken as c n eps ||B_j - A_i||_F, as `pencil` takes it
-for its arrowhead certificate) and the certificate's own rounding cannot
-pass.  The pairs left go to one stacked ``eigvalsh`` per block of mu atoms
-and dtype of the pair, so that a real pair meets the real LAPACK routine as
-in `loewner_leq`.  Edmonds-Karp runs on adjacency lists in the BFS order of a dense scan
-with ``longdouble`` flows, so it augments along the paths a dense-matrix
-Edmonds-Karp takes; the tests pin couplings and certificates by digest to the
-outputs of that dense version, which the adjacency lists replaced.
+`loewner_leq` entry for entry, but runs the eigensolver on few pairs.  By
+Cauchy interlacing lambda_min(B_j - A_i) is at most each diagonal entry of
+B_j - A_i and the smaller eigenvalue of each 2 x 2 principal submatrix; a
+pair whose bound lies below the threshold by more than the eigensolver's
+error and the certificate's own rounding is decided False (`_rejected`).
+The error is taken as 2 n eps ||B_j - A_i||_F, as `pencil` takes it for its
+arrowhead certificate, with ||B_j - A_i||_F <= tr A_i + tr B_j.  The pairs
+left go to one stacked ``eigvalsh`` per block of mu atoms and dtype of the
+pair, so that a real pair meets the real LAPACK routine, as in
+`loewner_leq`, even beside complex atoms.  Edmonds-Karp runs on adjacency
+lists in the BFS order of a dense scan with ``longdouble`` flows, so it
+augments along the paths a dense-matrix Edmonds-Karp takes; the tests pin
+couplings and certificates by digest to the outputs of that dense version,
+which the adjacency lists replaced.
 
 Direct sums of measures are deliberately non-unique: any coupling gamma of
 (mu, nu) induces the measure with atoms A_i (+) B_j and weights gamma_ij.
@@ -291,10 +293,11 @@ _ERROR_FLOOR = 2.0 ** -970
 
 def _eig_error(stack: np.ndarray) -> np.ndarray:
     """Each atom's share of the eigensolver error bound on lambda_min(B - A):
-    4 n eps tr(A), which is twice the 2 n eps ||A||_F of `pencil`'s arrowhead
-    certificate (||A||_F <= tr A for PSD A), floored at `_ERROR_FLOOR`.  The
-    factor two covers the rounding of the trace; each term is scaled before
-    the sum, so the sum cannot overflow."""
+    4 n eps tr(A), floored at `_ERROR_FLOOR`.  The bound assumed is 2 n eps
+    ||B - A||_F, as for `pencil`'s arrowhead certificate, and ||B - A||_F <=
+    ||A||_F + ||B||_F <= tr A + tr B for PSD atoms; the factor two covers the
+    rounding of the trace.  Each term is scaled before the sum, so the sum
+    cannot overflow."""
     n = stack.shape[-1]
     diag = np.diagonal(stack, axis1=-2, axis2=-1).real
     return np.maximum((diag * (4 * n * np.finfo(float).eps)).sum(axis=-1), _ERROR_FLOOR)
@@ -318,17 +321,20 @@ def _rejected(d: np.ndarray, thr: np.ndarray, err: np.ndarray) -> np.ndarray:
     """
     k, l = np.tril_indices(d.shape[-1], -1)  # the lower triangle eigvalsh reads
     diag = np.diagonal(d, axis1=-2, axis2=-1).real
-    r = d[..., k, l]
     with np.errstate(over="ignore", invalid="ignore"):
         u = (thr - err)[..., None]
         hi = diag - u
         hi += 4 * np.finfo(float).eps * (np.abs(diag) + np.abs(u))
+        rejected = (hi < 0.0).any(axis=-1)
+        open_ = np.nonzero(~rejected)  # the minors only where the diagonal passes
+        hi, r = hi[open_], d[open_][:, k, l]
         rr = r.real * r.real
         if r.dtype.kind == "c":
             rr += r.imag * r.imag
-        minor = hi[..., k] * hi[..., l] < (1.0 - 2.0 ** -48) * rr
+        minor = hi[:, k] * hi[:, l] < (1.0 - 2.0 ** -48) * rr
     minor &= (rr >= np.finfo(float).tiny) & (rr < np.inf)
-    return (hi < 0.0).any(axis=-1) | minor.any(axis=-1)
+    rejected[open_] = minor.any(axis=-1)
+    return rejected
 
 
 def _order_relation(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> np.ndarray:
@@ -345,7 +351,7 @@ def _order_relation(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> np.
     """
     mu_stacks, _, ext_a = mu._spectra  # lambda_max, the largest |eigenvalue| of a PD atom
     nu_stacks, _, ext_b = nu._spectra
-    nu_err = [_eig_error(stack) for _, stack in nu_stacks]
+    nu_groups = [(np.array(idx), stack, _eig_error(stack)) for idx, stack in nu_stacks]
     rows = max(1, _BLOCK_ENTRIES // (nu.size * nu.n * nu.n))
     rel = np.zeros((mu.size, nu.size), dtype=bool)
     for idx_a, stack_a in mu_stacks:
@@ -354,12 +360,12 @@ def _order_relation(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> np.
             block = slice(start, start + rows)
             scale_a = np.maximum(1.0, ext_a[idx_a[block]])[:, None]
             undecided = {}
-            for (idx_b, stack_b), err_b in zip(nu_stacks, nu_err):
+            for idx_b, stack_b, err_b in nu_groups:
                 d = stack_b - stack_a[block, None]
                 thr = -tol * np.maximum(scale_a, ext_b[idx_b])
                 ii, jj = np.nonzero(~_rejected(d, thr, err_a[block, None] + err_b))
                 undecided.setdefault(d.dtype, []).append(
-                    (idx_a[block][ii], np.asarray(idx_b)[jj], d[ii, jj], thr[ii, jj]))
+                    (idx_a[block][ii], idx_b[jj], d[ii, jj], thr[ii, jj]))
             for parts in undecided.values():
                 i, j, d, thr = (np.concatenate(x) for x in zip(*parts))
                 if i.size:
