@@ -314,10 +314,10 @@ def _rejected(d: np.ndarray, thr: np.ndarray, err: np.ndarray) -> np.ndarray:
     below |r|^2 by the relative margin 2^-48.  The upper bound adds 4 eps
     (|p| + |u|) to the computed p - u, over twice the rounding of u and of
     the difference; the margin covers the rounding of the product and of
-    |r|^2, which must be a normal float.  Where a product or |r|^2
+    |r|^2, which must be a normal float.  Where a bound, a product or |r|^2
     overflows, the inf or NaN sits on the large side of a strict ``<`` (an
     infinite |r|^2 is excluded), so the pair is deferred, never decided:
-    only there are overflow and invalid operations silenced.
+    only these operations run with overflow and invalid operations silenced.
     """
     k, l = np.tril_indices(d.shape[-1], -1)  # the lower triangle eigvalsh reads
     diag = np.diagonal(d, axis1=-2, axis2=-1).real

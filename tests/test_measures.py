@@ -1049,13 +1049,15 @@ def boundary_pair(rng, n, lo, hi, kind, minor, isolated, at_margin, ulps, c_exp)
     w = e_k puts ``target`` on the diagonal of B - A, the smallest entry; a
     unit w in the span of e_k and e_l (``minor``) makes it the smaller
     eigenvalue of the (k, l) principal 2 x 2 block, above the diagonal.
-    ``target`` is the relation threshold t, or t less the certificate's error
-    term (``at_margin``), moved by ``ulps`` ulps.  ``isolated`` decouples A's
-    block from the rest, sets it to 4 |t| I and c to 2^c_exp |t|, so that
-    B - A is formed within a few ulps of t; otherwise k holds A's largest
-    diagonal entry, w is the top eigenvector of A's block and c = 2 tr A,
-    which keeps B PD.  A's spectrum lies in 10^[lo, hi]; A is complex for
-    ``kind`` "complex", B also for "mixed".
+    ``target`` is the relation threshold t or, with ``at_margin``, the point
+    u - 8 eps |u| (u = t less the certificate's error term) where the
+    certificate's bound on a diagonal entry crosses 0; it is then moved by
+    ``ulps`` ulps.  ``isolated`` decouples A's block from the rest, sets it to
+    4 |t| I and c to 2^c_exp |t|, so that B - A is formed within a few ulps
+    of target; otherwise k holds A's largest diagonal entry, w is the top
+    eigenvector of A's block and c = 2 tr A, which keeps B PD.  A's spectrum
+    lies in 10^[lo, hi].  A and B are complex for ``kind`` "complex"; for
+    "mixed" A is real and B complex.
     """
     a0 = log_spread_pd(rng, n, lo, hi, kind == "complex")
     k = int(np.argmax(np.diagonal(a0).real))
@@ -1078,7 +1080,7 @@ def boundary_pair(rng, n, lo, hi, kind, minor, isolated, at_margin, ulps, c_exp)
             a[np.ix_(block, block)] = 4.0 * abs(t) * np.eye(len(block))
         c = 2.0 ** c_exp * abs(t) if isolated else 2.0 * np.trace(a0).real
         target = t
-        if at_margin:  # where the certificate's bound on a diagonal entry crosses 0
+        if at_margin:
             u = t - (measures._eig_error(a[None]) + measures._eig_error(b[None]))[0]
             target = u - 8.0 * np.finfo(float).eps * abs(u)
         target += ulps * np.spacing(target)
