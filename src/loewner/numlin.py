@@ -70,7 +70,8 @@ def operator_norm(a) -> float:
     m = _as_array(a)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    # what np.linalg.norm(m, 2) computes, without its axis handling
+    return float(np.linalg.svd(m, compute_uv=False).max())
 
 
 @dataclass(frozen=True)
@@ -309,13 +310,26 @@ def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pd(n: int, interval=(0.1, 10.0), seed=0) -> SymMatrix:
     """Random PD matrix with spectrum drawn uniformly from ``interval``."""
+    return SymMatrix(_random_pd_stack(1, n, interval, _rng(seed))[0])
+
+
+def _random_pd_stack(count: int, n: int, interval, rng) -> np.ndarray:
+    """``count`` successive `random_pd` draws from ``rng`` as one (count, n, n)
+    stack, with their bits: the draws consume ``rng`` in the same order, and
+    one stacked ``qr`` and ``matmul`` give the per-matrix results slice by
+    slice."""
     lo, hi = interval
     if not (0.0 < lo <= hi):
         raise ValueError("spectrum interval must satisfy 0 < lo <= hi")
-    rng = _rng(seed)
-    q = _haar_orthogonal(n, rng)
-    lam = rng.uniform(lo, hi, n)
-    return SymMatrix(q @ np.diag(lam) @ q.T)
+    g, lam = np.empty((count, n, n)), np.zeros((count, n, n))
+    for i in range(count):
+        g[i] = rng.standard_normal((n, n))
+        np.fill_diagonal(lam[i], rng.uniform(lo, hi, n))
+    q, r = np.linalg.qr(g)
+    # sign fix of `_haar_orthogonal`
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    a = q @ lam @ q.swapaxes(-1, -2)
+    return _halve(a + a.swapaxes(-1, -2))
 
 
 def random_commuting_tuple(k: int, n: int, interval=(0.1, 10.0), seed=0) -> MatrixTuple:
@@ -343,18 +357,22 @@ def make_dominated_pair(x: MatrixTuple, y: MatrixTuple):
     xt, yt = as_tuple(x), as_tuple(y)
     if xt.k != yt.k or xt.n != yt.n:
         raise DimensionMismatch("tuples must share arity and dimension")
-    shifted = []
-    eye = np.eye(xt.n)
-    for xi, yi in zip(xt.items, yt.items):
-        t = max(0.0, float(np.linalg.eigvalsh(xi.entries - yi.entries)[-1])) + 0.05
-        shifted.append(xi.entries - t * eye)
-    floor = min(float(np.linalg.eigvalsh(s)[0]) for s in shifted)
-    y_arrays = [yi.entries for yi in yt.items]
+    xd, yd = _dominated_pair(np.stack(xt.arrays()), np.stack(yt.arrays()))
+    return MatrixTuple(tuple(xd)), MatrixTuple(tuple(yd))
+
+
+def _dominated_pair(x: np.ndarray, y: np.ndarray):
+    """`make_dominated_pair` of two (k, n, n) stacks of self-adjoint
+    coordinates, as stacks; one stacked ``eigvalsh`` per spectrum it needs."""
+    eye = np.eye(x.shape[-1])
+    # Python's max(0, t) and min() semantics on a NaN, kept: fmax, and min of a list
+    t = np.fmax(0.0, np.linalg.eigvalsh(x - y)[:, -1]) + 0.05
+    shifted = x - t[:, None, None] * eye
+    floor = min(np.linalg.eigvalsh(shifted)[:, 0].tolist())
     if floor <= 0.0:
         lift = 0.05 - floor
-        shifted = [s + lift * eye for s in shifted]
-        y_arrays = [yi + lift * eye for yi in y_arrays]
-    return MatrixTuple(tuple(shifted)), MatrixTuple(tuple(y_arrays))
+        return shifted + lift * eye, y + lift * eye
+    return shifted, y
 
 
 def random_isometry(n: int, m: int, seed=0) -> Contraction:
@@ -380,12 +398,16 @@ def random_contraction(n: int, m: int, seed=0) -> Contraction:
 # ---------------------------------------------------------------------------
 
 def direct_sum(a, b) -> SymMatrix:
-    am, bm = _as_array(_sym(a)), _as_array(_sym(b))
-    dtype = np.result_type(am, bm)
-    out = np.zeros((am.shape[0] + bm.shape[0],) * 2, dtype=dtype)
-    out[: am.shape[0], : am.shape[0]] = am
-    out[am.shape[0] :, am.shape[0] :] = bm
-    return SymMatrix(out)
+    return SymMatrix(_direct_sums(_as_array(_sym(a)), _as_array(_sym(b))))
+
+
+def _direct_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The direct sums ``a (+) b`` of two stacks of square matrices."""
+    n, m = a.shape[-1], b.shape[-1]
+    out = np.zeros((*a.shape[:-2], n + m, n + m), dtype=np.result_type(a, b))
+    out[..., :n, :n] = a
+    out[..., n:, n:] = b
+    return out
 
 
 def tuple_direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
@@ -401,4 +423,11 @@ def tuple_compress(x: MatrixTuple, w) -> MatrixTuple:
     wm = _as_array(w)
     if wm.shape[0] != xt.n:
         raise DimensionMismatch(f"map has {wm.shape[0]} rows, tuple dimension is {xt.n}")
-    return MatrixTuple(tuple(wm.conj().T @ xi.entries @ wm for xi in xt.items))
+    return MatrixTuple(tuple(_compressed(np.stack(xt.arrays()), wm)))
+
+
+def _compressed(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``W* X_i W`` of a (k, n, n) stack of coordinates, symmetrized as
+    `SymMatrix` does it."""
+    c = w.conj().T @ x @ w
+    return _halve(c + c.conj().swapaxes(-1, -2))

@@ -13,8 +13,15 @@ Loewner order, which is what the verify suites exercise.
 Evaluation rotates e into the first coordinate (deterministic Householder
 reflection), so the shorted operator always pivots on the leading n rows.
 The shape of the realization fixes, once (`PencilRealization._layout`), the
-paths to try in order; `_route` (real points) and `_route_complex` run the
-first one that admits the point and name it.  `eval` has four paths:
+paths to try in order.  `_route` (real points) and `_route_complex` take a
+stack of points, one (s, n, n) array per coordinate, and give each point the
+first path that admits it, with its value or the exception that rejects it
+(`_first_paths`).  The spectral kernels run once on the whole stack, with
+stacked LAPACK calls whose slices have the bits of the calls on one point;
+the other paths loop over the points left to them.  `eval` and
+`eval_complex` are a stack of one and raise what rejects their point; the
+`verify` suites evaluate every point of one size in one call.  `eval` has
+four paths:
 
 * "spectral" (auxiliary dimension m > 1, every aux-by-aux block diagonal,
   and k = 1, or k = 2 with the rotated A0 zero): every trailing block and
@@ -41,7 +48,7 @@ first one that admits the point and name it.  `eval` has four paths:
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
 Z22 >= 0, the range condition holds, and the complement is >= 0), written
-once in `_check_psd` and `_check_range` (rank cut ``DEFAULT_RANK_TOL``, as
+once in `_psd_admits` and `_range_error` (rank cut ``DEFAULT_RANK_TOL``, as
 in `shorted.shorted_operator`).  `eval_complex` has three paths:
 
 * "spectral" (the shapes of the real spectral path with m > 2; m = 2
@@ -372,21 +379,33 @@ def _linear_blocks(ident, coef, arrays):
     return lin.reshape(-1, n, n)
 
 
-def _check_psd(value, scale, psd_tol, what):
+def _psd_admits(value, scale, psd_tol):
     """The admission rule for the smallest eigenvalue ``value`` of the
-    trailing block or of the complement (``what``): ``>= -psd_tol * scale``."""
-    if not value >= -psd_tol * scale:  # a NaN fails
-        raise PencilDomainError(f"pencil not PSD at X: {what} eigenvalue {value:.3e}")
+    trailing block or of the complement, elementwise: ``>= -psd_tol *
+    scale``; a NaN fails."""
+    return value >= -psd_tol * scale
 
 
-def _check_range(off_norm, scale):
-    """The range condition: the coupling mass ``off_norm`` against the
-    dropped trailing eigenvectors is at most
-    ``10 sqrt(DEFAULT_RANK_TOL) scale``."""
+def _psd_error(value, what):
+    """The PencilDomainError of a point that `_psd_admits` rejects."""
+    return PencilDomainError(f"pencil not PSD at X: {what} eigenvalue {value:.3e}")
+
+
+def _range_error(off_norm, scale):
+    """The range condition: None when the coupling mass ``off_norm`` against
+    the dropped trailing eigenvectors is at most
+    ``10 sqrt(DEFAULT_RANK_TOL) scale``, else the PencilDomainError."""
     bound = 10.0 * math.sqrt(DEFAULT_RANK_TOL) * scale
     if off_norm > bound:
-        raise PencilDomainError(f"pencil not PSD at X: range condition violated "
-                                f"({off_norm:.3e} > {bound:.3e})")
+        return PencilDomainError(f"pencil not PSD at X: range condition violated "
+                                 f"({off_norm:.3e} > {bound:.3e})")
+    return None
+
+
+def _check_psd(value, scale, psd_tol, what):
+    """Raise the PencilDomainError of a point that `_psd_admits` rejects."""
+    if not _psd_admits(value, scale, psd_tol):
+        raise _psd_error(value, what)
 
 
 def _arrowhead_short(z11, blocks, couple, psd_tol):
@@ -414,7 +433,9 @@ def _arrowhead_short(z11, blocks, couple, psd_tol):
     keep = lam > DEFAULT_RANK_TOL * lam.max(axis=-1, initial=0.0)[:, None]
     if not np.all(keep):
         off = np.where(keep[:, :, None], 0.0, np.abs(g) ** 2)
-        _check_range(math.sqrt(float(off.sum())), scale)
+        error = _range_error(math.sqrt(float(off.sum())), scale)
+        if error is not None:
+            raise error
     winv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
     # sum_j g_j* diag(winv_j) g_j as one gemm over the rows of g
     gw = g * winv[:, :, None]
@@ -430,51 +451,107 @@ def _arrowhead_short(z11, blocks, couple, psd_tol):
 def _spectral_terms(p, q, mu):
     """The pivot ``z``, trailing diagonal ``d_j`` and pivot-column couplings
     ``o_j`` of the arrowhead ``p + q mu`` (two table rows), one column per
-    eigenvalue mu (rows j = 1..m-1)."""
-    t = p[:, None] + q[:, None] * mu
+    eigenvalue mu (rows j = 1..m-1), for a stack ``mu`` of spectra."""
+    t = p[:, None] + q[:, None] * mu[..., None, :]
     m = (p.shape[0] + 1) // 2
-    return t[0], t[1:m], t[m:]
+    return t[..., 0, :], t[..., 1:m, :], t[..., m:, :]
+
+
+def _keep(ok, *stacks):
+    """Each stack (None stays None) at the points where the mask ``ok``
+    holds; the stacks themselves, uncopied, when ``ok`` is None or holds
+    everywhere."""
+    if ok is None or ok.all():
+        return stacks
+    return tuple(None if a is None else a[ok] for a in stacks)
+
+
+def _factored(factor, *stacks):
+    """``(ok, factors)``: ``factor`` maps stacks of matrices to a tuple of
+    stacks in one call, and ``ok`` is None when that call succeeds.  When it
+    raises LinAlgError, the points are factored one at a time: ``ok`` masks
+    those that succeed (the rest are left to the next path) and ``factors``
+    are theirs, None if none does."""
+    try:
+        return None, factor(*stacks)
+    except np.linalg.LinAlgError:
+        pass
+    ok, parts = np.zeros(len(stacks[0]), dtype=bool), []
+    for i in range(len(stacks[0])):
+        try:
+            parts.append(factor(*(s[i:i + 1] for s in stacks)))
+        except np.linalg.LinAlgError:
+            continue
+        ok[i] = True
+    return ok, tuple(map(np.concatenate, zip(*parts))) if parts else None
+
+
+def _admitted_psd(out, idx, value, scale, psd_tol, what):
+    """None when `_psd_admits` the smallest eigenvalue ``value`` of the
+    trailing block or of the complement (``what``) at every point ``idx``;
+    else the mask of the points it admits, with the error of every other
+    point recorded in ``out``."""
+    ok = _psd_admits(value, scale, psd_tol)
+    if ok.all():
+        return None
+    for j in np.flatnonzero(~ok):
+        out[idx[j]] = _psd_error(value[j], what)
+    return ok
 
 
 def _spectral_short(table, arrays, psd_tol):
-    """Shorted operator of an arrowhead pencil whose blocks are all
-    ``p_ij G1 + q_ij G2``, ``p, q = table[-2:]``: generators (I, X) for one
-    variable (``x1`` None, p = A0, q = A1) and (X1, X2) for two with A0 = 0
-    (p = A1, q = A2).
+    """Shorted operators at a stack of points of an arrowhead pencil whose
+    blocks are all ``p_ij G1 + q_ij G2``, ``p, q = table[-2:]``: generators
+    (I, X) for one variable (``x1`` None, p = A0, q = A1) and (X1, X2) for two
+    with A0 = 0 (p = A1, q = A2).
 
     ``G1 = Y Y*`` and ``G2 = Y diag(mu) Y*`` (from ``eigh(X)``, or ``Y = L W``
     with ``X1 = L L*``, ``L^-1 X2 L^-* = W diag(mu) W*``), so the complement is
     ``Y diag(f) Y*`` with ``d = p_jj + q_jj mu``, ``o = p_j0 + q_j0 mu`` and
     ``f = z - sum_j |o|^2 / d`` over the kept entries of d.  The admission
     checks of `_arrowhead_short` become scalar tests with the same
-    tolerances.  Returns None, for the batched path, when the Cholesky fails
-    or ``mu_min <= sqrt(DEFAULT_RANK_TOL) mu_max``: mu is accurate only to
-    eps mu_max.
+    tolerances, each made only on the points that passed the one before.
+    Per point: its complement, its PencilDomainError, or None, for the
+    batched path, when the Cholesky fails or
+    ``mu_min <= sqrt(DEFAULT_RANK_TOL) mu_max``: mu is accurate only to
+    eps mu_max.  Every factorization is one stacked call; each slice has the
+    bits of the call on that point alone.
     """
     p, q = table[-2:]
     x1, x2 = (None, *arrays)[-2:]
+    out, idx = [None] * len(x2), np.arange(len(x2))
     if x1 is None:
         mu, y = np.linalg.eigh(x2)
     else:
-        try:
-            low = np.linalg.cholesky(x1)
-        except np.linalg.LinAlgError:
-            return None
+        ok, parts = _factored(lambda a: (np.linalg.cholesky(a),), x1)
+        if parts is None:
+            return out
+        (low,), (idx, x2) = parts, _keep(ok, idx, x2)
         mu, w = np.linalg.eigh(np.linalg.solve(low, _adjoint(np.linalg.solve(low, x2))))
-        if not mu[0] > math.sqrt(DEFAULT_RANK_TOL) * mu[-1]:
-            return None
+        idx, low, mu, w = _keep(mu[:, 0] > math.sqrt(DEFAULT_RANK_TOL) * mu[:, -1], idx, low, mu, w)
         y = low @ w
     z, d, o = _spectral_terms(p, q, mu)
     z, d = np.real(z), np.real(d)
-    scale = max(1.0, float(z.max()), float(d.max()))
-    _check_psd(float(d.min()), scale, psd_tol, "trailing-block")
+    # max(1, max z, max d) point by point; fmax skips a NaN, as max() does
+    scale = np.fmax(np.fmax(1.0, z.max(axis=-1)), d.max(axis=(-2, -1)))
+    ok = _admitted_psd(out, idx, d.min(axis=(-2, -1)), scale, psd_tol, "trailing-block")
+    idx, scale, y, z, d, o = _keep(ok, idx, scale, y, z, d, o)
     o2 = np.abs(o) ** 2
-    keep = d > DEFAULT_RANK_TOL * np.clip(d.max(axis=1), 0.0, None)[:, None]
-    if not np.all(keep):
-        _check_range(math.sqrt(float(o2[~keep].sum())), scale)
-    f = z - np.where(keep, o2 / np.where(keep, d, 1.0), 0.0).sum(axis=0)
-    _check_psd(float(f.min()), scale, psd_tol, "Schur complement")
-    return (y * f) @ y.conj().T
+    keep = d > DEFAULT_RANK_TOL * np.clip(d.max(axis=-1), 0.0, None)[..., None]
+    if keep.all():  # no entry of d is dropped, so the masks below would be no-ops
+        f = z - (o2 / d).sum(axis=-2)
+    else:
+        ok = keep.all(axis=(-2, -1))
+        for j in np.flatnonzero(~ok):
+            error = _range_error(math.sqrt(float(o2[j][~keep[j]].sum())), scale[j])
+            out[idx[j]], ok[j] = error, error is None
+        idx, scale, y, z, d, o2, keep = _keep(ok, idx, scale, y, z, d, o2, keep)
+        f = z - np.where(keep, o2 / np.where(keep, d, 1.0), 0.0).sum(axis=-2)
+    ok = _admitted_psd(out, idx, f.min(axis=-1), scale, psd_tol, "Schur complement")
+    idx, y, f = _keep(ok, idx, y, f)
+    for i, short in zip(idx.tolist(), (y * f[:, None, :]) @ _adjoint(y)):
+        out[i] = short
+    return out
 
 
 def _parallel_sum_short(table, arrays, e):
@@ -508,25 +585,54 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
     xt = as_tuple(x)
     if xt.k != r.k:
         raise DimensionMismatch(f"realization has {r.k} variables, point has {xt.k}")
-    return SymMatrix(_route(r, [xi.entries for xi in xt.items], tol)[1])
+    (short,) = _route(r, [xi.entries[None] for xi in xt.items], tol)[1]
+    if isinstance(short, PencilDomainError):
+        raise short
+    return SymMatrix(short)
+
+
+def _first_paths(paths, arrays, stacked, single):
+    """``(names, values)`` at a stack of points (``arrays``: one stack per
+    coordinate): per point, the first of ``paths`` that admits it and its
+    value, or the exception that rejects it.  "spectral", always first when
+    present, runs ``stacked(arrays)`` once on the whole stack; every other
+    path runs ``single(path, point)`` point by point.  Either gives None for
+    a point that it leaves to the next path."""
+    names, values = [None] * len(arrays[0]), [None] * len(arrays[0])
+    todo = range(len(arrays[0]))
+    for path in paths:
+        if path == "spectral":
+            got = stacked(arrays)
+        else:
+            got = [single(path, [a[i] for a in arrays]) for i in todo]
+        for i, value in zip(todo, got):
+            names[i], values[i] = path, value
+        todo = [i for i, value in zip(todo, got) if value is None]
+    return names, values
 
 
 def _route(r: PencilRealization, arrays, tol):
-    """``(path, short)`` of the first real path of ``r`` (`_layout`) that
-    admits the point; "batched" and "dense" admit every point or raise."""
+    """`_first_paths` over the real paths of ``r`` (`_layout`); "batched" and
+    "dense" admit every point or reject it with a PencilDomainError."""
     table, paths, _ = r._layout
-    for path in paths:
-        if path == "spectral":
-            short = _spectral_short(table, arrays, tol)
-        elif path == "batched":
-            short = _arrowhead_short(*_arrowhead_blocks(table, arrays), tol)
-        elif path == "parallel-sum":
-            short = _parallel_sum_short(table, arrays, r.e)
-        else:
-            z, n = _assembled_pencil(*r._rotated, arrays), arrays[0].shape[0]
-            short = _arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], tol)
-        if short is not None:
-            return path, short
+    return _first_paths(paths, arrays, lambda a: _spectral_short(table, a, tol),
+                        lambda path, point: _short_at(r, path, point, tol))
+
+
+def _short_at(r: PencilRealization, path, arrays, tol):
+    """The shorted operator at one point on "batched", "parallel-sum" or
+    "dense"; None leaves the point to the next path, and a PencilDomainError
+    is returned, not raised."""
+    table = r._layout[0]
+    try:
+        if path == "batched":
+            return _arrowhead_short(*_arrowhead_blocks(table, arrays), tol)
+        if path == "parallel-sum":
+            return _parallel_sum_short(table, arrays, r.e)
+        z, n = _assembled_pencil(*r._rotated, arrays), arrays[0].shape[0]
+        return _arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], tol)
+    except PencilDomainError as exc:
+        return exc
 
 
 # Relative singular-value floor of the trailing block at complex points.
@@ -570,40 +676,54 @@ _EIG_COND_MAX = 1e3
 
 
 def _spectral_complex(table, arrays, im_min):
-    """Complex-point Schur complement of an arrowhead pencil whose blocks are
-    all ``p_ij G1 + q_ij G2`` (the rows and generators of `_spectral_short`).
+    """Complex-point Schur complements at a stack of points of an arrowhead
+    pencil whose blocks are all ``p_ij G1 + q_ij G2`` (the rows and
+    generators of `_spectral_short`).
 
     Every block is ``G1 P(M)`` for a polynomial P in ``M = G1^-1 G2`` (M = Z,
     or ``X1^-1 X2`` from one ``solve``), so with ``M = V diag(mu) V^-1`` (one
-    ``eig``, V^-1 from one ``solve``) the complement is ``G1 V diag(f) V^-1``
-    with ``f = z - sum_j o'_j o_j / d_j``.  Returns None, for
-    `_arrowhead_schur_complex`, when ``kappa_1(V) >= _EIG_COND_MAX`` or when
-    ``sigma_min(B_j) >= im_min min|d| / (n kappa_1(V))`` (``im_min``, the
-    smallest |eigenvalue| of Im X1, is <= sigma_min(G1); kappa_2 <= n
-    kappa_1) does not clear ``_SV_TOL`` times an upper bound on the batched
-    path's scale: every SingularPivotComplement, and its message, comes from
-    the batched path.
+    ``eig``, V^-1 from one ``inv``) the complement is ``G1 V diag(f) V^-1``
+    with ``f = z - sum_j o'_j o_j / d_j``.  Per point: its complement, or
+    None, for `_arrowhead_schur_complex`, when a factorization fails, when
+    ``kappa_1(V) >= _EIG_COND_MAX`` or when ``sigma_min(B_j) >= im_min min|d|
+    / (n kappa_1(V))`` (``im_min``, per point the smallest |eigenvalue| of
+    Im X1, is <= sigma_min(G1); kappa_2 <= n kappa_1) does not clear
+    ``_SV_TOL`` times an upper bound on the batched path's scale: every
+    SingularPivotComplement, and its message, comes from the batched path.
+    Every factorization is one stacked call.
     """
     p, q = table[-2:]
+    out = [None] * len(arrays[0])
+
+    def factor(*xs):  # (x2,) or (x1, x2)
+        mu, v = np.linalg.eig(xs[0] if len(xs) == 1 else np.linalg.solve(*xs))
+        return mu, v, np.linalg.inv(v)  # one gesv against I, as solve(v, I)
+
+    ok, parts = _factored(factor, *arrays)
+    if parts is None:
+        return out
+    (mu, v, w), (idx, *arrays) = parts, _keep(ok, np.arange(len(out)), *arrays)
+    kappa = np.linalg.norm(v, 1, axis=(-2, -1)) * np.linalg.norm(w, 1, axis=(-2, -1))
+    idx, mu, v, w, kappa, *arrays = _keep(kappa < _EIG_COND_MAX, idx, mu, v, w, kappa, *arrays)
     x1, x2 = (None, *arrays)[-2:]
-    try:
-        mu, v = np.linalg.eig(x2 if x1 is None else np.linalg.solve(x1, x2))
-        w = np.linalg.solve(v, np.eye(mu.shape[0]))
-    except np.linalg.LinAlgError:
-        return None
-    kappa = float(np.linalg.norm(v, 1) * np.linalg.norm(w, 1))
-    if not kappa < _EIG_COND_MAX:
-        return None
-    g1_min, g1_norm = (1.0, 1.0) if x1 is None else (im_min, np.linalg.norm(x1, np.inf))
+    if x1 is None:
+        g1_min = g1_norm = 1.0
+    else:
+        g1_min = np.asarray(im_min)[idx]
+        g1_norm = np.linalg.norm(x1, np.inf, axis=(-2, -1))[:, None]
     m = (p.shape[0] + 1) // 2
-    scale = max(1.0, float((np.abs(p[:m]) * g1_norm
-                            + np.abs(q[:m]) * np.linalg.norm(x2, np.inf)).max()))
+    bound = np.abs(p[:m]) * g1_norm + np.abs(q[:m]) * np.linalg.norm(x2, np.inf, axis=(-2, -1))[:, None]
+    scale = np.fmax(1.0, bound.max(axis=-1))  # skipping a NaN, as max() does
     z, d, o = _spectral_terms(p, q, mu)
-    if not g1_min * float(np.abs(d).min()) > mu.shape[0] * kappa * _SV_TOL * scale:
-        return None
-    orow = p[m:, None].conj() + q[m:, None].conj() * mu  # R'_j, as in `_arrowhead_blocks`
-    out = (v * (z - (orow * o / d).sum(axis=0))) @ w
-    return out if x1 is None else x1 @ out
+    ok = g1_min * np.abs(d).min(axis=(-2, -1)) > mu.shape[-1] * kappa * _SV_TOL * scale
+    idx, mu, v, w, z, d, o, x1 = _keep(ok, idx, mu, v, w, z, d, o, x1)
+    orow = p[m:, None].conj() + q[m:, None].conj() * mu[:, None, :]  # R'_j, as in `_arrowhead_blocks`
+    values = (v * (z - (orow * o / d).sum(axis=-2))[:, None, :]) @ w
+    if x1 is not None:
+        values = x1 @ values
+    for i, value in zip(idx.tolist(), values):
+        out[i] = value
+    return out
 
 
 def eval_complex(r: PencilRealization, x) -> np.ndarray:
@@ -626,35 +746,45 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
     n = arrays[0].shape[0]
     if any(a.shape != (n, n) for a in arrays):
         raise DimensionMismatch("all tuple entries must share one dimension")
-    signs, im_mins = [], []
-    for a in arrays:
-        im = (a - a.conj().T) / 2j
-        vals = np.linalg.eigvalsh(im)
-        if vals[0] > 0:
-            signs.append(1)
-        elif vals[-1] < 0:
-            signs.append(-1)
-        else:
-            raise ValueError("imaginary part of every coordinate must be definite")
-        im_mins.append(min(abs(float(vals[0])), abs(float(vals[-1]))))
-    if len(set(signs)) != 1:
+    arrays = [a[None] for a in arrays]
+    (out,) = _route_complex(r, arrays, _imaginary_floor(arrays))[1]
+    if isinstance(out, SingularPivotComplement):
+        raise out
+    return out
+
+
+def _imaginary_floor(arrays):
+    """Per point of a stack of complex points, the smallest |eigenvalue| of
+    Im X1 (the ``im_min`` of `_spectral_complex`), from one stacked
+    ``eigvalsh`` per coordinate.  ValueError unless every Im X_i is definite,
+    with one sign across the coordinates of a point."""
+    ends = [np.linalg.eigvalsh((a - _adjoint(a)) / 2j)[:, [0, -1]].tolist() for a in arrays]
+    signs = [[1 if lo > 0 else -1 if hi < 0 else 0 for lo, hi in coordinate]
+             for coordinate in ends]
+    if any(0 in coordinate for coordinate in signs):
+        raise ValueError("imaginary part of every coordinate must be definite")
+    if any(coordinate != signs[0] for coordinate in signs):
         raise ValueError("imaginary parts must share one sign across coordinates")
-    return _route_complex(r, arrays, im_mins[0])[1]
+    return np.array([min(abs(lo), abs(hi)) for lo, hi in ends[0]])
 
 
 def _route_complex(r: PencilRealization, arrays, im_min):
-    """``(path, out)`` of the first complex path of ``r`` (`_layout`) that
-    admits the point; "batched" and "dense" admit every point or raise."""
+    """`_first_paths` over the complex paths of ``r`` (`_layout`); "batched"
+    and "dense" admit every point or reject it with a
+    SingularPivotComplement."""
     table, _, paths = r._layout
-    for path in paths:
-        if path == "spectral":
-            out = _spectral_complex(table, arrays, im_min)
-        elif path == "batched":
-            out = _arrowhead_schur_complex(table, arrays)
-        else:
-            z, n = _assembled_pencil(*r._rotated, arrays), arrays[0].shape[0]
-            _check_pivot(z[n:, n:], max(1.0, float(np.abs(z).sum(axis=1).max())))
-            out = z[:n, :n] - z[:n, n:] @ np.linalg.solve(z[n:, n:], z[n:, :n])
-        if out is not None:
-            return path, out
+    return _first_paths(paths, arrays, lambda a: _spectral_complex(table, a, im_min),
+                        lambda path, point: _complex_at(r, path, point))
 
+
+def _complex_at(r: PencilRealization, path, arrays):
+    """The Schur complement at one complex point on "batched" or "dense"; a
+    SingularPivotComplement is returned, not raised."""
+    try:
+        if path == "batched":
+            return _arrowhead_schur_complex(r._layout[0], arrays)
+        z, n = _assembled_pencil(*r._rotated, arrays), arrays[0].shape[0]
+        _check_pivot(z[n:, n:], max(1.0, float(np.abs(z).sum(axis=1).max())))
+        return z[:n, :n] - z[:n, n:] @ np.linalg.solve(z[n:, n:], z[n:, :n])
+    except SingularPivotComplement as exc:
+        return exc

@@ -9,6 +9,15 @@ norm.  A suite passes iff no trial dips below -tol.  Reports are bit-for-bit
 reproducible from (seed, config); trial seeds are derived as
 seed*1e6 + dim*1e4 + trial.
 
+A trial of the pencil suites (axioms, monotone, concave, jensen, herglotz)
+is a draw and a measure (`_run`): every trial of one dimension is drawn first,
+each from its own generator in the order of a lone trial; the points of all
+of them are evaluated in one stacked call per point size (`_evaluate`, over
+`pencil._route` or `pencil._route_complex`); then each trial measures its
+violation from its values.  A point outside the domain skips only its own
+trial.  The scalar suites and those in `measures` run each trial whole
+(`_deferred`).
+
 One tally, `_tally`, serves every suite (those in `measures` too).  A trial
 returns its violation, raises `_Skip`, or raises `_Fail` to fail whatever its
 violation (herglotz: a singular pivot, or conjugate asymmetry above sym_tol).
@@ -26,8 +35,14 @@ import numpy as np
 
 from . import pencil as _pencil
 from .numlin import (
+    DEFAULT_PSD_TOL,
     MatrixTuple,
+    _compressed,
+    _direct_sums,
+    _dominated_pair,
+    _halve,
     _haar_orthogonal,
+    _random_pd_stack,
     as_tuple,
     apply_scalar_function,
     make_dominated_pair,
@@ -37,9 +52,7 @@ from .numlin import (
     random_isometry,
     random_pd,
     tuple_compress,
-    tuple_direct_sum,
 )
-from .shorted import SingularPivotComplement
 
 __all__ = [
     "SuiteConfig",
@@ -138,26 +151,78 @@ def _tally(suite: str, cfg: SuiteConfig, trials, extras=None) -> VerificationRep
         extras={k: float(v) for k, v in (extras or {}).items()})
 
 
-def _run(suite: str, cfg: SuiteConfig, trial_fn, extras=None) -> VerificationReport:
-    """Tally of ``trial_fn(rng, dim, trial)`` over the seeded trials of every dimension."""
+def _run(suite: str, cfg: SuiteConfig, draw, evaluate=None, extras=None) -> VerificationReport:
+    """Tally of the seeded trials of every dimension.  ``draw(rng, dim, trial)``
+    returns the trial's points (each a (k, n, n) stack of coordinates) and its
+    run, ``measure(values)``.  Every trial of a dimension is drawn first, each from
+    its own generator; ``evaluate(points)`` then gives the values of all their
+    points in one call, and the trials are measured in order."""
     def trials():
         for dim in cfg.dims:
-            for trial in range(cfg.trials):
-                ts = cfg.seed * 1_000_000 + dim * 10_000 + trial
-                yield ts, partial(trial_fn, np.random.default_rng(ts), dim, trial)
+            seeds = [cfg.seed * 1_000_000 + dim * 10_000 + trial for trial in range(cfg.trials)]
+            drawn = [draw(np.random.default_rng(ts), dim, trial) for trial, ts in enumerate(seeds)]
+            points = [p for trial_points, _ in drawn for p in trial_points]
+            values = iter(evaluate(points) if points else ())
+            for ts, (trial_points, measure) in zip(seeds, drawn):
+                yield ts, partial(measure, [next(values) for _ in trial_points])
 
     return _tally(suite, cfg, trials(), extras)
 
 
-def _random_tuple(k: int, n: int, rng) -> MatrixTuple:
-    return MatrixTuple(tuple(random_pd(n, _SPECTRUM, rng) for _ in range(k)))
+def _deferred(trial_fn):
+    """``trial_fn(rng, dim, trial)``, a trial that returns its violation, as a
+    draw for `_run` with no points: the whole trial runs when measured."""
+    return lambda rng, dim, trial: ((), lambda values: trial_fn(rng, dim, trial))
 
 
-def _eval(r, x):
-    try:
-        return _pencil.eval(r, x)
-    except _pencil.PencilDomainError as exc:
-        raise _Skip from exc
+def _random_tuples(count: int, k: int, n: int, rng) -> np.ndarray:
+    """``count`` successive random PD k-tuples, each a (k, n, n) stack, from
+    one stacked draw."""
+    return _random_pd_stack(count * k, n, _SPECTRUM, rng).reshape(count, k, n, n)
+
+
+def _evaluate(points, route, hermitian):
+    """Per point, ``(F(X), ||F(X)||)`` or the exception that rejects X.
+    A point is a (k, n, n) stack of coordinates; ``route(arrays)`` gives the
+    values at the coordinate stacks of every point of one size n, in one call
+    per size.  A ``hermitian`` value is symmetrized as `SymMatrix` does it."""
+    out = [None] * len(points)
+    for n in dict.fromkeys(p.shape[-1] for p in points):
+        idx = [i for i, p in enumerate(points) if p.shape[-1] == n]
+        values = route([np.stack(c) for c in zip(*(points[i] for i in idx))])
+        ok = [j for j, v in enumerate(values) if not isinstance(v, Exception)]
+        if ok:
+            f = np.stack([values[j] for j in ok])
+            if hermitian:
+                f = _halve(f + f.conj().swapaxes(-1, -2))
+            # the norms of `operator_norm`, from one stacked svd
+            for j, fj, norm in zip(ok, f, np.linalg.svd(f, compute_uv=False).max(axis=-1).tolist()):
+                values[j] = fj, norm
+        for i, v in zip(idx, values):
+            out[i] = v
+    return out
+
+
+def _real_values(r):
+    """`_run`'s ``evaluate`` for `pencil.eval` at the default tolerance."""
+    return partial(_evaluate, route=lambda arrays: _pencil._route(r, arrays, DEFAULT_PSD_TOL)[1],
+                   hermitian=True)
+
+
+def _complex_values(r):
+    """`_run`'s ``evaluate`` for `pencil.eval_complex`."""
+    def route(arrays):
+        return _pencil._route_complex(r, arrays, _pencil._imaginary_floor(arrays))[1]
+
+    return partial(_evaluate, route=route, hermitian=False)
+
+
+def _admitted(values, reject=_Skip):
+    """The ``(F(X), ||F(X)||)`` of a trial's points; ``reject`` is raised if
+    any point has none."""
+    if any(isinstance(v, Exception) for v in values):
+        raise reject
+    return values
 
 
 def _min_eig_scaled(diff: np.ndarray, scale: float) -> float:
@@ -171,38 +236,35 @@ def _min_eig_scaled(diff: np.ndarray, scale: float) -> float:
 def check_free_axioms(r, cfg: SuiteConfig) -> VerificationReport:
     """Unitary invariance and direct-sum invariance of the realized function."""
 
-    def trial(rng, dim, trial_index):
-        x = _random_tuple(r.k, dim, rng)
+    def draw(rng, dim, trial_index):
+        (x,) = _random_tuples(1, r.k, dim, rng)
         u = _haar_orthogonal(dim, rng)
-        fx = _eval(r, x).entries
-        scale = max(1.0, operator_norm(fx))
-        lhs = _eval(r, tuple_compress(x, u)).entries
-        d1 = operator_norm(lhs - u.conj().T @ fx @ u) / scale
-        y = _random_tuple(r.k, dim, rng)
-        fy = _eval(r, y).entries
-        fs = _eval(r, tuple_direct_sum(x, y)).entries
-        block = np.zeros_like(fs)
-        block[:dim, :dim] = fx
-        block[dim:, dim:] = fy
-        d2 = operator_norm(fs - block) / max(1.0, operator_norm(fs))
-        return -max(d1, d2)
+        (y,) = _random_tuples(1, r.k, dim, rng)
 
-    return _run("axioms", cfg, trial)
+        def measure(values):
+            (fx, fx_norm), (lhs, _), (fy, _), (fs, fs_norm) = _admitted(values)
+            d1 = operator_norm(lhs - u.conj().T @ fx @ u) / max(1.0, fx_norm)
+            d2 = operator_norm(fs - _direct_sums(fx, fy)) / max(1.0, fs_norm)
+            return -max(d1, d2)
+
+        return [x, _compressed(x, u), y, _direct_sums(x, y)], measure
+
+    return _run("axioms", cfg, draw, _real_values(r))
 
 
 def check_monotone(r, cfg: SuiteConfig) -> VerificationReport:
     """Loewner monotonicity on dominated pairs of PD tuples."""
 
-    def trial(rng, dim, trial_index):
-        x = _random_tuple(r.k, dim, rng)
-        y = _random_tuple(r.k, dim, rng)
-        xd, yd = make_dominated_pair(x, y)
-        fx = _eval(r, xd).entries
-        fy = _eval(r, yd).entries
-        scale = max(operator_norm(fx), operator_norm(fy))
-        return _min_eig_scaled(fy - fx, scale)
+    def draw(rng, dim, trial_index):
+        xd, yd = _dominated_pair(*_random_tuples(2, r.k, dim, rng))
 
-    return _run("monotone", cfg, trial)
+        def measure(values):
+            (fx, fx_norm), (fy, fy_norm) = _admitted(values)
+            return _min_eig_scaled(fy - fx, max(fx_norm, fy_norm))
+
+        return [xd, yd], measure
+
+    return _run("monotone", cfg, draw, _real_values(r))
 
 
 def check_monotone_scalar(f, cfg: SuiteConfig, k: int = 1) -> VerificationReport:
@@ -226,24 +288,22 @@ def check_monotone_scalar(f, cfg: SuiteConfig, k: int = 1) -> VerificationReport
         scale = max(operator_norm(fx), operator_norm(fy))
         return _min_eig_scaled(fy - fx, scale)
 
-    return _run("monotone-scalar", cfg, trial)
+    return _run("monotone-scalar", cfg, _deferred(trial))
 
 
 def check_concave(r, cfg: SuiteConfig) -> VerificationReport:
     """Midpoint operator concavity on random PD pairs."""
 
-    def trial(rng, dim, trial_index):
-        x = _random_tuple(r.k, dim, rng)
-        y = _random_tuple(r.k, dim, rng)
-        mid = MatrixTuple(tuple((a.entries + b.entries) / 2.0
-                                for a, b in zip(x.items, y.items)))
-        fm = _eval(r, mid).entries
-        fx = _eval(r, x).entries
-        fy = _eval(r, y).entries
-        scale = max(operator_norm(fm), operator_norm(fx), operator_norm(fy))
-        return _min_eig_scaled(fm - (fx + fy) / 2.0, scale)
+    def draw(rng, dim, trial_index):
+        x, y = _random_tuples(2, r.k, dim, rng)
 
-    return _run("concave", cfg, trial)
+        def measure(values):
+            (fm, fm_norm), (fx, fx_norm), (fy, fy_norm) = _admitted(values)
+            return _min_eig_scaled(fm - (fx + fy) / 2.0, max(fm_norm, fx_norm, fy_norm))
+
+        return [(x + y) / 2.0, x, y], measure
+
+    return _run("concave", cfg, draw, _real_values(r))
 
 
 def check_jensen_isometry(r, cfg: SuiteConfig) -> VerificationReport:
@@ -253,20 +313,21 @@ def check_jensen_isometry(r, cfg: SuiteConfig) -> VerificationReport:
     zero-extension behaviour of the pencil at singular compressions).
     """
 
-    def trial(rng, dim, trial_index):
+    def draw(rng, dim, trial_index):
         n = int(rng.integers(1, dim + 1))
         if trial_index % 2 == 0:
             w = random_isometry(n, dim, rng).entries
         else:
             w = random_contraction(n, dim, rng).entries
-        x = _random_tuple(r.k, dim, rng)
-        fx = _eval(r, x).entries
-        lhs = _eval(r, tuple_compress(x, w)).entries
-        rhs = w.conj().T @ fx @ w
-        scale = max(operator_norm(lhs), operator_norm(fx))
-        return _min_eig_scaled(lhs - rhs, scale)
+        (x,) = _random_tuples(1, r.k, dim, rng)
 
-    return _run("jensen", cfg, trial)
+        def measure(values):
+            (fx, fx_norm), (lhs, lhs_norm) = _admitted(values)
+            return _min_eig_scaled(lhs - w.conj().T @ fx @ w, max(lhs_norm, fx_norm))
+
+        return [x, _compressed(x, w)], measure
+
+    return _run("jensen", cfg, draw, _real_values(r))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +382,7 @@ def check_hypograph_saturation(f, cfg: SuiteConfig, k: int = 1) -> VerificationR
         yc = v.conj().T @ y @ v
         return _min_eig_scaled(fxc - yc, operator_norm(fxc))
 
-    return _run("hypograph", cfg, trial)
+    return _run("hypograph", cfg, _deferred(trial))
 
 
 @dataclass(frozen=True)
@@ -416,21 +477,21 @@ def check_herglotz(r, cfg: SuiteConfig, sym_tol: float = 1e-10) -> VerificationR
     """
     extras = {"max_conjugate_asymmetry": 0.0, "sym_tol": sym_tol}
 
-    def trial(rng, dim, trial_index):
+    def draw(rng, dim, trial_index):
         a = [rng.standard_normal((dim, dim)) for _ in range(r.k)]
-        xs = [(ai + ai.T) / 2.0 + 1j * random_pd(dim, _SPECTRUM, rng).entries
-              for ai in a]
-        try:
-            fv = _pencil.eval_complex(r, xs)
-            fc = _pencil.eval_complex(r, [xi.conj() for xi in xs])
-        except SingularPivotComplement as exc:
-            raise _Fail(-1.0) from exc
-        scale = max(1.0, operator_norm(fv))
-        im_min = float(np.linalg.eigvalsh((fv - fv.conj().T) / 2j)[0]) / scale
-        asym = operator_norm(fc - fv.conj()) / scale
-        extras["max_conjugate_asymmetry"] = max(extras["max_conjugate_asymmetry"], asym)
-        if asym > sym_tol:
-            raise _Fail(im_min)
-        return im_min
+        b = _random_pd_stack(r.k, dim, _SPECTRUM, rng)
+        xs = np.array([(ai + ai.T) / 2.0 + 1j * bi for ai, bi in zip(a, b)])
 
-    return _run("herglotz", cfg, trial, extras)
+        def measure(values):
+            (fv, fv_norm), (fc, _) = _admitted(values, _Fail(-1.0))
+            scale = max(1.0, fv_norm)
+            im_min = float(np.linalg.eigvalsh((fv - fv.conj().T) / 2j)[0]) / scale
+            asym = operator_norm(fc - fv.conj()) / scale
+            extras["max_conjugate_asymmetry"] = max(extras["max_conjugate_asymmetry"], asym)
+            if asym > sym_tol:
+                raise _Fail(im_min)
+            return im_min
+
+        return [xs, xs.conj()], measure
+
+    return _run("herglotz", cfg, draw, _complex_values(r), extras)

@@ -1133,7 +1133,8 @@ def test_boundary_pairs_sit_on_both_sides_of_the_threshold(kind, minor):
 
 
 class TestLargeInstances:
-    """100 x 100 pairs, checked against the pairwise relation."""
+    """100 x 100 pairs and one 400 x 400 pair, checked against the pairwise
+    relation."""
 
     def test_coupling_marginals_and_support(self):
         mu, nu = seeded_pair(2024, 100, "ordered")
@@ -1155,6 +1156,26 @@ class TestLargeInstances:
         above = {j for i in cert.mu_indices for j in range(nu.size)
                  if loewner_leq(mu.atoms[i], nu.atoms[j], 1e-9)}
         assert above <= set(cert.nu_indices)
+
+    def test_dominated_400_atom_coupling(self):
+        # the coupling depends on the augmenting-path order; the digest was
+        # recorded from the max-flow with one BFS per augmentation
+        mu, nu = seeded_pair(2031, 400, "dominated")
+        a, b = (np.stack([x.entries for x in m.atoms]) for m in (mu, nu))
+        ext_a, ext_b = (np.abs(np.linalg.eigvalsh(x)[:, [0, -1]]).max(axis=1) for x in (a, b))
+        related = np.empty((mu.size, nu.size), dtype=bool)
+        for i in range(mu.size):  # the pairwise `loewner_leq` rule, one stacked eigvalsh a row
+            scale = np.maximum(1.0, np.maximum(ext_a[i], ext_b))
+            related[i] = np.linalg.eigvalsh(b - a[i])[:, 0] >= -1e-9 * scale
+        assert np.array_equal(_order_relation(mu, nu, 1e-9), related)
+        ok, coupling = stochastic_leq(mu, nu)
+        assert ok
+        gamma = coupling.gamma
+        assert hashlib.sha256(gamma.tobytes()).hexdigest() == (
+            "34bf13e8df1f3768387e9a01b1ed5adb355b1ab4a76ab799acdf9cd58755ef0a")
+        assert np.abs(gamma.sum(axis=1) - mu.weights).max() <= 1e-10
+        assert np.abs(gamma.sum(axis=0) - nu.weights).max() <= 1e-10
+        assert (gamma >= 0.0).all() and not (gamma[~related] != 0.0).any()
 
     @pytest.mark.parametrize("kind", ["ordered", "independent"])
     def test_no_dense_network_matrix(self, kind):

@@ -47,6 +47,7 @@ from loewner.pencil import (
     _assembled_pencil,
     _aux_blocks_diagonal,
     _certified_arrowhead,
+    _imaginary_floor,
     _parallel_sum_short,
     _rotated_coefficients,
     _route,
@@ -434,7 +435,7 @@ def rotated_oracle(r, xt):
 
 def route(r, x, tol=1e-9):
     """The real path that `eval` takes at x."""
-    return _route(r, [xi.entries for xi in as_tuple(x).items], tol)[0]
+    return _route(r, [xi.entries[None] for xi in as_tuple(x).items], tol)[0][0]
 
 
 def batched_short(r, xs):
@@ -1323,12 +1324,14 @@ def im_min(x):
 
 def route_complex(r, x):
     """``(path, out)`` of `eval_complex` at x."""
-    return _route_complex(r, [np.asarray(xi, dtype=complex) for xi in x], im_min(x))
+    names, values = _route_complex(r, [np.asarray(xi, dtype=complex)[None] for xi in x],
+                                   [im_min(x)])
+    return names[0], values[0]
 
 
 def spectral_complex(r, x):
     """The complex spectral form at x, None when it is not admitted."""
-    return _spectral_complex(r._layout[0], x, im_min(x))
+    return _spectral_complex(r._layout[0], [xi[None] for xi in x], [im_min(x)])[0]
 
 
 # Z - 2i I is nilpotent: Z is defective, with Im Z of eigenvalues 1 and 3
@@ -1435,3 +1438,152 @@ def test_spectral_complex_matches_batched_and_dense(case):
     conj = spectral_complex(r, [xi.conj() for xi in x])
     assert operator_norm(conj - fast.conj()) <= 1e-10 * max(1.0, operator_norm(fast))
 
+
+
+def coordinate_stacks(points):
+    """One (s, n, n) stack per coordinate of s points."""
+    return [np.stack(c) for c in zip(*points)]
+
+
+def symmetric_point(rng, k, n, spectra):
+    """k exactly symmetric n x n matrices with the given spectra in random bases."""
+    out = []
+    for lam in spectra[:k]:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        x = (q * lam) @ q.T
+        out.append((x + x.T) / 2.0)
+    return out
+
+
+def mixed_real_points(r, rng, n=3):
+    """PD points, points whose second coordinate has a spread spectrum (the
+    two-generator form leaves them to the batched path), and points with a
+    negative eigenvalue in the first or in every coordinate (outside the
+    domain, or at its edge; the Cholesky of the two-generator form fails
+    there)."""
+    spectra = [[[0.5, 1.0, 2.0], [0.3, 1.5, 3.0], [1.0, 2.0, 4.0]],
+               [[1.0, 1.0, 1.0], [1e-12, 1.0, 10.0], [0.5, 1.0, 2.0]],
+               [[-1.0, 1.0, 2.0], [0.5, 1.0, 2.0], [0.5, 1.0, 2.0]],
+               [[-1.0, -2.0, -3.0]] * 3,
+               [[1.0, 2.0, -1e-6], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]]
+    return [symmetric_point(rng, r.k, n, [s[:n] for s in spectra[i % 5]]) for i in range(10)]
+
+
+def mixed_complex_points(r, rng, n=2):
+    """Points ``A + s i B`` (B PD, one sign s per point) and, for the spectral
+    realizations, near-defective points that `_spectral_complex` leaves to
+    the batched path."""
+    points = []
+    for i in range(6):
+        sign = 1 if i % 3 else -1
+        points.append([a + sign * 1j * b for a, b in zip(
+            symmetric_point(rng, r.k, n, [rng.normal(size=n)] * r.k),
+            symmetric_point(rng, r.k, n, [rng.uniform(0.1, 3.0, n)] * r.k))])
+    if r is PATH_REALIZATIONS["power:0.5"] or r is PATH_REALIZATIONS["geomean:0.5"]:
+        for eps in (0.0, 1e-8, 1e-4):
+            z = DEFECTIVE_Z + eps * E21
+            points.append([z] if r.k == 1 else [(1 + 1j) * np.eye(2), (1 + 1j) * z])
+    return points
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as raw bytes, or the type and message of the domain error it raises."""
+    try:
+        value = fn(*args)
+    except (PencilDomainError, SingularPivotComplement) as exc:
+        return type(exc), str(exc)
+    return np.asarray(value.entries if isinstance(value, SymMatrix) else value).tobytes()
+
+
+def stacked_outcome(value, hermitian):
+    if isinstance(value, Exception):
+        return type(value), str(value)
+    return (SymMatrix(value).entries if hermitian else value).tobytes()
+
+
+class TestStackedRoute:
+    """`_route` and `_route_complex` take a stack of points: each point's path,
+    value (bit for bit) and domain error are those of a stack of one, the
+    public `eval` and `eval_complex`, on every path."""
+
+    @pytest.mark.parametrize("spec", sorted(PATH_SPECS))
+    def test_real_slices_equal_single_points(self, spec):
+        r = PATH_REALIZATIONS[spec]
+        points = mixed_real_points(r, np.random.default_rng(71))
+        names, values = _route(r, coordinate_stacks(points), DEFAULT_PSD_TOL)
+        for point, name, value in zip(points, names, values):
+            assert name == route(r, point)
+            assert stacked_outcome(value, True) == outcome(eval_pencil, r, point)
+        admitted = [not isinstance(v, PencilDomainError) for v in values]
+        assert any(admitted) and not all(admitted)
+
+    def test_real_stack_uses_both_two_generator_paths(self):
+        r = PATH_REALIZATIONS["geomean:0.5"]
+        points = mixed_real_points(r, np.random.default_rng(71))
+        names, _ = _route(r, coordinate_stacks(points), DEFAULT_PSD_TOL)
+        assert set(names) == {"spectral", "batched"}
+
+    @pytest.mark.parametrize("spec", sorted(PATH_SPECS))
+    def test_complex_slices_equal_single_points(self, spec):
+        r = PATH_REALIZATIONS[spec]
+        points = mixed_complex_points(r, np.random.default_rng(72))
+        arrays = coordinate_stacks(points)
+        names, values = _route_complex(r, arrays, _imaginary_floor(arrays))
+        for point, name, value in zip(points, names, values):
+            assert name == route_complex(r, point)[0]
+            assert stacked_outcome(value, False) == outcome(eval_complex, r, point)
+        if r._layout[2][0] == "spectral":
+            assert set(names) == {"spectral", "batched"}
+
+    def test_one_out_of_domain_point_marks_only_itself(self):
+        for spec in ("power:0.5", "geomean:0.5", "harmonic:0.2,0.3,0.5", "two-scale"):
+            r = PATH_REALIZATIONS[spec]
+            rng = np.random.default_rng(73)
+            points = [symmetric_point(rng, r.k, 3, [[0.5, 1.0, 2.0]] * r.k) for _ in range(5)]
+            points[2][0] = -points[2][0]
+            values = _route(r, coordinate_stacks(points), DEFAULT_PSD_TOL)[1]
+            assert [isinstance(v, PencilDomainError) for v in values] == [False] * 2 + [True] + [False] * 2
+
+    def test_singular_pivot_marks_every_point(self):
+        r = PencilRealization(np.array([1.0, 0.0]), np.zeros((2, 2)), (np.diag([1.0, 0.0]),))
+        points = [[np.eye(2) + s * 1j * np.eye(2)] for s in (1, -1, 2)]
+        arrays = coordinate_stacks(points)
+        values = _route_complex(r, arrays, _imaginary_floor(arrays))[1]
+        assert [stacked_outcome(v, False) for v in values] == [
+            outcome(eval_complex, r, p) for p in points]
+        assert all(isinstance(v, SingularPivotComplement) for v in values)
+
+    def test_admission_scale_counts_the_pivot(self):
+        # z = 10 mu dominates the scale max(1, max z, max d): at mu = -1e-9 the
+        # complement -1e-8 clears -1e-9 * 50 but not -1e-9 * max(1, max d)
+        r = PencilRealization(np.eye(2)[0], np.diag([0.0, 1.0]),
+                              (np.array([[10.0, 1.0], [1.0, 0.1]]),))
+        points = [[np.diag([-eps, 5.0])] for eps in (1e-9, 1e-8, 1e-9)]
+        names, values = _route(r, coordinate_stacks(points), DEFAULT_PSD_TOL)
+        assert names == ["spectral"] * 3
+        assert [isinstance(v, PencilDomainError) for v in values] == [False, True, False]
+        assert [stacked_outcome(v, True) for v in values] == [
+            outcome(eval_pencil, r, p) for p in points]
+
+    # messages recorded from `eval` before it became a stack of one
+    @pytest.mark.parametrize("spec, point, message", [
+        ("cauchy:1.0", [-2.0 * np.eye(3)], "trailing-block eigenvalue -1.000e+00"),
+        ("cauchy:1.0", [np.diag([1.0, 2.0, -1.0])],
+         "range condition violated (1.000e+00 > 3.000e-05)"),
+        ("power:0.5", [np.diag([1.0, 2.0, -1e-6])], "Schur complement eigenvalue -4.804e-05"),
+        ("geomean:0.5", [np.eye(3), np.diag([1.0, 2.0, -1e-6])],
+         "Schur complement eigenvalue -4.804e-05"),
+        ("geomean:0.5", [np.diag([1.0, 2.0, -1.0]), np.eye(3)],
+         "trailing-block eigenvalue -3.888e+01"),
+        ("shifted-parallel-sum", [np.diag([1.0, 2.0, -1e-6])] * 2,
+         "Schur complement eigenvalue -1.000e-06"),
+        ("harmonic:0.2,0.3,0.5", [np.diag([1.0, 2.0, -1e-6])] * 3,
+         "trailing-block eigenvalue -1.437e-06"),
+        ("arithmetic:0.4,0.6", [np.diag([1.0, 2.0, -1e-6])] * 2,
+         "Schur complement eigenvalue -1.000e-06"),
+    ])
+    def test_public_eval_raises_the_same_message(self, spec, point, message):
+        r = cauchy_realization(1.0) if spec == "cauchy:1.0" else PATH_REALIZATIONS[spec]
+        with pytest.raises(PencilDomainError) as exc:
+            eval_pencil(r, point)
+        assert str(exc.value) == "pencil not PSD at X: " + message

@@ -25,8 +25,16 @@ from loewner import (
     weighted_arithmetic,
     weighted_harmonic,
 )
-from loewner.numlin import operator_norm
-from loewner.verify import _disjoint_support_isometry
+from loewner import PencilDomainError, eval_pencil, make_dominated_pair
+from loewner.numlin import (
+    _haar_orthogonal,
+    operator_norm,
+    random_contraction,
+    random_isometry,
+    tuple_compress,
+    tuple_direct_sum,
+)
+from loewner.verify import _Fail, _Skip, _disjoint_support_isometry, _tally
 
 
 IDENTITY = build_realization("identity")
@@ -259,3 +267,128 @@ class TestSuiteConfig:
     def test_accepts_dimension_one(self):
         cfg = SuiteConfig(dims=(1,), trials=3, seed=4)
         assert cfg.dims == (1,) and check_monotone(CAUCHY, cfg).trials == 3
+
+
+# ---------------------------------------------------------------------------
+# the stacked suites against a per-trial reference
+# ---------------------------------------------------------------------------
+
+def edge_realization():
+    """A1 = [[1, 1], [1, 1 - 2e-9]] (eigenvalue -1e-9, admitted) and A0 =
+    diag(8e-9, 0): F(X) is about 8e-9 I - 2e-9 X, so the pencil leaves the
+    domain where lambda_max(X) is above about 8, and F fails monotonicity."""
+    return PencilRealization(np.array([1.0, 0.0]), np.diag([8e-9, 0.0]),
+                             (np.array([[1.0, 1.0], [1.0, 1.0 - 2e-9]]),))
+
+
+def reference_report(suite, r, cfg, sym_tol=1e-10):
+    """The suite run one trial at a time through the public `eval` and
+    `eval_complex`, as the suites ran before they were stacked."""
+    def f(x):
+        try:
+            return eval_pencil(r, x).entries
+        except PencilDomainError as exc:
+            raise _Skip from exc
+
+    def tuple_(dim, rng):
+        return MatrixTuple(tuple(random_pd(dim, (0.1, 10.0), rng) for _ in range(r.k)))
+
+    def min_eig(diff, scale):
+        return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)[0]) / max(1.0, scale)
+
+    def axioms(rng, dim, trial):
+        x = tuple_(dim, rng)
+        u = _haar_orthogonal(dim, rng)
+        fx = f(x)
+        lhs = f(tuple_compress(x, u))
+        d1 = operator_norm(lhs - u.T @ fx @ u) / max(1.0, operator_norm(fx))
+        y = tuple_(dim, rng)
+        fy, fs = f(y), f(tuple_direct_sum(x, y))
+        block = np.zeros_like(fs)
+        block[:dim, :dim], block[dim:, dim:] = fx, fy
+        return -max(d1, operator_norm(fs - block) / max(1.0, operator_norm(fs)))
+
+    def monotone(rng, dim, trial):
+        xd, yd = make_dominated_pair(tuple_(dim, rng), tuple_(dim, rng))
+        fx, fy = f(xd), f(yd)
+        return min_eig(fy - fx, max(operator_norm(fx), operator_norm(fy)))
+
+    def concave(rng, dim, trial):
+        x, y = tuple_(dim, rng), tuple_(dim, rng)
+        fm = f(MatrixTuple(tuple((a.entries + b.entries) / 2.0 for a, b in zip(x.items, y.items))))
+        fx, fy = f(x), f(y)
+        scale = max(operator_norm(fm), operator_norm(fx), operator_norm(fy))
+        return min_eig(fm - (fx + fy) / 2.0, scale)
+
+    def jensen(rng, dim, trial):
+        n = int(rng.integers(1, dim + 1))
+        w = (random_isometry if trial % 2 == 0 else random_contraction)(n, dim, rng).entries
+        x = tuple_(dim, rng)
+        fx = f(x)
+        lhs = f(tuple_compress(x, w))
+        return min_eig(lhs - w.T @ fx @ w, max(operator_norm(lhs), operator_norm(fx)))
+
+    extras = {"max_conjugate_asymmetry": 0.0, "sym_tol": sym_tol}
+
+    def herglotz(rng, dim, trial):
+        a = [rng.standard_normal((dim, dim)) for _ in range(r.k)]
+        xs = [(ai + ai.T) / 2.0 + 1j * random_pd(dim, (0.1, 10.0), rng).entries for ai in a]
+        try:
+            fv = eval_complex(r, xs)
+            fc = eval_complex(r, [xi.conj() for xi in xs])
+        except SingularPivotComplement as exc:
+            raise _Fail(-1.0) from exc
+        scale = max(1.0, operator_norm(fv))
+        im_min = float(np.linalg.eigvalsh((fv - fv.conj().T) / 2j)[0]) / scale
+        asym = operator_norm(fc - fv.conj()) / scale
+        extras["max_conjugate_asymmetry"] = max(extras["max_conjugate_asymmetry"], asym)
+        if asym > sym_tol:
+            raise _Fail(im_min)
+        return im_min
+
+    trial_fn = {"axioms": axioms, "monotone": monotone, "concave": concave,
+                "jensen": jensen, "herglotz": herglotz}[suite]
+    seeds = ((cfg.seed * 1_000_000 + dim * 10_000 + t, dim, t)
+             for dim in cfg.dims for t in range(cfg.trials))
+    return _tally(suite, cfg, ((ts, lambda d=dim, t=t, ts=ts: trial_fn(
+        np.random.default_rng(ts), d, t)) for ts, dim, t in seeds),
+        extras if suite == "herglotz" else None)
+
+
+STACKED_SUITES = {"axioms": check_free_axioms, "monotone": check_monotone,
+                  "concave": check_concave, "jensen": check_jensen_isometry,
+                  "herglotz": check_herglotz}
+
+
+class TestStackedSuitesMatchPerTrialReference:
+    """Each suite draws every trial of a dimension, evaluates its points in one
+    stacked call per point size and measures the trials in order; its report
+    equals that of the per-trial reference exactly, skips and failures
+    included."""
+
+    @pytest.mark.parametrize("suite", sorted(STACKED_SUITES))
+    @pytest.mark.parametrize("spec", ["edge", "geomean:0.5", "harmonic:0.2,0.3,0.5",
+                                      "cauchy:1.0"])
+    def test_report_equals_reference(self, suite, spec):
+        r = edge_realization() if spec == "edge" else build_realization(spec, n_nodes=16)
+        cfg = SuiteConfig(dims=(1, 2, 4), trials=6, seed=5, tol=1e-13)
+        got = STACKED_SUITES[suite](r, cfg)
+        assert got == reference_report(suite, r, cfg)
+
+    def test_edge_realization_skips_and_fails_some_trials(self):
+        cfg = SuiteConfig(dims=(1, 2, 4), trials=6, seed=5, tol=1e-13)
+        total = cfg.trials * len(cfg.dims)
+        r = edge_realization()
+        for suite in ("axioms", "monotone", "concave", "jensen"):
+            assert 0 < STACKED_SUITES[suite](r, cfg).skipped < total
+        monotone = check_monotone(r, cfg)
+        assert monotone.failures > 0
+        cfg = SuiteConfig(dims=(1, 2, 4), trials=6, seed=5, tol=1e-8)
+        herglotz = check_herglotz(r, cfg)
+        assert 0 < herglotz.failures < total
+        assert herglotz == reference_report("herglotz", r, cfg)
+
+    def test_singular_pivot_failures_match_reference(self):
+        r = PencilRealization(np.array([1.0, 0.0]), np.zeros((2, 2)), (np.diag([1.0, 0.0]),))
+        cfg = SuiteConfig(dims=(2, 3), trials=4, seed=6)
+        assert check_herglotz(r, cfg) == reference_report("herglotz", r, cfg)
