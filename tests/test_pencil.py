@@ -893,12 +893,17 @@ def test_tol_reaches_every_real_path(spec, path):
 
 @st.composite
 def wide_points(draw):
+    """A `PATH_REALIZATIONS` realization and a `wide_tuples` point of it."""
+    spec = draw(st.sampled_from(sorted(PATH_SPECS)))
+    r = PATH_REALIZATIONS[spec]
+    return r, draw(wide_tuples(r, draw(st.integers(1, 5))))
+
+
+@st.composite
+def wide_tuples(draw, r, n):
     """A tuple of n x n PD points with spectra 10**a for exponents a in
     [-8, 8], in random orthonormal bases; with ``flip`` the largest
     eigenvalue of every coordinate is negated, so the point leaves the domain."""
-    spec = draw(st.sampled_from(sorted(PATH_SPECS)))
-    r = PATH_REALIZATIONS[spec]
-    n = draw(st.integers(1, 5))
     flip = draw(st.booleans())
     items = []
     for _ in range(r.k):
@@ -908,7 +913,7 @@ def wide_points(draw):
         seed = draw(st.integers(0, 2**32 - 1))
         q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
         items.append((q * lam) @ q.T)
-    return r, MatrixTuple(tuple(items))
+    return MatrixTuple(tuple(items))
 
 
 # Worst measured error against the rotated dense oracle, relative to the
@@ -1564,6 +1569,19 @@ class TestStackedRoute:
         assert [isinstance(v, PencilDomainError) for v in values] == [False, True, False]
         assert [stacked_outcome(v, True) for v in values] == [
             outcome(eval_pencil, r, p) for p in points]
+
+    @settings(settings.get_profile("loewner"), max_examples=100)
+    @given(st.data())
+    def test_wide_spectrum_stacks_equal_single_points(self, data):
+        # stacks of `wide_points` of one realization and size: many points
+        # leave the domain, by every check, or fall back to another path
+        r, first = data.draw(wide_points())
+        points = [x.arrays() for x in [first, *data.draw(
+            st.lists(wide_tuples(r, first.n), min_size=1, max_size=5))]]
+        names, values = _route(r, coordinate_stacks(points), DEFAULT_PSD_TOL)
+        for point, name, value in zip(points, names, values):
+            assert name == route(r, point)
+            assert stacked_outcome(value, True) == outcome(eval_pencil, r, point)
 
     # messages recorded from `eval` before it became a stack of one
     @pytest.mark.parametrize("spec, point, message", [
