@@ -840,7 +840,7 @@ def check_stochastic_monotone(spec, cfg) -> VerificationReport:
         scale = max(operator_norm(m1), operator_norm(m2))
         return _min_eig_scaled(m2 - m1, scale)
 
-    return _run("stochastic-monotone", cfg, _deferred(trial))
+    return _run("stochastic-monotone", cfg, *_deferred(trial))
 
 
 def check_directsum_coupling(spec, mu: DiscreteMeasure, nu: DiscreteMeasure,

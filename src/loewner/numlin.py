@@ -70,8 +70,13 @@ def operator_norm(a) -> float:
     m = _as_array(a)
     if m.size == 0:
         return 0.0
+    return float(_operator_norms(m))
+
+
+def _operator_norms(a: np.ndarray) -> np.ndarray:
+    """`operator_norm` of each matrix of a stack: one stacked ``svd``."""
     # what np.linalg.norm(m, 2) computes, without its axis handling
-    return float(np.linalg.svd(m, compute_uv=False).max())
+    return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -301,34 +306,48 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n))
+# Each generator comes in two parts: a draw takes the random numbers of one
+# sample from the generator, in a fixed order, and a build does the
+# arithmetic of many draws at once, in stacked calls.  A stacked LAPACK or
+# matmul call gives each slice the bits of the call on that slice alone, so a
+# stacked build equals the builds of its draws one by one.  The public
+# generators are the builds of a stack of one.
+
+def _orthonormal(g: np.ndarray) -> np.ndarray:
+    """The Q factors of a stack of (m, n) Gaussian draws (m >= n), each
+    column's sign fixed by the diagonal of R, which makes them Haar
+    distributed and deterministic: one stacked ``qr``."""
     q, r = np.linalg.qr(g)
-    # sign fix makes the distribution Haar and the output deterministic
-    return q * np.sign(np.diag(r))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    return _orthonormal(_isometry_draw(n, n, rng)[None])[0]
 
 
 def random_pd(n: int, interval=(0.1, 10.0), seed=0) -> SymMatrix:
     """Random PD matrix with spectrum drawn uniformly from ``interval``."""
-    return SymMatrix(_random_pd_stack(1, n, interval, _rng(seed))[0])
+    return SymMatrix(_pd_build(_pd_draw(1, n, interval, _rng(seed)))[0])
 
 
-def _random_pd_stack(count: int, n: int, interval, rng) -> np.ndarray:
-    """``count`` successive `random_pd` draws from ``rng`` as one (count, n, n)
-    stack, with their bits: the draws consume ``rng`` in the same order, and
-    one stacked ``qr`` and ``matmul`` give the per-matrix results slice by
-    slice."""
+def _pd_draw(count: int, n: int, interval, rng) -> list:
+    """The random numbers of ``count`` successive `random_pd` draws from
+    ``rng``: per matrix, the pair of its (n, n) Gaussian and its spectrum."""
     lo, hi = interval
     if not (0.0 < lo <= hi):
         raise ValueError("spectrum interval must satisfy 0 < lo <= hi")
-    g, lam = np.empty((count, n, n)), np.zeros((count, n, n))
-    for i in range(count):
-        g[i] = rng.standard_normal((n, n))
-        np.fill_diagonal(lam[i], rng.uniform(lo, hi, n))
-    q, r = np.linalg.qr(g)
-    # sign fix of `_haar_orthogonal`
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-    a = q @ lam @ q.swapaxes(-1, -2)
+    return [(rng.standard_normal((n, n)), rng.uniform(lo, hi, n)) for _ in range(count)]
+
+
+def _pd_build(draws) -> np.ndarray:
+    """``Q diag(lam) Q^T`` of each ``(g, lam)`` of a list of `_pd_draw` pairs,
+    Q = `_orthonormal` (g), symmetrized as `SymMatrix` does it: a
+    (len(draws), n, n) stack from one stacked ``qr`` and ``matmul``."""
+    g, lam = map(np.array, zip(*draws))
+    diag, idx = np.zeros(g.shape), np.arange(g.shape[-1])
+    diag[:, idx, idx] = lam
+    q = _orthonormal(g)
+    a = q @ diag @ q.swapaxes(-1, -2)
     return _halve(a + a.swapaxes(-1, -2))
 
 
@@ -357,40 +376,54 @@ def make_dominated_pair(x: MatrixTuple, y: MatrixTuple):
     xt, yt = as_tuple(x), as_tuple(y)
     if xt.k != yt.k or xt.n != yt.n:
         raise DimensionMismatch("tuples must share arity and dimension")
-    xd, yd = _dominated_pair(np.stack(xt.arrays()), np.stack(yt.arrays()))
-    return MatrixTuple(tuple(xd)), MatrixTuple(tuple(yd))
+    xd, yd = _dominated_pair(np.array([xt.arrays()]), np.array([yt.arrays()]))
+    return MatrixTuple(tuple(xd[0])), MatrixTuple(tuple(yd[0]))
 
 
 def _dominated_pair(x: np.ndarray, y: np.ndarray):
-    """`make_dominated_pair` of two (k, n, n) stacks of self-adjoint
-    coordinates, as stacks; one stacked ``eigvalsh`` per spectrum it needs."""
+    """`make_dominated_pair` of each pair of two (trials, k, n, n) stacks of
+    self-adjoint coordinates, as stacks; one stacked ``eigvalsh`` per spectrum
+    it needs.  Only the pairs whose own floor asks for it are lifted."""
     eye = np.eye(x.shape[-1])
     # Python's max(0, t) and min() semantics on a NaN, kept: fmax, and min of a list
-    t = np.fmax(0.0, np.linalg.eigvalsh(x - y)[:, -1]) + 0.05
-    shifted = x - t[:, None, None] * eye
-    floor = min(np.linalg.eigvalsh(shifted)[:, 0].tolist())
-    if floor <= 0.0:
-        lift = 0.05 - floor
-        return shifted + lift * eye, y + lift * eye
+    t = np.fmax(0.0, np.linalg.eigvalsh(x - y)[..., -1]) + 0.05
+    shifted = x - t[..., None, None] * eye
+    floor = np.array([min(row) for row in np.linalg.eigvalsh(shifted)[..., 0].tolist()])
+    lifted = floor <= 0.0
+    if lifted.any():
+        lift = np.where(lifted, 0.05 - floor, 0.0)[:, None, None, None] * eye
+        where = lifted[:, None, None, None]
+        np.add(shifted, lift, out=shifted, where=where)
+        y = np.add(y, lift, out=y.copy(), where=where)
     return shifted, y
 
 
 def random_isometry(n: int, m: int, seed=0) -> Contraction:
     """Random isometry C^n -> C^m (m >= n), W*W = I to 1e-12."""
+    return Contraction(_orthonormal(_isometry_draw(n, m, _rng(seed))[None])[0])
+
+
+def _isometry_draw(n: int, m: int, rng) -> np.ndarray:
+    """The (m, n) Gaussian of a `random_isometry` draw; its build is `_orthonormal`."""
     if m < n:
         raise ValueError(f"isometry needs target dim >= source dim, got {m} < {n}")
-    rng = _rng(seed)
-    g = rng.standard_normal((m, n))
-    q, r = np.linalg.qr(g)
-    return Contraction(q * np.sign(np.diag(r)))
+    return rng.standard_normal((m, n))
 
 
 def random_contraction(n: int, m: int, seed=0) -> Contraction:
     """Random strict contraction C^n -> C^m via norm rescaling."""
-    rng = _rng(seed)
-    g = rng.standard_normal((m, n))
-    target = rng.uniform(0.1, 1.0)
-    return Contraction(g * (target / max(operator_norm(g), 1e-300)))
+    g, target = _contraction_draw(n, m, _rng(seed))
+    return Contraction(_contraction_build(g[None], np.array([target]))[0])
+
+
+def _contraction_draw(n: int, m: int, rng):
+    """The (m, n) Gaussian and the target norm of a `random_contraction` draw."""
+    return rng.standard_normal((m, n)), rng.uniform(0.1, 1.0)
+
+
+def _contraction_build(g: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``g * target / ||g||`` of a stack of `_contraction_draw` draws: one stacked ``svd``."""
+    return g * (target / np.maximum(_operator_norms(g), 1e-300))[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +460,8 @@ def tuple_compress(x: MatrixTuple, w) -> MatrixTuple:
 
 
 def _compressed(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``W* X_i W`` of a (k, n, n) stack of coordinates, symmetrized as
-    `SymMatrix` does it."""
-    c = w.conj().T @ x @ w
+    """``W* X_i W`` of a (..., k, n, n) stack of coordinates and a (..., n, m)
+    stack of maps W, symmetrized as `SymMatrix` does it."""
+    w = w[..., None, :, :]
+    c = w.conj().swapaxes(-1, -2) @ x @ w
     return _halve(c + c.conj().swapaxes(-1, -2))

@@ -9,14 +9,19 @@ norm.  A suite passes iff no trial dips below -tol.  Reports are bit-for-bit
 reproducible from (seed, config); trial seeds are derived as
 seed*1e6 + dim*1e4 + trial.
 
-A trial of the pencil suites (axioms, monotone, concave, jensen, herglotz)
-is a draw and a measure (`_run`): every trial of one dimension is drawn first,
-each from its own generator in the order of a lone trial; the points of all
-of them are evaluated in one stacked call per point size (`_evaluate`, over
-`pencil._route` or `pencil._route_complex`); then each trial measures its
-violation from its values.  A point outside the domain skips only its own
-trial.  The scalar suites and those in `measures` run each trial whole
-(`_deferred`).
+The pencil suites (axioms, monotone, concave, jensen, herglotz) run the
+trials of each dimension in blocks of at most `_BLOCK_TRIALS` (`_run`), in
+four steps: each trial takes its raw random numbers (Gaussians, spectra,
+integers) from its own generator, in the order of a lone trial (the draw
+halves of the `numlin` generators); one build turns the block's numbers into
+points with stacked ``qr``, ``matmul`` and ``svd`` calls (their build
+halves); the points are evaluated in one stacked call per point size
+(`_evaluate`, over `pencil._route` or `pencil._route_complex`); and the
+trials whose points were all admitted are measured together, one stacked
+call per measure.  A stacked call gives each slice the bits of the call on
+it alone, so a report does not depend on the block size.  A point outside
+the domain skips only its own trial.  The scalar suites and those in
+`measures` run each trial whole (`_deferred`).
 
 One tally, `_tally`, serves every suite (those in `measures` too).  A trial
 returns its violation, raises `_Skip`, or raises `_Fail` to fail whatever its
@@ -40,15 +45,19 @@ from .numlin import (
     _compressed,
     _direct_sums,
     _dominated_pair,
+    _contraction_build,
+    _contraction_draw,
     _halve,
-    _haar_orthogonal,
-    _random_pd_stack,
+    _isometry_draw,
+    _operator_norms,
+    _orthonormal,
+    _pd_build,
+    _pd_draw,
     as_tuple,
     apply_scalar_function,
     make_dominated_pair,
     operator_norm,
     random_commuting_tuple,
-    random_contraction,
     random_isometry,
     random_pd,
     tuple_compress,
@@ -151,82 +160,117 @@ def _tally(suite: str, cfg: SuiteConfig, trials, extras=None) -> VerificationRep
         extras={k: float(v) for k, v in (extras or {}).items()})
 
 
-def _run(suite: str, cfg: SuiteConfig, draw, evaluate=None, extras=None) -> VerificationReport:
-    """Tally of the seeded trials of every dimension.  ``draw(rng, dim, trial)``
-    returns the trial's points (each a (k, n, n) stack of coordinates) and its
-    run, ``measure(values)``.  Every trial of a dimension is drawn first, each from
-    its own generator; ``evaluate(points)`` then gives the values of all their
-    points in one call, and the trials are measured in order."""
+# At most this many trials of one dimension are drawn, built, evaluated and
+# measured together, so that a suite's memory does not grow with its trials.
+_BLOCK_TRIALS = 64
+
+
+def _run(suite: str, cfg: SuiteConfig, draw, build, extras=None) -> VerificationReport:
+    """Tally of the seeded trials of every dimension, in blocks of at most
+    `_BLOCK_TRIALS` consecutive trials.  Per block: ``draw(rng, dim, trial)``
+    takes each trial's raw random numbers from its own generator, in the
+    order of a lone trial; ``build(draws, dim, block)`` then builds the
+    block's points, evaluates them and measures its trials, each step in
+    stacked calls over the block, and returns per trial its `_tally` run.
+    Only one block is live at a time."""
     def trials():
         for dim in cfg.dims:
-            seeds = [cfg.seed * 1_000_000 + dim * 10_000 + trial for trial in range(cfg.trials)]
-            drawn = [draw(np.random.default_rng(ts), dim, trial) for trial, ts in enumerate(seeds)]
-            points = [p for trial_points, _ in drawn for p in trial_points]
-            values = iter(evaluate(points) if points else ())
-            for ts, (trial_points, measure) in zip(seeds, drawn):
-                yield ts, partial(measure, [next(values) for _ in trial_points])
+            for start in range(0, cfg.trials, _BLOCK_TRIALS):
+                block = range(start, min(start + _BLOCK_TRIALS, cfg.trials))
+                seeds = [cfg.seed * 1_000_000 + dim * 10_000 + trial for trial in block]
+                draws = [draw(np.random.default_rng(ts), dim, trial)
+                         for ts, trial in zip(seeds, block)]
+                yield from zip(seeds, build(draws, dim, block))
 
     return _tally(suite, cfg, trials(), extras)
 
 
 def _deferred(trial_fn):
-    """``trial_fn(rng, dim, trial)``, a trial that returns its violation, as a
-    draw for `_run` with no points: the whole trial runs when measured."""
-    return lambda rng, dim, trial: ((), lambda values: trial_fn(rng, dim, trial))
+    """``trial_fn(rng, dim, trial)``, a trial that returns its violation, as
+    the draw and build of `_run`: the draw binds the trial, which runs whole
+    when tallied."""
+    return (lambda rng, dim, trial: partial(trial_fn, rng, dim, trial),
+            lambda runs, dim, block: runs)
 
 
-def _random_tuples(count: int, k: int, n: int, rng) -> np.ndarray:
-    """``count`` successive random PD k-tuples, each a (k, n, n) stack, from
-    one stacked draw."""
-    return _random_pd_stack(count * k, n, _SPECTRUM, rng).reshape(count, k, n, n)
+def _settled(outcome):
+    """A measured trial's `_tally` run: ``outcome`` is its violation (a
+    float), or the `_Skip` or `_Fail` it raises."""
+    if isinstance(outcome, float):
+        return outcome
+    raise outcome
 
 
-def _evaluate(points, route, hermitian):
-    """Per point, ``(F(X), ||F(X)||)`` or the exception that rejects X.
-    A point is a (k, n, n) stack of coordinates; ``route(arrays)`` gives the
-    values at the coordinate stacks of every point of one size n, in one call
+def _runs(ok, outcomes, reject=_Skip):
+    """The `_tally` runs of a block's trials: ``ok`` masks the trials whose
+    points were all admitted, which settle to the next of ``outcomes`` in
+    turn; every other trial raises a new ``reject()``."""
+    outcomes = iter(outcomes)
+    return [partial(_settled, next(outcomes) if good else reject()) for good in ok.tolist()]
+
+
+def _pd_stack(draws, *shape) -> np.ndarray:
+    """The PD matrices of a block's `_pd_draw` draws (one per trial), from
+    one build, as a (trials, *shape, n, n) stack."""
+    built = _pd_build([pair for draw in draws for pair in draw])
+    return built.reshape(len(draws), *shape, *built.shape[-2:])
+
+
+def _evaluate(stacks, route, hermitian):
+    """Per stack of points, ``(f, norm, ok)``: ``ok`` marks the points in the
+    domain, and there ``f`` holds F(X) and ``norm`` ||F(X)|| (zero
+    elsewhere).  A stack is a (P, k, n, n) array of coordinates; ``route(arrays)``
+    gives the values at the points of every stack of one size n, in one call
     per size.  A ``hermitian`` value is symmetrized as `SymMatrix` does it."""
-    out = [None] * len(points)
-    for n in dict.fromkeys(p.shape[-1] for p in points):
-        idx = [i for i, p in enumerate(points) if p.shape[-1] == n]
-        values = route([np.stack(c) for c in zip(*(points[i] for i in idx))])
-        ok = [j for j, v in enumerate(values) if not isinstance(v, Exception)]
-        if ok:
-            f = np.stack([values[j] for j in ok])
+    out = [None] * len(stacks)
+    for n in dict.fromkeys(s.shape[-1] for s in stacks):
+        idx = [i for i, s in enumerate(stacks) if s.shape[-1] == n]
+        points = np.concatenate([stacks[i] for i in idx])
+        values = route([np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])])
+        ok = np.array([not isinstance(v, Exception) for v in values])
+        f, norm = np.zeros((len(values), n, n)), np.zeros(len(values))
+        if ok.any():
+            kept = np.array([v for v in values if not isinstance(v, Exception)])
             if hermitian:
-                f = _halve(f + f.conj().swapaxes(-1, -2))
-            # the norms of `operator_norm`, from one stacked svd
-            for j, fj, norm in zip(ok, f, np.linalg.svd(f, compute_uv=False).max(axis=-1).tolist()):
-                values[j] = fj, norm
-        for i, v in zip(idx, values):
-            out[i] = v
+                kept = _halve(kept + kept.conj().swapaxes(-1, -2))
+            f = f.astype(kept.dtype, copy=False)
+            f[ok], norm[ok] = kept, _operator_norms(kept)
+        start = 0
+        for i in idx:
+            stop = start + len(stacks[i])
+            out[i] = f[start:stop], norm[start:stop], ok[start:stop]
+            start = stop
     return out
 
 
 def _real_values(r):
-    """`_run`'s ``evaluate`` for `pencil.eval` at the default tolerance."""
+    """`_evaluate` for `pencil.eval` at the default tolerance."""
     return partial(_evaluate, route=lambda arrays: _pencil._route(r, arrays, DEFAULT_PSD_TOL)[1],
                    hermitian=True)
 
 
 def _complex_values(r):
-    """`_run`'s ``evaluate`` for `pencil.eval_complex`."""
+    """`_evaluate` for `pencil.eval_complex`."""
     def route(arrays):
         return _pencil._route_complex(r, arrays, _pencil._imaginary_floor(arrays))[1]
 
     return partial(_evaluate, route=route, hermitian=False)
 
 
-def _admitted(values, reject=_Skip):
-    """The ``(F(X), ||F(X)||)`` of a trial's points; ``reject`` is raised if
-    any point has none."""
-    if any(isinstance(v, Exception) for v in values):
-        raise reject
-    return values
+def _max(first, *rest):
+    """Python's ``max`` of arrays, elementwise and with its NaN semantics: an
+    argument replaces the running maximum only where it is greater."""
+    for a in rest:
+        first = np.where(a > first, a, first)
+    return first
 
 
-def _min_eig_scaled(diff: np.ndarray, scale: float) -> float:
-    return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)[0]) / max(1.0, scale)
+def _min_eig_scaled(diff: np.ndarray, scale):
+    """The smallest eigenvalue of the self-adjoint part of ``diff`` over
+    max(1, ``scale``): a float for a matrix, a list for a stack of them (one
+    stacked ``eigvalsh``) and an array of scales."""
+    lam = np.linalg.eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+    return (lam / np.fmax(1.0, scale)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -235,36 +279,44 @@ def _min_eig_scaled(diff: np.ndarray, scale: float) -> float:
 
 def check_free_axioms(r, cfg: SuiteConfig) -> VerificationReport:
     """Unitary invariance and direct-sum invariance of the realized function."""
+    evaluate = _real_values(r)
 
     def draw(rng, dim, trial_index):
-        (x,) = _random_tuples(1, r.k, dim, rng)
-        u = _haar_orthogonal(dim, rng)
-        (y,) = _random_tuples(1, r.k, dim, rng)
+        x = _pd_draw(r.k, dim, _SPECTRUM, rng)
+        u = _isometry_draw(dim, dim, rng)
+        return x, u, _pd_draw(r.k, dim, _SPECTRUM, rng)
 
-        def measure(values):
-            (fx, fx_norm), (lhs, _), (fy, _), (fs, fs_norm) = _admitted(values)
-            d1 = operator_norm(lhs - u.conj().T @ fx @ u) / max(1.0, fx_norm)
-            d2 = operator_norm(fs - _direct_sums(fx, fy)) / max(1.0, fs_norm)
-            return -max(d1, d2)
+    def build(draws, dim, block):
+        xs, us, ys = zip(*draws)
+        xy = _pd_stack(xs + ys, r.k)
+        x, y = xy[:len(block)], xy[len(block):]
+        u = _orthonormal(np.array(us))
+        (fx, fx_norm, ok), (lhs, _, ok_u), (fy, _, ok_y), (fs, fs_norm, ok_s) = evaluate(
+            [x, _compressed(x, u), y, _direct_sums(x, y)])
+        ok &= ok_u & ok_y & ok_s
+        u, fx = u[ok], fx[ok]
+        ufu = u.conj().swapaxes(-1, -2) @ fx @ u
+        d1 = _operator_norms(lhs[ok] - ufu) / np.fmax(1.0, fx_norm[ok])
+        d2 = _operator_norms(fs[ok] - _direct_sums(fx, fy[ok])) / np.fmax(1.0, fs_norm[ok])
+        return _runs(ok, (-_max(d1, d2)).tolist())
 
-        return [x, _compressed(x, u), y, _direct_sums(x, y)], measure
-
-    return _run("axioms", cfg, draw, _real_values(r))
+    return _run("axioms", cfg, draw, build)
 
 
 def check_monotone(r, cfg: SuiteConfig) -> VerificationReport:
     """Loewner monotonicity on dominated pairs of PD tuples."""
+    evaluate = _real_values(r)
 
     def draw(rng, dim, trial_index):
-        xd, yd = _dominated_pair(*_random_tuples(2, r.k, dim, rng))
+        return _pd_draw(2 * r.k, dim, _SPECTRUM, rng)
 
-        def measure(values):
-            (fx, fx_norm), (fy, fy_norm) = _admitted(values)
-            return _min_eig_scaled(fy - fx, max(fx_norm, fy_norm))
+    def build(draws, dim, block):
+        xd, yd = _dominated_pair(*_pd_stack(draws, 2, r.k).swapaxes(0, 1))
+        (fx, fx_norm, ok), (fy, fy_norm, ok_y) = evaluate([xd, yd])
+        ok &= ok_y
+        return _runs(ok, _min_eig_scaled(fy[ok] - fx[ok], _max(fx_norm[ok], fy_norm[ok])))
 
-        return [xd, yd], measure
-
-    return _run("monotone", cfg, draw, _real_values(r))
+    return _run("monotone", cfg, draw, build)
 
 
 def check_monotone_scalar(f, cfg: SuiteConfig, k: int = 1) -> VerificationReport:
@@ -288,22 +340,25 @@ def check_monotone_scalar(f, cfg: SuiteConfig, k: int = 1) -> VerificationReport
         scale = max(operator_norm(fx), operator_norm(fy))
         return _min_eig_scaled(fy - fx, scale)
 
-    return _run("monotone-scalar", cfg, _deferred(trial))
+    return _run("monotone-scalar", cfg, *_deferred(trial))
 
 
 def check_concave(r, cfg: SuiteConfig) -> VerificationReport:
     """Midpoint operator concavity on random PD pairs."""
+    evaluate = _real_values(r)
 
     def draw(rng, dim, trial_index):
-        x, y = _random_tuples(2, r.k, dim, rng)
+        return _pd_draw(2 * r.k, dim, _SPECTRUM, rng)
 
-        def measure(values):
-            (fm, fm_norm), (fx, fx_norm), (fy, fy_norm) = _admitted(values)
-            return _min_eig_scaled(fm - (fx + fy) / 2.0, max(fm_norm, fx_norm, fy_norm))
+    def build(draws, dim, block):
+        x, y = _pd_stack(draws, 2, r.k).swapaxes(0, 1)
+        (fm, fm_norm, ok), (fx, fx_norm, ok_x), (fy, fy_norm, ok_y) = evaluate(
+            [(x + y) / 2.0, x, y])
+        ok &= ok_x & ok_y
+        scale = _max(fm_norm[ok], fx_norm[ok], fy_norm[ok])
+        return _runs(ok, _min_eig_scaled(fm[ok] - (fx[ok] + fy[ok]) / 2.0, scale))
 
-        return [(x + y) / 2.0, x, y], measure
-
-    return _run("concave", cfg, draw, _real_values(r))
+    return _run("concave", cfg, draw, build)
 
 
 def check_jensen_isometry(r, cfg: SuiteConfig) -> VerificationReport:
@@ -312,22 +367,39 @@ def check_jensen_isometry(r, cfg: SuiteConfig) -> VerificationReport:
     Even trials draw isometries, odd trials contractions (exercising the
     zero-extension behaviour of the pencil at singular compressions).
     """
+    evaluate = _real_values(r)
 
     def draw(rng, dim, trial_index):
         n = int(rng.integers(1, dim + 1))
-        if trial_index % 2 == 0:
-            w = random_isometry(n, dim, rng).entries
-        else:
-            w = random_contraction(n, dim, rng).entries
-        (x,) = _random_tuples(1, r.k, dim, rng)
+        w = (_isometry_draw if trial_index % 2 == 0 else _contraction_draw)(n, dim, rng)
+        return n, w, _pd_draw(r.k, dim, _SPECTRUM, rng)
 
-        def measure(values):
-            (fx, fx_norm), (lhs, lhs_norm) = _admitted(values)
-            return _min_eig_scaled(lhs - w.conj().T @ fx @ w, max(lhs_norm, fx_norm))
+    def build(draws, dim, block):
+        sizes, ws, xs = zip(*draws)
+        x = _pd_stack(xs, r.k)
+        # per size n of W, its trials (isometries first) and their maps, one
+        # build per size and kind
+        kinds = {}
+        for i, (n, trial) in enumerate(zip(sizes, block)):
+            kinds.setdefault(n, ([], []))[trial % 2].append(i)
+        groups = []
+        for isometries, contractions in kinds.values():
+            w = [_orthonormal(np.array([ws[i] for i in isometries]))] if isometries else []
+            if contractions:
+                g, target = map(np.array, zip(*(ws[i] for i in contractions)))
+                w.append(_contraction_build(g, target))
+            groups.append((np.array(isometries + contractions), np.concatenate(w)))
+        (fx, fx_norm, ok_x), *values = evaluate([x] + [_compressed(x[i], w) for i, w in groups])
+        violation, ok = np.empty(len(block)), np.zeros(len(block), dtype=bool)
+        for (idx, w), (lhs, lhs_norm, ok_w) in zip(groups, values):
+            ok_w &= ok_x[idx]
+            idx, w = idx[ok_w], w[ok_w]
+            ok[idx] = True
+            wfw = w.conj().swapaxes(-1, -2) @ fx[idx] @ w
+            violation[idx] = _min_eig_scaled(lhs[ok_w] - wfw, _max(lhs_norm[ok_w], fx_norm[idx]))
+        return _runs(ok, violation[ok].tolist())
 
-        return [x, _compressed(x, w)], measure
-
-    return _run("jensen", cfg, draw, _real_values(r))
+    return _run("jensen", cfg, draw, build)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +454,7 @@ def check_hypograph_saturation(f, cfg: SuiteConfig, k: int = 1) -> VerificationR
         yc = v.conj().T @ y @ v
         return _min_eig_scaled(fxc - yc, operator_norm(fxc))
 
-    return _run("hypograph", cfg, _deferred(trial))
+    return _run("hypograph", cfg, *_deferred(trial))
 
 
 @dataclass(frozen=True)
@@ -476,22 +548,25 @@ def check_herglotz(r, cfg: SuiteConfig, sym_tol: float = 1e-10) -> VerificationR
     uniformly definite).
     """
     extras = {"max_conjugate_asymmetry": 0.0, "sym_tol": sym_tol}
+    evaluate = _complex_values(r)
 
     def draw(rng, dim, trial_index):
         a = [rng.standard_normal((dim, dim)) for _ in range(r.k)]
-        b = _random_pd_stack(r.k, dim, _SPECTRUM, rng)
-        xs = np.array([(ai + ai.T) / 2.0 + 1j * bi for ai, bi in zip(a, b)])
+        return a, _pd_draw(r.k, dim, _SPECTRUM, rng)
 
-        def measure(values):
-            (fv, fv_norm), (fc, _) = _admitted(values, _Fail(-1.0))
-            scale = max(1.0, fv_norm)
-            im_min = float(np.linalg.eigvalsh((fv - fv.conj().T) / 2j)[0]) / scale
-            asym = operator_norm(fc - fv.conj()) / scale
-            extras["max_conjugate_asymmetry"] = max(extras["max_conjugate_asymmetry"], asym)
-            if asym > sym_tol:
-                raise _Fail(im_min)
-            return im_min
+    def build(draws, dim, block):
+        a, bs = zip(*draws)
+        a = np.array(a)
+        xs = (a + a.swapaxes(-1, -2)) / 2.0 + 1j * _pd_stack(bs, r.k)
+        (fv, fv_norm, ok), (fc, _, ok_c) = evaluate([xs, xs.conj()])
+        ok &= ok_c
+        fv, scale = fv[ok], np.fmax(1.0, fv_norm[ok])
+        im_min = np.linalg.eigvalsh((fv - fv.conj().swapaxes(-1, -2)) / 2j)[:, 0] / scale
+        asym = _operator_norms(fc[ok] - fv.conj()) / scale
+        outcomes = []
+        for im, s in zip(im_min.tolist(), asym.tolist()):
+            extras["max_conjugate_asymmetry"] = max(extras["max_conjugate_asymmetry"], s)
+            outcomes.append(_Fail(im) if s > sym_tol else im)
+        return _runs(ok, outcomes, partial(_Fail, -1.0))
 
-        return [xs, xs.conj()], measure
-
-    return _run("herglotz", cfg, draw, _complex_values(r), extras)
+    return _run("herglotz", cfg, draw, build, extras)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner import (
     CommutationError,
@@ -19,7 +21,21 @@ from loewner import (
     random_isometry,
     random_pd,
 )
-from loewner.numlin import operator_norm, tuple_compress, tuple_direct_sum
+from loewner.numlin import (
+    _compressed,
+    _contraction_build,
+    _contraction_draw,
+    _dominated_pair,
+    _haar_orthogonal,
+    _halve,
+    _isometry_draw,
+    _orthonormal,
+    _pd_build,
+    _pd_draw,
+    operator_norm,
+    tuple_compress,
+    tuple_direct_sum,
+)
 
 
 class TestSymMatrix:
@@ -232,3 +248,96 @@ class TestStructuralHelpers:
         v[2, 1] = 1.0
         c = tuple_compress(x, v)
         np.testing.assert_allclose(c.items[0].entries, np.diag([1.0, 3.0]))
+
+
+# ---------------------------------------------------------------------------
+# split draws against the generators as they drew one sample at a time
+# ---------------------------------------------------------------------------
+
+def legacy_random_pd_stack(count, n, interval, rng):
+    """``count`` successive random PD draws, each from its own ``standard_normal``
+    and ``uniform`` calls into one (count, n, n) stack, as before the draws
+    were split from the builds."""
+    lo, hi = interval
+    g, lam = np.empty((count, n, n)), np.zeros((count, n, n))
+    for i in range(count):
+        g[i] = rng.standard_normal((n, n))
+        np.fill_diagonal(lam[i], rng.uniform(lo, hi, n))
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    a = q @ lam @ q.swapaxes(-1, -2)
+    return _halve(a + a.swapaxes(-1, -2))
+
+
+def legacy_isometry(n, m, rng):
+    """One sign-fixed Q factor of an (m, n) Gaussian, from its own ``qr``."""
+    q, r = np.linalg.qr(rng.standard_normal((m, n)))
+    return q * np.sign(np.diag(r))
+
+
+def legacy_contraction(n, m, rng):
+    g = rng.standard_normal((m, n))
+    target = rng.uniform(0.1, 1.0)
+    return g * (target / max(operator_norm(g), 1e-300))
+
+
+def legacy_dominated_pair(x, y):
+    """The dominated pair of two (k, n, n) tuples, one pair at a time."""
+    eye = np.eye(x.shape[-1])
+    t = np.fmax(0.0, np.linalg.eigvalsh(x - y)[:, -1]) + 0.05
+    shifted = x - t[:, None, None] * eye
+    floor = min(np.linalg.eigvalsh(shifted)[:, 0].tolist())
+    if floor <= 0.0:
+        lift = 0.05 - floor
+        return shifted + lift * eye, y + lift * eye
+    return shifted, y
+
+
+def assert_same_state(new, old):
+    assert new.standard_normal() == old.standard_normal()
+
+
+@settings(settings.get_profile("loewner"), max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 8), n=st.integers(1, 6),
+       extra=st.integers(0, 3), k=st.integers(1, 3))
+def test_split_draws_equal_per_draw_generators(seed, count, n, extra, k):
+    """A stack of raw draws, built at once, has the bits of the generators
+    drawing and building one sample at a time, slice for slice, and leaves
+    the generator where they leave it."""
+    m, spectrum = n + extra, (0.1, 10.0)
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    np.testing.assert_array_equal(_pd_build(_pd_draw(count, n, spectrum, new)),
+                                  legacy_random_pd_stack(count, n, spectrum, old))
+    assert_same_state(new, old)
+    for _ in range(count):
+        np.testing.assert_array_equal(random_pd(n, spectrum, new).entries,
+                                      legacy_random_pd_stack(1, n, spectrum, old)[0])
+    assert_same_state(new, old)
+
+    for q in _orthonormal(np.stack([_isometry_draw(n, n, new) for _ in range(count)])):
+        np.testing.assert_array_equal(q, legacy_isometry(n, n, old))
+    np.testing.assert_array_equal(_haar_orthogonal(n, new), legacy_isometry(n, n, old))
+    assert_same_state(new, old)
+
+    for w in _orthonormal(np.stack([_isometry_draw(n, m, new) for _ in range(count)])):
+        np.testing.assert_array_equal(w, legacy_isometry(n, m, old))
+    np.testing.assert_array_equal(random_isometry(n, m, new).entries, legacy_isometry(n, m, old))
+    assert_same_state(new, old)
+
+    g, target = map(np.stack, zip(*(_contraction_draw(n, m, new) for _ in range(count))))
+    for w in _contraction_build(g, target):
+        np.testing.assert_array_equal(w, legacy_contraction(n, m, old))
+    np.testing.assert_array_equal(random_contraction(n, m, new).entries,
+                                  legacy_contraction(n, m, old))
+    assert_same_state(new, old)
+
+    # the stacked helpers of the suites, over (count, k, n, n) stacks
+    x, y = _pd_build(_pd_draw(2 * count * k, n, spectrum, new)).reshape(2, count, k, n, n)
+    w = _orthonormal(np.stack([_isometry_draw(max(1, n - extra), n, new) for _ in range(count)]))
+    for got, want in zip(zip(*_dominated_pair(x, y)), map(legacy_dominated_pair, x, y)):
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+    for got, xi, wi in zip(_compressed(x, w), x, w):
+        c = wi.conj().T @ xi @ wi
+        np.testing.assert_array_equal(got, _halve(c + c.conj().swapaxes(-1, -2)))

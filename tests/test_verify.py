@@ -1,5 +1,8 @@
 """Tests for the randomized property suites."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,7 @@ from loewner.numlin import (
     tuple_compress,
     tuple_direct_sum,
 )
+from loewner import verify
 from loewner.verify import _Fail, _Skip, _disjoint_support_isometry, _tally
 
 
@@ -360,20 +364,85 @@ STACKED_SUITES = {"axioms": check_free_axioms, "monotone": check_monotone,
                   "herglotz": check_herglotz}
 
 
+# the realizations of the reference comparison: the edge case, one variable
+# (power, cauchy), the two-generator spectral path (geomean, harmonic with two
+# weights; harmonic's complex points take the batched path) and the
+# parallel-sum and dense paths of a three-variable pencil
+REFERENCE_SPECS = ["edge", "power:0.5", "geomean:0.5", "harmonic:0.3,0.7",
+                   "harmonic:0.2,0.3,0.5", "cauchy:1.0"]
+
+
+def reference_realization(spec):
+    return edge_realization() if spec == "edge" else build_realization(spec, n_nodes=16)
+
+
 class TestStackedSuitesMatchPerTrialReference:
-    """Each suite draws every trial of a dimension, evaluates its points in one
-    stacked call per point size and measures the trials in order; its report
-    equals that of the per-trial reference exactly, skips and failures
-    included."""
+    """Each suite draws every trial of a dimension from its own generator,
+    builds and evaluates the points of a block of trials in stacked calls and
+    measures the block at once; its report equals that of the per-trial
+    reference exactly, skips and failures included."""
+
+    CFG = SuiteConfig(dims=(1, 2, 4), trials=6, seed=5, tol=1e-13)
 
     @pytest.mark.parametrize("suite", sorted(STACKED_SUITES))
-    @pytest.mark.parametrize("spec", ["edge", "geomean:0.5", "harmonic:0.2,0.3,0.5",
-                                      "cauchy:1.0"])
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
     def test_report_equals_reference(self, suite, spec):
-        r = edge_realization() if spec == "edge" else build_realization(spec, n_nodes=16)
-        cfg = SuiteConfig(dims=(1, 2, 4), trials=6, seed=5, tol=1e-13)
+        r = reference_realization(spec)
+        cfg = self.CFG
         got = STACKED_SUITES[suite](r, cfg)
         assert got == reference_report(suite, r, cfg)
+
+    def test_config_takes_every_branch_of_the_draws(self, monkeypatch):
+        """Over `REFERENCE_SPECS` at ``CFG``, `_dominated_pair` lifts some pairs
+        and not others, and Jensen draws isometries and contractions, each at
+        more than one source dimension n."""
+        lifted, sizes = [], {"isometry": set(), "contraction": set()}
+        dominated_pair = verify._dominated_pair
+
+        def spy_pair(x, y):
+            xd, yd = dominated_pair(x, y)
+            lifted.extend(np.any(yd != y, axis=(1, 2, 3)).tolist())
+            return xd, yd
+
+        def spy_map(kind, draw):
+            def spy(n, m, rng):
+                sizes[kind].add(n)
+                return draw(n, m, rng)
+            return spy
+
+        monkeypatch.setattr(verify, "_dominated_pair", spy_pair)
+        monkeypatch.setattr(verify, "_isometry_draw", spy_map("isometry", verify._isometry_draw))
+        monkeypatch.setattr(verify, "_contraction_draw",
+                            spy_map("contraction", verify._contraction_draw))
+        for spec in REFERENCE_SPECS:
+            check_monotone(reference_realization(spec), self.CFG)
+        assert True in lifted and False in lifted
+        for spec in REFERENCE_SPECS:
+            check_jensen_isometry(reference_realization(spec), self.CFG)
+        assert len(sizes["isometry"]) > 1 and len(sizes["contraction"]) > 1
+
+    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize("suite", sorted(STACKED_SUITES))
+    def test_blocks_of_trials_equal_reference(self, monkeypatch, suite, block):
+        """Blocks smaller than a dimension's trials, the last one partial,
+        give the reference report."""
+        monkeypatch.setattr(verify, "_BLOCK_TRIALS", block)
+        cfg = SuiteConfig(dims=(1, 2, 4), trials=7, seed=5, tol=1e-13)
+        for spec in ("edge", "harmonic:0.3,0.7"):
+            r = reference_realization(spec)
+            assert STACKED_SUITES[suite](r, cfg) == reference_report(suite, r, cfg)
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_blocks_of_whole_trials_change_nothing(self, monkeypatch, block):
+        """The square fails most trials, so a lost or repeated trial shows in
+        the failure counts."""
+        cfg = SuiteConfig(dims=(2, 3), trials=7, seed=5)
+        runs = (partial(check_monotone_scalar, np.square, cfg),
+                partial(check_hypograph_saturation, np.square, cfg))
+        want = [run() for run in runs]
+        assert all(0 < report.failures < 14 for report in want)
+        monkeypatch.setattr(verify, "_BLOCK_TRIALS", block)
+        assert [run() for run in runs] == want
 
     def test_edge_realization_skips_and_fails_some_trials(self):
         cfg = SuiteConfig(dims=(1, 2, 4), trials=6, seed=5, tol=1e-13)
@@ -392,3 +461,20 @@ class TestStackedSuitesMatchPerTrialReference:
         r = PencilRealization(np.array([1.0, 0.0]), np.zeros((2, 2)), (np.diag([1.0, 0.0]),))
         cfg = SuiteConfig(dims=(2, 3), trials=4, seed=6)
         assert check_herglotz(r, cfg) == reference_report("herglotz", r, cfg)
+
+
+def test_suite_memory_is_bounded_by_its_block(monkeypatch):
+    """Only one block of trials is live at a time: ten blocks of a dimension
+    peak at about the memory of one (all trials at once: about ten times)."""
+    monkeypatch.setattr(verify, "_BLOCK_TRIALS", 4)
+    r = build_realization("power:0.5", n_nodes=96)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            check_free_axioms(r, SuiteConfig(dims=(2, 3, 5), trials=trials, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) < 1.5 * peak(4)
