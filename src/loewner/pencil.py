@@ -15,13 +15,14 @@ reflection), so the shorted operator always pivots on the leading n rows.
 The shape of the realization fixes, once (`PencilRealization._layout`), the
 paths to try in order.  `_route` (real points) and `_route_complex` take a
 stack of points, one (s, n, n) array per coordinate, and give each point the
-first path that admits it, with its value or the exception that rejects it
-(`_first_paths`).  The spectral kernels run once on the whole stack, with
-stacked LAPACK calls whose slices have the bits of the calls on one point;
-the other paths loop over the points left to them.  `eval` and
-`eval_complex` are a stack of one and raise what rejects their point; the
-`verify` suites evaluate every point of one size in one call.  `eval` has
-four paths:
+first path that admits it (`_first_paths`).  Each path is one kernel: it
+takes the stack of the points still open and gives, per point, its value,
+the exception that rejects it, or None to leave it to the next path.  Its
+LAPACK calls are stacked, and each slice has the bits of the call on that
+point alone; only "dense", whose trailing block is (m - 1) n square,
+assembles one point at a time.  `eval` and `eval_complex` are a stack of
+one (`_at_one_point`); the `verify` suites evaluate every point of one size
+in one call.  `eval` has four paths:
 
 * "spectral" (auxiliary dimension m > 1, every aux-by-aux block diagonal,
   and k = 1, or k = 2 with the rotated A0 zero): every trailing block and
@@ -43,13 +44,13 @@ four paths:
   error, go to "dense".  Oracles: that path and mpmath.
 * "dense" (every other shape, m = 1 included): `_arrowhead_short` with the
   trailing block of the assembled pencil as its one block, empty when
-  m = 1.  Oracle: `shorted.shorted_operator`, whose rank cut
+  m = 1 (`_dense_short`).  Oracle: `shorted.shorted_operator`, whose rank cut
   ``DEFAULT_RANK_TOL * lambda_max(Z22)`` it shares.
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
-Z22 >= 0, the range condition holds, and the complement is >= 0), written
-once in `_psd_admits` and `_range_error` (rank cut ``DEFAULT_RANK_TOL``, as
-in `shorted.shorted_operator`).  `eval_complex` has three paths:
+Z22 >= 0, the range condition holds, and the complement is >= 0), recorded
+per point by `_admitted_psd` and `_admitted_range` (rank cut
+``DEFAULT_RANK_TOL``, as in `shorted_operator`).  `eval_complex` has three paths:
 
 * "spectral" (the shapes of the real spectral path with m > 2; m = 2
   pencils gain nothing from it): every block is ``G1 P(M)`` for a polynomial
@@ -59,12 +60,13 @@ in `shorted.shorted_operator`).  `eval_complex` has three paths:
   grows with kappa(V), and when no trailing block can be near singular;
   other points take "batched".  Oracles: `_arrowhead_schur_complex` and
   `shorted.block_schur_general`.
-* "batched" (every other arrowhead pencil, m = 2 included): one ``svd``,
-  one ``solve`` and one ``einsum`` over the n x n trailing blocks
-  (`_arrowhead_schur_complex`), the only source of `SingularPivotComplement`
-  for arrowhead pencils.  Oracle: `shorted.block_schur_general`.
+* "batched" (every other arrowhead pencil, m = 2 included): one ``svd``
+  and one ``solve`` over the n x n trailing blocks, and one ``einsum`` per
+  point (`_arrowhead_schur_complex`), the only source of
+  `SingularPivotComplement` for arrowhead pencils.  Oracle:
+  `shorted.block_schur_general`.
 * "dense" (every other shape): one ``solve`` against the trailing block of
-  the assembled pencil.  Oracle: `shorted.block_schur_general`.
+  the assembled pencil (`_dense_complex`).  Oracle: the same.
 
 Every path but "dense" reads the coefficients from one table that `_layout`
 builds once, one row per coefficient with A0 first: ``[diag(c), c[1:, 0]]``
@@ -73,10 +75,10 @@ parallel-sum ones.  A realization keeps each arrowhead coefficient, such as
 every one a builder makes, as its `Arrowhead` vectors (`PencilRealization`);
 when every coefficient is one and e = e1 its table rows are those vectors,
 and only "dense" forms the dense coefficients.  Otherwise (a rotation of e,
-or one coefficient kept dense) `_layout` forms them all.  The batched
-contractions run as BLAS ``matmul``: the arrowhead and parallel-sum blocks
-are one gemm ``table[1:].T @ x`` over the stacked, flattened point
-(`_linear_blocks`) and the complement one gemm over the rows of the rotated
+or one coefficient kept dense) `_layout` forms them all.  The contractions
+run as BLAS ``matmul``, one gemm per point: the arrowhead and parallel-sum
+blocks ``table[1:].T @ x`` over the stacked, flattened point
+(`_linear_blocks`) and the real complement over the rows of the rotated
 couplings, because ``np.einsum`` with two or more operands and no
 ``optimize=`` runs numpy's own loop, not BLAS.
 """
@@ -358,103 +360,58 @@ def _adjoint(a):
 
 
 def _arrowhead_blocks(table, arrays, row=False):
-    """``Z11``, the trailing blocks ``B_j`` and the couplings ``R_j`` of an
-    arrowhead pencil at X from its coefficient ``table`` (with ``row``, also
-    the pivot-row couplings ``R'_j``: the coefficients are Hermitian, so
-    theirs are the conjugated couplings).  ``B_j``, ``R_j`` and ``R'_j`` are
-    views into the one array of `_linear_blocks`."""
+    """``Z11``, the trailing blocks ``B_j`` and the couplings ``R_j`` (with
+    ``row``, also the pivot-row couplings ``R'_j``, the conjugated couplings
+    of Hermitian coefficients) of an arrowhead pencil at a stack of points,
+    from its coefficient ``table``; all but Z11 view one `_linear_blocks`."""
     if row:
         table = np.concatenate([table, table[:, (table.shape[1] + 1) // 2:].conj()], axis=1)
     lin = _linear_blocks(table[0], table[1:], arrays)
-    return (lin[0].copy(), *np.split(lin[1:], 2 + row))
+    return (lin[:, 0].copy(), *np.split(lin[:, 1:], 2 + row, axis=1))
 
 
 def _linear_blocks(ident, coef, arrays):
-    """``ident[j] I + sum_i coef[i, j] X_i`` for every j, stacked, from one
-    gemm ``coef.T @ x`` over the stacked, flattened point."""
-    n = arrays[0].shape[0]
-    x = np.stack(arrays).reshape(len(arrays), n * n)
+    """``ident[j] I + sum_i coef[i, j] X_i`` for every j at a stack of
+    points, from one gemm ``coef.T @ x`` per point over its stacked,
+    flattened coordinates."""
+    s, n = arrays[0].shape[:2]
+    x = np.stack(arrays, axis=1).reshape(s, len(arrays), n * n)
     lin = (coef.T @ x).astype(np.result_type(ident, coef, x), copy=False)
-    lin[:, ::n + 1] += ident[:, None]
-    return lin.reshape(-1, n, n)
+    lin[..., ::n + 1] += ident[:, None]
+    return lin.reshape(s, -1, n, n)
 
 
-def _psd_admits(value, scale, psd_tol):
-    """The admission rule for the smallest eigenvalue ``value`` of the
-    trailing block or of the complement, elementwise: ``>= -psd_tol *
-    scale``; a NaN fails."""
-    return value >= -psd_tol * scale
+def _admitted_psd(out, idx, value, scale, psd_tol, what):
+    """None when the smallest eigenvalue ``value`` of the trailing block or
+    of the complement (``what``) is ``>= -psd_tol * scale`` at every point
+    ``idx`` (a NaN fails); else the mask of the points where it is, with the
+    PencilDomainError of every other point recorded in ``out``."""
+    ok = value >= -psd_tol * scale
+    if ok.all():
+        return None
+    for j in np.flatnonzero(~ok):
+        out[idx[j]] = PencilDomainError(f"pencil not PSD at X: {what} eigenvalue {value[j]:.3e}")
+    return ok
 
 
-def _psd_error(value, what):
-    """The PencilDomainError of a point that `_psd_admits` rejects."""
-    return PencilDomainError(f"pencil not PSD at X: {what} eigenvalue {value:.3e}")
-
-
-def _range_error(off_norm, scale):
-    """The range condition: None when the coupling mass ``off_norm`` against
-    the dropped trailing eigenvectors is at most
-    ``10 sqrt(DEFAULT_RANK_TOL) scale``, else the PencilDomainError."""
+def _admitted_range(out, idx, keep, couple, scale):
+    """The range condition at the points ``idx``: where the rank cut drops an
+    eigenvalue (``keep`` False; one row of ``couple`` per eigenvalue), the
+    coupling mass (Frobenius) against the dropped eigenvectors is at most
+    ``10 sqrt(DEFAULT_RANK_TOL) scale``.  None when no point drops one; else
+    the mask of the points that meet it, with the PencilDomainError of every
+    other point recorded in ``out``."""
+    if keep.all():
+        return None
+    ok = keep.all(axis=(-2, -1))
     bound = 10.0 * math.sqrt(DEFAULT_RANK_TOL) * scale
-    if off_norm > bound:
-        return PencilDomainError(f"pencil not PSD at X: range condition violated "
-                                 f"({off_norm:.3e} > {bound:.3e})")
-    return None
-
-
-def _check_psd(value, scale, psd_tol, what):
-    """Raise the PencilDomainError of a point that `_psd_admits` rejects."""
-    if not _psd_admits(value, scale, psd_tol):
-        raise _psd_error(value, what)
-
-
-def _arrowhead_short(z11, blocks, couple, psd_tol):
-    """Shorted operator ``Z11 - sum_j R_j* B_j^+ R_j`` of a pencil whose
-    trailing block is the direct sum of the ``blocks`` B_j, coupled to the
-    pivot by ``couple`` R_j, from one batched ``eigh``.
-
-    The blocks are the n x n ones of an arrowhead pencil (`_arrowhead_blocks`),
-    or the whole trailing block of an assembled pencil as one block (empty
-    when m = 1).  Eigenvalues of B_j at or below
-    ``DEFAULT_RANK_TOL * lambda_max(B_j)`` are dropped from the
-    pseudo-inverse, as in `shorted.shorted_operator`.  The admission checks
-    are fused in: the B_j are PSD, the couplings have no mass (Frobenius)
-    against the dropped eigenvectors, and the complement is PSD.  Together
-    these are equivalent to Z >= 0.
-    """
-    n = z11.shape[0]
-    lam, u = np.linalg.eigh(blocks)
-    # m = 1 leaves the complement Z11 itself: one spectrum for scale and check
-    spec11 = np.linalg.eigvalsh(z11 if lam.size else (z11 + _adjoint(z11)) / 2.0)
-    scale = max(1.0, float(spec11[-1]), float(lam.max(initial=0.0)))
-    _check_psd(float(lam.min(initial=0.0)), scale, psd_tol, "trailing-block")
-    g = _adjoint(u) @ couple
-    del u  # frees the eigenvectors before the complement
-    keep = lam > DEFAULT_RANK_TOL * lam.max(axis=-1, initial=0.0)[:, None]
-    if not np.all(keep):
-        off = np.where(keep[:, :, None], 0.0, np.abs(g) ** 2)
-        error = _range_error(math.sqrt(float(off.sum())), scale)
-        if error is not None:
-            raise error
-    winv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-    # sum_j g_j* diag(winv_j) g_j as one gemm over the rows of g
-    gw = g * winv[:, :, None]
-    if np.iscomplexobj(gw):
-        np.conjugate(gw, out=gw)
-    short = z11 - gw.reshape(-1, n).T @ g.reshape(-1, n)
-    short = (short + short.conj().T) / 2.0
-    smin = float((np.linalg.eigvalsh(short) if lam.size else spec11)[0])
-    _check_psd(smin, scale, psd_tol, "Schur complement")
-    return short
-
-
-def _spectral_terms(p, q, mu):
-    """The pivot ``z``, trailing diagonal ``d_j`` and pivot-column couplings
-    ``o_j`` of the arrowhead ``p + q mu`` (two table rows), one column per
-    eigenvalue mu (rows j = 1..m-1), for a stack ``mu`` of spectra."""
-    t = p[:, None] + q[:, None] * mu[..., None, :]
-    m = (p.shape[0] + 1) // 2
-    return t[..., 0, :], t[..., 1:m, :], t[..., m:, :]
+    for j in np.flatnonzero(~ok):
+        off_norm = math.sqrt(float((np.abs(couple[j][~keep[j]]) ** 2).sum()))
+        ok[j] = not off_norm > bound[j]
+        if not ok[j]:
+            out[idx[j]] = PencilDomainError(f"pencil not PSD at X: range condition violated "
+                                            f"({off_norm:.3e} > {bound[j]:.3e})")
+    return ok
 
 
 def _keep(ok, *stacks):
@@ -466,37 +423,95 @@ def _keep(ok, *stacks):
     return tuple(None if a is None else a[ok] for a in stacks)
 
 
+def _placed(out, idx, values):
+    """``out`` with each of ``values`` at its point ``idx``."""
+    for i, value in zip(idx.tolist(), values):
+        out[i] = value
+    return out
+
+
+def _arrowhead_short(z11, blocks, couple, psd_tol):
+    """Shorted operators ``Z11 - sum_j R_j* B_j^+ R_j`` at a stack of points
+    of a pencil whose trailing block is the direct sum of the ``blocks``
+    B_j, coupled to the pivot by ``couple`` R_j, from one stacked ``eigh``:
+    per point, its complement or its PencilDomainError.
+
+    The blocks are the n x n ones of an arrowhead pencil (`_arrowhead_blocks`),
+    or the whole trailing block of an assembled pencil as one block (empty
+    when m = 1).  Eigenvalues of B_j at or below
+    ``DEFAULT_RANK_TOL * lambda_max(B_j)`` are dropped from the
+    pseudo-inverse, as in `shorted.shorted_operator`.  The admission checks
+    are fused in: the B_j are PSD, the couplings have no mass (Frobenius)
+    against the dropped eigenvectors, and the complement is PSD.  Together
+    these are equivalent to Z >= 0.
+    """
+    out, idx = [None] * len(z11), np.arange(len(z11))
+    lam, u = np.linalg.eigh(blocks)
+    # m = 1 leaves the complement Z11 itself: one spectrum for scale and check
+    empty = blocks.shape[-1] == 0
+    spec11 = np.linalg.eigvalsh((z11 + _adjoint(z11)) / 2.0 if empty else z11)
+    # max(1, max spec11, max lam) point by point; fmax skips a NaN, as max() does
+    scale = np.fmax(np.fmax(1.0, spec11[:, -1]), lam.max(axis=(-2, -1), initial=0.0))
+    ok = _admitted_psd(out, idx, lam.min(axis=(-2, -1), initial=0.0), scale, psd_tol,
+                       "trailing-block")
+    idx, scale, z11, spec11, lam, u, couple = _keep(ok, idx, scale, z11, spec11, lam, u, couple)
+    g = _adjoint(u) @ couple
+    del u  # frees the eigenvectors before the complement
+    keep = lam > DEFAULT_RANK_TOL * lam.max(axis=-1, initial=0.0)[..., None]
+    ok = _admitted_range(out, idx, keep, g, scale)
+    idx, scale, z11, spec11, lam, g, keep = _keep(ok, idx, scale, z11, spec11, lam, g, keep)
+    winv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
+    # sum_j g_j* diag(winv_j) g_j as one gemm per point over the rows of g
+    gw = g * winv[..., None]
+    if np.iscomplexobj(gw):
+        np.conjugate(gw, out=gw)
+    rows = (len(g), g.shape[1] * g.shape[2], g.shape[3])
+    short = z11 - gw.reshape(rows).swapaxes(-1, -2) @ g.reshape(rows)
+    short = (short + _adjoint(short)) / 2.0
+    smin = (spec11 if empty else np.linalg.eigvalsh(short))[:, 0]
+    ok = _admitted_psd(out, idx, smin, scale, psd_tol, "Schur complement")
+    return _placed(out, *_keep(ok, idx, short))
+
+
+def _dense_short(coefficients, arrays, psd_tol):
+    """`_arrowhead_short` at a stack of points with the trailing block of the
+    assembled pencil (rotated ``coefficients``) as its one block, empty when
+    m = 1.  That block is (m - 1) n square, so the points are assembled and
+    shorted one at a time."""
+    n, out = arrays[0].shape[-1], []
+    for point in zip(*arrays):
+        z = _assembled_pencil(*coefficients, point)
+        out += _arrowhead_short(z[None, :n, :n], z[None, None, n:, n:], z[None, None, n:, :n],
+                                psd_tol)
+    return out
+
+
+def _spectral_terms(p, q, mu):
+    """The pivot ``z``, trailing diagonal ``d_j`` and pivot-column couplings
+    ``o_j`` of the arrowhead ``p + q mu`` (two table rows), one column per
+    eigenvalue mu (rows j = 1..m-1), for a stack ``mu`` of spectra."""
+    t = p[:, None] + q[:, None] * mu[..., None, :]
+    m = (p.shape[0] + 1) // 2
+    return t[..., 0, :], t[..., 1:m, :], t[..., m:, :]
+
+
 def _factored(factor, *stacks):
     """``(ok, factors)``: ``factor`` maps stacks of matrices to a tuple of
     stacks in one call, and ``ok`` is None when that call succeeds.  When it
-    raises LinAlgError, the points are factored one at a time: ``ok`` masks
-    those that succeed (the rest are left to the next path) and ``factors``
-    are theirs, None if none does."""
+    raises LinAlgError, each point is factored alone: ``ok`` masks those that
+    succeed and ``factors`` are theirs, empty stacks if none does."""
     try:
         return None, factor(*stacks)
     except np.linalg.LinAlgError:
         pass
-    ok, parts = np.zeros(len(stacks[0]), dtype=bool), []
+    ok, parts = np.zeros(len(stacks[0]), dtype=bool), [factor(*(s[:0] for s in stacks))]
     for i in range(len(stacks[0])):
         try:
             parts.append(factor(*(s[i:i + 1] for s in stacks)))
         except np.linalg.LinAlgError:
             continue
         ok[i] = True
-    return ok, tuple(map(np.concatenate, zip(*parts))) if parts else None
-
-
-def _admitted_psd(out, idx, value, scale, psd_tol, what):
-    """None when `_psd_admits` the smallest eigenvalue ``value`` of the
-    trailing block or of the complement (``what``) at every point ``idx``;
-    else the mask of the points it admits, with the error of every other
-    point recorded in ``out``."""
-    ok = _psd_admits(value, scale, psd_tol)
-    if ok.all():
-        return None
-    for j in np.flatnonzero(~ok):
-        out[idx[j]] = _psd_error(value[j], what)
-    return ok
+    return ok, tuple(map(np.concatenate, zip(*parts)))
 
 
 def _spectral_short(table, arrays, psd_tol):
@@ -514,8 +529,7 @@ def _spectral_short(table, arrays, psd_tol):
     Per point: its complement, its PencilDomainError, or None, for the
     batched path, when the Cholesky fails or
     ``mu_min <= sqrt(DEFAULT_RANK_TOL) mu_max``: mu is accurate only to
-    eps mu_max.  Every factorization is one stacked call; each slice has the
-    bits of the call on that point alone.
+    eps mu_max.
     """
     p, q = table[-2:]
     x1, x2 = (None, *arrays)[-2:]
@@ -523,10 +537,8 @@ def _spectral_short(table, arrays, psd_tol):
     if x1 is None:
         mu, y = np.linalg.eigh(x2)
     else:
-        ok, parts = _factored(lambda a: (np.linalg.cholesky(a),), x1)
-        if parts is None:
-            return out
-        (low,), (idx, x2) = parts, _keep(ok, idx, x2)
+        ok, (low,) = _factored(lambda a: (np.linalg.cholesky(a),), x1)
+        idx, x2 = _keep(ok, idx, x2)
         mu, w = np.linalg.eigh(np.linalg.solve(low, _adjoint(np.linalg.solve(low, x2))))
         idx, low, mu, w = _keep(mu[:, 0] > math.sqrt(DEFAULT_RANK_TOL) * mu[:, -1], idx, low, mu, w)
         y = low @ w
@@ -536,75 +548,79 @@ def _spectral_short(table, arrays, psd_tol):
     scale = np.fmax(np.fmax(1.0, z.max(axis=-1)), d.max(axis=(-2, -1)))
     ok = _admitted_psd(out, idx, d.min(axis=(-2, -1)), scale, psd_tol, "trailing-block")
     idx, scale, y, z, d, o = _keep(ok, idx, scale, y, z, d, o)
-    o2 = np.abs(o) ** 2
     keep = d > DEFAULT_RANK_TOL * np.clip(d.max(axis=-1), 0.0, None)[..., None]
+    ok = _admitted_range(out, idx, keep, o, scale)
+    idx, scale, y, z, d, o, keep = _keep(ok, idx, scale, y, z, d, o, keep)
+    o2 = np.abs(o) ** 2
     if keep.all():  # no entry of d is dropped, so the masks below would be no-ops
         f = z - (o2 / d).sum(axis=-2)
     else:
-        ok = keep.all(axis=(-2, -1))
-        for j in np.flatnonzero(~ok):
-            error = _range_error(math.sqrt(float(o2[j][~keep[j]].sum())), scale[j])
-            out[idx[j]], ok[j] = error, error is None
-        idx, scale, y, z, d, o2, keep = _keep(ok, idx, scale, y, z, d, o2, keep)
         f = z - np.where(keep, o2 / np.where(keep, d, 1.0), 0.0).sum(axis=-2)
     ok = _admitted_psd(out, idx, f.min(axis=-1), scale, psd_tol, "Schur complement")
     idx, y, f = _keep(ok, idx, y, f)
-    for i, short in zip(idx.tolist(), (y * f[:, None, :]) @ _adjoint(y)):
-        out[i] = short
-    return out
+    return _placed(out, idx, (y * f[:, None, :]) @ _adjoint(y))
 
 
 def _parallel_sum_short(table, arrays, e):
-    """Short of ``L(X) = (+)_j B_j``, ``B_j = a0[j,j] I + sum_i c_i[j,j] X_i``
-    (A0 and every A_i diagonal, the rows of ``table``) onto e (x) I: the parallel sum
-    ``(sum_j e_j^2 B_j^-1)^-1`` (Anderson and Duffin).  None, for the
-    one-block batched kernel, unless the B_j are positive definite (one
-    batched Cholesky) and ``max_j ||B_j||_F max_j ||B_j^-1||_F < 1 /
-    sqrt(DEFAULT_RANK_TOL)``: Z22 is a compression of L(X), so that kernel's
-    rank cut then drops nothing and every admission check passes."""
-    blocks = _linear_blocks(table[0], table[1:], arrays)
-    try:  # a Cholesky can pass on an exactly singular B_j that inv rejects
+    """Shorts of ``L(X) = (+)_j B_j``, ``B_j = a0[j,j] I + sum_i c_i[j,j]
+    X_i`` (A0 and every A_i diagonal, the rows of ``table``) onto e (x) I at
+    a stack of points: the parallel sum ``(sum_j e_j^2 B_j^-1)^-1`` (Anderson
+    and Duffin).  Per point: its short, or None, for the dense path, unless
+    the B_j are positive definite (one stacked Cholesky; `_factored` when it
+    fails) and ``max_j ||B_j||_F max_j ||B_j^-1||_F < 1 / sqrt(DEFAULT_RANK_TOL)``:
+    Z22 is a compression of L(X), so that path's rank cut then drops nothing
+    and every admission check passes."""
+    def inverse(blocks):  # a Cholesky can pass on an exactly singular B_j that inv rejects
         np.linalg.cholesky(blocks)
-        inv = np.linalg.inv(blocks)
-    except np.linalg.LinAlgError:
-        return None
-    kappa = np.linalg.norm(blocks, axis=(1, 2)).max() * np.linalg.norm(inv, axis=(1, 2)).max()
-    if not kappa * math.sqrt(DEFAULT_RANK_TOL) < 1.0:
-        return None
-    short = np.linalg.inv(np.tensordot(e ** 2, inv, axes=1))
-    return (short + _adjoint(short)) / 2.0
+        return (np.linalg.inv(blocks),)
+
+    out, blocks = [None] * len(arrays[0]), _linear_blocks(table[0], table[1:], arrays)
+    ok, (inv,) = _factored(inverse, blocks)
+    idx, blocks = _keep(ok, np.arange(len(out)), blocks)
+    kappa = (np.linalg.norm(blocks, axis=(-2, -1)).max(axis=-1)
+             * np.linalg.norm(inv, axis=(-2, -1)).max(axis=-1))
+    idx, inv = _keep(kappa * math.sqrt(DEFAULT_RANK_TOL) < 1.0, idx, inv)
+    s, m, n = inv.shape[:3]
+    short = np.linalg.inv((e ** 2 @ inv.reshape(s, m, n * n)).reshape(s, n, n))
+    return _placed(out, idx, (short + _adjoint(short)) / 2.0)
 
 
 def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
     """Evaluate the realized function at a tuple of self-adjoint matrices.
 
     Requires the pencil to be PSD at X (the realized domain) within the
-    relative tolerance ``tol``; raises PencilDomainError otherwise.  The
-    result is PSD.
+    relative tolerance ``tol``; raises PencilDomainError otherwise, and
+    ValueError for a point with a NaN or infinite entry.  The result is PSD.
     """
     xt = as_tuple(x)
     if xt.k != r.k:
         raise DimensionMismatch(f"realization has {r.k} variables, point has {xt.k}")
-    (short,) = _route(r, [xi.entries[None] for xi in xt.items], tol)[1]
-    if isinstance(short, PencilDomainError):
-        raise short
-    return SymMatrix(short)
+    return SymMatrix(_at_one_point(lambda a: _route(r, a, tol), [xi.entries for xi in xt.items]))
 
 
-def _first_paths(paths, arrays, stacked, single):
+def _at_one_point(route, arrays):
+    """The value of ``route`` at the point ``arrays`` as a stack of one, or
+    the exception that rejects the point, raised; ValueError when the point
+    has a NaN or infinite entry."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("point has a non-finite entry")
+    (value,) = route([a[None] for a in arrays])[1]
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _first_paths(paths, arrays, kernels):
     """``(names, values)`` at a stack of points (``arrays``: one stack per
     coordinate): per point, the first of ``paths`` that admits it and its
-    value, or the exception that rejects it.  "spectral", always first when
-    present, runs ``stacked(arrays)`` once on the whole stack; every other
-    path runs ``single(path, point)`` point by point.  Either gives None for
-    a point that it leaves to the next path."""
+    value, or the exception that rejects it.  ``kernels[path]`` runs once, on
+    the points no earlier path took, and gives each its outcome or None."""
     names, values = [None] * len(arrays[0]), [None] * len(arrays[0])
-    todo = range(len(arrays[0]))
+    todo = list(range(len(values)))
     for path in paths:
-        if path == "spectral":
-            got = stacked(arrays)
-        else:
-            got = [single(path, [a[i] for a in arrays]) for i in todo]
+        if not todo:
+            break
+        got = kernels[path](arrays if len(todo) == len(values) else [a[todo] for a in arrays])
         for i, value in zip(todo, got):
             names[i], values[i] = path, value
         todo = [i for i, value in zip(todo, got) if value is None]
@@ -615,55 +631,57 @@ def _route(r: PencilRealization, arrays, tol):
     """`_first_paths` over the real paths of ``r`` (`_layout`); "batched" and
     "dense" admit every point or reject it with a PencilDomainError."""
     table, paths, _ = r._layout
-    return _first_paths(paths, arrays, lambda a: _spectral_short(table, a, tol),
-                        lambda path, point: _short_at(r, path, point, tol))
-
-
-def _short_at(r: PencilRealization, path, arrays, tol):
-    """The shorted operator at one point on "batched", "parallel-sum" or
-    "dense"; None leaves the point to the next path, and a PencilDomainError
-    is returned, not raised."""
-    table = r._layout[0]
-    try:
-        if path == "batched":
-            return _arrowhead_short(*_arrowhead_blocks(table, arrays), tol)
-        if path == "parallel-sum":
-            return _parallel_sum_short(table, arrays, r.e)
-        z, n = _assembled_pencil(*r._rotated, arrays), arrays[0].shape[0]
-        return _arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], tol)
-    except PencilDomainError as exc:
-        return exc
+    return _first_paths(paths, arrays, {
+        "spectral": lambda a: _spectral_short(table, a, tol),
+        "batched": lambda a: _arrowhead_short(*_arrowhead_blocks(table, a), tol),
+        "parallel-sum": lambda a: _parallel_sum_short(table, a, r.e),
+        "dense": lambda a: _dense_short(r._rotated, a, tol)})
 
 
 # Relative singular-value floor of the trailing block at complex points.
 _SV_TOL = 1e-12
 
 
-def _check_pivot(blocks, scale):
-    """Raise SingularPivotComplement unless ``sigma_min(blocks) > _SV_TOL * scale``."""
-    smin = float(np.linalg.svd(blocks, compute_uv=False).min(initial=np.inf))
-    if smin <= _SV_TOL * scale:
-        raise SingularPivotComplement(
-            f"pivot complement block singular (sigma_min = {smin:.3e}); "
-            "imaginary-part positivity violated beyond tolerance")
+def _singular_pivots(blocks, scale):
+    """Per point of a stack of trailing ``blocks``, its SingularPivotComplement
+    unless ``sigma_min > _SV_TOL * scale``, else None."""
+    smin = np.linalg.svd(blocks, compute_uv=False).min(axis=(-2, -1), initial=np.inf)
+    return [SingularPivotComplement(f"pivot complement block singular (sigma_min = {s:.3e}); "
+                                    "imaginary-part positivity violated beyond tolerance")
+            if s <= _SV_TOL * c else None for s, c in zip(smin.tolist(), scale)]
 
 
 def _arrowhead_schur_complex(table, arrays):
-    """Complex-point Schur complement of an arrowhead pencil, batched.
-
-    The pivot-column coupling is ``R_j = o0_j I + sum_i o_ij X_i`` and, the
-    coefficients being Hermitian, the pivot-row coupling is
-    ``R'_j = conj(o0_j) I + sum_i conj(o_ij) X_i`` (equal to R_j for real
-    coefficients): the complement is ``Z11 - sum_j R'_j B_j^{-1} R_j``.
-    """
+    """Complex-point Schur complements ``Z11 - sum_j R'_j B_j^-1 R_j`` at a
+    stack of points of an arrowhead pencil, from one stacked ``svd`` and
+    ``solve``: per point, its complement or its SingularPivotComplement.
+    For Hermitian coefficients the pivot-row coupling
+    ``R'_j = conj(o0_j) I + sum_i conj(o_ij) X_i`` conjugates ``R_j``."""
     z11, blocks, couple, row = _arrowhead_blocks(table, arrays, row=True)
-    scale = max(1.0, float(np.abs(blocks).sum(axis=-1).max()),
-                float(np.abs(z11).sum(axis=-1).max()))
-    _check_pivot(blocks, scale)
-    solved = np.linalg.solve(blocks, couple)
-    # kept as einsum for m = 2 pencils and spectral fallbacks: a gemm here
-    # changes the bits of the pinned herglotz report of cauchy:2
-    return z11 - np.einsum("jab,jbc->ac", row, solved)
+    # max(1, max row sum of |B_j|, of |Z11|) point by point; fmax skips a NaN, as max() does
+    scale = np.fmax(np.fmax(1.0, np.abs(blocks).sum(axis=-1).max(axis=(-2, -1))),
+                    np.abs(z11).sum(axis=-1).max(axis=-1))
+    out = _singular_pivots(blocks, scale)
+    idx, z11, blocks, couple, row = _keep(np.array([v is None for v in out], dtype=bool),
+                                          np.arange(len(out)), z11, blocks, couple, row)
+    # kept as einsum, point by point, for m = 2 pencils and spectral fallbacks:
+    # a gemm here changes the bits of the pinned herglotz report of cauchy:2
+    return _placed(out, idx, [z - np.einsum("jab,jbc->ac", rows, sol)
+                              for z, rows, sol in zip(z11, row, np.linalg.solve(blocks, couple))])
+
+
+def _dense_complex(coefficients, arrays):
+    """Complex-point Schur complements at a stack of points of the assembled
+    pencil (rotated ``coefficients``), one ``solve`` against its trailing
+    block per point, assembled one at a time as in `_dense_short`."""
+    n, out = arrays[0].shape[-1], []
+    for point in zip(*arrays):
+        z = _assembled_pencil(*coefficients, point)
+        scale = max(1.0, float(np.abs(z).sum(axis=1).max()))
+        out += _singular_pivots(z[None, None, n:, n:], [scale])
+        if out[-1] is None:
+            out[-1] = z[:n, :n] - z[:n, n:] @ np.linalg.solve(z[n:, n:], z[n:, :n])
+    return out
 
 
 # kappa_1(V) from which `_spectral_complex` leaves the point to the batched
@@ -699,10 +717,8 @@ def _spectral_complex(table, arrays, im_min):
         mu, v = np.linalg.eig(xs[0] if len(xs) == 1 else np.linalg.solve(*xs))
         return mu, v, np.linalg.inv(v)  # one gesv against I, as solve(v, I)
 
-    ok, parts = _factored(factor, *arrays)
-    if parts is None:
-        return out
-    (mu, v, w), (idx, *arrays) = parts, _keep(ok, np.arange(len(out)), *arrays)
+    ok, (mu, v, w) = _factored(factor, *arrays)
+    idx, *arrays = _keep(ok, np.arange(len(out)), *arrays)
     kappa = np.linalg.norm(v, 1, axis=(-2, -1)) * np.linalg.norm(w, 1, axis=(-2, -1))
     idx, mu, v, w, kappa, *arrays = _keep(kappa < _EIG_COND_MAX, idx, mu, v, w, kappa, *arrays)
     x1, x2 = (None, *arrays)[-2:]
@@ -721,9 +737,7 @@ def _spectral_complex(table, arrays, im_min):
     values = (v * (z - (orow * o / d).sum(axis=-2))[:, None, :]) @ w
     if x1 is not None:
         values = x1 @ values
-    for i, value in zip(idx.tolist(), values):
-        out[i] = value
-    return out
+    return _placed(out, idx, values)
 
 
 def eval_complex(r: PencilRealization, x) -> np.ndarray:
@@ -736,7 +750,8 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
     block is then invertible and a plain Schur complement applies.
     Returns a complex n x n matrix, not Hermitian in general.  A
     `MatrixTuple` point is self-adjoint by construction, so its imaginary
-    parts are zero and it always fails the definiteness check.
+    parts are zero and it always fails the definiteness check.  A NaN or
+    infinite entry raises ValueError.
     """
     arrays = [np.asarray(_as_array(xi), dtype=complex) for xi in _coordinates(x)]
     if len(arrays) != r.k:
@@ -746,11 +761,7 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
     n = arrays[0].shape[0]
     if any(a.shape != (n, n) for a in arrays):
         raise DimensionMismatch("all tuple entries must share one dimension")
-    arrays = [a[None] for a in arrays]
-    (out,) = _route_complex(r, arrays, _imaginary_floor(arrays))[1]
-    if isinstance(out, SingularPivotComplement):
-        raise out
-    return out
+    return _at_one_point(lambda a: _route_complex(r, a, _imaginary_floor(a)), arrays)
 
 
 def _imaginary_floor(arrays):
@@ -770,21 +781,9 @@ def _imaginary_floor(arrays):
 
 def _route_complex(r: PencilRealization, arrays, im_min):
     """`_first_paths` over the complex paths of ``r`` (`_layout`); "batched"
-    and "dense" admit every point or reject it with a
-    SingularPivotComplement."""
+    and "dense" admit every point or reject it with a SingularPivotComplement."""
     table, _, paths = r._layout
-    return _first_paths(paths, arrays, lambda a: _spectral_complex(table, a, im_min),
-                        lambda path, point: _complex_at(r, path, point))
-
-
-def _complex_at(r: PencilRealization, path, arrays):
-    """The Schur complement at one complex point on "batched" or "dense"; a
-    SingularPivotComplement is returned, not raised."""
-    try:
-        if path == "batched":
-            return _arrowhead_schur_complex(r._layout[0], arrays)
-        z, n = _assembled_pencil(*r._rotated, arrays), arrays[0].shape[0]
-        _check_pivot(z[n:, n:], max(1.0, float(np.abs(z).sum(axis=1).max())))
-        return z[:n, :n] - z[:n, n:] @ np.linalg.solve(z[n:, n:], z[n:, :n])
-    except SingularPivotComplement as exc:
-        return exc
+    return _first_paths(paths, arrays, {
+        "spectral": lambda a: _spectral_complex(table, a, im_min),
+        "batched": lambda a: _arrowhead_schur_complex(table, a),
+        "dense": lambda a: _dense_complex(r._rotated, a)})

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -438,9 +439,19 @@ def route(r, x, tol=1e-9):
     return _route(r, [xi.entries[None] for xi in as_tuple(x).items], tol)[0][0]
 
 
+def one_point(values):
+    """A kernel's outcome at a stack of one point: its value, or the
+    exception that it records for the point, raised."""
+    (value,) = values
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
 def batched_short(r, xs):
     """The batched kernel on the n x n blocks of a rotated arrowhead pencil."""
-    return _arrowhead_short(*_arrowhead_blocks(r._layout[0], xs), 1e-9)
+    return one_point(_arrowhead_short(*_arrowhead_blocks(r._layout[0], [x[None] for x in xs]),
+                                      1e-9))
 
 
 def spectral_and_oracles(r, x):
@@ -877,6 +888,25 @@ def test_path_specs_cover_every_eval_path():
             for spec, r in PATH_REALIZATIONS.items()} == PATH_SPECS
 
 
+@pytest.mark.parametrize("evaluate", ["eval", "eval_complex"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("spec", sorted(PATH_SPECS))
+def test_non_finite_point_is_rejected_before_routing(spec, bad, evaluate):
+    # before, each path failed its own way: a PencilDomainError with a NaN
+    # eigenvalue, LinAlgError, or a RuntimeWarning first at complex points
+    r = PATH_REALIZATIONS[spec]
+    xs = [np.eye(3)] * (r.k - 1) + [np.diag([1.0, bad, 2.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            if evaluate == "eval":
+                eval_pencil(r, xs)
+            else:
+                eval_complex(r, [x + 1j * np.eye(3) for x in xs])
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "point has a non-finite entry"
+
+
 # one point just outside the domain per real path, admitted at a looser tol;
 # harmonic's Cholesky fails there, so it goes to the dense path
 @pytest.mark.parametrize("spec,path", [
@@ -966,7 +996,7 @@ def parallel_sum_points(draw):
 @given(parallel_sum_points())
 def test_parallel_sum_path_matches_shorted_oracle(case):
     r, xt = case
-    got = _parallel_sum_short(r._layout[0], [x.entries for x in xt.items], r.e)
+    (got,) = _parallel_sum_short(r._layout[0], [x.entries[None] for x in xt.items], r.e)
     assert got is not None
     assert np.array_equal(eval_pencil(r, xt).entries, got)
     ref, znorm = rotated_oracle(r, xt)
@@ -1006,7 +1036,8 @@ def dense_reference(r, xs):
     point, its trailing block as one block, as `eval` returns it."""
     a0r, coeffs_r = r._rotated
     z, n = _assembled_pencil(a0r, coeffs_r, [SymMatrix(x).entries for x in xs]), xs[0].shape[0]
-    return SymMatrix(_arrowhead_short(z[:n, :n], z[None, n:, n:], z[None, n:, :n], 1e-9)).entries
+    return SymMatrix(one_point(_arrowhead_short(z[None, :n, :n], z[None, None, n:, n:],
+                                                z[None, None, n:, :n], 1e-9))).entries
 
 
 def pencil_norm(r, xs):
@@ -1089,7 +1120,7 @@ class TestParallelSumPath:
 
     @staticmethod
     def assert_dense_outcome(r, xs, raises):
-        assert _parallel_sum_short(r._layout[0], xs, r.e) is None
+        assert _parallel_sum_short(r._layout[0], [x[None] for x in xs], r.e) == [None]
         got = domain_outcome(lambda: eval_pencil(r, xs).entries)
         want = domain_outcome(lambda: dense_reference(r, xs))
         assert got[0] == want[0] == ("error" if raises else "ok")
@@ -1364,7 +1395,7 @@ class TestComplexSpectralPath:
         rng = np.random.default_rng(61)
         x = [rng.standard_normal((16, 16)) for _ in range(r.k)]
         x = [(a + a.T) / 2 + 1j * random_pd(16, (0.1, 10), rng).entries for a in x]
-        ref = _arrowhead_schur_complex(r._layout[0], x)
+        ref = one_point(_arrowhead_schur_complex(r._layout[0], [xi[None] for xi in x]))
         assert route_complex(r, x)[0] == "spectral"
         assert operator_norm(eval_complex(r, x) - ref) <= 1e-11 * operator_norm(ref)
 
@@ -1436,7 +1467,7 @@ def test_spectral_complex_matches_batched_and_dense(case):
     path, fast = route_complex(r, x)
     assert path == "spectral"
     assert np.array_equal(eval_complex(r, x), fast)
-    batched = _arrowhead_schur_complex(r._layout[0], x)
+    batched = one_point(_arrowhead_schur_complex(r._layout[0], [xi[None] for xi in x]))
     ref, znorm = complex_oracle(r, x)
     assert operator_norm(fast - batched) <= 1e-12 * max(1.0, znorm)
     assert operator_norm(fast - ref) <= 1e-12 * max(1.0, znorm)
@@ -1541,7 +1572,8 @@ class TestStackedRoute:
             assert set(names) == {"spectral", "batched"}
 
     def test_one_out_of_domain_point_marks_only_itself(self):
-        for spec in ("power:0.5", "geomean:0.5", "harmonic:0.2,0.3,0.5", "two-scale"):
+        for spec in ("power:0.5", "geomean:0.5", "harmonic:0.2,0.3,0.5", "two-scale",
+                     "shifted-parallel-sum", "arithmetic:0.4,0.6"):
             r = PATH_REALIZATIONS[spec]
             rng = np.random.default_rng(73)
             points = [symmetric_point(rng, r.k, 3, [[0.5, 1.0, 2.0]] * r.k) for _ in range(5)]
@@ -1557,6 +1589,26 @@ class TestStackedRoute:
         assert [stacked_outcome(v, False) for v in values] == [
             outcome(eval_complex, r, p) for p in points]
         assert all(isinstance(v, SingularPivotComplement) for v in values)
+
+    def test_one_singular_pivot_marks_only_itself(self):
+        # cauchy:1.0 evaluates complex points on the batched kernel alone;
+        # B_1 = I + X is singular to 1e-14 at the third point only
+        r = PATH_REALIZATIONS["cauchy:1.0"]
+        assert r._layout[2] == ("batched",)
+        rng = np.random.default_rng(74)
+        points = [[symmetric_point(rng, 1, 2, [rng.normal(size=2)])[0]
+                   + 1j * symmetric_point(rng, 1, 2, [rng.uniform(0.1, 3.0, 2)])[0]]
+                  for _ in range(4)]
+        points.insert(2, [np.diag([-1.0, 2.0]) + 1e-14j * np.eye(2)])
+        arrays = coordinate_stacks(points)
+        names, values = _route_complex(r, arrays, _imaginary_floor(arrays))
+        assert names == ["batched"] * 5
+        assert [stacked_outcome(v, False) for v in values] == [
+            outcome(eval_complex, r, p) for p in points]
+        assert [isinstance(v, SingularPivotComplement) for v in values] == [
+            False, False, True, False, False]
+        assert str(values[2]) == ("pivot complement block singular (sigma_min = 1.000e-14); "
+                                  "imaginary-part positivity violated beyond tolerance")
 
     def test_admission_scale_counts_the_pivot(self):
         # z = 10 mu dominates the scale max(1, max z, max d): at mu = -1e-9 the

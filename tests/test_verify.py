@@ -463,16 +463,20 @@ class TestStackedSuitesMatchPerTrialReference:
         assert check_herglotz(r, cfg) == reference_report("herglotz", r, cfg)
 
 
-def test_suite_memory_is_bounded_by_its_block(monkeypatch):
+# herglotz on harmonic:0.3,0.7 evaluates its points on the stacked batched
+# complex kernel
+@pytest.mark.parametrize("spec, suite", [("power:0.5", check_free_axioms),
+                                         ("harmonic:0.3,0.7", check_herglotz)])
+def test_suite_memory_is_bounded_by_its_block(monkeypatch, spec, suite):
     """Only one block of trials is live at a time: ten blocks of a dimension
     peak at about the memory of one (all trials at once: about ten times)."""
     monkeypatch.setattr(verify, "_BLOCK_TRIALS", 4)
-    r = build_realization("power:0.5", n_nodes=96)
+    r = build_realization(spec, n_nodes=96)
 
     def peak(trials):
         tracemalloc.start()
         try:
-            check_free_axioms(r, SuiteConfig(dims=(2, 3, 5), trials=trials, seed=1))
+            suite(r, SuiteConfig(dims=(2, 3, 5), trials=trials, seed=1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
