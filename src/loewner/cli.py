@@ -21,7 +21,7 @@ import numpy as np
 
 from . import builders, jsonio, measures, pencil, verify
 from .measures import MeanConvergenceError
-from .numlin import DEFAULT_PSD_TOL, MatrixTuple, SymMatrix
+from .numlin import DEFAULT_PSD_TOL, DimensionMismatch, MatrixTuple, SymMatrix, _diagonals
 from .pencil import PencilDomainError
 from .shorted import SingularPivotComplement, shorted_operator
 from .verify import SuiteConfig
@@ -91,14 +91,24 @@ _SUITES = {
 
 
 def _scalar_from_realization(realization):
+    """The scalar function of a realization, for the scalar suites: f takes
+    the joint eigenvalues as scalars, as (n,) arrays, or as (T, n) arrays,
+    and evaluates each row (each group of n) at its diagonal point, in one
+    `pencil._route` call over the T points (`pencil._at_points`).
+    Direct-sum invariance makes a diagonal point's value the function at
+    every joint eigenvalue.  A non-finite entry is a ValueError and a point
+    outside the domain raises its PencilDomainError, as `pencil.eval` does."""
     def f(*xs):
-        scalar_in = np.ndim(xs[0]) == 0
-        cols = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-        # one evaluation at the diagonal tuple: direct-sum invariance makes its
-        # diagonal the scalar function at every joint eigenvalue
-        point = MatrixTuple(tuple(np.diag(c) for c in cols))
-        out = np.real(np.diag(pencil.eval(realization, point).entries))
-        return float(out[0]) if scalar_in else out
+        if len(xs) != realization.k:
+            raise DimensionMismatch(f"realization has {realization.k} variables, "
+                                    f"point has {len(xs)}")
+        cols = [np.asarray(x, dtype=float) for x in xs]
+        if any(c.shape != cols[0].shape for c in cols):
+            raise DimensionMismatch("all coordinates must share one shape")
+        values = pencil._at_points(lambda a: pencil._route(realization, a, DEFAULT_PSD_TOL),
+                                   [_diagonals(np.atleast_2d(c)) for c in cols])
+        out = np.real(np.diagonal(np.array(values), axis1=-2, axis2=-1))
+        return float(out[0, 0]) if cols[0].ndim == 0 else out.reshape(cols[0].shape)
 
     return f
 

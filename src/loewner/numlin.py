@@ -227,32 +227,130 @@ def loewner_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
     return diff_min >= -tol * scale
 
 
-def _joint_basis(arrays):
-    """Orthogonal basis jointly diagonalizing a commuting family.
+def _max(first, *rest):
+    """Python's ``max`` of arrays, elementwise and with its NaN semantics: an
+    argument replaces the running maximum only where it is greater."""
+    for a in rest:
+        first = np.where(a > first, a, first)
+    return first
+
+
+def _diagonals(d: np.ndarray) -> np.ndarray:
+    """The (..., n, n) stack of diagonal matrices of a (..., n) stack of diagonals."""
+    out, idx = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype), np.arange(d.shape[-1])
+    out[..., idx, idx] = d
+    return out
+
+
+def _joint_bases(x: np.ndarray):
+    """Orthogonal bases jointly diagonalizing each commuting family of a
+    (T, k, n, n) stack: ``(bases, joint, errors)``, with ``joint`` the joint
+    eigenvalues as one (T, n) array per coordinate and per family None or
+    its CommutationError.
 
     Diagonalizes a generic random combination and reuses its basis; a second
-    combination is tried if the off-diagonal residual exceeds 1e-8 * scale.
-    The combination coefficients come from a fixed-seed generator so the
-    result is a pure function of the input.
+    combination is tried for the families whose off-diagonal residual
+    exceeds 1e-8 * scale.  The combination coefficients come from a
+    fixed-seed generator, the same for every family, so the result is a
+    pure function of each family.
     """
-    k = len(arrays)
+    k = x.shape[1]
     rng = np.random.default_rng(0x1DEA)
-    scale = max(max(operator_norm(x) for x in arrays), 1e-300)
+    scale = _max(_max(*_operator_norms(x).T), 1e-300)
+    bases, rots = np.empty(x[:, 0].shape, dtype=x.dtype), np.empty_like(x)
+    todo, worst = np.arange(len(x)), np.zeros(len(x))
     for _ in range(2):
         c = rng.standard_normal(k)
-        combo = sum(ci * x for ci, x in zip(c, arrays))
-        combo = (combo + combo.conj().T) / 2.0
+        xs = x[todo]
+        combo = sum(ci * xs[:, i] for i, ci in enumerate(c))
+        combo = (combo + combo.conj().swapaxes(-1, -2)) / 2.0
         _, basis = np.linalg.eigh(combo)
-        worst = 0.0
-        for x in arrays:
-            rot = basis.conj().T @ x @ basis
-            off = rot - np.diag(np.diag(rot))
-            worst = max(worst, operator_norm(off))
-        if worst <= 1e-8 * scale:
-            return basis
-    raise CommutationError(
-        f"joint diagonalization residual {worst:.3e} exceeds "
-        "1.0e-08 * scale; tuple does not commute within tolerance")
+        rot = basis.conj().swapaxes(-1, -2)[:, None] @ xs @ basis[:, None]
+        off = rot - _diagonals(np.diagonal(rot, axis1=-2, axis2=-1))
+        worst[todo] = _max(0.0, *_operator_norms(off).T)
+        bases[todo], rots[todo] = basis, rot
+        todo = todo[~(worst[todo] <= 1e-8 * scale[todo])]
+        if not todo.size:
+            break
+    errors = [None] * len(x)
+    for i in todo.tolist():
+        errors[i] = CommutationError(
+            f"joint diagonalization residual {worst[i]:.3e} exceeds "
+            "1.0e-08 * scale; tuple does not commute within tolerance")
+    joint = np.real(np.diagonal(rots, axis1=-2, axis2=-1))
+    return bases, [np.ascontiguousarray(joint[:, i]) for i in range(k)], errors
+
+
+def _scalar_values(f, joint):
+    """f at the joint eigenvalues of a stack of points (``joint``: one (T, n)
+    array per coordinate): the (T, n) values and per point None or the
+    exception that rejects it.  f runs once on the whole stack; if it raises
+    there or gives another shape, each point runs alone, as a lone point
+    does: on its (n,) arrays, then on each joint eigenvalue when that raises
+    TypeError or gives another shape.  A non-finite value is a ValueError."""
+    t, n = joint[0].shape
+    errors = [None] * t
+    # non-finite values become a ValueError below, so silence numpy here
+    with np.errstate(invalid="ignore", divide="ignore"):
+        try:
+            vals = np.asarray(f(*joint), dtype=float)
+            if vals.shape != (t, n):
+                raise TypeError
+        except Exception:
+            vals = np.zeros((t, n))
+            for i in range(t):
+                try:
+                    vals[i] = _point_values(f, [col[i] for col in joint])
+                except Exception as exc:
+                    errors[i] = exc
+    for i in np.flatnonzero(~np.isfinite(vals).all(axis=1)).tolist():
+        bad = int(np.flatnonzero(~np.isfinite(vals[i]))[0])
+        point = tuple(float(col[i, bad]) for col in joint)
+        errors[i] = ValueError(f"function undefined at joint eigenvalue {point}")
+    return vals, errors
+
+
+def _point_values(f, joint):
+    """f at the joint eigenvalues of one point (``joint``: one (n,) array per
+    coordinate): on the arrays, or on each joint eigenvalue when that raises
+    TypeError or gives another shape."""
+    n = len(joint[0])
+    try:
+        vals = np.asarray(f(*joint), dtype=float)
+        if vals.shape != (n,):
+            raise TypeError
+    except TypeError:
+        vals = np.array([float(f(*(col[j] for col in joint))) for j in range(n)])
+    return vals
+
+
+def _functional_calculus(f, x: np.ndarray):
+    """`apply_scalar_function` at each point of a (T, k, n, n) stack of
+    commuting self-adjoint coordinates: a (T, n, n) stack of values (zero
+    where a point fails) and per point None or the exception that rejects
+    it.  One stacked ``eigh`` (k = 1) or `_joint_bases` (k > 1) gives the
+    joint eigenvalues, f runs once on the stack (`_scalar_values`) and one
+    stacked ``matmul`` assembles the values, symmetrized as `SymMatrix` does
+    it; each value has the bits of its point's lone call."""
+    if x.shape[1] == 1:
+        lam, bases = np.linalg.eigh(x[:, 0])
+        joint, errors = [lam], [None] * len(x)
+    else:
+        bases, joint, errors = _joint_bases(x)
+    ok = np.array([e is None for e in errors], dtype=bool)
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        vals, failed = _scalar_values(f, [col[idx] for col in joint])
+        for i, exc in zip(idx.tolist(), failed):
+            errors[i] = exc
+        kept = np.array([e is None for e in failed], dtype=bool)
+        idx, vals = idx[kept], vals[kept]
+    out = np.zeros(x[:, 0].shape, dtype=bases.dtype)
+    if idx.size:
+        b = bases[idx]
+        a = b @ _diagonals(vals) @ b.conj().swapaxes(-1, -2)
+        out[idx] = _halve(a + a.conj().swapaxes(-1, -2))
+    return out, errors
 
 
 def apply_scalar_function(f, x) -> SymMatrix:
@@ -261,30 +359,12 @@ def apply_scalar_function(f, x) -> SymMatrix:
     ``f`` takes k scalar arguments (k = tuple arity); for k = 1 this is the
     standard functional calculus.  Raises CommutationError when the tuple does
     not commute within tolerance and ValueError when f is undefined (non-finite)
-    at a joint eigenvalue.
+    at a joint eigenvalue.  The stack of one of `_functional_calculus`.
     """
-    xt = as_tuple(x)
-    arrays = xt.arrays()
-    n = xt.n
-    if xt.k == 1:
-        lam, basis = np.linalg.eigh(arrays[0])
-        joint = [lam]
-    else:
-        basis = _joint_basis(arrays)
-        joint = [np.real(np.diag(basis.conj().T @ a @ basis)) for a in arrays]
-    # non-finite values become a ValueError below, so silence numpy here
-    with np.errstate(invalid="ignore", divide="ignore"):
-        try:
-            vals = np.asarray(f(*joint), dtype=float)
-            if vals.shape != (n,):
-                raise TypeError
-        except TypeError:
-            vals = np.array([float(f(*(col[j] for col in joint))) for j in range(n)])
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        point = tuple(float(col[bad]) for col in joint)
-        raise ValueError(f"function undefined at joint eigenvalue {point}")
-    return SymMatrix(basis @ np.diag(vals) @ basis.conj().T)
+    (value,), (error,) = _functional_calculus(f, np.array(as_tuple(x).arrays())[None])
+    if error is not None:
+        raise error
+    return SymMatrix(value)
 
 
 def psd_sqrt(a) -> SymMatrix:
@@ -344,25 +424,36 @@ def _pd_build(draws) -> np.ndarray:
     Q = `_orthonormal` (g), symmetrized as `SymMatrix` does it: a
     (len(draws), n, n) stack from one stacked ``qr`` and ``matmul``."""
     g, lam = map(np.array, zip(*draws))
-    diag, idx = np.zeros(g.shape), np.arange(g.shape[-1])
-    diag[:, idx, idx] = lam
-    q = _orthonormal(g)
-    a = q @ diag @ q.swapaxes(-1, -2)
+    return _rotated_spectra(_orthonormal(g), lam)
+
+
+def _rotated_spectra(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``Q diag(lam) Q^T`` of stacks of orthogonal Q and spectra, symmetrized
+    as `SymMatrix` does it."""
+    a = q @ _diagonals(lam) @ q.swapaxes(-1, -2)
     return _halve(a + a.swapaxes(-1, -2))
 
 
 def random_commuting_tuple(k: int, n: int, interval=(0.1, 10.0), seed=0) -> MatrixTuple:
     """Commuting PD tuple: one shared random orthogonal basis, independent spectra."""
+    return MatrixTuple(tuple(_commuting_build([_commuting_draw(k, n, interval, _rng(seed))])[0]))
+
+
+def _commuting_draw(k: int, n: int, interval, rng):
+    """The random numbers of a `random_commuting_tuple` draw: the (n, n)
+    Gaussian of the shared basis and the k spectra."""
     lo, hi = interval
     if not (0.0 < lo <= hi):
         raise ValueError("spectrum interval must satisfy 0 < lo <= hi")
-    rng = _rng(seed)
-    q = _haar_orthogonal(n, rng)
-    items = []
-    for _ in range(k):
-        lam = rng.uniform(lo, hi, n)
-        items.append(SymMatrix(q @ np.diag(lam) @ q.T))
-    return MatrixTuple(tuple(items))
+    return _isometry_draw(n, n, rng), [rng.uniform(lo, hi, n) for _ in range(k)]
+
+
+def _commuting_build(draws) -> np.ndarray:
+    """``Q diag(lam_i) Q^T`` of each `_commuting_draw` ``(g, lams)``, Q =
+    `_orthonormal` (g), symmetrized as `SymMatrix` does it: a
+    (len(draws), k, n, n) stack from one stacked ``qr`` and ``matmul``."""
+    g, lam = map(np.array, zip(*draws))
+    return _rotated_spectra(_orthonormal(g)[:, None], lam)
 
 
 def make_dominated_pair(x: MatrixTuple, y: MatrixTuple):

@@ -22,7 +22,8 @@ LAPACK calls are stacked, and each slice has the bits of the call on that
 point alone; only "dense", whose trailing block is (m - 1) n square,
 assembles one point at a time.  `eval` and `eval_complex` are a stack of
 one (`_at_one_point`); the `verify` suites evaluate every point of one size
-in one call.  `eval` has four paths:
+in one call, and the CLI's scalar adapter a stack of diagonal points
+(`_at_points`).  `eval` has four paths:
 
 * "spectral" (auxiliary dimension m > 1, every aux-by-aux block diagonal,
   and k = 1, or k = 2 with the rotated A0 zero): every trailing block and
@@ -599,15 +600,23 @@ def eval(r: PencilRealization, x, tol: float = DEFAULT_PSD_TOL) -> SymMatrix:
 
 
 def _at_one_point(route, arrays):
-    """The value of ``route`` at the point ``arrays`` as a stack of one, or
-    the exception that rejects the point, raised; ValueError when the point
-    has a NaN or infinite entry."""
+    """The value of ``route`` at the point ``arrays`` as a stack of one
+    (`_at_points`)."""
+    (value,) = _at_points(route, [a[None] for a in arrays])
+    return value
+
+
+def _at_points(route, arrays):
+    """The values of ``route`` at a stack of points, or the first exception
+    that rejects one, raised; ValueError when a point has a NaN or infinite
+    entry."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("point has a non-finite entry")
-    (value,) = route([a[None] for a in arrays])[1]
-    if isinstance(value, Exception):
-        raise value
-    return value
+    values = route(arrays)[1]
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return values
 
 
 def _first_paths(paths, arrays, kernels):

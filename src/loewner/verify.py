@@ -9,19 +9,23 @@ norm.  A suite passes iff no trial dips below -tol.  Reports are bit-for-bit
 reproducible from (seed, config); trial seeds are derived as
 seed*1e6 + dim*1e4 + trial.
 
-The pencil suites (axioms, monotone, concave, jensen, herglotz) run the
+Every suite here, the pencil suites (axioms, monotone, concave, jensen,
+herglotz) and the scalar suites (monotone-scalar, hypograph), runs the
 trials of each dimension in blocks of at most `_BLOCK_TRIALS` (`_run`), in
 four steps: each trial takes its raw random numbers (Gaussians, spectra,
 integers) from its own generator, in the order of a lone trial (the draw
 halves of the `numlin` generators); one build turns the block's numbers into
 points with stacked ``qr``, ``matmul`` and ``svd`` calls (their build
 halves); the points are evaluated in one stacked call per point size
-(`_evaluate`, over `pencil._route` or `pencil._route_complex`); and the
-trials whose points were all admitted are measured together, one stacked
-call per measure.  A stacked call gives each slice the bits of the call on
-it alone, so a report does not depend on the block size.  A point outside
-the domain skips only its own trial.  The scalar suites and those in
-`measures` run each trial whole (`_deferred`).
+(`_evaluate`, over `pencil._route` or `pencil._route_complex`; for a scalar
+function `numlin._functional_calculus`, which calls f once per stack); and
+the trials are measured together, one stacked call per measure.  A stacked
+call gives each slice the bits of the call on it alone, so a report does
+not depend on the block size.  In a pencil suite a point outside the
+domain skips only its own trial.  An error of a scalar function is its
+trial's outcome, raised when the trial is tallied, so the first trial that
+meets one raises it, at its first call.
+`measures.check_stochastic_monotone` runs each trial whole (`_deferred`).
 
 One tally, `_tally`, serves every suite (those in `measures` too).  A trial
 returns its violation, raises `_Skip`, or raises `_Fail` to fail whatever its
@@ -41,26 +45,23 @@ import numpy as np
 from . import pencil as _pencil
 from .numlin import (
     DEFAULT_PSD_TOL,
-    MatrixTuple,
+    _commuting_build,
+    _commuting_draw,
     _compressed,
-    _direct_sums,
-    _dominated_pair,
     _contraction_build,
     _contraction_draw,
+    _diagonals,
+    _direct_sums,
+    _dominated_pair,
+    _functional_calculus,
     _halve,
     _isometry_draw,
+    _max,
     _operator_norms,
     _orthonormal,
     _pd_build,
     _pd_draw,
     as_tuple,
-    apply_scalar_function,
-    make_dominated_pair,
-    operator_norm,
-    random_commuting_tuple,
-    random_isometry,
-    random_pd,
-    tuple_compress,
 )
 
 __all__ = [
@@ -188,14 +189,14 @@ def _run(suite: str, cfg: SuiteConfig, draw, build, extras=None) -> Verification
 def _deferred(trial_fn):
     """``trial_fn(rng, dim, trial)``, a trial that returns its violation, as
     the draw and build of `_run`: the draw binds the trial, which runs whole
-    when tallied."""
+    when tallied.  Only `measures.check_stochastic_monotone` runs this way."""
     return (lambda rng, dim, trial: partial(trial_fn, rng, dim, trial),
             lambda runs, dim, block: runs)
 
 
 def _settled(outcome):
     """A measured trial's `_tally` run: ``outcome`` is its violation (a
-    float), or the `_Skip` or `_Fail` it raises."""
+    float), or the `_Skip`, `_Fail` or error of f it raises."""
     if isinstance(outcome, float):
         return outcome
     raise outcome
@@ -207,6 +208,15 @@ def _runs(ok, outcomes, reject=_Skip):
     turn; every other trial raises a new ``reject()``."""
     outcomes = iter(outcomes)
     return [partial(_settled, next(outcomes) if good else reject()) for good in ok.tolist()]
+
+
+def _first_errors(violations, *errors):
+    """The `_tally` runs of a block's trials: a trial settles to its
+    violation, or raises the first error of its own calls, in the order of
+    a lone trial (``errors``: per call, one list over the trials, each item
+    None or an exception)."""
+    return [partial(_settled, next((e for e in errs if e is not None), v))
+            for v, *errs in zip(violations, *errors)]
 
 
 def _pd_stack(draws, *shape) -> np.ndarray:
@@ -255,14 +265,6 @@ def _complex_values(r):
         return _pencil._route_complex(r, arrays, _pencil._imaginary_floor(arrays))[1]
 
     return partial(_evaluate, route=route, hermitian=False)
-
-
-def _max(first, *rest):
-    """Python's ``max`` of arrays, elementwise and with its NaN semantics: an
-    argument replaces the running maximum only where it is greater."""
-    for a in rest:
-        first = np.where(a > first, a, first)
-    return first
 
 
 def _min_eig_scaled(diff: np.ndarray, scale):
@@ -327,20 +329,26 @@ def check_monotone_scalar(f, cfg: SuiteConfig, k: int = 1) -> VerificationReport
     the classical Loewner-order violation).
     """
 
-    def trial(rng, dim, trial_index):
+    def draw(rng, dim, trial_index):
         if k == 1:
-            x = MatrixTuple((random_pd(dim, _SPECTRUM, rng),))
-            y = MatrixTuple((random_pd(dim, _SPECTRUM, rng),))
-        else:
-            x = random_commuting_tuple(k, dim, _SPECTRUM, rng)
-            y = random_commuting_tuple(k, dim, _SPECTRUM, rng)
-        xd, yd = make_dominated_pair(x, y)
-        fx = apply_scalar_function(f, xd).entries
-        fy = apply_scalar_function(f, yd).entries
-        scale = max(operator_norm(fx), operator_norm(fy))
-        return _min_eig_scaled(fy - fx, scale)
+            return _pd_draw(2, dim, _SPECTRUM, rng)
+        return [_commuting_draw(k, dim, _SPECTRUM, rng) for _ in range(2)]
 
-    return _run("monotone-scalar", cfg, *_deferred(trial))
+    def build(draws, dim, block):
+        if k == 1:
+            x, y = _pd_stack(draws, 2, 1).swapaxes(0, 1)
+        else:
+            built = _commuting_build([pair for draw in draws for pair in draw])
+            x, y = built.reshape(len(draws), 2, *built.shape[1:]).swapaxes(0, 1)
+        xd, yd = _dominated_pair(x, y)
+        # f(Xd) before f(Yd): a trial raises the first error of its own calls
+        values, errors = _functional_calculus(f, np.concatenate([xd, yd]))
+        fx, fy = values[:len(block)], values[len(block):]
+        norms = _operator_norms(values)
+        violations = _min_eig_scaled(fy - fx, _max(norms[:len(block)], norms[len(block):]))
+        return _first_errors(violations, errors[:len(block)], errors[len(block):])
+
+    return _run("monotone-scalar", cfg, draw, build)
 
 
 def check_concave(r, cfg: SuiteConfig) -> VerificationReport:
@@ -436,25 +444,44 @@ def check_hypograph_saturation(f, cfg: SuiteConfig, k: int = 1) -> VerificationR
     negative control fails it.
     """
 
-    def trial(rng, dim, trial_index):
+    def draw(rng, dim, trial_index):
         n = int(rng.integers(1, dim + 1))
         lam = [rng.uniform(*_SPECTRUM, size=dim) for _ in range(k)]
-        x = MatrixTuple(tuple(np.diag(li) for li in lam))
-        fx = apply_scalar_function(f, x).entries
-        g = rng.standard_normal((dim, dim))
-        p = g @ g.T
-        p *= rng.uniform(0.0, 0.5) * max(1.0, operator_norm(fx)) / max(operator_norm(p), 1e-300)
-        y = fx - p
+        g, shrink = rng.standard_normal((dim, dim)), rng.uniform(0.0, 0.5)
         if k == 1 and rng.random() < 0.5:
-            v = random_isometry(n, dim, rng).entries
-        else:
-            v = _disjoint_support_isometry(dim, n, rng)
-        xc = tuple_compress(x, v)
-        fxc = apply_scalar_function(f, xc).entries
-        yc = v.conj().T @ y @ v
-        return _min_eig_scaled(fxc - yc, operator_norm(fxc))
+            return n, lam, g, shrink, _isometry_draw(n, dim, rng), True
+        return n, lam, g, shrink, _disjoint_support_isometry(dim, n, rng), False
 
-    return _run("hypograph", cfg, *_deferred(trial))
+    def build(draws, dim, block):
+        sizes, lams, gs, shrinks, maps, gaussian = zip(*draws)
+        x = _diagonals(np.array(lams))
+        fx, errors = _functional_calculus(f, x)
+        g = np.array(gs)
+        p = g @ g.swapaxes(-1, -2)
+        p *= (np.array(shrinks) * _max(1.0, _operator_norms(fx))
+              / _max(_operator_norms(p), 1e-300))[:, None, None]
+        y = fx - p
+        # per size n of V, its trials (isometries first) and their maps, one
+        # build per size
+        kinds = {}
+        for i, n in enumerate(sizes):
+            kinds.setdefault(n, ([], []))[not gaussian[i]].append(i)
+        violation, errors_c = np.empty(len(block)), [None] * len(block)
+        for isometries, disjoint in kinds.values():
+            idx = isometries + disjoint
+            v = [_orthonormal(np.array([maps[i] for i in isometries]))] if isometries else []
+            if disjoint:
+                v.append(np.array([maps[i] for i in disjoint]))
+            v = np.concatenate(v)
+            fxc, errs = _functional_calculus(f, _compressed(x[idx], v))
+            yc = v.conj().swapaxes(-1, -2) @ y[idx] @ v
+            violation[idx] = _min_eig_scaled(fxc - yc, _operator_norms(fxc))
+            for i, exc in zip(idx, errs):
+                errors_c[i] = exc
+        # f(X) before f(V*XV): a trial raises the first error of its own calls
+        return _first_errors(violation.tolist(), errors, errors_c)
+
+    return _run("hypograph", cfg, draw, build)
 
 
 @dataclass(frozen=True)

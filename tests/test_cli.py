@@ -38,6 +38,7 @@ from loewner import (
 import loewner
 from loewner import cli, jsonio
 from loewner.cli import _scalar_from_realization, build_parser, main
+from loewner.pencil import PencilDomainError
 
 
 def assert_same_realization(a, b):
@@ -509,6 +510,41 @@ class TestVerifyCommand:
         scalar = f(*(float(c[0]) for c in cols))
         assert isinstance(scalar, float)
         assert abs(scalar - pointwise[0]) <= 1e-12 * abs(pointwise[0])
+
+
+    @pytest.mark.parametrize("spec", ["sqrt", "cauchy:0.7", "geomean:0.3"])
+    def test_hypograph_adapter_stack_equals_eval_row_by_row(self, spec):
+        """(T, n) joint eigenvalues are T diagonal points of one stacked
+        evaluation; each row has the bits of `eval` at its diagonal point."""
+        r = build_realization(spec, n_nodes=24)
+        f = _scalar_from_realization(r)
+        rng = np.random.default_rng(4)
+        cols = [rng.uniform(0.1, 10.0, size=(5, 3)) for _ in range(r.k)]
+        got = f(*cols)
+        assert got.shape == (5, 3)
+        for t in range(5):
+            want = np.diag(eval_pencil(r, MatrixTuple(tuple(np.diag(c[t]) for c in cols))).entries)
+            assert got[t].tobytes() == want.tobytes()
+            assert f(*(c[t] for c in cols)).tobytes() == want.tobytes()
+
+    def test_hypograph_adapter_rejects_a_stack_as_eval_does(self):
+        f = _scalar_from_realization(build_realization("sqrt", n_nodes=24))
+        with pytest.raises(ValueError, match="non-finite entry"):
+            f(np.array([[1.0, 2.0], [np.nan, 1.0]]))
+        with pytest.raises(PencilDomainError):
+            f(np.array([[1.0, 2.0], [-3.0, 1.0]]))
+
+    def test_hypograph_domain_error_exits_2_with_its_message(self, tmp_path, capsys):
+        """The first trial whose f raises, at its first call, gives the
+        message: the pencil leaves its domain where lambda_max(X) > about 8."""
+        edge = PencilRealization(np.array([1.0, 0.0]), np.diag([8e-9, 0.0]),
+                                 (np.array([[1.0, 1.0], [1.0, 1.0 - 2e-9]]),))
+        write(tmp_path / "r.json", jsonio.realization_to_json(edge))
+        rc = main(["verify", "--suite", "hypograph", "--realization", str(tmp_path / "r.json"),
+                   "--dims", "1,2,4", "--trials", "6", "--seed", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: pencil not PSD at X: Schur complement eigenvalue -1.167e-08\n")
 
 
 class TestOrderCommand:

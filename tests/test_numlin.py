@@ -1,5 +1,7 @@
 """Tests for the dense self-adjoint kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,13 @@ from loewner import (
     random_pd,
 )
 from loewner.numlin import (
+    _commuting_build,
+    _commuting_draw,
     _compressed,
     _contraction_build,
     _contraction_draw,
     _dominated_pair,
+    _functional_calculus,
     _haar_orthogonal,
     _halve,
     _isometry_draw,
@@ -293,6 +298,16 @@ def legacy_dominated_pair(x, y):
     return shifted, y
 
 
+def legacy_commuting_tuple(k, n, interval, rng):
+    """A commuting tuple drawn and built one coordinate at a time."""
+    q = legacy_isometry(n, n, rng)
+    items = []
+    for _ in range(k):
+        a = q @ np.diag(rng.uniform(*interval, n)) @ q.T
+        items.append(_halve(a + a.T))
+    return np.array(items)
+
+
 def assert_same_state(new, old):
     assert new.standard_normal() == old.standard_normal()
 
@@ -325,6 +340,13 @@ def test_split_draws_equal_per_draw_generators(seed, count, n, extra, k):
     np.testing.assert_array_equal(random_isometry(n, m, new).entries, legacy_isometry(n, m, old))
     assert_same_state(new, old)
 
+    got = _commuting_build([_commuting_draw(k, n, spectrum, new) for _ in range(count)])
+    for tuple_ in got:
+        np.testing.assert_array_equal(tuple_, legacy_commuting_tuple(k, n, spectrum, old))
+    np.testing.assert_array_equal(np.array(random_commuting_tuple(k, n, spectrum, new).arrays()),
+                                  legacy_commuting_tuple(k, n, spectrum, old))
+    assert_same_state(new, old)
+
     g, target = map(np.stack, zip(*(_contraction_draw(n, m, new) for _ in range(count))))
     for w in _contraction_build(g, target):
         np.testing.assert_array_equal(w, legacy_contraction(n, m, old))
@@ -341,3 +363,95 @@ def test_split_draws_equal_per_draw_generators(seed, count, n, extra, k):
     for got, xi, wi in zip(_compressed(x, w), x, w):
         c = wi.conj().T @ xi @ wi
         np.testing.assert_array_equal(got, _halve(c + c.conj().swapaxes(-1, -2)))
+
+
+# ---------------------------------------------------------------------------
+# the stacked functional calculus against the calculus of one point at a time
+# ---------------------------------------------------------------------------
+
+def legacy_joint_basis(arrays):
+    """The joint eigenbasis of one commuting family, as before the calculus
+    was stacked."""
+    k = len(arrays)
+    rng = np.random.default_rng(0x1DEA)
+    scale = max(max(operator_norm(x) for x in arrays), 1e-300)
+    for _ in range(2):
+        c = rng.standard_normal(k)
+        combo = sum(ci * x for ci, x in zip(c, arrays))
+        combo = (combo + combo.conj().T) / 2.0
+        _, basis = np.linalg.eigh(combo)
+        worst = 0.0
+        for x in arrays:
+            rot = basis.conj().T @ x @ basis
+            off = rot - np.diag(np.diag(rot))
+            worst = max(worst, operator_norm(off))
+        if worst <= 1e-8 * scale:
+            return basis
+    raise CommutationError(
+        f"joint diagonalization residual {worst:.3e} exceeds "
+        "1.0e-08 * scale; tuple does not commute within tolerance")
+
+
+def legacy_apply_scalar_function(f, arrays):
+    """f(X) at one point (a list of k matrices), as before the calculus was
+    stacked: the value, or the exception it raises."""
+    try:
+        n = arrays[0].shape[0]
+        if len(arrays) == 1:
+            lam, basis = np.linalg.eigh(arrays[0])
+            joint = [lam]
+        else:
+            basis = legacy_joint_basis(arrays)
+            joint = [np.real(np.diag(basis.conj().T @ a @ basis)) for a in arrays]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            try:
+                vals = np.asarray(f(*joint), dtype=float)
+                if vals.shape != (n,):
+                    raise TypeError
+            except TypeError:
+                vals = np.array([float(f(*(col[j] for col in joint))) for j in range(n)])
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            point = tuple(float(col[bad]) for col in joint)
+            raise ValueError(f"function undefined at joint eigenvalue {point}")
+        return SymMatrix(basis @ np.diag(vals) @ basis.conj().T).entries
+    except Exception as exc:
+        return exc
+
+
+def _scalar_only_sqrt(x):
+    return math.sqrt(x)  # scalars only: arrays take the per-element fallback
+
+
+def _raises_above(limit):
+    def f(x):
+        if np.max(x) > limit:
+            raise ArithmeticError(f"argument above {limit}")
+        return np.log(x)
+    return f
+
+
+@settings(settings.get_profile("loewner"), max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 6), n=st.integers(1, 5),
+       k=st.integers(1, 3), kind=st.sampled_from(["sqrt", "scalar-only", "shifted", "raises"]),
+       noncommuting=st.booleans())
+def test_stacked_calculus_equals_one_point_at_a_time(seed, count, n, k, kind, noncommuting):
+    """Each point of a stack gets the bits of the calculus on it alone, or
+    the same exception: f's own error (the whole stack then runs point by
+    point), a non-finite value, or (at the middle point, for k > 1) a
+    tuple that does not commute."""
+    f = {"sqrt": lambda *a: np.sqrt(sum(a)), "scalar-only": _scalar_only_sqrt,
+         "shifted": lambda *a: np.sqrt(sum(a) - 4.0), "raises": _raises_above(8.0)}[kind]
+    if kind in ("scalar-only", "raises"):
+        k = 1
+    rng = np.random.default_rng(seed)
+    x = _commuting_build([_commuting_draw(k, n, (0.1, 10.0), rng) for _ in range(count)])
+    if noncommuting and k > 1:
+        x[count // 2, 0] = random_pd(n, (0.1, 10.0), rng).entries
+    values, errors = _functional_calculus(f, x)
+    for got, error, point in zip(values, errors, x):
+        want = legacy_apply_scalar_function(f, list(point))
+        if isinstance(want, Exception):
+            assert type(error) is type(want) and str(error) == str(want)
+        else:
+            assert error is None and got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 """Tests for the randomized property suites."""
 
+import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -28,7 +30,8 @@ from loewner import (
     weighted_arithmetic,
     weighted_harmonic,
 )
-from loewner import PencilDomainError, eval_pencil, make_dominated_pair
+from loewner import PencilDomainError, apply_scalar_function, eval_pencil, make_dominated_pair
+from loewner.cli import _scalar_from_realization
 from loewner.numlin import (
     _haar_orthogonal,
     operator_norm,
@@ -38,7 +41,8 @@ from loewner.numlin import (
     tuple_direct_sum,
 )
 from loewner import verify
-from loewner.verify import _Fail, _Skip, _disjoint_support_isometry, _tally
+from loewner.verify import (_SPECTRUM, _Fail, _Skip, _disjoint_support_isometry,
+                            _min_eig_scaled, _tally)
 
 
 IDENTITY = build_realization("identity")
@@ -463,10 +467,125 @@ class TestStackedSuitesMatchPerTrialReference:
         assert check_herglotz(r, cfg) == reference_report("herglotz", r, cfg)
 
 
+# ---------------------------------------------------------------------------
+# the stacked scalar suites against their per-trial reference
+# ---------------------------------------------------------------------------
+
+def scalar_reference_report(suite, f, cfg, k=1):
+    """The scalar suite run one trial at a time, with the trial bodies of the
+    suites before they were stacked: two `apply_scalar_function` calls per
+    trial, and an error of f raised by the first trial that meets it."""
+    def monotone_scalar(rng, dim, trial_index):
+        if k == 1:
+            x = MatrixTuple((random_pd(dim, _SPECTRUM, rng),))
+            y = MatrixTuple((random_pd(dim, _SPECTRUM, rng),))
+        else:
+            x = random_commuting_tuple(k, dim, _SPECTRUM, rng)
+            y = random_commuting_tuple(k, dim, _SPECTRUM, rng)
+        xd, yd = make_dominated_pair(x, y)
+        fx = apply_scalar_function(f, xd).entries
+        fy = apply_scalar_function(f, yd).entries
+        scale = max(operator_norm(fx), operator_norm(fy))
+        return _min_eig_scaled(fy - fx, scale)
+
+    def hypograph(rng, dim, trial_index):
+        n = int(rng.integers(1, dim + 1))
+        lam = [rng.uniform(*_SPECTRUM, size=dim) for _ in range(k)]
+        x = MatrixTuple(tuple(np.diag(li) for li in lam))
+        fx = apply_scalar_function(f, x).entries
+        g = rng.standard_normal((dim, dim))
+        p = g @ g.T
+        p *= rng.uniform(0.0, 0.5) * max(1.0, operator_norm(fx)) / max(operator_norm(p), 1e-300)
+        y = fx - p
+        if k == 1 and rng.random() < 0.5:
+            v = random_isometry(n, dim, rng).entries
+        else:
+            v = _disjoint_support_isometry(dim, n, rng)
+        xc = tuple_compress(x, v)
+        fxc = apply_scalar_function(f, xc).entries
+        yc = v.conj().T @ y @ v
+        return _min_eig_scaled(fxc - yc, operator_norm(fxc))
+
+    trial_fn = {"monotone-scalar": monotone_scalar, "hypograph": hypograph}[suite]
+    seeds = ((cfg.seed * 1_000_000 + dim * 10_000 + t, dim, t)
+             for dim in cfg.dims for t in range(cfg.trials))
+    return _tally(suite, cfg, ((ts, lambda d=dim, t=t, ts=ts: trial_fn(
+        np.random.default_rng(ts), d, t)) for ts, dim, t in seeds))
+
+
+SCALAR_SUITES = {"monotone-scalar": check_monotone_scalar,
+                 "hypograph": check_hypograph_saturation}
+
+
+def _math_sqrt(x):
+    return math.sqrt(x)  # scalars only: arrays take the per-element fallback
+
+
+def _adapter(spec):
+    r = build_realization(spec, n_nodes=24)
+    return _scalar_from_realization(r), r.k
+
+
+# (name, () -> (f, k)): vectorised ufuncs, a scalar-only function, a sum of two
+# variables and the CLI adapters of one- and two-variable realizations
+SCALAR_FUNCTIONS = {
+    "np.sqrt": lambda: (np.sqrt, 1),
+    "np.square": lambda: (np.square, 1),
+    "math.sqrt": lambda: (_math_sqrt, 1),
+    "a+b": lambda: (lambda a, b: a + b, 2),
+    "adapter:sqrt": lambda: _adapter("sqrt"),
+    "adapter:cauchy:0.7": lambda: _adapter("cauchy:0.7"),
+    "adapter:geomean:0.3": lambda: _adapter("geomean:0.3"),
+}
+
+
+class TestStackedScalarSuitesMatchPerTrialReference:
+    """The scalar suites draw each trial from its own generator and build,
+    evaluate (`numlin._functional_calculus`) and measure a block of trials
+    in stacked calls; reports and errors equal the per-trial reference."""
+
+    CFG = SuiteConfig(dims=(1, 2, 4), trials=7, seed=5, tol=1e-13)
+
+    @pytest.mark.parametrize("block", [2, 3, 64])
+    @pytest.mark.parametrize("suite", sorted(SCALAR_SUITES))
+    @pytest.mark.parametrize("name", sorted(SCALAR_FUNCTIONS))
+    def test_report_equals_reference(self, monkeypatch, name, suite, block):
+        f, k = SCALAR_FUNCTIONS[name]()
+        want = scalar_reference_report(suite, f, self.CFG, k)
+        monkeypatch.setattr(verify, "_BLOCK_TRIALS", block)
+        assert SCALAR_SUITES[suite](f, self.CFG, k=k) == want
+
+    def test_functions_fail_some_trials(self):
+        """The references are not all passing runs: the square fails trials
+        of both suites."""
+        for suite in SCALAR_SUITES:
+            assert 0 < scalar_reference_report(suite, np.square, self.CFG).failures
+
+    @pytest.mark.parametrize("block", [2, 3, 64])
+    @pytest.mark.parametrize("suite", sorted(SCALAR_SUITES))
+    @pytest.mark.parametrize("name", ["edge", "shifted sqrt"])
+    def test_first_error_equals_reference(self, monkeypatch, name, suite, block):
+        """A trial whose f raises (the edge pencil's domain error, or a
+        non-finite value) raises the error of the first such trial, and of
+        its first call, as the reference does."""
+        f = (_scalar_from_realization(edge_realization()) if name == "edge"
+             else lambda x: np.sqrt(x - 2.0))
+        with pytest.raises(ValueError) as want:
+            scalar_reference_report(suite, f, self.CFG)
+        monkeypatch.setattr(verify, "_BLOCK_TRIALS", block)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            SCALAR_SUITES[suite](f, self.CFG)
+
+
+def _hypograph_adapter(r, cfg):
+    return check_hypograph_saturation(_scalar_from_realization(r), cfg, k=r.k)
+
+
 # herglotz on harmonic:0.3,0.7 evaluates its points on the stacked batched
-# complex kernel
+# complex kernel; hypograph runs the CLI adapter of power:0.5
 @pytest.mark.parametrize("spec, suite", [("power:0.5", check_free_axioms),
-                                         ("harmonic:0.3,0.7", check_herglotz)])
+                                         ("harmonic:0.3,0.7", check_herglotz),
+                                         ("power:0.5", _hypograph_adapter)])
 def test_suite_memory_is_bounded_by_its_block(monkeypatch, spec, suite):
     """Only one block of trials is live at a time: ten blocks of a dimension
     peak at about the memory of one (all trials at once: about ten times)."""
