@@ -52,15 +52,17 @@ from .numlin import (
     DEFAULT_PSD_TOL,
     DimensionMismatch,
     SymMatrix,
-    _haar_orthogonal,
+    _diagonals,
+    _isometry_draw,
+    _orthonormal,
+    _pd_build,
+    _pd_draw,
     _sym,
     direct_sum,
     loewner_leq,
     operator_norm,
-    random_pd,
 )
-from .verify import (_SPECTRUM, SuiteConfig, VerificationReport, _deferred, _min_eig_scaled,
-                     _run, _Skip, _tally)
+from .verify import _SPECTRUM, SuiteConfig, VerificationReport, _min_eig_scaled, _run, _Skip, _tally
 
 __all__ = [
     "DiscreteMeasure",
@@ -806,10 +808,18 @@ def mean_of_measure(spec, mu: DiscreteMeasure) -> SymMatrix:
 # property suites
 # ---------------------------------------------------------------------------
 
-def _random_psd_bump(n: int, scale: float, rng) -> np.ndarray:
-    q = _haar_orthogonal(n, rng)
-    lam = rng.uniform(0.0, scale, n)
-    return q @ np.diag(lam) @ q.T
+def _mean_function(spec):
+    """The mean of a spec string (parsed once) or callable, as an array; a
+    ValueError where it has a non-finite entry."""
+    mean = spec if callable(spec) else partial(mean_of_measure, parse_mean_spec(spec))
+
+    def checked(mu):
+        m = np.asarray(mean(mu))
+        if not np.isfinite(m).all():
+            raise ValueError("mean has a non-finite entry")
+        return m
+
+    return checked
 
 
 def check_stochastic_monotone(spec, cfg) -> VerificationReport:
@@ -819,28 +829,39 @@ def check_stochastic_monotone(spec, cfg) -> VerificationReport:
     weights, optionally permuted) to get nu >= mu, confirm the order by
     max-flow, then require mean(mu) <= mean(nu) + tol.  ``spec`` is a mean
     spec string or any callable DiscreteMeasure -> matrix (callables provide
-    the negative controls).
+    the negative controls).  A block builds its atoms and increments in
+    stacked calls, then measures its trials one by one.
     """
-    mean_fn = spec if callable(spec) else (lambda m: mean_of_measure(spec, m))
+    mean = _mean_function(spec)
     bump_scale = 0.25 * (_SPECTRUM[1] - _SPECTRUM[0])
 
-    def trial(rng, dim, trial_index):
+    def draw(rng, dim, trial_index):
         size = int(rng.integers(2, 5))
-        atoms = [random_pd(dim, _SPECTRUM, rng) for _ in range(size)]
+        atoms = _pd_draw(size, dim, _SPECTRUM, rng)
         w = rng.dirichlet(np.ones(size))
-        mu = DiscreteMeasure(tuple(atoms), w)
-        lifted = [a.entries + _random_psd_bump(dim, bump_scale, rng) for a in atoms]
+        bumps = [(_isometry_draw(dim, dim, rng), rng.uniform(0.0, bump_scale, dim))
+                 for _ in range(size)]
         order = rng.permutation(size) if rng.random() < 0.5 else np.arange(size)
-        nu = DiscreteMeasure(tuple(lifted[i] for i in order), w[order])
-        ok, _ = stochastic_leq(mu, nu)
-        if not ok:
-            raise _Skip
-        m1 = np.asarray(mean_fn(mu))
-        m2 = np.asarray(mean_fn(nu))
-        scale = max(operator_norm(m1), operator_norm(m2))
-        return _min_eig_scaled(m2 - m1, scale)
+        return atoms, w, bumps, order
 
-    return _run("stochastic-monotone", cfg, *_deferred(trial))
+    def build(draws, dim, block):
+        atoms, weights, bumps, orders = zip(*draws)
+        x = _pd_build([pair for a in atoms for pair in a])
+        g, lam = map(np.array, zip(*(pair for b in bumps for pair in b)))
+        q = _orthonormal(g)
+        # the increments stay unsymmetrized: the pinned reports depend on their bits
+        lifted = x + q @ _diagonals(lam) @ q.swapaxes(-1, -2)
+        cuts = np.cumsum([len(w) for w in weights])[:-1]
+        return list(map(measure, weights, orders, np.split(x, cuts), np.split(lifted, cuts)))
+
+    def measure(w, order, xs, ys):
+        mu, nu = DiscreteMeasure(tuple(xs), w), DiscreteMeasure(tuple(ys[order]), w[order])
+        if not stochastic_leq(mu, nu)[0]:
+            return _Skip()
+        m1, m2 = mean(mu), mean(nu)
+        return _min_eig_scaled(m2 - m1, max(operator_norm(m1), operator_norm(m2)))
+
+    return _run("stochastic-monotone", cfg, draw, build)
 
 
 def check_directsum_coupling(spec, mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -849,16 +870,14 @@ def check_directsum_coupling(spec, mu: DiscreteMeasure, nu: DiscreteMeasure,
     (the `SuiteConfig` tolerance 1e-8)."""
     couplings = list(couplings)
     cfg = SuiteConfig(dims=(mu.n + nu.n,), trials=len(couplings), seed=0)
-    mean_fn = spec if callable(spec) else (lambda m: mean_of_measure(spec, m))
-    target = direct_sum(mean_fn(mu), mean_fn(nu))
+    mean = _mean_function(spec)
+    target = direct_sum(mean(mu), mean(nu))
 
     def trial(coupling):
         charged = coupling.gamma > _CELL_EPS
         atoms = tuple(direct_sum(mu.atoms[i], nu.atoms[j]) for i, j in np.argwhere(charged))
         weights = coupling.gamma[charged]  # row-major, as the atoms
         joint = DiscreteMeasure(atoms, weights / weights.sum())
-        got = np.asarray(mean_fn(joint))
-        return -operator_norm(got - target.entries) / max(1.0, target.norm)
+        return -operator_norm(mean(joint) - target.entries) / max(1.0, target.norm)
 
-    return _tally("directsum-coupling", cfg,
-                  ((idx, partial(trial, c)) for idx, c in enumerate(couplings)))
+    return _tally("directsum-coupling", cfg, enumerate(map(trial, couplings)))

@@ -401,10 +401,6 @@ def _orthonormal(g: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _orthonormal(_isometry_draw(n, n, rng)[None])[0]
-
-
 def random_pd(n: int, interval=(0.1, 10.0), seed=0) -> SymMatrix:
     """Random PD matrix with spectrum drawn uniformly from ``interval``."""
     return SymMatrix(_pd_build(_pd_draw(1, n, interval, _rng(seed)))[0])

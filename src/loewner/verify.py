@@ -9,29 +9,31 @@ norm.  A suite passes iff no trial dips below -tol.  Reports are bit-for-bit
 reproducible from (seed, config); trial seeds are derived as
 seed*1e6 + dim*1e4 + trial.
 
-Every suite here, the pencil suites (axioms, monotone, concave, jensen,
-herglotz) and the scalar suites (monotone-scalar, hypograph), runs the
-trials of each dimension in blocks of at most `_BLOCK_TRIALS` (`_run`), in
-four steps: each trial takes its raw random numbers (Gaussians, spectra,
-integers) from its own generator, in the order of a lone trial (the draw
-halves of the `numlin` generators); one build turns the block's numbers into
-points with stacked ``qr``, ``matmul`` and ``svd`` calls (their build
-halves); the points are evaluated in one stacked call per point size
-(`_evaluate`, over `pencil._route` or `pencil._route_complex`; for a scalar
-function `numlin._functional_calculus`, which calls f once per stack); and
-the trials are measured together, one stacked call per measure.  A stacked
-call gives each slice the bits of the call on it alone, so a report does
-not depend on the block size.  In a pencil suite a point outside the
-domain skips only its own trial.  An error of a scalar function is its
-trial's outcome, raised when the trial is tallied, so the first trial that
-meets one raises it, at its first call.
-`measures.check_stochastic_monotone` runs each trial whole (`_deferred`).
+Every seeded suite, the pencil suites here (axioms, monotone, concave,
+jensen, herglotz), the scalar suites (monotone-scalar, hypograph) and
+`measures.check_stochastic_monotone`, runs the trials of each dimension in
+blocks of at most `_BLOCK_TRIALS` (`_run`), in four steps: each trial takes
+its raw random numbers (Gaussians, spectra, integers) from its own
+generator, in the order of a lone trial (the draw halves of the `numlin`
+generators); one build turns the block's numbers into points with stacked
+``qr``, ``matmul`` and ``svd`` calls (their build halves); the points are
+evaluated in one stacked call per point size (`_evaluate`, over
+`pencil._route` or `pencil._route_complex`; for a scalar function
+`numlin._functional_calculus`, which calls f once per stack); and the
+trials are measured together, one stacked call per measure
+(`measures.check_stochastic_monotone` decides the order and takes the means
+trial by trial).  A stacked call gives each slice the bits of the call on
+it alone, so a report does not depend on the block size.
 
-One tally, `_tally`, serves every suite (those in `measures` too).  A trial
-returns its violation, raises `_Skip`, or raises `_Fail` to fail whatever its
-violation (herglotz: a singular pivot, or conjugate asymmetry above sym_tol).
-`check_directsum_coupling` labels trials by coupling index, so that index is
-its ``first_failure_seed``.
+One tally, `_tally`, serves every suite (those in `measures` too); it takes
+one outcome per trial: its violation (a float), a `_Skip`, a `_Fail(v)`
+that fails it whatever its violation v (herglotz: a singular pivot, or
+conjugate asymmetry above sym_tol), or any other exception, which `_tally`
+raises.  In a pencil suite a point outside the domain skips only its own
+trial.  An error of a scalar function is its trial's outcome, so the first
+trial that meets one raises it, at its first call.
+`check_directsum_coupling` labels trials by coupling index, so that index
+is its ``first_failure_seed``.
 """
 
 from __future__ import annotations
@@ -133,21 +135,23 @@ class _Fail(Exception):
     """``_Fail(v)``: the trial fails whatever its violation ``v``, which still counts."""
 
 
-def _tally(suite: str, cfg: SuiteConfig, trials, extras=None) -> VerificationReport:
-    """Report of ``(label, run)`` pairs: ``run()`` returns a violation or raises `_Skip`
-    or `_Fail`; the first failing label is ``first_failure_seed``."""
+def _tally(suite: str, cfg: SuiteConfig, outcomes, extras=None) -> VerificationReport:
+    """Report of ``(label, outcome)`` pairs, an outcome being a violation, a
+    `_Skip`, a `_Fail` or an error, which is raised; the first failing label
+    is ``first_failure_seed``."""
     worst = np.inf
     failures = skipped = 0
     first_fail = None
-    for label, run in trials:
-        try:
-            v = run()
-            failed = v < -cfg.tol
-        except _Skip:
+    for label, outcome in outcomes:
+        if isinstance(outcome, _Skip):
             skipped += 1
             continue
-        except _Fail as exc:
-            v, failed = exc.args[0], True
+        if isinstance(outcome, _Fail):
+            v, failed = outcome.args[0], True
+        elif isinstance(outcome, Exception):
+            raise outcome
+        else:
+            v, failed = outcome, outcome < -cfg.tol
         worst = min(worst, v)
         if failed:
             failures += 1
@@ -172,9 +176,9 @@ def _run(suite: str, cfg: SuiteConfig, draw, build, extras=None) -> Verification
     takes each trial's raw random numbers from its own generator, in the
     order of a lone trial; ``build(draws, dim, block)`` then builds the
     block's points, evaluates them and measures its trials, each step in
-    stacked calls over the block, and returns per trial its `_tally` run.
-    Only one block is live at a time."""
-    def trials():
+    stacked calls over the block, and returns per trial its `_tally`
+    outcome.  Only one block is live at a time."""
+    def outcomes():
         for dim in cfg.dims:
             for start in range(0, cfg.trials, _BLOCK_TRIALS):
                 block = range(start, min(start + _BLOCK_TRIALS, cfg.trials))
@@ -183,40 +187,23 @@ def _run(suite: str, cfg: SuiteConfig, draw, build, extras=None) -> Verification
                          for ts, trial in zip(seeds, block)]
                 yield from zip(seeds, build(draws, dim, block))
 
-    return _tally(suite, cfg, trials(), extras)
-
-
-def _deferred(trial_fn):
-    """``trial_fn(rng, dim, trial)``, a trial that returns its violation, as
-    the draw and build of `_run`: the draw binds the trial, which runs whole
-    when tallied.  Only `measures.check_stochastic_monotone` runs this way."""
-    return (lambda rng, dim, trial: partial(trial_fn, rng, dim, trial),
-            lambda runs, dim, block: runs)
-
-
-def _settled(outcome):
-    """A measured trial's `_tally` run: ``outcome`` is its violation (a
-    float), or the `_Skip`, `_Fail` or error of f it raises."""
-    if isinstance(outcome, float):
-        return outcome
-    raise outcome
+    return _tally(suite, cfg, outcomes(), extras)
 
 
 def _runs(ok, outcomes, reject=_Skip):
-    """The `_tally` runs of a block's trials: ``ok`` masks the trials whose
-    points were all admitted, which settle to the next of ``outcomes`` in
-    turn; every other trial raises a new ``reject()``."""
+    """The `_tally` outcomes of a block's trials: ``ok`` masks the trials
+    whose points were all admitted, which take the next of ``outcomes`` in
+    turn; every other trial's outcome is a new ``reject()``."""
     outcomes = iter(outcomes)
-    return [partial(_settled, next(outcomes) if good else reject()) for good in ok.tolist()]
+    return [next(outcomes) if good else reject() for good in ok.tolist()]
 
 
 def _first_errors(violations, *errors):
-    """The `_tally` runs of a block's trials: a trial settles to its
-    violation, or raises the first error of its own calls, in the order of
-    a lone trial (``errors``: per call, one list over the trials, each item
-    None or an exception)."""
-    return [partial(_settled, next((e for e in errs if e is not None), v))
-            for v, *errs in zip(violations, *errors)]
+    """The `_tally` outcomes of a block's trials: a trial's violation, or
+    the first error of its own calls, in the order of a lone trial
+    (``errors``: per call, one list over the trials, each item None or an
+    exception)."""
+    return [next((e for e in errs if e is not None), v) for v, *errs in zip(violations, *errors)]
 
 
 def _pd_stack(draws, *shape) -> np.ndarray:
@@ -273,6 +260,23 @@ def _min_eig_scaled(diff: np.ndarray, scale):
     stacked ``eigvalsh``) and an array of scales."""
     lam = np.linalg.eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
     return (lam / np.fmax(1.0, scale)).tolist()
+
+
+def _grouped_maps(sizes, isometry, draws, build):
+    """Per source size n of a block's maps, in order of first use: the
+    indices of its trials, those whose ``isometry`` is set first, and their
+    maps, built with one `_orthonormal` over the isometries' Gaussians and
+    one ``build`` over the other draws."""
+    kinds = {}
+    for i, n in enumerate(sizes):
+        kinds.setdefault(n, ([], []))[not isometry[i]].append(i)
+    groups = []
+    for isometries, others in kinds.values():
+        maps = [_orthonormal(np.array([draws[i] for i in isometries]))] if isometries else []
+        if others:
+            maps.append(build([draws[i] for i in others]))
+        groups.append((np.array(isometries + others), np.concatenate(maps)))
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +389,8 @@ def check_jensen_isometry(r, cfg: SuiteConfig) -> VerificationReport:
     def build(draws, dim, block):
         sizes, ws, xs = zip(*draws)
         x = _pd_stack(xs, r.k)
-        # per size n of W, its trials (isometries first) and their maps, one
-        # build per size and kind
-        kinds = {}
-        for i, (n, trial) in enumerate(zip(sizes, block)):
-            kinds.setdefault(n, ([], []))[trial % 2].append(i)
-        groups = []
-        for isometries, contractions in kinds.values():
-            w = [_orthonormal(np.array([ws[i] for i in isometries]))] if isometries else []
-            if contractions:
-                g, target = map(np.array, zip(*(ws[i] for i in contractions)))
-                w.append(_contraction_build(g, target))
-            groups.append((np.array(isometries + contractions), np.concatenate(w)))
+        groups = _grouped_maps(sizes, [trial % 2 == 0 for trial in block], ws,
+                               lambda pairs: _contraction_build(*map(np.array, zip(*pairs))))
         (fx, fx_norm, ok_x), *values = evaluate([x] + [_compressed(x[i], w) for i, w in groups])
         violation, ok = np.empty(len(block)), np.zeros(len(block), dtype=bool)
         for (idx, w), (lhs, lhs_norm, ok_w) in zip(groups, values):
@@ -461,18 +455,8 @@ def check_hypograph_saturation(f, cfg: SuiteConfig, k: int = 1) -> VerificationR
         p *= (np.array(shrinks) * _max(1.0, _operator_norms(fx))
               / _max(_operator_norms(p), 1e-300))[:, None, None]
         y = fx - p
-        # per size n of V, its trials (isometries first) and their maps, one
-        # build per size
-        kinds = {}
-        for i, n in enumerate(sizes):
-            kinds.setdefault(n, ([], []))[not gaussian[i]].append(i)
         violation, errors_c = np.empty(len(block)), [None] * len(block)
-        for isometries, disjoint in kinds.values():
-            idx = isometries + disjoint
-            v = [_orthonormal(np.array([maps[i] for i in isometries]))] if isometries else []
-            if disjoint:
-                v.append(np.array([maps[i] for i in disjoint]))
-            v = np.concatenate(v)
+        for idx, v in _grouped_maps(sizes, gaussian, maps, np.array):
             fxc, errs = _functional_calculus(f, _compressed(x[idx], v))
             yc = v.conj().swapaxes(-1, -2) @ y[idx] @ v
             violation[idx] = _min_eig_scaled(fxc - yc, _operator_norms(fxc))

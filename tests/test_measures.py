@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -26,10 +27,11 @@ from loewner import (
     mean_of_measure,
     monotone_representation,
     power_mean,
+    random_isometry,
     random_pd,
     stochastic_leq,
 )
-from loewner import measures
+from loewner import measures, verify
 from loewner.measures import (
     _VECTOR_SUM_MIN,
     _exact_column_sums,
@@ -40,6 +42,7 @@ from loewner.measures import (
     pushforward_weights,
 )
 from loewner.numlin import SymMatrix, operator_norm
+from loewner.verify import _SPECTRUM, _min_eig_scaled, _Skip, _tally
 
 
 def uniform_measure(atoms):
@@ -792,6 +795,68 @@ def test_sum_property_draws_reach_both_sides_of_the_cut():
     assert (2 + 8) * 1 < _VECTOR_SUM_MIN <= (40 + 8) * 12 * 12
 
 
+def lambda_max_pick(mu):
+    """Top-eigenvector projector weighted by lambda_max: order violating."""
+    out = np.zeros((mu.n, mu.n))
+    for w, a in zip(mu.weights, mu.atoms):
+        lam, u = np.linalg.eigh(a.entries)
+        out += w * lam[-1] * np.outer(u[:, -1], u[:, -1])
+    return out + 0.05 * np.eye(mu.n)
+
+
+def stochastic_reference_report(spec, cfg):
+    """`check_stochastic_monotone` run one whole trial at a time, with the
+    trial body of the suite before its trials were drawn and built in blocks."""
+    mean_fn = spec if callable(spec) else (lambda m: mean_of_measure(spec, m))
+    bump_scale = 0.25 * (_SPECTRUM[1] - _SPECTRUM[0])
+
+    def random_psd_bump(n, scale, rng):
+        q = random_isometry(n, n, rng).entries
+        lam = rng.uniform(0.0, scale, n)
+        return q @ np.diag(lam) @ q.T
+
+    def trial(rng, dim, trial_index):
+        size = int(rng.integers(2, 5))
+        atoms = [random_pd(dim, _SPECTRUM, rng) for _ in range(size)]
+        w = rng.dirichlet(np.ones(size))
+        mu = DiscreteMeasure(tuple(atoms), w)
+        lifted = [a.entries + random_psd_bump(dim, bump_scale, rng) for a in atoms]
+        order = rng.permutation(size) if rng.random() < 0.5 else np.arange(size)
+        nu = DiscreteMeasure(tuple(lifted[i] for i in order), w[order])
+        ok, _ = stochastic_leq(mu, nu)
+        if not ok:
+            raise _Skip
+        m1 = np.asarray(mean_fn(mu))
+        m2 = np.asarray(mean_fn(nu))
+        scale = max(operator_norm(m1), operator_norm(m2))
+        return _min_eig_scaled(m2 - m1, scale)
+
+    def outcomes():
+        for dim in cfg.dims:
+            for t in range(cfg.trials):
+                ts = cfg.seed * 1_000_000 + dim * 10_000 + t
+                try:
+                    yield ts, trial(np.random.default_rng(ts), dim, t)
+                except _Skip as exc:
+                    yield ts, exc
+
+    return _tally("stochastic-monotone", cfg, outcomes())
+
+
+def raising_mean(k):
+    """The arithmetic mean, which raises on its k-th call an error naming
+    the measure it was called on."""
+    calls = []
+
+    def mean(mu):
+        calls.append(mu)
+        if len(calls) == k:
+            raise RuntimeError(f"call {k}: {mu.size} atoms, weights {mu.weights.tolist()}")
+        return mean_of_measure("arithmetic", mu)
+
+    return mean
+
+
 class TestStochasticMonotoneSuite:
     def test_arithmetic_passes(self):
         cfg = SuiteConfig(dims=(2, 3), trials=20, seed=30, tol=1e-10)
@@ -802,17 +867,81 @@ class TestStochasticMonotoneSuite:
         assert check_stochastic_monotone("power:0.5", cfg).passed
 
     def test_negative_control_detected(self):
-        # top-eigenvector projector weighted by lambda_max: order violating
-        def lambda_max_pick(mu):
-            out = np.zeros((mu.n, mu.n))
-            for w, a in zip(mu.weights, mu.atoms):
-                lam, u = np.linalg.eigh(a.entries)
-                out += w * lam[-1] * np.outer(u[:, -1], u[:, -1])
-            return out + 0.05 * np.eye(mu.n)
-
         cfg = SuiteConfig(dims=(3,), trials=60, seed=32, tol=1e-8)
         report = check_stochastic_monotone(lambda_max_pick, cfg)
         assert not report.passed
+
+
+class TestStochasticMonotoneMatchesPerTrialReference:
+    """The suite draws each trial from its own generator and builds a block's
+    atoms and increments in stacked calls; its reports and errors equal
+    those of the per-trial reference at every block size."""
+
+    CFG = SuiteConfig(dims=(1, 2, 3), trials=7, seed=5, tol=1e-8)
+
+    @pytest.mark.parametrize("block", [2, 3, 64])
+    @pytest.mark.parametrize("spec", ["arithmetic", "power:0.5", lambda_max_pick])
+    def test_report_equals_reference(self, monkeypatch, spec, block):
+        want = stochastic_reference_report(spec, self.CFG)
+        monkeypatch.setattr(verify, "_BLOCK_TRIALS", block)
+        assert check_stochastic_monotone(spec, self.CFG) == want
+
+    def test_negative_control_fails_some_trials(self):
+        report = stochastic_reference_report(lambda_max_pick, self.CFG)
+        assert 0 < report.failures < self.CFG.trials * len(self.CFG.dims)
+
+    @pytest.mark.parametrize("block", [2, 3, 64])
+    @pytest.mark.parametrize("k", [1, 2, 9, 30])
+    def test_mean_error_equals_reference(self, monkeypatch, k, block):
+        """A mean that raises on its k-th call raises the error of the same
+        call, on the same measure, as the reference."""
+        with pytest.raises(RuntimeError) as want:
+            stochastic_reference_report(raising_mean(k), self.CFG)
+        monkeypatch.setattr(verify, "_BLOCK_TRIALS", block)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
+            check_stochastic_monotone(raising_mean(k), self.CFG)
+
+
+class TestNonFiniteMean:
+    """A mean with a non-finite entry is an error where it enters, in both
+    measure suites (NaN compares False with every bound, so it passed the
+    tolerance unseen, and inf gave a NaN norm)."""
+
+    CFG = SuiteConfig(dims=(2, 3), trials=4, seed=5)
+
+    @staticmethod
+    def spoiled(value, at, when=lambda mu: True):
+        def mean(mu):
+            out = mean_of_measure("arithmetic", mu).entries.copy()
+            if when(mu):
+                out[at] = value
+            return out
+        return mean
+
+    @pytest.mark.parametrize("value, at", [(math.inf, (0, 0)), (math.nan, (0, 1))])
+    def test_stochastic_monotone(self, value, at):
+        with pytest.raises(ValueError, match="^mean has a non-finite entry$"):
+            check_stochastic_monotone(self.spoiled(value, at), self.CFG)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_directsum_coupling_on_the_joint_measure(self, value):
+        mu, nu = TestDirectSumCoupling._pair()
+        mean = self.spoiled(value, (0, 0), when=lambda m: m.n == mu.n + nu.n)
+        with pytest.raises(ValueError, match="^mean has a non-finite entry$"):
+            check_directsum_coupling(mean, mu, nu, couplings_sample(mu, nu, 3, seed=1))
+
+    def test_spec_is_parsed_once_before_any_trial(self, monkeypatch):
+        calls = []
+
+        def parse(text):
+            calls.append(text)
+            return parse_mean_spec(text)
+
+        monkeypatch.setattr(measures, "parse_mean_spec", parse)
+        check_stochastic_monotone("harmonic", self.CFG)
+        mu, nu = TestDirectSumCoupling._pair()
+        check_directsum_coupling("harmonic", mu, nu, couplings_sample(mu, nu, 3, seed=1))
+        assert calls == ["harmonic", "harmonic"]
 
 
 class TestDirectSumCoupling:

@@ -31,7 +31,6 @@ from loewner.numlin import (
     _contraction_draw,
     _dominated_pair,
     _functional_calculus,
-    _haar_orthogonal,
     _halve,
     _isometry_draw,
     _orthonormal,
@@ -332,7 +331,7 @@ def test_split_draws_equal_per_draw_generators(seed, count, n, extra, k):
 
     for q in _orthonormal(np.stack([_isometry_draw(n, n, new) for _ in range(count)])):
         np.testing.assert_array_equal(q, legacy_isometry(n, n, old))
-    np.testing.assert_array_equal(_haar_orthogonal(n, new), legacy_isometry(n, n, old))
+    np.testing.assert_array_equal(random_isometry(n, n, new).entries, legacy_isometry(n, n, old))
     assert_same_state(new, old)
 
     for w in _orthonormal(np.stack([_isometry_draw(n, m, new) for _ in range(count)])):

@@ -33,7 +33,6 @@ from loewner import (
 from loewner import PencilDomainError, apply_scalar_function, eval_pencil, make_dominated_pair
 from loewner.cli import _scalar_from_realization
 from loewner.numlin import (
-    _haar_orthogonal,
     operator_norm,
     random_contraction,
     random_isometry,
@@ -289,6 +288,15 @@ def edge_realization():
                              (np.array([[1.0, 1.0], [1.0, 1.0 - 2e-9]]),))
 
 
+def outcome(trial_fn, *args):
+    """The `_tally` outcome of a per-trial function: its violation, or the
+    `_Skip` or `_Fail` it raises (any other error propagates)."""
+    try:
+        return trial_fn(*args)
+    except (_Skip, _Fail) as exc:
+        return exc
+
+
 def reference_report(suite, r, cfg, sym_tol=1e-10):
     """The suite run one trial at a time through the public `eval` and
     `eval_complex`, as the suites ran before they were stacked."""
@@ -306,7 +314,7 @@ def reference_report(suite, r, cfg, sym_tol=1e-10):
 
     def axioms(rng, dim, trial):
         x = tuple_(dim, rng)
-        u = _haar_orthogonal(dim, rng)
+        u = random_isometry(dim, dim, rng).entries
         fx = f(x)
         lhs = f(tuple_compress(x, u))
         d1 = operator_norm(lhs - u.T @ fx @ u) / max(1.0, operator_norm(fx))
@@ -358,9 +366,8 @@ def reference_report(suite, r, cfg, sym_tol=1e-10):
                 "jensen": jensen, "herglotz": herglotz}[suite]
     seeds = ((cfg.seed * 1_000_000 + dim * 10_000 + t, dim, t)
              for dim in cfg.dims for t in range(cfg.trials))
-    return _tally(suite, cfg, ((ts, lambda d=dim, t=t, ts=ts: trial_fn(
-        np.random.default_rng(ts), d, t)) for ts, dim, t in seeds),
-        extras if suite == "herglotz" else None)
+    return _tally(suite, cfg, ((ts, outcome(trial_fn, np.random.default_rng(ts), dim, t))
+                               for ts, dim, t in seeds), extras if suite == "herglotz" else None)
 
 
 STACKED_SUITES = {"axioms": check_free_axioms, "monotone": check_monotone,
@@ -509,8 +516,8 @@ def scalar_reference_report(suite, f, cfg, k=1):
     trial_fn = {"monotone-scalar": monotone_scalar, "hypograph": hypograph}[suite]
     seeds = ((cfg.seed * 1_000_000 + dim * 10_000 + t, dim, t)
              for dim in cfg.dims for t in range(cfg.trials))
-    return _tally(suite, cfg, ((ts, lambda d=dim, t=t, ts=ts: trial_fn(
-        np.random.default_rng(ts), d, t)) for ts, dim, t in seeds))
+    return _tally(suite, cfg, ((ts, outcome(trial_fn, np.random.default_rng(ts), dim, t))
+                               for ts, dim, t in seeds))
 
 
 SCALAR_SUITES = {"monotone-scalar": check_monotone_scalar,
