@@ -28,12 +28,13 @@ same, byte for byte, as from the dense coefficients.
 
 Load-time checks: ``rows``, ``cols``, ``k``, ``m`` and ``n`` are JSON integers
 (not booleans) that match their payload, and ``rows`` and ``cols`` are
-positive; every matrix row and vector is a JSON array whose entries are hex
-strings or JSON numbers (not booleans); a compact ``index`` is a JSON array of
-JSON integers (not booleans), strictly increasing within ``[0, rows * cols)``,
-with exactly as many entries as ``re`` and as ``im``; and every loaded array is
-finite.  Anything else raises ``ValueError``; an index is checked before it
-reaches numpy.
+positive; ``atoms``, ``items`` and ``A`` are JSON arrays and a report's
+``extras`` a JSON object; every matrix row and vector is a JSON array whose
+entries are hex strings or JSON numbers (not booleans); a compact ``index``
+is a JSON array of JSON integers (not booleans), strictly increasing within
+``[0, rows * cols)``, with exactly as many entries as ``re`` and as ``im``;
+and every loaded array is finite.  Anything else raises ``ValueError``; an
+index is checked before it reaches numpy.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ def tuple_from_json(d: dict) -> list:
     """
     if "re" in d:
         return [matrix_from_json(d)]
-    items = [matrix_from_json(item) for item in d["items"]]
+    items = [matrix_from_json(item) for item in _typed(d, "items", list)]
     if "k" in d and _typed(d, "k", int) != len(items):
         raise ValueError(f"header arity {d['k']} does not match {len(items)} items")
     return items
@@ -335,7 +336,7 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
 
 
 def measure_from_json(d: dict) -> DiscreteMeasure:
-    atoms = tuple(SymMatrix(matrix_from_json(a)) for a in d["atoms"])
+    atoms = tuple(SymMatrix(matrix_from_json(a)) for a in _typed(d, "atoms", list))
     weights = _unhex_vector(d["weights"])
     n = _typed(d, "n", int)
     if any(a.n != n for a in atoms):
@@ -365,6 +366,7 @@ def report_to_json(rep: VerificationReport) -> dict:
 
 def report_from_json(d: dict) -> VerificationReport:
     dims = _typed(d, "dims", list)
+    extras = _typed(d, "extras", dict) if "extras" in d else {}
     if any(type(x) is not int for x in dims):
         raise ValueError("report field 'dims' has a non-integer entry")
     return VerificationReport(
@@ -378,7 +380,7 @@ def report_from_json(d: dict) -> VerificationReport:
         seed=_typed(d, "seed", int),
         tol=_unhex(d["tol"]),
         passed=_typed(d, "pass", bool),
-        extras={k: _unhex(v) for k, v in d.get("extras", {}).items()},
+        extras={k: _unhex(v) for k, v in extras.items()},
     )
 
 

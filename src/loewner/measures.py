@@ -53,6 +53,7 @@ from .numlin import (
     DimensionMismatch,
     SymMatrix,
     _diagonals,
+    _finite,
     _isometry_draw,
     _orthonormal,
     _pd_build,
@@ -109,8 +110,7 @@ class DiscreteMeasure:
         if any(a.n != n for a in atoms):
             raise DimensionMismatch("all atoms must share one dimension")
         for i, a in enumerate(atoms):  # one NaN would spoil its whole stack
-            if not np.isfinite(a.entries).all():
-                raise ValueError(f"atom {i} has a non-finite entry")
+            _finite(a.entries, f"atom {i}")
         object.__setattr__(self, "atoms", atoms)
         lam_min = self._spectra[1]
         if not np.all(lam_min > 0.0):
@@ -166,8 +166,7 @@ class Coupling:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2:
             raise ValueError("coupling must be a 2-d array")
-        if not np.isfinite(g).all():
-            raise ValueError("coupling has a non-finite entry")
+        _finite(g, "coupling")
         if float(g.min(initial=0.0)) < -1e-12:
             raise ValueError(f"coupling has negative weight {float(g.min()):.3e}")
         g = np.clip(g, 0.0, None)
@@ -720,7 +719,11 @@ def power_mean(weights, atoms, t: float) -> SymMatrix:
     MeanConvergenceError with the last residual after ``max(500,
     ceil(60 / t))`` calls of `_geomean_pair`.
     """
-    mu = DiscreteMeasure(tuple(atoms), weights)
+    return _power_mean(DiscreteMeasure(tuple(atoms), weights), t)
+
+
+def _power_mean(mu: DiscreteMeasure, t: float) -> SymMatrix:
+    """`power_mean` of a measure, whose atoms and weights are already checked."""
     if not 0.0 < t <= 1.0:
         raise ValueError(f"power-mean exponent must lie in (0, 1], got {t}")
     w, stack = mu.weights, np.stack([a.entries for a in mu.atoms])
@@ -800,7 +803,7 @@ def mean_of_measure(spec, mu: DiscreteMeasure) -> SymMatrix:
             inv[idx] = np.linalg.inv(group)
         return SymMatrix(np.linalg.inv(_weighted_matrix_sum(mu.weights, inv)))
     if parsed[0] == "power":
-        return power_mean(mu.weights, mu.atoms, parsed[1])
+        return _power_mean(mu, parsed[1])
     raise ValueError(f"unsupported mean spec {parsed!r}")
 
 
@@ -814,10 +817,7 @@ def _mean_function(spec):
     mean = spec if callable(spec) else partial(mean_of_measure, parse_mean_spec(spec))
 
     def checked(mu):
-        m = np.asarray(mean(mu))
-        if not np.isfinite(m).all():
-            raise ValueError("mean has a non-finite entry")
-        return m
+        return _finite(np.asarray(mean(mu)), "mean")
 
     return checked
 

@@ -131,6 +131,14 @@ def _sym(a) -> SymMatrix:
     return a if isinstance(a, SymMatrix) else SymMatrix(np.asarray(a))
 
 
+def _finite(arr: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``arr`` if every entry is finite, else ValueError: checked before an
+    eigensolve, which a NaN or an infinity would pass or spoil."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    return arr
+
+
 @dataclass(frozen=True)
 class MatrixTuple:
     """k-tuple of same-dimension self-adjoint matrices."""
@@ -217,7 +225,7 @@ def loewner_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
 
     True iff ``lambda_min(B - A) >= -tol * max(1, ||A||, ||B||)``.
     """
-    am, bm = _as_array(_sym(a)), _as_array(_sym(b))
+    am, bm = _finite(_as_array(_sym(a))), _finite(_as_array(_sym(b)))
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
     diff_min = float(np.linalg.eigvalsh(bm - am)[0])
@@ -369,7 +377,7 @@ def apply_scalar_function(f, x) -> SymMatrix:
 
 def psd_sqrt(a) -> SymMatrix:
     """Principal square root of a PSD matrix (negative roundoff clamped to 0)."""
-    m = _as_array(_sym(a))
+    m = _finite(_as_array(_sym(a)))
     vals, vecs = np.linalg.eigh(m)
     _psd_check(vals, DEFAULT_PSD_TOL, "psd_sqrt")
     root = np.sqrt(np.clip(vals, 0.0, None))

@@ -98,6 +98,7 @@ from .numlin import (
     SymMatrix,
     _as_array,
     _coordinates,
+    _finite,
     _halve,
     _psd_check,
     _square,
@@ -177,9 +178,7 @@ class PencilRealization:
         for i, c in enumerate(self.coefficients):
             if not (isinstance(c, Arrowhead) and _certified_arrowhead(c.diag, c.col)):
                 c = _arrowhead_matrix(*c) if isinstance(c, Arrowhead) else c.entries
-                if not np.isfinite(c).all():
-                    raise ValueError(f"A{i} has a non-finite entry")
-                _psd_check(np.linalg.eigvalsh(c), DEFAULT_PSD_TOL, f"A{i}")
+                _psd_check(np.linalg.eigvalsh(_finite(c, f"A{i}")), DEFAULT_PSD_TOL, f"A{i}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PencilRealization is immutable: cannot set {name!r}")
@@ -610,8 +609,8 @@ def _at_points(route, arrays):
     """The values of ``route`` at a stack of points, or the first exception
     that rejects one, raised; ValueError when a point has a NaN or infinite
     entry."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("point has a non-finite entry")
+    for a in arrays:
+        _finite(a, "point")
     values = route(arrays)[1]
     for value in values:
         if isinstance(value, Exception):
@@ -770,7 +769,7 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
     n = arrays[0].shape[0]
     if any(a.shape != (n, n) for a in arrays):
         raise DimensionMismatch("all tuple entries must share one dimension")
-    return _at_one_point(lambda a: _route_complex(r, a, _imaginary_floor(a)), arrays)
+    return _at_one_point(lambda a: _route_complex(r, a), arrays)
 
 
 def _imaginary_floor(arrays):
@@ -788,10 +787,12 @@ def _imaginary_floor(arrays):
     return np.array([min(abs(lo), abs(hi)) for lo, hi in ends[0]])
 
 
-def _route_complex(r: PencilRealization, arrays, im_min):
-    """`_first_paths` over the complex paths of ``r`` (`_layout`); "batched"
-    and "dense" admit every point or reject it with a SingularPivotComplement."""
+def _route_complex(r: PencilRealization, arrays):
+    """`_first_paths` over the complex paths of ``r`` (`_layout`), after
+    `_imaginary_floor`; "batched" and "dense" admit every point or reject it
+    with a SingularPivotComplement."""
     table, _, paths = r._layout
+    im_min = _imaginary_floor(arrays)
     return _first_paths(paths, arrays, {
         "spectral": lambda a: _spectral_complex(table, a, im_min),
         "batched": lambda a: _arrowhead_schur_complex(table, a),

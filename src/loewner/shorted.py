@@ -24,6 +24,7 @@ from .numlin import (
     DEFAULT_PSD_TOL,
     SymMatrix,
     _as_array,
+    _finite,
     _psd_check,
     _sym,
 )
@@ -78,12 +79,14 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
 
     Raises
     ------
+    ValueError
+        Z has a NaN or infinite entry.
     NotPositiveSemidefinite
         Z has an eigenvalue below the relative tolerance.
     RangeConditionViolation
         Z21 has mass against the truncated null space of Z22.
     """
-    zm = _as_array(_sym(z))
+    zm = _finite(_as_array(_sym(z)))
     n = zm.shape[0]
     if not 1 <= s <= n:
         raise ValueError(f"pivot dimension {s} outside [1, {n}]")
@@ -123,7 +126,7 @@ def variational_infimum(z, v) -> float:
     with small-eigenvalue truncation.  Used as the independent maximality
     oracle for `shorted_operator`; the two share no intermediate results.
     """
-    zm = _as_array(_sym(z))
+    zm = _finite(_as_array(_sym(z)))
     vv = np.asarray(v).reshape(-1)
     s = vv.shape[0]
     if not 1 <= s <= zm.shape[0]:

@@ -17,10 +17,8 @@ its raw random numbers (Gaussians, spectra, integers) from its own
 generator, in the order of a lone trial (the draw halves of the `numlin`
 generators); one build turns the block's numbers into points with stacked
 ``qr``, ``matmul`` and ``svd`` calls (their build halves); the points are
-evaluated in one stacked call per point size (`_evaluate`, over
-`pencil._route` or `pencil._route_complex`; for a scalar function
-`numlin._functional_calculus`, which calls f once per stack); and the
-trials are measured together, one stacked call per measure
+evaluated in one stacked call per point size (`_evaluate`); and the trials
+are measured together, one stacked call per measure
 (`measures.check_stochastic_monotone` decides the order and takes the means
 trial by trial).  A stacked call gives each slice the bits of the call on
 it alone, so a report does not depend on the block size.
@@ -29,9 +27,12 @@ One tally, `_tally`, serves every suite (those in `measures` too); it takes
 one outcome per trial: its violation (a float), a `_Skip`, a `_Fail(v)`
 that fails it whatever its violation v (herglotz: a singular pivot, or
 conjugate asymmetry above sym_tol), or any other exception, which `_tally`
-raises.  In a pencil suite a point outside the domain skips only its own
-trial.  An error of a scalar function is its trial's outcome, so the first
-trial that meets one raises it, at its first call.
+raises.  One evaluator, `_evaluate`, serves every suite here: per point,
+F(X) (zero if rejected) and None or the outcome that rejects it: `_Skip`
+out of the domain, `_Fail(-1)` at a singular pivot, or a scalar function's
+error.  Every build measures its whole block and returns `_first_errors`:
+per trial, the first outcome of its points in a lone trial's call order,
+else its violation.
 `check_directsum_coupling` labels trials by coupling index, so that index
 is its ``first_failure_seed``.
 """
@@ -55,6 +56,7 @@ from .numlin import (
     _diagonals,
     _direct_sums,
     _dominated_pair,
+    _finite,
     _functional_calculus,
     _halve,
     _isometry_draw,
@@ -190,19 +192,11 @@ def _run(suite: str, cfg: SuiteConfig, draw, build, extras=None) -> Verification
     return _tally(suite, cfg, outcomes(), extras)
 
 
-def _runs(ok, outcomes, reject=_Skip):
-    """The `_tally` outcomes of a block's trials: ``ok`` masks the trials
-    whose points were all admitted, which take the next of ``outcomes`` in
-    turn; every other trial's outcome is a new ``reject()``."""
-    outcomes = iter(outcomes)
-    return [next(outcomes) if good else reject() for good in ok.tolist()]
-
-
 def _first_errors(violations, *errors):
     """The `_tally` outcomes of a block's trials: a trial's violation, or
     the first error of its own calls, in the order of a lone trial
     (``errors``: per call, one list over the trials, each item None or an
-    exception)."""
+    outcome that settles the trial)."""
     return [next((e for e in errs if e is not None), v) for v, *errs in zip(violations, *errors)]
 
 
@@ -213,45 +207,47 @@ def _pd_stack(draws, *shape) -> np.ndarray:
     return built.reshape(len(draws), *shape, *built.shape[-2:])
 
 
-def _evaluate(stacks, route, hermitian):
-    """Per stack of points, ``(f, norm, ok)``: ``ok`` marks the points in the
-    domain, and there ``f`` holds F(X) and ``norm`` ||F(X)|| (zero
-    elsewhere).  A stack is a (P, k, n, n) array of coordinates; ``route(arrays)``
-    gives the values at the points of every stack of one size n, in one call
-    per size.  A ``hermitian`` value is symmetrized as `SymMatrix` does it."""
+def _evaluate(stacks, route):
+    """Per (P, k, n, n) stack of points, ``(f, norm, errors)``: F(X) and
+    ||F(X)||, zero at a rejected point, and per point None or the `_tally`
+    outcome that rejects it.  The stacks of one size n go to ``route`` as one
+    stack, in order; it returns what `numlin._functional_calculus` does."""
     out = [None] * len(stacks)
     for n in dict.fromkeys(s.shape[-1] for s in stacks):
         idx = [i for i, s in enumerate(stacks) if s.shape[-1] == n]
-        points = np.concatenate([stacks[i] for i in idx])
-        values = route([np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])])
-        ok = np.array([not isinstance(v, Exception) for v in values])
-        f, norm = np.zeros((len(values), n, n)), np.zeros(len(values))
-        if ok.any():
-            kept = np.array([v for v in values if not isinstance(v, Exception)])
-            if hermitian:
-                kept = _halve(kept + kept.conj().swapaxes(-1, -2))
-            f = f.astype(kept.dtype, copy=False)
-            f[ok], norm[ok] = kept, _operator_norms(kept)
+        f, errors = route(np.concatenate([stacks[i] for i in idx]))
+        norm = _operator_norms(f)
         start = 0
         for i in idx:
             stop = start + len(stacks[i])
-            out[i] = f[start:stop], norm[start:stop], ok[start:stop]
+            out[i] = f[start:stop], norm[start:stop], errors[start:stop]
             start = stop
     return out
 
 
+def _admitted(route, reject, points):
+    """A pencil ``route`` at a stack of ``points`` as `_evaluate` takes it,
+    each rejected point zero and its outcome a new ``reject()``."""
+    values = route([np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])])[1]
+    errors = [reject() if isinstance(v, Exception) else None for v in values]
+    zero = np.zeros_like(points[0, 0])
+    return np.array([v if e is None else zero for v, e in zip(values, errors)]), errors
+
+
 def _real_values(r):
-    """`_evaluate` for `pencil.eval` at the default tolerance."""
-    return partial(_evaluate, route=lambda arrays: _pencil._route(r, arrays, DEFAULT_PSD_TOL)[1],
-                   hermitian=True)
+    """`_evaluate` for `pencil.eval` at the default tolerance, each value
+    symmetrized as `SymMatrix` does it."""
+    def route(points):
+        f, errors = _admitted(lambda a: _pencil._route(r, a, DEFAULT_PSD_TOL), _Skip, points)
+        return _halve(f + f.conj().swapaxes(-1, -2)), errors
+
+    return partial(_evaluate, route=route)
 
 
 def _complex_values(r):
     """`_evaluate` for `pencil.eval_complex`."""
-    def route(arrays):
-        return _pencil._route_complex(r, arrays, _pencil._imaginary_floor(arrays))[1]
-
-    return partial(_evaluate, route=route, hermitian=False)
+    return partial(_evaluate, route=partial(_admitted, partial(_pencil._route_complex, r),
+                                            partial(_Fail, -1.0)))
 
 
 def _min_eig_scaled(diff: np.ndarray, scale):
@@ -297,16 +293,21 @@ def check_free_axioms(r, cfg: SuiteConfig) -> VerificationReport:
         xy = _pd_stack(xs + ys, r.k)
         x, y = xy[:len(block)], xy[len(block):]
         u = _orthonormal(np.array(us))
-        (fx, fx_norm, ok), (lhs, _, ok_u), (fy, _, ok_y), (fs, fs_norm, ok_s) = evaluate(
+        (fx, fx_norm, ex), (lhs, _, eu), (fy, _, ey), (fs, fs_norm, es) = evaluate(
             [x, _compressed(x, u), y, _direct_sums(x, y)])
-        ok &= ok_u & ok_y & ok_s
-        u, fx = u[ok], fx[ok]
         ufu = u.conj().swapaxes(-1, -2) @ fx @ u
-        d1 = _operator_norms(lhs[ok] - ufu) / np.fmax(1.0, fx_norm[ok])
-        d2 = _operator_norms(fs[ok] - _direct_sums(fx, fy[ok])) / np.fmax(1.0, fs_norm[ok])
-        return _runs(ok, (-_max(d1, d2)).tolist())
+        d1 = _operator_norms(lhs - ufu) / np.fmax(1.0, fx_norm)
+        d2 = _operator_norms(fs - _direct_sums(fx, fy)) / np.fmax(1.0, fs_norm)
+        return _first_errors((-_max(d1, d2)).tolist(), ex, eu, ey, es)
 
     return _run("axioms", cfg, draw, build)
+
+
+def _dominated_outcomes(evaluate, x, y):
+    """The outcomes of F(Xd) <= F(Yd) on the `_dominated_pair` of a block,
+    F(Xd) evaluated first."""
+    (fx, fx_norm, ex), (fy, fy_norm, ey) = evaluate(_dominated_pair(x, y))
+    return _first_errors(_min_eig_scaled(fy - fx, _max(fx_norm, fy_norm)), ex, ey)
 
 
 def check_monotone(r, cfg: SuiteConfig) -> VerificationReport:
@@ -317,10 +318,7 @@ def check_monotone(r, cfg: SuiteConfig) -> VerificationReport:
         return _pd_draw(2 * r.k, dim, _SPECTRUM, rng)
 
     def build(draws, dim, block):
-        xd, yd = _dominated_pair(*_pd_stack(draws, 2, r.k).swapaxes(0, 1))
-        (fx, fx_norm, ok), (fy, fy_norm, ok_y) = evaluate([xd, yd])
-        ok &= ok_y
-        return _runs(ok, _min_eig_scaled(fy[ok] - fx[ok], _max(fx_norm[ok], fy_norm[ok])))
+        return _dominated_outcomes(evaluate, *_pd_stack(draws, 2, r.k).swapaxes(0, 1))
 
     return _run("monotone", cfg, draw, build)
 
@@ -332,6 +330,7 @@ def check_monotone_scalar(f, cfg: SuiteConfig, k: int = 1) -> VerificationReport
     negative control fails this suite (dominated non-commuting pairs exhibit
     the classical Loewner-order violation).
     """
+    evaluate = partial(_evaluate, route=partial(_functional_calculus, f))
 
     def draw(rng, dim, trial_index):
         if k == 1:
@@ -340,17 +339,11 @@ def check_monotone_scalar(f, cfg: SuiteConfig, k: int = 1) -> VerificationReport
 
     def build(draws, dim, block):
         if k == 1:
-            x, y = _pd_stack(draws, 2, 1).swapaxes(0, 1)
+            xy = _pd_stack(draws, 2, 1)
         else:
             built = _commuting_build([pair for draw in draws for pair in draw])
-            x, y = built.reshape(len(draws), 2, *built.shape[1:]).swapaxes(0, 1)
-        xd, yd = _dominated_pair(x, y)
-        # f(Xd) before f(Yd): a trial raises the first error of its own calls
-        values, errors = _functional_calculus(f, np.concatenate([xd, yd]))
-        fx, fy = values[:len(block)], values[len(block):]
-        norms = _operator_norms(values)
-        violations = _min_eig_scaled(fy - fx, _max(norms[:len(block)], norms[len(block):]))
-        return _first_errors(violations, errors[:len(block)], errors[len(block):])
+            xy = built.reshape(len(draws), 2, *built.shape[1:])
+        return _dominated_outcomes(evaluate, *xy.swapaxes(0, 1))
 
     return _run("monotone-scalar", cfg, draw, build)
 
@@ -364,13 +357,26 @@ def check_concave(r, cfg: SuiteConfig) -> VerificationReport:
 
     def build(draws, dim, block):
         x, y = _pd_stack(draws, 2, r.k).swapaxes(0, 1)
-        (fm, fm_norm, ok), (fx, fx_norm, ok_x), (fy, fy_norm, ok_y) = evaluate(
-            [(x + y) / 2.0, x, y])
-        ok &= ok_x & ok_y
-        scale = _max(fm_norm[ok], fx_norm[ok], fy_norm[ok])
-        return _runs(ok, _min_eig_scaled(fm[ok] - (fx[ok] + fy[ok]) / 2.0, scale))
+        (fm, fm_norm, em), (fx, fx_norm, ex), (fy, fy_norm, ey) = evaluate([(x + y) / 2.0, x, y])
+        scale = _max(fm_norm, fx_norm, fy_norm)
+        return _first_errors(_min_eig_scaled(fm - (fx + fy) / 2.0, scale), em, ex, ey)
 
     return _run("concave", cfg, draw, build)
+
+
+def _compression_outcomes(evaluate, x, groups, lower):
+    """The outcomes of F(V*XV) >= V*LV at a block's points ``x`` and the maps
+    V of `_grouped_maps` ``groups``, F(X) evaluated first: ``lower(fx,
+    fx_norm)`` gives each trial's L and a floor of its scale."""
+    (fx, fx_norm, errors), *values = evaluate([x] + [_compressed(x[idx], v) for idx, v in groups])
+    low, low_norm = lower(fx, fx_norm)
+    violation, errors_v = np.empty(len(x)), [None] * len(x)
+    for (idx, v), (fc, fc_norm, errs) in zip(groups, values):
+        vlv = v.conj().swapaxes(-1, -2) @ low[idx] @ v
+        violation[idx] = _min_eig_scaled(fc - vlv, _max(fc_norm, low_norm[idx]))
+        for i, error in zip(idx.tolist(), errs):
+            errors_v[i] = error
+    return _first_errors(violation.tolist(), errors, errors_v)
 
 
 def check_jensen_isometry(r, cfg: SuiteConfig) -> VerificationReport:
@@ -388,18 +394,10 @@ def check_jensen_isometry(r, cfg: SuiteConfig) -> VerificationReport:
 
     def build(draws, dim, block):
         sizes, ws, xs = zip(*draws)
-        x = _pd_stack(xs, r.k)
         groups = _grouped_maps(sizes, [trial % 2 == 0 for trial in block], ws,
                                lambda pairs: _contraction_build(*map(np.array, zip(*pairs))))
-        (fx, fx_norm, ok_x), *values = evaluate([x] + [_compressed(x[i], w) for i, w in groups])
-        violation, ok = np.empty(len(block)), np.zeros(len(block), dtype=bool)
-        for (idx, w), (lhs, lhs_norm, ok_w) in zip(groups, values):
-            ok_w &= ok_x[idx]
-            idx, w = idx[ok_w], w[ok_w]
-            ok[idx] = True
-            wfw = w.conj().swapaxes(-1, -2) @ fx[idx] @ w
-            violation[idx] = _min_eig_scaled(lhs[ok_w] - wfw, _max(lhs_norm[ok_w], fx_norm[idx]))
-        return _runs(ok, violation[ok].tolist())
+        return _compression_outcomes(evaluate, _pd_stack(xs, r.k), groups,
+                                     lambda fx, fx_norm: (fx, fx_norm))
 
     return _run("jensen", cfg, draw, build)
 
@@ -437,6 +435,7 @@ def check_hypograph_saturation(f, cfg: SuiteConfig, k: int = 1) -> VerificationR
     V*YV <= f(V*XV) + tol.  Holds for every globally monotone f; the x^2
     negative control fails it.
     """
+    evaluate = partial(_evaluate, route=partial(_functional_calculus, f))
 
     def draw(rng, dim, trial_index):
         n = int(rng.integers(1, dim + 1))
@@ -448,22 +447,15 @@ def check_hypograph_saturation(f, cfg: SuiteConfig, k: int = 1) -> VerificationR
 
     def build(draws, dim, block):
         sizes, lams, gs, shrinks, maps, gaussian = zip(*draws)
-        x = _diagonals(np.array(lams))
-        fx, errors = _functional_calculus(f, x)
         g = np.array(gs)
         p = g @ g.swapaxes(-1, -2)
-        p *= (np.array(shrinks) * _max(1.0, _operator_norms(fx))
-              / _max(_operator_norms(p), 1e-300))[:, None, None]
-        y = fx - p
-        violation, errors_c = np.empty(len(block)), [None] * len(block)
-        for idx, v in _grouped_maps(sizes, gaussian, maps, np.array):
-            fxc, errs = _functional_calculus(f, _compressed(x[idx], v))
-            yc = v.conj().swapaxes(-1, -2) @ y[idx] @ v
-            violation[idx] = _min_eig_scaled(fxc - yc, _operator_norms(fxc))
-            for i, exc in zip(idx, errs):
-                errors_c[i] = exc
-        # f(X) before f(V*XV): a trial raises the first error of its own calls
-        return _first_errors(violation.tolist(), errors, errors_c)
+
+        def lower(fx, fx_norm):  # Y = f(X) - P <= f(X)
+            p_scale = np.array(shrinks) * _max(1.0, fx_norm) / _max(_operator_norms(p), 1e-300)
+            return fx - p * p_scale[:, None, None], np.zeros(len(block))
+
+        groups = _grouped_maps(sizes, gaussian, maps, np.array)
+        return _compression_outcomes(evaluate, _diagonals(np.array(lams)), groups, lower)
 
     return _run("hypograph", cfg, draw, build)
 
@@ -497,7 +489,7 @@ def comat_decompose(x) -> HullCertificate:
     """
     xt = as_tuple(x)
     k, n = xt.k, xt.n
-    spectra = [np.linalg.eigvalsh(xi.entries) for xi in xt.items]
+    spectra = [np.linalg.eigvalsh(m) for m in [_finite(xi.entries) for xi in xt.items]]
     lam_min = min(float(s[0]) for s in spectra)
     if lam_min <= 0.0:
         raise ValueError(f"tuple must be positive definite, got lambda_min = {lam_min:.3e}")
@@ -569,15 +561,15 @@ def check_herglotz(r, cfg: SuiteConfig, sym_tol: float = 1e-10) -> VerificationR
         a, bs = zip(*draws)
         a = np.array(a)
         xs = (a + a.swapaxes(-1, -2)) / 2.0 + 1j * _pd_stack(bs, r.k)
-        (fv, fv_norm, ok), (fc, _, ok_c) = evaluate([xs, xs.conj()])
-        ok &= ok_c
-        fv, scale = fv[ok], np.fmax(1.0, fv_norm[ok])
+        (fv, fv_norm, ev), (fc, _, ec) = evaluate([xs, xs.conj()])
+        scale = np.fmax(1.0, fv_norm)
         im_min = np.linalg.eigvalsh((fv - fv.conj().swapaxes(-1, -2)) / 2j)[:, 0] / scale
-        asym = _operator_norms(fc[ok] - fv.conj()) / scale
+        asym = _operator_norms(fc - fv.conj()) / scale
         outcomes = []
-        for im, s in zip(im_min.tolist(), asym.tolist()):
-            extras["max_conjugate_asymmetry"] = max(extras["max_conjugate_asymmetry"], s)
+        for im, s, e, e_c in zip(im_min.tolist(), asym.tolist(), ev, ec):
+            if e is None and e_c is None:  # a rejected value is zero: no asymmetry to read
+                extras["max_conjugate_asymmetry"] = max(extras["max_conjugate_asymmetry"], s)
             outcomes.append(_Fail(im) if s > sym_tol else im)
-        return _runs(ok, outcomes, partial(_Fail, -1.0))
+        return _first_errors(outcomes, ev, ec)
 
     return _run("herglotz", cfg, draw, build, extras)

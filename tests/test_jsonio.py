@@ -258,6 +258,7 @@ BAD_REPORT_FIELDS = {
     "first_failure_seed": ["x", 1.5, True, [1]],
     "suite": [5, None, True, ["monotone"], {}],
     "dims": [[2.9, True], [2, True], [2.0], ["2"], [None], 2, "2,3", None],
+    "extras": [[], "s", 3, None],
 }
 
 
@@ -268,6 +269,23 @@ def test_report_field_type_checked_on_load(field):
         payload[field] = bad
         with pytest.raises(ValueError, match=field):
             jsonio.report_from_json(payload)
+
+
+# the array fields of the measure and point loaders, each with its loader
+BAD_ARRAY_FIELDS = {
+    "atoms": (jsonio.measure_from_json, _measure),
+    "items": (jsonio.tuple_from_json, lambda: {"k": 1, "n": 2, "items": [_point()]}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_ARRAY_FIELDS))
+@pytest.mark.parametrize("bad", ["s", 3, None, True, {"re": [[1.0]]}])
+def test_array_field_type_checked_on_load(field, bad):
+    load, make = BAD_ARRAY_FIELDS[field]
+    payload = make()
+    payload[field] = bad
+    with pytest.raises(ValueError, match=f"field '{field}' has type"):
+        load(payload)
 
 
 # The oracle of the vector reader and writer, dense as the loader, writer and

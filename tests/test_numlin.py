@@ -15,6 +15,7 @@ from loewner import (
     NotPositiveSemidefinite,
     SymMatrix,
     apply_scalar_function,
+    comat_decompose,
     loewner_leq,
     make_dominated_pair,
     psd_sqrt,
@@ -22,6 +23,8 @@ from loewner import (
     random_contraction,
     random_isometry,
     random_pd,
+    shorted_operator,
+    variational_infimum,
 )
 from loewner.numlin import (
     _commuting_build,
@@ -159,6 +162,30 @@ class TestPsdSqrtPinv:
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveSemidefinite):
             psd_sqrt(np.diag([1.0, -0.5]))
+
+
+# each public matrix entry point at a matrix diag(1, v) with v non-finite
+NON_FINITE_CALLS = {
+    "loewner_leq": lambda m: loewner_leq(np.eye(2), m),
+    "shorted_operator": lambda m: shorted_operator(m, 1),
+    "variational_infimum": lambda m: variational_infimum(m, [1.0]),
+    "psd_sqrt": psd_sqrt,
+    "comat_decompose": lambda m: comat_decompose([np.eye(2), m]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+@pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_raises_before_any_eigensolve(monkeypatch, name, v):
+    """A NaN or an infinity would pass `loewner_leq`, give a NaN square root
+    or a certificate with NaN entries: it is a ValueError before LAPACK runs."""
+    def eigensolve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran on a non-finite matrix")
+
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, eigensolve)
+    with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+        NON_FINITE_CALLS[name](np.diag([1.0, v]))
 
 
 class TestRandomGenerators:

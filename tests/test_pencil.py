@@ -48,7 +48,6 @@ from loewner.pencil import (
     _assembled_pencil,
     _aux_blocks_diagonal,
     _certified_arrowhead,
-    _imaginary_floor,
     _parallel_sum_short,
     _rotated_coefficients,
     _route,
@@ -1360,8 +1359,7 @@ def im_min(x):
 
 def route_complex(r, x):
     """``(path, out)`` of `eval_complex` at x."""
-    names, values = _route_complex(r, [np.asarray(xi, dtype=complex)[None] for xi in x],
-                                   [im_min(x)])
+    names, values = _route_complex(r, [np.asarray(xi, dtype=complex)[None] for xi in x])
     return names[0], values[0]
 
 
@@ -1564,7 +1562,7 @@ class TestStackedRoute:
         r = PATH_REALIZATIONS[spec]
         points = mixed_complex_points(r, np.random.default_rng(72))
         arrays = coordinate_stacks(points)
-        names, values = _route_complex(r, arrays, _imaginary_floor(arrays))
+        names, values = _route_complex(r, arrays)
         for point, name, value in zip(points, names, values):
             assert name == route_complex(r, point)[0]
             assert stacked_outcome(value, False) == outcome(eval_complex, r, point)
@@ -1585,7 +1583,7 @@ class TestStackedRoute:
         r = PencilRealization(np.array([1.0, 0.0]), np.zeros((2, 2)), (np.diag([1.0, 0.0]),))
         points = [[np.eye(2) + s * 1j * np.eye(2)] for s in (1, -1, 2)]
         arrays = coordinate_stacks(points)
-        values = _route_complex(r, arrays, _imaginary_floor(arrays))[1]
+        values = _route_complex(r, arrays)[1]
         assert [stacked_outcome(v, False) for v in values] == [
             outcome(eval_complex, r, p) for p in points]
         assert all(isinstance(v, SingularPivotComplement) for v in values)
@@ -1601,7 +1599,7 @@ class TestStackedRoute:
                   for _ in range(4)]
         points.insert(2, [np.diag([-1.0, 2.0]) + 1e-14j * np.eye(2)])
         arrays = coordinate_stacks(points)
-        names, values = _route_complex(r, arrays, _imaginary_floor(arrays))
+        names, values = _route_complex(r, arrays)
         assert names == ["batched"] * 5
         assert [stacked_outcome(v, False) for v in values] == [
             outcome(eval_complex, r, p) for p in points]

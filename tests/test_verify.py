@@ -39,7 +39,7 @@ from loewner.numlin import (
     tuple_compress,
     tuple_direct_sum,
 )
-from loewner import verify
+from loewner import pencil, verify
 from loewner.verify import (_SPECTRUM, _Fail, _Skip, _disjoint_support_isometry,
                             _min_eig_scaled, _tally)
 
@@ -472,6 +472,85 @@ class TestStackedSuitesMatchPerTrialReference:
         r = PencilRealization(np.array([1.0, 0.0]), np.zeros((2, 2)), (np.diag([1.0, 0.0]),))
         cfg = SuiteConfig(dims=(2, 3), trials=4, seed=6)
         assert check_herglotz(r, cfg) == reference_report("herglotz", r, cfg)
+
+
+def reject_points(monkeypatch, name, error, reject):
+    """Patch the pencil route ``name`` (``_route`` or ``_route_complex``) so
+    that it rejects with a new ``error`` every point (a list of coordinates)
+    for which ``reject`` holds: a stacked suite and its per-trial reference,
+    through `eval` and `eval_complex`, see the same rejections."""
+    route = getattr(pencil, name)
+
+    def patched(r, arrays, *tol):
+        names, values = route(r, arrays, *tol)
+        for i in range(len(values)):
+            if reject([a[i] for a in arrays]):
+                values[i] = error("rejected by the test")
+        return names, values
+
+    monkeypatch.setattr(pencil, name, patched)
+
+
+def recorded_outcomes(monkeypatch):
+    """Per `verify._tally` call from here on, its list of (label, outcome)."""
+    runs, tally = [], verify._tally
+
+    def spy(suite, cfg, outcomes, extras=None):
+        runs.append(list(outcomes))
+        return tally(suite, cfg, runs[-1], extras)
+
+    monkeypatch.setattr(verify, "_tally", spy)
+    return runs
+
+
+class TestRejectedPointSettlesOnlyItsTrial:
+    """Per point, `_evaluate` gives a value (zero if rejected) and None or
+    the point's outcome; a trial takes the first outcome of its own points.
+    With one dimension of 3, the suites' first points are 3 x 3, so a 6 x 6
+    point is an axioms direct sum and a smaller one a jensen compression."""
+
+    CFG = SuiteConfig(dims=(3,), trials=7, seed=5, tol=1e-13)
+    SECOND_POINTS = {"axioms": lambda x: x[0].shape[-1] == 6 and x[0][0, 0] < 5.0,
+                     "jensen": lambda x: x[0].shape[-1] < 3}
+
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    @pytest.mark.parametrize("suite", sorted(SECOND_POINTS))
+    def test_trial_rejected_in_its_second_evaluation_is_skipped(self, monkeypatch, suite, block):
+        r = reference_realization("power:0.5")
+        monkeypatch.setattr(verify, "_BLOCK_TRIALS", block)
+        runs = recorded_outcomes(monkeypatch)
+        STACKED_SUITES[suite](r, self.CFG)
+        reject_points(monkeypatch, "_route", PencilDomainError, self.SECOND_POINTS[suite])
+        got = STACKED_SUITES[suite](r, self.CFG)
+        assert got == reference_report(suite, r, self.CFG)
+        base, patched = runs
+        assert all(isinstance(v, float) for _, v in base)
+        assert [label for label, _ in base] == [label for label, _ in patched]
+        skipped = [isinstance(v, _Skip) for _, v in patched]
+        assert 0 < got.skipped == sum(skipped) < len(patched)
+        assert [v for (_, v), s in zip(base, skipped) if not s] == [
+            v for (_, v), s in zip(patched, skipped) if not s]
+
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    def test_herglotz_trial_rejected_at_its_conjugate_fails(self, monkeypatch, block):
+        """F(conj X) rejected alone fails its trial with -1, and its zero
+        value adds no conjugate asymmetry."""
+        r = reference_realization("power:0.5")
+        cfg = SuiteConfig(dims=(1, 2, 4), trials=6, seed=5, tol=1e-8)
+        monkeypatch.setattr(verify, "_BLOCK_TRIALS", block)
+        runs = recorded_outcomes(monkeypatch)
+        want = check_herglotz(r, cfg)
+        reject_points(monkeypatch, "_route_complex", SingularPivotComplement,
+                      lambda x: x[0].imag[0, 0] < 0.0 and x[0].real[0, 0] < 0.0)
+        got = check_herglotz(r, cfg)
+        assert got == reference_report("herglotz", r, cfg)
+        assert got.extras == want.extras
+        base, patched = runs
+        failed = [isinstance(v, _Fail) for _, v in patched]
+        assert 0 < sum(failed) < len(patched) and got.failures == sum(failed)
+        assert all(v.args == (-1.0,) for (_, v), f in zip(patched, failed) if f)
+        assert [v for (_, v), f in zip(base, failed) if not f] == [
+            v for (_, v), f in zip(patched, failed) if not f]
 
 
 # ---------------------------------------------------------------------------
