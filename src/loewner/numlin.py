@@ -220,6 +220,44 @@ def _psd_check(vals: np.ndarray, tol: float, what: str) -> None:
         )
 
 
+def _psd_shift(n: int, scale, fro, tol: float):
+    """``s = tau - 2 n eps (fro + tau)``, ``tau = tol scale``, for n x n
+    Hermitian matrices with ``scale = max(1, largest diagonal entry)`` and
+    Frobenius norm ``fro`` (arrays for a stack): ``lambda_min > -s`` implies
+    that `_psd_check` of ``eigvalsh`` accepts at ``tol``, since ``tau <= tol
+    max(1, lambda_max)`` and s is below tau by more than the error of
+    ``eigvalsh``, taken as ``n eps fro``."""
+    tau = tol * scale
+    return tau - 2 * n * np.finfo(float).eps * (fro + tau)
+
+
+def _certified_psd(z: np.ndarray, tol: float) -> bool:
+    """True certifies that `_psd_check` of ``eigvalsh`` accepts at ``tol``
+    each Hermitian matrix of ``z`` (one, or a stack, certified whole or not
+    at all); False defers to it.  A Cholesky of ``z + c I`` that completes
+    proves ``lambda_min > -s``, s = `_psd_shift`, for ``c = s - (n + 2) eps
+    (sum |z_ii| + n s) - n tiny``: the subtracted term bounds the rounding of
+    the Cholesky (Demmel; Rump, BIT 2006) and of the shifted diagonal,
+    complex arithmetic and underflow included.  Both LAPACK calls read only
+    the lower triangle.  A non-finite entry or ``tol`` is never certified."""
+    n, fro = z.shape[-1], np.linalg.norm(z, axis=(-2, -1))
+    if not (np.isfinite(fro).all() and np.isfinite(tol)):
+        return False
+    diag = np.diagonal(z, axis1=-2, axis2=-1).real
+    s = _psd_shift(n, np.fmax(1.0, diag.max(axis=-1)), fro, tol)
+    info = np.finfo(float)
+    c = s - (n + 2) * info.eps * (np.abs(diag).sum(axis=-1) + n * s) - n * info.tiny
+    if not np.all(c > 0):
+        return False
+    shifted, i = np.array(z), np.arange(n)
+    shifted[..., i, i] += np.asarray(c)[..., None]
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def loewner_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
     """Loewner order predicate: A <= B up to a relative tolerance.
 
@@ -466,12 +504,13 @@ def make_dominated_pair(x: MatrixTuple, y: MatrixTuple):
     ``X'_i = X_i - t_i I`` with ``t_i = max(0, lambda_max(X_i - Y_i)) + 0.05``.
     Scalar shifts preserve commutation.  If any X'_i leaves the
     positive cone, one common positive shift is added to both sides of every
-    coordinate, which preserves the order.
+    coordinate, which preserves the order.  A NaN or infinite entry raises
+    ValueError.
     """
     xt, yt = as_tuple(x), as_tuple(y)
     if xt.k != yt.k or xt.n != yt.n:
         raise DimensionMismatch("tuples must share arity and dimension")
-    xd, yd = _dominated_pair(np.array([xt.arrays()]), np.array([yt.arrays()]))
+    xd, yd = _dominated_pair(*(_finite(np.array([t.arrays()]), "tuple") for t in (xt, yt)))
     return MatrixTuple(tuple(xd[0])), MatrixTuple(tuple(yd[0]))
 
 

@@ -97,10 +97,12 @@ from .numlin import (
     DimensionMismatch,
     SymMatrix,
     _as_array,
+    _certified_psd,
     _coordinates,
     _finite,
     _halve,
     _psd_check,
+    _psd_shift,
     _square,
     _sym,
     as_tuple,
@@ -291,8 +293,7 @@ def _certified_arrowhead(diag, col) -> bool:
     fro = math.sqrt(float(np.sum(np.abs(diag) ** 2)) + 2.0 * float(np.sum(np.abs(col) ** 2)))
     if not math.isfinite(fro):
         return False
-    eps, tau = np.finfo(float).eps, DEFAULT_PSD_TOL * max(1.0, dg.max())
-    s = tau - 2 * m * eps * (fro + tau)
+    eps, s = np.finfo(float).eps, _psd_shift(m, max(1.0, dg.max()), fro, DEFAULT_PSD_TOL)
     if not np.all(dg[1:] + s > 0):
         return False
     total = float((np.abs(col) ** 2 / (dg[1:] + s)).sum())
@@ -443,13 +444,19 @@ def _arrowhead_short(z11, blocks, couple, psd_tol):
     pseudo-inverse, as in `shorted.shorted_operator`.  The admission checks
     are fused in: the B_j are PSD, the couplings have no mass (Frobenius)
     against the dropped eigenvectors, and the complement is PSD.  Together
-    these are equivalent to Z >= 0.
+    these are equivalent to Z >= 0.  When m = 1 and `_certified_psd`
+    certifies the whole stack of symmetrized Z11, those are the values, with
+    no spectrum taken.
     """
     out, idx = [None] * len(z11), np.arange(len(z11))
-    lam, u = np.linalg.eigh(blocks)
     # m = 1 leaves the complement Z11 itself: one spectrum for scale and check
     empty = blocks.shape[-1] == 0
-    spec11 = np.linalg.eigvalsh((z11 + _adjoint(z11)) / 2.0 if empty else z11)
+    if empty:
+        z11h = (z11 + _adjoint(z11)) / 2.0
+        if _certified_psd(z11h, psd_tol):
+            return list(z11h)
+    lam, u = np.linalg.eigh(blocks)
+    spec11 = np.linalg.eigvalsh(z11h if empty else z11)
     # max(1, max spec11, max lam) point by point; fmax skips a NaN, as max() does
     scale = np.fmax(np.fmax(1.0, spec11[:, -1]), lam.max(axis=(-2, -1), initial=0.0))
     ok = _admitted_psd(out, idx, lam.min(axis=(-2, -1), initial=0.0), scale, psd_tol,

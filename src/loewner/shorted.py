@@ -7,10 +7,14 @@ pseudo-inverse.  It is the maximal self-adjoint X on the pivot subspace with
 argument leans on.  The pivot subspace is always the span of the first s
 coordinates; callers rotate other subspaces into leading position.
 
+`shorted_operator` admits Z by an accept-only certificate, a shifted
+Cholesky (`numlin._certified_psd`), and takes the spectrum of Z only when
+that fails or a lower bound on ||Z|| cannot settle the range check;
+``eigvalsh`` alone rejects.
 `variational_infimum` is the independent oracle for the same quantity:
 ``v* S v = inf_w [v; w]* Z [v; w]``, solved through the stationarity system in
 a separately computed eigenbasis of Z22 (no intermediates shared with
-`shorted_operator`).
+`shorted_operator`), and it admits Z by ``eigvalsh`` alone.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .numlin import (
     DEFAULT_PSD_TOL,
     SymMatrix,
     _as_array,
+    _certified_psd,
     _finite,
     _psd_check,
     _sym,
@@ -71,6 +76,12 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
     ``||(I - P_range) Z21|| <= 10 sqrt(DEFAULT_RANK_TOL) ||Z||``, the
     Cauchy-Schwarz bound for PSD input.
 
+    `_certified_psd` admits Z with no spectrum when it can; otherwise
+    ``eigvalsh(Z)`` decides, the only source of `NotPositiveSemidefinite`.
+    ||Z|| = lambda_max(Z) comes from that spectrum.  A certified Z takes it
+    only for a range check that the floor ``max diag Z - 2 N eps ||Z||_F``
+    on the computed lambda_max cannot pass.
+
     Parameters
     ----------
     z : PSD self-adjoint matrix (SymMatrix or array).
@@ -90,9 +101,10 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
     n = zm.shape[0]
     if not 1 <= s <= n:
         raise ValueError(f"pivot dimension {s} outside [1, {n}]")
-    vals = np.linalg.eigvalsh(zm)
-    _psd_check(vals, psd_tol, "shorted_operator")
-    znorm = max(float(vals[-1]), 0.0)
+    vals = None
+    if not _certified_psd(zm, psd_tol):
+        vals = np.linalg.eigvalsh(zm)
+        _psd_check(vals, psd_tol, "shorted_operator")
     if s == n:
         empty = np.zeros((0, s), dtype=zm.dtype)
         return ShortedResult(SymMatrix(zm), empty, 0)
@@ -107,11 +119,19 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
     if not np.all(keep):
         bound = 10.0 * math.sqrt(DEFAULT_RANK_TOL)
         off_range = float(np.linalg.norm(g[~keep, :], 2)) if g[~keep, :].size else 0.0
-        if off_range > bound * max(znorm, 1e-300):
-            raise RangeConditionViolation(
-                f"||(I - P)Z21|| = {off_range:.3e} exceeds "
-                f"{bound:.1e} * ||Z|| = {bound * znorm:.3e}"
-            )
+        if vals is None:
+            # the computed lambda_max(Z) is at least max diag Z less the eigvalsh
+            # error, n eps ||Z||_F: a check this floor passes needs no spectrum
+            slack = 2 * n * np.finfo(float).eps * float(np.linalg.norm(zm))
+            if off_range > bound * max(float(zm.diagonal().real.max()) - slack, 1e-300):
+                vals = np.linalg.eigvalsh(zm)
+        if vals is not None:
+            znorm = max(float(vals[-1]), 0.0)
+            if off_range > bound * max(znorm, 1e-300):
+                raise RangeConditionViolation(
+                    f"||(I - P)Z21|| = {off_range:.3e} exceeds "
+                    f"{bound:.1e} * ||Z|| = {bound * znorm:.3e}"
+                )
     g_keep = g[keep, :]
     lam_keep = lam[keep]
     c = u[:, keep] @ (g_keep / np.sqrt(lam_keep)[:, None])
@@ -127,7 +147,7 @@ def variational_infimum(z, v) -> float:
     oracle for `shorted_operator`; the two share no intermediate results.
     """
     zm = _finite(_as_array(_sym(z)))
-    vv = np.asarray(v).reshape(-1)
+    vv = _finite(np.asarray(v).reshape(-1), "vector")
     s = vv.shape[0]
     if not 1 <= s <= zm.shape[0]:
         raise ValueError(f"vector length {s} outside [1, {zm.shape[0]}]")
@@ -149,12 +169,14 @@ def block_schur_general(z, s: int) -> np.ndarray:
 
     Accepts arbitrary (possibly complex, non-self-adjoint) square input; this
     is the kernel for evaluating pencils at points with definite imaginary
-    part, where invertibility of the trailing block is guaranteed.
+    part, where invertibility of the trailing block is guaranteed.  A NaN or
+    infinite entry raises ValueError.
     """
     zm = np.asarray(_as_array(z))
     n = zm.shape[0]
     if zm.ndim != 2 or zm.shape[1] != n:
         raise ValueError("input must be square")
+    _finite(zm)
     if not 1 <= s <= n:
         raise ValueError(f"pivot dimension {s} outside [1, {n}]")
     if s == n:

@@ -27,6 +27,8 @@ from loewner import (
     variational_infimum,
 )
 from loewner.numlin import (
+    DEFAULT_PSD_TOL,
+    _certified_psd,
     _commuting_build,
     _commuting_draw,
     _compressed,
@@ -39,6 +41,7 @@ from loewner.numlin import (
     _orthonormal,
     _pd_build,
     _pd_draw,
+    _psd_check,
     operator_norm,
     tuple_compress,
     tuple_direct_sum,
@@ -186,6 +189,83 @@ def test_non_finite_matrix_raises_before_any_eigensolve(monkeypatch, name, v):
         monkeypatch.setattr(np.linalg, solver, eigensolve)
     with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
         NON_FINITE_CALLS[name](np.diag([1.0, v]))
+
+
+@st.composite
+def psd_boundary_stacks(draw):
+    """A stack of 1 to 3 Hermitian n x n matrices (n in [1, 12], real or
+    complex) and a tolerance.  Each matrix has a spectrum over a random
+    sub-range of 1e-8..1e8 times a scale 10**[-8, 8], and either lambda_min
+    at ``-tol * max(1, lambda_max) * k`` for k in [0.5, 2], or 1 to n
+    eigenvalues exactly zero, or no change; then a Haar rotation."""
+    n, count = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    cplx = draw(st.booleans())
+    tol = draw(st.sampled_from([DEFAULT_PSD_TOL, 1e-6, 1e-12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(count):
+        lo, hi = np.sort(rng.uniform(-8, 8, 2))
+        lam = 10.0 ** rng.uniform(lo, hi, n) * 10.0 ** draw(st.floats(-8, 8))
+        kind = draw(st.sampled_from(["boundary", "rank-deficient", "as drawn"]))
+        if kind == "boundary":
+            lam[0] = -tol * max(1.0, lam.max()) * draw(st.floats(0.5, 2.0))
+        elif kind == "rank-deficient":
+            lam[:draw(st.integers(1, n))] = 0.0
+        g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+        q = np.linalg.qr(g)[0]
+        stack.append(SymMatrix((q * lam) @ q.conj().T).entries)
+    return np.array(stack), tol
+
+
+class TestCertifiedPsd:
+    """`_certified_psd` only ever accepts, and only what `_psd_check` of
+    ``eigvalsh`` accepts."""
+
+    # 3000 draws of this strategy ran with no counterexample
+    @settings(settings.get_profile("loewner"), max_examples=400)
+    @given(psd_boundary_stacks())
+    def test_never_accepts_what_eigvalsh_rejects(self, case):
+        z, tol = case
+        if not _certified_psd(z, tol):
+            return
+        for a in z:
+            assert _certified_psd(a, tol)
+            _psd_check(np.linalg.eigvalsh(a), tol, "certified")
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_accepts_psd_matrices_at_every_scale(self, cplx):
+        rng = np.random.default_rng(21)
+        for exponent in range(-8, 9, 2):
+            for rank in (3, 20, 24):
+                g = rng.standard_normal((24, rank)) + (1j * rng.standard_normal((24, rank))
+                                                       if cplx else 0.0)
+                z = SymMatrix(10.0 ** exponent * g @ g.conj().T).entries
+                assert _certified_psd(z, DEFAULT_PSD_TOL)
+                assert _certified_psd(np.array([z, 2.0 * z]), DEFAULT_PSD_TOL)
+
+    def test_one_uncertified_matrix_defers_the_whole_stack(self):
+        good, bad = np.eye(4), np.diag([1.0, 1.0, 1.0, -1e-3])
+        assert _certified_psd(good, DEFAULT_PSD_TOL)
+        assert not _certified_psd(np.array([good, bad, good]), DEFAULT_PSD_TOL)
+
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_or_tolerance_is_not_certified(self, v):
+        assert not _certified_psd(np.diag([1.0, v]), DEFAULT_PSD_TOL)
+        assert not _certified_psd(np.eye(2), v)
+
+
+@pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_dominated_pair_rejects_non_finite_tuples(monkeypatch, v, side):
+    """A NaN once passed through as a "dominated" pair still holding it."""
+    def eigensolve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran on a non-finite tuple")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigensolve)
+    pair = [MatrixTuple((np.eye(2), np.eye(2))), MatrixTuple((np.eye(2), np.eye(2)))]
+    pair[side] = MatrixTuple((np.eye(2), np.diag([1.0, v])))
+    with pytest.raises(ValueError, match="^tuple has a non-finite entry$"):
+        make_dominated_pair(*pair)
 
 
 class TestRandomGenerators:

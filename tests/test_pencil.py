@@ -920,6 +920,46 @@ def test_tol_reaches_every_real_path(spec, path):
     eval_pencil(r, xs, tol=1e-5)
 
 
+class TestCertifiedOneByOnePencil:
+    """An m = 1 pencil's complement is its symmetrized Z11: a shifted Cholesky
+    admits it with no spectrum, and eigvalsh decides the rest as before."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        return calls
+
+    def test_admitted_point_takes_no_spectrum(self, eigvalsh_calls):
+        r = PATH_REALIZATIONS["arithmetic:0.4,0.6"]
+        rng = np.random.default_rng(38)
+        for n in (1, 4, 16):
+            eval_pencil(r, [random_pd(n, (0.1, 10), rng) for _ in range(r.k)])
+        assert eigvalsh_calls == []
+
+    def test_values_and_errors_keep_their_bits(self, eigvalsh_calls, monkeypatch):
+        r = PATH_REALIZATIONS["arithmetic:0.4,0.6"]
+        rng = np.random.default_rng(39)
+        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        # certified, deferred and admitted (-1.9e-9 >= -1e-9 * 2), and rejected
+        points = [[random_pd(5, (0.1, 10), rng) for _ in range(r.k)]]
+        points += [[q @ np.diag([low, 0.5, 1.0, 1.5, 2.0]) @ q.T] * r.k for low in (-1.9e-9, -1e-3)]
+        got = [outcome_of(lambda: eval_pencil(r, x)) for x in points]
+        assert eigvalsh_calls == [(1, 5, 5)] * 2
+        monkeypatch.setattr("loewner.pencil._certified_psd", lambda z, tol: False)
+        assert [outcome_of(lambda: eval_pencil(r, x)) for x in points] == got
+        assert got[2] == ("PencilDomainError",
+                          "pencil not PSD at X: Schur complement eigenvalue -1.000e-03")
+
+
+def outcome_of(call):
+    """The bytes of ``call()``'s SymMatrix, or its error's type name and message."""
+    try:
+        return call().entries.tobytes()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
 @st.composite
 def wide_points(draw):
     """A `PATH_REALIZATIONS` realization and a `wide_tuples` point of it."""

@@ -16,7 +16,7 @@ from loewner import (
     shorted_operator,
     variational_infimum,
 )
-from loewner.numlin import operator_norm
+from loewner.numlin import DEFAULT_PSD_TOL, _certified_psd, operator_norm
 
 
 def random_psd(n, rng, rank=None):
@@ -147,6 +147,101 @@ class TestShortedErrors:
             shorted_operator(np.eye(3), 0)
         with pytest.raises(ValueError):
             shorted_operator(np.eye(3), 4)
+
+
+class TestCertifiedAdmission:
+    """`shorted_operator` admits Z by a shifted Cholesky when it can; the
+    spectrum of Z decides every rejection, with the same bytes as before."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        return calls
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_full_rank_trailing_block_takes_no_spectrum_of_z(self, eigvalsh_calls, cplx):
+        # rank 30 of 32, as the benchmark's rank-deficient Z: Z22 keeps full rank
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((32, 30)) + (1j * rng.standard_normal((32, 30)) if cplx else 0.0)
+        z = g @ g.conj().T / 32
+        for s in (2, 8, 32):
+            shorted_operator(z, s)
+        assert eigvalsh_calls == []
+
+    def test_range_check_settled_by_the_diagonal_takes_no_spectrum(self, eigvalsh_calls):
+        # Z of rank 2, so the rank cut drops an eigenvalue of its 3 x 3 Z22
+        z = random_psd(6, np.random.default_rng(5), rank=2)
+        assert _certified_psd(z, DEFAULT_PSD_TOL)
+        shorted_operator(z, 3)
+        assert eigvalsh_calls == []
+
+    def test_range_check_the_diagonal_cannot_settle_takes_the_spectrum_once(
+            self, eigvalsh_calls, monkeypatch):
+        # ||(I - P)Z21|| = 1.7e-5 lies between 1e-5 * max diag Z = 1e-5 and
+        # 1e-5 * ||Z|| = 2e-5: only the spectrum shows that the check passes
+        d = 1.2e-5
+        z = np.array([[1.0, 1.0, d], [1.0, 1.0, d], [d, d, 0.0]])
+        assert _certified_psd(z, DEFAULT_PSD_TOL)
+        got = shorted_operator(z, 2)
+        assert eigvalsh_calls == [(3, 3)]
+        monkeypatch.setattr("loewner.shorted._certified_psd", lambda z, tol: False)
+        assert shorted_operator(z, 2).s_short.entries.tobytes() == got.s_short.entries.tobytes()
+
+    def test_certified_admission_keeps_every_bit(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        cases = [(random_psd(n, rng, rank), s)
+                 for n, rank, s in [(8, 8, 3), (8, 5, 3), (12, 9, 4), (5, 5, 5), (6, 3, 3)]]
+        assert all(_certified_psd(z, DEFAULT_PSD_TOL) for z, _ in cases)
+        got = [shorted_operator(z, s) for z, s in cases]
+        monkeypatch.setattr("loewner.shorted._certified_psd", lambda z, tol: False)
+        for (z, s), r in zip(cases, got):
+            want = shorted_operator(z, s)
+            assert want.s_short.entries.tobytes() == r.s_short.entries.tobytes()
+            assert want.c_factor.tobytes() == r.c_factor.tobytes()
+            assert want.rank_used == r.rank_used
+
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
+    ROTATED = Q @ np.diag([-3e-6, 0.5, 1.0, 2.0, 4.0, 8.0]) @ Q.T
+    # the messages as the eigvalsh-only admission wrote them
+    REJECTIONS = [
+        (np.diag([1.0, -1.0]), 1, 1e-9, NotPositiveSemidefinite,
+         "shorted_operator: eigenvalue -1.000e+00 below -1.0e-09 * max(1, 1.000e+00)"),
+        (np.array([[1.0, 2e-5], [2e-5, 0.0]]), 1, 1e-9, RangeConditionViolation,
+         "||(I - P)Z21|| = 2.000e-05 exceeds 1.0e-05 * ||Z|| = 1.000e-05"),
+        (np.array([[4.0, 6e-5j, 0.0], [-6e-5j, 0.0, 0.0], [0.0, 0.0, 1.0]]), 1, 1e-9,
+         RangeConditionViolation,
+         "||(I - P)Z21|| = 6.000e-05 exceeds 1.0e-05 * ||Z|| = 4.000e-05"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), 1, np.nan, NotPositiveSemidefinite,
+         "shorted_operator: eigenvalue -1.000e+00 below -nan * max(1, 3.000e+00)"),
+        (ROTATED, 2, 1e-9, NotPositiveSemidefinite,
+         "shorted_operator: eigenvalue -3.000e-06 below -1.0e-09 * max(1, 8.000e+00)"),
+        (ROTATED, 2, 1e-7, NotPositiveSemidefinite,
+         "shorted_operator: eigenvalue -3.000e-06 below -1.0e-07 * max(1, 8.000e+00)"),
+    ]
+
+    @pytest.mark.parametrize("z, s, tol, error, message", REJECTIONS)
+    def test_rejection_messages_keep_their_bytes(self, z, s, tol, error, message):
+        with pytest.raises(error) as info:
+            shorted_operator(z, s, tol)
+        assert str(info.value) == message
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+    def test_variational_infimum_rejects_a_non_finite_vector(self, monkeypatch, v):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigensolve ran"))
+        with pytest.raises(ValueError, match="^vector has a non-finite entry$"):
+            variational_infimum(np.eye(2), [v])
+        with pytest.raises(ValueError, match="^vector has a non-finite entry$"):
+            variational_infimum(np.eye(3), [1.0, v])
+
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_block_schur_general_rejects_a_non_finite_entry(self, monkeypatch, v):
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("svd ran"))
+        for s in (1, 2):
+            with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+                block_schur_general(np.diag([1.0, v]), s)
 
 
 class TestBlockSchurGeneral:
