@@ -220,42 +220,62 @@ def _psd_check(vals: np.ndarray, tol: float, what: str) -> None:
         )
 
 
+def _eigvalsh_slack(n: int, fro):
+    """``2 n eps fro``: twice the error ``n eps fro`` assumed of ``eigvalsh``
+    on an n x n Hermitian matrix of Frobenius norm ``fro``."""
+    return 2 * n * np.finfo(float).eps * fro
+
+
 def _psd_shift(n: int, scale, fro, tol: float):
     """``s = tau - 2 n eps (fro + tau)``, ``tau = tol scale``, for n x n
     Hermitian matrices with ``scale = max(1, largest diagonal entry)`` and
     Frobenius norm ``fro`` (arrays for a stack): ``lambda_min > -s`` implies
     that `_psd_check` of ``eigvalsh`` accepts at ``tol``, since ``tau <= tol
     max(1, lambda_max)`` and s is below tau by more than the error of
-    ``eigvalsh``, taken as ``n eps fro``."""
+    ``eigvalsh`` (`_eigvalsh_slack`)."""
     tau = tol * scale
-    return tau - 2 * n * np.finfo(float).eps * (fro + tau)
+    return tau - _eigvalsh_slack(n, fro + tau)
 
 
-def _certified_psd(z: np.ndarray, tol: float) -> bool:
-    """True certifies that `_psd_check` of ``eigvalsh`` accepts at ``tol``
-    each Hermitian matrix of ``z`` (one, or a stack, certified whole or not
-    at all); False defers to it.  A Cholesky of ``z + c I`` that completes
-    proves ``lambda_min > -s``, s = `_psd_shift`, for ``c = s - (n + 2) eps
-    (sum |z_ii| + n s) - n tiny``: the subtracted term bounds the rounding of
-    the Cholesky (Demmel; Rump, BIT 2006) and of the shifted diagonal,
-    complex arithmetic and underflow included.  Both LAPACK calls read only
-    the lower triangle.  A non-finite entry or ``tol`` is never certified."""
-    n, fro = z.shape[-1], np.linalg.norm(z, axis=(-2, -1))
-    if not (np.isfinite(fro).all() and np.isfinite(tol)):
-        return False
-    diag = np.diagonal(z, axis1=-2, axis2=-1).real
-    s = _psd_shift(n, np.fmax(1.0, diag.max(axis=-1)), fro, tol)
-    info = np.finfo(float)
-    c = s - (n + 2) * info.eps * (np.abs(diag).sum(axis=-1) + n * s) - n * info.tiny
-    if not np.all(c > 0):
-        return False
-    shifted, i = np.array(z), np.arange(n)
+def _cholesky_shift(diag, floor):
+    """The shift c for which a Cholesky of ``z + c I`` that completes proves
+    ``lambda_min(z) > floor``, for n x n Hermitian z with real diagonal
+    ``diag`` (a stack: the last axis, and one floor per matrix).  ``c = -floor
+    - (n + 2) eps (sum |z_ii| + n |floor|) - n tiny``: the subtracted term
+    bounds the rounding of the Cholesky (Demmel; Rump, BIT 2006) and of the
+    shifted diagonal, complex arithmetic and underflow included."""
+    n, info = diag.shape[-1], np.finfo(float)
+    trace = np.abs(diag).sum(axis=-1) + n * np.abs(floor)
+    return -floor - (n + 2) * info.eps * trace - n * info.tiny
+
+
+def _cholesky_completes(z: np.ndarray, c) -> bool:
+    """True when a Cholesky of ``z + c I`` completes for every matrix of the
+    stack ``z`` (one shift per matrix); LAPACK reads only the lower triangle.
+    ``z + c I`` must be finite: a NaN does not stop the factorization."""
+    shifted, i = np.array(z), np.arange(z.shape[-1])
     shifted[..., i, i] += np.asarray(c)[..., None]
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _certified_psd(z: np.ndarray, tol: float) -> bool:
+    """True certifies that `_psd_check` of ``eigvalsh`` accepts at ``tol``
+    each Hermitian matrix of ``z`` (one, or a stack, certified whole or not
+    at all); False defers to it.  A Cholesky of ``z + c I`` that completes
+    proves ``lambda_min > -s``, s = `_psd_shift`, for c = `_cholesky_shift`
+    of -s, certified only when c > 0.  A non-finite entry or ``tol`` is never
+    certified."""
+    n, fro = z.shape[-1], np.linalg.norm(z, axis=(-2, -1))
+    if not (np.isfinite(fro).all() and np.isfinite(tol)):
+        return False
+    diag = np.diagonal(z, axis1=-2, axis2=-1).real
+    s = _psd_shift(n, np.fmax(1.0, diag.max(axis=-1)), fro, tol)
+    c = _cholesky_shift(diag, -s)
+    return bool(np.all(c > 0)) and _cholesky_completes(z, c)
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:

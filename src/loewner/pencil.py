@@ -46,7 +46,8 @@ in one call, and the CLI's scalar adapter a stack of diagonal points
 * "dense" (every other shape, m = 1 included): `_arrowhead_short` with the
   trailing block of the assembled pencil as its one block, empty when
   m = 1 (`_dense_short`).  Oracle: `shorted.shorted_operator`, whose rank cut
-  ``DEFAULT_RANK_TOL * lambda_max(Z22)`` it shares.
+  ``DEFAULT_RANK_TOL * lambda_max(Z22)`` it shares; that oracle factors a
+  Z22 by Cholesky instead when it proves that the cut drops nothing.
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
 Z22 >= 0, the range condition holds, and the complement is >= 0), recorded

@@ -10,7 +10,10 @@ coordinates; callers rotate other subspaces into leading position.
 `shorted_operator` admits Z by an accept-only certificate, a shifted
 Cholesky (`numlin._certified_psd`), and takes the spectrum of Z only when
 that fails or a lower bound on ||Z|| cannot settle the range check;
-``eigvalsh`` alone rejects.
+``eigvalsh`` alone rejects.  When a second shifted Cholesky
+(`_certified_cholesky`) proves that the rank cut drops no eigenvalue of Z22,
+the complement comes from the Cholesky factor of Z22; every other Z22 is
+cut in its eigenbasis, which alone raises `RangeConditionViolation`.
 `variational_infimum` is the independent oracle for the same quantity:
 ``v* S v = inf_w [v; w]* Z [v; w]``, solved through the stationarity system in
 a separately computed eigenbasis of Z22 (no intermediates shared with
@@ -20,7 +23,9 @@ a separately computed eigenbasis of Z22 (no intermediates shared with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +34,9 @@ from .numlin import (
     SymMatrix,
     _as_array,
     _certified_psd,
+    _cholesky_completes,
+    _cholesky_shift,
+    _eigvalsh_slack,
     _finite,
     _psd_check,
     _sym,
@@ -61,11 +69,44 @@ class SingularPivotComplement(ValueError):
 
 @dataclass(frozen=True)
 class ShortedResult:
-    """Shorted operator plus the factor C with Z21 = Z22^(1/2) C."""
+    """Shorted operator, the rank of Z22 kept by the cut, and the factor C
+    with Z21 = Z22^(1/2) C (the symmetric root), computed on first access."""
 
     s_short: SymMatrix
-    c_factor: np.ndarray
     rank_used: int
+    _factor: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def c_factor(self) -> np.ndarray:
+        return self._factor()
+
+
+def _root_factor(z21: np.ndarray, z22: np.ndarray):
+    """``C = Z22^(+1/2) Z21`` through ``eigh(Z22)`` with the rank cut, and the
+    cut's data: the eigenvalues kept and ``U* Z21`` in the eigenbasis."""
+    lam, u = np.linalg.eigh(z22)
+    keep = lam > DEFAULT_RANK_TOL * max(float(lam[-1]), 0.0)
+    g = u.conj().T @ z21
+    c = u[:, keep] @ (g[keep, :] / np.sqrt(lam[keep])[:, None])
+    return c, keep, g
+
+
+def _certified_cholesky(z22: np.ndarray):
+    """The Cholesky factor L of Z22 when a shifted Cholesky proves that
+    `_root_factor`'s rank cut drops nothing, else None.  The cut keeps
+    every eigenvalue that ``eigh`` computes above ``DEFAULT_RANK_TOL
+    lambda_max``; with ``tau = DEFAULT_RANK_TOL ||Z22||_F`` it does so once
+    ``lambda_min > tau + 2 m eps (||Z22||_F + tau)``, since lambda_max <=
+    ||Z22||_F and ``eigh`` errs by at most ``m eps ||Z22||_F``
+    (`_eigvalsh_slack`)."""
+    fro = float(np.linalg.norm(z22))
+    if not math.isfinite(fro):
+        return None
+    tau = DEFAULT_RANK_TOL * fro
+    floor = tau + _eigvalsh_slack(z22.shape[0], fro + tau)
+    if not _cholesky_completes(z22, _cholesky_shift(z22.diagonal().real, floor)):
+        return None
+    return np.linalg.cholesky(z22)
 
 
 def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResult:
@@ -78,9 +119,14 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
 
     `_certified_psd` admits Z with no spectrum when it can; otherwise
     ``eigvalsh(Z)`` decides, the only source of `NotPositiveSemidefinite`.
-    ||Z|| = lambda_max(Z) comes from that spectrum.  A certified Z takes it
-    only for a range check that the floor ``max diag Z - 2 N eps ||Z||_F``
-    on the computed lambda_max cannot pass.
+    Then `_certified_cholesky` factors ``Z22 = L L*`` when it proves that the
+    rank cut drops nothing, and the complement is ``Z11 - W* W`` with ``W =
+    L^-1 Z21``: every eigenvalue is kept and the range check is vacuous.
+    Every other Z22 is cut in its eigenbasis (`_root_factor`), the only
+    source of `RangeConditionViolation`.  ||Z|| = lambda_max(Z) comes from
+    the spectrum of Z.  A certified Z takes it only for a range check that
+    the floor ``max diag Z - 2 N eps ||Z||_F`` on the computed lambda_max
+    cannot pass.
 
     Parameters
     ----------
@@ -107,22 +153,24 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
         _psd_check(vals, psd_tol, "shorted_operator")
     if s == n:
         empty = np.zeros((0, s), dtype=zm.dtype)
-        return ShortedResult(SymMatrix(zm), empty, 0)
+        return ShortedResult(SymMatrix(zm), 0, lambda: empty)
 
     z11 = zm[:s, :s]
     z21 = zm[s:, :s]
     z22 = zm[s:, s:]
-    lam, u = np.linalg.eigh(z22)
-    cut = DEFAULT_RANK_TOL * max(float(lam[-1]), 0.0)
-    keep = lam > cut
-    g = u.conj().T @ z21
+    low = _certified_cholesky(z22)
+    if low is not None:
+        w = np.linalg.solve(low, z21)
+        return ShortedResult(SymMatrix(z11 - w.conj().T @ w), n - s,
+                             lambda: _root_factor(z21, z22)[0])
+    c, keep, g = _root_factor(z21, z22)
     if not np.all(keep):
         bound = 10.0 * math.sqrt(DEFAULT_RANK_TOL)
         off_range = float(np.linalg.norm(g[~keep, :], 2)) if g[~keep, :].size else 0.0
         if vals is None:
             # the computed lambda_max(Z) is at least max diag Z less the eigvalsh
             # error, n eps ||Z||_F: a check this floor passes needs no spectrum
-            slack = 2 * n * np.finfo(float).eps * float(np.linalg.norm(zm))
+            slack = _eigvalsh_slack(n, float(np.linalg.norm(zm)))
             if off_range > bound * max(float(zm.diagonal().real.max()) - slack, 1e-300):
                 vals = np.linalg.eigvalsh(zm)
         if vals is not None:
@@ -132,11 +180,8 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
                     f"||(I - P)Z21|| = {off_range:.3e} exceeds "
                     f"{bound:.1e} * ||Z|| = {bound * znorm:.3e}"
                 )
-    g_keep = g[keep, :]
-    lam_keep = lam[keep]
-    c = u[:, keep] @ (g_keep / np.sqrt(lam_keep)[:, None])
     short = z11 - c.conj().T @ c
-    return ShortedResult(SymMatrix(short), c, int(keep.sum()))
+    return ShortedResult(SymMatrix(short), int(keep.sum()), lambda: c)
 
 
 def variational_infimum(z, v) -> float:

@@ -1,5 +1,7 @@
 """Tests for the shorted operator and its variational oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from loewner import (
     shorted_operator,
     variational_infimum,
 )
+from loewner import shorted as shorted_module
 from loewner.numlin import DEFAULT_PSD_TOL, _certified_psd, operator_norm
+from loewner.shorted import DEFAULT_RANK_TOL
 
 
 def random_psd(n, rng, rank=None):
@@ -301,3 +305,127 @@ def test_shorted_operator_matches_its_oracles(case):
     if cond < 1e10:
         gap = operator_norm(short - block_schur_general(z, s))
         assert gap <= 10.0 * cond * np.finfo(float).eps * znorm
+
+
+def _outcome(z, s):
+    """`shorted_operator`'s result, or its exception's type and message."""
+    try:
+        return shorted_operator(z, s)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _routes(z, s):
+    """The outcome of ``shorted_operator(z, s)``, whether its Cholesky route
+    ran, and the outcome with that route turned off (eigh only)."""
+    factor, ran = shorted_module._certified_cholesky, []
+
+    def spy(z22):
+        low = factor(z22)
+        ran.append(low is not None)
+        return low
+
+    with mock.patch.object(shorted_module, "_certified_cholesky", spy):
+        got = _outcome(z, s)
+    with mock.patch.object(shorted_module, "_certified_cholesky", lambda z22: None):
+        want = _outcome(z, s)
+    return got, any(ran), want
+
+
+@st.composite
+def trailing_block_at_the_cut(draw):
+    """PSD ``Z`` of size N in [2, 8], real or complex, pivot s in [1, N - 1],
+    whose Z22 has lambda_max 10**a (a in [-8, 8]) and lambda_min at
+    ``DEFAULT_RANK_TOL lambda_max`` times 10**[log10 0.25, log10 4], or
+    exact zeros in its spectrum.  ``Z21 = Z22^(1/2) C`` and ``Z11 = C* C +
+    P``, with C and the complement P spread over 10**[-8, 8]; on a coin
+    Z21 gains mass along the eigenvector of lambda_min(Z22)."""
+    n = draw(st.integers(2, 8))
+    s = draw(st.integers(1, n - 1))
+    m, cplx = n - s, draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gauss(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if cplx else g
+
+    top = 10.0 ** draw(st.floats(-8.0, 8.0))
+    ratio = DEFAULT_RANK_TOL * 10.0 ** draw(st.floats(np.log10(0.25), np.log10(4.0)))
+    mu = top * ratio ** rng.uniform(0.0, 1.0, m)
+    mu[0], mu[-1] = top * ratio, top
+    if m > 1 and draw(st.booleans()):
+        mu[: draw(st.integers(1, m - 1))] = 0.0
+    u = np.linalg.qr(gauss(m, m))[0]
+    root = (u * np.sqrt(mu)) @ u.conj().T
+    c = gauss(m, s) * 10.0 ** rng.uniform(-4.0, 4.0, s)
+    q = np.linalg.qr(gauss(s, s))[0]
+    p = (q * 10.0 ** rng.uniform(-8.0, 8.0, s)) @ q.conj().T
+    z21 = root @ c
+    if draw(st.booleans()):
+        kick = 10.0 ** draw(st.floats(-12.0, -2.0)) * np.sqrt(top)
+        z21 = z21 + kick * np.outer(u[:, 0], gauss(s))
+    z = np.block([[c.conj().T @ c + p, z21.conj().T], [z21, root @ root]])
+    return z, s
+
+
+# A rounding of Z22 by eps ||Z22|| moves the complement by up to kappa(Z22)
+# eps ||C||^2, C = Z22^(-1/2) Z21, so the two routes may differ by that much.
+# Measured: at most 0.99 kappa(Z22) eps (||Z|| + ||C||^2) over the 2482
+# certified draws of 4400 random ones; 227 of these 400 take the route.
+@settings(settings.get_profile("loewner"), max_examples=400)
+@given(trailing_block_at_the_cut())
+def test_cholesky_route_cuts_nothing_that_eigh_would(case):
+    z, s = case
+    got, certified, want = _routes(z, s)
+    if not certified:
+        assert isinstance(got, tuple) == isinstance(want, tuple)
+        if isinstance(got, tuple):
+            assert got == want
+        else:
+            assert got.s_short.entries.tobytes() == want.s_short.entries.tobytes()
+            assert got.rank_used == want.rank_used
+        return
+    assert not isinstance(want, tuple), want
+    assert got.rank_used == want.rank_used == z.shape[0] - s
+    gap = operator_norm(got.s_short.entries - want.s_short.entries)
+    scale = operator_norm(z) + operator_norm(want.c_factor) ** 2
+    assert gap <= 4.0 * np.linalg.cond(z[s:, s:]) * np.finfo(float).eps * scale
+
+
+def test_cholesky_route_against_mpmath():
+    """The certified complement of ``Z = G G*`` (N <= 6, the columns of G
+    scaled by 10**[-4, 4], so the spectrum of Z spans 10**[-8, 8]) against
+    the 50-digit complement of the same Z.  Measured on these 400 draws: at
+    most 9.3e-13 ||Z|| on the 389 certified (the eigh route: 1.4e-11 on the
+    same draws), and 2.7e-13 ||Z|| on 3097 certified of 3200 other draws."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(8)
+    certified = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        s, cplx = int(rng.integers(1, n)), bool(rng.integers(2))
+        g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+        g = g * 10.0 ** rng.uniform(-4.0, 4.0, n)
+        z = SymMatrix(g @ g.conj().T).entries
+        got, ran, _ = _routes(z, s)
+        if not ran:
+            continue
+        certified += 1
+        with mpmath.workdps(50):
+            zz = mpmath.matrix(z.tolist())
+            exact = zz[:s, :s] - zz[:s, s:] * mpmath.inverse(zz[s:, s:]) * zz[s:, :s]
+            exact = np.array(exact.tolist(), dtype=z.dtype)
+        assert operator_norm(got.s_short.entries - exact) <= 5e-12 * operator_norm(z)
+    assert certified >= 350
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_c_factor_of_the_cholesky_route_has_the_eigh_bytes(cplx):
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6)) + (1j * rng.standard_normal((6, 6)) if cplx else 0.0)
+    got, ran, want = _routes(g @ g.conj().T, 2)
+    assert ran
+    assert got.rank_used == want.rank_used == 4
+    assert got.c_factor.dtype == want.c_factor.dtype and got.c_factor.shape == (4, 2)
+    assert got.c_factor.tobytes() == want.c_factor.tobytes()
+    assert got.c_factor is got.c_factor
