@@ -249,33 +249,48 @@ def _cholesky_shift(diag, floor):
     return -floor - (n + 2) * info.eps * trace - n * info.tiny
 
 
+def _shifted(z: np.ndarray, c) -> np.ndarray:
+    """``z + c I`` (a copy) for each matrix of the stack ``z``, one shift each."""
+    shifted, i = np.array(z), np.arange(z.shape[-1])
+    shifted[..., i, i] += np.asarray(c)[..., None]
+    return shifted
+
+
 def _cholesky_completes(z: np.ndarray, c) -> bool:
     """True when a Cholesky of ``z + c I`` completes for every matrix of the
     stack ``z`` (one shift per matrix); LAPACK reads only the lower triangle.
     ``z + c I`` must be finite: a NaN does not stop the factorization."""
-    shifted, i = np.array(z), np.arange(z.shape[-1])
-    shifted[..., i, i] += np.asarray(c)[..., None]
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(_shifted(z, c))
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def _certified_psd(z: np.ndarray, tol: float) -> bool:
-    """True certifies that `_psd_check` of ``eigvalsh`` accepts at ``tol``
-    each Hermitian matrix of ``z`` (one, or a stack, certified whole or not
-    at all); False defers to it.  A Cholesky of ``z + c I`` that completes
-    proves ``lambda_min > -s``, s = `_psd_shift`, for c = `_cholesky_shift`
-    of -s, certified only when c > 0.  A non-finite entry or ``tol`` is never
-    certified."""
+def _admission_shift(z: np.ndarray, tol: float):
+    """The shift c = `_cholesky_shift` of -s, s = `_psd_shift`, of each
+    Hermitian matrix of ``z`` (a float, or an array for a stack), or None
+    when c is not positive somewhere or an entry or ``tol`` is not finite.
+    A Cholesky of ``z + D`` that completes, for a diagonal D with entries in
+    [0, c], proves ``lambda_min(z) > -s``: ``lambda_min(z + D) <=
+    lambda_min(z) + c``, and the rounding term of c bounds that of z + D,
+    whose trace is at most ``sum |z_ii| + n s``."""
     n, fro = z.shape[-1], np.linalg.norm(z, axis=(-2, -1))
     if not (np.isfinite(fro).all() and np.isfinite(tol)):
-        return False
+        return None
     diag = np.diagonal(z, axis1=-2, axis2=-1).real
     s = _psd_shift(n, np.fmax(1.0, diag.max(axis=-1)), fro, tol)
     c = _cholesky_shift(diag, -s)
-    return bool(np.all(c > 0)) and _cholesky_completes(z, c)
+    return c if np.all(c > 0) else None
+
+
+def _certified_psd(z: np.ndarray, tol: float) -> bool:
+    """True certifies that `_psd_check` of ``eigvalsh`` accepts at ``tol``
+    each Hermitian matrix of ``z`` (one, or a stack, certified whole or not
+    at all): a Cholesky of ``z + c I``, c = `_admission_shift`, completes.
+    False defers to it."""
+    c = _admission_shift(z, tol)
+    return c is not None and _cholesky_completes(z, c)
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:

@@ -40,14 +40,17 @@ in one call, and the CLI's scalar adapter a stack of diagonal points
   `shorted.shorted_operator`.
 * "parallel-sum" (m > 1, not arrowhead, the stored A0 and A_i diagonal, as
   for `harmonic` with three or more weights): ``(sum_j e_j^2 B_j^-1)^-1``
-  over the diagonal blocks B_j of the unrotated pencil
-  (`_parallel_sum_short`).  Points it does not admit, and every domain
+  over the diagonal blocks B_j of the unrotated pencil, one ``solve`` per
+  block with e_j != 0 after the first (`_parallel_sum_short`).  It admits a
+  point when one stacked shifted Cholesky proves every B_j far enough from
+  singular that "dense" would cut nothing; other points, and every domain
   error, go to "dense".  Oracles: that path and mpmath.
 * "dense" (every other shape, m = 1 included): `_arrowhead_short` with the
   trailing block of the assembled pencil as its one block, empty when
   m = 1 (`_dense_short`).  Oracle: `shorted.shorted_operator`, whose rank cut
-  ``DEFAULT_RANK_TOL * lambda_max(Z22)`` it shares; that oracle factors a
-  Z22 by Cholesky instead when it proves that the cut drops nothing.
+  ``DEFAULT_RANK_TOL * lambda_max(Z22)`` it shares; that oracle shorts Z
+  by one Cholesky of its permutation with Z22 leading instead when it
+  proves that the cut drops nothing.
 
 Every path fuses the same admission checks into the factorization (Z >= 0 iff
 Z22 >= 0, the range condition holds, and the complement is >= 0), recorded
@@ -99,11 +102,13 @@ from .numlin import (
     SymMatrix,
     _as_array,
     _certified_psd,
+    _cholesky_shift,
     _coordinates,
     _finite,
     _halve,
     _psd_check,
     _psd_shift,
+    _shifted,
     _square,
     _sym,
     as_tuple,
@@ -573,23 +578,25 @@ def _parallel_sum_short(table, arrays, e):
     """Shorts of ``L(X) = (+)_j B_j``, ``B_j = a0[j,j] I + sum_i c_i[j,j]
     X_i`` (A0 and every A_i diagonal, the rows of ``table``) onto e (x) I at
     a stack of points: the parallel sum ``(sum_j e_j^2 B_j^-1)^-1`` (Anderson
-    and Duffin).  Per point: its short, or None, for the dense path, unless
-    the B_j are positive definite (one stacked Cholesky; `_factored` when it
-    fails) and ``max_j ||B_j||_F max_j ||B_j^-1||_F < 1 / sqrt(DEFAULT_RANK_TOL)``:
-    Z22 is a compression of L(X), so that path's rank cut then drops nothing
-    and every admission check passes."""
-    def inverse(blocks):  # a Cholesky can pass on an exactly singular B_j that inv rejects
-        np.linalg.cholesky(blocks)
-        return (np.linalg.inv(blocks),)
-
+    and Duffin), chained as ``P <- P (P + C_j)^-1 C_j = P (e_j^2 P + B_j)^-1
+    B_j`` over ``C_j = B_j / e_j^2`` from the largest e_j^2, one ``solve`` per
+    link and none for e_j = 0.  Per point: its short, or None, for the dense
+    path, unless one stacked shifted Cholesky (`_factored` when it fails)
+    proves ``lambda_min(B_j) > sqrt(DEFAULT_RANK_TOL) max_k ||B_k||_F`` for
+    every block, e_j = 0 included: then L(X) has condition below 1e6, Z22 is
+    a compression of it, so that path's rank cut drops nothing and every
+    admission check passes."""
     out, blocks = [None] * len(arrays[0]), _linear_blocks(table[0], table[1:], arrays)
-    ok, (inv,) = _factored(inverse, blocks)
-    idx, blocks = _keep(ok, np.arange(len(out)), blocks)
-    kappa = (np.linalg.norm(blocks, axis=(-2, -1)).max(axis=-1)
-             * np.linalg.norm(inv, axis=(-2, -1)).max(axis=-1))
-    idx, inv = _keep(kappa * math.sqrt(DEFAULT_RANK_TOL) < 1.0, idx, inv)
-    s, m, n = inv.shape[:3]
-    short = np.linalg.inv((e ** 2 @ inv.reshape(s, m, n * n)).reshape(s, n, n))
+    floor = math.sqrt(DEFAULT_RANK_TOL) * np.linalg.norm(blocks, axis=(-2, -1)).max(axis=-1)
+    idx, blocks, floor = _keep(np.isfinite(floor), np.arange(len(out)), blocks, floor)
+    c = _cholesky_shift(blocks.diagonal(axis1=-2, axis2=-1).real, floor[:, None])
+    ok, _ = _factored(lambda a: (np.linalg.cholesky(a),), _shifted(blocks, c))
+    idx, blocks = _keep(ok, idx, blocks)
+    w = e ** 2
+    first, *rest = (j for j in np.argsort(-w, kind="stable").tolist() if w[j] != 0.0)
+    short = blocks[:, first] / w[first]
+    for j in rest:
+        short = short @ np.linalg.solve(w[j] * short + blocks[:, j], blocks[:, j])
     return _placed(out, idx, (short + _adjoint(short)) / 2.0)
 
 

@@ -7,13 +7,16 @@ pseudo-inverse.  It is the maximal self-adjoint X on the pivot subspace with
 argument leans on.  The pivot subspace is always the span of the first s
 coordinates; callers rotate other subspaces into leading position.
 
-`shorted_operator` admits Z by an accept-only certificate, a shifted
-Cholesky (`numlin._certified_psd`), and takes the spectrum of Z only when
-that fails or a lower bound on ||Z|| cannot settle the range check;
-``eigvalsh`` alone rejects.  When a second shifted Cholesky
-(`_certified_cholesky`) proves that the rank cut drops no eigenvalue of Z22,
-the complement comes from the Cholesky factor of Z22; every other Z22 is
-cut in its eigenbasis, which alone raises `RangeConditionViolation`.
+`shorted_operator` admits Z by an accept-only certificate and takes the
+spectrum of Z only when none holds or a lower bound on ||Z|| cannot settle
+the range check; ``eigvalsh`` alone rejects.  For s < N one Cholesky of the
+permuted ``[[Z22, Z21], [Z12, Z11 + c I]]`` (`_permuted_cholesky`) both
+admits Z and gives ``W* = Z12 L^-*``, ``Z22 = L L*``; the complement is
+``Z11 - W* W`` when a shifted Cholesky of Z22 (`_certified_cholesky`) proves
+that the rank cut drops no eigenvalue.  A Z that it does not admit is
+admitted by a shifted Cholesky of Z itself (`numlin._certified_psd`), and
+every Z22 not so certified is cut in its eigenbasis, which alone raises
+`RangeConditionViolation`.
 `variational_infimum` is the independent oracle for the same quantity:
 ``v* S v = inf_w [v; w]* Z [v; w]``, solved through the stationarity system in
 a separately computed eigenbasis of Z22 (no intermediates shared with
@@ -32,6 +35,7 @@ import numpy as np
 from .numlin import (
     DEFAULT_PSD_TOL,
     SymMatrix,
+    _admission_shift,
     _as_array,
     _certified_psd,
     _cholesky_completes,
@@ -92,13 +96,13 @@ def _root_factor(z21: np.ndarray, z22: np.ndarray):
 
 
 def _certified_cholesky(z22: np.ndarray):
-    """The Cholesky factor L of Z22 when a shifted Cholesky proves that
-    `_root_factor`'s rank cut drops nothing, else None.  The cut keeps
-    every eigenvalue that ``eigh`` computes above ``DEFAULT_RANK_TOL
-    lambda_max``; with ``tau = DEFAULT_RANK_TOL ||Z22||_F`` it does so once
-    ``lambda_min > tau + 2 m eps (||Z22||_F + tau)``, since lambda_max <=
-    ||Z22||_F and ``eigh`` errs by at most ``m eps ||Z22||_F``
-    (`_eigvalsh_slack`)."""
+    """The floor f that a shifted Cholesky proves ``lambda_min(Z22) > f``
+    when f is high enough that `_root_factor`'s rank cut drops nothing, else
+    None.  The cut keeps every eigenvalue that ``eigh`` computes above
+    ``DEFAULT_RANK_TOL lambda_max``; with ``tau = DEFAULT_RANK_TOL
+    ||Z22||_F`` it does so once ``lambda_min > f = tau + 2 m eps (||Z22||_F
+    + tau)``, since lambda_max <= ||Z22||_F and ``eigh`` errs by at most
+    ``m eps ||Z22||_F`` (`_eigvalsh_slack`)."""
     fro = float(np.linalg.norm(z22))
     if not math.isfinite(fro):
         return None
@@ -106,7 +110,25 @@ def _certified_cholesky(z22: np.ndarray):
     floor = tau + _eigvalsh_slack(z22.shape[0], fro + tau)
     if not _cholesky_completes(z22, _cholesky_shift(z22.diagonal().real, floor)):
         return None
-    return np.linalg.cholesky(z22)
+    return floor
+
+
+def _permuted_cholesky(zm: np.ndarray, s: int, psd_tol: float):
+    """``W* = Z12 L^-*``, ``Z22 = L L*``: the lower-left block of the Cholesky
+    factor of the permuted ``[[Z22, Z21], [Z12, Z11 + c I]]``, c =
+    `_admission_shift` of Z, or None when c is not defined or that Cholesky
+    fails.  Its completing proves what `_certified_psd` proves, since the
+    shift ``diag(c I, 0)`` lies between 0 and c I."""
+    c = _admission_shift(zm, psd_tol)
+    if c is None:
+        return None
+    perm = np.roll(zm, -s, axis=(0, 1))
+    i = np.arange(zm.shape[0] - s, zm.shape[0])
+    perm[i, i] += c
+    try:
+        return np.linalg.cholesky(perm)[-s:, :-s]
+    except np.linalg.LinAlgError:
+        return None
 
 
 def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResult:
@@ -117,12 +139,16 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
     ``||(I - P_range) Z21|| <= 10 sqrt(DEFAULT_RANK_TOL) ||Z||``, the
     Cauchy-Schwarz bound for PSD input.
 
-    `_certified_psd` admits Z with no spectrum when it can; otherwise
-    ``eigvalsh(Z)`` decides, the only source of `NotPositiveSemidefinite`.
-    Then `_certified_cholesky` factors ``Z22 = L L*`` when it proves that the
-    rank cut drops nothing, and the complement is ``Z11 - W* W`` with ``W =
-    L^-1 Z21``: every eigenvalue is kept and the range check is vacuous.
-    Every other Z22 is cut in its eigenbasis (`_root_factor`), the only
+    For s < N, one Cholesky of the permuted ``[[Z22, Z21], [Z12, Z11 + c I]]``
+    (`_permuted_cholesky`) admits Z and gives ``W* = Z12 L^-*``, ``Z22 = L
+    L*``.  When `_certified_cholesky` then proves that the rank cut drops
+    nothing, the complement is ``Z11 - W* W``: every eigenvalue of Z22 is
+    kept, the range check is vacuous, and the factorization, which completed
+    with ``Z11 + c I`` in place of Z11, bounds the complement below by -c
+    less rounding.  A Z that the permuted Cholesky does not admit is
+    admitted as for s = N: with no spectrum when `_certified_psd` can, else
+    by ``eigvalsh(Z)``, the only source of `NotPositiveSemidefinite`.  Every
+    Z22 not certified is cut in its eigenbasis (`_root_factor`), the only
     source of `RangeConditionViolation`.  ||Z|| = lambda_max(Z) comes from
     the spectrum of Z.  A certified Z takes it only for a range check that
     the floor ``max diag Z - 2 N eps ||Z||_F`` on the computed lambda_max
@@ -147,22 +173,21 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
     n = zm.shape[0]
     if not 1 <= s <= n:
         raise ValueError(f"pivot dimension {s} outside [1, {n}]")
+    z11 = zm[:s, :s]
+    z21 = zm[s:, :s]
+    z22 = zm[s:, s:]
+    w_adj = _permuted_cholesky(zm, s, psd_tol) if s < n else None
+    if w_adj is not None and _certified_cholesky(z22) is not None:
+        return ShortedResult(SymMatrix(z11 - w_adj @ w_adj.conj().T), n - s,
+                             lambda: _root_factor(z21, z22)[0])
     vals = None
-    if not _certified_psd(zm, psd_tol):
+    if w_adj is None and not _certified_psd(zm, psd_tol):
         vals = np.linalg.eigvalsh(zm)
         _psd_check(vals, psd_tol, "shorted_operator")
     if s == n:
         empty = np.zeros((0, s), dtype=zm.dtype)
         return ShortedResult(SymMatrix(zm), 0, lambda: empty)
 
-    z11 = zm[:s, :s]
-    z21 = zm[s:, :s]
-    z22 = zm[s:, s:]
-    low = _certified_cholesky(z22)
-    if low is not None:
-        w = np.linalg.solve(low, z21)
-        return ShortedResult(SymMatrix(z11 - w.conj().T @ w), n - s,
-                             lambda: _root_factor(z21, z22)[0])
     c, keep, g = _root_factor(z21, z22)
     if not np.all(keep):
         bound = 10.0 * math.sqrt(DEFAULT_RANK_TOL)

@@ -5,6 +5,7 @@ database, so every run tries the same cases; tests take it with
 ``settings(settings.get_profile("loewner"), max_examples=...)``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -33,3 +34,16 @@ def silent_fds(capfd):
     out, err = capfd.readouterr()
     if out or err:
         pytest.fail(f"written to fd 1: {out!r}; to fd 2: {err!r}")
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The name and first argument's shape of each ``np.linalg`` cholesky,
+    eigvalsh, eigh, solve and inv call the test makes, in order."""
+    seen = []
+    for name in ("cholesky", "eigvalsh", "eigh", "solve", "inv"):
+        def spy(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append((_name, args[0].shape))
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen

@@ -1016,8 +1016,8 @@ def test_every_eval_path_matches_shorted_oracle(case):
 @st.composite
 def parallel_sum_points(draw):
     """A parallel-sum realization and a PD point with spectra 10**a for
-    exponents a in [-2, 2], n <= 4: every B_j then has kappa under 1e6, so
-    the point lies inside the path's admission rule."""
+    exponents a in [-2, 2], n <= 4: every B_j then has lambda_min above 1e-6
+    max_k ||B_k||_F, so the point lies inside the path's admission rule."""
     r = PATH_REALIZATIONS[draw(st.sampled_from(["block-diagonal", "harmonic:0.2,0.3,0.5"]))]
     n = draw(st.integers(1, 4))
     items = []
@@ -1029,8 +1029,8 @@ def parallel_sum_points(draw):
     return r, MatrixTuple(tuple(items))
 
 
-# all 200 derandomized draws reach `_parallel_sum_short`; worst error 6.4e-15
-# of the pencil norm, median 2.2e-16
+# all 200 derandomized draws reach `_parallel_sum_short`; worst error 3.9e-16
+# of max(1, pencil norm), median 1.0e-16
 @settings(settings.get_profile("loewner"), max_examples=200)
 @given(parallel_sum_points())
 def test_parallel_sum_path_matches_shorted_oracle(case):
@@ -1061,13 +1061,13 @@ def mp_dense_complement(r, xs, dps=50):
         return np.array(out.tolist(), dtype=float)
 
 
-def parallel_sum_kappa(r, xs):
-    """``max_j ||B_j||_F max_j ||B_j^-1||_F`` of a block-diagonal pencil at xs."""
+def parallel_sum_margin(r, xs):
+    """``min_j lambda_min(B_j) / max_k ||B_k||_F`` of a block-diagonal pencil at xs."""
     n = xs[0].shape[0]
     blocks = [r.a0.entries[j, j] * np.eye(n)
               + sum(c.entries[j, j] * x for c, x in zip(r.coeffs, xs)) for j in range(r.m)]
-    return (max(np.linalg.norm(b) for b in blocks)
-            * max(np.linalg.norm(np.linalg.inv(b)) for b in blocks))
+    return (min(np.linalg.eigvalsh(b)[0] for b in blocks)
+            / max(np.linalg.norm(b) for b in blocks))
 
 
 def dense_reference(r, xs):
@@ -1107,8 +1107,8 @@ class TestParallelSumPath:
                                 for e, b in zip((0.48, 0.6, 0.64), blocks)))
         assert operator_norm(got - ref) <= 1e-12 * operator_norm(ref)
 
-    # measured at most 2.2e-16 of the pencil norm here (1.6e-13 of ||F||), and
-    # 1.4e-14 over 209 random admitted points with kappa up to the bound
+    # measured at most 2.7e-16 of the pencil norm here (3.0e-13 of ||F||), and
+    # 9.2e-16 over 599 random admitted points (n <= 4, spectra over 10**[0, 6.5])
     @pytest.mark.parametrize("span", [10.0, 1e4, 1e5])
     @pytest.mark.parametrize("spec", ["harmonic:0.2,0.3,0.5", "block-diagonal"])
     def test_admitted_points_against_mpmath(self, spec, span):
@@ -1119,21 +1119,40 @@ class TestParallelSumPath:
             got = eval_pencil(r, xs).entries
             assert operator_norm(got - mp_dense_complement(r, xs)) <= 1e-13 * pencil_norm(r, xs)
 
-    # max_j ||B_j||_F max_j ||B_j^-1||_F = 3.54 sqrt(1 + s^2): 9.9e5 and 1.03e6;
-    # the admitted point is 4.4e-18 of the pencil norm off (1.6e-12 of ||F||)
-    @pytest.mark.parametrize("s,admitted", [(2.8e5, True), (2.9e5, False)])
+    # B_j = (5/3) X1, (10/9) I, (2/3) I: the margin is 0.4 / sqrt(1 + s^2), 1.0025e-6
+    # and 0.9975e-6; the admitted point is 3.8e-18 of the pencil norm off (2.0e-12 of ||F||)
+    @pytest.mark.parametrize("s,admitted", [(3.99e5, True), (4.01e5, False)])
     def test_condition_bound(self, s, admitted):
         r = PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"]
         q = np.array([[0.6, 0.8], [-0.8, 0.6]])
         xs = [q @ np.diag([1.0, s]) @ q.T, np.eye(2), np.eye(2)]
-        # the admission bound is 1 / sqrt(DEFAULT_RANK_TOL) = 1e6
-        assert (parallel_sum_kappa(r, xs) < 1.0 / np.sqrt(DEFAULT_RANK_TOL)) == admitted
+        # the admission floor is sqrt(DEFAULT_RANK_TOL) = 1e-6
+        assert (parallel_sum_margin(r, xs) > np.sqrt(DEFAULT_RANK_TOL)) == admitted
         assert route(r, xs) == ("parallel-sum" if admitted else "dense")
         got = eval_pencil(r, xs).entries
         if admitted:
             assert operator_norm(got - mp_dense_complement(r, xs)) <= 1e-13 * pencil_norm(r, xs)
         else:
             assert np.array_equal(got, dense_reference(r, xs))
+
+    def test_chain_takes_one_solve_per_link(self, linalg_calls):
+        r = PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"]
+        xs = [random_pd(8, (0.5, 2.0), seed).entries for seed in range(3)]
+        eval_pencil(r, xs)
+        assert linalg_calls == [("cholesky", (1, 3, 8, 8)), ("solve", (1, 8, 8)),
+                                ("solve", (1, 8, 8))]
+
+    def test_decoupled_block_is_certified_but_not_chained(self, linalg_calls):
+        # e_4 = 0: B_4 = X1 is in the certificate's stack, and three blocks make two links
+        r = PATH_REALIZATIONS["block-diagonal"]
+        xs = [random_pd(8, (0.5, 2.0), seed).entries for seed in range(2)]
+        eval_pencil(r, xs)
+        assert linalg_calls == [("cholesky", (1, 4, 8, 8)), ("solve", (1, 8, 8)),
+                                ("solve", (1, 8, 8))]
+        linalg_calls.clear()
+        xs[0] = np.diag([1.0] * 7 + [1e-7])  # B_4 = X1 below the floor 1e-6 max ||B_k||_F
+        assert _parallel_sum_short(r._layout[0], [x[None] for x in xs], r.e) == [None]
+        assert linalg_calls[0] == ("cholesky", (1, 4, 8, 8))
 
     @pytest.mark.parametrize("xs,raises", [
         ([np.diag([1.0, 0.0, 2.0]), np.eye(3), np.eye(3)], False),
@@ -1144,8 +1163,8 @@ class TestParallelSumPath:
         ([np.full((2, 2), 0.81), np.eye(2), np.eye(2)], False),
     ])
     def test_fallbacks_match_dense_path(self, xs, raises):
-        # Cholesky fails at each point (PSD-singular, barely and clearly non-PSD)
-        # but the last, a rank-one B_1 that it passes and inv rejects
+        # the shifted Cholesky fails at each point: PSD-singular, barely and clearly
+        # non-PSD, and a rank-one B_1 that an unshifted Cholesky passes
         self.assert_dense_outcome(PATH_REALIZATIONS["harmonic:0.2,0.3,0.5"], xs, raises)
 
     @pytest.mark.parametrize("xs,raises", [
