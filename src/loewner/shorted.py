@@ -7,16 +7,14 @@ pseudo-inverse.  It is the maximal self-adjoint X on the pivot subspace with
 argument leans on.  The pivot subspace is always the span of the first s
 coordinates; callers rotate other subspaces into leading position.
 
-`shorted_operator` admits Z by an accept-only certificate and takes the
-spectrum of Z only when none holds or a lower bound on ||Z|| cannot settle
-the range check; ``eigvalsh`` alone rejects.  For s < N one Cholesky of the
-permuted ``[[Z22, Z21], [Z12, Z11 + c I]]`` (`_permuted_cholesky`) both
-admits Z and gives ``W* = Z12 L^-*``, ``Z22 = L L*``; the complement is
-``Z11 - W* W`` when a shifted Cholesky of Z22 (`_certified_cholesky`) proves
-that the rank cut drops no eigenvalue.  A Z that it does not admit is
-admitted by a shifted Cholesky of Z itself (`numlin._certified_psd`), and
-every Z22 not so certified is cut in its eigenbasis, which alone raises
-`RangeConditionViolation`.
+`shorted_operator` takes one of two routes.  The Cholesky route: one
+Cholesky of the permuted ``[[Z22, Z21], [Z12, Z11 + c I]]``
+(`_permuted_cholesky`) admits Z and gives ``W* = Z12 L^-*``, ``Z22 = L L*``,
+and when a shifted Cholesky of Z22 (`_certified_cholesky`) proves that the
+rank cut drops no eigenvalue, the complement is ``Z11 - W* W``.  Every other
+Z takes the spectral reference flow: ``eigvalsh(Z)``, which alone raises
+`NotPositiveSemidefinite`, then the cut in the eigenbasis of Z22, which
+alone raises `RangeConditionViolation`.
 `variational_infimum` is the independent oracle for the same quantity:
 ``v* S v = inf_w [v; w]* Z [v; w]``, solved through the stationarity system in
 a separately computed eigenbasis of Z22 (no intermediates shared with
@@ -37,7 +35,6 @@ from .numlin import (
     SymMatrix,
     _admission_shift,
     _as_array,
-    _certified_psd,
     _cholesky_completes,
     _cholesky_shift,
     _eigvalsh_slack,
@@ -117,8 +114,9 @@ def _permuted_cholesky(zm: np.ndarray, s: int, psd_tol: float):
     """``W* = Z12 L^-*``, ``Z22 = L L*``: the lower-left block of the Cholesky
     factor of the permuted ``[[Z22, Z21], [Z12, Z11 + c I]]``, c =
     `_admission_shift` of Z, or None when c is not defined or that Cholesky
-    fails.  Its completing proves what `_certified_psd` proves, since the
-    shift ``diag(c I, 0)`` lies between 0 and c I."""
+    fails.  Its completing proves what `numlin._certified_psd` proves, since
+    the shift ``diag(c I, 0)`` lies between 0 and c I; for s = N it is that
+    certificate's Cholesky of ``Z + c I``."""
     c = _admission_shift(zm, psd_tol)
     if c is None:
         return None
@@ -139,20 +137,19 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
     ``||(I - P_range) Z21|| <= 10 sqrt(DEFAULT_RANK_TOL) ||Z||``, the
     Cauchy-Schwarz bound for PSD input.
 
-    For s < N, one Cholesky of the permuted ``[[Z22, Z21], [Z12, Z11 + c I]]``
-    (`_permuted_cholesky`) admits Z and gives ``W* = Z12 L^-*``, ``Z22 = L
-    L*``.  When `_certified_cholesky` then proves that the rank cut drops
-    nothing, the complement is ``Z11 - W* W``: every eigenvalue of Z22 is
-    kept, the range check is vacuous, and the factorization, which completed
-    with ``Z11 + c I`` in place of Z11, bounds the complement below by -c
-    less rounding.  A Z that the permuted Cholesky does not admit is
-    admitted as for s = N: with no spectrum when `_certified_psd` can, else
-    by ``eigvalsh(Z)``, the only source of `NotPositiveSemidefinite`.  Every
-    Z22 not certified is cut in its eigenbasis (`_root_factor`), the only
-    source of `RangeConditionViolation`.  ||Z|| = lambda_max(Z) comes from
-    the spectrum of Z.  A certified Z takes it only for a range check that
-    the floor ``max diag Z - 2 N eps ||Z||_F`` on the computed lambda_max
-    cannot pass.
+    The Cholesky route: one Cholesky of the permuted ``[[Z22, Z21], [Z12,
+    Z11 + c I]]`` (`_permuted_cholesky`; for s = N the shifted Cholesky of
+    Z) admits Z and gives ``W* = Z12 L^-*``, ``Z22 = L L*``.  For s = N, Z is
+    returned.  For s < N, when `_certified_cholesky` proves that the rank
+    cut drops nothing, the complement is ``Z11 - W* W``: every eigenvalue of
+    Z22 is kept, the range check is vacuous, and the factorization, which
+    completed with ``Z11 + c I`` in place of Z11, bounds the complement below
+    by -c less rounding.  Every other Z takes the spectral reference flow:
+    ``eigvalsh(Z)``, the only source of `NotPositiveSemidefinite` and of
+    ||Z|| = lambda_max(Z), then the cut of Z22 in its eigenbasis
+    (`_root_factor`), the only source of `RangeConditionViolation`.  The
+    Cholesky route admits only what ``eigvalsh`` admits, so the two routes
+    raise the same errors.
 
     Parameters
     ----------
@@ -176,35 +173,28 @@ def shorted_operator(z, s: int, psd_tol: float = DEFAULT_PSD_TOL) -> ShortedResu
     z11 = zm[:s, :s]
     z21 = zm[s:, :s]
     z22 = zm[s:, s:]
-    w_adj = _permuted_cholesky(zm, s, psd_tol) if s < n else None
-    if w_adj is not None and _certified_cholesky(z22) is not None:
-        return ShortedResult(SymMatrix(z11 - w_adj @ w_adj.conj().T), n - s,
-                             lambda: _root_factor(z21, z22)[0])
-    vals = None
-    if w_adj is None and not _certified_psd(zm, psd_tol):
+    w_adj = _permuted_cholesky(zm, s, psd_tol)
+    cholesky_route = w_adj is not None and (s == n or _certified_cholesky(z22) is not None)
+    if not cholesky_route:
         vals = np.linalg.eigvalsh(zm)
         _psd_check(vals, psd_tol, "shorted_operator")
     if s == n:
         empty = np.zeros((0, s), dtype=zm.dtype)
         return ShortedResult(SymMatrix(zm), 0, lambda: empty)
+    if cholesky_route:
+        return ShortedResult(SymMatrix(z11 - w_adj @ w_adj.conj().T), n - s,
+                             lambda: _root_factor(z21, z22)[0])
 
     c, keep, g = _root_factor(z21, z22)
     if not np.all(keep):
         bound = 10.0 * math.sqrt(DEFAULT_RANK_TOL)
         off_range = float(np.linalg.norm(g[~keep, :], 2)) if g[~keep, :].size else 0.0
-        if vals is None:
-            # the computed lambda_max(Z) is at least max diag Z less the eigvalsh
-            # error, n eps ||Z||_F: a check this floor passes needs no spectrum
-            slack = _eigvalsh_slack(n, float(np.linalg.norm(zm)))
-            if off_range > bound * max(float(zm.diagonal().real.max()) - slack, 1e-300):
-                vals = np.linalg.eigvalsh(zm)
-        if vals is not None:
-            znorm = max(float(vals[-1]), 0.0)
-            if off_range > bound * max(znorm, 1e-300):
-                raise RangeConditionViolation(
-                    f"||(I - P)Z21|| = {off_range:.3e} exceeds "
-                    f"{bound:.1e} * ||Z|| = {bound * znorm:.3e}"
-                )
+        znorm = max(float(vals[-1]), 0.0)
+        if off_range > bound * max(znorm, 1e-300):
+            raise RangeConditionViolation(
+                f"||(I - P)Z21|| = {off_range:.3e} exceeds "
+                f"{bound:.1e} * ||Z|| = {bound * znorm:.3e}"
+            )
     short = z11 - c.conj().T @ c
     return ShortedResult(SymMatrix(short), int(keep.sum()), lambda: c)
 

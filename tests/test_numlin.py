@@ -26,6 +26,7 @@ from loewner import (
     shorted_operator,
     variational_infimum,
 )
+from loewner import shorted as shorted_module
 from loewner.numlin import (
     DEFAULT_PSD_TOL,
     _certified_psd,
@@ -231,6 +232,15 @@ class TestCertifiedPsd:
         for a in z:
             assert _certified_psd(a, tol)
             _psd_check(np.linalg.eigvalsh(a), tol, "certified")
+
+    @settings(settings.get_profile("loewner"), max_examples=400)
+    @given(psd_boundary_stacks())
+    def test_full_pivot_permuted_cholesky_is_the_certificate(self, case):
+        # `shorted_operator` admits with s = N by the permuted Cholesky alone
+        z, tol = case
+        for a in z:
+            admitted = shorted_module._permuted_cholesky(a, a.shape[0], tol) is not None
+            assert admitted == _certified_psd(a, tol)
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_accepts_psd_matrices_at_every_scale(self, cplx):

@@ -1,7 +1,7 @@
 """The permuted-Cholesky route of `shorted_operator`: one Cholesky of
 ``[[Z22, Z21], [Z12, Z11 + c I]]`` admits Z and shorts it when a shifted
 Cholesky of Z22 proves that the rank cut drops nothing; every other Z takes
-the admission and eigh route."""
+the spectral reference flow (``eigvalsh``, then eigh)."""
 
 from unittest import mock
 
@@ -33,7 +33,7 @@ def _outcome(z, s, tol=DEFAULT_PSD_TOL):
 def _route_and_fallback(z, s):
     """The outcome of ``shorted_operator(z, s)``, whether the permuted
     Cholesky admitted Z, whether the route shorted it, and the outcome with
-    the permuted Cholesky turned off (`_certified_psd`, ``eigvalsh``, eigh)."""
+    the permuted Cholesky turned off (``eigvalsh``, then eigh)."""
     permuted, certified = shorted_module._permuted_cholesky, shorted_module._certified_cholesky
     admitted, shorted = [], []
 
@@ -137,7 +137,7 @@ def test_permuted_cholesky_is_sound(case):
 def test_each_side_of_the_boundary(r, outcome):
     # lambda_min(Z) = -1e-9 r and c = 1e-9 less rounding (max(1, max diag Z) = 1);
     # the shift diag(c I, 0) lifts lambda_min by about 0.57 c, the pivot mass of
-    # its eigenvector, so at r = 0.9 only `_certified_psd`, shifting by c I, admits
+    # its eigenvector, so at r = 0.9 the permuted Cholesky declines and eigvalsh admits
     rng = np.random.default_rng(3)
     _, v = np.linalg.eigh(SymMatrix(rng.standard_normal((6, 6))).entries)
     lam = np.array([-DEFAULT_PSD_TOL * r, 0.3, 0.5, 0.7, 0.9, 1.0])
@@ -167,13 +167,30 @@ class TestSpies:
         assert linalg_calls == [("cholesky", (256, 256)), ("cholesky", (192, 192))]
         assert got.rank_used == 192
 
-    def test_rank_deficient_trailing_block_takes_the_eigh_route(self, linalg_calls):
-        rng = np.random.default_rng(12)
-        g = rng.standard_normal((8, 3))
-        shorted_operator(g @ g.T, 2)
-        names = [name for name, _ in linalg_calls]
-        assert "eigh" in names and "solve" not in names and "inv" not in names
+    def test_full_pivot_certified_call_makes_one_cholesky_and_nothing_else(self, linalg_calls):
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((48, 40))
+        z = g @ g.T / 48
+        got = shorted_operator(z, 48)
+        assert linalg_calls == [("cholesky", (48, 48))]
+        assert got.rank_used == 0
+        assert got.s_short.entries.tobytes() == SymMatrix(z).entries.tobytes()
 
+    @pytest.mark.parametrize("admitted", [False, True])
+    def test_rank_deficient_trailing_block_takes_the_eigh_route(self, linalg_calls, admitted):
+        # rank 3 of 8, pivot 2; or Z22 = diag(2, 1e-14), which the permuted
+        # Cholesky factors but whose 1e-14 the rank cut drops
+        if admitted:
+            z, n, s = np.diag([1.0, 1.0, 2.0, 1e-14]), 4, 2
+        else:
+            g = np.random.default_rng(12).standard_normal((8, 3))
+            z, n, s = g @ g.T, 8, 2
+        assert (shorted_module._permuted_cholesky(z, s, DEFAULT_PSD_TOL) is not None) == admitted
+        linalg_calls.clear()
+        shorted_operator(z, s)
+        # the permuted Cholesky, and the Z22 certificate only once it completed
+        tried = [("cholesky", (n, n))] + ([("cholesky", (n - s, n - s))] if admitted else [])
+        assert linalg_calls == tried + [("eigvalsh", (n, n)), ("eigh", (n - s, n - s))]
 
 @pytest.mark.parametrize("tol", [0.0, np.nan, np.inf])
 def test_no_admission_shift_leaves_z_to_the_fallback(tol):

@@ -1,5 +1,6 @@
 """Tests for the shorted operator and its variational oracle."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,26 @@ def random_psd(n, rng, rank=None):
     r = rank if rank is not None else n
     g = rng.standard_normal((n, r))
     return g @ g.T
+
+
+def _gram(seed, n, rank, cplx=False):
+    """``G G*`` for a seeded n x rank Gaussian G."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, rank)) + (1j * rng.standard_normal((n, rank)) if cplx else 0.0)
+    return SymMatrix(g @ g.conj().T).entries
+
+
+def _z22_at_the_cut(seed, cplx):
+    """PSD Z, 6 x 6 with pivot 3, whose Z22 has the eigenvalue 1e-14 lambda_max,
+    under the rank cut but not zero, and ``Z21 = Z22^(1/2) C``."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((3, 6)) + (1j * rng.standard_normal((3, 6)) if cplx else 0.0)
+    u = np.linalg.qr(g[:, :3])[0]
+    root = (u * np.sqrt([1e-14, 0.5, 2.0])) @ u.conj().T
+    c = g[:, 3:]
+    z21 = root @ c
+    return SymMatrix(np.block([[c.conj().T @ c + np.eye(3), z21.conj().T],
+                               [z21, root @ root]])).entries
 
 
 class TestShortedExamples:
@@ -173,12 +194,12 @@ class TestCertifiedAdmission:
             shorted_operator(z, s)
         assert eigvalsh_calls == []
 
-    def test_range_check_settled_by_the_diagonal_takes_no_spectrum(self, eigvalsh_calls):
+    def test_rank_deficient_trailing_block_takes_the_spectrum_once(self, eigvalsh_calls):
         # Z of rank 2, so the rank cut drops an eigenvalue of its 3 x 3 Z22
         z = random_psd(6, np.random.default_rng(5), rank=2)
         assert _certified_psd(z, DEFAULT_PSD_TOL)
         shorted_operator(z, 3)
-        assert eigvalsh_calls == []
+        assert eigvalsh_calls == [(6, 6)]
 
     def test_range_check_the_diagonal_cannot_settle_takes_the_spectrum_once(
             self, eigvalsh_calls, monkeypatch):
@@ -189,16 +210,20 @@ class TestCertifiedAdmission:
         assert _certified_psd(z, DEFAULT_PSD_TOL)
         got = shorted_operator(z, 2)
         assert eigvalsh_calls == [(3, 3)]
-        monkeypatch.setattr("loewner.shorted._certified_psd", lambda z, tol: False)
+        monkeypatch.setattr("loewner.shorted._permuted_cholesky", lambda zm, s, tol: None)
         assert shorted_operator(z, 2).s_short.entries.tobytes() == got.s_short.entries.tobytes()
 
     def test_certified_admission_keeps_every_bit(self, monkeypatch):
+        # the inputs that the permuted Cholesky admits but does not short: s = N,
+        # and a Z22 that the rank cut truncates
         rng = np.random.default_rng(6)
-        cases = [(random_psd(n, rng, rank), s)
-                 for n, rank, s in [(8, 8, 3), (8, 5, 3), (12, 9, 4), (5, 5, 5), (6, 3, 3)]]
-        assert all(_certified_psd(z, DEFAULT_PSD_TOL) for z, _ in cases)
+        cases = [(random_psd(5, rng, 5), 5), (random_psd(6, rng, 3), 6),
+                 (_z22_at_the_cut(2, False), 3), (_z22_at_the_cut(3, True), 3)]
+        assert all(shorted_module._permuted_cholesky(z, s, DEFAULT_PSD_TOL) is not None
+                   for z, s in cases)
         got = [shorted_operator(z, s) for z, s in cases]
-        monkeypatch.setattr("loewner.shorted._certified_psd", lambda z, tol: False)
+        assert [r.rank_used for r in got] == [0, 0, 2, 2]
+        monkeypatch.setattr("loewner.shorted._permuted_cholesky", lambda zm, s, tol: None)
         for (z, s), r in zip(cases, got):
             want = shorted_operator(z, s)
             assert want.s_short.entries.tobytes() == r.s_short.entries.tobytes()
@@ -229,6 +254,55 @@ class TestCertifiedAdmission:
         with pytest.raises(error) as info:
             shorted_operator(z, s, tol)
         assert str(info.value) == message
+
+
+class TestByteIdentity:
+    """The value, rank, C factor or exception of a fixed list of inputs, one
+    or more for each route of `shorted_operator`, hashed together: which
+    route takes an input must move no bit of its outcome."""
+
+    DIGEST = "b8bad27c2455acade37982bf1354aff63db9a95d92836363ea92130296e0c2ec"
+    D = 1.2e-5
+    # (Z, s, tol, route): "cholesky" takes no spectrum; "spectral" takes one
+    # after the permuted Cholesky failed or, for s = N, never ran; "spectral,
+    # admitted" takes one after the permuted Cholesky completed
+    CASES = [
+        (_gram(0, 8, 8), 3, DEFAULT_PSD_TOL, "cholesky"),
+        (_gram(1, 6, 6, cplx=True), 2, DEFAULT_PSD_TOL, "cholesky"),
+        (_gram(2, 5, 5), 5, DEFAULT_PSD_TOL, "cholesky"),
+        (_gram(3, 5, 3, cplx=True), 5, DEFAULT_PSD_TOL, "cholesky"),
+        (_z22_at_the_cut(0, False), 3, DEFAULT_PSD_TOL, "spectral, admitted"),
+        (_z22_at_the_cut(1, True), 3, DEFAULT_PSD_TOL, "spectral, admitted"),
+        (_gram(0, 6, 2), 3, DEFAULT_PSD_TOL, "spectral"),
+        (np.array([[1.0, 1.0, D], [1.0, 1.0, D], [D, D, 0.0]]), 2, DEFAULT_PSD_TOL, "spectral"),
+        (np.diag([1.0, -1.0]), 2, DEFAULT_PSD_TOL, "spectral"),
+    ] + [(z, s, tol, "spectral") for z, s, tol, _, _ in TestCertifiedAdmission.REJECTIONS]
+
+    def test_outcomes_keep_their_bytes_on_their_routes(self, linalg_calls):
+        permuted, admitted = shorted_module._permuted_cholesky, []
+
+        def spy(zm, s, tol):
+            w_adj = permuted(zm, s, tol)
+            admitted.append(w_adj is not None)
+            return w_adj
+
+        digest = hashlib.sha256()
+        with mock.patch.object(shorted_module, "_permuted_cholesky", spy):
+            for z, s, tol, route in self.CASES:
+                linalg_calls.clear()
+                admitted.clear()
+                out = _outcome(z, s, tol)
+                spectral = any(name in ("eigh", "eigvalsh") for name, _ in linalg_calls)
+                assert spectral == (route != "cholesky")
+                if spectral:
+                    assert any(admitted) == (route == "spectral, admitted")
+                if isinstance(out, tuple):
+                    digest.update(f"{out[0].__name__}: {out[1]}\n".encode())
+                    continue
+                for a in (out.s_short.entries, out.c_factor):
+                    digest.update(f"{a.dtype.str} {a.shape}\n".encode() + a.tobytes())
+                digest.update(f"rank {out.rank_used}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestNonFiniteInput:
@@ -307,10 +381,10 @@ def test_shorted_operator_matches_its_oracles(case):
         assert gap <= 10.0 * cond * np.finfo(float).eps * znorm
 
 
-def _outcome(z, s):
+def _outcome(z, s, tol=DEFAULT_PSD_TOL):
     """`shorted_operator`'s result, or its exception's type and message."""
     try:
-        return shorted_operator(z, s)
+        return shorted_operator(z, s, tol)
     except ValueError as exc:
         return type(exc), str(exc)
 
