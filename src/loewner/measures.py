@@ -15,14 +15,16 @@ B_j - A_i and the smaller eigenvalue of each 2 x 2 principal submatrix; a
 pair whose bound lies below the threshold by more than the eigensolver's
 error and the certificate's own rounding is decided False (`_rejected`).
 The error is taken as 2 n eps ||B_j - A_i||_F, as `pencil` takes it for its
-arrowhead certificate, with ||B_j - A_i||_F <= tr A_i + tr B_j.  The pairs
-left go to one stacked ``eigvalsh`` per block of mu atoms and dtype of the
-pair, so that a real pair meets the real LAPACK routine, as in
+arrowhead certificate, with ||B_j - A_i||_F <= tr A_i + tr B_j.  A pair
+whose shifted Cholesky proves lambda_min above the threshold by more than
+that error is decided True (`_accepted`).  The pairs neither certificate
+decides go to one stacked ``eigvalsh`` per block of mu atoms and dtype of
+the pair, so that a real pair meets the real LAPACK routine, as in
 `loewner_leq`, even beside complex atoms.  Edmonds-Karp runs on adjacency
-lists in the BFS order of a dense scan with ``longdouble`` flows, so it
-augments along the paths a dense-matrix Edmonds-Karp takes; the tests pin
-couplings and certificates by digest to the outputs of that dense version,
-which the adjacency lists replaced.
+lists built straight from the relation, in the BFS order of a dense scan
+and with ``longdouble`` flows, so it augments along the paths a
+dense-matrix Edmonds-Karp takes; the tests pin couplings and certificates
+by digest to the outputs of that dense version.
 
 Direct sums of measures are deliberately non-unique: any coupling gamma of
 (mu, nu) induces the measure with atoms A_i (+) B_j and weights gamma_ij.
@@ -52,6 +54,8 @@ from .numlin import (
     DEFAULT_PSD_TOL,
     DimensionMismatch,
     SymMatrix,
+    _cholesky_completions,
+    _cholesky_shift,
     _diagonals,
     _finite,
     _isometry_draw,
@@ -234,46 +238,66 @@ def pushforward_weights(rep: StepRepresentation, n_atoms: int) -> np.ndarray:
 # Strassen feasibility by max-flow
 # ---------------------------------------------------------------------------
 
-def _max_flow(size: int, edges, caps, source: int, sink: int):
-    """Edmonds-Karp on adjacency lists of the residual graph.
-
-    Edge e = (tail, head) owns arc 2e with capacity ``caps[e]`` and the reverse
-    arc 2e+1 with capacity 0; no two edges join the same nodes.  Neighbours are
-    listed in ascending node order, so BFS visits nodes exactly as a scan of a
-    dense capacity row does.  Flows stay in ``longdouble`` and an arc is open
-    while ``cap - flow > 1e-13``: float capacities then saturate without
-    rounding slivers above 1e-13, and flows, value and min cut are those of
-    a dense-matrix Edmonds-Karp with the same BFS order, as pinned by digest
-    in the tests (no dense version remains).  BFS bounds the augmentation
-    count independently of the capacities.  Returns the flow value, each
+def _max_flow(rows, cols, mu_weights, nu_weights):
+    """Edmonds-Karp on the network of `stochastic_leq`: source -> mu_i
+    (capacity the weight of mu_i) -> nu_j (capacity 2, one edge per related
+    pair ``(rows[k], cols[k])``, in the row-major order of ``np.nonzero``)
+    -> sink (capacity the weight of nu_j).  Returns the flow value, each
     edge's flow and the nodes the source still reaches (the source side of a
     min cut).
 
-    The network is that of `stochastic_leq`: source -> mu_i -> nu_j -> sink,
-    the middle arcs of capacity 2 and total flow 1.  While a path of length
-    three is open, BFS augments the one through the smallest mu_i that has an
-    open path onward and that mu_i's smallest such nu_j, so one pass over i
-    ascending, then j ascending, makes the same augmentations without a BFS.
-    It is exact: a middle arc never closes (it carries at most 1), and the
-    source and sink arcs only gain flow, so a length-three path, once closed,
-    never reopens.
+    The nodes are the source 0, mu_i at 1 + i, nu_j at 1 + p + j and the sink
+    last.  Edge e owns arc 2e, of its capacity, and the reverse arc 2e + 1,
+    of capacity 0; the edges are the source edges by i, the related pairs by
+    k and the sink edges by j.  The adjacency lists are built from the
+    relation in one pass over k: the source lists mu_i by i; mu_i its source
+    arc, then its nu_j by j; nu_j its mu_i by i (k ascends with i), then the
+    sink; the sink its nu_j by j.  Each list thus ascends by node, the order
+    in which a BFS scans a dense capacity row, as did the generic edge-list
+    version, which sorted every arc and is kept in the tests as an oracle.
+    Flows stay in ``longdouble`` and an arc is open while ``cap - flow >
+    1e-13``: float capacities then saturate without rounding slivers above
+    1e-13, and flows, value and min cut are those of a dense-matrix
+    Edmonds-Karp with the same BFS order, as pinned by digest in the tests.
+    BFS bounds the augmentation count independently of the capacities.
+
+    While a path of length three is open, BFS augments the one through the
+    smallest mu_i that has an open path onward and that mu_i's smallest such
+    nu_j, so one pass over i ascending, then j ascending, makes the same
+    augmentations without a BFS.  It is exact: a middle arc never closes (it
+    carries at most the total flow 1), and the source and sink arcs only gain
+    flow, so a length-three path, once closed, never reopens.
     """
-    head = [v for edge in edges for v in reversed(edge)]
-    adj = [[] for _ in range(size)]
-    for tail, v, arc in sorted((head[a ^ 1], v, a) for a, v in enumerate(head)):
-        adj[tail].append((v, arc))
+    p, q, r = len(mu_weights), len(nu_weights), len(rows)
+    source, sink = 0, p + q + 1
+    head = [source] * (2 * (p + r + q))  # the head of each arc
+    adj = ([[(1 + i, 2 * i) for i in range(p)]] + [[(source, 2 * i + 1)] for i in range(p)]
+           + [[] for _ in range(q + 1)])
+    arc = 2 * p
+    for i, j in zip(rows.tolist(), cols.tolist()):  # row-major, so each list ascends
+        u, v = 1 + i, 1 + p + j
+        adj[u].append((v, arc))
+        adj[v].append((u, arc + 1))
+        head[arc], head[arc + 1] = v, u
+        arc += 2
+    for j in range(q):
+        adj[1 + p + j].append((sink, arc + 2 * j))
+    adj[sink] = [(1 + p + j, arc + 2 * j + 1) for j in range(q)]
+    head[0:2 * p:2] = range(1, p + 1)
+    head[arc::2] = [sink] * q
+    head[arc + 1::2] = range(1 + p, sink)
     capl = np.zeros(len(head), dtype=np.longdouble)
-    capl[0::2] = caps
+    capl[0::2] = np.concatenate([mu_weights, np.full(r, 2.0), nu_weights])
     flow = np.zeros_like(capl)
     is_open = (capl > 1e-13).tolist()
 
     def augment(path):
-        back = [a ^ 1 for a in path]
-        bottleneck = (capl[path] - flow[path]).min()
-        flow[path] += bottleneck
-        flow[back] -= bottleneck
-        for a in path + back:
+        bottleneck = min(capl[a] - flow[a] for a in path)
+        for a in path:
+            flow[a] += bottleneck
+            flow[a ^ 1] -= bottleneck
             is_open[a] = bool(capl[a] - flow[a] > 1e-13)
+            is_open[a ^ 1] = bool(capl[a ^ 1] - flow[a ^ 1] > 1e-13)
 
     into_sink = {v: arc ^ 1 for v, arc in adj[sink]}  # the arc of each node into the sink
     for u, first in adj[source]:
@@ -284,7 +308,7 @@ def _max_flow(size: int, edges, caps, source: int, sink: int):
             if last is not None and is_open[middle] and is_open[last]:
                 augment([last, middle, first])  # in the order BFS lists a path
     while True:
-        into = [None] * size  # the arc by which BFS first reached each node
+        into = [None] * (sink + 1)  # the arc by which BFS first reached each node
         into[source] = -1
         queue = deque([source])
         while queue and into[sink] is None:
@@ -299,7 +323,7 @@ def _max_flow(size: int, edges, caps, source: int, sink: int):
             path.append(into[v])
             v = head[into[v] ^ 1]  # the tail of the arc into v
         augment(path)
-    row = np.zeros(size, dtype=np.longdouble)  # a whole row sums in the dense order
+    row = np.zeros(sink + 1, dtype=np.longdouble)  # a whole row sums in the dense order
     for v, arc in adj[source]:
         row[v] = flow[arc]
     reachable = np.array([arc is not None for arc in into])
@@ -341,7 +365,8 @@ def _rejected(d: np.ndarray, thr: np.ndarray, err: np.ndarray) -> np.ndarray:
     infinite |r|^2 is excluded), so the pair is deferred, never decided:
     only these operations run with overflow and invalid operations silenced.
     """
-    k, l = np.tril_indices(d.shape[-1], -1)  # the lower triangle eigvalsh reads
+    # the lower triangle eigvalsh reads, as np.tril_indices lists it, at a third of its cost
+    k, l = np.nonzero(np.tri(d.shape[-1], k=-1, dtype=bool))
     diag = np.diagonal(d, axis1=-2, axis2=-1).real
     with np.errstate(over="ignore", invalid="ignore"):
         u = (thr - err)[..., None]
@@ -359,15 +384,36 @@ def _rejected(d: np.ndarray, thr: np.ndarray, err: np.ndarray) -> np.ndarray:
     return rejected
 
 
+def _accepted(d: np.ndarray, thr: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """True where ``eigvalsh(d)[0] >= thr`` is certain, for a stack ``d`` of
+    Hermitian matrices, if the eigensolver errs by at most ``err``: a
+    Cholesky of ``d + c I``, c = `numlin._cholesky_shift` of the floor
+    ``thr + err``, completes (`numlin._cholesky_completions`).  That proves
+    lambda_min(d) > thr + err, so the eigensolver returns at least thr.  The
+    floor is rounded up by one ulp, so that it is at least the exact sum: the
+    shift's rounding term then has only the Cholesky and the shifted
+    diagonal to cover.  A NaN or a failed pivot is not accepted (Rump,
+    "Verification of positive definiteness", BIT 2006)."""
+    floor = np.nextafter(thr + err, np.inf)
+    diag = np.diagonal(d, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore"):  # where sum |d_ii| overflows, c = -inf fails
+        c = _cholesky_shift(diag, floor)
+    return _cholesky_completions(d, c)
+
+
 def _order_relation(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> np.ndarray:
     """rel[i, j] = loewner_leq(A_i, B_j, tol), entry for entry.
 
     B_j - A_i is formed for a block of mu atoms of one dtype against each
     dtype stack of nu, so that no temporary exceeds about `_BLOCK_ENTRIES`
-    entries (one mu row at least).  `_rejected` decides most pairs False by
-    its diagonal and 2 x 2 certificate, under the eigensolver error bound of
-    `_eig_error`.  The pairs it leaves go to one stacked ``eigvalsh`` per
-    pair dtype and block: a real pair goes to the real LAPACK routine even
+    entries (one mu row at least).  Two certificates decide most pairs under
+    the eigensolver error bound of `_eig_error`: `_rejected` decides False by
+    the diagonal and the 2 x 2 principal minors, then `_accepted` decides
+    True, among the pairs left, by a shifted Cholesky that proves
+    lambda_min(B_j - A_i) above the threshold by more than that bound.  Only
+    the pairs neither decides go to one stacked ``eigvalsh`` per pair dtype
+    and block: on seeded pairs at n = 4 only unrelated pairs that
+    `_rejected` missed.  A real pair goes to the real LAPACK routine even
     beside complex atoms, as in `loewner_leq`, and a stacked call gives each
     matrix the bits of a call on it alone.
     """
@@ -385,13 +431,18 @@ def _order_relation(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> np.
             for idx_b, stack_b, err_b in nu_groups:
                 d = stack_b - stack_a[block, None]
                 thr = -tol * np.maximum(scale_a, ext_b[idx_b])
-                ii, jj = np.nonzero(~_rejected(d, thr, err_a[block, None] + err_b))
+                err = err_a[block, None] + err_b
+                ii, jj = np.nonzero(~_rejected(d, thr, err))
                 undecided.setdefault(d.dtype, []).append(
-                    (idx_a[block][ii], idx_b[jj], d[ii, jj], thr[ii, jj]))
+                    (idx_a[block][ii], idx_b[jj], d[ii, jj], thr[ii, jj], err[ii, jj]))
             for parts in undecided.values():
-                i, j, d, thr = (np.concatenate(x) for x in zip(*parts))
+                i, j, d, thr, err = (np.concatenate(x) for x in zip(*parts))
                 if i.size:
-                    rel[i, j] = np.linalg.eigvalsh(d)[:, 0] >= thr
+                    accepted = _accepted(d, thr, err)
+                    rel[i, j] = accepted
+                    left = ~accepted
+                    if left.any():
+                        rel[i[left], j[left]] = np.linalg.eigvalsh(d[left])[:, 0] >= thr[left]
     return rel
 
 
@@ -399,29 +450,27 @@ def stochastic_leq(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = DEFAUL
     """Decide mu <= nu in the stochastic order; constructive both ways.
 
     Builds the bipartite relation edge(i, j) iff A_i <= B_j (closed, with the
-    relative Loewner tolerance) and solves the transportation feasibility
-    problem by max-flow.  Returns ``(True, Coupling)`` with a coupling
-    supported on the relation when the flow saturates (value 1 within 1e-10),
-    else ``(False, UpperSetCertificate)`` extracted from the min cut: the
-    upper set generated by the source-side mu-atoms carries more mu-mass than
-    nu-mass.
+    relative Loewner tolerance; `_order_relation`, which equals the pairwise
+    `loewner_leq` entry for entry) and solves the transportation feasibility
+    problem by max-flow on the network built from the related pairs
+    (`_max_flow`).  Returns ``(True, Coupling)`` with a coupling supported
+    on the relation when the flow saturates (value 1 within 1e-10), else
+    ``(False, UpperSetCertificate)`` extracted from the min cut: the upper
+    set generated by the source-side mu-atoms carries more mu-mass than
+    nu-mass.  Both are deterministic to the bit: the coupling is the flow of
+    the augmenting paths in the BFS order that `_max_flow` fixes.
     """
     if mu.n != nu.n:
         raise DimensionMismatch("measures must live on one matrix dimension")
     rows, cols = np.nonzero(_order_relation(mu, nu, tol))
     p, q = mu.size, nu.size
-    sink = p + q + 1
-    edges = ([(0, 1 + i) for i in range(p)]
-             + list(zip((1 + rows).tolist(), (1 + p + cols).tolist()))
-             + [(1 + p + j, sink) for j in range(q)])
-    caps = np.concatenate([mu.weights, np.full(rows.size, 2.0), nu.weights])
-    value, flow, reachable = _max_flow(sink + 1, edges, caps, 0, sink)
+    value, flow, reachable = _max_flow(rows, cols, mu.weights, nu.weights)
     if value >= 1.0 - 1e-10:
         gamma = np.zeros((p, q))
         gamma[rows, cols] = np.clip(flow[p:p + rows.size], 0.0, None)
         return True, Coupling(gamma, mu.weights, nu.weights)
     mu_side = np.flatnonzero(reachable[1:1 + p])
-    nu_side = np.flatnonzero(reachable[1 + p:sink])
+    nu_side = np.flatnonzero(reachable[1 + p:1 + p + q])
     return False, UpperSetCertificate(
         tuple(mu_side.tolist()), tuple(nu_side.tolist()),
         float(mu.weights[mu_side].sum()), float(nu.weights[nu_side].sum()))

@@ -267,6 +267,24 @@ def _cholesky_completes(z: np.ndarray, c) -> bool:
     return True
 
 
+def _cholesky_completions(z: np.ndarray, c) -> np.ndarray:
+    """`_cholesky_completes` for each matrix of the stack ``z`` on its own:
+    True where a Cholesky of ``z + c I`` (its lower triangle) runs to the end
+    with every pivot positive and finite.  The stack is factored by hand, one
+    column at a time, since LAPACK's stacked call raises for the whole stack
+    when one matrix fails: each step divides the column below the pivot by
+    the pivot's root and subtracts its outer product from the trailing block,
+    whose diagonal then holds the pivots.  A NaN or infinite entry or shift
+    makes some pivot NaN or infinite, so it gives False."""
+    with np.errstate(all="ignore"):
+        a = _shifted(z, c)
+        for j in range(z.shape[-1] - 1):
+            col = a[..., j + 1:, j] / np.sqrt(a[..., j, j].real)[..., None]
+            a[..., j + 1:, j + 1:] -= col[..., :, None] * col[..., None, :].conj()
+    pivots = np.diagonal(a, axis1=-2, axis2=-1).real
+    return ((pivots > 0.0) & (pivots < np.inf)).all(axis=-1)
+
+
 def _admission_shift(z: np.ndarray, tol: float):
     """The shift c = `_cholesky_shift` of -s, s = `_psd_shift`, of each
     Hermitian matrix of ``z`` (a float, or an array for a stack), or None

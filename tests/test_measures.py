@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from loewner.measures import (
     _VECTOR_SUM_MIN,
     _exact_column_sums,
     _geomean_pair,
+    _max_flow,
     _order_relation,
     _weighted_matrix_sum,
     parse_mean_spec,
@@ -118,12 +120,24 @@ def pairwise_relation(mu, nu, tol=1e-9):
     return np.array([[loewner_leq(a, b, tol) for b in nu.atoms] for a in mu.atoms])
 
 
-def certificate_rejects(a, b, tol=1e-9):
-    """`_rejected` on the one pair (A, B), with the threshold of `loewner_leq`."""
+def pair_margins(a, b, tol=1e-9):
+    """``(d, thr, err)`` of the one pair (A, B) as `_order_relation` forms
+    them: the stack of B - A, the threshold of `loewner_leq` and the
+    eigensolver error bound."""
     a, b = np.asarray(a), np.asarray(b)
     scale = max(1.0, *(abs(np.linalg.eigvalsh(m)[[0, -1]]).max() for m in (a, b)))
     err = measures._eig_error(a[None]) + measures._eig_error(b[None])
-    return bool(measures._rejected((b - a)[None], np.array([-tol * scale]), err)[0])
+    return (b - a)[None], np.array([-tol * scale]), err
+
+
+def certificate_rejects(a, b, tol=1e-9):
+    """`_rejected` on the one pair (A, B), with the threshold of `loewner_leq`."""
+    return bool(measures._rejected(*pair_margins(a, b, tol))[0])
+
+
+def certificate_accepts(a, b, tol=1e-9):
+    """`_accepted` on the one pair (A, B), with the threshold of `loewner_leq`."""
+    return bool(measures._accepted(*pair_margins(a, b, tol))[0])
 
 
 class TestDiscreteMeasure:
@@ -155,12 +169,20 @@ class TestDiscreteMeasure:
             stacks.append(np.array(a))
             return eigvalsh(a, *args, **kwargs)
 
-        real = [random_pd(3, (0.5, 2), s) for s in range(4)]
+        real = [random_pd(3, (0.5, 2), s).entries for s in range(4)]
         cplx = complex_atoms(5, 2, 3)
+        # X - delta v v*, v = (1, 1, 1) / sqrt 3, lies below X by 1.25 times
+        # the tolerance, but its diagonal and 2 x 2 minors pass the reject
+        # certificate: (real[1], nu[2]) and (nu[0], mu[3]) reach the eigensolver
+        def below(x):
+            delta = 1.25e-9 * max(1.0, np.linalg.eigvalsh(x)[-1])
+            return x - delta * np.full((3, 3), 1.0 / 3.0)
+
+        low = [below(real[0] + np.eye(3)), below(real[1])]
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        mu = uniform_measure(real)
+        mu = uniform_measure(real[:3] + low[:1])
         assert [(s.shape, s.dtype) for s in stacks] == [((4, 3, 3), np.float64)]
-        nu = uniform_measure([real[0].entries + np.eye(3), cplx[0], real[1].entries, cplx[1]])
+        nu = uniform_measure([real[0] + np.eye(3), cplx[0], low[1], cplx[1]])
         assert [(s.shape, s.dtype) for s in stacks[1:]] == [((2, 3, 3), np.float64),
                                                             ((2, 3, 3), np.complex128)]
         # blocks of two mu rows, so that each measure's relation has two
@@ -172,10 +194,10 @@ class TestDiscreteMeasure:
             # one call per pair dtype and block of two rows, at most ...
             dtypes = [s.dtype for s in calls]
             assert dtypes.count(np.float64) <= 2 and dtypes.count(np.complex128) <= 2
-            # ... on exactly the differences the certificate leaves undecided
+            # ... on exactly the differences the certificates leave undecided
             undecided = [np.asarray(b) - np.asarray(a)
                          for a in first.atoms for b in second.atoms
-                         if not certificate_rejects(a, b)]
+                         if not (certificate_rejects(a, b) or certificate_accepts(a, b))]
             assert undecided
             assert (sorted(m.tobytes() for s in calls for m in s)
                     == sorted(m.tobytes() for m in undecided))
@@ -1143,6 +1165,17 @@ class TestBatchedRelation:
         assert rel.any() and not rel.all()
         assert np.array_equal(rel, pairwise_relation(mu, nu))
 
+    def test_overflowing_shift_defers_the_pair(self):
+        # sum |d_ii| of B - A overflows, so the accept certificate's shift is
+        # -inf: the pair goes to eigvalsh, and no warning is raised
+        a, b = 1e307 * np.eye(4), 8e307 * np.eye(4)
+        mu, nu = uniform_measure([a, 2.0 * a]), uniform_measure([b, 0.5 * a])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rel = _order_relation(mu, nu, 1e-9)
+        assert rel[:, 0].all() and not rel[:, 1].any()
+        assert np.array_equal(rel, pairwise_relation(mu, nu))
+
     def test_certificate_keeps_its_rounding_margins(self):
         eps = np.finfo(float).eps
         # u = thr - err = -1.5: 8 ulps below it a diagonal entry is still
@@ -1172,7 +1205,7 @@ class TestBatchedRelation:
         assert got.tolist() == [rejected]
 
 
-def boundary_pair(rng, n, lo, hi, kind, minor, isolated, at_margin, ulps, c_exp):
+def boundary_pair(rng, n, lo, hi, kind, minor, isolated, at_margin, ulps, c_exp, lift=None):
     """(A, B) with B - A = target w w* + c (I - w w*) up to rounding.
 
     w = e_k puts ``target`` on the diagonal of B - A, the smallest entry; a
@@ -1180,13 +1213,14 @@ def boundary_pair(rng, n, lo, hi, kind, minor, isolated, at_margin, ulps, c_exp)
     eigenvalue of the (k, l) principal 2 x 2 block, above the diagonal.
     ``target`` is the relation threshold t or, with ``at_margin``, the point
     u - 8 eps |u| (u = t less the certificate's error term) where the
-    certificate's bound on a diagonal entry crosses 0; it is then moved by
-    ``ulps`` ulps.  ``isolated`` decouples A's block from the rest, sets it to
-    4 |t| I and c to 2^c_exp |t|, so that B - A is formed within a few ulps
-    of target; otherwise k holds A's largest diagonal entry, w is the top
-    eigenvector of A's block and c = 2 tr A, which keeps B PD.  A's spectrum
-    lies in 10^[lo, hi].  A and B are complex for ``kind`` "complex"; for
-    "mixed" A is real and B complex.
+    certificate's bound on a diagonal entry crosses 0, or, with ``lift`` (a
+    float), the accept certificate's floor t + err raised by ``lift |t|``;
+    it is then moved by ``ulps`` ulps.  ``isolated`` decouples A's block
+    from the rest, sets it to 4 |t| I and c to 2^c_exp |t|, so that B - A is
+    formed within a few ulps of target; otherwise k holds A's largest
+    diagonal entry, w is the top eigenvector of A's block and c = 2 tr A,
+    which keeps B PD.  A's spectrum lies in 10^[lo, hi].  A and B are
+    complex for ``kind`` "complex"; for "mixed" A is real and B complex.
     """
     a0 = log_spread_pd(rng, n, lo, hi, kind == "complex")
     k = int(np.argmax(np.diagonal(a0).real))
@@ -1209,8 +1243,11 @@ def boundary_pair(rng, n, lo, hi, kind, minor, isolated, at_margin, ulps, c_exp)
             a[np.ix_(block, block)] = 4.0 * abs(t) * np.eye(len(block))
         c = 2.0 ** c_exp * abs(t) if isolated else 2.0 * np.trace(a0).real
         target = t
-        if at_margin:
-            u = t - (measures._eig_error(a[None]) + measures._eig_error(b[None]))[0]
+        err = (measures._eig_error(a[None]) + measures._eig_error(b[None]))[0]
+        if lift is not None:
+            target = t + err + lift * abs(t)
+        elif at_margin:
+            u = t - err
             target = u - 8.0 * np.finfo(float).eps * abs(u)
         target += ulps * np.spacing(target)
         b = SymMatrix(a + target * ww + c * (np.eye(n) - ww)).entries
@@ -1218,18 +1255,26 @@ def boundary_pair(rng, n, lo, hi, kind, minor, isolated, at_margin, ulps, c_exp)
     return a, b
 
 
+# `boundary_pair` lifts above the accept certificate's floor, as shares of |t|
+LIFTS = (0.0, 2.0 ** -44, 2.0 ** -36, 2.0 ** -28, 2.0 ** -20, 2.0 ** -12)
+
+
 @st.composite
-def certificate_boundary_pairs(draw):
+def certificate_boundary_pairs(draw, accept=False):
     """mu and nu of two atoms each, the first pair from `boundary_pair`; the
-    second atoms are random PD, of the other dtype for "mixed"."""
+    second atoms are random PD, of the other dtype for "mixed".  With
+    ``accept`` the first pair sits at the accept certificate's floor, raised
+    by one of `LIFTS`, instead of at the threshold or the reject margin."""
     n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["real", "complex", "mixed"]))
     lo = draw(st.floats(-8.0, 8.0))
     hi = draw(st.floats(lo, 8.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = boundary_pair(rng, n, lo, hi, kind, minor=n > 1 and draw(st.booleans()),
-                         isolated=draw(st.booleans()), at_margin=draw(st.booleans()),
-                         ulps=draw(st.integers(-4, 4)), c_exp=draw(st.integers(0, 4)))
+                         isolated=draw(st.booleans()),
+                         at_margin=not accept and draw(st.booleans()),
+                         ulps=draw(st.integers(-4, 4)), c_exp=draw(st.integers(0, 4)),
+                         lift=draw(st.sampled_from(LIFTS)) if accept else None)
     others = [log_spread_pd(rng, n, lo, hi, cplx) for cplx in
               ((kind == "mixed") != np.iscomplexobj(m) for m in (a, b))]
     return uniform_measure([a, others[0]]), uniform_measure([b, others[1]])
@@ -1259,6 +1304,212 @@ def test_boundary_pairs_sit_on_both_sides_of_the_threshold(kind, minor):
         seen.add((at_margin, leq, rejected))
     assert {(False, True, False), (False, False, False), (True, False, True),
             (True, False, False)} <= seen
+
+
+def exactly_above(d, thr, err):
+    """lambda_min(d) > thr + err, both sides exact: a Cholesky of d - (thr +
+    err) I in 80-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        floor = mpmath.mpf(float(thr)) + mpmath.mpf(float(err))
+        m = mpmath.matrix(d.tolist()) - floor * mpmath.eye(d.shape[0])
+        try:
+            mpmath.cholesky(m, tol=mpmath.mpf(2) ** -3000)
+        except ValueError:
+            return False
+    return True
+
+
+def assert_accepts_only_above_the_floor(mu, nu):
+    for a in mu.atoms:
+        for b in nu.atoms:
+            d, thr, err = pair_margins(a, b)
+            if measures._accepted(d, thr, err)[0]:
+                assert exactly_above(d[0], thr[0], err[0])
+
+
+@settings(settings.get_profile("loewner"), max_examples=300)
+@given(certificate_boundary_pairs(accept=True))
+def test_relation_at_the_accept_boundary(pair):
+    mu, nu = pair
+    assert np.array_equal(_order_relation(mu, nu, ORDER_TOL), pairwise_relation(mu, nu))
+    # an accepted pair has lambda_min above thr + err, so that every
+    # eigensolver within the assumed error returns at least thr
+    assert_accepts_only_above_the_floor(mu, nu)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+@pytest.mark.parametrize("isolated", [False, True])
+def test_accept_boundary_pairs_reach_both_outcomes(kind, isolated):
+    # at the floor thr + err the certificate defers, well above it it accepts
+    rng = np.random.default_rng(49)
+    seen = set()
+    for draw in range(4 * len(LIFTS)):
+        lift = LIFTS[draw % len(LIFTS)]
+        a, b = boundary_pair(rng, 4, -8.0, 8.0, kind, minor=draw % 2 == 1, isolated=isolated,
+                             at_margin=False, ulps=int(rng.integers(-4, 5)), c_exp=2, lift=lift)
+        a = SymMatrix(a).entries  # as a measure holds it
+        d, thr, err = pair_margins(a, b)
+        accepted = certificate_accepts(a, b)
+        assert exactly_above(d[0], thr[0], err[0]) or not accepted
+        assert loewner_leq(a, b, ORDER_TOL) or not accepted
+        seen.add((lift, accepted))
+    assert (0.0, False) in seen and (LIFTS[-1], True) in seen
+
+
+def test_related_pairs_skip_the_eigensolver(monkeypatch):
+    mu, nu = seeded_pair(2025, 100, "ordered")
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sent.extend(m.tobytes() for m in a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rel = _order_relation(mu, nu, 1e-9)
+    monkeypatch.undo()
+    assert np.array_equal(rel, pairwise_relation(mu, nu))
+    related = {(nu.atoms[j].entries - mu.atoms[i].entries).tobytes()
+               for i, j in zip(*np.nonzero(rel))}
+    assert len(related) > 1000
+    assert sent and related.isdisjoint(sent)
+
+
+# The generic edge-list Edmonds-Karp that `_max_flow` replaced, kept verbatim
+# as its oracle.
+def reference_max_flow(size: int, edges, caps, source: int, sink: int):
+    """Edmonds-Karp on adjacency lists of the residual graph.
+
+    Edge e = (tail, head) owns arc 2e with capacity ``caps[e]`` and the reverse
+    arc 2e+1 with capacity 0; no two edges join the same nodes.  Neighbours are
+    listed in ascending node order, so BFS visits nodes exactly as a scan of a
+    dense capacity row does.  Flows stay in ``longdouble`` and an arc is open
+    while ``cap - flow > 1e-13``: float capacities then saturate without
+    rounding slivers above 1e-13, and flows, value and min cut are those of
+    a dense-matrix Edmonds-Karp with the same BFS order, as pinned by digest
+    in the tests (no dense version remains).  BFS bounds the augmentation
+    count independently of the capacities.  Returns the flow value, each
+    edge's flow and the nodes the source still reaches (the source side of a
+    min cut).
+
+    The network is that of `stochastic_leq`: source -> mu_i -> nu_j -> sink,
+    the middle arcs of capacity 2 and total flow 1.  While a path of length
+    three is open, BFS augments the one through the smallest mu_i that has an
+    open path onward and that mu_i's smallest such nu_j, so one pass over i
+    ascending, then j ascending, makes the same augmentations without a BFS.
+    It is exact: a middle arc never closes (it carries at most 1), and the
+    source and sink arcs only gain flow, so a length-three path, once closed,
+    never reopens.
+    """
+    head = [v for edge in edges for v in reversed(edge)]
+    adj = [[] for _ in range(size)]
+    for tail, v, arc in sorted((head[a ^ 1], v, a) for a, v in enumerate(head)):
+        adj[tail].append((v, arc))
+    capl = np.zeros(len(head), dtype=np.longdouble)
+    capl[0::2] = caps
+    flow = np.zeros_like(capl)
+    is_open = (capl > 1e-13).tolist()
+
+    def augment(path):
+        back = [a ^ 1 for a in path]
+        bottleneck = (capl[path] - flow[path]).min()
+        flow[path] += bottleneck
+        flow[back] -= bottleneck
+        for a in path + back:
+            is_open[a] = bool(capl[a] - flow[a] > 1e-13)
+
+    into_sink = {v: arc ^ 1 for v, arc in adj[sink]}  # the arc of each node into the sink
+    for u, first in adj[source]:
+        for v, middle in adj[u]:
+            if not is_open[first]:
+                break
+            last = into_sink.get(v)
+            if last is not None and is_open[middle] and is_open[last]:
+                augment([last, middle, first])  # in the order BFS lists a path
+    while True:
+        into = [None] * size  # the arc by which BFS first reached each node
+        into[source] = -1
+        queue = deque([source])
+        while queue and into[sink] is None:
+            for v, arc in adj[queue.popleft()]:
+                if into[v] is None and is_open[arc]:
+                    into[v] = arc
+                    queue.append(v)
+        if into[sink] is None:
+            break
+        path, v = [], sink
+        while v != source:
+            path.append(into[v])
+            v = head[into[v] ^ 1]  # the tail of the arc into v
+        augment(path)
+    row = np.zeros(size, dtype=np.longdouble)  # a whole row sums in the dense order
+    for v, arc in adj[source]:
+        row[v] = flow[arc]
+    reachable = np.array([arc is not None for arc in into])
+    return float(row.sum()), np.asarray(flow[0::2], dtype=float), reachable
+
+
+def reference_network(rows, cols, mu_weights, nu_weights):
+    """The arguments of `reference_max_flow` for the network of
+    `stochastic_leq`, as `stochastic_leq` built them for it."""
+    p, q = len(mu_weights), len(nu_weights)
+    sink = p + q + 1
+    edges = ([(0, 1 + i) for i in range(p)]
+             + list(zip((1 + rows).tolist(), (1 + p + cols).tolist()))
+             + [(1 + p + j, sink) for j in range(q)])
+    caps = np.concatenate([mu_weights, np.full(rows.size, 2.0), nu_weights])
+    return sink + 1, edges, caps, 0, sink
+
+
+def assert_flows_match_the_reference(rows, cols, mu_weights, nu_weights):
+    value, flow, reachable = _max_flow(rows, cols, mu_weights, nu_weights)
+    ref_value, ref_flow, ref_reachable = reference_max_flow(
+        *reference_network(rows, cols, mu_weights, nu_weights))
+    assert value.hex() == ref_value.hex()
+    assert flow.tobytes() == ref_flow.tobytes()
+    assert reachable.tolist() == ref_reachable.tolist()
+
+
+_OPEN = 1e-13  # the open rule of both max-flows
+
+
+@st.composite
+def network_weights(draw, size):
+    """``size`` positive weights, each a shared base (so that weights repeat),
+    a value within a few ulps of the 1e-13 open rule, a base plus such a
+    value (so that a residual lands near the rule), or a free draw; at most
+    1 / 12 + 2e-13 each, so that a network of 12 + 12 atoms carries at most
+    the flow of a measure."""
+    near = st.integers(-4, 4).map(lambda k: _OPEN + k * np.spacing(_OPEN))
+    base = st.sampled_from([1.0 / 12.0, 1.0 / 24.0, 0.0625, 0.05])
+    weight = st.one_of(base, near, st.tuples(base, near).map(sum),
+                       st.floats(1e-6, 1.0 / 12.0))
+    return np.array(draw(st.lists(weight, min_size=size, max_size=size)))
+
+
+@st.composite
+def bipartite_networks(draw):
+    """A relation of p x q atoms (p, q in 1..12; empty rows and columns
+    included) with its weights."""
+    p, q = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    related = draw(hnp.arrays(bool, (p, q), elements=st.booleans()))
+    rows, cols = np.nonzero(related)
+    return rows, cols, draw(network_weights(p)), draw(network_weights(q))
+
+
+@settings(settings.get_profile("loewner"), max_examples=400)
+@given(bipartite_networks())
+def test_max_flow_matches_the_edge_list_reference(network):
+    assert_flows_match_the_reference(*network)
+
+
+@pytest.mark.parametrize("p, kind", [(100, "ordered"), (100, "independent"), (20, "ordered"),
+                                     (20, "independent"), (100, "dominated"), (20, "dominated")])
+def test_max_flow_matches_the_reference_on_pinned_pairs(p, kind):
+    mu, nu = seeded_pair(1000 + p, p, kind)
+    rows, cols = np.nonzero(_order_relation(mu, nu, 1e-9))
+    assert_flows_match_the_reference(rows, cols, mu.weights, nu.weights)
 
 
 class TestLargeInstances:
