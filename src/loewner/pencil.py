@@ -710,9 +710,9 @@ def _dense_complex(coefficients, arrays):
 # kappa_1(V) from which `_spectral_complex` leaves the point to the batched
 # path.  The error of V diag(f) V^-1 grows as kappa(V) eps (Higham, Functions
 # of Matrices, 4.5): against 40-digit complements at 300 near-defective points
-# (n <= 4) it stayed under 154 kappa_1 eps of ||F||, at most 3.4e-11 below
-# 1e3 but up to 1.2e-10 below 1e4, above the 1e-10 asymmetry tolerance of
-# `check_herglotz`.  Random Herglotz points stay under 400 up to n = 64.
+# (n <= 4) it stayed under 154 kappa_1 eps of ||F||: below 3.4e-11 of ||F||
+# under kappa_1 = 1e3, but up to 1.2e-10 under 1e4.  Random Herglotz points
+# stay under 400 up to n = 64.
 _EIG_COND_MAX = 1e3
 
 
@@ -768,9 +768,9 @@ def eval_complex(r: PencilRealization, x) -> np.ndarray:
     imaginary parts.
 
     Accepts tuples whose imaginary parts are all positive definite or all
-    negative definite (the two half-planes are symmetric; the conjugate
-    half-plane is needed by the conjugate-symmetry checks).  The trailing
-    block is then invertible and a plain Schur complement applies.
+    negative definite: the lower half-plane is the mirror image of the
+    upper one, F(X*) = F(X)*.  The trailing block is then invertible and a
+    plain Schur complement applies.
     Returns a complex n x n matrix, not Hermitian in general.  A
     `MatrixTuple` point is self-adjoint by construction, so its imaginary
     parts are zero and it always fails the definiteness check.  A NaN or

@@ -25,14 +25,13 @@ it alone, so a report does not depend on the block size.
 
 One tally, `_tally`, serves every suite (those in `measures` too); it takes
 one outcome per trial: its violation (a float), a `_Skip`, a `_Fail(v)`
-that fails it whatever its violation v (herglotz: a singular pivot, or
-conjugate asymmetry above sym_tol), or any other exception, which `_tally`
-raises.  One evaluator, `_evaluate`, serves every suite here: per point,
-F(X) (zero if rejected) and None or the outcome that rejects it: `_Skip`
-out of the domain, `_Fail(-1)` at a singular pivot, or a scalar function's
-error.  Every build measures its whole block and returns `_first_errors`:
-per trial, the first outcome of its points in a lone trial's call order,
-else its violation.
+that fails it whatever its violation v (herglotz: a singular pivot), or
+any other exception, which `_tally` raises.  One evaluator, `_evaluate`,
+serves every suite here: per point, F(X) (zero if rejected) and None or the
+outcome that rejects it: `_Skip` out of the domain, `_Fail(-1)` at a
+singular pivot, or a scalar function's error.  Every build measures its
+whole block and returns `_first_errors`: per trial, the first outcome of
+its points in a lone trial's call order, else its violation.
 `check_directsum_coupling` labels trials by coupling index, so that index
 is its ``first_failure_seed``.
 """
@@ -117,6 +116,7 @@ class VerificationReport:
     seed: int
     tol: float
     passed: bool
+    # no suite fills it; report files keep the key
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -137,7 +137,7 @@ class _Fail(Exception):
     """``_Fail(v)``: the trial fails whatever its violation ``v``, which still counts."""
 
 
-def _tally(suite: str, cfg: SuiteConfig, outcomes, extras=None) -> VerificationReport:
+def _tally(suite: str, cfg: SuiteConfig, outcomes) -> VerificationReport:
     """Report of ``(label, outcome)`` pairs, an outcome being a violation, a
     `_Skip`, a `_Fail` or an error, which is raised; the first failing label
     is ``first_failure_seed``."""
@@ -163,8 +163,7 @@ def _tally(suite: str, cfg: SuiteConfig, outcomes, extras=None) -> VerificationR
         suite=suite, dims=cfg.dims, trials=cfg.trials, failures=failures,
         skipped=skipped, worst_violation=float(worst) if np.isfinite(worst) else 0.0,
         first_failure_seed=first_fail, seed=cfg.seed, tol=cfg.tol,
-        passed=failures == 0,
-        extras={k: float(v) for k, v in (extras or {}).items()})
+        passed=failures == 0)
 
 
 # At most this many trials of one dimension are drawn, built, evaluated and
@@ -172,7 +171,7 @@ def _tally(suite: str, cfg: SuiteConfig, outcomes, extras=None) -> VerificationR
 _BLOCK_TRIALS = 64
 
 
-def _run(suite: str, cfg: SuiteConfig, draw, build, extras=None) -> VerificationReport:
+def _run(suite: str, cfg: SuiteConfig, draw, build) -> VerificationReport:
     """Tally of the seeded trials of every dimension, in blocks of at most
     `_BLOCK_TRIALS` consecutive trials.  Per block: ``draw(rng, dim, trial)``
     takes each trial's raw random numbers from its own generator, in the
@@ -189,7 +188,7 @@ def _run(suite: str, cfg: SuiteConfig, draw, build, extras=None) -> Verification
                          for ts, trial in zip(seeds, block)]
                 yield from zip(seeds, build(draws, dim, block))
 
-    return _tally(suite, cfg, outcomes(), extras)
+    return _tally(suite, cfg, outcomes())
 
 
 def _first_errors(violations, *errors):
@@ -542,15 +541,13 @@ def reconstruct_hull_certificate(cert: HullCertificate) -> list:
 # analytic continuation
 # ---------------------------------------------------------------------------
 
-def check_herglotz(r, cfg: SuiteConfig, sym_tol: float = 1e-10) -> VerificationReport:
-    """Imaginary-part positivity and conjugate symmetry of the continuation.
+def check_herglotz(r, cfg: SuiteConfig) -> VerificationReport:
+    """Imaginary-part positivity of the continuation.
 
-    For tuples X = A + iB with B PD: lambda_min(Im F(X)) >= -tol, and
-    F(conj(X)) equals conj(F(X)) within sym_tol.  A singular pivot complement
-    counts as a failure (it cannot occur when the imaginary parts are
-    uniformly definite).
+    For tuples X = A + iB with B PD: lambda_min(Im F(X)) >= -tol.  A
+    singular pivot complement counts as a failure (it cannot occur when the
+    imaginary parts are uniformly definite).
     """
-    extras = {"max_conjugate_asymmetry": 0.0, "sym_tol": sym_tol}
     evaluate = _complex_values(r)
 
     def draw(rng, dim, trial_index):
@@ -561,15 +558,8 @@ def check_herglotz(r, cfg: SuiteConfig, sym_tol: float = 1e-10) -> VerificationR
         a, bs = zip(*draws)
         a = np.array(a)
         xs = (a + a.swapaxes(-1, -2)) / 2.0 + 1j * _pd_stack(bs, r.k)
-        (fv, fv_norm, ev), (fc, _, ec) = evaluate([xs, xs.conj()])
-        scale = np.fmax(1.0, fv_norm)
-        im_min = np.linalg.eigvalsh((fv - fv.conj().swapaxes(-1, -2)) / 2j)[:, 0] / scale
-        asym = _operator_norms(fc - fv.conj()) / scale
-        outcomes = []
-        for im, s, e, e_c in zip(im_min.tolist(), asym.tolist(), ev, ec):
-            if e is None and e_c is None:  # a rejected value is zero: no asymmetry to read
-                extras["max_conjugate_asymmetry"] = max(extras["max_conjugate_asymmetry"], s)
-            outcomes.append(_Fail(im) if s > sym_tol else im)
-        return _first_errors(outcomes, ev, ec)
+        [(fv, fv_norm, errors)] = evaluate([xs])
+        im_min = np.linalg.eigvalsh((fv - fv.conj().swapaxes(-1, -2)) / 2j)[:, 0]
+        return _first_errors((im_min / np.fmax(1.0, fv_norm)).tolist(), errors)
 
-    return _run("herglotz", cfg, draw, build, extras)
+    return _run("herglotz", cfg, draw, build)

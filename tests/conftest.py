@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from loewner import jsonio
+from loewner import PencilRealization, SymMatrix, jsonio
 
 settings.register_profile("loewner", derandomize=True, database=None, deadline=None)
 
@@ -20,6 +20,19 @@ def legacy_realization_payload(r) -> dict:
     return {"k": r.k, "m": r.m, "e": list(map(float.hex, r.e.tolist())),
             "e_decimal": r.e.tolist(), "A0": jsonio.matrix_to_json(r.a0),
             "A": [jsonio.matrix_to_json(c) for c in r.coeffs]}
+
+
+def complex_gram_realization():
+    """A valid two-variable pencil with complex Hermitian coefficients:
+    e = e1 and each of A0, A1, A2 is ``g g* / 3`` for a complex Gaussian 3 x 3
+    g.  Its coefficients are dense, so its complex points take the dense
+    path; F(conj X) is not conj F(X) here, only F(X*) = F(X)* holds."""
+    rng = np.random.default_rng(3)
+    coefficients = []
+    for _ in range(3):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        coefficients.append(SymMatrix(g @ g.conj().T / 3))
+    return PencilRealization(np.eye(3)[0], coefficients[0], tuple(coefficients[1:]))
 
 
 @pytest.fixture

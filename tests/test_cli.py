@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import legacy_realization_payload
+from conftest import complex_gram_realization, legacy_realization_payload
 from loewner import (
     DiscreteMeasure,
     MatrixTuple,
@@ -210,7 +210,7 @@ class TestByteContract:
                    "--report", str(tmp_path / "rep.json")])
         assert rc == 0
         assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == (
-            "0449ebdde2e2bff8e269d3b0853ffede9a710de18ffc6384788c3762e0165f76")
+            "b5e2a7488498d35a3e927dc133820f578da177156a3ac1970bd6c9419f592655")
 
     @pytest.mark.parametrize("suite, digest", [
         ("axioms", "d1a3ad8b146104f2c03edf663cc275ac7c507e92e3eecacbd448fe9dd239f6f9"),
@@ -477,6 +477,16 @@ class TestVerifyCommand:
         assert main(args + ["--report", str(tmp_path / "a.json")]) == 0
         assert main(args + ["--report", str(tmp_path / "b.json")]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_herglotz_complex_coefficients_pass(self, tmp_path, capsys):
+        """Im F(X) >= 0 holds for complex Hermitian coefficients, where
+        F(conj X) = conj F(X) does not."""
+        write(tmp_path / "r.json", jsonio.realization_to_json(complex_gram_realization()))
+        rc = main(["verify", "--suite", "herglotz", "--realization", str(tmp_path / "r.json"),
+                   "--dims", "2,3", "--trials", "5", "--report", str(tmp_path / "rep.json")])
+        assert rc == 0
+        payload = read(tmp_path / "rep.json")
+        assert payload["pass"] is True and payload["extras"] == {}
 
     def test_zero_dimension_exits_2(self, tmp_path, capsys):
         main(["realize", "--function", "cauchy:2", "-o", str(tmp_path / "r.json")])

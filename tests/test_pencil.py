@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import complex_gram_realization
 import loewner
 from loewner import jsonio
 from loewner import (
@@ -879,6 +880,15 @@ CUSTOM_REALIZATIONS = {"two-scale": two_scale_realization,
 PATH_REALIZATIONS = {spec: (CUSTOM_REALIZATIONS[spec]() if spec in CUSTOM_REALIZATIONS
                             else build_realization(spec, n_nodes=24))
                      for spec in PATH_SPECS}
+# complex Hermitian coefficients on each complex path: the arrowhead
+# `complex_coefficient_realization`, the same with a second, real diagonal
+# coefficient (two variables and A0 != 0) and the dense Gram pencil
+ADJOINT_REALIZATIONS = {
+    "complex-arrowhead": complex_coefficient_realization(),
+    "complex-two-variable": PencilRealization(
+        np.eye(3)[0], complex_coefficient_realization().a0,
+        complex_coefficient_realization().coeffs + (SymMatrix(np.diag([0.0, 2.0, 1.0])),)),
+    "complex-gram": complex_gram_realization()}
 
 
 def test_path_specs_cover_every_eval_path():
@@ -1305,13 +1315,26 @@ class TestEvalComplex:
             f = eval_complex(r, [x])
             assert np.linalg.eigvalsh((f - f.conj().T) / 2j)[0] >= -1e-10
 
-    def test_conjugate_symmetry(self):
-        r = cauchy_realization(0.9)
-        re = np.diag([1.0, 2.0, 3.0])
-        x = re + 1j * random_pd(3, (0.5, 1.5), 5).entries
-        f = eval_complex(r, [x])
-        fc = eval_complex(r, [x.conj()])
-        assert operator_norm(fc - f.conj()) <= 1e-12
+    # F(X*) = F(X)* for Hermitian coefficients, real or complex; at a point
+    # with complex real parts X* is not conj X, and F(conj X) = conj F(X)
+    # holds only for real coefficients.  Measured at most 9.2e-14 of
+    # ||F|| (power:0.5) over 40 seeds of this draw per case.
+    @pytest.mark.parametrize("spec,path", [
+        ("power:0.5", "spectral"), ("cauchy:1.0", "batched"),
+        ("harmonic:0.2,0.3,0.5", "dense"), ("complex-arrowhead", "spectral"),
+        ("complex-two-variable", "batched"), ("complex-gram", "dense")])
+    def test_adjoint_symmetry(self, spec, path):
+        r = ADJOINT_REALIZATIONS.get(spec) or PATH_REALIZATIONS[spec]
+        rng = np.random.default_rng(40)
+        x = []
+        for _ in range(r.k):
+            h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            x.append((h + h.conj().T) / 2 + 1j * complex_pd(4, rng))
+        adjoint = [xi.conj().T for xi in x]
+        assert route_complex(r, x)[0] == route_complex(r, adjoint)[0] == path
+        f = eval_complex(r, x)
+        assert operator_norm(eval_complex(r, adjoint) - f.conj().T) <= 1e-12 * max(
+            1.0, operator_norm(f))
 
     def test_rejects_indefinite_imaginary_part(self):
         x = np.eye(2) + 1j * np.diag([1.0, -1.0])
